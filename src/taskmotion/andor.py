@@ -10,7 +10,7 @@ rationals so equal-cost alternatives stay equal under rescaling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -273,6 +273,12 @@ def _check_root_reaches_leaf(graph: AndOrGraph) -> None:
     raise UnreachableRoot("no leaf reaches the root through any arc chain", graph.root)
 
 
+def copy_graph(graph: AndOrGraph) -> AndOrGraph:
+    """A copy with nodes of its own; the immutable arcs are shared."""
+    return AndOrGraph({nid: replace(node) for nid, node in graph.nodes.items()},
+                      graph.arcs, graph.root, graph.failure, graph._arcs_by_parent)
+
+
 def set_leaf_truth(graph: AndOrGraph, truths: Mapping[int, bool]) -> None:
     """Assign truth values to leaves; any other node id is rejected."""
     for nid, value in truths.items():
@@ -293,7 +299,7 @@ def _refresh(graph: AndOrGraph) -> None:
     """
     if not graph._dirty:
         return
-    order = _topological_children_first(graph)
+    order = children_first_order(graph)
     for nid in order:
         node = graph.nodes[nid]
         if node.kind is NodeKind.LEAF:
@@ -324,7 +330,8 @@ def _refresh(graph: AndOrGraph) -> None:
     graph._dirty = False
 
 
-def _topological_children_first(graph: AndOrGraph) -> list[int]:
+def children_first_order(graph: AndOrGraph) -> list[int]:
+    """Every node id, each after all of its children."""
     order: list[int] = []
     state: dict[int, int] = {}
     for start in graph.nodes:

@@ -99,7 +99,7 @@ def _export_network_dots(result: PlanResult, directory: str):
     out.mkdir(parents=True, exist_ok=True)
     entries = result.network.entries if result.network is not None else []
     for index, entry in enumerate(entries, start=1):
-        text = to_dot(entry.augmented, title=f"graph_{index:03d}_{entry.kind}")
+        text = entry.to_dot(title=f"graph_{index:03d}_{entry.kind}")
         (out / f"graph_{index:03d}.dot").write_text(text)
     return len(entries)
 

@@ -146,6 +146,8 @@ class ActionTemplate:
                 raise InvalidState(f"action {self.name}: unknown verb {self.verb!r}")
             if self.verb in ("transfer", "put") and self.dest is None:
                 raise InvalidState(f"action {self.name}: verb {self.verb} needs a destination")
+            if self.dest == self.manipulated:
+                raise InvalidState(f"action {self.name}: {self.manipulated} cannot be put on itself")
         elif self.motion_class in (MotionClass.SYMBOLIC, MotionClass.WAIT):
             if self.manipulated is not None or self.dest is not None:
                 raise InvalidState(f"action {self.name}: symbolic action carries geometry")

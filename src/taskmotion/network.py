@@ -6,6 +6,12 @@ dead end, and every exhausted frontier appends a further graph instead of
 mutating an existing one. The network therefore records the full history
 of the run, and its length is the reported search depth.
 
+Each template is validated and compiled once into a `CompiledGraph` that
+every graph instantiated from it shares: the main template on first use,
+a composed rearrangement template when it is composed. A `GraphEntry`
+holds only what differs between instantiations, its leaf truths and its
+achieved nodes.
+
 Candidates are drawn from the newest graph only. A node is a candidate
 when it is not yet achieved, at least one of its incoming arcs has all
 children achieved, the arc's actions are symbolically applicable, and the
@@ -18,27 +24,37 @@ the lowest arc id.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
+from typing import Collection
 
-from .andor import (
+from .andor import (  # noqa: F401 - see the note below
     INF,
     AndOrGraph,
     ArcDecl,
-    AugmentedGraph,
     GraphTemplate,
     HyperArc,
     NodeDecl,
     NodeKind,
     augment,
     build_graph,
+    children_first_order,
+    copy_graph,
     node_cost,
     set_leaf_truth,
     solution_subgraph,
     solved,
+    to_dot,
 )
 from .domain import ActionTemplate, Fact, chain_applicable
+
+# `solved`, `node_cost` and `solution_subgraph` are the from-scratch
+# pricing of `andor`, which the tests keep as the reference for
+# `CompiledGraph`. They stay bound here because the layer trace in
+# perfbench/tracer.py wraps the network's pricing calls under these names.
 
 
 class NetworkError(Exception):
@@ -70,13 +86,95 @@ class ExpandReason(Enum):
 
 OBSTRUCTION_PREDICATE = "obstructs"
 
+_ARC_ORDER = attrgetter("parent", "id")
+
+
+class CompiledGraph:
+    """A validated graph, flattened once for repeated pricing.
+
+    Arc weights are scaled to integers by the least common multiple of
+    their denominators, so costs are exact integers (or INF) that order
+    and tie exactly like the rational costs of `andor`; a cost divided by
+    `scale` is the rational one. The graph itself is shared by every
+    entry and never mutated: its leaves all stay false.
+    """
+
+    def __init__(self, graph: AndOrGraph):
+        self.graph = graph
+        self.scale = math.lcm(*(arc.weight.denominator for arc in graph.arcs))
+        self.weight = {arc.id: arc.weight.numerator * (self.scale // arc.weight.denominator)
+                       for arc in graph.arcs}
+        # Root and internal nodes children first, each with its arcs in id
+        # order; leaves are priced from their truth, failure stays INF.
+        self.order = tuple(
+            (nid, tuple((arc, self.weight[arc.id]) for arc in graph.arcs_into(nid)))
+            for nid in children_first_order(graph)
+            if graph.nodes[nid].kind in (NodeKind.ROOT, NodeKind.INTERNAL))
+        # Every arc under its first child: an arc whose children are all
+        # achieved is found exactly once by looking up the achieved nodes.
+        self.arcs_by_first_child: dict[int, list[HyperArc]] = {}
+        for arc in graph.arcs:
+            self.arcs_by_first_child.setdefault(arc.children[0], []).append(arc)
+        self.leaf_facts: tuple[tuple[int, Fact], ...] = tuple(_leaf_facts(graph))
+
+    def price(self, true_leaves: Collection[int]) -> tuple[dict[int, float], dict[int, HyperArc]]:
+        """Scaled cost (an integer, or INF when unsolved) of every node and
+        the cheapest arc of every solved non-leaf node, ties to the lowest
+        arc id, when exactly `true_leaves` hold."""
+        cost: dict[int, float] = dict.fromkeys(self.graph.nodes, INF)
+        cost.update(dict.fromkeys(true_leaves, 0))
+        choice: dict[int, HyperArc] = {}
+        lookup = cost.__getitem__
+        for nid, arcs in self.order:
+            best = INF
+            for arc, weight in arcs:
+                total = sum(map(lookup, arc.children), weight)
+                if total < best:
+                    best = total
+                    choice[nid] = arc
+            cost[nid] = best
+        return cost, choice
+
+    def solution(self, cost: dict[int, float],
+                 choice: dict[int, HyperArc]) -> dict[int, HyperArc]:
+        """The arcs `andor.solution_subgraph` picks, from one `price` result."""
+        if cost[self.graph.root] == INF:
+            return {}
+        chosen: dict[int, HyperArc] = {}
+        stack = [self.graph.root]
+        while stack:
+            nid = stack.pop()
+            if nid in chosen or nid not in choice:
+                continue
+            chosen[nid] = choice[nid]
+            stack.extend(choice[nid].children)
+        return chosen
+
+
+def _leaf_facts(graph: AndOrGraph):
+    for leaf in graph.leaves():
+        try:
+            yield leaf.id, Fact.parse(leaf.label)
+        except ValueError:
+            continue  # an empty label states no fact; the leaf stays false
+
 
 @dataclass
 class GraphEntry:
-    graph: AndOrGraph
-    augmented: AugmentedGraph
+    compiled: CompiledGraph
     kind: str  # "main" | "rearrangement"
+    true_leaves: frozenset[int]
     achieved: set[int] = field(default_factory=set)
+
+    def graph(self) -> AndOrGraph:
+        """A fresh copy of this entry's graph with its leaf truths set."""
+        graph = copy_graph(self.compiled.graph)
+        set_leaf_truth(graph, dict.fromkeys(self.true_leaves, True))
+        return graph
+
+    def to_dot(self, title: str) -> str:
+        """DOT rendering of this entry's graph with the virtual node."""
+        return to_dot(augment(self.graph()), title=title)
 
 
 @dataclass(frozen=True)
@@ -93,18 +191,6 @@ class Candidate:
         return (self.label, tuple(a.name for a in self.actions))
 
 
-def _leaf_truths(graph: AndOrGraph, facts: frozenset[Fact]) -> dict[int, bool]:
-    truths = {}
-    for leaf in graph.leaves():
-        try:
-            fact = Fact.parse(leaf.label)
-        except ValueError:
-            truths[leaf.id] = False
-            continue
-        truths[leaf.id] = fact in facts
-    return truths
-
-
 class GraphNetwork:
     def __init__(self, main_template: GraphTemplate,
                  stage_templates: dict[str, GraphTemplate],
@@ -118,6 +204,9 @@ class GraphNetwork:
         self.knowledge: set[Fact] = set()
         self.suppressed: set[tuple[str, tuple[str, ...], str]] = set()
         self._expansion_seen: set[tuple] = set()
+        self._main: CompiledGraph | None = None
+        # (entry, costs, cheapest arcs) of the entry last searched.
+        self._pricing: tuple[GraphEntry, dict, dict] | None = None
 
     # -- structure ---------------------------------------------------------
 
@@ -132,43 +221,59 @@ class GraphNetwork:
     def bootstrap(self, facts: frozenset[Fact]) -> GraphEntry:
         if self.entries:
             raise NetworkError("network already bootstrapped")
-        return self._instantiate(self.main_template, "main", facts)
+        return self._instantiate_main(facts)
 
-    def _instantiate(self, template: GraphTemplate, kind: str,
+    def _instantiate_main(self, facts: frozenset[Fact]) -> GraphEntry:
+        # Compiled on first use and kept for the network's life: the main
+        # template never changes, and hashing a large template to look it
+        # up would cost more than building it.
+        if self._main is None:
+            self._main = CompiledGraph(build_graph(self.main_template))
+        return self._instantiate(self._main, "main", facts)
+
+    def _instantiate(self, compiled: CompiledGraph, kind: str,
                      facts: frozenset[Fact]) -> GraphEntry:
-        graph = build_graph(template)
-        set_leaf_truth(graph, _leaf_truths(graph, facts | self.knowledge))
-        achieved = {leaf.id for leaf in graph.leaves() if leaf.truth}
-        entry = GraphEntry(graph, augment(graph), kind, achieved)
+        known = facts | self.knowledge
+        true_leaves = frozenset(lid for lid, fact in compiled.leaf_facts if fact in known)
+        entry = GraphEntry(compiled, kind, true_leaves, set(true_leaves))
         self.entries.append(entry)
         return entry
+
+    def _priced(self) -> tuple[dict[int, float], dict[int, HyperArc]]:
+        """`CompiledGraph.price` of the newest entry, computed once per entry;
+        its leaf truths never change."""
+        entry = self.latest
+        if self._pricing is None or self._pricing[0] is not entry:
+            self._pricing = (entry, *entry.compiled.price(entry.true_leaves))
+        return self._pricing[1], self._pricing[2]
 
     # -- candidate enumeration and selection --------------------------------
 
     def frontier(self, facts: frozenset[Fact], world_sig: str) -> list[Candidate]:
-        """Executable candidates of the newest graph, in arc-id order."""
+        """Executable candidates of the newest graph, by node id then arc id."""
         if not self.entries:
             raise NetworkError("network not bootstrapped")
         entry = self.latest
-        graph = entry.graph
+        achieved = entry.achieved
+        nodes = entry.compiled.graph.nodes
+        by_first_child = entry.compiled.arcs_by_first_child
         index = len(self.entries) - 1
+        reached = [arc for nid in achieved for arc in by_first_child.get(nid, ())]
+        reached.sort(key=_ARC_ORDER)
         out = []
-        for nid in sorted(graph.nodes):
-            node = graph.nodes[nid]
-            if nid in entry.achieved or node.kind in (NodeKind.FAILURE, NodeKind.VIRTUAL,
-                                                      NodeKind.LEAF):
+        for arc in reached:
+            node = nodes[arc.parent]
+            if (arc.parent in achieved or node.kind is NodeKind.FAILURE
+                    or not achieved.issuperset(arc.children)):
                 continue
-            for arc in graph.arcs_into(nid):
-                if not set(arc.children) <= entry.achieved:
-                    continue
-                actions = tuple(self.actions[name] for name in arc.actions)
-                candidate = Candidate(index, nid, node.label, arc, actions)
-                label, names = candidate.key()
-                if (label, names, world_sig) in self.suppressed:
-                    continue
-                if not chain_applicable(facts, actions):
-                    continue
-                out.append(candidate)
+            actions = tuple(self.actions[name] for name in arc.actions)
+            candidate = Candidate(index, arc.parent, node.label, arc, actions)
+            label, names = candidate.key()
+            if (label, names, world_sig) in self.suppressed:
+                continue
+            if not chain_applicable(facts, actions):
+                continue
+            out.append(candidate)
         return out
 
     def select(self, facts: frozenset[Fact], world_sig: str) -> Candidate | None:
@@ -176,20 +281,16 @@ class GraphNetwork:
         candidates = self.frontier(facts, world_sig)
         if not candidates:
             return None
-        graph = self.latest.graph
-        if solved(graph, graph.root):
-            chosen = solution_subgraph(graph)
-            on_solution = [c for c in candidates
-                           if chosen.get(c.node_id) is not None
-                           and chosen[c.node_id].id == c.arc.id]
-            if on_solution:
-                candidates = on_solution
+        compiled = self.latest.compiled
+        cost, choice = self._priced()
+        chosen = compiled.solution(cost, choice)
+        on_solution = [c for c in candidates if chosen.get(c.node_id) is c.arc]
+        if on_solution:
+            candidates = on_solution
 
         def sort_key(c: Candidate):
-            est = c.arc.weight + sum(
-                (node_cost(graph, child) for child in c.arc.children),
-                Fraction(0))
-            return (est == INF, est if est != INF else Fraction(0), c.arc.id, c.node_id)
+            est = sum(map(cost.__getitem__, c.arc.children), compiled.weight[c.arc.id])
+            return (est == INF, est if est != INF else 0, c.arc.id, c.node_id)
 
         return min(candidates, key=sort_key)
 
@@ -221,7 +322,7 @@ class GraphNetwork:
                 raise ExpansionCycle(
                     "frontier exhausted twice with identical state and knowledge")
             self._expansion_seen.add(signature)
-        return self._instantiate(self.main_template, "main", facts)
+        return self._instantiate_main(facts)
 
     def _expansion_signature(self, facts: frozenset[Fact]) -> tuple:
         return ("main", tuple(sorted(f.text() for f in facts)),
@@ -237,8 +338,8 @@ class GraphNetwork:
                 "no relocation stage for any of: " + ", ".join(obstructor_ids))
         for oid, _ in stages:
             self.knowledge.add(Fact(OBSTRUCTION_PREDICATE, (oid,)))
-        template = compose_rearrangement(stages)
-        return self._instantiate(template, "rearrangement", facts)
+        compiled = CompiledGraph(build_graph(compose_rearrangement(stages)))
+        return self._instantiate(compiled, "rearrangement", facts)
 
 
 def compose_rearrangement(stages: list[tuple[str, GraphTemplate]]) -> GraphTemplate:
@@ -279,6 +380,3 @@ def compose_rearrangement(stages: list[tuple[str, GraphTemplate]]) -> GraphTempl
     arcs.insert(0, ArcDecl(1, 1, tuple(stage_roots), Fraction(0), ()))
     return GraphTemplate(tuple(nodes), tuple(arcs), 1, 2)
 
-
-def network_depth(network: GraphNetwork) -> int:
-    return network.depth

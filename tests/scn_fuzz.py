@@ -122,16 +122,21 @@ def fuzz_scenario(seed: int) -> Scenario:
         pre = tuple(Condition(f, rng.random() < 0.3)
                     for f in rng.sample(pool, rng.randint(0, 2)))
         add = set(rng.sample(pool, rng.randint(0, 2)))
-        delete = set(rng.sample([f for f in pool if f not in add],
-                                rng.randint(0, 2)))
+        rest = [f for f in pool if f not in add]
+        delete = set(rng.sample(rest, rng.randint(0, min(2, len(rest)))))
         fields = {}
         if klass in (MotionClass.TRANSFER, MotionClass.HANDOVER):
             fields["manipulated"] = rng.choice(movables)
             fields["verb"] = rng.choice(["transfer", "grasp", "put"])
-            dest_pool = sorted(set(scn.objects) | set(scn.markers))
-            fields["dest"] = rng.choice(dest_pool)
-            if rng.random() < 0.5:
-                fields["source"] = rng.choice(dest_pool)
+            # An object is never its own destination: it would rest on itself.
+            dest_pool = sorted((set(scn.objects) | set(scn.markers))
+                               - {fields["manipulated"]})
+            if not dest_pool:
+                fields["verb"] = "grasp"
+            else:
+                fields["dest"] = rng.choice(dest_pool)
+                if rng.random() < 0.5:
+                    fields["source"] = rng.choice(dest_pool)
         if klass is MotionClass.WAIT:
             fields["duration"] = rng.choice([5.0, 10.0, 30.5])
         if scn.markers and rng.random() < 0.4:

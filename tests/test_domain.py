@@ -105,6 +105,15 @@ def test_transfer_requires_manipulated_and_dest():
                        manipulated="d1", verb="transfer")
 
 
+def test_transfer_and_handover_reject_the_object_as_its_own_destination():
+    # Such a step would stack the object on itself, and walking its
+    # support chain would then never end.
+    for klass in (MotionClass.TRANSFER, MotionClass.HANDOVER):
+        with pytest.raises(InvalidState, match="d1 cannot be put on itself"):
+            ActionTemplate(name="t", motion_class=klass, manipulated="d1",
+                           dest="d1")
+
+
 def test_symbolic_action_must_not_carry_geometry():
     with pytest.raises(InvalidState):
         ActionTemplate(name="s", motion_class=MotionClass.WAIT, manipulated="d1")

@@ -125,6 +125,22 @@ def test_cycle_diagnostic_points_into_the_graph():
     assert info.value.line in (11, 12, 14, 15)
 
 
+def test_object_as_its_own_destination_is_a_located_error():
+    raw = read("minimal.scn")
+    assert "  to pad\n" in raw
+    with pytest.raises(ResolveError) as info:
+        parse(raw.replace("  to pad\n", "  to cup\n"))
+    assert (info.value.line, info.value.col) == (20, 8)
+    assert "cup cannot be put on itself" in info.value.message
+
+
+def test_fuzz_generator_covers_seeds_0_to_399():
+    for seed in range(400):
+        scn = fuzz_scenario(seed)
+        for action in scn.actions.values():
+            assert action.dest is None or action.dest != action.manipulated, seed
+
+
 def test_fuzz_roundtrip_fixpoint():
     for seed in range(60):
         scn = fuzz_scenario(seed)

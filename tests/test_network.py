@@ -1,13 +1,29 @@
 """Graph-network tests: frontiers, selection, suppression, expansion."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from test_andor import random_template
 
-from taskmotion.andor import ArcDecl, GraphTemplate, NodeDecl, NodeKind
-from taskmotion.domain import ActionTemplate, Condition, Fact, MotionClass
+from taskmotion.andor import (
+    INF,
+    ArcDecl,
+    GraphTemplate,
+    NodeDecl,
+    NodeKind,
+    best_arc,
+    build_graph,
+    node_cost,
+    set_leaf_truth,
+    solution_subgraph,
+    solved,
+)
+from taskmotion.domain import ActionTemplate, Condition, Fact, MotionClass, chain_applicable
 from taskmotion.network import (
     Candidate,
+    CompiledGraph,
     DepthLimitExceeded,
     ExpandReason,
     ExpansionCycle,
@@ -68,7 +84,7 @@ def test_bootstrap_marks_true_leaves_achieved():
     entry = net.latest
     assert entry.achieved == {3, 4}
     assert entry.kind == "main"
-    assert entry.augmented.base is entry.graph
+    assert entry.true_leaves == {3, 4}
 
 
 def test_frontier_lists_arcs_with_achieved_children():
@@ -156,6 +172,7 @@ def test_stage_complete_expansion_appends_fresh_main_graph():
     assert net.depth == 2
     assert entry.kind == "main"
     assert entry.achieved == {3, 4}
+    assert entry.compiled is net.entries[0].compiled
     # Old graph keeps its achieved history but no longer feeds the frontier.
     assert all(c.graph_index == 1 for c in net.frontier(FACTS, SIG))
 
@@ -221,7 +238,7 @@ def test_motion_failure_expansion_uses_knowledge():
     entry = net.expand(ExpandReason.MOTION_FAILURE, snapshot, ("box1",))
     assert entry.kind == "rearrangement"
     assert Fact("obstructs", ("box1",)) in net.knowledge
-    leaves = {leaf.label: leaf for leaf in entry.graph.leaves()}
+    leaves = {leaf.label: leaf for leaf in entry.graph().leaves()}
     assert leaves["obstructs box1"].truth
     assert leaves["clear box1"].truth
     # The relocation arc is executable straight away.
@@ -237,3 +254,138 @@ def test_motion_failure_skips_unknown_stages():
     assert entry.kind == "rearrangement"
     with pytest.raises(UnknownStage):
         net.expand(ExpandReason.MOTION_FAILURE, FACTS, ("ghost",))
+
+# -- the compiled fast path against the from-scratch reference -------------
+
+
+def varied_weights(template, rng):
+    """The template with small weights over mixed denominators, so that
+    scaling to integers matters and equal-cost ties are common."""
+    return replace(template, arcs=tuple(
+        replace(arc, weight=Fraction(rng.randint(0, 12), rng.choice([1, 2, 3, 4, 7])))
+        for arc in template.arcs))
+
+
+def flip_sequences(rng, templates=200, flips=10):
+    """(template, truths after each flip) for random templates."""
+    for i in range(templates):
+        template = random_template(rng)
+        if i % 2:
+            template = varied_weights(template, rng)
+        leaves = sorted(d.id for d in template.nodes if d.kind is NodeKind.LEAF)
+        truths = {lid: rng.random() < 0.6 for lid in leaves}
+        sequence = [dict(truths)]
+        for _ in range(flips):
+            lid = rng.choice(leaves)
+            truths[lid] = not truths[lid]
+            sequence.append(dict(truths))
+        yield template, sequence
+
+
+def test_compiled_pricing_matches_refresh_over_flip_sequences():
+    checked = 0
+    for template, sequence in flip_sequences(random.Random(20261018)):
+        compiled = CompiledGraph(build_graph(template))
+        for truths in sequence:
+            cost, choice = compiled.price({lid for lid, on in truths.items() if on})
+            fresh = build_graph(template)
+            set_leaf_truth(fresh, truths)
+            for nid in fresh.nodes:
+                want = node_cost(fresh, nid)
+                got = cost[nid] if cost[nid] == INF else Fraction(cost[nid], compiled.scale)
+                assert got == want, (template, truths, nid)
+                assert (cost[nid] != INF) == solved(fresh, nid)
+                if fresh.nodes[nid].kind is not NodeKind.LEAF:
+                    assert choice.get(nid) == best_arc(fresh, nid)
+            assert compiled.solution(cost, choice) == solution_subgraph(fresh)
+            checked += 1
+    assert checked == 200 * 11
+
+
+def scan_frontier(graph, achieved, actions, suppressed, facts, world_sig, index):
+    """The frontier as first written: scan every node of a built graph."""
+    out = []
+    for nid in sorted(graph.nodes):
+        node = graph.nodes[nid]
+        if nid in achieved or node.kind in (NodeKind.FAILURE, NodeKind.VIRTUAL,
+                                            NodeKind.LEAF):
+            continue
+        for arc in graph.arcs_into(nid):
+            if not set(arc.children) <= achieved:
+                continue
+            acts = tuple(actions[name] for name in arc.actions)
+            candidate = Candidate(index, nid, node.label, arc, acts)
+            label, names = candidate.key()
+            if (label, names, world_sig) in suppressed:
+                continue
+            if not chain_applicable(facts, acts):
+                continue
+            out.append(candidate)
+    return out
+
+
+def scan_select(graph, candidates):
+    """The selection as first written, priced by `andor`."""
+    if not candidates:
+        return None
+    if solved(graph, graph.root):
+        chosen = solution_subgraph(graph)
+        on_solution = [c for c in candidates
+                       if chosen.get(c.node_id) is not None
+                       and chosen[c.node_id].id == c.arc.id]
+        if on_solution:
+            candidates = on_solution
+
+    def sort_key(c):
+        est = c.arc.weight + sum(
+            (node_cost(graph, child) for child in c.arc.children), Fraction(0))
+        return (est == INF, est if est != INF else Fraction(0), c.arc.id, c.node_id)
+
+    return min(candidates, key=sort_key)
+
+
+def leaf_fact(lid):
+    return Fact("leaf", (str(lid),))  # `random_template` labels leaves "leaf <id>"
+
+
+def test_frontier_and_select_match_the_scan_over_flip_sequences():
+    rng = random.Random(4242)
+    actions = simple_actions()
+    actions["needs_leaf_2"] = ActionTemplate(
+        "needs_leaf_2", MotionClass.SYMBOLIC, preconditions=(Condition(leaf_fact(2)),))
+    names = sorted(actions)
+    compared = 0
+    for template, sequence in flip_sequences(rng):
+        template = replace(template, arcs=tuple(
+            replace(arc, actions=tuple(rng.sample(names, rng.randint(0, 1))))
+            for arc in template.arcs))
+        net = GraphNetwork(template, {}, actions)
+        suppressed = set()
+        for step, truths in enumerate(sequence):
+            facts = frozenset(leaf_fact(lid) for lid, on in truths.items() if on)
+            if step == 0:
+                net.bootstrap(facts)
+            else:
+                net.expand(ExpandReason.STAGE_COMPLETE, facts)
+            graph = build_graph(template)
+            set_leaf_truth(graph, truths)
+            achieved = {lid for lid, on in truths.items() if on}
+            assert net.latest.achieved == achieved
+            # Execute and suppress a few candidates, checking after each.
+            for _ in range(3):
+                sig = rng.choice(["sig-0", "sig-1"])
+                want = scan_frontier(graph, achieved, actions, suppressed, facts,
+                                     sig, net.depth - 1)
+                assert net.frontier(facts, sig) == want
+                chosen = net.select(facts, sig)
+                assert chosen == scan_select(graph, want)
+                compared += 1
+                if chosen is None:
+                    break
+                if rng.random() < 0.3:
+                    net.suppress(chosen, sig)
+                    suppressed.add(chosen.key() + (sig,))
+                else:
+                    net.mark_executed(chosen)
+                    achieved.add(chosen.node_id)
+    assert compared > 2000
