@@ -27,6 +27,7 @@ from .world import (
     MotionResult,
     World,
     execute,
+    path_length,
     plan_motion,
     snapshot,
 )
@@ -380,12 +381,6 @@ def dispatch(world: World, grounding: GroundingResult,
         result.world = execute(result.world, agent_id, final, action)
         result.steps.append(StepOutcome(
             action.name, agent_id, action.motion_class, True, attempts,
-            expansions, _length(final), result.world.clock, plan_time))
+            expansions, path_length(final.path), result.world.clock, plan_time))
     return result
 
-
-def _length(result: MotionResult) -> float:
-    total = 0.0
-    for (x0, y0), (x1, y1) in zip(result.path, result.path[1:]):
-        total += math.hypot(x1 - x0, y1 - y0)
-    return total

@@ -67,7 +67,7 @@ class DepthLimitExceeded(NetworkError):
     def __init__(self, depth: int, cap: int):
         self.depth = depth
         self.cap = cap
-        super().__init__(f"network depth {depth} exceeds cap {cap}")
+        super().__init__(f"network depth {depth} is at its cap {cap}")
 
 
 class ExpansionCycle(NetworkError):
@@ -312,7 +312,7 @@ class GraphNetwork:
         the relocation stages of the reported obstructors into one graph
         and records what obstructs what as network knowledge.
         """
-        if len(self.entries) > self.depth_cap:
+        if len(self.entries) >= self.depth_cap:
             raise DepthLimitExceeded(len(self.entries), self.depth_cap)
         if reason is ExpandReason.MOTION_FAILURE:
             return self._expand_rearrangement(facts, obstructor_ids)

@@ -58,7 +58,7 @@ class FinalStatus(Enum):
 
 @dataclass(frozen=True)
 class RunConfig:
-    depth_cap: int = 512
+    depth_cap: int = 512  # the most graphs the network may hold
     retries: int = 2
     max_expansions: int = 50_000
     seed: int = 0

@@ -6,6 +6,15 @@ the base is a disc that travels the floor. Motion planning runs A* on a
 uniform occupancy grid; when a plan fails, a second search that ignores
 movable objects diagnoses which of them stand in the way.
 
+Each search builds its grid fresh: obstacles are rasterized over their
+bounding boxes only, and the grid is kept as a byte mask padded by one
+ring of blocked cells. A* walks flat indices into that mask, whose order
+equals (x, y) order, so paths and tie-breaks are those of A* on
+coordinate tuples; obstructor order depends on them.
+
+Stacking never forms a cycle: `execute` refuses a support that rests on
+the object being placed.
+
 Worlds are value-like: `execute` returns a new world and never touches
 its input. Shared diagnostic counters are the one exception, documented
 on `Counters`. Reads (`snapshot`, `plan_motion`, `obstructors`) are pure
@@ -179,38 +188,49 @@ def world_from_scenario(scenario, seed: int = 0, resolution: float = DEFAULT_RES
 
 
 def stack_chain_down(world: World, obj_id: str) -> list[str]:
-    """Everything the object transitively rests on, nearest support first."""
+    """Everything the object transitively rests on, nearest support first.
+
+    Stops at an id it has already seen, so a stacking cycle cannot hang
+    the walk.
+    """
     chain = []
+    seen = {obj_id}
     current = world.objects[obj_id].stack_on
-    while current is not None and current in world.objects:
+    while current is not None and current in world.objects and current not in seen:
         chain.append(current)
+        seen.add(current)
         current = world.objects[current].stack_on
     return chain
 
 
+def _supported(world: World) -> dict[str, list[str]]:
+    """Support id -> the ids resting directly on it, in id order."""
+    children: dict[str, list[str]] = {}
+    for oid in sorted(world.objects):
+        support = world.objects[oid].stack_on
+        if support is not None:
+            children.setdefault(support, []).append(oid)
+    return children
+
+
 def stack_chain_up(world: World, obj_id: str) -> list[str]:
-    """Everything resting on the object, lowest first."""
-    above = []
-    frontier = [obj_id]
-    order = sorted(world.objects)
-    while frontier:
-        current = frontier.pop(0)
-        for oid in order:
-            if world.objects[oid].stack_on == current:
-                above.append(oid)
-                frontier.append(oid)
+    """Everything resting on the object, lowest first (breadth-first,
+    siblings in id order)."""
+    children = _supported(world)
+    above = list(children.get(obj_id, ()))
+    for oid in above:  # the list grows while it is walked: breadth-first
+        above.extend(children.get(oid, ()))
     return above
 
 
 def stack_top(world: World, obj_id: str) -> str:
-    """Topmost object of the stack rooted at obj_id (itself when bare)."""
+    """Topmost object of the stack rooted at obj_id (itself when bare),
+    following the smallest id where several objects share a support."""
+    children = _supported(world)
     top = obj_id
-    while True:
-        nxt = next((oid for oid in sorted(world.objects)
-                    if world.objects[oid].stack_on == top), None)
-        if nxt is None:
-            return top
-        top = nxt
+    while top in children:
+        top = children[top][0]
+    return top
 
 
 def held_by(world: World) -> dict[str, str]:
@@ -227,6 +247,7 @@ def snapshot(world: World) -> WorldState:
     """
     facts: set[Fact] = set()
     holders = held_by(world)
+    supports = _supported(world)
     for oid in sorted(world.objects):
         obj = world.objects[oid]
         if obj.stack_on is not None:
@@ -238,7 +259,7 @@ def snapshot(world: World) -> WorldState:
             facts.add(Fact("holding", (holders[oid], oid)))
             facts.add(Fact("held", (oid,)))
             continue
-        if not any(o.stack_on == oid for o in world.objects.values()):
+        if oid not in supports:
             facts.add(Fact("clear", (oid,)))
         if obj.movable:
             for marker in world.markers.values():
@@ -344,7 +365,14 @@ def _body_radius(world: World, agent: Agent, carry: str | None) -> float:
 
 
 class _Grid:
-    """Occupancy raster over the agent's admissible region."""
+    """Occupancy raster over the agent's admissible region.
+
+    `blocked` is the (nx, ny) raster. `free_mask` is the same raster
+    inverted and padded by one ring of blocked cells, flattened to bytes:
+    cell (x, y) is free when `free_mask[(x + 1) * stride + y + 1]` is
+    non-zero, with `stride = ny + 2`, so a neighbour step never needs a
+    range test.
+    """
 
     def __init__(self, world: World, agent: Agent, obstacles: list[Obj], inflation: float):
         res = world.resolution
@@ -356,22 +384,45 @@ class _Grid:
         iy1 = math.floor(round(y1 / res, 9))
         self.nx = max(ix1 - self.ix0 + 1, 0)
         self.ny = max(iy1 - self.iy0 + 1, 0)
-        xs = (np.arange(self.nx) + self.ix0) * res
-        ys = (np.arange(self.ny) + self.iy0) * res
-        self.X, self.Y = np.meshgrid(xs, ys, indexing="ij")
+        self.stride = self.ny + 2
+        # Column and row vectors broadcast to the cell-centre coordinates;
+        # every obstacle test below compares exactly these float values.
+        xs = ((np.arange(self.nx) + self.ix0) * res)[:, None]
+        ys = ((np.arange(self.ny) + self.iy0) * res)[None, :]
         blocked = np.zeros((self.nx, self.ny), dtype=bool)
         if agent.kind == "arm":
-            dist2 = (self.X - agent.anchor[0]) ** 2 + (self.Y - agent.anchor[1]) ** 2
+            dist2 = (xs - agent.anchor[0]) ** 2 + (ys - agent.anchor[1]) ** 2
             blocked |= dist2 > agent.reach ** 2
         for obj in obstacles:
             if obj.shape == "circle":
                 r = obj.dims[0] + inflation
-                blocked |= (self.X - obj.x) ** 2 + (self.Y - obj.y) ** 2 <= r * r
+                hw = hh = r
             else:
                 hw = obj.dims[0] / 2.0 + inflation
                 hh = obj.dims[1] / 2.0 + inflation
-                blocked |= (np.abs(self.X - obj.x) <= hw) & (np.abs(self.Y - obj.y) <= hh)
+            # Bounding box plus one cell, so rounding in the index bounds
+            # can never leave out a cell the footprint test would block.
+            xa, xb = self._span(obj.x - hw, obj.x + hw, self.ix0, self.nx)
+            ya, yb = self._span(obj.y - hh, obj.y + hh, self.iy0, self.ny)
+            if xa >= xb or ya >= yb:
+                continue
+            bx = xs[xa:xb]
+            by = ys[:, ya:yb]
+            if obj.shape == "circle":
+                hit = (bx - obj.x) ** 2 + (by - obj.y) ** 2 <= r * r
+            else:
+                hit = (np.abs(bx - obj.x) <= hw) & (np.abs(by - obj.y) <= hh)
+            blocked[xa:xb, ya:yb] |= hit
         self.blocked = blocked
+        padded = np.zeros((self.nx + 2, self.stride), dtype=bool)
+        np.logical_not(blocked, out=padded[1:-1, 1:-1])
+        self.free_mask = padded.tobytes()
+
+    def _span(self, lo: float, hi: float, i0: int, n: int) -> tuple[int, int]:
+        """Index range [a, b) of the cells within one cell of [lo, hi]."""
+        a = math.floor(lo / self.res) - i0 - 1
+        b = math.ceil(hi / self.res) - i0 + 2
+        return max(a, 0), min(b, n)
 
     def cell(self, point: tuple[float, float]) -> tuple[int, int]:
         return (round(point[0] / self.res) - self.ix0,
@@ -381,52 +432,62 @@ class _Grid:
         return 0 <= c[0] < self.nx and 0 <= c[1] < self.ny
 
     def free(self, c: tuple[int, int]) -> bool:
-        return self.in_range(c) and not self.blocked[c[0], c[1]]
+        return self.in_range(c) and self.free_mask[(c[0] + 1) * self.stride + c[1] + 1] != 0
 
     def center(self, c: tuple[int, int]) -> tuple[float, float]:
         return ((c[0] + self.ix0) * self.res, (c[1] + self.iy0) * self.res)
 
 
-_NEIGHBORS = ((1, 0, 5), (1, 1, 7), (0, 1, 5), (-1, 1, 7),
-              (-1, 0, 5), (-1, -1, 7), (0, -1, 5), (1, -1, 7))
-
-
 def _astar(grid: _Grid, start: tuple[int, int], goal: tuple[int, int],
            budget: int) -> tuple[list[tuple[int, int]] | None, int]:
-    """Deterministic 8-connected A*; integer costs 5/7 avoid float ties."""
+    """Deterministic 8-connected A*; integer costs 5/7 avoid float ties.
 
-    def heuristic(c):
-        dx = abs(c[0] - goal[0])
-        dy = abs(c[1] - goal[1])
-        return 5 * (dx + dy) - 3 * min(dx, dy)
-
-    open_heap = [(heuristic(start), 0, start)]
-    g_score = {start: 0}
-    came: dict[tuple[int, int], tuple[int, int]] = {}
-    closed: set[tuple[int, int]] = set()
+    Both cells must lie inside the grid. The search runs on flat indices
+    into `grid.free_mask`; since `0 <= y + 1 < stride`, index order is
+    (x, y) order, so heap ties break exactly as on coordinate tuples.
+    """
+    stride = grid.stride
+    source = (start[0] + 1) * stride + start[1] + 1
+    target = (goal[0] + 1) * stride + goal[1] + 1
+    gx, gy = divmod(target, stride)
+    neighbors = ((stride, 5), (stride + 1, 7), (1, 5), (1 - stride, 7),
+                 (-stride, 5), (-stride - 1, 7), (-1, 5), (stride - 1, 7))
+    # Open to expansion: free and not yet closed. The start is popped
+    # first, so it needs no free test of its own.
+    open_cell = bytearray(grid.free_mask)
+    open_cell[source] = 1
+    dx, dy = abs(source // stride - gx), abs(source % stride - gy)
+    open_heap = [(5 * (dx + dy) - 3 * min(dx, dy), 0, source)]
+    g_score = {source: 0}
+    came: dict[int, int] = {}
+    heappop, heappush = heapq.heappop, heapq.heappush
     pops = 0
     while open_heap and pops < budget:
-        f, g, cell = heapq.heappop(open_heap)
-        if cell in closed:
+        f, g, cell = heappop(open_heap)
+        if not open_cell[cell]:
             continue
-        closed.add(cell)
+        open_cell[cell] = 0
         pops += 1
-        if cell == goal:
+        if cell == target:
             path = [cell]
             while cell in came:
                 cell = came[cell]
                 path.append(cell)
             path.reverse()
-            return path, pops
-        for dx, dy, step in _NEIGHBORS:
-            nxt = (cell[0] + dx, cell[1] + dy)
-            if nxt in closed or not grid.free(nxt):
+            return [(c // stride - 1, c % stride - 1) for c in path], pops
+        for offset, step in neighbors:
+            nxt = cell + offset
+            if not open_cell[nxt]:
                 continue
             tentative = g + step
             if tentative < g_score.get(nxt, 1 << 60):
                 g_score[nxt] = tentative
                 came[nxt] = cell
-                heapq.heappush(open_heap, (tentative + heuristic(nxt), tentative, nxt))
+                x, y = divmod(nxt, stride)
+                dx = x - gx if x > gx else gx - x
+                dy = y - gy if y > gy else gy - y
+                heappush(open_heap, (tentative + 5 * (dx + dy) - 3 * (dx if dx < dy else dy),
+                                     tentative, nxt))
     return None, pops
 
 
@@ -573,10 +634,18 @@ def obstructors(world: World, q: MotionQuery) -> list[str]:
 # ---------------------------------------------------------------- execution
 
 
-def _resolve_support(world: World, dest: str | None) -> str | None:
+def _resolve_support(world: World, dest: str | None, manipulated: str) -> str | None:
+    """The object `manipulated` will rest on: the top of dest's stack.
+
+    Raises InvalidQuery when that would close a stacking cycle, i.e. the
+    support is the object itself or rests on it.
+    """
     if dest is None or dest not in world.objects:
         return None
-    return stack_top(world, dest)
+    support = stack_top(world, dest)
+    if support == manipulated or manipulated in stack_chain_down(world, support):
+        raise InvalidQuery(f"putting {manipulated} on {support} would close a stacking cycle")
+    return support
 
 
 def execute(world: World, agent_id: str, result: MotionResult,
@@ -597,7 +666,7 @@ def execute(world: World, agent_id: str, result: MotionResult,
         clock += action.duration
     else:
         agent = agents[agent_id]
-        path_len = _path_length(result.path)
+        path_len = path_length(result.path)
         clock += path_len / MOVE_SPEED
         end = result.path[-1] if result.path else agent.config
         if action.motion_class is MotionClass.TRANSIT:
@@ -621,14 +690,14 @@ def execute(world: World, agent_id: str, result: MotionResult,
             if agent.holding != action.manipulated:
                 raise InvalidQuery(
                     f"agent {agent_id} does not hold {action.manipulated}")
-            support = _resolve_support(world, action.dest)
+            support = _resolve_support(world, action.dest, action.manipulated)
             obj = objects[action.manipulated]
             goal = result.goal_point
             agents[agent_id] = replace(agent, config=end, holding=None)
             objects[action.manipulated] = replace(obj, x=goal[0], y=goal[1],
                                                   stack_on=support)
         else:  # fused transfer
-            support = _resolve_support(world, action.dest)
+            support = _resolve_support(world, action.dest, action.manipulated)
             obj = objects[action.manipulated]
             goal = result.goal_point
             agents[agent_id] = replace(agent, config=end, holding=None)
@@ -648,7 +717,8 @@ def execute(world: World, agent_id: str, result: MotionResult,
                  clearance=world.clearance, counters=world.counters)
 
 
-def _path_length(path: tuple[tuple[float, float], ...]) -> float:
+def path_length(path: tuple[tuple[float, float], ...]) -> float:
+    """Euclidean length of a polyline."""
     total = 0.0
     for (x0, y0), (x1, y1) in zip(path, path[1:]):
         total += math.hypot(x1 - x0, y1 - y0)

@@ -194,10 +194,10 @@ def test_exhausted_frontier_with_new_facts_is_not_a_cycle():
 def test_depth_cap_raises_on_the_excess_expansion():
     net = fresh_network(depth_cap=3)
     net.expand(ExpandReason.STAGE_COMPLETE, FACTS)  # depth 2
-    net.expand(ExpandReason.STAGE_COMPLETE, FACTS)  # depth 3
-    net.expand(ExpandReason.STAGE_COMPLETE, FACTS)  # depth 4 == cap + 1
+    net.expand(ExpandReason.STAGE_COMPLETE, FACTS)  # depth 3 == cap
     with pytest.raises(DepthLimitExceeded):
         net.expand(ExpandReason.STAGE_COMPLETE, FACTS)
+    assert net.depth == 3
 
 
 def clear_stage(oid):

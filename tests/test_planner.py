@@ -203,7 +203,14 @@ def test_goal_about_unknown_entity_is_unsolvable():
 def test_depth_cap_stops_runaway_growth():
     res = run_scenario(gen_hanoi(3, omnipotent=True), RunConfig(depth_cap=2))
     assert res.status is FinalStatus.DEPTH_LIMIT
-    assert res.depth == 3
+    assert res.depth == 2
+
+
+@pytest.mark.parametrize("cap", [1, 3, 5])
+def test_depth_cap_is_the_most_graphs_the_network_holds(cap):
+    res = run_scenario(gen_hanoi(3, omnipotent=True), RunConfig(depth_cap=cap))
+    assert res.status is FinalStatus.DEPTH_LIMIT
+    assert res.depth == cap
 
 
 def test_metrics_document_shape():

@@ -5,9 +5,12 @@ independent oracle: whatever objects the planner blames, deleting exactly
 those from the world must make the original query succeed.
 """
 
+import heapq
 import math
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from taskmotion.domain import Box, Fact, MotionClass, ActionTemplate
@@ -17,6 +20,7 @@ from taskmotion.world import (
     InvalidQuery,
     Marker,
     MotionQuery,
+    MotionResult,
     Obj,
     StaleResult,
     World,
@@ -400,3 +404,229 @@ def test_random_obstructions_removal_oracle():
             del world.objects[oid]
         assert plan_motion(world, q).feasible, "removal must restore feasibility"
     assert diagnosed >= 10
+
+
+# --------------------------------------- fast grid and A* against oracles
+#
+# The oracles are the planner's earlier from-scratch versions, kept
+# verbatim: a raster that tests every obstacle over the full grid, and A*
+# on (x, y) tuples with a range test per neighbour. The fast versions must
+# block the same cells and return the same path and pop count, since
+# obstructor order depends on the exact path.
+
+
+class OracleGrid:
+    """Occupancy raster over the agent's admissible region."""
+
+    def __init__(self, world: World, agent: Agent, obstacles: list[Obj], inflation: float):
+        res = world.resolution
+        x0, y0, x1, y1 = world.bounds
+        self.res = res
+        self.ix0 = math.ceil(round(x0 / res, 9))
+        self.iy0 = math.ceil(round(y0 / res, 9))
+        ix1 = math.floor(round(x1 / res, 9))
+        iy1 = math.floor(round(y1 / res, 9))
+        self.nx = max(ix1 - self.ix0 + 1, 0)
+        self.ny = max(iy1 - self.iy0 + 1, 0)
+        xs = (np.arange(self.nx) + self.ix0) * res
+        ys = (np.arange(self.ny) + self.iy0) * res
+        self.X, self.Y = np.meshgrid(xs, ys, indexing="ij")
+        blocked = np.zeros((self.nx, self.ny), dtype=bool)
+        if agent.kind == "arm":
+            dist2 = (self.X - agent.anchor[0]) ** 2 + (self.Y - agent.anchor[1]) ** 2
+            blocked |= dist2 > agent.reach ** 2
+        for obj in obstacles:
+            if obj.shape == "circle":
+                r = obj.dims[0] + inflation
+                blocked |= (self.X - obj.x) ** 2 + (self.Y - obj.y) ** 2 <= r * r
+            else:
+                hw = obj.dims[0] / 2.0 + inflation
+                hh = obj.dims[1] / 2.0 + inflation
+                blocked |= (np.abs(self.X - obj.x) <= hw) & (np.abs(self.Y - obj.y) <= hh)
+        self.blocked = blocked
+
+    def in_range(self, c: tuple[int, int]) -> bool:
+        return 0 <= c[0] < self.nx and 0 <= c[1] < self.ny
+
+    def free(self, c: tuple[int, int]) -> bool:
+        return self.in_range(c) and not self.blocked[c[0], c[1]]
+
+
+_NEIGHBORS = ((1, 0, 5), (1, 1, 7), (0, 1, 5), (-1, 1, 7),
+              (-1, 0, 5), (-1, -1, 7), (0, -1, 5), (1, -1, 7))
+
+
+def oracle_astar(grid, start: tuple[int, int], goal: tuple[int, int],
+                 budget: int) -> tuple[list[tuple[int, int]] | None, int]:
+    """Deterministic 8-connected A*; integer costs 5/7 avoid float ties."""
+
+    def heuristic(c):
+        dx = abs(c[0] - goal[0])
+        dy = abs(c[1] - goal[1])
+        return 5 * (dx + dy) - 3 * min(dx, dy)
+
+    open_heap = [(heuristic(start), 0, start)]
+    g_score = {start: 0}
+    came: dict[tuple[int, int], tuple[int, int]] = {}
+    closed: set[tuple[int, int]] = set()
+    pops = 0
+    while open_heap and pops < budget:
+        f, g, cell = heapq.heappop(open_heap)
+        if cell in closed:
+            continue
+        closed.add(cell)
+        pops += 1
+        if cell == goal:
+            path = [cell]
+            while cell in came:
+                cell = came[cell]
+                path.append(cell)
+            path.reverse()
+            return path, pops
+        for dx, dy, step in _NEIGHBORS:
+            nxt = (cell[0] + dx, cell[1] + dy)
+            if nxt in closed or not grid.free(nxt):
+                continue
+            tentative = g + step
+            if tentative < g_score.get(nxt, 1 << 60):
+                g_score[nxt] = tentative
+                came[nxt] = cell
+                heapq.heappush(open_heap, (tentative + heuristic(nxt), tentative, nxt))
+    return None, pops
+
+
+def random_raster_case(rng):
+    """A random agent and obstacle set; footprints may run off the bounds."""
+    x0 = round(rng.uniform(-0.6, 0.0), 3)
+    y0 = round(rng.uniform(-0.6, 0.0), 3)
+    bounds = (x0, y0, round(x0 + rng.uniform(0.1, 0.9), 3),
+              round(y0 + rng.uniform(0.1, 0.9), 3))
+    world = World(bounds=bounds, resolution=rng.choice([0.02, 0.025, 0.03, 0.05]))
+    if rng.random() < 0.5:
+        agent = Agent("arm", "arm", anchor=(rng.uniform(x0, bounds[2]), rng.uniform(y0, bounds[3])),
+                      reach=rng.uniform(0.1, 0.8))
+    else:
+        agent = Agent("base", "base", anchor=(0.0, 0.0), radius=0.1)
+    obstacles = []
+    for i in range(rng.randint(0, 12)):
+        x = rng.uniform(bounds[0] - 0.2, bounds[2] + 0.2)
+        y = rng.uniform(bounds[1] - 0.2, bounds[3] + 0.2)
+        if rng.random() < 0.5:
+            obstacles.append(Obj(f"o{i}", "circle", (rng.uniform(0.0, 0.15),), x, y))
+        else:
+            obstacles.append(Obj(f"o{i}", "box", (rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.3)),
+                                 x, y))
+    return world, agent, obstacles, rng.choice([0.0, 0.01, rng.uniform(0.0, 0.08)])
+
+
+def test_raster_matches_full_grid_oracle():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        world, agent, obstacles, inflation = random_raster_case(rng)
+        fast = W._Grid(world, agent, obstacles, inflation)
+        slow = OracleGrid(world, agent, obstacles, inflation)
+        assert (fast.nx, fast.ny) == (slow.nx, slow.ny)
+        assert np.array_equal(fast.blocked, slow.blocked)
+        for x in range(-1, fast.nx + 1):
+            for y in range(-1, fast.ny + 1):
+                assert fast.free((x, y)) == slow.free((x, y))
+
+
+def test_astar_matches_tuple_oracle():
+    rng = random.Random(20261019)
+    unreachable = reached = 0
+    for _ in range(150):
+        world, agent, obstacles, inflation = random_raster_case(rng)
+        fast = W._Grid(world, agent, obstacles, inflation)
+        slow = OracleGrid(world, agent, obstacles, inflation)
+        if fast.nx == 0 or fast.ny == 0:
+            continue
+        free = [(x, y) for x in range(fast.nx) for y in range(fast.ny) if slow.free((x, y))]
+        cells = [(rng.randrange(fast.nx), rng.randrange(fast.ny)) for _ in range(2)]
+        starts = [rng.choice(free)] if free else cells[:1]
+        for start in starts + cells[:1]:
+            for goal in [start, cells[1]] + ([rng.choice(free)] if free else []):
+                for budget in (1, 3, 50_000):
+                    want = oracle_astar(slow, start, goal, budget)
+                    assert W._astar(fast, start, goal, budget) == want
+                    if budget == 50_000:
+                        if want[0] is None:
+                            unreachable += 1
+                        elif start != goal:
+                            reached += 1
+    assert unreachable >= 100 and reached >= 300
+
+
+# ------------------------------------------ stack helpers against oracles
+
+
+def oracle_stack_chain_up(world, obj_id):
+    above = []
+    frontier = [obj_id]
+    order = sorted(world.objects)
+    while frontier:
+        current = frontier.pop(0)
+        for oid in order:
+            if world.objects[oid].stack_on == current:
+                above.append(oid)
+                frontier.append(oid)
+    return above
+
+
+def oracle_stack_top(world, obj_id):
+    top = obj_id
+    while True:
+        nxt = next((oid for oid in sorted(world.objects)
+                    if world.objects[oid].stack_on == top), None)
+        if nxt is None:
+            return top
+        top = nxt
+
+
+def test_stack_helpers_match_the_scanning_oracles():
+    rng = random.Random(20261020)
+    for _ in range(200):
+        world = arm_world()
+        ids = [f"s{i}" for i in rng.sample(range(40), rng.randint(1, 15))]
+        for k, oid in enumerate(ids):
+            # Supports are drawn from earlier ids only, so stacks stay
+            # acyclic while id order and stacking order differ.
+            support = rng.choice([None, "ghost"] + ids[:k])
+            world.objects[oid] = Obj(oid, "circle", (0.02,), 0.0, 0.0, movable=True,
+                                     stack_on=support)
+        state = snapshot(world)
+        for oid in ids:
+            assert W.stack_chain_up(world, oid) == oracle_stack_chain_up(world, oid)
+            assert W.stack_top(world, oid) == oracle_stack_top(world, oid)
+            bare = not any(o.stack_on == oid for o in world.objects.values())
+            assert (Fact("clear", (oid,)) in state.facts) == bare
+
+
+def two_stack_world():
+    """b rests on a."""
+    world = arm_world()
+    world.objects["a"] = Obj("a", "circle", (0.03,), 0.1, 0.0, movable=True)
+    world.objects["b"] = Obj("b", "circle", (0.03,), 0.1, 0.0, movable=True, stack_on="a")
+    return world
+
+
+@pytest.mark.parametrize("manipulated,dest", [
+    ("a", "b"),  # a would rest on b, which rests on a
+    ("b", "a"),  # the top of a's stack is b itself
+])
+def test_execute_refuses_to_close_a_stacking_cycle(manipulated, dest):
+    world = two_stack_world()
+    result = MotionResult(True, ((0.0, 0.0), (0.1, 0.0)), 0, (), (0.1, 0.0),
+                          world_signature(world))
+    with pytest.raises(InvalidQuery, match="stacking cycle"):
+        execute(world, "arm", result, transfer_action("move", manipulated, dest))
+
+
+def test_stack_walks_stop_at_a_cycle():
+    world = two_stack_world()
+    world.objects["a"] = replace(world.objects["a"], stack_on="b")
+    assert W.stack_chain_down(world, "a") == ["b"]
+    assert W.stack_chain_down(world, "b") == ["a"]
+    state = snapshot(world)
+    assert Fact("on", ("a", "b")) in state.facts
+    assert Fact("on", ("b", "a")) in state.facts
