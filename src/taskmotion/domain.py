@@ -234,38 +234,3 @@ def chain_applicable(state: frozenset[Fact], actions: Iterable[ActionTemplate]) 
 
 def is_goal(state: frozenset[Fact], goal: GoalSpec) -> bool:
     return all(f in state for f in goal.facts)
-
-
-def action_motion_class(action: ActionTemplate) -> tuple[MotionClass, dict[str, str | None]]:
-    """Motion class plus the geometric binding slots of an action."""
-    binding = {
-        "manipulated": action.manipulated,
-        "source": action.source,
-        "dest": action.dest,
-        "agent": action.agent,
-        "area": action.area,
-    }
-    return action.motion_class, binding
-
-
-def state_region(facts: Iterable[Fact], scenario) -> dict[str, Box]:
-    """Geometric constraints induced by a fact set.
-
-    Maps entity id -> pose box. `on`/`at`/`at_peg` pin an object near its
-    support or marker; `holding` binds the object to the arm's hand. An
-    empty fact set constrains nothing. The scenario supplies entity
-    placement points via `entity_point`.
-    """
-    regions: dict[str, Box] = {}
-    for fact in facts:
-        if fact.predicate in ("on", "at_peg", "at") and len(fact.args) == 2:
-            obj, place = fact.args
-            point = scenario.entity_point(place)
-            if point is not None:
-                regions[obj] = Box(point[0], point[1], 0.05, 0.05)
-        elif fact.predicate == "holding" and len(fact.args) == 2:
-            agent, obj = fact.args
-            point = scenario.entity_point(agent)
-            if point is not None:
-                regions[obj] = Box(point[0], point[1], 0.02, 0.02)
-    return regions

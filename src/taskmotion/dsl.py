@@ -155,15 +155,6 @@ class Scenario:
     def entity_ids(self) -> set[str]:
         return set(self.objects) | set(self.markers) | set(self.agents)
 
-    def entity_point(self, entity: str) -> tuple[float, float]:
-        if entity in self.objects:
-            return (self.objects[entity].x, self.objects[entity].y)
-        if entity in self.markers:
-            return (self.markers[entity].x, self.markers[entity].y)
-        if entity in self.agents:
-            return (self.agents[entity].x, self.agents[entity].y)
-        raise KeyError(entity)
-
     def all_predicates(self) -> dict[str, PredicateDecl]:
         merged = dict(BUILTIN_PREDICATE_DECLS)
         merged.update(self.predicates)
@@ -676,6 +667,18 @@ class _Parser:
             if obj.on is not None and not obj.movable:
                 raise ResolveError(f"fixed object {obj.id} cannot rest on another",
                                    line, col)
+        acyclic: set[str] = set()
+        for obj in scn.objects.values():
+            chain: list[str] = []
+            current = obj.id
+            while current is not None and current not in acyclic:
+                if current in chain:
+                    cycle = chain[chain.index(current):] + [current]
+                    line, col = self._at(("entity", current))
+                    raise ResolveError("stacking cycle: " + " on ".join(cycle), line, col)
+                chain.append(current)
+                current = scn.objects[current].on
+            acyclic.update(chain)
         for agent in scn.agents.values():
             line, col = self._at(("entity", agent.id))
             if agent.mount is not None:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 from .domain import ActionTemplate, Box, MotionClass, applicable
 from .world import (
     Agent,
+    InvalidQuery,
     MotionQuery,
     MotionResult,
     World,
@@ -84,7 +85,7 @@ class StepOutcome:
 
 @dataclass
 class DispatchFailure:
-    kind: str  # "motion" | "precondition" | "grounding"
+    kind: str  # "motion" | "precondition" | "grounding" | "invalid"
     action: str
     obstructors: tuple[str, ...] = ()
     detail: str = ""
@@ -313,7 +314,13 @@ def build_query(world: World, grounded: GroundedAction, agent_id: str,
 
 def dispatch(world: World, grounding: GroundingResult,
              budget: PlanningBudget = PlanningBudget()) -> DispatchResult:
-    """Execute a grounded sequence step by step on the live world."""
+    """Execute a grounded sequence step by step on the live world.
+
+    A query the world rejects (`InvalidQuery`: a start in collision or
+    outside the grid, a put without the object in hand, a support that
+    would close a stacking cycle) ends the sequence as an "invalid"
+    failure, like any other failed step.
+    """
     result = DispatchResult(ok=True, world=world)
     for grounded in grounding.steps:
         action = grounded.action
@@ -362,7 +369,10 @@ def dispatch(world: World, grounding: GroundingResult,
         for point in goal_candidates(goal0, region, budget.retries,
                                      result.world.rng_seed):
             query = build_query(result.world, grounded, agent_id, point, budget)
-            final = plan_motion(result.world, query)
+            try:
+                final = plan_motion(result.world, query)
+            except InvalidQuery as exc:
+                return _invalid(result, action, exc)
             attempts += 1
             expansions += final.expansions
             plan_time += final.elapsed
@@ -378,9 +388,18 @@ def dispatch(world: World, grounding: GroundingResult,
                 action.name, agent_id, action.motion_class, False, attempts,
                 expansions, 0.0, result.world.clock, plan_time))
             return result
-        result.world = execute(result.world, agent_id, final, action)
+        try:
+            result.world = execute(result.world, agent_id, final, action)
+        except InvalidQuery as exc:
+            return _invalid(result, action, exc)
         result.steps.append(StepOutcome(
             action.name, agent_id, action.motion_class, True, attempts,
             expansions, path_length(final.path), result.world.clock, plan_time))
     return result
 
+
+def _invalid(result: DispatchResult, action: ActionTemplate,
+             exc: InvalidQuery) -> DispatchResult:
+    result.ok = False
+    result.failure = DispatchFailure("invalid", action.name, detail=str(exc))
+    return result

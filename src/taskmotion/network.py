@@ -10,7 +10,9 @@ Each template is validated and compiled once into a `CompiledGraph` that
 every graph instantiated from it shares: the main template on first use,
 a composed rearrangement template when it is composed. A `GraphEntry`
 holds only what differs between instantiations, its leaf truths and its
-achieved nodes.
+achieved nodes. The newest entry is priced once, when it is first
+searched: the bottom-up min-cost evaluation of AO* (Martelli & Montanari,
+1973), run one level of equal height at a time over numpy arrays.
 
 Candidates are drawn from the newest graph only. A node is a candidate
 when it is not yet achieved, at least one of its incoming arcs has all
@@ -29,10 +31,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
-from typing import Collection
+from typing import Collection, Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .andor import (  # noqa: F401 - see the note below
-    INF,
     AndOrGraph,
     ArcDecl,
     GraphTemplate,
@@ -41,7 +44,6 @@ from .andor import (  # noqa: F401 - see the note below
     NodeKind,
     augment,
     build_graph,
-    children_first_order,
     copy_graph,
     node_cost,
     set_leaf_truth,
@@ -89,27 +91,77 @@ OBSTRUCTION_PREDICATE = "obstructs"
 _ARC_ORDER = attrgetter("parent", "id")
 
 
+class _Level(NamedTuple):
+    """The priced nodes of one height and their arcs, in cost and total
+    positions; a node's arcs are in id order."""
+
+    nodes: slice
+    arcs: slice
+    children: np.ndarray  # child positions of every arc, arc after arc
+    arc_starts: np.ndarray  # each arc's first index in `children`
+    weights: np.ndarray  # each arc's scaled weight
+    node_starts: np.ndarray  # each node's first arc, counted from `arcs.start`
+
+
 class CompiledGraph:
     """A validated graph, flattened once for repeated pricing.
 
     Arc weights are scaled to integers by the least common multiple of
-    their denominators, so costs are exact integers (or INF) that order
-    and tie exactly like the rational costs of `andor`; a cost divided by
-    `scale` is the rational one. The graph itself is shared by every
-    entry and never mutated: its leaves all stay false.
+    their denominators, so costs are exact integers that order and tie
+    exactly like the rational costs of `andor`; a finite cost divided by
+    `scale` is the rational one. An unsolved node costs `inf`, one above
+    a bound on every finite cost. Weights are never negative, so clamping
+    every arc total to `inf` is exact.
+
+    The root and the internal nodes with arcs are priced. A node's level
+    is its height, the longest chain of arcs from it down to a node that
+    is not priced: a leaf, the failure node or a node without arcs, which
+    make up level 0. Nodes of one level never depend on each other, so
+    `price` evaluates a whole level in a few numpy segment reductions over
+    its `_Level` arrays. Nodes have positions in the cost array and arcs in
+    the totals array, both level by level, so each level is one slice of
+    each; the arcs of the node at position p are `arc_start[p]` up to
+    `arc_start[p + 1]`. Costs are `int64` when every unclamped arc total
+    fits, and Python integers in an object array otherwise, through the
+    same code. The graph itself is shared by every entry and never
+    mutated: its leaves all stay false.
     """
 
     def __init__(self, graph: AndOrGraph):
         self.graph = graph
         self.scale = math.lcm(*(arc.weight.denominator for arc in graph.arcs))
-        self.weight = {arc.id: arc.weight.numerator * (self.scale // arc.weight.denominator)
-                       for arc in graph.arcs}
-        # Root and internal nodes children first, each with its arcs in id
-        # order; leaves are priced from their truth, failure stays INF.
-        self.order = tuple(
-            (nid, tuple((arc, self.weight[arc.id]) for arc in graph.arcs_into(nid)))
-            for nid in children_first_order(graph)
-            if graph.nodes[nid].kind in (NodeKind.ROOT, NodeKind.INTERNAL))
+        height = _heights(graph)
+        order = sorted(graph.nodes, key=lambda nid: (height[nid], nid))
+        self.pos = {nid: p for p, nid in enumerate(order)}
+        counts = [len(graph.arcs_into(nid)) if height[nid] else 0 for nid in order]
+        self.arc_start = np.cumsum([0, *counts])
+        levels = []
+        lo = sum(1 for h in height.values() if h == 0)
+        for _, group in itertools.groupby(order[lo:], key=height.__getitem__):
+            nodes = list(group)
+            hi = lo + len(nodes)
+            arcs = [arc for nid in nodes for arc in graph.arcs_into(nid)]
+            first = self.arc_start[lo]
+            arities = np.fromiter(map(len, (arc.children for arc in arcs)), np.intp)
+            levels.append(_Level(
+                slice(lo, hi), slice(first, first + len(arcs)),
+                np.fromiter(map(self.pos.__getitem__, _children(arcs)), np.intp),
+                np.cumsum(arities) - arities,
+                np.array([self.scaled_weight(arc) for arc in arcs], dtype=object),
+                self.arc_start[lo:hi] - first))
+            lo = hi
+        # Every finite cost is at most its node's most expensive derivation.
+        bound = np.zeros(len(order), dtype=object)
+        for level in levels:
+            totals = np.add.reduceat(bound[level.children], level.arc_starts) + level.weights
+            bound[level.nodes] = np.maximum.reduceat(totals, level.node_starts)
+        self.inf = int(bound.max()) + 1
+        # An unclamped total is below (arity + 1) * inf: `arity` child costs
+        # of at most `inf` each plus a weight below it.
+        arity = max((len(arc.children) for arc in graph.arcs), default=0)
+        self.dtype = np.int64 if (arity + 1) * self.inf < 2**62 else object
+        self.levels = tuple(level._replace(weights=level.weights.astype(self.dtype))
+                            for level in levels)
         # Every arc under its first child: an arc whose children are all
         # achieved is found exactly once by looking up the achieved nodes.
         self.arcs_by_first_child: dict[int, list[HyperArc]] = {}
@@ -117,38 +169,78 @@ class CompiledGraph:
             self.arcs_by_first_child.setdefault(arc.children[0], []).append(arc)
         self.leaf_facts: tuple[tuple[int, Fact], ...] = tuple(_leaf_facts(graph))
 
-    def price(self, true_leaves: Collection[int]) -> tuple[dict[int, float], dict[int, HyperArc]]:
-        """Scaled cost (an integer, or INF when unsolved) of every node and
-        the cheapest arc of every solved non-leaf node, ties to the lowest
-        arc id, when exactly `true_leaves` hold."""
-        cost: dict[int, float] = dict.fromkeys(self.graph.nodes, INF)
-        cost.update(dict.fromkeys(true_leaves, 0))
-        choice: dict[int, HyperArc] = {}
-        lookup = cost.__getitem__
-        for nid, arcs in self.order:
-            best = INF
-            for arc, weight in arcs:
-                total = sum(map(lookup, arc.children), weight)
-                if total < best:
-                    best = total
-                    choice[nid] = arc
-            cost[nid] = best
-        return cost, choice
+    def scaled_weight(self, arc: HyperArc) -> int:
+        """The arc's weight times `scale`."""
+        return arc.weight.numerator * (self.scale // arc.weight.denominator)
 
-    def solution(self, cost: dict[int, float],
-                 choice: dict[int, HyperArc]) -> dict[int, HyperArc]:
+    def price(self, true_leaves: Collection[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Scaled cost of every node by position and total of every priced
+        arc by its place in the totals array, both clamped to `inf`, when
+        exactly `true_leaves` hold."""
+        cost = np.full(len(self.pos), self.inf, dtype=self.dtype)
+        cost[[self.pos[lid] for lid in true_leaves]] = 0
+        totals = np.empty(self.arc_start[-1], dtype=self.dtype)
+        for nodes, arcs, children, arc_starts, weights, node_starts in self.levels:
+            level_totals = np.add.reduceat(cost[children], arc_starts, out=totals[arcs])
+            level_totals += weights
+            np.minimum(level_totals, self.inf, out=level_totals)
+            cost[nodes] = np.minimum.reduceat(level_totals, node_starts)
+        return cost, totals
+
+    def cheapest(self, cost: np.ndarray, totals: np.ndarray, nid: int) -> HyperArc | None:
+        """The cheapest arc into a solved priced node, ties to the lowest
+        arc id (argmin takes the first minimum); None for any other node."""
+        p = self.pos[nid]
+        start, stop = self.arc_start[p], self.arc_start[p + 1]
+        if start == stop or cost[p] >= self.inf:
+            return None
+        return self.graph.arcs_into(nid)[int(np.argmin(totals[start:stop]))]
+
+    def arc_total(self, cost: np.ndarray, arc: HyperArc) -> int:
+        """Scaled cost of `arc.parent` through `arc`, `inf` when a child
+        is unsolved."""
+        total = sum((int(cost[self.pos[child]]) for child in arc.children),
+                    self.scaled_weight(arc))
+        return min(total, self.inf)
+
+    def solution(self, cost: np.ndarray, totals: np.ndarray) -> dict[int, HyperArc]:
         """The arcs `andor.solution_subgraph` picks, from one `price` result."""
-        if cost[self.graph.root] == INF:
-            return {}
         chosen: dict[int, HyperArc] = {}
         stack = [self.graph.root]
         while stack:
             nid = stack.pop()
-            if nid in chosen or nid not in choice:
+            if nid in chosen:
                 continue
-            chosen[nid] = choice[nid]
-            stack.extend(choice[nid].children)
+            arc = self.cheapest(cost, totals, nid)
+            if arc is not None:
+                chosen[nid] = arc
+                stack.extend(arc.children)
         return chosen
+
+
+def _heights(graph: AndOrGraph) -> dict[int, int]:
+    """Each node's height: 0 for a node that is not priced, else one more
+    than its highest child. One vectorized pass per level: after pass k
+    every node of height up to k has its final height, and the graph is
+    acyclic."""
+    index = {nid: i for i, nid in enumerate(graph.nodes)}
+    arcs = [arc for arc in graph.arcs
+            if graph.nodes[arc.parent].kind in (NodeKind.ROOT, NodeKind.INTERNAL)]
+    child = np.fromiter(map(index.__getitem__, _children(arcs)), np.intp)
+    parent = np.repeat(np.fromiter((index[arc.parent] for arc in arcs), np.intp),
+                       np.fromiter(map(len, (arc.children for arc in arcs)), np.intp))
+    height = np.zeros(len(index), np.intp)
+    while True:
+        lifted = np.zeros_like(height)
+        np.maximum.at(lifted, parent, height[child] + 1)
+        if np.array_equal(lifted, height):
+            return dict(zip(graph.nodes, height.tolist()))
+        height = lifted
+
+
+def _children(arcs: Iterable[HyperArc]) -> Iterator[int]:
+    """The children of every arc in turn."""
+    return itertools.chain.from_iterable(arc.children for arc in arcs)
 
 
 def _leaf_facts(graph: AndOrGraph):
@@ -205,8 +297,8 @@ class GraphNetwork:
         self.suppressed: set[tuple[str, tuple[str, ...], str]] = set()
         self._expansion_seen: set[tuple] = set()
         self._main: CompiledGraph | None = None
-        # (entry, costs, cheapest arcs) of the entry last searched.
-        self._pricing: tuple[GraphEntry, dict, dict] | None = None
+        # (entry, costs, arc totals) of the entry last searched.
+        self._pricing: tuple[GraphEntry, np.ndarray, np.ndarray] | None = None
 
     # -- structure ---------------------------------------------------------
 
@@ -239,7 +331,7 @@ class GraphNetwork:
         self.entries.append(entry)
         return entry
 
-    def _priced(self) -> tuple[dict[int, float], dict[int, HyperArc]]:
+    def _priced(self) -> tuple[np.ndarray, np.ndarray]:
         """`CompiledGraph.price` of the newest entry, computed once per entry;
         its leaf truths never change."""
         entry = self.latest
@@ -282,17 +374,15 @@ class GraphNetwork:
         if not candidates:
             return None
         compiled = self.latest.compiled
-        cost, choice = self._priced()
-        chosen = compiled.solution(cost, choice)
+        cost, totals = self._priced()
+        chosen = compiled.solution(cost, totals)
         on_solution = [c for c in candidates if chosen.get(c.node_id) is c.arc]
         if on_solution:
             candidates = on_solution
-
-        def sort_key(c: Candidate):
-            est = sum(map(cost.__getitem__, c.arc.children), compiled.weight[c.arc.id])
-            return (est == INF, est if est != INF else 0, c.arc.id, c.node_id)
-
-        return min(candidates, key=sort_key)
+        # Unsolved totals are all `inf`, above every finite one, so they
+        # come last and tie on to the arc id.
+        return min(candidates, key=lambda c: (
+            compiled.arc_total(cost, c.arc), c.arc.id, c.node_id))
 
     def mark_executed(self, candidate: Candidate):
         self.entries[candidate.graph_index].achieved.add(candidate.node_id)

@@ -215,21 +215,29 @@ def _supported(world: World) -> dict[str, list[str]]:
 
 def stack_chain_up(world: World, obj_id: str) -> list[str]:
     """Everything resting on the object, lowest first (breadth-first,
-    siblings in id order)."""
+    siblings in id order). Skips an id it has already seen, so a stacking
+    cycle cannot hang the walk."""
     children = _supported(world)
-    above = list(children.get(obj_id, ()))
-    for oid in above:  # the list grows while it is walked: breadth-first
-        above.extend(children.get(oid, ()))
-    return above
+    walk = [obj_id]
+    seen = {obj_id}
+    for oid in walk:  # the list grows while it is walked: breadth-first
+        for child in children.get(oid, ()):
+            if child not in seen:
+                seen.add(child)
+                walk.append(child)
+    return walk[1:]
 
 
 def stack_top(world: World, obj_id: str) -> str:
     """Topmost object of the stack rooted at obj_id (itself when bare),
-    following the smallest id where several objects share a support."""
+    following the smallest id where several objects share a support.
+    Stops before an id it has already seen, as `stack_chain_down` does."""
     children = _supported(world)
     top = obj_id
-    while top in children:
+    seen = {top}
+    while top in children and children[top][0] not in seen:
         top = children[top][0]
+        seen.add(top)
     return top
 
 

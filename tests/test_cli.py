@@ -1,11 +1,12 @@
 """Exercises each subcommand through cli.main with captured output."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from taskmotion.cli import main
-from taskmotion.dsl import parse
+from taskmotion.dsl import parse, serialize
 from taskmotion.scenarios import gen_hanoi
 
 
@@ -73,6 +74,18 @@ def test_run_depth_capped_exits_two(capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert "depth_limit" in out
+
+
+def test_run_with_an_agent_outside_the_grid_exits_two(tmp_path, capsys):
+    scenario = gen_hanoi(3, omnipotent=True)
+    arm = scenario.agents["arm_solo"]
+    scenario.agents["arm_solo"] = replace(arm, y=scenario.bounds[3] + 0.1)
+    path = tmp_path / "outside.scn"
+    path.write_text(serialize(scenario))
+    code = main(["run", str(path)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "status:   unsolvable" in out
 
 
 def test_validate_habitat(capsys):

@@ -17,7 +17,6 @@ from taskmotion.domain import (
     apply_chain,
     chain_applicable,
     is_goal,
-    state_region,
     validate_facts,
 )
 
@@ -144,23 +143,6 @@ def test_is_goal():
     assert not is_goal(HANOI3_START, goal)
     assert is_goal(frozenset({fact("at_peg d1 pegC")}), goal)
     assert is_goal(HANOI3_START, GoalSpec())
-
-
-class PointScenario:
-    def __init__(self, points):
-        self.points = points
-
-    def entity_point(self, entity):
-        return self.points.get(entity)
-
-
-def test_state_region_binds_objects_to_places_and_hands():
-    scenario = PointScenario({"pegB": (0.3, 0.7), "arm_left": (-0.2, 0.1)})
-    regions = state_region([fact("on d1 pegB"), fact("holding arm_left glass1")], scenario)
-    assert regions["d1"].contains(0.3, 0.7)
-    assert not regions["d1"].contains(0.9, 0.7)
-    assert regions["glass1"].contains(-0.2, 0.1)
-    assert state_region([], scenario) == {}
 
 
 def test_box_contains_tolerance():

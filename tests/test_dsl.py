@@ -134,6 +134,24 @@ def test_object_as_its_own_destination_is_a_located_error():
     assert "cup cannot be put on itself" in info.value.message
 
 
+@pytest.mark.parametrize("objects,line,cycle", [
+    ("obj cup circle 0.04 at 0.2 0.2 movable on mug\n"
+     "obj mug circle 0.04 at 0.2 0.2 movable on cup\n", 5, "cup on mug on cup"),
+    ("obj cup circle 0.04 at 0.2 0.2 movable on cup\n", 5, "cup on cup"),
+    ("obj cup circle 0.04 at 0.2 0.2 movable on mug\n"
+     "obj mug circle 0.04 at 0.2 0.2 movable on jar\n"
+     "obj jar circle 0.04 at 0.2 0.2 movable on mug\n", 6, "mug on jar on mug"),
+], ids=["two", "self", "above_a_chain"])
+def test_stacking_cycle_in_on_clauses_is_a_located_error(objects, line, cycle):
+    raw = read("minimal.scn")
+    cup = "obj cup circle 0.04 at 0.2 0.2 movable\n"
+    assert cup in raw
+    with pytest.raises(ResolveError) as info:
+        parse(raw.replace(cup, objects))
+    assert (info.value.line, info.value.col) == (line, 1)
+    assert f"stacking cycle: {cycle}" in info.value.message
+
+
 def test_fuzz_generator_covers_seeds_0_to_399():
     for seed in range(400):
         scn = fuzz_scenario(seed)

@@ -1,6 +1,7 @@
 """Grounding and dispatch tests: agent choice, travel folding, handovers."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -164,6 +165,16 @@ def test_motion_failure_carries_obstructors():
     assert outcome.failure.obstructors == ("wall_of_cans",)
     assert outcome.steps[-1].feasible is False
     assert outcome.steps[-1].attempts >= 1
+
+
+def test_start_outside_the_grid_is_an_invalid_failure():
+    world = two_arm_world()
+    world.agents["arm_left"] = replace(world.agents["arm_left"], config=(-1.2, 0.0))
+    outcome = dispatch(world, ground(world, (transfer("bring", "cup", "west"),)))
+    assert not outcome.ok
+    assert outcome.failure.kind == "invalid"
+    assert "outside region" in outcome.failure.detail
+    assert outcome.steps == []
 
 
 def test_dispatch_counts_every_planning_attempt():

@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from test_andor import random_template
 
@@ -31,6 +32,7 @@ from taskmotion.network import (
     UnknownStage,
     compose_rearrangement,
 )
+from taskmotion.scenarios import gen_hanoi
 
 
 def node(nid, kind, label):
@@ -282,24 +284,142 @@ def flip_sequences(rng, templates=200, flips=10):
         yield template, sequence
 
 
+def assert_pricing_matches_refresh(template, compiled, truths):
+    """`compiled.price` agrees with `andor`'s from-scratch pricing on every
+    node's cost, solvedness and cheapest arc, and on the solution arcs."""
+    cost, totals = compiled.price({lid for lid, on in truths.items() if on})
+    fresh = build_graph(template)
+    set_leaf_truth(fresh, truths)
+    for nid in fresh.nodes:
+        scaled = int(cost[compiled.pos[nid]])
+        got = INF if scaled >= compiled.inf else Fraction(scaled, compiled.scale)
+        assert got == node_cost(fresh, nid), (template, truths, nid)
+        assert (got != INF) == solved(fresh, nid)
+        arc = compiled.cheapest(cost, totals, nid)
+        if fresh.nodes[nid].kind is not NodeKind.LEAF:
+            assert arc == best_arc(fresh, nid)
+        else:
+            assert arc is None
+    assert compiled.solution(cost, totals) == solution_subgraph(fresh)
+    for arc in fresh.arcs:
+        want = arc.weight + sum((node_cost(fresh, child) for child in arc.children),
+                                Fraction(0))
+        total = compiled.arc_total(cost, arc)
+        assert (INF if total >= compiled.inf else Fraction(total, compiled.scale)) == want
+
+
 def test_compiled_pricing_matches_refresh_over_flip_sequences():
     checked = 0
     for template, sequence in flip_sequences(random.Random(20261018)):
         compiled = CompiledGraph(build_graph(template))
         for truths in sequence:
-            cost, choice = compiled.price({lid for lid, on in truths.items() if on})
-            fresh = build_graph(template)
-            set_leaf_truth(fresh, truths)
-            for nid in fresh.nodes:
-                want = node_cost(fresh, nid)
-                got = cost[nid] if cost[nid] == INF else Fraction(cost[nid], compiled.scale)
-                assert got == want, (template, truths, nid)
-                assert (cost[nid] != INF) == solved(fresh, nid)
-                if fresh.nodes[nid].kind is not NodeKind.LEAF:
-                    assert choice.get(nid) == best_arc(fresh, nid)
-            assert compiled.solution(cost, choice) == solution_subgraph(fresh)
+            assert_pricing_matches_refresh(template, compiled, truths)
             checked += 1
     assert checked == 200 * 11
+
+
+def layered_template(rng, height, weight):
+    """Random template whose root has height `height`: every node of layer
+    k has an arc with a child in layer k - 1, and may draw other children
+    from any lower layer, from the failure node, or from an internal node
+    without arcs. Arc ids are shuffled against declaration order, and
+    `weight(rng)` draws each arc's weight."""
+    ids = iter(range(3, 1000))
+    decls = [NodeDecl(0, NodeKind.ROOT, "root"), NodeDecl(1, NodeKind.FAILURE, "failure"),
+             NodeDecl(2, NodeKind.INTERNAL, "no arcs")]
+    layers = [[next(ids) for _ in range(rng.randint(2, 4))]]
+    decls += [NodeDecl(lid, NodeKind.LEAF, f"leaf {lid}") for lid in layers[0]]
+    for _ in range(height - 1):
+        layers.append([next(ids) for _ in range(rng.randint(1, 3))])
+        decls += [NodeDecl(nid, NodeKind.INTERNAL, f"node {nid}") for nid in layers[-1]]
+    layers.append([0])
+    arcs = []
+    below = [1, 2]
+    for lower, layer in zip(layers, layers[1:]):
+        below += lower
+        for parent in layer:
+            for _ in range(rng.randint(1, 3)):
+                first = rng.choice(lower)
+                others = rng.sample([n for n in below if n != first], rng.randint(0, 2))
+                arcs.append((parent, (first, *others)))
+    arc_ids = rng.sample(range(1, 10 * len(arcs)), len(arcs))
+    return GraphTemplate(tuple(decls), tuple(
+        ArcDecl(aid, parent, children, weight(rng))
+        for aid, (parent, children) in zip(arc_ids, arcs)), 0, 1)
+
+
+def random_truths(rng, template, draws):
+    leaves = sorted(d.id for d in template.nodes if d.kind is NodeKind.LEAF)
+    for _ in range(draws):
+        share = rng.random()
+        yield {lid: rng.random() < share for lid in leaves}
+
+
+def small_weight(rng):
+    return Fraction(rng.randint(0, 3), rng.choice([1, 2, 3]))
+
+
+def test_compiled_pricing_matches_refresh_on_three_or_more_levels():
+    rng = random.Random(3)
+    for i in range(100):
+        template = layered_template(rng, 3 + i % 4, small_weight)
+        compiled = CompiledGraph(build_graph(template))
+        assert len(compiled.levels) == 3 + i % 4
+        assert compiled.dtype is np.int64
+        for truths in random_truths(rng, template, 5):
+            assert_pricing_matches_refresh(template, compiled, truths)
+
+
+@pytest.mark.parametrize("weight", [
+    lambda rng: Fraction(rng.randint(0, 3) * 2**61),
+    lambda rng: Fraction(rng.randint(0, 3), rng.choice([2**31 - 1, 2**61 - 1])),
+], ids=["huge_weights", "huge_scale"])
+def test_compiled_pricing_matches_refresh_on_python_integers(weight):
+    rng = random.Random(61)
+    checked = 0
+    for _ in range(40):
+        template = layered_template(rng, 3, weight)
+        compiled = CompiledGraph(build_graph(template))
+        if compiled.inf < 2**61:
+            continue  # every weight drew 0
+        assert compiled.dtype is object
+        for truths in random_truths(rng, template, 5):
+            assert_pricing_matches_refresh(template, compiled, truths)
+        checked += 1
+    assert checked >= 30
+
+
+def test_compiled_pricing_clamps_unsolved_totals_within_int64():
+    """Five layers of arity-3 arcs over three leaves: unclamped, the totals
+    of unsolved nodes would triple per layer and pass 2**63."""
+    nodes = [NodeDecl(0, NodeKind.ROOT, "root"), NodeDecl(1, NodeKind.FAILURE, "failure")]
+    nodes += [NodeDecl(lid, NodeKind.LEAF, f"leaf {lid}") for lid in (2, 3, 4)]
+    arcs = []
+    below = (2, 3, 4)
+    for first in range(5, 20, 3):
+        layer = (first, first + 1, first + 2)
+        nodes += [NodeDecl(nid, NodeKind.INTERNAL, f"node {nid}") for nid in layer]
+        arcs += [ArcDecl(nid, nid, below, Fraction(0)) for nid in layer]
+        below = layer
+    arcs += [ArcDecl(1, 0, below, Fraction(2**57)), ArcDecl(2, 0, (2,), Fraction(1))]
+    template = GraphTemplate(tuple(nodes), tuple(arcs), 0, 1)
+    compiled = CompiledGraph(build_graph(template))
+    assert compiled.dtype is np.int64
+    assert compiled.inf == 2**57 + 1
+    for true_leaves in ((), (2,), (3, 4), (2, 3, 4)):
+        truths = {lid: lid in true_leaves for lid in (2, 3, 4)}
+        assert_pricing_matches_refresh(template, compiled, truths)
+
+
+def test_compiled_pricing_matches_refresh_on_the_hanoi_4_main_template():
+    scenario = gen_hanoi(4, omnipotent=False)
+    compiled = CompiledGraph(build_graph(scenario.graph))
+    assert compiled.dtype is np.int64
+    rng = random.Random(4)
+    init = frozenset(scenario.init)
+    at_start = {lid: fact in init for lid, fact in compiled.leaf_facts}
+    for truths in [at_start, *random_truths(rng, scenario.graph, 6)]:
+        assert_pricing_matches_refresh(scenario.graph, compiled, truths)
 
 
 def scan_frontier(graph, achieved, actions, suppressed, facts, world_sig, index):

@@ -630,3 +630,19 @@ def test_stack_walks_stop_at_a_cycle():
     state = snapshot(world)
     assert Fact("on", ("a", "b")) in state.facts
     assert Fact("on", ("b", "a")) in state.facts
+
+
+def test_stack_chain_up_and_top_stop_at_a_cycle():
+    """a, b and c rest on each other in a ring, d rests on a, e on itself."""
+    world = arm_world()
+    for oid, support in (("a", "c"), ("b", "a"), ("c", "b"), ("d", "a"), ("e", "e")):
+        world.objects[oid] = Obj(oid, "circle", (0.03,), 0.1, 0.0, movable=True,
+                                 stack_on=support)
+    assert W.stack_chain_up(world, "a") == ["b", "d", "c"]
+    assert W.stack_chain_up(world, "c") == ["a", "b", "d"]
+    assert W.stack_top(world, "a") == "c"
+    assert W.stack_top(world, "b") == "a"
+    assert W.stack_chain_up(world, "d") == []
+    assert W.stack_top(world, "d") == "d"
+    assert W.stack_chain_up(world, "e") == []
+    assert W.stack_top(world, "e") == "e"
