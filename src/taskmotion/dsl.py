@@ -46,6 +46,14 @@ ignored, and an uppercase word alone on a line opens a section:
       arc 1 parent 1 children 2 weight 1
     end
 
+Two line shapes of GRAPH and STAGES are read with one whole-line pattern
+each, without tokens: `node <id> <kind> "<label>"` and `arc <id> parent
+<id> children <id>... weight <w> [actions <name>...]`, with blanks between
+the parts, unsigned ASCII numbers, a weight that is an integer, a decimal
+or a fraction with a non-zero denominator, and an optional trailing
+comment. Every other line, including each one that is wrong, goes through
+the token cursor, which alone makes diagnostics.
+
 Parsing fails fast: the first problem raises one diagnostic carrying the
 line and column. `serialize` emits a canonical form (sections in a fixed
 order, entries sorted, numbers in their shortest exact spelling) that
@@ -257,6 +265,8 @@ class _Cursor:
         self.index += 1
         if "/" in tok.value:
             num, den = tok.value.split("/")
+            if "." in num:
+                raise ParseError("fraction weight needs a whole numerator", tok.line, tok.col)
             if int(den) == 0:
                 raise ParseError("zero denominator", tok.line, tok.col)
             return Fraction(int(num), int(den)), tok
@@ -292,6 +302,88 @@ def _escape(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+# The plain `node` and `arc` shapes of the module docstring, which make up
+# nearly all of a large graph's text. A label is the lexer's string pattern
+# with its loop unrolled: the same strings, matched about four times faster.
+# Every line these accept lexes into the same tokens and reads to the same
+# declaration through the cursor.
+_NODE_LINE = re.compile(
+    r'[ \t]*node[ \t]+([0-9]+)[ \t]+(root|failure|leaf|internal)[ \t]+'
+    r'("[^"\\]*(?:\\.[^"\\]*)*")[ \t]*(?:#.*)?')
+_ARC_LINE = re.compile(
+    r'[ \t]*arc[ \t]+([0-9]+)[ \t]+parent[ \t]+([0-9]+)[ \t]+children'
+    r'((?:[ \t]+[0-9]+)+)[ \t]+weight[ \t]+([0-9]+)(?:/(0*[1-9][0-9]*)|(\.[0-9]+))?'
+    r'(?:[ \t]+actions((?:[ \t]+[A-Za-z_][A-Za-z0-9_]*)+))?[ \t]*(?:#.*)?')
+
+
+def _match_graph_line(raw: str) -> NodeDecl | ArcDecl | None:
+    """The declaration on a `node` or `arc` line of a plain shape, else None."""
+    match = _ARC_LINE.fullmatch(raw)
+    if match is not None:
+        aid, parent, children, num, den, decimals, actions = match.groups()
+        if den is not None:
+            weight = Fraction(int(num), int(den))
+        elif decimals is not None:
+            weight = Fraction(num + decimals)
+        else:
+            weight = Fraction(int(num))
+        return ArcDecl(int(aid), int(parent), tuple(map(int, children.split())), weight,
+                       tuple(actions.split()) if actions else ())
+    match = _NODE_LINE.fullmatch(raw)
+    if match is None:
+        return None
+    nid, kind, label = match.groups()
+    return NodeDecl(int(nid), _NODE_KINDS[kind], _unescape(label))
+
+
+def _read_graph_line(cur: _Cursor) -> NodeDecl | ArcDecl:
+    """The declaration on any `node` or `arc` line, read token by token."""
+    head = cur.word("node", "arc")
+    if head.value == "node":
+        nid, _ = cur.integer()
+        kind = cur.word(*_NODE_KINDS)
+        label, _ = cur.string()
+        cur.finish()
+        return NodeDecl(nid, _NODE_KINDS[kind.value], label)
+    aid, _ = cur.integer()
+    cur.word("parent")
+    parent, _ = cur.integer()
+    cur.word("children")
+    children = []
+    first, _ = cur.integer()
+    children.append(first)
+    while True:
+        tok = cur.peek()
+        if tok is None or tok.kind != "number":
+            break
+        value, _ = cur.integer()
+        children.append(value)
+    cur.word("weight")
+    weight, wtok = cur.weight()
+    if weight < 0:
+        raise ParseError("negative weight", wtok.line, wtok.col)
+    actions: list[str] = []
+    if cur.maybe_word("actions"):
+        actions.append(cur.word().value)
+        while True:
+            tok = cur.peek()
+            if tok is None or tok.kind != "word":
+                break
+            actions.append(cur.word().value)
+    cur.finish()
+    return ArcDecl(aid, parent, tuple(children), weight, tuple(actions))
+
+
+def _add_graph_decl(decl: NodeDecl | ArcDecl, line_no: int, nodes: list[NodeDecl],
+                    arcs: list[ArcDecl], decl_lines: dict):
+    if isinstance(decl, NodeDecl):
+        nodes.append(decl)
+        decl_lines[("node", decl.id)] = line_no
+    else:
+        arcs.append(decl)
+        decl_lines[("arc", decl.id)] = line_no
+
+
 # ----------------------------------------------------------------- parser
 
 
@@ -303,6 +395,7 @@ class _Parser:
         self.section: str | None = None
         self.seen_sections: set[str] = set()
         self.decl_lines: dict[tuple[str, object], int] = {}
+        self.entity_ids: set[str] = set()  # objects, markers and agents declared so far
         self.stage_decl_lines: dict[str, dict[tuple[str, object], int]] = {}
         self._graph_nodes: list[NodeDecl] = []
         self._graph_arcs: list[ArcDecl] = []
@@ -315,6 +408,12 @@ class _Parser:
             line_no = self.index + 1
             raw = self.lines[self.index]
             self.index += 1
+            if self.section == "GRAPH":
+                decl = _match_graph_line(raw)
+                if decl is not None:
+                    _add_graph_decl(decl, line_no, self._graph_nodes, self._graph_arcs,
+                                    self.decl_lines)
+                    continue
             tokens = _lex_line(raw, line_no)
             if not tokens:
                 continue
@@ -393,7 +492,7 @@ class _Parser:
             if cur.maybe_word("blocks"):
                 blocks = cur.word(*_BLOCK_TAGS).value
             cur.finish()
-            self._declare(name, "object")
+            self._declare(name)
             self.scenario.objects[name.value] = ObjDecl(
                 name.value, shape.value, dims, x, y,
                 mobility.value == "movable", yaw, on, blocks)
@@ -410,7 +509,7 @@ class _Parser:
                 raise ParseError("snap radius must be positive", ts.line, ts.col)
         handover = cur.maybe_word("handover") is not None
         cur.finish()
-        self._declare(name, "marker")
+        self._declare(name)
         self.scenario.markers[name.value] = MarkerDecl(name.value, x, y, snap, handover)
         self.decl_lines[("entity", name.value)] = name.line
 
@@ -441,7 +540,7 @@ class _Parser:
                 raise ParseError("radius must be positive", tr.line, tr.col)
             cur.finish()
             decl = AgentDecl(name.value, "base", x, y, radius=radius)
-        self._declare(name, "agent")
+        self._declare(name)
         self.scenario.agents[name.value] = decl
         self.decl_lines[("entity", name.value)] = name.line
 
@@ -546,48 +645,9 @@ class _Parser:
         self.scenario.goal = self.scenario.goal + (fact,)
         self.decl_lines[("goal", fact)] = tok.line
 
-    def _graph_line(self, cur: _Cursor, nodes: list[NodeDecl], arcs: list[ArcDecl],
-                    decl_lines: dict):
-        head = cur.word("node", "arc")
-        if head.value == "node":
-            nid, ntok = cur.integer()
-            kind = cur.word(*_NODE_KINDS)
-            label, _ = cur.string()
-            cur.finish()
-            nodes.append(NodeDecl(nid, _NODE_KINDS[kind.value], label))
-            decl_lines[("node", nid)] = ntok.line
-            return
-        aid, atok = cur.integer()
-        cur.word("parent")
-        parent, _ = cur.integer()
-        cur.word("children")
-        children = []
-        first, _ = cur.integer()
-        children.append(first)
-        while True:
-            tok = cur.peek()
-            if tok is None or tok.kind != "number":
-                break
-            value, _ = cur.integer()
-            children.append(value)
-        cur.word("weight")
-        weight, wtok = cur.weight()
-        if weight < 0:
-            raise ParseError("negative weight", wtok.line, wtok.col)
-        actions: list[str] = []
-        if cur.maybe_word("actions"):
-            actions.append(cur.word().value)
-            while True:
-                tok = cur.peek()
-                if tok is None or tok.kind != "word":
-                    break
-                actions.append(cur.word().value)
-        cur.finish()
-        arcs.append(ArcDecl(aid, parent, tuple(children), weight, tuple(actions)))
-        decl_lines[("arc", aid)] = atok.line
-
     def _line_GRAPH(self, cur: _Cursor):
-        self._graph_line(cur, self._graph_nodes, self._graph_arcs, self.decl_lines)
+        _add_graph_decl(_read_graph_line(cur), cur.line, self._graph_nodes,
+                        self._graph_arcs, self.decl_lines)
 
     def _line_STAGES(self, cur: _Cursor):
         head = cur.word("stage")
@@ -603,15 +663,18 @@ class _Parser:
             line_no = self.index + 1
             raw = self.lines[self.index]
             self.index += 1
-            tokens = _lex_line(raw, line_no)
-            if not tokens:
-                continue
-            inner = _Cursor(tokens, line_no, len(raw))
-            if inner.maybe_word("end"):
-                inner.finish()
-                closed = True
-                break
-            self._graph_line(inner, nodes, arcs, lines)
+            decl = _match_graph_line(raw)
+            if decl is None:
+                tokens = _lex_line(raw, line_no)
+                if not tokens:
+                    continue
+                inner = _Cursor(tokens, line_no, len(raw))
+                if inner.maybe_word("end"):
+                    inner.finish()
+                    closed = True
+                    break
+                decl = _read_graph_line(inner)
+            _add_graph_decl(decl, line_no, nodes, arcs, lines)
         if not closed:
             raise ParseError(f"stage {name.value} missing end", head.line, head.col,
                              ("end",))
@@ -622,9 +685,10 @@ class _Parser:
 
     # -- shared helpers ---------------------------------------------------
 
-    def _declare(self, name: Token, kind: str):
-        if name.value in self.scenario.entity_ids():
+    def _declare(self, name: Token):
+        if name.value in self.entity_ids:
             raise ParseError(f"duplicate entity id {name.value}", name.line, name.col)
+        self.entity_ids.add(name.value)
 
     def _template(self, nodes, arcs, decl_lines, what, line, col) -> GraphTemplate:
         roots = [n.id for n in nodes if n.kind is NodeKind.ROOT]

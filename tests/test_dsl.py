@@ -1,10 +1,15 @@
 """Scenario language tests: round trips, canonical form, diagnostics."""
 
+import functools
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from taskmotion import dsl
 from taskmotion.domain import Fact
 from taskmotion.dsl import (
     DslError,
@@ -15,6 +20,7 @@ from taskmotion.dsl import (
     parse_file,
     serialize,
 )
+from taskmotion.scenarios import gen_habitat, gen_hanoi
 from scn_fuzz import fuzz_scenario
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -102,6 +108,7 @@ MALFORMED = [
     ("m12_missing_bounds.scn", ResolveError, 11, 1),
     ("m13_two_roots.scn", ResolveError, 7, 1),
     ("m14_missing_goal.scn", ResolveError, 10, 1),
+    ("m15_decimal_fraction_weight.scn", ParseError, 11, 34),
 ]
 
 
@@ -166,3 +173,185 @@ def test_fuzz_roundtrip_fixpoint():
         parsed = parse(text)
         assert parsed == scn, f"seed {seed}: parse(serialize(s)) != s"
         assert serialize(parsed) == text, f"seed {seed}: serializer not a fixpoint"
+
+
+# ---------------------------------------------- whole-line graph patterns
+
+
+@functools.cache
+def benchmark_texts() -> dict[str, str]:
+    texts = {f"hanoi{n}_{'solo' if omnipotent else 'dual'}":
+             serialize(gen_hanoi(n, omnipotent=omnipotent))
+             for n in range(3, 7) for omnipotent in (True, False)}
+    habitat = gen_habitat()
+    texts["habitat"] = serialize(habitat)
+    habitat.stages = {name: t for name, t in habitat.stages.items()
+                      if not name.startswith("clear_")}
+    texts["habitat_unclearable"] = serialize(habitat)
+    return texts
+
+
+def graph_lines_of(texts) -> list[str]:
+    """The distinct `node` and `arc` lines of the texts."""
+    lines = (line for text in texts for line in text.splitlines()
+             if line.lstrip().startswith(("node ", "arc ")))
+    return list(dict.fromkeys(lines))
+
+
+@functools.cache
+def benchmark_graph_lines() -> list[str]:
+    return graph_lines_of(benchmark_texts().values())
+
+
+@functools.cache
+def varied_graph_lines() -> list[str]:
+    """Lines with fraction and decimal weights and escaped labels, which the
+    benchmark texts, all integer weights and plain labels, lack."""
+    hand_written = ['  node 7 internal "say \\"hi\\" \\\\ done"',
+                    "arc 3 parent 1 children 2 4 weight 2/3 actions a b",
+                    "\tarc 4 parent 1 children 2 weight 0.25  "]
+    fuzz = graph_lines_of(serialize(fuzz_scenario(seed)) for seed in range(40))
+    return hand_written + fuzz
+
+
+def read_with_cursor(line: str):
+    """The token path's declaration for one graph line; None if it rejects it."""
+    try:
+        return dsl._read_graph_line(dsl._Cursor(dsl._lex_line(line, 1), 1, len(line)))
+    except DslError:
+        return None
+
+
+def fast_path_agrees(line: str) -> bool:
+    """True when the whole-line patterns accept the line; fails the test if
+    they accept a line the cursor rejects or read it differently."""
+    fast = dsl._match_graph_line(line)
+    if fast is None:
+        return False
+    slow = read_with_cursor(line)
+    assert slow is not None, f"patterns accept a line the cursor rejects: {line!r}"
+    assert repr(fast) == repr(slow), line
+    return True
+
+
+def test_patterns_read_every_benchmark_and_fuzz_graph_line_as_the_cursor_does():
+    lines = benchmark_graph_lines() + varied_graph_lines()
+    assert len(lines) > 12000
+    declined = [line for line in lines if not fast_path_agrees(line)]
+    assert declined == []
+
+
+@pytest.mark.parametrize("line,taken", [
+    ("arc 1 parent 1 children 3 weight 1 actions park # ok", True),
+    ("arc 1 parent 1 children 3\tweight 0/7", True),
+    ("arc 1 parent 1 children 3 weight 2.50", True),
+    ('node 003 leaf "at cup pad"#', True),
+    ("arc 1 parent 1 children 3 weight -0", False),
+    ("arc 1 parent 1 children 3weight 1", False),
+    ("arc 1 parent 1 children 3 weight 1actions park", False),
+    ("arc 1 parent 1 children \u0663 weight 1", False),
+    ('node 3 leaf"at cup pad"', False),
+])
+def test_graph_lines_parse_as_the_cursor_alone_reads_them(line, taken, monkeypatch):
+    # Each line replaces one line of GRAPH and one of the stage; `taken`
+    # says whether the patterns read it or leave it to the cursor.
+    prefix = "node 3 leaf" if line.startswith("node") else "arc 1 parent"
+    lines = read("minimal.scn").splitlines()
+    swapped = [line if old.lstrip().startswith(prefix) else old for old in lines]
+    assert sum(a != b for a, b in zip(lines, swapped)) == 2
+    text = "\n".join(swapped)
+    expected = read_with_cursor(line)
+    assert expected is not None
+    assert fast_path_agrees(line) is taken
+    scn = parse(text)
+    for template in (scn.graph, scn.stages["clear_cup"]):
+        assert repr(expected) in map(repr, template.nodes + template.arcs)
+    monkeypatch.setattr(dsl, "_match_graph_line", lambda raw: None)
+    by_tokens = parse(text)
+    assert repr(by_tokens.graph) == repr(scn.graph)
+    assert repr(by_tokens.stages) == repr(scn.stages)
+
+
+NUMBERS = ["-0", "-1", "0", "007", "1/0", "0/0", "3/00", "1.5/2", "1.0/3", "2.50", "-1/2",
+           "1/2", "123456789012345678901234567890", "\u0663", "1.", ".5", "1/2/3"]
+
+
+def _edit_separator(line, draw):
+    gaps = [m.start() for m in re.finditer(r"[ \t]", line)]
+    if not gaps:
+        return line
+    at = draw(st.sampled_from(gaps))
+    return line[:at] + draw(st.sampled_from(["", "\t", "  ", " \t "])) + line[at + 1:]
+
+
+def _edit_number(line, draw):
+    spans = [m.span() for m in re.finditer(r"[0-9]+(?:[./][0-9]+)*", line)]
+    if not spans:
+        return line
+    start, end = draw(st.sampled_from(spans))
+    return line[:start] + draw(st.sampled_from(NUMBERS)) + line[end:]
+
+
+def _edit_piece(line, draw):
+    pieces = line.split(" ")
+    i = draw(st.integers(0, len(pieces) - 1))
+    j = draw(st.integers(0, len(pieces) - 1))
+    how = draw(st.sampled_from(["drop", "repeat", "swap"]))
+    if how == "drop":
+        del pieces[i]
+    elif how == "repeat":
+        pieces.insert(i, pieces[i])
+    else:
+        pieces[i], pieces[j] = pieces[j], pieces[i]
+    return " ".join(pieces)
+
+
+def _edit_label(line, draw):
+    at = line.find('"')
+    if at < 0:
+        return line
+    pos = draw(st.integers(at + 1, len(line)))
+    return line[:pos] + draw(st.sampled_from(['\\"', "\\\\", "\\", '"', "é", "#"])) \
+        + line[pos:]
+
+
+def _edit_tail(line, draw):
+    return line + draw(st.sampled_from([" # note", "#x", '\t# "q"', " #", " ", "\t",
+                                        " actions", " actions x", " extra", " weight 1"]))
+
+
+def _edit_char(line, draw):
+    pos = draw(st.integers(0, len(line)))
+    return line[:pos] + draw(st.sampled_from(list("-./\\\"#x_9 \t,\u0663"))) + line[pos:]
+
+
+EDITS = [_edit_separator, _edit_number, _edit_piece, _edit_label, _edit_tail, _edit_char]
+
+
+@st.composite
+def mutated_graph_lines(draw):
+    line = draw(st.one_of(st.sampled_from(benchmark_graph_lines()),
+                          st.sampled_from(varied_graph_lines())))
+    for _ in range(draw(st.integers(1, 3))):
+        line = draw(st.sampled_from(EDITS))(line, draw)
+    return line
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(mutated_graph_lines())
+def test_patterns_never_accept_what_the_cursor_rejects_or_reads_differently(line):
+    fast_path_agrees(line)
+
+
+def test_parse_equals_the_token_only_parse(monkeypatch):
+    fuzz = [fuzz_scenario(seed) for seed in range(400)]
+    texts = list(benchmark_texts().values()) + [serialize(scn) for scn in fuzz]
+    parsed = [parse(text) for text in texts]
+    for scn, parsed_scn in zip(fuzz, parsed[-len(fuzz):]):
+        assert parsed_scn == scn, scn.name
+    monkeypatch.setattr(dsl, "_match_graph_line", lambda raw: None)
+    for text, scn in zip(texts, parsed):
+        by_tokens = parse(text)
+        assert scn == by_tokens, scn.name
+        assert repr(scn.graph) == repr(by_tokens.graph), scn.name
+        assert repr(scn.stages) == repr(by_tokens.stages), scn.name
