@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Union
 
 INF = math.inf
@@ -126,12 +127,21 @@ class ArcDecl:
 
 @dataclass(frozen=True)
 class GraphTemplate:
-    """Declarative graph description; `build_graph` validates it."""
+    """Declarative graph description; `build_graph` validates it.
+
+    `graph` is built on first access and kept, so a template is validated
+    once. It is shared and never mutated: truths and costs go on a
+    `copy_graph`. `dataclasses.replace` makes a template validated afresh.
+    """
 
     nodes: tuple[NodeDecl, ...]
     arcs: tuple[ArcDecl, ...]
     root: int
     failure: int
+
+    @cached_property
+    def graph(self) -> AndOrGraph:
+        return build_graph(self)
 
 
 @dataclass

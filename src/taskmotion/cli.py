@@ -18,7 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .andor import build_graph, to_dot
+from .andor import to_dot
 from .dsl import DslError, Scenario, parse, serialize
 from .planner import (
     FinalStatus,
@@ -134,9 +134,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     scn = _load_scenario(args)
-    graph = build_graph(scn.graph)
     print(f"{scn.name}: ok ({len(scn.objects)} objects, "
-          f"{len(scn.actions)} actions, {len(graph.nodes)} graph nodes, "
+          f"{len(scn.actions)} actions, {len(scn.graph.graph.nodes)} graph nodes, "
           f"{len(scn.stages)} stages)")
     return 0
 
@@ -157,14 +156,13 @@ def _cmd_dot(args) -> int:
     if args.dot:
         out = Path(args.dot)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "main.dot").write_text(to_dot(build_graph(scn.graph),
-                                             title=scn.name))
+        (out / "main.dot").write_text(to_dot(scn.graph.graph, title=scn.name))
         for stage_name in sorted(scn.stages):
-            text = to_dot(build_graph(scn.stages[stage_name]), title=stage_name)
+            text = to_dot(scn.stages[stage_name].graph, title=stage_name)
             (out / f"{stage_name}.dot").write_text(text)
         print(f"wrote {1 + len(scn.stages)} graph files to {args.dot}")
     else:
-        sys.stdout.write(to_dot(build_graph(scn.graph), title=scn.name))
+        sys.stdout.write(to_dot(scn.graph.graph, title=scn.name))
     return 0
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable
 
 
 class DomainError(Exception):
@@ -25,10 +25,6 @@ class PreconditionViolated(DomainError):
         self.action = action
         self.condition = condition
         super().__init__(f"action {action}: unmet precondition {condition.text()}")
-
-
-class UnknownEntity(DomainError):
-    """A fact or binding references an undeclared entity or predicate."""
 
 
 class InvalidState(DomainError):
@@ -174,36 +170,6 @@ class Box:
 
     def contains(self, x: float, y: float, tol: float = 1e-9) -> bool:
         return abs(x - self.cx) <= self.hw + tol and abs(y - self.cy) <= self.hh + tol
-
-
-def validate_facts(facts: Iterable[Fact], predicates: Mapping[str, PredicateDecl],
-                   entities: frozenset[str] | None = None) -> frozenset[Fact]:
-    """Check facts against declarations; returns them as a frozenset."""
-    out = set()
-    seen_exclusive: dict[tuple[str, str], Fact] = {}
-    for fact in facts:
-        decl = predicates.get(fact.predicate)
-        if decl is None:
-            raise UnknownEntity(f"undeclared predicate {fact.predicate!r}")
-        if len(fact.args) != decl.arity:
-            raise InvalidState(
-                f"fact {fact.text()!r}: arity {len(fact.args)} != declared {decl.arity}"
-            )
-        if entities is not None:
-            for arg in fact.args:
-                if arg not in entities:
-                    raise UnknownEntity(f"fact {fact.text()!r}: unknown entity {arg!r}")
-        if decl.exclusive and fact.args:
-            key = (fact.predicate, fact.args[0])
-            other = seen_exclusive.get(key)
-            if other is not None and other != fact:
-                raise InvalidState(
-                    f"exclusive predicate {fact.predicate}: {other.text()!r} "
-                    f"conflicts with {fact.text()!r}"
-                )
-            seen_exclusive[key] = fact
-        out.add(fact)
-    return frozenset(out)
 
 
 def applicable(state: frozenset[Fact], action: ActionTemplate) -> bool:

@@ -66,7 +66,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .andor import ArcDecl, GraphError, GraphTemplate, NodeDecl, NodeKind, build_graph
+from .andor import ArcDecl, GraphError, GraphTemplate, NodeDecl, NodeKind
 from .domain import (
     BUILTIN_PREDICATE_DECLS,
     DERIVED_PREDICATES,
@@ -256,7 +256,7 @@ class _Cursor:
                 or tok.value.startswith("-"):
             self._fail(("non-negative integer",))
         self.index += 1
-        return int(tok.value), tok
+        return _convert(int, tok.value, tok), tok
 
     def weight(self) -> tuple[Fraction, Token]:
         tok = self.peek()
@@ -267,10 +267,11 @@ class _Cursor:
             num, den = tok.value.split("/")
             if "." in num:
                 raise ParseError("fraction weight needs a whole numerator", tok.line, tok.col)
-            if int(den) == 0:
+            den = _convert(int, den, tok)
+            if den == 0:
                 raise ParseError("zero denominator", tok.line, tok.col)
-            return Fraction(int(num), int(den)), tok
-        return Fraction(tok.value), tok
+            return Fraction(_convert(int, num, tok), den), tok
+        return _convert(Fraction, tok.value, tok), tok
 
     def string(self) -> tuple[str, Token]:
         tok = self.peek()
@@ -291,6 +292,14 @@ class _Cursor:
         if tok is not None:
             raise ParseError(f"trailing {tok.kind} {tok.value!r}", tok.line, tok.col,
                              ("end of line",))
+
+
+def _convert(convert, text: str, tok: Token):
+    """`convert(text)`; more digits than Python converts is a located error."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ParseError("number has too many digits", tok.line, tok.col) from None
 
 
 def _unescape(raw: str) -> str:
@@ -317,23 +326,27 @@ _ARC_LINE = re.compile(
 
 
 def _match_graph_line(raw: str) -> NodeDecl | ArcDecl | None:
-    """The declaration on a `node` or `arc` line of a plain shape, else None."""
-    match = _ARC_LINE.fullmatch(raw)
-    if match is not None:
-        aid, parent, children, num, den, decimals, actions = match.groups()
-        if den is not None:
-            weight = Fraction(int(num), int(den))
-        elif decimals is not None:
-            weight = Fraction(num + decimals)
-        else:
-            weight = Fraction(int(num))
-        return ArcDecl(int(aid), int(parent), tuple(map(int, children.split())), weight,
-                       tuple(actions.split()) if actions else ())
-    match = _NODE_LINE.fullmatch(raw)
-    if match is None:
+    """The declaration on a `node` or `arc` line of a plain shape, else None;
+    a number too long to convert leaves the line to the cursor."""
+    try:
+        match = _ARC_LINE.fullmatch(raw)
+        if match is not None:
+            aid, parent, children, num, den, decimals, actions = match.groups()
+            if den is not None:
+                weight = Fraction(int(num), int(den))
+            elif decimals is not None:
+                weight = Fraction(num + decimals)
+            else:
+                weight = Fraction(int(num))
+            return ArcDecl(int(aid), int(parent), tuple(map(int, children.split())),
+                           weight, tuple(actions.split()) if actions else ())
+        match = _NODE_LINE.fullmatch(raw)
+        if match is None:
+            return None
+        nid, kind, label = match.groups()
+        return NodeDecl(int(nid), _NODE_KINDS[kind], _unescape(label))
+    except ValueError:
         return None
-    nid, kind, label = match.groups()
-    return NodeDecl(int(nid), _NODE_KINDS[kind], _unescape(label))
 
 
 def _read_graph_line(cur: _Cursor) -> NodeDecl | ArcDecl:
@@ -701,7 +714,7 @@ class _Parser:
                 f"{what} needs exactly one failure node, found {len(failures)}", line, col)
         template = GraphTemplate(tuple(nodes), tuple(arcs), roots[0], failures[0])
         try:
-            build_graph(template)
+            template.graph
         except GraphError as exc:
             element = getattr(exc, "element", None)
             at = decl_lines.get(("node", element), decl_lines.get(("arc", element)))
@@ -780,9 +793,15 @@ class _Parser:
                     at = self.decl_lines.get(("fact", (action.name, kind, fact)), line)
                     self._check_fact(fact, predicates, entities, at)
 
+        held: dict[tuple, Fact] = {}  # the first fact of each exclusive key
         for fact in scn.init:
-            self._check_fact(fact, predicates, entities,
-                             self.decl_lines.get(("init", fact), 1))
+            line = self.decl_lines.get(("init", fact), 1)
+            self._check_fact(fact, predicates, entities, line)
+            if predicates[fact.predicate].exclusive:
+                first = held.setdefault((fact.predicate, fact.args[:1]), fact)
+                if first != fact:
+                    raise ResolveError(f"exclusive predicate {fact.predicate}: "
+                                       f"{fact.text()} conflicts with {first.text()}", line, 1)
         if not scn.goal:
             raise ResolveError("GOAL section must state at least one fact",
                                len(self.lines) + 1, 1)

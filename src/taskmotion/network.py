@@ -6,18 +6,20 @@ dead end, and every exhausted frontier appends a further graph instead of
 mutating an existing one. The network therefore records the full history
 of the run, and its length is the reported search depth.
 
-Each template is validated and compiled once into a `CompiledGraph` that
-every graph instantiated from it shares: the main template on first use,
-a composed rearrangement template when it is composed. A `GraphEntry`
-holds only what differs between instantiations, its leaf truths and its
-achieved nodes. The newest entry is priced once, when it is first
-searched: the bottom-up min-cost evaluation of AO* (Martelli & Montanari,
-1973), run one level of equal height at a time over numpy arrays.
+Each template is validated once, by `GraphTemplate.graph`, and compiled
+once into a `CompiledGraph` that every graph instantiated from it shares:
+the main template on first use, a composed rearrangement template when
+it is composed. A `GraphEntry` holds only what differs between
+instantiations, its leaf truths and its achieved nodes. The newest entry
+is priced once, when it is first searched: the bottom-up min-cost
+evaluation of AO* (Martelli & Montanari, 1973), run one level of equal
+height at a time over numpy arrays.
 
 Candidates are drawn from the newest graph only. A node is a candidate
 when it is not yet achieved, at least one of its incoming arcs has all
 children achieved, the arc's actions are symbolically applicable, and the
-combination has not been suppressed in the current world. Selection
+combination has not been suppressed in the current world; only arcs that
+one segment reduction finds enabled are tested for the last two. Selection
 prefers arcs on the minimal-cost solution of the graph; when the root is
 currently unsolvable it falls back to the cheapest applicable arc with
 the lowest arc id.
@@ -30,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from operator import attrgetter
 from typing import Collection, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -88,8 +89,6 @@ class ExpandReason(Enum):
 
 OBSTRUCTION_PREDICATE = "obstructs"
 
-_ARC_ORDER = attrgetter("parent", "id")
-
 
 class _Level(NamedTuple):
     """The priced nodes of one height and their arcs, in cost and total
@@ -104,7 +103,8 @@ class _Level(NamedTuple):
 
 
 class CompiledGraph:
-    """A validated graph, flattened once for repeated pricing.
+    """A validated graph, flattened once for repeated pricing and frontier
+    search.
 
     Arc weights are scaled to integers by the least common multiple of
     their denominators, so costs are exact integers that order and tie
@@ -125,6 +125,11 @@ class CompiledGraph:
     fits, and Python integers in an object array otherwise, through the
     same code. The graph itself is shared by every entry and never
     mutated: its leaves all stay false.
+
+    The frontier's arcs, all but the failure node's, are laid out once in
+    `offered` by parent id then arc id: child positions arc after arc from
+    `offered_starts`, and parent positions. `enabled` is one logical-and
+    segment reduction of an achieved mask gathered at the children.
     """
 
     def __init__(self, graph: AndOrGraph):
@@ -142,11 +147,8 @@ class CompiledGraph:
             hi = lo + len(nodes)
             arcs = [arc for nid in nodes for arc in graph.arcs_into(nid)]
             first = self.arc_start[lo]
-            arities = np.fromiter(map(len, (arc.children for arc in arcs)), np.intp)
             levels.append(_Level(
-                slice(lo, hi), slice(first, first + len(arcs)),
-                np.fromiter(map(self.pos.__getitem__, _children(arcs)), np.intp),
-                np.cumsum(arities) - arities,
+                slice(lo, hi), slice(first, first + len(arcs)), *self._segments(arcs),
                 np.array([self.scaled_weight(arc) for arc in arcs], dtype=object),
                 self.arc_start[lo:hi] - first))
             lo = hi
@@ -162,12 +164,27 @@ class CompiledGraph:
         self.dtype = np.int64 if (arity + 1) * self.inf < 2**62 else object
         self.levels = tuple(level._replace(weights=level.weights.astype(self.dtype))
                             for level in levels)
-        # Every arc under its first child: an arc whose children are all
-        # achieved is found exactly once by looking up the achieved nodes.
-        self.arcs_by_first_child: dict[int, list[HyperArc]] = {}
-        for arc in graph.arcs:
-            self.arcs_by_first_child.setdefault(arc.children[0], []).append(arc)
+        self.offered = tuple(arc for nid in sorted(graph.nodes) if nid != graph.failure
+                             for arc in graph.arcs_into(nid))
+        self.offered_children, self.offered_starts = self._segments(self.offered)
+        self.offered_parents = np.fromiter(
+            (self.pos[arc.parent] for arc in self.offered), np.intp)
         self.leaf_facts: tuple[tuple[int, Fact], ...] = tuple(_leaf_facts(graph))
+
+    def _segments(self, arcs: Collection[HyperArc]) -> tuple[np.ndarray, np.ndarray]:
+        """Child positions of `arcs`, arc after arc, and each arc's first index."""
+        arities = np.fromiter(map(len, (arc.children for arc in arcs)), np.intp)
+        return (np.fromiter(map(self.pos.__getitem__, _children(arcs)), np.intp),
+                np.cumsum(arities) - arities)
+
+    def enabled(self, achieved: Collection[int]) -> list[HyperArc]:
+        """The offered arcs whose children are all in `achieved` and whose
+        parent is not, by parent id then arc id."""
+        mask = np.zeros(len(self.pos), dtype=bool)
+        mask[[self.pos[nid] for nid in achieved]] = True
+        ready = np.logical_and.reduceat(mask[self.offered_children], self.offered_starts)
+        ready &= ~mask[self.offered_parents]
+        return [self.offered[i] for i in np.flatnonzero(ready).tolist()]
 
     def scaled_weight(self, arc: HyperArc) -> int:
         """The arc's weight times `scale`."""
@@ -316,11 +333,9 @@ class GraphNetwork:
         return self._instantiate_main(facts)
 
     def _instantiate_main(self, facts: frozenset[Fact]) -> GraphEntry:
-        # Compiled on first use and kept for the network's life: the main
-        # template never changes, and hashing a large template to look it
-        # up would cost more than building it.
+        # Compiled on first use and kept: the main template never changes.
         if self._main is None:
-            self._main = CompiledGraph(build_graph(self.main_template))
+            self._main = CompiledGraph(self.main_template.graph)
         return self._instantiate(self._main, "main", facts)
 
     def _instantiate(self, compiled: CompiledGraph, kind: str,
@@ -346,20 +361,12 @@ class GraphNetwork:
         if not self.entries:
             raise NetworkError("network not bootstrapped")
         entry = self.latest
-        achieved = entry.achieved
         nodes = entry.compiled.graph.nodes
-        by_first_child = entry.compiled.arcs_by_first_child
         index = len(self.entries) - 1
-        reached = [arc for nid in achieved for arc in by_first_child.get(nid, ())]
-        reached.sort(key=_ARC_ORDER)
         out = []
-        for arc in reached:
-            node = nodes[arc.parent]
-            if (arc.parent in achieved or node.kind is NodeKind.FAILURE
-                    or not achieved.issuperset(arc.children)):
-                continue
+        for arc in entry.compiled.enabled(entry.achieved):
             actions = tuple(self.actions[name] for name in arc.actions)
-            candidate = Candidate(index, arc.parent, node.label, arc, actions)
+            candidate = Candidate(index, arc.parent, nodes[arc.parent].label, arc, actions)
             label, names = candidate.key()
             if (label, names, world_sig) in self.suppressed:
                 continue

@@ -149,7 +149,14 @@ def fuzz_scenario(seed: int) -> Scenario:
 
     custom = [f for f in pool if f.predicate in scn.predicates]
     if custom:
-        scn.init = tuple(rng.sample(custom, rng.randint(0, min(3, len(custom)))))
+        init = []
+        for fact in rng.sample(custom, rng.randint(0, min(3, len(custom)))):
+            # An exclusive predicate holds once per first argument: keep the first.
+            if not (scn.predicates[fact.predicate].exclusive and any(
+                    f.predicate == fact.predicate and f.args[0] == fact.args[0]
+                    for f in init)):
+                init.append(fact)
+        scn.init = tuple(init)
     scn.goal = tuple(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
     action_names = sorted(scn.actions)
     scn.graph = _random_template(rng, pool, action_names)

@@ -2,10 +2,12 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from taskmotion import andor
 from taskmotion.andor import (
     AlreadyAugmented,
     AndOrGraph,
@@ -50,6 +52,21 @@ def minimal_template(weight=Fraction(1)):
         root=0,
         failure=3,
     )
+
+
+def test_template_graph_is_validated_once_and_replace_validates_afresh(monkeypatch):
+    built = []
+    monkeypatch.setattr(andor, "build_graph",
+                        lambda template: built.append(template) or build_graph(template))
+    template = minimal_template()
+    graph = template.graph
+    assert template.graph is graph and built == [template]
+    assert template == minimal_template() and hash(template) == hash(minimal_template())
+    heavier = replace(template, arcs=(ArcDecl(0, 0, (1, 2), Fraction(7)),))
+    assert heavier.graph is not graph and built == [template, heavier]
+    assert heavier.graph.arcs[0].weight == 7 and graph.arcs[0].weight == 1
+    with pytest.raises(CycleDetected):
+        replace(template, arcs=template.arcs + (ArcDecl(1, 0, (0,)),)).graph
 
 
 def enumerate_solutions(graph, node_id):

@@ -11,13 +11,10 @@ from taskmotion.domain import (
     InvalidState,
     MotionClass,
     PreconditionViolated,
-    PredicateDecl,
-    UnknownEntity,
     apply_action,
     apply_chain,
     chain_applicable,
     is_goal,
-    validate_facts,
 )
 
 
@@ -116,26 +113,6 @@ def test_transfer_and_handover_reject_the_object_as_its_own_destination():
 def test_symbolic_action_must_not_carry_geometry():
     with pytest.raises(InvalidState):
         ActionTemplate(name="s", motion_class=MotionClass.WAIT, manipulated="d1")
-
-
-def test_validate_facts_checks_arity_predicate_and_entities():
-    preds = {"on": PredicateDecl("on", 2), "clear": PredicateDecl("clear", 1)}
-    entities = frozenset({"d1", "pegA"})
-    good = validate_facts([fact("on d1 pegA"), fact("clear d1")], preds, entities)
-    assert fact("on d1 pegA") in good
-    with pytest.raises(UnknownEntity):
-        validate_facts([fact("under d1 pegA")], preds, entities)
-    with pytest.raises(InvalidState):
-        validate_facts([fact("on d1")], preds, entities)
-    with pytest.raises(UnknownEntity):
-        validate_facts([fact("clear ghost")], preds, entities)
-
-
-def test_exclusive_predicate_rejects_two_places_for_one_object():
-    preds = {"at_peg": PredicateDecl("at_peg", 2, exclusive=True)}
-    entities = frozenset({"d1", "pegA", "pegB"})
-    with pytest.raises(InvalidState):
-        validate_facts([fact("at_peg d1 pegA"), fact("at_peg d1 pegB")], preds, entities)
 
 
 def test_is_goal():

@@ -109,6 +109,8 @@ MALFORMED = [
     ("m13_two_roots.scn", ResolveError, 7, 1),
     ("m14_missing_goal.scn", ResolveError, 10, 1),
     ("m15_decimal_fraction_weight.scn", ParseError, 11, 34),
+    ("m16_huge_number.scn", ParseError, 10, 6),
+    ("m17_exclusive_conflict.scn", ResolveError, 11, 1),
 ]
 
 
@@ -157,6 +159,61 @@ def test_stacking_cycle_in_on_clauses_is_a_located_error(objects, line, cycle):
         parse(raw.replace(cup, objects))
     assert (info.value.line, info.value.col) == (line, 1)
     assert f"stacking cycle: {cycle}" in info.value.message
+
+
+HUGE = "9" * 5000  # beyond Python's default limit of 4300 digits for int(str)
+
+
+@pytest.mark.parametrize("old,new", [
+    ("node 3 leaf", f"node {HUGE} leaf"),
+    ("arc 1 parent 1", f"arc {HUGE} parent 1"),
+    ("parent 1 children", f"parent {HUGE} children"),
+    ("children 3 weight", f"children 3 {HUGE} weight"),
+    ("weight 1 actions", f"weight {HUGE} actions"),
+    ("weight 1 actions", f"weight 1.{HUGE} actions"),
+    ("weight 1 actions", f"weight {HUGE}/2 actions"),
+    ("weight 1 actions", f"weight 2/{HUGE} actions"),
+    ("weight 2/3", f"weight 2/{HUGE}"),
+    ("pred polished 1", f"pred polished {HUGE}"),
+], ids=["node_id", "arc_id", "parent", "child", "weight", "decimal", "numerator",
+        "denominator", "stage_denominator", "arity"])
+def test_a_number_too_long_to_convert_is_a_located_error(old, new):
+    lines = read("minimal.scn").splitlines()
+    at = next(i for i, line in enumerate(lines) if old in line)
+    lines[at] = lines[at].replace(old, new)
+    with pytest.raises(ParseError) as info:
+        parse("\n".join(lines))
+    number = re.search(r"[0-9./]*" + HUGE, lines[at])
+    assert (info.value.line, info.value.col) == (at + 1, number.start() + 1)
+    assert info.value.message == "number has too many digits"
+
+
+@pytest.mark.parametrize("old,new,line", [
+    ("polished table", "polished ghost", 30),
+    ("at cup pad", "at ghost pad", 33),
+    ('node 3 leaf "at cup pad"', 'node 3 leaf "at cup ghost"', 38),
+], ids=["init", "goal", "leaf"])
+def test_a_fact_naming_an_unknown_entity_is_a_located_error(old, new, line):
+    raw = read("minimal.scn")
+    assert f"\n{old}\n" in raw
+    with pytest.raises(ResolveError) as info:
+        parse(raw.replace(f"\n{old}\n", f"\n{new}\n", 1))
+    assert (info.value.line, info.value.col) == (line, 1)
+    assert info.value.message == "unknown entity ghost"
+
+
+def test_exclusive_predicate_rejects_two_places_for_one_object():
+    raw = read("minimal.scn").replace("pred polished 1",
+                                      "pred polished 1\npred slot 2 exclusive")
+    with pytest.raises(ResolveError) as info:
+        parse(raw.replace("INIT\npolished table", "INIT\nslot cup table\nslot cup pad"))
+    assert (info.value.line, info.value.col) == (32, 1)
+    assert info.value.message == \
+        "exclusive predicate slot: slot cup pad conflicts with slot cup table"
+    # One place per first argument, stated once or twice, is fine.
+    for init in ("slot cup pad\nslot cup pad", "slot cup pad\nslot table pad"):
+        scn = parse(raw.replace("INIT\npolished table", "INIT\n" + init))
+        assert len(set(scn.init)) == len(set(init.splitlines()))
 
 
 def test_fuzz_generator_covers_seeds_0_to_399():

@@ -3,11 +3,13 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from test_andor import random_template
 
+from taskmotion import network
 from taskmotion.andor import (
     INF,
     ArcDecl,
@@ -22,6 +24,7 @@ from taskmotion.andor import (
     solved,
 )
 from taskmotion.domain import ActionTemplate, Condition, Fact, MotionClass, chain_applicable
+from taskmotion.dsl import parse_file
 from taskmotion.network import (
     Candidate,
     CompiledGraph,
@@ -32,6 +35,7 @@ from taskmotion.network import (
     UnknownStage,
     compose_rearrangement,
 )
+from taskmotion.planner import FinalStatus, RunConfig, run_scenario
 from taskmotion.scenarios import gen_hanoi
 
 
@@ -91,6 +95,16 @@ def test_bootstrap_marks_true_leaves_achieved():
 
 def test_frontier_lists_arcs_with_achieved_children():
     net = fresh_network()
+    frontier = net.frontier(FACTS, SIG)
+    assert [(c.node_id, c.arc.id) for c in frontier] == [(5, 1), (6, 2)]
+
+
+def test_frontier_never_offers_the_failure_node():
+    template = template_two_options()
+    stuck_when_ready = ArcDecl(5, 2, (3,), Fraction(0))
+    net = GraphNetwork(replace(template, arcs=template.arcs + (stuck_when_ready,)), {},
+                       simple_actions())
+    net.bootstrap(FACTS)
     frontier = net.frontier(FACTS, SIG)
     assert [(c.node_id, c.arc.id) for c in frontier] == [(5, 1), (6, 2)]
 
@@ -509,3 +523,60 @@ def test_frontier_and_select_match_the_scan_over_flip_sequences():
                     net.mark_executed(chosen)
                     achieved.add(chosen.node_id)
     assert compared > 2000
+
+
+def test_frontier_matches_the_scan_on_the_hanoi_4_main_template():
+    # A deep graph whose arcs have several children; random achieved sets
+    # enable arcs at every level, and random facts and suppressions filter.
+    scenario = gen_hanoi(4, omnipotent=False)
+    graph = scenario.graph.graph
+    conditions = {c for action in scenario.actions.values() for c in action.preconditions}
+    pool = sorted({Fact.parse(leaf.label) for leaf in graph.leaves()}
+                  | {c.fact for c in conditions})
+    # Facts that some action requires to be false are rarely drawn, so that
+    # many enabled arcs are also applicable.
+    negated = {c.fact for c in conditions if c.negated}
+    net = GraphNetwork(scenario.graph, scenario.stages, scenario.actions)
+    entry = net.bootstrap(frozenset(scenario.init))
+    rng = random.Random(44)
+    ids = sorted(graph.nodes)
+    compared = multi_child = 0
+    for density in (0.0, 0.1, 0.3, 0.6, 0.8, 0.9, 1.0) * 4:
+        entry.achieved = {nid for nid in ids if rng.random() < density}
+        enabled = [arc for nid in ids if nid not in entry.achieved
+                   and graph.nodes[nid].kind is not NodeKind.FAILURE
+                   for arc in graph.arcs_into(nid) if entry.achieved.issuperset(arc.children)]
+        assert entry.compiled.enabled(entry.achieved) == enabled
+        multi_child += sum(len(arc.children) > 1 for arc in enabled)
+        facts = frozenset(f for f in pool
+                          if rng.random() < (0.1 if f in negated else 0.8))
+        suppressed = set()
+        for _ in range(2):
+            want = scan_frontier(graph, entry.achieved, scenario.actions, suppressed,
+                                 facts, "sig", 0)
+            assert net.frontier(facts, "sig") == want
+            compared += len(want)
+            for candidate in rng.sample(want, len(want) // 2):
+                net.suppress(candidate, "sig")
+                suppressed.add(candidate.key() + ("sig",))
+        net.suppressed.clear()
+    assert compared > 1000 and multi_child > 300
+
+
+def test_a_parsed_main_template_is_never_validated_again(monkeypatch):
+    scenario = parse_file(Path(__file__).parent / "fixtures" / "hanoi3.scn")
+    assert "graph" in vars(scenario.graph)  # validated by `parse`
+    built = []
+    monkeypatch.setattr(network, "build_graph",
+                        lambda template: built.append(template) or build_graph(template))
+    result = run_scenario(scenario, RunConfig(seed=0))
+    assert result.status is FinalStatus.GOAL_ACHIEVED
+    assert all(template != scenario.graph for template in built)
+    assert all(entry.compiled.graph is scenario.graph.graph
+               for entry in result.network.entries if entry.kind == "main")
+    # The validated graph is shared and stays as built, also after every
+    # entry is rendered with its leaf truths: no truths or costs.
+    for index, entry in enumerate(result.network.entries):
+        entry.to_dot(f"graph {index}")
+    for node in scenario.graph.graph.nodes.values():
+        assert (node.truth, node.solved, node.cost) == (False, False, INF), node
