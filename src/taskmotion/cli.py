@@ -166,6 +166,16 @@ def _cmd_dot(args) -> int:
     return 0
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def _add_scenario_args(sub):
     sub.add_argument("scenario_pos", nargs="?", metavar="scenario",
                      help="'hanoi', 'habitat', or a scenario file path")
@@ -186,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     run = commands.add_parser("run", help="execute a scenario")
     _add_scenario_args(run)
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--depth-cap", type=int, default=512)
-    run.add_argument("--retries", type=int, default=2)
+    run.add_argument("--depth-cap", type=_at_least(1), default=512)
+    run.add_argument("--retries", type=_at_least(0), default=2)
     run.add_argument("--out", help="write the metrics document to this file")
     run.add_argument("--trace", help="write line-delimited run events to this file")
     run.add_argument("--dot", help="directory for one DOT file per network graph")

@@ -10,7 +10,9 @@ Dispatch then walks the grounded sequence against the live world. Each
 geometric step is planned just in time (so it sees every pose change the
 previous steps made), retried across a deterministic low-discrepancy set
 of alternative goal points when the action allows play in its goal
-region, and executed on success. The first failure stops the walk and is
+region, and executed on success. `_step_goal` is the one place a step's
+goal point and region are derived; the A* budget of every query is
+`MotionQuery`'s default. The first failure stops the walk and is
 reported with the blocking objects, so the caller can decide between
 rearrangement, trying another candidate, or giving up.
 """
@@ -25,7 +27,6 @@ from .world import (
     Agent,
     InvalidQuery,
     MotionQuery,
-    MotionResult,
     World,
     execute,
     path_length,
@@ -43,12 +44,6 @@ class InterfaceError(Exception):
 
 class GroundingFailed(InterfaceError):
     """No agent assignment makes the action geometrically plausible."""
-
-
-@dataclass(frozen=True)
-class PlanningBudget:
-    retries: int = 2
-    max_expansions: int = 50_000
 
 
 @dataclass(frozen=True)
@@ -108,14 +103,6 @@ def _dest_point(world: World, dest: str) -> tuple[float, float]:
         return (marker.x, marker.y)
     obj = world.objects[dest]
     return (obj.x, obj.y)
-
-
-def _goal_region(world: World, dest: str) -> Box:
-    point = _dest_point(world, dest)
-    if dest in world.markers:
-        half = world.markers[dest].snap * 0.7
-        return Box(point[0], point[1], half, half)
-    return Box(point[0], point[1])
 
 
 def _reaches(agent: Agent, point: tuple[float, float],
@@ -286,40 +273,42 @@ def _resolve_agent(world: World, grounded: GroundedAction) -> str | None:
     return None
 
 
-def build_query(world: World, grounded: GroundedAction, agent_id: str,
-                goal: tuple[float, float] | None,
-                budget: PlanningBudget) -> MotionQuery:
-    action = grounded.action
-    agent = world.agents[agent_id]
+def _step_goal(world: World, action: ActionTemplate) -> tuple[tuple[float, float], Box]:
+    """The declared goal point of a geometric step and the region its
+    alternates are drawn from: a marker's snap disc shrunk to a box, or no
+    play at all around an object. A transit goes to its area marker, a
+    grasp to the object it takes, anything else to its destination."""
     if action.motion_class is MotionClass.TRANSIT:
-        marker = world.markers[action.area]
-        point = goal if goal is not None else (marker.x, marker.y)
-        half = marker.snap * 0.7
-        return MotionQuery(agent_id, MotionClass.TRANSIT, "transfer",
-                           agent.config, point, Box(marker.x, marker.y, half, half),
-                           max_expansions=budget.max_expansions)
-    if action.verb == "grasp":
-        obj = world.objects[action.manipulated]
-        point = (obj.x, obj.y)
-        return MotionQuery(agent_id, action.motion_class, "grasp", agent.config,
-                           point, Box(point[0], point[1]),
-                           manipulated=action.manipulated, source=action.source,
-                           max_expansions=budget.max_expansions)
-    point = goal if goal is not None else _dest_point(world, action.dest)
-    return MotionQuery(agent_id, action.motion_class, action.verb, agent.config,
-                       point, _goal_region(world, action.dest),
-                       manipulated=action.manipulated, source=action.source,
-                       dest=action.dest, max_expansions=budget.max_expansions)
+        dest = action.area
+    elif action.verb == "grasp":
+        dest = action.manipulated
+    else:
+        dest = action.dest
+    x, y = _dest_point(world, dest)
+    half = world.markers[dest].snap * 0.7 if dest in world.markers else 0.0
+    return (x, y), Box(x, y, half, half)
 
 
-def dispatch(world: World, grounding: GroundingResult,
-             budget: PlanningBudget = PlanningBudget()) -> DispatchResult:
+def _query(world: World, action: ActionTemplate, agent_id: str,
+           goal: tuple[float, float]) -> MotionQuery:
+    start = world.agents[agent_id].config
+    if action.motion_class is MotionClass.TRANSIT:
+        return MotionQuery(agent_id, MotionClass.TRANSIT, "transfer", start, goal)
+    dest = None if action.verb == "grasp" else action.dest
+    return MotionQuery(agent_id, action.motion_class, action.verb, start, goal,
+                       manipulated=action.manipulated, dest=dest)
+
+
+def dispatch(world: World, grounding: GroundingResult, retries: int = 2) -> DispatchResult:
     """Execute a grounded sequence step by step on the live world.
 
-    A query the world rejects (`InvalidQuery`: a start in collision or
-    outside the grid, a put without the object in hand, a support that
+    A geometric step tries its goal point and then up to `retries`
+    alternates; each query searches with `MotionQuery`'s default A*
+    budget. A query the world rejects (`InvalidQuery`: a start in collision
+    or outside the grid, a put without the object in hand, a support that
     would close a stacking cycle) ends the sequence as an "invalid"
-    failure, like any other failed step.
+    failure, like any other failed step: its outcome is recorded and
+    counts the rejected call as an attempt.
     """
     result = DispatchResult(ok=True, world=world)
     for grounded in grounding.steps:
@@ -349,57 +338,33 @@ def dispatch(world: World, grounding: GroundingResult,
             if base_at_area(result.world, base, action.area):
                 continue  # already parked, nothing to plan
 
-        region = _goal_region(result.world, action.dest) \
-            if action.dest is not None and action.verb != "grasp" else Box(0, 0)
-        if action.motion_class is MotionClass.TRANSIT:
-            marker = result.world.markers[action.area]
-            half = marker.snap * 0.7
-            region = Box(marker.x, marker.y, half, half)
-            goal0 = (marker.x, marker.y)
-        elif action.verb == "grasp":
-            obj = result.world.objects[action.manipulated]
-            goal0 = (obj.x, obj.y)
-        else:
-            goal0 = _dest_point(result.world, action.dest)
-
-        attempts = 0
-        expansions = 0
+        goal, region = _step_goal(result.world, action)
+        attempts = expansions = 0
         plan_time = 0.0
-        final: MotionResult | None = None
-        for point in goal_candidates(goal0, region, budget.retries,
-                                     result.world.rng_seed):
-            query = build_query(result.world, grounded, agent_id, point, budget)
-            try:
-                final = plan_motion(result.world, query)
-            except InvalidQuery as exc:
-                return _invalid(result, action, exc)
-            attempts += 1
-            expansions += final.expansions
-            plan_time += final.elapsed
-            if final.feasible:
-                break
-        assert final is not None
-        if not final.feasible:
-            result.ok = False
-            result.failure = DispatchFailure("motion", action.name,
-                                             obstructors=final.obstructors,
-                                             detail=final.detail)
-            result.steps.append(StepOutcome(
-                action.name, agent_id, action.motion_class, False, attempts,
-                expansions, 0.0, result.world.clock, plan_time))
-            return result
+        failure = motion = None
         try:
-            result.world = execute(result.world, agent_id, final, action)
+            for point in goal_candidates(goal, region, retries, result.world.rng_seed):
+                attempts += 1
+                motion = plan_motion(result.world,
+                                     _query(result.world, action, agent_id, point))
+                expansions += motion.expansions
+                plan_time += motion.elapsed
+                if motion.feasible:
+                    break
+            if motion.feasible:
+                result.world = execute(result.world, agent_id, motion, action)
+            else:
+                failure = DispatchFailure("motion", action.name,
+                                          obstructors=motion.obstructors,
+                                          detail=motion.detail)
         except InvalidQuery as exc:
-            return _invalid(result, action, exc)
+            failure = DispatchFailure("invalid", action.name, detail=str(exc))
         result.steps.append(StepOutcome(
-            action.name, agent_id, action.motion_class, True, attempts,
-            expansions, path_length(final.path), result.world.clock, plan_time))
-    return result
-
-
-def _invalid(result: DispatchResult, action: ActionTemplate,
-             exc: InvalidQuery) -> DispatchResult:
-    result.ok = False
-    result.failure = DispatchFailure("invalid", action.name, detail=str(exc))
+            action.name, agent_id, action.motion_class, failure is None, attempts,
+            expansions, 0.0 if failure is not None else path_length(motion.path),
+            result.world.clock, plan_time))
+        if failure is not None:
+            result.ok = False
+            result.failure = failure
+            return result
     return result

@@ -305,6 +305,9 @@ class GraphNetwork:
                  stage_templates: dict[str, GraphTemplate],
                  actions: dict[str, ActionTemplate],
                  depth_cap: int = 512):
+        if depth_cap < 1:
+            raise ValueError(f"depth cap {depth_cap} is below 1: the network "
+                             "holds its first graph from the start")
         self.main_template = main_template
         self.stage_templates = dict(stage_templates)
         self.actions = dict(actions)
@@ -426,10 +429,16 @@ class GraphNetwork:
                 tuple(sorted(self.suppressed)), tuple(sorted(
                     f.text() for f in self.knowledge)))
 
+    def relocation_stages(self, obstructor_ids: Iterable[str]
+                          ) -> list[tuple[str, GraphTemplate]]:
+        """The relocation stage `clear_<id>` of each obstructor that has one,
+        in the given order."""
+        return [(oid, stage) for oid in obstructor_ids
+                if (stage := self.stage_templates.get(f"clear_{oid}")) is not None]
+
     def _expand_rearrangement(self, facts: frozenset[Fact],
                               obstructor_ids: tuple[str, ...]) -> GraphEntry:
-        stages = [(oid, self.stage_templates[f"clear_{oid}"])
-                  for oid in obstructor_ids if f"clear_{oid}" in self.stage_templates]
+        stages = self.relocation_stages(obstructor_ids)
         if not stages:
             raise UnknownStage(
                 "no relocation stage for any of: " + ", ".join(obstructor_ids))

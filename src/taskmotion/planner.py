@@ -1,14 +1,18 @@
 """Top-level run loop tying graphs, grounding, and geometry together.
 
-One loop iteration: check the goal on a fresh snapshot, pick a candidate
-from the newest graph, ground it, dispatch it. Success marks the node
-achieved and, unless the goal is already reached, re-instantiates the
-main graph against the new state. A geometric failure with known
-obstructors grows a rearrangement graph instead; anything else suppresses
-the candidate for the current world and tries the next one. An exhausted
-frontier re-expands once per distinct state; a repeat means the task is
-unsolvable. The network depth cap turns runaway growth into a reported
-depth-limit result.
+One loop iteration: check the goal, pick a candidate from the newest
+graph, ground it, dispatch it. Success marks the node achieved and, unless
+the goal is already reached, re-instantiates the main graph against the
+new state. A geometric failure whose obstructors have relocation stages
+grows a rearrangement graph instead; anything else suppresses the
+candidate for the world before and after the dispatch and tries the next
+one. An exhausted frontier re-expands once per distinct state; a repeat
+means the task is unsolvable. The network depth cap, at least 1, turns
+runaway growth into a reported depth-limit result.
+
+Only a dispatch changes the world, so the loop takes one snapshot per
+world state: one at the start and one after each dispatch. Goal checks,
+selection and expansion read the latest one.
 
 Timing discipline: every timestamp in the trace is simulated clock time,
 so traces are reproducible byte for byte. Wall-clock durations appear
@@ -20,27 +24,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .domain import GoalSpec, MotionClass, is_goal
 from .dsl import Scenario
-from .interface import (
-    DispatchResult,
-    GroundingFailed,
-    PlanningBudget,
-    StepOutcome,
-    dispatch,
-    ground,
-)
-from .network import (
-    Candidate,
-    DepthLimitExceeded,
-    ExpandReason,
-    ExpansionCycle,
-    GraphNetwork,
-    UnknownStage,
-)
+from .interface import GroundingFailed, StepOutcome, dispatch, ground
+from .network import DepthLimitExceeded, ExpandReason, ExpansionCycle, GraphNetwork
 from .world import World, snapshot, world_from_scenario
 
 TABLE_COLUMNS = ("Objects", "d", "TP [s]", "Right MP [s]", "Right attempts",
@@ -59,8 +49,7 @@ class FinalStatus(Enum):
 @dataclass(frozen=True)
 class RunConfig:
     depth_cap: int = 512  # the most graphs the network may hold
-    retries: int = 2
-    max_expansions: int = 50_000
+    retries: int = 2  # alternate goal points per geometric step
     seed: int = 0
 
 
@@ -115,32 +104,35 @@ def run_scenario(scenario: Scenario, config: RunConfig = RunConfig()) -> PlanRes
 
     network = GraphNetwork(scenario.graph, scenario.stages, scenario.actions,
                            depth_cap=config.depth_cap)
-    budget = PlanningBudget(retries=config.retries,
-                            max_expansions=config.max_expansions)
     state = snapshot(world)
     timers.timed("expand", network.bootstrap, state.facts)
     trace.append({"event": "expand", "reason": "bootstrap", "graph": network.depth})
 
+    def expand(reason: ExpandReason, obstructors: tuple[str, ...] = ()):
+        """Grow the network from the current state; the final status when
+        it refuses to grow, else None."""
+        try:
+            timers.timed("expand", network.expand, reason, state.facts, obstructors)
+        except ExpansionCycle:
+            return FinalStatus.UNSOLVABLE
+        except DepthLimitExceeded:
+            return FinalStatus.DEPTH_LIMIT
+        event = {"event": "expand", "reason": reason.value, "graph": network.depth}
+        if reason is ExpandReason.MOTION_FAILURE:
+            event["obstructors"] = list(obstructors)
+        trace.append(event)
+        return None
+
     moves = 0
     status: FinalStatus | None = None
     while status is None:
-        state = snapshot(world)
         if is_goal(state.facts, goal):
             status = FinalStatus.GOAL_ACHIEVED
             break
         candidate = timers.timed("search", network.select, state.facts,
                                  state.signature)
         if candidate is None:
-            try:
-                timers.timed("expand", network.expand,
-                             ExpandReason.NO_FEASIBLE_STATE, state.facts)
-                trace.append({"event": "expand",
-                              "reason": ExpandReason.NO_FEASIBLE_STATE.value,
-                              "graph": network.depth})
-            except ExpansionCycle:
-                status = FinalStatus.UNSOLVABLE
-            except DepthLimitExceeded:
-                status = FinalStatus.DEPTH_LIMIT
+            status = expand(ExpandReason.NO_FEASIBLE_STATE)
             continue
         trace.append({"event": "select", "graph": candidate.graph_index + 1,
                       "node": candidate.node_id, "label": candidate.label,
@@ -154,8 +146,9 @@ def run_scenario(scenario: Scenario, config: RunConfig = RunConfig()) -> PlanRes
                           "reason": "grounding", "detail": str(exc)})
             continue
 
-        result = dispatch(world, grounding, budget)
+        result = dispatch(world, grounding, config.retries)
         world = result.world
+        before, state = state, snapshot(world)
         steps.extend(result.steps)
         for step in result.steps:
             trace.append(_step_event(step))
@@ -165,52 +158,27 @@ def run_scenario(scenario: Scenario, config: RunConfig = RunConfig()) -> PlanRes
             moves += 1
             trace.append({"event": "execute", "label": candidate.label,
                           "moves": moves})
-            after = snapshot(world)
-            if is_goal(after.facts, goal):
+            if is_goal(state.facts, goal):
                 status = FinalStatus.GOAL_ACHIEVED
-                break
-            try:
-                timers.timed("expand", network.expand,
-                             ExpandReason.STAGE_COMPLETE, after.facts)
-                trace.append({"event": "expand",
-                              "reason": ExpandReason.STAGE_COMPLETE.value,
-                              "graph": network.depth})
-            except DepthLimitExceeded:
-                status = FinalStatus.DEPTH_LIMIT
+            else:
+                status = expand(ExpandReason.STAGE_COMPLETE)
             continue
 
         failure = result.failure
-        post = snapshot(world)
-        stages_known = failure.kind == "motion" and any(
-            f"clear_{oid}" in network.stage_templates
-            for oid in failure.obstructors)
-        if stages_known:
-            try:
-                timers.timed("expand", network.expand,
-                             ExpandReason.MOTION_FAILURE, post.facts,
-                             failure.obstructors)
-                trace.append({"event": "expand",
-                              "reason": ExpandReason.MOTION_FAILURE.value,
-                              "graph": network.depth,
-                              "obstructors": list(failure.obstructors)})
-                continue
-            except DepthLimitExceeded:
-                status = FinalStatus.DEPTH_LIMIT
-                continue
-            except UnknownStage:
-                pass  # fall through to suppression
+        if failure.kind == "motion" and network.relocation_stages(failure.obstructors):
+            status = expand(ExpandReason.MOTION_FAILURE, failure.obstructors)
+            continue
+        network.suppress(candidate, before.signature)
         network.suppress(candidate, state.signature)
-        network.suppress(candidate, post.signature)
         trace.append({"event": "suppress", "label": candidate.label,
                       "reason": failure.kind, "detail": failure.detail,
                       "obstructors": list(failure.obstructors)})
 
     depth = network.depth
-    final = snapshot(world)
     trace.append({"event": "result", "status": status.value, "d": depth,
-                  "moves": moves, "t_sim": round(final.clock, 9),
+                  "moves": moves, "t_sim": round(state.clock, 9),
                   "poses": {oid: [round(p[0], 9), round(p[1], 9)]
-                            for oid, p in sorted(final.poses.items())}})
+                            for oid, p in sorted(state.poses.items())}})
     return _finish(scenario, status, depth, moves, steps, world, trace, timers,
                    network)
 

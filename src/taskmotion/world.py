@@ -12,6 +12,9 @@ ring of blocked cells. A* walks flat indices into that mask, whose order
 equals (x, y) order, so paths and tie-breaks are those of A* on
 coordinate tuples; obstructor order depends on them.
 
+A `MotionQuery` names an agent, its start and one goal point; its A*
+budget defaults to `DEFAULT_MAX_EXPANSIONS`, the one planning budget.
+
 Stacking never forms a cycle: `execute` refuses a support that rests on
 the object being placed.
 
@@ -33,7 +36,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .domain import DERIVED_PREDICATES, ActionTemplate, Box, Fact, MotionClass
+from .domain import DERIVED_PREDICATES, ActionTemplate, Fact, MotionClass
 
 DEFAULT_RESOLUTION = 0.02
 DEFAULT_CLEARANCE = 0.01
@@ -52,10 +55,6 @@ class InvalidQuery(WorldError):
 
 class StaleResult(WorldError):
     """World changed between planning and execution."""
-
-
-class StaleWorld(WorldError):
-    """Grounding snapshot no longer matches the live world."""
 
 
 class UnknownEntity(WorldError):
@@ -145,9 +144,7 @@ class MotionQuery:
     verb: str
     start: tuple[float, float]
     goal_point: tuple[float, float]
-    goal_region: Box
     manipulated: str | None = None
-    source: str | None = None
     dest: str | None = None
     max_expansions: int = DEFAULT_MAX_EXPANSIONS
 

@@ -23,7 +23,7 @@ from taskmotion.andor import (
     set_leaf_truth,
     solved,
 )
-from taskmotion.domain import Box, Fact, MotionClass
+from taskmotion.domain import Fact, MotionClass
 from taskmotion.dsl import DslError, parse, serialize
 from taskmotion.planner import (
     MODULE_ROWS,
@@ -149,7 +149,7 @@ def _probe_world(rng: random.Random):
                   agents={"arm": arm})
     query = MotionQuery(agent="arm", motion_class=MotionClass.TRANSFER,
                         verb="grasp", start=(0.0, 0.0), goal_point=(tx, ty),
-                        goal_region=Box(tx, ty), manipulated="prize")
+                        manipulated="prize")
     return world, query, in_reach
 
 

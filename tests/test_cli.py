@@ -88,6 +88,14 @@ def test_run_with_an_agent_outside_the_grid_exits_two(tmp_path, capsys):
     assert "status:   unsolvable" in out
 
 
+@pytest.mark.parametrize("flag, value", [("--depth-cap", "0"), ("--retries", "-1")])
+def test_run_rejects_an_out_of_range_budget(flag, value, capsys):
+    code = main(["run", "hanoi", "--omnipotent", flag, value])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"argument {flag}: must be at least" in err
+
+
 def test_validate_habitat(capsys):
     code = main(["validate", "habitat"])
     out = capsys.readouterr().out

@@ -9,7 +9,6 @@ from taskmotion.domain import ActionTemplate, Condition, Fact, MotionClass
 from taskmotion.interface import (
     DispatchResult,
     GroundingFailed,
-    PlanningBudget,
     dispatch,
     goal_candidates,
     ground,
@@ -174,7 +173,8 @@ def test_start_outside_the_grid_is_an_invalid_failure():
     assert not outcome.ok
     assert outcome.failure.kind == "invalid"
     assert "outside region" in outcome.failure.detail
-    assert outcome.steps == []
+    # The rejected query is recorded like any failed step, as one attempt.
+    assert [(s.feasible, s.attempts) for s in outcome.steps] == [(False, 1)]
 
 
 def test_dispatch_counts_every_planning_attempt():
@@ -214,7 +214,7 @@ def test_retry_lands_on_alternate_goal_point():
                                    movable=True)
     world.objects["cup"] = Obj("cup", "circle", (0.03,), -0.3, 0.3, movable=True)
     move = transfer("park", "cup", "west")
-    outcome = dispatch(world, ground(world, (move,)), PlanningBudget(retries=4))
+    outcome = dispatch(world, ground(world, (move,)), retries=4)
     assert outcome.ok, outcome.failure
     step = outcome.steps[-1]
     assert step.attempts > 1

@@ -207,6 +207,12 @@ def test_exhausted_frontier_with_new_facts_is_not_a_cycle():
     assert net.depth == 3
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_depth_cap_below_one_is_refused(cap):
+    with pytest.raises(ValueError, match="depth cap"):
+        fresh_network(depth_cap=cap)
+
+
 def test_depth_cap_raises_on_the_excess_expansion():
     net = fresh_network(depth_cap=3)
     net.expand(ExpandReason.STAGE_COMPLETE, FACTS)  # depth 2

@@ -5,10 +5,12 @@ case is small enough to predict the exact depth, move count, and trace
 shape by hand.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from taskmotion import planner
 from taskmotion.andor import ArcDecl, GraphTemplate, NodeDecl, NodeKind
 from taskmotion.domain import (
     ActionTemplate,
@@ -29,7 +31,7 @@ from taskmotion.planner import (
     run_scenario,
     trace_text,
 )
-from taskmotion.scenarios import gen_hanoi
+from taskmotion.scenarios import gen_habitat, gen_hanoi
 
 
 def fetch_scenario():
@@ -211,6 +213,43 @@ def test_depth_cap_is_the_most_graphs_the_network_holds(cap):
     res = run_scenario(gen_hanoi(3, omnipotent=True), RunConfig(depth_cap=cap))
     assert res.status is FinalStatus.DEPTH_LIMIT
     assert res.depth == cap
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_depth_cap_below_one_is_refused(cap):
+    with pytest.raises(ValueError, match="depth cap"):
+        run_scenario(gen_hanoi(3, omnipotent=True), RunConfig(depth_cap=cap))
+
+
+def test_rejected_queries_count_as_attempts():
+    """A query the world rejects is a plan call, so it is an attempt too."""
+    scn = gen_hanoi(3, omnipotent=True)
+    arm = scn.agents["arm_solo"]
+    scn.agents["arm_solo"] = replace(arm, y=scn.bounds[3] + 0.1)
+    res = run_scenario(scn)
+    assert res.status is FinalStatus.UNSOLVABLE
+    assert res.metrics["plan_calls"] > 0
+    assert sum(res.metrics["attempts"].values()) == res.metrics["plan_calls"]
+
+
+@pytest.mark.parametrize("make", [lambda: gen_hanoi(3), gen_habitat],
+                         ids=["hanoi3_dual", "habitat"])
+def test_loop_snapshots_once_per_world_state(make, monkeypatch):
+    """One snapshot at the start and one after each dispatch, no more."""
+    calls = {"snapshot": 0, "dispatch": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(planner, "snapshot", counted("snapshot", planner.snapshot))
+    monkeypatch.setattr(planner, "dispatch", counted("dispatch", planner.dispatch))
+    res = run_scenario(make())
+    assert res.status is FinalStatus.GOAL_ACHIEVED
+    assert calls["dispatch"] > 0
+    assert calls["snapshot"] == calls["dispatch"] + 1
 
 
 def test_metrics_document_shape():

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from taskmotion.domain import Box, Fact, MotionClass, ActionTemplate
+from taskmotion.domain import Fact, MotionClass, ActionTemplate
 from taskmotion import world as W
 from taskmotion.world import (
     Agent,
@@ -41,7 +41,6 @@ def query(goal, verb="put", manipulated=None, dest=None, agent="arm",
           motion_class=MotionClass.TRANSFER, start=None):
     return MotionQuery(agent=agent, motion_class=motion_class, verb=verb,
                        start=start or (0.0, 0.0), goal_point=goal,
-                       goal_region=Box(goal[0], goal[1]),
                        manipulated=manipulated, dest=dest)
 
 
@@ -162,10 +161,10 @@ def test_budget_monotonicity():
     world = movable_wall_world()
     goal = (0.3, -0.2)
     small = plan_motion(world, MotionQuery("arm", MotionClass.TRANSFER, "put",
-                                           (0.0, 0.0), goal, Box(*goal),
+                                           (0.0, 0.0), goal,
                                            max_expansions=3))
     big = plan_motion(world, MotionQuery("arm", MotionClass.TRANSFER, "put",
-                                         (0.0, 0.0), goal, Box(*goal),
+                                         (0.0, 0.0), goal,
                                          max_expansions=50_000))
     assert not small.feasible
     assert big.feasible
@@ -294,7 +293,7 @@ def test_transit_carries_mounted_arms_and_cargo():
     world = World(bounds=(-1.0, -1.0, 1.0, 1.0),
                   agents={"base": base, "arm": arm}, objects={"cup": cup})
     q = MotionQuery("base", MotionClass.TRANSIT, "transfer", (0.0, 0.0),
-                    (0.4, 0.4), Box(0.4, 0.4))
+                    (0.4, 0.4))
     result = plan_motion(world, q)
     assert result.feasible
     transit = ActionTemplate("go", MotionClass.TRANSIT)
@@ -315,7 +314,7 @@ def test_base_ignores_arm_level_and_stacked_obstacles():
     world = World(bounds=(-1.0, -1.0, 1.0, 1.0), agents={"base": base},
                   objects={"bench": bench, "shelf": shelf})
     q = MotionQuery("base", MotionClass.TRANSIT, "transfer", (0.0, 0.0),
-                    (0.0, 0.8), Box(0.0, 0.8))
+                    (0.0, 0.8))
     # Arm-level slab and the slab stacked on it are both irrelevant down here.
     assert plan_motion(world, q).feasible
     world.objects["bench"] = Obj("bench", "box", (2.2, 0.1), 0.0, 0.4, blocks="base")
