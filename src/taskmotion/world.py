@@ -12,6 +12,13 @@ ring of blocked cells. A* walks flat indices into that mask, whose order
 equals (x, y) order, so paths and tie-breaks are those of A* on
 coordinate tuples; obstructor order depends on them.
 
+An unreachable goal is proved, not searched out. A search still short
+of its goal after `PROOF_CHECKPOINT` pops labels the free cells once, by
+runs along each column; when the goal lies outside the start's
+8-connected component it stops. Its pop count (`expansions`) still
+means the pops an exhaustive A* would make: the component size, capped
+by the budget.
+
 A `MotionQuery` names an agent, its start and one goal point; its A*
 budget defaults to `DEFAULT_MAX_EXPANSIONS`, the one planning budget.
 
@@ -20,13 +27,14 @@ the object being placed.
 
 Worlds are value-like: `execute` returns a new world and never touches
 its input. Shared diagnostic counters are the one exception, documented
-on `Counters`. Reads (`snapshot`, `plan_motion`, `obstructors`) are pure
+on `Counters`. Reads (`snapshot`, `plan_motion`) are pure
 and safe to repeat; replaying the same query on the same world yields a
 bit-identical result apart from the wall-clock `elapsed` field.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import heapq
 import math
@@ -41,6 +49,10 @@ from .domain import DERIVED_PREDICATES, ActionTemplate, Fact, MotionClass
 DEFAULT_RESOLUTION = 0.02
 DEFAULT_CLEARANCE = 0.01
 DEFAULT_MAX_EXPANSIONS = 50_000
+# A* pops after which a search still short of its goal checks whether the
+# goal is reachable at all. Labeling the free cells costs about as much as
+# 40 pops, so a search that gets this far has spent over ten times that.
+PROOF_CHECKPOINT = 512
 ARM_POINT_RADIUS = 0.02
 MOVE_SPEED = 1.0  # meters of path per simulated second
 
@@ -443,6 +455,12 @@ class _Grid:
         return ((c[0] + self.ix0) * self.res, (c[1] + self.iy0) * self.res)
 
 
+def _steps(stride: int) -> tuple[tuple[int, int], ...]:
+    """The eight neighbour offsets of a flat cell index, each with its cost."""
+    return ((stride, 5), (stride + 1, 7), (1, 5), (1 - stride, 7),
+            (-stride, 5), (-stride - 1, 7), (-1, 5), (stride - 1, 7))
+
+
 def _astar(grid: _Grid, start: tuple[int, int], goal: tuple[int, int],
            budget: int) -> tuple[list[tuple[int, int]] | None, int]:
     """Deterministic 8-connected A*; integer costs 5/7 avoid float ties.
@@ -450,13 +468,21 @@ def _astar(grid: _Grid, start: tuple[int, int], goal: tuple[int, int],
     Both cells must lie inside the grid. The search runs on flat indices
     into `grid.free_mask`; since `0 <= y + 1 < stride`, index order is
     (x, y) order, so heap ties break exactly as on coordinate tuples.
+
+    Returns the cell path, or None, with the pop count. A search that
+    pops its `PROOF_CHECKPOINT`-th cell short of the goal asks
+    `_unreached_pops` whether the goal lies in the start's free
+    component. If it does not, the search stops there and reports
+    min(component size, budget): the pops an exhaustive A* would make,
+    since it pops each reachable cell once and never the goal.
+    Otherwise the same search goes on. Either way the path and the pop
+    count are those of A* run to the end.
     """
     stride = grid.stride
     source = (start[0] + 1) * stride + start[1] + 1
     target = (goal[0] + 1) * stride + goal[1] + 1
     gx, gy = divmod(target, stride)
-    neighbors = ((stride, 5), (stride + 1, 7), (1, 5), (1 - stride, 7),
-                 (-stride, 5), (-stride - 1, 7), (-1, 5), (stride - 1, 7))
+    neighbors = _steps(stride)
     # Open to expansion: free and not yet closed. The start is popped
     # first, so it needs no free test of its own.
     open_cell = bytearray(grid.free_mask)
@@ -467,6 +493,7 @@ def _astar(grid: _Grid, start: tuple[int, int], goal: tuple[int, int],
     came: dict[int, int] = {}
     heappop, heappush = heapq.heappop, heapq.heappush
     pops = 0
+    checkpoint = PROOF_CHECKPOINT
     while open_heap and pops < budget:
         f, g, cell = heappop(open_heap)
         if not open_cell[cell]:
@@ -480,6 +507,10 @@ def _astar(grid: _Grid, start: tuple[int, int], goal: tuple[int, int],
                 path.append(cell)
             path.reverse()
             return [(c // stride - 1, c % stride - 1) for c in path], pops
+        if pops == checkpoint:
+            unreached = _unreached_pops(grid.free_mask, stride, source, target)
+            if unreached is not None:
+                return None, min(unreached, budget)
         for offset, step in neighbors:
             nxt = cell + offset
             if not open_cell[nxt]:
@@ -494,6 +525,58 @@ def _astar(grid: _Grid, start: tuple[int, int], goal: tuple[int, int],
                 heappush(open_heap, (tentative + 5 * (dx + dy) - 3 * (dx if dx < dy else dy),
                                      tentative, nxt))
     return None, pops
+
+
+def _unreached_pops(free_mask: bytes, stride: int, source: int, target: int) -> int | None:
+    """The cells A* from `source` can reach, counted, when `target` is not
+    one of them; None when it is.
+
+    Labels free cells by runs: the maximal stretches of free cells along
+    y, which the padding ring ends at their column. A run links to each
+    run of the next column whose y range overlaps it or touches it
+    diagonally, which is exactly 8-connectivity; linked runs are joined
+    in a union-find. A blocked `source` is still popped once, and reaches
+    the components of its free neighbours.
+    """
+    free = np.frombuffer(free_mask, dtype=bool)
+    edges = np.flatnonzero(free[1:] != free[:-1]) + 1
+    starts, ends = edges[0::2], edges[1::2]  # flat [start, end) of each run
+    # Run j lies in the next column and touches run i when, with i moved one
+    # column on, j starts by one past i's last cell (start_j <= end_i +
+    # stride) and ends by one before i's first (end_j >= start_i + stride).
+    # Runs are sorted and disjoint, so those j form the range first:last.
+    first = np.searchsorted(ends, starts + stride, side="left").tolist()
+    last = np.searchsorted(starts, ends + stride, side="right").tolist()
+    starts, ends = starts.tolist(), ends.tolist()
+    parent = list(range(len(starts)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(parent)):
+        for j in range(first[i], last[i]):
+            a, b = root(i), root(j)
+            if a != b:
+                parent[b] = a
+
+    def run_of(cell: int) -> int | None:
+        i = bisect.bisect_right(starts, cell) - 1
+        return i if i >= 0 and cell < ends[i] else None
+
+    home = run_of(source)
+    if home is not None:
+        seeds, pops = [home], 0
+    else:
+        seeds = [run_of(source + offset) for offset, _ in _steps(stride)]
+        pops = 1
+    reached = {root(i) for i in seeds if i is not None}
+    goal_run = run_of(target)
+    if goal_run is not None and root(goal_run) in reached:
+        return None
+    return pops + sum(ends[i] - starts[i] for i in range(len(parent)) if root(i) in reached)
 
 
 def plan_motion(world: World, q: MotionQuery) -> MotionResult:
@@ -625,15 +708,6 @@ def _diagnose(world: World, agent: Agent, q: MotionQuery, leg: _Leg,
             if hit:
                 first_hit[obj.id] = idx
     return tuple(sorted(first_hit, key=lambda oid: (first_hit[oid], oid)))
-
-
-def obstructors(world: World, q: MotionQuery) -> list[str]:
-    """Movable objects blocking the query, in the order the path meets them."""
-    result = plan_motion(world, q)
-    world.counters.plan_calls -= 1  # diagnostic probe, not a dispatch attempt
-    if result.feasible:
-        return []
-    return list(result.obstructors)
 
 
 # ---------------------------------------------------------------- execution

@@ -25,7 +25,6 @@ from taskmotion.world import (
     StaleResult,
     World,
     execute,
-    obstructors,
     plan_motion,
     snapshot,
     world_signature,
@@ -94,7 +93,7 @@ def test_movable_wall_blames_the_disc_on_the_path():
 def test_removing_reported_obstructors_restores_feasibility():
     world = movable_wall_world()
     q = query((0.0, 0.4))
-    blamed = obstructors(world, q)
+    blamed = plan_motion(world, q).obstructors
     assert blamed
     for oid in blamed:
         del world.objects[oid]
@@ -182,8 +181,8 @@ def test_attempt_counter_counts_plan_calls():
     plan_motion(world, query((0.0, 0.4)))
     plan_motion(world, query((0.0, 0.3)))
     assert world.counters.plan_calls == 2
-    obstructors(world, query((0.0, 0.2)))  # diagnostic probe does not count
-    assert world.counters.plan_calls == 2
+    assert plan_motion(world, query((0.0, 0.2))).obstructors == ()
+    assert world.counters.plan_calls == 3  # an obstruction probe is a plan call too
 
 
 # ------------------------------------------------------------- execution
@@ -554,6 +553,116 @@ def test_astar_matches_tuple_oracle():
                         elif start != goal:
                             reached += 1
     assert unreachable >= 100 and reached >= 300
+
+
+class FreeCells:
+    """`OracleGrid`'s free test as a set lookup, for the larger grids below."""
+
+    def __init__(self, slow: OracleGrid):
+        self.cells = {(x, y) for x, y in np.argwhere(~slow.blocked).tolist()}
+
+    def free(self, c: tuple[int, int]) -> bool:
+        return c in self.cells
+
+
+def leaky_pocket(name, cx, cy, h, sx, sy, res=0.02):
+    """Walls one cell thick on the cell centres of a square `h` cells out
+    from cell (cx, cy), with the corner cell towards (sx, sy) left out, so
+    inside and outside meet by one diagonal step only."""
+
+    def wall(i, x0, x1, y0, y1):  # inclusive cell ranges
+        return Obj(f"{name}{i}", "box", ((x1 - x0 + 1) * res, (y1 - y0 + 1) * res),
+                   (x0 + x1) / 2 * res, (y0 + y1) / 2 * res)
+
+    row, col = cy + sy * h, cx + sx * h
+    return [wall(0, min(cx - sx * h, col - sx), max(cx - sx * h, col - sx), row, row),
+            wall(1, col, col, min(cy - sy * h, row - sy), max(cy - sy * h, row - sy)),
+            wall(2, cx - h, cx + h, cy - sy * h, cy - sy * h),
+            wall(3, cx - sx * h, cx - sx * h, cy - h, cy + h)]
+
+
+def walled_case(rng):
+    """A 45 x 45 cell floor crossed by walls, with square pockets sealed by
+    box rings and one pocket open by a diagonal step at a corner. Returns
+    the world, the agent, the obstacles, the sealed pocket centres, the
+    open pocket's centre and, for each wall, the two points facing each
+    other across its middle."""
+    world = World(bounds=(-0.44, -0.44, 0.44, 0.44))
+    agent = Agent("base", "base", anchor=(0.0, 0.0))
+    obstacles = []
+    crossings = []
+    for i in range(rng.randint(1, 4)):
+        x, y = rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)
+        length = rng.uniform(0.3, 0.7)
+        if rng.random() < 0.5:
+            obstacles.append(Obj(f"w{i}", "box", (length, 0.04), x, y))
+            crossings.append(((x, y - 0.06), (x, y + 0.06)))
+        else:
+            obstacles.append(Obj(f"w{i}", "box", (0.04, length), x, y))
+            crossings.append(((x - 0.06, y), (x + 0.06, y)))
+    pockets = []
+    for i in range(rng.randint(1, 2)):
+        cx, cy = rng.uniform(-0.35, 0.35), rng.uniform(-0.35, 0.35)
+        half = rng.choice([0.06, 0.08])
+        for side, (dx, dy, dims) in enumerate(((0.0, half, (2 * half + 0.04, 0.04)),
+                                                (0.0, -half, (2 * half + 0.04, 0.04)),
+                                                (half, 0.0, (0.04, 2 * half + 0.04)),
+                                                (-half, 0.0, (0.04, 2 * half + 0.04)))):
+            obstacles.append(Obj(f"p{i}{side}", "box", dims, cx + dx, cy + dy))
+        pockets.append((cx, cy))
+    h = rng.choice([4, 6])
+    cx, cy = rng.randint(h - 20, 20 - h), rng.randint(h - 20, 20 - h)
+    obstacles += leaky_pocket("q", cx, cy, h, rng.choice([-1, 1]), rng.choice([-1, 1]))
+    return world, agent, obstacles, pockets, (cx * 0.02, cy * 0.02), crossings
+
+
+def test_astar_past_the_proof_checkpoint_matches_tuple_oracle(monkeypatch):
+    """Searches long enough to reach `PROOF_CHECKPOINT`: goals sealed in
+    pockets, goals reached only after more pops than the checkpoint or
+    only by a diagonal step, budgets between the checkpoint and the
+    start's component size, and blocked starts, which only a direct
+    `_astar` call can pose."""
+    proofs = []
+    label = W._unreached_pops
+
+    def recorded(free_mask, stride, source, target):
+        result = label(free_mask, stride, source, target)
+        proofs.append((free_mask[source] != 0, result))
+        return result
+
+    monkeypatch.setattr(W, "_unreached_pops", recorded)
+    rng = random.Random(20261018)
+    checkpoint = W.PROOF_CHECKPOINT
+    shortcut = resumed = cut_by_budget = blocked_start = 0
+    for _ in range(16):
+        world, agent, obstacles, pockets, leaky, crossings = walled_case(rng)
+        fast = W._Grid(world, agent, obstacles, 0.0)
+        slow = FreeCells(OracleGrid(world, agent, obstacles, 0.0))
+        free = sorted(slow.cells)
+        # Blocked cells next to a free one: A* pops them, then floods on.
+        edge = [(x, y) for x in range(fast.nx) for y in range(fast.ny)
+                if (x, y) not in slow.cells
+                and any(slow.free((x + dx, y + dy)) for dx, dy, _ in _NEIGHBORS)]
+        pairs = [(fast.cell(a), fast.cell(b)) for a, b in crossings]
+        for start in (rng.choice(free), rng.choice(edge)):
+            pairs += [(start, fast.cell(p)) for p in pockets + [leaky]]
+            pairs.append((start, rng.choice(free)))
+        pairs += [(fast.cell(leaky), fast.cell(p)) for p in pockets]
+        for start, goal in pairs:
+            for budget in (checkpoint, rng.randint(checkpoint + 1, 1500), 50_000):
+                del proofs[:]
+                want = oracle_astar(slow, start, goal, budget)
+                assert W._astar(fast, start, goal, budget) == want
+                for start_free, result in proofs:
+                    blocked_start += not start_free
+                    if result is None:
+                        resumed += 1
+                        assert want[1] > checkpoint if want[0] else want[1] == budget
+                    else:
+                        shortcut += 1
+                        assert want[0] is None
+                        cut_by_budget += want[1] == budget < result
+    assert shortcut >= 100 and resumed >= 20 and cut_by_budget >= 40 and blocked_start >= 40
 
 
 # ------------------------------------------ stack helpers against oracles
