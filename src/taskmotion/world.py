@@ -27,8 +27,8 @@ the object being placed.
 
 Worlds are value-like: `execute` returns a new world and never touches
 its input. Shared diagnostic counters are the one exception, documented
-on `Counters`. Reads (`snapshot`, `plan_motion`) are pure
-and safe to repeat; replaying the same query on the same world yields a
+on `Counters`. Reads (`snapshot`, `plan_motion`) are pure and safe to
+repeat; replaying the same query on the same world yields a
 bit-identical result apart from the wall-clock `elapsed` field.
 """
 
