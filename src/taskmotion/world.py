@@ -25,10 +25,14 @@ budget defaults to `DEFAULT_MAX_EXPANSIONS`, the one planning budget.
 Stacking never forms a cycle: `execute` refuses a support that rests on
 the object being placed.
 
-Worlds are value-like: `execute` returns a new world and never touches
-its input. Shared diagnostic counters are the one exception, documented
-on `Counters`. Reads (`snapshot`, `plan_motion`) are pure and safe to
-repeat; replaying the same query on the same world yields a
+Worlds are immutable values: a `World` is frozen and its `objects`,
+`agents` and `markers` maps are read-only, so `execute` returns a new
+world and a changed world is always a new one (`dataclasses.replace`).
+Shared diagnostic counters are the one exception, documented on
+`Counters`. Each world derives its symbolic snapshot once, on first
+read, and keeps it: `snapshot` and `world_signature` return that one
+read-only `WorldState`. Reads (`snapshot`, `plan_motion`) are pure and
+safe to repeat; replaying the same query on the same world yields a
 bit-identical result apart from the wall-clock `elapsed` field.
 """
 
@@ -40,7 +44,10 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from functools import cached_property
+from operator import attrgetter
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -123,18 +130,12 @@ class Agent:
     mount_off: tuple[float, float] = (0.0, 0.0)
 
 
-@dataclass
-class World:
-    bounds: tuple[float, float, float, float]
-    objects: dict[str, Obj] = field(default_factory=dict)
-    agents: dict[str, Agent] = field(default_factory=dict)
-    markers: dict[str, Marker] = field(default_factory=dict)
-    facts: frozenset[Fact] = frozenset()
-    clock: float = 0.0
-    rng_seed: int = 0
-    resolution: float = DEFAULT_RESOLUTION
-    clearance: float = DEFAULT_CLEARANCE
-    counters: Counters = field(default_factory=Counters)
+def _read_only(mapping: Mapping) -> MappingProxyType:
+    """A read-only view of a private copy; a view is kept as it is, so
+    views never nest when a world hands its maps to the next one."""
+    if isinstance(mapping, MappingProxyType):
+        return mapping
+    return MappingProxyType(dict(mapping))
 
 
 @dataclass(frozen=True)
@@ -142,11 +143,37 @@ class WorldState:
     """Read-only snapshot: derived plus stored facts and raw poses."""
 
     facts: frozenset[Fact]
-    poses: dict[str, tuple[float, float, float]]
-    holding: dict[str, str]
-    configs: dict[str, tuple[float, float]]
+    poses: Mapping[str, tuple[float, float, float]]
+    holding: Mapping[str, str]
+    configs: Mapping[str, tuple[float, float]]
     clock: float
     signature: str
+
+
+@dataclass(frozen=True)
+class World:
+    """One immutable world state. The maps are read-only views, so the
+    snapshot cached by `state` can never go stale."""
+
+    bounds: tuple[float, float, float, float]
+    objects: Mapping[str, Obj] = field(default_factory=dict)
+    agents: Mapping[str, Agent] = field(default_factory=dict)
+    markers: Mapping[str, Marker] = field(default_factory=dict)
+    facts: frozenset[Fact] = frozenset()
+    clock: float = 0.0
+    rng_seed: int = 0
+    resolution: float = DEFAULT_RESOLUTION
+    clearance: float = DEFAULT_CLEARANCE
+    counters: Counters = field(default_factory=Counters)
+
+    def __post_init__(self):
+        for name in ("objects", "agents", "markers"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+
+    @cached_property
+    def state(self) -> WorldState:
+        """The symbolic view of this world, derived on first read."""
+        return _derive_state(self)
 
 
 @dataclass(frozen=True)
@@ -255,6 +282,15 @@ def held_by(world: World) -> dict[str, str]:
 
 
 def snapshot(world: World) -> WorldState:
+    """The symbolic view of the world's geometry, derived once per world."""
+    return world.state
+
+
+def world_signature(world: World) -> str:
+    return world.state.signature
+
+
+def _derive_state(world: World) -> WorldState:
     """Derive the symbolic view of the current geometry.
 
     `on`/`clear` follow the stacking relation, `at` compares poses with
@@ -294,14 +330,10 @@ def snapshot(world: World) -> WorldState:
     poses = {oid: (o.x, o.y, o.yaw) for oid, o in sorted(world.objects.items())}
     configs = {aid: a.config for aid, a in sorted(world.agents.items())}
     sig = _signature(poses, configs, facts)
-    return WorldState(facts=frozenset(facts), poses=poses,
-                      holding={a.id: a.holding for a in world.agents.values()
-                               if a.holding is not None},
-                      configs=configs, clock=world.clock, signature=sig)
-
-
-def world_signature(world: World) -> str:
-    return snapshot(world).signature
+    holding = {a.id: a.holding for a in world.agents.values() if a.holding is not None}
+    return WorldState(facts=frozenset(facts), poses=MappingProxyType(poses),
+                      holding=MappingProxyType(holding),
+                      configs=MappingProxyType(configs), clock=world.clock, signature=sig)
 
 
 def _signature(poses: dict[str, tuple[float, float, float]],
@@ -313,7 +345,8 @@ def _signature(poses: dict[str, tuple[float, float, float]],
     for aid in sorted(configs):
         x, y = configs[aid]
         hasher.update(f"{aid}@{round(x, 9)}:{round(y, 9)};".encode())
-    for fact in sorted(facts):
+    # The same order as `Fact`'s generated `__lt__`, at a fraction of its cost.
+    for fact in sorted(facts, key=attrgetter("predicate", "args")):
         hasher.update(fact.text().encode())
         hasher.update(b"|")
     return hasher.hexdigest()
@@ -790,10 +823,8 @@ def execute(world: World, agent_id: str, result: MotionResult,
         if fact.predicate not in DERIVED_PREDICATES:
             facts.add(fact)
 
-    return World(bounds=world.bounds, objects=objects, agents=agents,
-                 markers=world.markers, facts=frozenset(facts), clock=clock,
-                 rng_seed=world.rng_seed, resolution=world.resolution,
-                 clearance=world.clearance, counters=world.counters)
+    return replace(world, objects=objects, agents=agents, facts=frozenset(facts),
+                   clock=clock)
 
 
 def path_length(path: tuple[tuple[float, float], ...]) -> float:

@@ -22,13 +22,19 @@ def two_arm_world():
     marker in the middle is reachable by both."""
     left = Agent("arm_left", "arm", anchor=(-0.4, 0.0), reach=0.5, config=(-0.4, 0.0))
     right = Agent("arm_right", "arm", anchor=(0.4, 0.0), reach=0.5, config=(0.4, 0.0))
-    world = World(bounds=(-1.0, -0.5, 1.0, 0.7),
-                  agents={"arm_left": left, "arm_right": right})
-    world.markers["pad"] = Marker("pad", 0.0, 0.2, snap=0.05, handover=True)
-    world.markers["west"] = Marker("west", -0.6, 0.0, snap=0.05)
-    world.markers["east"] = Marker("east", 0.6, 0.0, snap=0.05)
-    world.objects["cup"] = Obj("cup", "circle", (0.03,), -0.6, 0.0, movable=True)
-    return world
+    markers = {"pad": Marker("pad", 0.0, 0.2, snap=0.05, handover=True),
+               "west": Marker("west", -0.6, 0.0, snap=0.05),
+               "east": Marker("east", 0.6, 0.0, snap=0.05)}
+    return World(bounds=(-1.0, -0.5, 1.0, 0.7),
+                 agents={"arm_left": left, "arm_right": right}, markers=markers,
+                 objects={"cup": Obj("cup", "circle", (0.03,), -0.6, 0.0, movable=True)})
+
+
+def with_entries(world, **maps):
+    """The world with these markers, objects or agents added or replaced,
+    e.g. `with_entries(world, markers=[marker])`, keyed by id."""
+    return replace(world, **{name: {**getattr(world, name), **{e.id: e for e in entries}}
+                             for name, entries in maps.items()})
 
 
 def transfer(name, obj, dest, **kw):
@@ -72,8 +78,8 @@ def test_handover_dispatch_moves_object_across():
 
 
 def test_grounding_fails_without_any_route():
-    world = two_arm_world()
-    world.markers["pad"] = Marker("pad", 0.0, 0.2, snap=0.05, handover=False)
+    world = with_entries(two_arm_world(),
+                         markers=[Marker("pad", 0.0, 0.2, snap=0.05, handover=False)])
     with pytest.raises(GroundingFailed):
         ground(world, (transfer("bring", "cup", "east"),))
 
@@ -82,11 +88,11 @@ def mobile_world():
     base = Agent("cart", "base", anchor=(0.0, 0.0), radius=0.1, config=(0.0, 0.0))
     arm = Agent("arm", "arm", anchor=(0.0, 0.15), reach=0.4, config=(0.0, 0.15),
                 mount="cart", mount_off=(0.0, 0.15))
-    world = World(bounds=(-0.5, -0.5, 2.0, 0.8), agents={"cart": base, "arm": arm})
-    world.markers["shelf_front"] = Marker("shelf_front", 1.4, 0.0, snap=0.06)
-    world.markers["shelf_slot"] = Marker("shelf_slot", 1.4, 0.4, snap=0.04)
-    world.objects["jar"] = Obj("jar", "circle", (0.03,), 1.42, 0.38, movable=True)
-    return world
+    markers = {"shelf_front": Marker("shelf_front", 1.4, 0.0, snap=0.06),
+               "shelf_slot": Marker("shelf_slot", 1.4, 0.4, snap=0.04)}
+    return World(bounds=(-0.5, -0.5, 2.0, 0.8), agents={"cart": base, "arm": arm},
+                 markers=markers,
+                 objects={"jar": Obj("jar", "circle", (0.03,), 1.42, 0.38, movable=True)})
 
 
 def test_area_action_folds_in_base_travel():
@@ -153,10 +159,9 @@ def test_precondition_failure_reported_with_condition():
 
 
 def test_motion_failure_carries_obstructors():
-    world = two_arm_world()
     # A movable wall tall enough to cut the left arm's whole reach disc.
-    world.objects["wall_of_cans"] = Obj("wall_of_cans", "box", (0.08, 1.4),
-                                        -0.2, 0.1, movable=True)
+    world = with_entries(two_arm_world(), objects=[
+        Obj("wall_of_cans", "box", (0.08, 1.4), -0.2, 0.1, movable=True)])
     move = transfer("stash", "cup", "pad")
     outcome = dispatch(world, ground(world, (move,)))
     assert not outcome.ok
@@ -168,7 +173,7 @@ def test_motion_failure_carries_obstructors():
 
 def test_start_outside_the_grid_is_an_invalid_failure():
     world = two_arm_world()
-    world.agents["arm_left"] = replace(world.agents["arm_left"], config=(-1.2, 0.0))
+    world = with_entries(world, agents=[replace(world.agents["arm_left"], config=(-1.2, 0.0))])
     outcome = dispatch(world, ground(world, (transfer("bring", "cup", "west"),)))
     assert not outcome.ok
     assert outcome.failure.kind == "invalid"
@@ -208,11 +213,10 @@ def test_degenerate_region_gets_single_attempt():
 def test_retry_lands_on_alternate_goal_point():
     """First goal point blocked by a movable; an alternate inside the
     marker region is free, so the step succeeds on a later attempt."""
-    world = two_arm_world()
-    world.markers["west"] = Marker("west", -0.6, 0.0, snap=0.14)
-    world.objects["blocker"] = Obj("blocker", "circle", (0.02,), -0.6, 0.0,
-                                   movable=True)
-    world.objects["cup"] = Obj("cup", "circle", (0.03,), -0.3, 0.3, movable=True)
+    world = with_entries(
+        two_arm_world(), markers=[Marker("west", -0.6, 0.0, snap=0.14)],
+        objects=[Obj("blocker", "circle", (0.02,), -0.6, 0.0, movable=True),
+                 Obj("cup", "circle", (0.03,), -0.3, 0.3, movable=True)])
     move = transfer("park", "cup", "west")
     outcome = dispatch(world, ground(world, (move,)), retries=4)
     assert outcome.ok, outcome.failure

@@ -5,12 +5,15 @@ case is small enough to predict the exact depth, move count, and trace
 shape by hand.
 """
 
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from taskmotion import planner
+from taskmotion import interface, planner
+from taskmotion import world as world_module
 from taskmotion.andor import ArcDecl, GraphTemplate, NodeDecl, NodeKind
 from taskmotion.domain import (
     ActionTemplate,
@@ -19,7 +22,7 @@ from taskmotion.domain import (
     MotionClass,
     PredicateDecl,
 )
-from taskmotion.dsl import AgentDecl, MarkerDecl, ObjDecl, Scenario
+from taskmotion.dsl import AgentDecl, MarkerDecl, ObjDecl, Scenario, parse
 from taskmotion.planner import (
     MODULE_ROWS,
     TABLE_COLUMNS,
@@ -32,6 +35,9 @@ from taskmotion.planner import (
     trace_text,
 )
 from taskmotion.scenarios import gen_habitat, gen_hanoi
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
 
 
 def fetch_scenario():
@@ -232,24 +238,38 @@ def test_rejected_queries_count_as_attempts():
     assert sum(res.metrics["attempts"].values()) == res.metrics["plan_calls"]
 
 
+def counted(calls, key, fn):
+    """`fn`, adding one to `calls[key]` on each call."""
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 @pytest.mark.parametrize("make", [lambda: gen_hanoi(3), gen_habitat],
                          ids=["hanoi3_dual", "habitat"])
 def test_loop_snapshots_once_per_world_state(make, monkeypatch):
     """One snapshot at the start and one after each dispatch, no more."""
     calls = {"snapshot": 0, "dispatch": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(planner, "snapshot", counted("snapshot", planner.snapshot))
-    monkeypatch.setattr(planner, "dispatch", counted("dispatch", planner.dispatch))
+    monkeypatch.setattr(planner, "snapshot", counted(calls, "snapshot", planner.snapshot))
+    monkeypatch.setattr(planner, "dispatch", counted(calls, "dispatch", planner.dispatch))
     res = run_scenario(make())
     assert res.status is FinalStatus.GOAL_ACHIEVED
     assert calls["dispatch"] > 0
     assert calls["snapshot"] == calls["dispatch"] + 1
+
+
+@pytest.mark.parametrize("name,derivations", [
+    ("hanoi_dual", 85), ("habitat", 39), ("habitat_unclearable", 38)])
+def test_each_world_derives_its_snapshot_once(name, derivations, monkeypatch):
+    """The initial world and each world `execute` returns derive their
+    state once, however often the loop, dispatch and planning read it."""
+    calls = {"derive": 0, "execute": 0}
+    monkeypatch.setattr(world_module, "_derive_state",
+                        counted(calls, "derive", world_module._derive_state))
+    monkeypatch.setattr(interface, "execute", counted(calls, "execute", interface.execute))
+    run_scenario(parse(WORKLOADS[name].make_text()), RunConfig(seed=0))
+    assert calls["derive"] == calls["execute"] + 1 == derivations
 
 
 def test_metrics_document_shape():

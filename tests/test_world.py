@@ -5,16 +5,20 @@ independent oracle: whatever objects the planner blames, deleting exactly
 those from the world must make the original query succeed.
 """
 
+import hashlib
 import heapq
 import math
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
 from taskmotion.domain import Fact, MotionClass, ActionTemplate
+from taskmotion import interface, planner
 from taskmotion import world as W
+from taskmotion.planner import FinalStatus, run_scenario
+from taskmotion.scenarios import gen_habitat, gen_hanoi
 from taskmotion.world import (
     Agent,
     InvalidQuery,
@@ -24,16 +28,31 @@ from taskmotion.world import (
     Obj,
     StaleResult,
     World,
+    WorldState,
     execute,
     plan_motion,
     snapshot,
+    world_from_scenario,
     world_signature,
 )
 
 
-def arm_world(reach=0.45, bounds=(-0.5, -0.5, 0.5, 0.5)):
+def arm_world(reach=0.45, bounds=(-0.5, -0.5, 0.5, 0.5), objects=(), markers=()):
     arm = Agent("arm", "arm", anchor=(0.0, 0.0), reach=reach, config=(0.0, 0.0))
-    return World(bounds=bounds, agents={"arm": arm})
+    return World(bounds=bounds, agents={"arm": arm},
+                 objects={obj.id: obj for obj in objects},
+                 markers={marker.id: marker for marker in markers})
+
+
+def with_objects(world, *objects):
+    """The world with these objects added or replaced, by id."""
+    return replace(world, objects={**world.objects, **{obj.id: obj for obj in objects}})
+
+
+def without(world, ids):
+    """The world with these objects removed."""
+    return replace(world, objects={oid: obj for oid, obj in world.objects.items()
+                                   if oid not in ids})
 
 
 def query(goal, verb="put", manipulated=None, dest=None, agent="arm",
@@ -67,11 +86,8 @@ def test_goal_out_of_reach_reports_no_obstructors():
 
 def movable_wall_world():
     """A row of movable discs sealing the reach disc at y = 0.2."""
-    world = arm_world()
-    for i, x in enumerate(np_range(-0.4, 0.4, 0.1)):
-        oid = f"c{i}"
-        world.objects[oid] = Obj(oid, "circle", (0.06,), x, 0.2, movable=True)
-    return world
+    return arm_world(objects=[Obj(f"c{i}", "circle", (0.06,), x, 0.2, movable=True)
+                              for i, x in enumerate(np_range(-0.4, 0.4, 0.1))])
 
 
 def np_range(lo, hi, step):
@@ -95,50 +111,44 @@ def test_removing_reported_obstructors_restores_feasibility():
     q = query((0.0, 0.4))
     blamed = plan_motion(world, q).obstructors
     assert blamed
-    for oid in blamed:
-        del world.objects[oid]
-    assert plan_motion(world, q).feasible
+    assert plan_motion(without(world, blamed), q).feasible
 
 
 def test_static_seal_yields_empty_diagnosis():
-    world = arm_world()
     # Fixed box ring around the goal: no movable-free path either.
-    world.objects["n"] = Obj("n", "box", (0.3, 0.04), 0.0, 0.38)
-    world.objects["s"] = Obj("s", "box", (0.3, 0.04), 0.0, 0.22)
-    world.objects["w"] = Obj("w", "box", (0.04, 0.2), -0.14, 0.3)
-    world.objects["e"] = Obj("e", "box", (0.04, 0.2), 0.14, 0.3)
+    world = arm_world(objects=[Obj("n", "box", (0.3, 0.04), 0.0, 0.38),
+                               Obj("s", "box", (0.3, 0.04), 0.0, 0.22),
+                               Obj("w", "box", (0.04, 0.2), -0.14, 0.3),
+                               Obj("e", "box", (0.04, 0.2), 0.14, 0.3)])
     result = plan_motion(world, query((0.0, 0.3)))
     assert not result.feasible
     assert result.obstructors == ()
 
 
 def test_goal_occupied_by_movable_is_an_obstruction():
-    world = arm_world()
-    world.objects["cup"] = Obj("cup", "circle", (0.05,), 0.0, 0.4, movable=True)
+    world = arm_world(objects=[Obj("cup", "circle", (0.05,), 0.0, 0.4, movable=True)])
     result = plan_motion(world, query((0.0, 0.4)))
     assert not result.feasible
     assert result.obstructors == ("cup",)
-    del world.objects["cup"]
-    assert plan_motion(world, query((0.0, 0.4))).feasible
+    assert plan_motion(without(world, {"cup"}), query((0.0, 0.4))).feasible
 
 
 def test_grasp_target_covered_by_stack_reports_cover():
-    world = arm_world()
-    world.objects["d3"] = Obj("d3", "circle", (0.06,), 0.0, 0.3, movable=True)
-    world.objects["d2"] = Obj("d2", "circle", (0.05,), 0.0, 0.3, movable=True, stack_on="d3")
-    world.objects["d1"] = Obj("d1", "circle", (0.04,), 0.0, 0.3, movable=True, stack_on="d2")
+    world = arm_world(objects=[
+        Obj("d3", "circle", (0.06,), 0.0, 0.3, movable=True),
+        Obj("d2", "circle", (0.05,), 0.0, 0.3, movable=True, stack_on="d3"),
+        Obj("d1", "circle", (0.04,), 0.0, 0.3, movable=True, stack_on="d2")])
     result = plan_motion(world, query((0.2, 0.0), verb="grasp", manipulated="d3"))
     assert not result.feasible
     assert result.obstructors == ("d1", "d2")  # top of the pile first
 
 
 def test_carried_size_matters_in_narrow_gaps():
-    world = arm_world()
     # Two fixed posts leave a 0.10 m gap at x = 0: fine for the bare
     # effector, too tight once it carries a wide disc.
-    world.objects["p1"] = Obj("p1", "box", (0.3, 0.04), -0.20, 0.2)
-    world.objects["p2"] = Obj("p2", "box", (0.3, 0.04), 0.20, 0.2)
-    world.objects["disc"] = Obj("disc", "circle", (0.04,), 0.0, -0.1, movable=True)
+    world = arm_world(objects=[Obj("p1", "box", (0.3, 0.04), -0.20, 0.2),
+                               Obj("p2", "box", (0.3, 0.04), 0.20, 0.2),
+                               Obj("disc", "circle", (0.04,), 0.0, -0.1, movable=True)])
     bare = plan_motion(world, query((0.0, 0.4), verb="grasp", manipulated="disc"))
     assert bare.feasible
     carry = plan_motion(world, query((0.0, 0.4), verb="transfer",
@@ -189,14 +199,11 @@ def test_attempt_counter_counts_plan_calls():
 
 
 def stacked_world():
-    world = arm_world(reach=2.0, bounds=(-1.0, -0.5, 1.0, 1.0))
-    world.objects["pegA"] = Obj("pegA", "circle", (0.028,), -0.4, 0.4)
-    world.objects["pegB"] = Obj("pegB", "circle", (0.028,), 0.4, 0.4)
-    world.objects["d2"] = Obj("d2", "circle", (0.05,), -0.4, 0.4, movable=True,
-                              stack_on="pegA")
-    world.objects["d1"] = Obj("d1", "circle", (0.04,), -0.4, 0.4, movable=True,
-                              stack_on="d2")
-    return world
+    return arm_world(reach=2.0, bounds=(-1.0, -0.5, 1.0, 1.0), objects=[
+        Obj("pegA", "circle", (0.028,), -0.4, 0.4),
+        Obj("pegB", "circle", (0.028,), 0.4, 0.4),
+        Obj("d2", "circle", (0.05,), -0.4, 0.4, movable=True, stack_on="pegA"),
+        Obj("d1", "circle", (0.04,), -0.4, 0.4, movable=True, stack_on="d2")])
 
 
 def test_snapshot_derives_stacking_facts():
@@ -227,9 +234,8 @@ def test_transfer_restacks_and_updates_facts():
 
 
 def test_transfer_onto_occupied_peg_stacks_on_top():
-    world = stacked_world()
-    world.objects["d3"] = Obj("d3", "circle", (0.06,), 0.4, 0.4, movable=True,
-                              stack_on="pegB")
+    world = with_objects(stacked_world(), Obj("d3", "circle", (0.06,), 0.4, 0.4,
+                                              movable=True, stack_on="pegB"))
     action = transfer_action("move_d1", "d1", "pegB")
     result = plan_motion(world, query((0.4, 0.4), verb="transfer",
                                       manipulated="d1", dest="pegB"))
@@ -278,8 +284,7 @@ def test_stale_result_detected():
     action = transfer_action("move_d1", "d1", "pegB")
     result = plan_motion(world, query((0.4, 0.4), verb="transfer",
                                       manipulated="d1", dest="pegB"))
-    moved = world
-    moved.objects["d1"] = Obj("d1", "circle", (0.04,), 0.0, 0.0, movable=True)
+    moved = with_objects(world, Obj("d1", "circle", (0.04,), 0.0, 0.0, movable=True))
     with pytest.raises(StaleResult):
         execute(moved, "arm", result, action)
 
@@ -316,7 +321,7 @@ def test_base_ignores_arm_level_and_stacked_obstacles():
                     (0.0, 0.8))
     # Arm-level slab and the slab stacked on it are both irrelevant down here.
     assert plan_motion(world, q).feasible
-    world.objects["bench"] = Obj("bench", "box", (2.2, 0.1), 0.0, 0.4, blocks="base")
+    world = with_objects(world, Obj("bench", "box", (2.2, 0.1), 0.0, 0.4, blocks="base"))
     blocked = plan_motion(world, q)
     assert not blocked.feasible
     assert blocked.obstructors == ()  # the barrier is fixed, nothing to relocate
@@ -356,13 +361,130 @@ def test_object_conservation_and_signature_change():
 
 
 def test_marker_snap_yields_at_facts():
-    world = arm_world()
-    world.markers["pad"] = Marker("pad", 0.1, 0.1, snap=0.05)
-    world.objects["cup"] = Obj("cup", "circle", (0.02,), 0.12, 0.1, movable=True)
+    world = arm_world(markers=[Marker("pad", 0.1, 0.1, snap=0.05)],
+                      objects=[Obj("cup", "circle", (0.02,), 0.12, 0.1, movable=True)])
     state = snapshot(world)
     assert Fact("at", ("cup", "pad")) in state.facts
-    world.objects["cup"] = Obj("cup", "circle", (0.02,), 0.2, 0.1, movable=True)
-    assert Fact("at", ("cup", "pad")) not in snapshot(world).facts
+    moved = with_objects(world, Obj("cup", "circle", (0.02,), 0.2, 0.1, movable=True))
+    assert Fact("at", ("cup", "pad")) not in snapshot(moved).facts
+
+
+# ------------------------------------- immutable worlds, cached snapshots
+
+
+def test_worlds_and_their_states_are_read_only():
+    world = stacked_world()
+    world = replace(world, agents={"arm": replace(world.agents["arm"], holding="d1")},
+                    markers={"pad": Marker("pad", 0.4, 0.4)})
+    state = snapshot(world)
+    maps = {"objects": world.objects, "agents": world.agents, "markers": world.markers,
+            "poses": state.poses, "holding": state.holding, "configs": state.configs}
+    for name, mapping in maps.items():
+        key = next(iter(mapping))
+        with pytest.raises(TypeError):
+            mapping[key] = mapping[key]
+        with pytest.raises(TypeError):
+            del mapping[key]
+    with pytest.raises(FrozenInstanceError):
+        world.clock = 1.0
+    assert snapshot(world) is state  # derived once, then read
+
+
+def test_a_replaced_world_derives_its_own_state():
+    objects = {"cup": Obj("cup", "circle", (0.02,), 0.12, 0.1, movable=True)}
+    world = replace(arm_world(markers=[Marker("pad", 0.1, 0.1, snap=0.05)]), objects=objects)
+    objects["cup"] = Obj("cup", "circle", (0.02,), 0.3, 0.1, movable=True)
+    state = snapshot(world)
+    assert state.poses["cup"] == (0.12, 0.1, 0.0)  # the world kept its own copy
+    moved = replace(world, objects=objects)
+    assert snapshot(moved).poses["cup"] == (0.3, 0.1, 0.0)
+    assert Fact("at", ("cup", "pad")) in state.facts
+    assert Fact("at", ("cup", "pad")) not in snapshot(moved).facts
+    assert world_signature(moved) != world_signature(world)
+    assert snapshot(world) is state
+    assert moved.markers is world.markers  # views are passed on, not nested
+
+
+@pytest.mark.parametrize("make,signature", [
+    (gen_habitat, "77b4212dcab573a53245f0e69b41b9a30dc50cd1e850315451fbc632b6e9ceaf"),
+    (lambda: gen_hanoi(3), "5379268158f74107f3c6cb8d9cf54b49227f38101d03208f25c208f862c9bb7c"),
+], ids=["habitat", "hanoi3"])
+def test_initial_world_signatures_are_pinned(make, signature):
+    assert world_signature(world_from_scenario(make())) == signature
+
+
+def oracle_snapshot(world):
+    """The earlier snapshot, derived from scratch on every call, with the
+    signature sorting facts by `Fact`'s own ordering."""
+    facts = set()
+    holders = W.held_by(world)
+    supports = W._supported(world)
+    for oid in sorted(world.objects):
+        obj = world.objects[oid]
+        if obj.stack_on is not None:
+            facts.add(Fact("on", (oid, obj.stack_on)))
+            chain = W.stack_chain_down(world, oid)
+            if chain:
+                facts.add(Fact("at_peg", (oid, chain[-1])))
+        if oid in holders:
+            facts.add(Fact("holding", (holders[oid], oid)))
+            facts.add(Fact("held", (oid,)))
+            continue
+        if oid not in supports:
+            facts.add(Fact("clear", (oid,)))
+        if obj.movable:
+            for marker in world.markers.values():
+                if math.hypot(obj.x - marker.x, obj.y - marker.y) <= marker.snap:
+                    facts.add(Fact("at", (oid, marker.id)))
+    if holders:
+        facts.add(Fact("carrying", ()))
+    for agent in world.agents.values():
+        if agent.kind != "base":
+            continue
+        for marker in world.markers.values():
+            if math.hypot(agent.config[0] - marker.x, agent.config[1] - marker.y) <= marker.snap:
+                facts.add(Fact("at", (agent.id, marker.id)))
+    facts |= world.facts
+    poses = {oid: (o.x, o.y, o.yaw) for oid, o in sorted(world.objects.items())}
+    configs = {aid: a.config for aid, a in sorted(world.agents.items())}
+    hasher = hashlib.sha256()
+    for oid in sorted(poses):
+        x, y, yaw = poses[oid]
+        hasher.update(f"{oid}:{round(x, 9)}:{round(y, 9)}:{round(yaw, 9)};".encode())
+    for aid in sorted(configs):
+        x, y = configs[aid]
+        hasher.update(f"{aid}@{round(x, 9)}:{round(y, 9)};".encode())
+    for fact in sorted(facts):
+        hasher.update(fact.text().encode())
+        hasher.update(b"|")
+    return WorldState(facts=frozenset(facts), poses=poses,
+                      holding={a.id: a.holding for a in world.agents.values()
+                               if a.holding is not None},
+                      configs=configs, clock=world.clock, signature=hasher.hexdigest())
+
+
+@pytest.mark.parametrize("make", [gen_habitat, lambda: gen_hanoi(3)],
+                         ids=["habitat", "hanoi3_dual"])
+def test_cached_states_match_the_from_scratch_oracle(make, monkeypatch):
+    """Every world a run passes through: the initial one and each that
+    `execute` returns."""
+    worlds = []
+
+    def recorded(fn):
+        def wrapper(*args, **kwargs):
+            worlds.append(fn(*args, **kwargs))
+            return worlds[-1]
+        return wrapper
+
+    monkeypatch.setattr(planner, "world_from_scenario", recorded(planner.world_from_scenario))
+    monkeypatch.setattr(interface, "execute", recorded(interface.execute))
+    assert run_scenario(make()).status is FinalStatus.GOAL_ACHIEVED
+    assert len(worlds) > 5
+    for world in worlds:
+        cached, oracle = snapshot(world), oracle_snapshot(world)
+        for f in fields(WorldState):
+            assert getattr(cached, f.name) == getattr(oracle, f.name), f.name
+        assert world_signature(world) == oracle.signature
 
 
 # ----------------------------------------------- randomized removal oracle
@@ -370,21 +492,21 @@ def test_marker_snap_yields_at_facts():
 
 def random_blocked_world(rng):
     """Reach-limited arm, fixed scatter, movables ringed around the goal."""
-    world = arm_world(reach=0.46, bounds=(-0.5, -0.5, 0.5, 0.5))
+    objects = []
     goal = (round(rng.choice([-0.2, -0.1, 0.0, 0.1, 0.2]), 9), 0.38)
     for i in range(rng.randint(0, 3)):
         x = rng.choice(np_range(-0.4, 0.4, 0.1))
         y = rng.choice(np_range(-0.4, -0.1, 0.1))
-        world.objects[f"f{i}"] = Obj(f"f{i}", "box", (0.06, 0.06), x, y)
+        objects.append(Obj(f"f{i}", "box", (0.06, 0.06), x, y))
     ring = rng.randint(5, 8)
     phase = rng.uniform(0.0, 2.0 * math.pi)
     for i in range(ring):
         angle = phase + 2.0 * math.pi * i / ring
         x = goal[0] + 0.11 * math.cos(angle)
         y = goal[1] + 0.11 * math.sin(angle)
-        world.objects[f"m{i}"] = Obj(f"m{i}", "circle", (0.05,),
-                                     round(x, 9), round(y, 9), movable=True)
-    return world, goal
+        objects.append(Obj(f"m{i}", "circle", (0.05,), round(x, 9), round(y, 9),
+                           movable=True))
+    return arm_world(reach=0.46, bounds=(-0.5, -0.5, 0.5, 0.5), objects=objects), goal
 
 
 def test_random_obstructions_removal_oracle():
@@ -398,9 +520,8 @@ def test_random_obstructions_removal_oracle():
             continue
         diagnosed += 1
         assert result.obstructors, "blocked by movables must name at least one"
-        for oid in result.obstructors:
-            del world.objects[oid]
-        assert plan_motion(world, q).feasible, "removal must restore feasibility"
+        cleared = without(world, result.obstructors)
+        assert plan_motion(cleared, q).feasible, "removal must restore feasibility"
     assert diagnosed >= 10
 
 
@@ -694,14 +815,15 @@ def oracle_stack_top(world, obj_id):
 def test_stack_helpers_match_the_scanning_oracles():
     rng = random.Random(20261020)
     for _ in range(200):
-        world = arm_world()
         ids = [f"s{i}" for i in rng.sample(range(40), rng.randint(1, 15))]
+        objects = []
         for k, oid in enumerate(ids):
             # Supports are drawn from earlier ids only, so stacks stay
             # acyclic while id order and stacking order differ.
             support = rng.choice([None, "ghost"] + ids[:k])
-            world.objects[oid] = Obj(oid, "circle", (0.02,), 0.0, 0.0, movable=True,
-                                     stack_on=support)
+            objects.append(Obj(oid, "circle", (0.02,), 0.0, 0.0, movable=True,
+                               stack_on=support))
+        world = arm_world(objects=objects)
         state = snapshot(world)
         for oid in ids:
             assert W.stack_chain_up(world, oid) == oracle_stack_chain_up(world, oid)
@@ -712,10 +834,9 @@ def test_stack_helpers_match_the_scanning_oracles():
 
 def two_stack_world():
     """b rests on a."""
-    world = arm_world()
-    world.objects["a"] = Obj("a", "circle", (0.03,), 0.1, 0.0, movable=True)
-    world.objects["b"] = Obj("b", "circle", (0.03,), 0.1, 0.0, movable=True, stack_on="a")
-    return world
+    return arm_world(objects=[
+        Obj("a", "circle", (0.03,), 0.1, 0.0, movable=True),
+        Obj("b", "circle", (0.03,), 0.1, 0.0, movable=True, stack_on="a")])
 
 
 @pytest.mark.parametrize("manipulated,dest", [
@@ -732,7 +853,7 @@ def test_execute_refuses_to_close_a_stacking_cycle(manipulated, dest):
 
 def test_stack_walks_stop_at_a_cycle():
     world = two_stack_world()
-    world.objects["a"] = replace(world.objects["a"], stack_on="b")
+    world = with_objects(world, replace(world.objects["a"], stack_on="b"))
     assert W.stack_chain_down(world, "a") == ["b"]
     assert W.stack_chain_down(world, "b") == ["a"]
     state = snapshot(world)
@@ -742,10 +863,9 @@ def test_stack_walks_stop_at_a_cycle():
 
 def test_stack_chain_up_and_top_stop_at_a_cycle():
     """a, b and c rest on each other in a ring, d rests on a, e on itself."""
-    world = arm_world()
-    for oid, support in (("a", "c"), ("b", "a"), ("c", "b"), ("d", "a"), ("e", "e")):
-        world.objects[oid] = Obj(oid, "circle", (0.03,), 0.1, 0.0, movable=True,
-                                 stack_on=support)
+    world = arm_world(objects=[
+        Obj(oid, "circle", (0.03,), 0.1, 0.0, movable=True, stack_on=support)
+        for oid, support in (("a", "c"), ("b", "a"), ("c", "b"), ("d", "a"), ("e", "e"))])
     assert W.stack_chain_up(world, "a") == ["b", "d", "c"]
     assert W.stack_chain_up(world, "c") == ["a", "b", "d"]
     assert W.stack_top(world, "a") == "c"
