@@ -119,7 +119,7 @@ def _cmd_run(args) -> int:
     print()
     for row in result.metrics["modules"]:
         print(f"{row['module']:<28} avg {row['avg_s']:.6f}s"
-              f"  std {row['std_s']:.1f}  calls {row['calls']}")
+              f"  std {row['std_s']:.6f}s  calls {row['calls']}")
     if args.out:
         Path(args.out).write_text(metrics_text(result.metrics))
         print(f"wrote {args.out}")

@@ -27,6 +27,7 @@ from .world import (
     Agent,
     InvalidQuery,
     MotionQuery,
+    SearchMemo,
     World,
     execute,
     path_length,
@@ -75,7 +76,11 @@ class StepOutcome:
     expansions: int
     path_length: float
     sim_time: float
-    plan_time: float = 0.0
+    plan_times: tuple[float, ...] = ()  # wall time of each planned attempt
+
+    @property
+    def plan_time(self) -> float:
+        return sum(self.plan_times)
 
 
 @dataclass
@@ -299,13 +304,18 @@ def _query(world: World, action: ActionTemplate, agent_id: str,
                        manipulated=action.manipulated, dest=dest)
 
 
-def dispatch(world: World, grounding: GroundingResult, retries: int = 2) -> DispatchResult:
+def dispatch(world: World, grounding: GroundingResult, retries: int = 2,
+             memo: SearchMemo | None = None) -> DispatchResult:
     """Execute a grounded sequence step by step on the live world.
 
     A geometric step tries its goal point and then up to `retries`
     alternates; each query searches with `MotionQuery`'s default A*
-    budget. A query the world rejects (`InvalidQuery`: a start in collision
-    or outside the grid, a put without the object in hand, a support that
+    budget, through `memo` when the caller keeps one (the planner keeps
+    one per run), so a search made earlier in its scope is not run again
+    and a step's `expansions` still counts its searches' pops.
+
+    A query the world rejects (`InvalidQuery`: a start in collision or
+    outside the grid, a put without the object in hand, a support that
     would close a stacking cycle) ends the sequence as an "invalid"
     failure, like any other failed step: its outcome is recorded and
     counts the rejected call as an attempt.
@@ -340,15 +350,15 @@ def dispatch(world: World, grounding: GroundingResult, retries: int = 2) -> Disp
 
         goal, region = _step_goal(result.world, action)
         attempts = expansions = 0
-        plan_time = 0.0
+        plan_times: list[float] = []
         failure = motion = None
         try:
             for point in goal_candidates(goal, region, retries, result.world.rng_seed):
                 attempts += 1
                 motion = plan_motion(result.world,
-                                     _query(result.world, action, agent_id, point))
+                                     _query(result.world, action, agent_id, point), memo)
                 expansions += motion.expansions
-                plan_time += motion.elapsed
+                plan_times.append(motion.elapsed)
                 if motion.feasible:
                     break
             if motion.feasible:
@@ -362,7 +372,7 @@ def dispatch(world: World, grounding: GroundingResult, retries: int = 2) -> Disp
         result.steps.append(StepOutcome(
             action.name, agent_id, action.motion_class, failure is None, attempts,
             expansions, 0.0 if failure is not None else path_length(motion.path),
-            result.world.clock, plan_time))
+            result.world.clock, tuple(plan_times)))
         if failure is not None:
             result.ok = False
             result.failure = failure

@@ -12,7 +12,9 @@ runaway growth into a reported depth-limit result.
 
 Only a dispatch changes the world, so the loop takes one snapshot per
 world state: one at the start and one after each dispatch. Goal checks,
-selection and expansion read the latest one.
+selection and expansion read the latest one. A run keeps one search memo
+(`world.SearchMemo`) for all its dispatches, so each distinct grid search
+runs once per run; a new run starts with an empty one.
 
 Timing discipline: every timestamp in the trace is simulated clock time,
 so traces are reproducible byte for byte. Wall-clock durations appear
@@ -23,6 +25,7 @@ blanks for comparisons.
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -31,7 +34,7 @@ from .domain import GoalSpec, MotionClass, is_goal
 from .dsl import Scenario
 from .interface import GroundingFailed, StepOutcome, dispatch, ground
 from .network import DepthLimitExceeded, ExpandReason, ExpansionCycle, GraphNetwork
-from .world import World, snapshot, world_from_scenario
+from .world import SearchMemo, World, snapshot, world_from_scenario
 
 TABLE_COLUMNS = ("Objects", "d", "TP [s]", "Right MP [s]", "Right attempts",
                  "Left MP [s]", "Left attempts")
@@ -70,19 +73,18 @@ class PlanResult:
 
 
 class _Timers:
+    """The wall time of each network expansion and candidate search."""
+
     def __init__(self):
-        self.expand = 0.0
-        self.expand_calls = 0
-        self.search = 0.0
-        self.search_calls = 0
+        self.expand: list[float] = []
+        self.search: list[float] = []
 
     def timed(self, bucket: str, fn, *args, **kwargs):
         start = time.perf_counter()
         try:
             return fn(*args, **kwargs)
         finally:
-            setattr(self, bucket, getattr(self, bucket) + time.perf_counter() - start)
-            setattr(self, bucket + "_calls", getattr(self, bucket + "_calls") + 1)
+            getattr(self, bucket).append(time.perf_counter() - start)
 
 
 def run_scenario(scenario: Scenario, config: RunConfig = RunConfig()) -> PlanResult:
@@ -91,6 +93,7 @@ def run_scenario(scenario: Scenario, config: RunConfig = RunConfig()) -> PlanRes
     trace: list[dict] = []
     steps: list[StepOutcome] = []
     timers = _Timers()
+    memo: SearchMemo = {}
 
     known = scenario.entity_ids()
     missing = sorted({arg for fact in scenario.goal for arg in fact.args
@@ -146,7 +149,7 @@ def run_scenario(scenario: Scenario, config: RunConfig = RunConfig()) -> PlanRes
                           "reason": "grounding", "detail": str(exc)})
             continue
 
-        result = dispatch(world, grounding, config.retries)
+        result = dispatch(world, grounding, config.retries, memo)
         world = result.world
         before, state = state, snapshot(world)
         steps.extend(result.steps)
@@ -212,7 +215,7 @@ def build_metrics(scenario: Scenario, status: FinalStatus, depth: int,
                   moves: int, steps: list[StepOutcome], world: World,
                   timers: _Timers) -> dict:
     attempts: dict[str, int] = {}
-    times = {"right": 0.0, "left": 0.0, "base": 0.0}
+    times: dict[str, list[float]] = {"right": [], "left": [], "base": []}
     calls = {"right": 0, "left": 0, "base": 0}
     for step in steps:
         if step.attempts == 0:
@@ -222,32 +225,32 @@ def build_metrics(scenario: Scenario, status: FinalStatus, depth: int,
         group = "base" if agent is not None and agent.kind == "base" \
             else _column_side(world, step.agent)
         if group is not None:
-            times[group] += step.plan_time
+            times[group].extend(step.plan_times)
             calls[group] += step.attempts
 
-    def avg(total: float, count: int) -> float:
-        return total / count if count else 0.0
+    def row(module: str, samples: list[float], count: int) -> dict:
+        """Mean and population std of the per-call samples. `count` can
+        exceed the samples by the attempts the world rejected untimed."""
+        return {"module": module,
+                "avg_s": statistics.fmean(samples) if samples else 0.0,
+                "std_s": statistics.pstdev(samples) if samples else 0.0,
+                "calls": count}
 
     table_row = {
         "Objects": sum(1 for o in scenario.objects.values() if o.movable),
         "d": depth,
-        "TP [s]": timers.expand + timers.search,
-        "Right MP [s]": times["right"],
+        "TP [s]": sum(timers.expand) + sum(timers.search),
+        "Right MP [s]": sum(times["right"]),
         "Right attempts": calls["right"],
-        "Left MP [s]": times["left"],
+        "Left MP [s]": sum(times["left"]),
         "Left attempts": calls["left"],
     }
     modules = [
-        {"module": MODULE_ROWS[0], "avg_s": avg(timers.expand, timers.expand_calls),
-         "std_s": 0.0, "calls": timers.expand_calls},
-        {"module": MODULE_ROWS[1], "avg_s": avg(timers.search, timers.search_calls),
-         "std_s": 0.0, "calls": timers.search_calls},
-        {"module": MODULE_ROWS[2], "avg_s": avg(times["right"], calls["right"]),
-         "std_s": 0.0, "calls": calls["right"]},
-        {"module": MODULE_ROWS[3], "avg_s": avg(times["left"], calls["left"]),
-         "std_s": 0.0, "calls": calls["left"]},
-        {"module": MODULE_ROWS[4], "avg_s": avg(times["base"], calls["base"]),
-         "std_s": 0.0, "calls": calls["base"]},
+        row(MODULE_ROWS[0], timers.expand, len(timers.expand)),
+        row(MODULE_ROWS[1], timers.search, len(timers.search)),
+        row(MODULE_ROWS[2], times["right"], calls["right"]),
+        row(MODULE_ROWS[3], times["left"], calls["left"]),
+        row(MODULE_ROWS[4], times["base"], calls["base"]),
     ]
     return {
         "scenario": scenario.name,

@@ -12,6 +12,14 @@ ring of blocked cells. A* walks flat indices into that mask, whose order
 equals (x, y) order, so paths and tie-breaks are those of A* on
 coordinate tuples; obstructor order depends on them.
 
+A* itself runs once per distinct search in a `SearchMemo`'s scope. The
+memo maps everything `_astar` reads (the mask, its stride, the start and
+goal cells and the budget) to the cell path, kept as a tuple, and the
+pop count. The planner keeps one memo per run; a `plan_motion` call
+without one gets a fresh memo of its own. A result's `expansions` is the
+pop count of the search that produced it, whether that search ran now or
+earlier in the memo's scope.
+
 An unreachable goal is proved, not searched out. A search still short
 of its goal after `PROOF_CHECKPOINT` pops labels the free cells once, by
 runs along each column; when the goal lies outside the start's
@@ -31,9 +39,10 @@ world and a changed world is always a new one (`dataclasses.replace`).
 Shared diagnostic counters are the one exception, documented on
 `Counters`. Each world derives its symbolic snapshot once, on first
 read, and keeps it: `snapshot` and `world_signature` return that one
-read-only `WorldState`. Reads (`snapshot`, `plan_motion`) are pure and
-safe to repeat; replaying the same query on the same world yields a
-bit-identical result apart from the wall-clock `elapsed` field.
+read-only `WorldState`. Reads (`snapshot`, `plan_motion`) are pure,
+apart from filling the search memo, and safe to repeat; replaying the
+same query on the same world yields a bit-identical result apart from
+the wall-clock `elapsed` field, with any memo or none.
 """
 
 from __future__ import annotations
@@ -414,6 +423,11 @@ def _body_radius(world: World, agent: Agent, carry: str | None) -> float:
     return radius
 
 
+# (free mask, stride, start cell, goal cell, budget) -> (cell path | None, pops)
+SearchMemo = dict[tuple[bytes, int, tuple[int, int], tuple[int, int], int],
+                  tuple[tuple[tuple[int, int], ...] | None, int]]
+
+
 class _Grid:
     """Occupancy raster over the agent's admissible region.
 
@@ -560,6 +574,18 @@ def _astar(grid: _Grid, start: tuple[int, int], goal: tuple[int, int],
     return None, pops
 
 
+def _search(memo: SearchMemo, grid: _Grid, start: tuple[int, int], goal: tuple[int, int],
+            budget: int) -> tuple[tuple[tuple[int, int], ...] | None, int]:
+    """`_astar`, run only when the memo holds no search with the same
+    inputs. The key keeps the mask's bytes but not the grid."""
+    key = (grid.free_mask, grid.stride, start, goal, budget)
+    found = memo.get(key)
+    if found is None:
+        cells, pops = _astar(grid, start, goal, budget)
+        found = memo[key] = (None if cells is None else tuple(cells), pops)
+    return found
+
+
 def _unreached_pops(free_mask: bytes, stride: int, source: int, target: int) -> int | None:
     """The cells A* from `source` can reach, counted, when `target` is not
     one of them; None when it is.
@@ -612,15 +638,23 @@ def _unreached_pops(free_mask: bytes, stride: int, source: int, target: int) -> 
     return pops + sum(ends[i] - starts[i] for i in range(len(parent)) if root(i) in reached)
 
 
-def plan_motion(world: World, q: MotionQuery) -> MotionResult:
+def plan_motion(world: World, q: MotionQuery, memo: SearchMemo | None = None) -> MotionResult:
     """Plan one query; transfers plan both legs before reporting success.
 
     Infeasible results carry the obstruction diagnosis: movable objects
     crossing the path a movable-free world would allow, in path order.
     An empty list means not even that world admits a path (out of reach
     or statically sealed).
+
+    Every grid search, the legs' and the diagnosis', goes through `memo`,
+    so a search the memo's scope already ran is looked up, not run again;
+    without a memo the call gets a fresh one. The result is the same
+    either way, `expansions` included: it counts the pops of the searches
+    that produced the result, whenever they ran.
     """
     t0 = time.perf_counter()
+    if memo is None:
+        memo = {}
     world.counters.plan_calls += 1
     sig = world_signature(world)
     agent = world.agents.get(q.agent)
@@ -648,7 +682,8 @@ def plan_motion(world: World, q: MotionQuery) -> MotionResult:
     total_expansions = 0
     full_path: list[tuple[float, float]] = []
     for index, leg in enumerate(legs):
-        path, expansions, obstructors, detail = _plan_leg(world, agent, q, leg, budget_left)
+        path, expansions, obstructors, detail = _plan_leg(world, agent, q, leg, budget_left,
+                                                          memo)
         total_expansions += expansions
         budget_left = max(budget_left - expansions, 1)
         if path is None:
@@ -679,7 +714,8 @@ def _engaged(world: World, point: tuple[float, float], inflation: float) -> set[
     return out
 
 
-def _plan_leg(world: World, agent: Agent, q: MotionQuery, leg: _Leg, budget: int):
+def _plan_leg(world: World, agent: Agent, q: MotionQuery, leg: _Leg, budget: int,
+              memo: SearchMemo):
     """One grid search. Returns (path | None, expansions, obstructors, detail)."""
     inflation = world.clearance + _body_radius(world, agent, leg.carry)
     exclude: set[str] = set()
@@ -701,11 +737,11 @@ def _plan_leg(world: World, agent: Agent, q: MotionQuery, leg: _Leg, budget: int
         raise InvalidQuery(
             f"agent {agent.id}: start {leg.start} in collision or outside region")
     if not grid.free(goal_cell):
-        obstructors = _diagnose(world, agent, q, leg, exclude, inflation, budget)
+        obstructors = _diagnose(world, agent, leg, exclude, inflation, budget, memo)
         return None, 0, obstructors, "goal cell blocked"
-    cells, expansions = _astar(grid, start_cell, goal_cell, budget)
+    cells, expansions = _search(memo, grid, start_cell, goal_cell, budget)
     if cells is None:
-        obstructors = _diagnose(world, agent, q, leg, exclude, inflation, budget)
+        obstructors = _diagnose(world, agent, leg, exclude, inflation, budget, memo)
         return None, expansions, obstructors, "no path within budget"
     points = [grid.center(c) for c in cells]
     points[0] = leg.start
@@ -713,15 +749,15 @@ def _plan_leg(world: World, agent: Agent, q: MotionQuery, leg: _Leg, budget: int
     return points, expansions, (), ""
 
 
-def _diagnose(world: World, agent: Agent, q: MotionQuery, leg: _Leg,
-              exclude: set[str], inflation: float, budget: int) -> tuple[str, ...]:
+def _diagnose(world: World, agent: Agent, leg: _Leg, exclude: set[str], inflation: float,
+              budget: int, memo: SearchMemo) -> tuple[str, ...]:
     ghost_obstacles = _obstacles_for(world, agent, exclude, ghost=True)
     grid = _Grid(world, agent, ghost_obstacles, inflation)
     start_cell = grid.cell(leg.start)
     goal_cell = grid.cell(leg.goal)
     if not grid.free(start_cell) or not grid.free(goal_cell):
         return ()
-    cells, _ = _astar(grid, start_cell, goal_cell, max(budget, DEFAULT_MAX_EXPANSIONS))
+    cells, _ = _search(memo, grid, start_cell, goal_cell, max(budget, DEFAULT_MAX_EXPANSIONS))
     if cells is None:
         return ()
     holders = held_by(world)

@@ -5,6 +5,7 @@ case is small enough to predict the exact depth, move count, and trace
 shape by hand.
 """
 
+import math
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -270,6 +271,120 @@ def test_each_world_derives_its_snapshot_once(name, derivations, monkeypatch):
     monkeypatch.setattr(interface, "execute", counted(calls, "execute", interface.execute))
     run_scenario(parse(WORKLOADS[name].make_text()), RunConfig(seed=0))
     assert calls["derive"] == calls["execute"] + 1 == derivations
+
+
+def recorded_plan_calls(monkeypatch):
+    """Patch the planner's `plan_motion` to record each call's arguments
+    and its result or the exception it raised."""
+    calls = []
+    plan = interface.plan_motion
+
+    def recording(*args):
+        try:
+            calls.append((args, plan(*args)))
+        except world_module.WorldError as exc:
+            calls.append((args, exc))
+            raise
+        return calls[-1][1]
+
+    monkeypatch.setattr(interface, "plan_motion", recording)
+    return calls
+
+
+def without_elapsed(outcome):
+    if isinstance(outcome, world_module.MotionResult):
+        return replace(outcome, elapsed=0.0)
+    return (type(outcome), str(outcome))
+
+
+def fresh_outcome(world, q):
+    try:
+        return world_module.plan_motion(world, q)
+    except world_module.WorldError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("scenario,seed", [
+    (lambda: gen_hanoi(3), 0),
+    (lambda: parse(WORKLOADS["hanoi_dual"].make_text()), 3),
+    (lambda: parse(WORKLOADS["habitat"].make_text()), 0),
+    (lambda: parse(WORKLOADS["habitat_unclearable"].make_text()), 0),
+], ids=["hanoi3_dual", "hanoi_dual", "habitat", "habitat_unclearable"])
+def test_run_memo_results_match_fresh_planning(scenario, seed, monkeypatch):
+    """Every plan call of a run passes the run's one memo, and gets what
+    the same query on the same world returns with a fresh memo."""
+    calls = recorded_plan_calls(monkeypatch)
+    run_scenario(scenario(), RunConfig(seed=seed))
+    assert len(calls) >= 9
+    memos = {id(args[2]) for args, _ in calls}
+    assert len(memos) == 1 and isinstance(calls[0][0][2], dict)
+    for (world, q, _), outcome in calls:
+        assert without_elapsed(outcome) == without_elapsed(fresh_outcome(world, q)), q
+
+
+def executed_searches(monkeypatch):
+    """Patch `_astar` to record the inputs of each search it runs."""
+    keys = []
+    astar = world_module._astar
+
+    def recording(grid, start, goal, budget):
+        keys.append((grid.free_mask, grid.stride, start, goal, budget))
+        return astar(grid, start, goal, budget)
+
+    monkeypatch.setattr(world_module, "_astar", recording)
+    return keys
+
+
+@pytest.mark.parametrize("name,searches", [
+    ("hanoi_dual", 50), ("habitat", 38), ("habitat_unclearable", 32)])
+def test_each_distinct_search_runs_once_per_run(name, searches, monkeypatch):
+    """Without the memo these runs made 172, 40 and 81 searches at seed 0."""
+    keys = executed_searches(monkeypatch)
+    run_scenario(parse(WORKLOADS[name].make_text()), RunConfig(seed=0))
+    assert len(keys) == len(set(keys)) == searches
+
+
+def test_no_search_carries_over_between_runs(monkeypatch):
+    keys = executed_searches(monkeypatch)
+    scenario = gen_hanoi(3)
+    run_scenario(scenario)
+    first = list(keys)
+    keys.clear()
+    run_scenario(scenario)
+    assert keys == first and len(first) == len(set(first)) == 18
+
+
+def population_std(samples):
+    mean = sum(samples) / len(samples)
+    return math.sqrt(sum((x - mean) ** 2 for x in samples) / len(samples))
+
+
+def test_module_rows_derive_mean_and_std_from_per_call_samples(monkeypatch):
+    kept = []
+
+    class KeptTimers(planner._Timers):
+        def __init__(self):
+            super().__init__()
+            kept.append(self)
+
+    monkeypatch.setattr(planner, "_Timers", KeptTimers)
+    res = run_scenario(gen_habitat())
+    assert res.status is FinalStatus.GOAL_ACHIEVED
+    (timers,) = kept
+    groups = {"base_main": "base", "arm_left": "left", "arm_right": "right"}
+    motion = {group: [] for group in groups.values()}
+    for step in res.steps:
+        if step.attempts:
+            motion[groups[step.agent]].extend(step.plan_times)
+    samples = [timers.expand, timers.search, motion["right"], motion["left"],
+               motion["base"]]
+    rows = res.metrics["modules"]
+    assert [row["module"] for row in rows] == list(MODULE_ROWS)
+    for row, values in zip(rows, samples):
+        assert len(values) >= 2 and row["calls"] == len(values)
+        assert row["avg_s"] == pytest.approx(sum(values) / len(values), rel=1e-9)
+        assert row["std_s"] == pytest.approx(population_std(values), rel=1e-9)
+        assert row["std_s"] > 0.0
 
 
 def test_metrics_document_shape():

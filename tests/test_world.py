@@ -195,6 +195,67 @@ def test_attempt_counter_counts_plan_calls():
     assert world.counters.plan_calls == 3  # an obstruction probe is a plan call too
 
 
+# ------------------------------------------------------------- search memo
+
+
+def counted_astar(monkeypatch):
+    """Patch `_astar` to count its executions; returns the live count."""
+    runs = [0]
+    astar = W._astar
+
+    def counting(*args):
+        runs[0] += 1
+        return astar(*args)
+
+    monkeypatch.setattr(W, "_astar", counting)
+    return runs
+
+
+def without_elapsed(result):
+    return replace(result, elapsed=0.0)
+
+
+def test_a_memo_hit_runs_no_search_and_repeats_the_result(monkeypatch):
+    world = movable_wall_world()
+    runs = counted_astar(monkeypatch)
+    memo = {}
+    first = plan_motion(world, query((0.3, -0.2)), memo)
+    searches = runs[0]
+    again = plan_motion(world, query((0.3, -0.2)), memo)
+    assert searches > 0 and runs[0] == searches
+    assert without_elapsed(again) == without_elapsed(first)
+    assert again.expansions == first.expansions > 0
+
+
+def test_a_memo_keeps_searches_of_different_budgets_apart():
+    world = movable_wall_world()
+    goal = (0.3, -0.2)
+    memo = {}
+    small = plan_motion(world, MotionQuery("arm", MotionClass.TRANSFER, "put",
+                                           (0.0, 0.0), goal, max_expansions=3), memo)
+    big = plan_motion(world, MotionQuery("arm", MotionClass.TRANSFER, "put",
+                                         (0.0, 0.0), goal), memo)
+    assert not small.feasible and small.expansions == 3
+    assert big.feasible
+    assert without_elapsed(big) == without_elapsed(plan_motion(world, query(goal)))
+
+
+def test_memo_entries_hold_tuples_and_no_grid():
+    """Paths are tuples, so no caller can change a shared entry, and keys
+    keep the mask's bytes, not the grid that made them."""
+    world = movable_wall_world()
+    memo = {}
+    assert not plan_motion(world, query((0.0, 0.4)), memo).feasible  # leg and ghost
+    assert plan_motion(world, query((0.3, -0.2)), memo).feasible
+    assert len(memo) == 3
+    for (mask, stride, start, goal, budget), (path, pops) in memo.items():
+        assert type(mask) is bytes and len(mask) % stride == 0
+        assert all(type(v) is tuple and len(v) == 2 for v in (start, goal))
+        assert type(budget) is int and type(pops) is int
+        assert path is None or type(path) is tuple
+    assert any(path is not None for path, _ in memo.values())
+
+
 # ------------------------------------------------------------- execution
 
 
