@@ -116,7 +116,6 @@ class ActionTemplate:
 
     name: str
     motion_class: MotionClass
-    params: tuple[tuple[str, str], ...] = ()
     preconditions: tuple[Condition, ...] = ()
     effects_add: frozenset[Fact] = frozenset()
     effects_del: frozenset[Fact] = frozenset()
@@ -153,13 +152,6 @@ class ActionTemplate:
 
 
 @dataclass(frozen=True)
-class GoalSpec:
-    """Conjunction of facts that must all hold."""
-
-    facts: tuple[Fact, ...] = ()
-
-
-@dataclass(frozen=True)
 class Box:
     """Axis-aligned region: center plus half extents."""
 
@@ -167,9 +159,6 @@ class Box:
     cy: float
     hw: float = 0.0
     hh: float = 0.0
-
-    def contains(self, x: float, y: float, tol: float = 1e-9) -> bool:
-        return abs(x - self.cx) <= self.hw + tol and abs(y - self.cy) <= self.hh + tol
 
 
 def applicable(state: frozenset[Fact], action: ActionTemplate) -> bool:
@@ -198,5 +187,6 @@ def chain_applicable(state: frozenset[Fact], actions: Iterable[ActionTemplate]) 
     return True
 
 
-def is_goal(state: frozenset[Fact], goal: GoalSpec) -> bool:
-    return all(f in state for f in goal.facts)
+def is_goal(state: frozenset[Fact], goal: Iterable[Fact]) -> bool:
+    """Whether every goal fact holds: the goal is their conjunction."""
+    return all(f in state for f in goal)

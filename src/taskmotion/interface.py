@@ -19,19 +19,20 @@ rearrangement, trying another candidate, or giving up.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
-from .domain import ActionTemplate, Box, MotionClass, applicable
+from .domain import ActionTemplate, Box, Fact, MotionClass, applicable
 from .world import (
     Agent,
     InvalidQuery,
     MotionQuery,
     SearchMemo,
     World,
+    entity_point,
     execute,
     path_length,
     plan_motion,
+    reaches,
     snapshot,
 )
 
@@ -52,13 +53,11 @@ class GroundedAction:
     """One dispatchable step: an action plus its agent binding.
 
     `agent_id` of None defers the choice to execution time (a put binds
-    to whoever is holding the object by then). `synthesized` marks steps
-    grounding invented (base travel, handover legs).
+    to whoever is holding the object by then).
     """
 
     action: ActionTemplate
     agent_id: str | None
-    synthesized: bool = False
 
 
 @dataclass(frozen=True)
@@ -102,27 +101,12 @@ class DispatchResult:
 # ----------------------------------------------------------------- helpers
 
 
-def _dest_point(world: World, dest: str) -> tuple[float, float]:
-    if dest in world.markers:
-        marker = world.markers[dest]
-        return (marker.x, marker.y)
-    obj = world.objects[dest]
-    return (obj.x, obj.y)
-
-
-def _reaches(agent: Agent, point: tuple[float, float],
-             anchor: tuple[float, float] | None = None) -> bool:
-    ax, ay = anchor if anchor is not None else agent.anchor
-    return math.hypot(point[0] - ax, point[1] - ay) <= agent.reach + 1e-9
-
-
 def _needed_points(world: World, action: ActionTemplate) -> list[tuple[float, float]]:
     points = []
     if action.verb in ("grasp", "transfer") and action.manipulated is not None:
-        obj = world.objects[action.manipulated]
-        points.append((obj.x, obj.y))
+        points.append(entity_point(world, action.manipulated))
     if action.verb in ("put", "transfer") and action.dest is not None:
-        points.append(_dest_point(world, action.dest))
+        points.append(entity_point(world, action.dest))
     return points
 
 
@@ -140,17 +124,11 @@ def _arms(world: World) -> list[Agent]:
             if world.agents[aid].kind == "arm"]
 
 
-def base_at_area(world: World, base: Agent, marker_id: str) -> bool:
-    marker = world.markers[marker_id]
-    return math.hypot(base.config[0] - marker.x,
-                      base.config[1] - marker.y) <= marker.snap
-
-
-def _transit_step(world: World, base_id: str, marker_id: str) -> GroundedAction:
+def _transit_step(base_id: str, marker_id: str) -> GroundedAction:
     action = ActionTemplate(name=f"{TRANSIT_PREFIX}{marker_id}",
                             motion_class=MotionClass.TRANSIT,
                             agent=base_id, area=marker_id)
-    return GroundedAction(action, base_id, synthesized=True)
+    return GroundedAction(action, base_id)
 
 
 # ---------------------------------------------------------------- grounding
@@ -187,13 +165,13 @@ def _ground_manipulation(world: World, action: ActionTemplate) -> list[GroundedA
     points = _needed_points(world, action)
 
     candidates = [arm for arm in arms
-                  if all(_reaches(arm, p, _prospective_anchor(world, arm, action))
+                  if all(reaches(arm, p, _prospective_anchor(world, arm, action))
                          for p in points)]
     if candidates:
         out = []
         chosen = candidates[0]
         if action.area is not None and chosen.mount is not None:
-            out.append(_transit_step(world, chosen.mount, action.area))
+            out.append(_transit_step(chosen.mount, action.area))
         # A put must end up bound to the holder, which may not exist yet
         # when the whole arc is grounded ahead of execution.
         agent_id = None if action.verb == "put" else chosen.id
@@ -217,8 +195,8 @@ def _handover_rewrite(world: World, action: ActionTemplate, arms: list[Agent],
         if not marker.handover:
             continue
         mpoint = (marker.x, marker.y)
-        givers = [a for a in arms if _reaches(a, src_point) and _reaches(a, mpoint)]
-        takers = [a for a in arms if _reaches(a, mpoint) and _reaches(a, dst_point)]
+        givers = [a for a in arms if reaches(a, src_point) and reaches(a, mpoint)]
+        takers = [a for a in arms if reaches(a, mpoint) and reaches(a, dst_point)]
         for giver in givers:
             for taker in takers:
                 if giver.id == taker.id:
@@ -229,8 +207,7 @@ def _handover_rewrite(world: World, action: ActionTemplate, arms: list[Agent],
                 take = replace(action, name=action.name + HANDOVER_SUFFIX[1],
                                motion_class=MotionClass.HANDOVER, source=marker_id,
                                preconditions=())
-                return [GroundedAction(give, giver.id, synthesized=True),
-                        GroundedAction(take, taker.id, synthesized=True)]
+                return [GroundedAction(give, giver.id), GroundedAction(take, taker.id)]
     return None
 
 
@@ -273,7 +250,7 @@ def _resolve_agent(world: World, grounded: GroundedAction) -> str | None:
                 return agent.id
         return None
     for arm in _arms(world):
-        if all(_reaches(arm, p) for p in _needed_points(world, action)):
+        if all(reaches(arm, p) for p in _needed_points(world, action)):
             return arm.id
     return None
 
@@ -289,7 +266,7 @@ def _step_goal(world: World, action: ActionTemplate) -> tuple[tuple[float, float
         dest = action.manipulated
     else:
         dest = action.dest
-    x, y = _dest_point(world, dest)
+    x, y = entity_point(world, dest)
     half = world.markers[dest].snap * 0.7 if dest in world.markers else 0.0
     return (x, y), Box(x, y, half, half)
 
@@ -343,10 +320,9 @@ def dispatch(world: World, grounding: GroundingResult, retries: int = 2,
             result.failure = DispatchFailure("grounding", action.name,
                                              detail="no agent binds the action")
             return result
-        if action.motion_class is MotionClass.TRANSIT:
-            base = result.world.agents[agent_id]
-            if base_at_area(result.world, base, action.area):
-                continue  # already parked, nothing to plan
+        if (action.motion_class is MotionClass.TRANSIT
+                and Fact("at", (agent_id, action.area)) in state.facts):
+            continue  # already parked, nothing to plan
 
         goal, region = _step_goal(result.world, action)
         attempts = expansions = 0

@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .domain import GoalSpec, MotionClass, is_goal
+from .domain import MotionClass, is_goal
 from .dsl import Scenario
 from .interface import GroundingFailed, StepOutcome, dispatch, ground
 from .network import DepthLimitExceeded, ExpandReason, ExpansionCycle, GraphNetwork
@@ -89,7 +89,6 @@ class _Timers:
 
 def run_scenario(scenario: Scenario, config: RunConfig = RunConfig()) -> PlanResult:
     world = world_from_scenario(scenario, seed=config.seed)
-    goal = GoalSpec(scenario.goal)
     trace: list[dict] = []
     steps: list[StepOutcome] = []
     timers = _Timers()
@@ -129,7 +128,7 @@ def run_scenario(scenario: Scenario, config: RunConfig = RunConfig()) -> PlanRes
     moves = 0
     status: FinalStatus | None = None
     while status is None:
-        if is_goal(state.facts, goal):
+        if is_goal(state.facts, scenario.goal):
             status = FinalStatus.GOAL_ACHIEVED
             break
         candidate = timers.timed("search", network.select, state.facts,
@@ -161,7 +160,7 @@ def run_scenario(scenario: Scenario, config: RunConfig = RunConfig()) -> PlanRes
             moves += 1
             trace.append({"event": "execute", "label": candidate.label,
                           "moves": moves})
-            if is_goal(state.facts, goal):
+            if is_goal(state.facts, scenario.goal):
                 status = FinalStatus.GOAL_ACHIEVED
             else:
                 status = expand(ExpandReason.STAGE_COMPLETE)
@@ -204,11 +203,17 @@ def _finish(scenario, status, depth, moves, steps, world, trace, timers,
 # ------------------------------------------------------------------ metrics
 
 
-def _column_side(world: World, agent_id: str) -> str | None:
-    agent = world.agents.get(agent_id)
-    if agent is None or agent.kind != "arm":
-        return None
-    return "left" if "left" in agent_id else "right"
+def _metric_groups(scenario: Scenario) -> dict[str, str]:
+    """Agent id -> the group its plan calls report in, read from the
+    declared agents: "base" for a base; when two or more arms are
+    declared, "left" for the arm of smallest x (ties by id); "right" for
+    every other arm, a lone arm included."""
+    groups = {aid: "base" for aid, decl in scenario.agents.items() if decl.kind == "base"}
+    arms = sorted((decl.x, aid) for aid, decl in scenario.agents.items() if decl.kind == "arm")
+    groups.update((aid, "right") for _, aid in arms)
+    if len(arms) >= 2:
+        groups[arms[0][1]] = "left"
+    return groups
 
 
 def build_metrics(scenario: Scenario, status: FinalStatus, depth: int,
@@ -217,13 +222,12 @@ def build_metrics(scenario: Scenario, status: FinalStatus, depth: int,
     attempts: dict[str, int] = {}
     times: dict[str, list[float]] = {"right": [], "left": [], "base": []}
     calls = {"right": 0, "left": 0, "base": 0}
+    groups = _metric_groups(scenario)
     for step in steps:
         if step.attempts == 0:
             continue
         attempts[step.agent] = attempts.get(step.agent, 0) + step.attempts
-        agent = world.agents.get(step.agent)
-        group = "base" if agent is not None and agent.kind == "base" \
-            else _column_side(world, step.agent)
+        group = groups.get(step.agent)
         if group is not None:
             times[group].extend(step.plan_times)
             calls[group] += step.attempts
@@ -258,7 +262,7 @@ def build_metrics(scenario: Scenario, status: FinalStatus, depth: int,
         "table": {"columns": list(TABLE_COLUMNS), "rows": [table_row]},
         "modules": modules,
         "attempts": attempts,
-        "plan_calls": world.counters.plan_calls,
+        "plan_calls": sum(step.attempts for step in steps),
         "moves": moves,
         "sim_time": round(world.clock, 9),
     }

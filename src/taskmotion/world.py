@@ -28,7 +28,8 @@ means the pops an exhaustive A* would make: the component size, capped
 by the budget.
 
 A `MotionQuery` names an agent, its start and one goal point; its A*
-budget defaults to `DEFAULT_MAX_EXPANSIONS`, the one planning budget.
+budget defaults to `DEFAULT_MAX_EXPANSIONS`, the one planning budget,
+and every leg of the query searches under that whole budget.
 
 Stacking never forms a cycle: `execute` refuses a support that rests on
 the object being placed.
@@ -36,13 +37,13 @@ the object being placed.
 Worlds are immutable values: a `World` is frozen and its `objects`,
 `agents` and `markers` maps are read-only, so `execute` returns a new
 world and a changed world is always a new one (`dataclasses.replace`).
-Shared diagnostic counters are the one exception, documented on
-`Counters`. Each world derives its symbolic snapshot once, on first
-read, and keeps it: `snapshot` and `world_signature` return that one
-read-only `WorldState`. Reads (`snapshot`, `plan_motion`) are pure,
-apart from filling the search memo, and safe to repeat; replaying the
-same query on the same world yields a bit-identical result apart from
-the wall-clock `elapsed` field, with any memo or none.
+A world shares no mutable state with another. Each world derives its
+symbolic snapshot once, on first read, and keeps it: `snapshot` and
+`world_signature` return that one read-only `WorldState`. Reads
+(`snapshot`, `plan_motion`) are pure, apart from filling the search
+memo, and safe to repeat; replaying the same query on the same world
+yields a bit-identical result apart from the wall-clock `elapsed`
+field, with any memo or none.
 """
 
 from __future__ import annotations
@@ -87,13 +88,6 @@ class StaleResult(WorldError):
 
 class UnknownEntity(WorldError):
     pass
-
-
-@dataclass
-class Counters:
-    """Diagnostic tallies shared across world copies (single-writer)."""
-
-    plan_calls: int = 0
 
 
 @dataclass(frozen=True)
@@ -173,7 +167,6 @@ class World:
     rng_seed: int = 0
     resolution: float = DEFAULT_RESOLUTION
     clearance: float = DEFAULT_CLEARANCE
-    counters: Counters = field(default_factory=Counters)
 
     def __post_init__(self):
         for name in ("objects", "agents", "markers"):
@@ -209,8 +202,7 @@ class MotionResult:
     elapsed: float = 0.0
 
 
-def world_from_scenario(scenario, seed: int = 0, resolution: float = DEFAULT_RESOLUTION,
-                        clearance: float = DEFAULT_CLEARANCE) -> World:
+def world_from_scenario(scenario, seed: int = 0) -> World:
     """Materialize the initial world from scenario declarations."""
     objects = {}
     for decl in scenario.objects.values():
@@ -228,8 +220,7 @@ def world_from_scenario(scenario, seed: int = 0, resolution: float = DEFAULT_RES
                                 config=anchor, mount=decl.mount,
                                 mount_off=(decl.mount_dx, decl.mount_dy))
     return World(bounds=scenario.bounds, objects=objects, agents=agents, markers=markers,
-                 facts=frozenset(scenario.init), rng_seed=seed,
-                 resolution=resolution, clearance=clearance)
+                 facts=frozenset(scenario.init), rng_seed=seed)
 
 
 def stack_chain_down(world: World, obj_id: str) -> list[str]:
@@ -284,6 +275,21 @@ def stack_top(world: World, obj_id: str) -> str:
         top = children[top][0]
         seen.add(top)
     return top
+
+
+def entity_point(world: World, entity_id: str) -> tuple[float, float]:
+    """Where an object or a marker stands; ids are unique across both."""
+    entity = (world.markers[entity_id] if entity_id in world.markers
+              else world.objects[entity_id])
+    return (entity.x, entity.y)
+
+
+def reaches(agent: Agent, point: tuple[float, float],
+            anchor: tuple[float, float] | None = None) -> bool:
+    """Whether the point lies in the agent's reach disc, centred on its
+    anchor or on `anchor` when given."""
+    ax, ay = anchor if anchor is not None else agent.anchor
+    return math.hypot(point[0] - ax, point[1] - ay) <= agent.reach + 1e-9
 
 
 def held_by(world: World) -> dict[str, str]:
@@ -375,17 +381,11 @@ def _legs_for(world: World, q: MotionQuery) -> list[_Leg]:
     if q.motion_class is MotionClass.TRANSIT:
         return [_Leg(q.start, q.goal_point, None)]
     if q.verb == "grasp":
-        grasp = _grasp_point(world, q.manipulated)
-        return [_Leg(q.start, grasp, None)]
+        return [_Leg(q.start, entity_point(world, q.manipulated), None)]
     if q.verb == "put":
         return [_Leg(q.start, q.goal_point, q.manipulated)]
-    grasp = _grasp_point(world, q.manipulated)
+    grasp = entity_point(world, q.manipulated)
     return [_Leg(q.start, grasp, None), _Leg(grasp, q.goal_point, q.manipulated)]
-
-
-def _grasp_point(world: World, obj_id: str) -> tuple[float, float]:
-    obj = world.objects[obj_id]
-    return (obj.x, obj.y)
 
 
 def _obstacles_for(world: World, agent: Agent, exclude: set[str],
@@ -640,6 +640,8 @@ def _unreached_pops(free_mask: bytes, stride: int, source: int, target: int) -> 
 
 def plan_motion(world: World, q: MotionQuery, memo: SearchMemo | None = None) -> MotionResult:
     """Plan one query; transfers plan both legs before reporting success.
+    Each leg searches under the query's whole budget, `q.max_expansions`,
+    so a leg that repeats an earlier search finds it in the memo.
 
     Infeasible results carry the obstruction diagnosis: movable objects
     crossing the path a movable-free world would allow, in path order.
@@ -655,7 +657,6 @@ def plan_motion(world: World, q: MotionQuery, memo: SearchMemo | None = None) ->
     t0 = time.perf_counter()
     if memo is None:
         memo = {}
-    world.counters.plan_calls += 1
     sig = world_signature(world)
     agent = world.agents.get(q.agent)
     if agent is None:
@@ -666,26 +667,21 @@ def plan_motion(world: World, q: MotionQuery, memo: SearchMemo | None = None) ->
                             q.goal_point, sig, detail, time.perf_counter() - t0)
 
     if agent.kind == "arm":
-        if _out_of_reach(agent, q.goal_point):
+        if not reaches(agent, q.goal_point):
             return done(False, (), 0, (), "goal out of reach")
         if q.manipulated is not None and q.verb in ("grasp", "transfer"):
-            grasp = _grasp_point(world, q.manipulated)
-            if _out_of_reach(agent, grasp):
+            if not reaches(agent, entity_point(world, q.manipulated)):
                 return done(False, (), 0, (), "manipulated object out of reach")
             above = stack_chain_up(world, q.manipulated)
             if above:
                 return done(False, (), 0, tuple(reversed(above)),
                             "manipulated object is not stack-top")
 
-    legs = _legs_for(world, q)
-    budget_left = q.max_expansions
     total_expansions = 0
     full_path: list[tuple[float, float]] = []
-    for index, leg in enumerate(legs):
-        path, expansions, obstructors, detail = _plan_leg(world, agent, q, leg, budget_left,
-                                                          memo)
+    for index, leg in enumerate(_legs_for(world, q)):
+        path, expansions, obstructors, detail = _plan_leg(world, agent, q, leg, memo)
         total_expansions += expansions
-        budget_left = max(budget_left - expansions, 1)
         if path is None:
             return done(False, (), total_expansions, obstructors, f"leg {index}: {detail}")
         if full_path:
@@ -693,11 +689,6 @@ def plan_motion(world: World, q: MotionQuery, memo: SearchMemo | None = None) ->
         else:
             full_path.extend(path)
     return done(True, full_path, total_expansions, (), "")
-
-
-def _out_of_reach(agent: Agent, point: tuple[float, float]) -> bool:
-    return math.hypot(point[0] - agent.anchor[0],
-                      point[1] - agent.anchor[1]) > agent.reach + 1e-9
 
 
 def _engaged(world: World, point: tuple[float, float], inflation: float) -> set[str]:
@@ -714,9 +705,10 @@ def _engaged(world: World, point: tuple[float, float], inflation: float) -> set[
     return out
 
 
-def _plan_leg(world: World, agent: Agent, q: MotionQuery, leg: _Leg, budget: int,
-              memo: SearchMemo):
-    """One grid search. Returns (path | None, expansions, obstructors, detail)."""
+def _plan_leg(world: World, agent: Agent, q: MotionQuery, leg: _Leg, memo: SearchMemo):
+    """One grid search under the query's budget. Returns (path | None,
+    expansions, obstructors, detail)."""
+    budget = q.max_expansions
     inflation = world.clearance + _body_radius(world, agent, leg.carry)
     exclude: set[str] = set()
     if q.manipulated is not None:
@@ -834,17 +826,10 @@ def execute(world: World, agent_id: str, result: MotionResult,
             obj = objects[action.manipulated]
             agents[agent_id] = replace(agent, config=end, holding=action.manipulated)
             objects[action.manipulated] = replace(obj, x=end[0], y=end[1], stack_on=None)
-        elif action.verb == "put":
-            if agent.holding != action.manipulated:
+        else:  # put, or fused transfer
+            if action.verb == "put" and agent.holding != action.manipulated:
                 raise InvalidQuery(
                     f"agent {agent_id} does not hold {action.manipulated}")
-            support = _resolve_support(world, action.dest, action.manipulated)
-            obj = objects[action.manipulated]
-            goal = result.goal_point
-            agents[agent_id] = replace(agent, config=end, holding=None)
-            objects[action.manipulated] = replace(obj, x=goal[0], y=goal[1],
-                                                  stack_on=support)
-        else:  # fused transfer
             support = _resolve_support(world, action.dest, action.manipulated)
             obj = objects[action.manipulated]
             goal = result.goal_point

@@ -14,6 +14,7 @@ from pathlib import Path
 from scn_fuzz import fuzz_scenario
 from test_andor import oracle_cost, random_template
 
+from taskmotion import interface
 from taskmotion.andor import (
     INF,
     NodeKind,
@@ -233,19 +234,29 @@ def test_ac6_masked_outputs_are_byte_identical_across_runs():
            ok, "; ".join(f"{name}: trace={t} metrics={m}" for name, t, m in pairs))
 
 
-def test_ac7_every_plan_call_is_attributed_to_an_agent():
+def test_ac7_every_plan_call_is_attributed_to_an_agent(monkeypatch):
+    plan_calls = 0
+    plan = interface.plan_motion
+
+    def counting(*args):
+        nonlocal plan_calls
+        plan_calls += 1
+        return plan(*args)
+
+    monkeypatch.setattr(interface, "plan_motion", counting)
     notes = []
     ok = True
     runs = [("hanoi3_solo", gen_hanoi(3, omnipotent=True)),
             ("hanoi4_dual", gen_hanoi(4)),
             ("habitat", gen_habitat())]
     for name, scenario in runs:
+        plan_calls = 0
         res = run_scenario(scenario)
         attributed = sum(res.metrics["attempts"].values())
-        actual = res.world.counters.plan_calls
-        ok = ok and attributed == actual
-        notes.append(f"{name}: {attributed}=={actual}")
-    report("AC7 per-agent attempt counts add up to the planner call counter",
+        reported = res.metrics["plan_calls"]
+        ok = ok and plan_calls > 0 and attributed == reported == plan_calls
+        notes.append(f"{name}: {attributed}=={reported}=={plan_calls}")
+    report("AC7 per-agent attempt counts add up to the plan calls made",
            ok, "; ".join(notes))
 
 

@@ -1,13 +1,11 @@
-"""Symbolic layer: facts, action application, goal tests, regions."""
+"""Symbolic layer: facts, action application, goal tests."""
 
 import pytest
 
 from taskmotion.domain import (
     ActionTemplate,
-    Box,
     Condition,
     Fact,
-    GoalSpec,
     InvalidState,
     MotionClass,
     PreconditionViolated,
@@ -116,13 +114,7 @@ def test_symbolic_action_must_not_carry_geometry():
 
 
 def test_is_goal():
-    goal = GoalSpec(facts=(fact("at_peg d1 pegC"),))
+    goal = (fact("at_peg d1 pegC"),)
     assert not is_goal(HANOI3_START, goal)
     assert is_goal(frozenset({fact("at_peg d1 pegC")}), goal)
-    assert is_goal(HANOI3_START, GoalSpec())
-
-
-def test_box_contains_tolerance():
-    box = Box(0.0, 0.0, 0.05, 0.05)
-    assert box.contains(0.05, -0.05)
-    assert not box.contains(0.0501, 0.0)
+    assert is_goal(HANOI3_START, ())

@@ -5,8 +5,10 @@ from dataclasses import replace
 
 import pytest
 
+from taskmotion import interface
 from taskmotion.domain import ActionTemplate, Condition, Fact, MotionClass
 from taskmotion.interface import (
+    TRANSIT_PREFIX,
     DispatchResult,
     GroundingFailed,
     dispatch,
@@ -102,8 +104,10 @@ def test_area_action_folds_in_base_travel():
     grounding = ground(world, (grasp,))
     names = [s.action.name for s in grounding.steps]
     assert names == ["approach_shelf_front", "take_jar"]
-    assert grounding.steps[0].synthesized
-    assert grounding.steps[0].action.motion_class is MotionClass.TRANSIT
+    inserted = grounding.steps[0]
+    assert inserted.action.name.startswith(TRANSIT_PREFIX)
+    assert inserted.action.motion_class is MotionClass.TRANSIT
+    assert (inserted.agent_id, inserted.action.area) == ("cart", "shelf_front")
     outcome = dispatch(world, grounding)
     assert outcome.ok, outcome.failure
     assert outcome.world.agents["arm"].holding == "jar"
@@ -182,14 +186,22 @@ def test_start_outside_the_grid_is_an_invalid_failure():
     assert [(s.feasible, s.attempts) for s in outcome.steps] == [(False, 1)]
 
 
-def test_dispatch_counts_every_planning_attempt():
+def test_dispatch_counts_every_planning_attempt(monkeypatch):
+    plan_calls = 0
+    plan = interface.plan_motion
+
+    def counting(*args):
+        nonlocal plan_calls
+        plan_calls += 1
+        return plan(*args)
+
+    monkeypatch.setattr(interface, "plan_motion", counting)
     world = two_arm_world()
-    world.counters.plan_calls = 0
     grounding = ground(world, (transfer("bring", "cup", "east"),))
     outcome = dispatch(world, grounding)
     assert outcome.ok
-    total_attempts = sum(s.attempts for s in outcome.steps)
-    assert total_attempts == world.counters.plan_calls
+    assert plan_calls > 0
+    assert sum(s.attempts for s in outcome.steps) == plan_calls
 
 
 def test_goal_candidates_are_deterministic_and_inside_region():

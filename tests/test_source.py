@@ -1,0 +1,44 @@
+"""Source checks: no dead private helpers in the package."""
+
+import ast
+from functools import cache
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "taskmotion"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+@cache
+def statements() -> tuple[tuple[Path, ast.stmt, frozenset[str]], ...]:
+    """Each top-level statement of the package, with every name it reads
+    as a bare name or as an attribute."""
+    out = []
+    for path in MODULES:
+        for statement in ast.parse(path.read_text(), filename=str(path)).body:
+            names = set()
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+            out.append((path, statement, frozenset(names)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_helper_is_used_outside_its_definition(path):
+    """A module-level private function or class that nothing in the
+    package mentions outside its own definition is dead code."""
+    dead = []
+    for home, definition, _ in statements():
+        if (home != path
+                or not isinstance(definition, (ast.FunctionDef, ast.ClassDef))
+                or not definition.name.startswith("_")
+                or definition.name.startswith("__")):
+            continue
+        if not any(definition.name in names for _, statement, names in statements()
+                   if statement is not definition):
+            dead.append(f"{path.name}:{definition.lineno} {definition.name}")
+    assert not dead, "private helpers nothing in src/ uses: " + ", ".join(dead)

@@ -185,14 +185,24 @@ def test_start_outside_reach_region_is_invalid():
         plan_motion(world, query((0.0, 0.1), start=(0.48, 0.0)))
 
 
-def test_attempt_counter_counts_plan_calls():
+def test_attempt_counter_counts_plan_calls(monkeypatch):
+    """An obstruction probe runs inside its plan call, not as a call of
+    its own, so the calls a caller makes are all the plan calls."""
+    plan_calls = 0
+    plan = W.plan_motion
+
+    def counting(*args):
+        nonlocal plan_calls
+        plan_calls += 1
+        return plan(*args)
+
+    monkeypatch.setattr(W, "plan_motion", counting)
     world = arm_world()
-    world.counters.plan_calls = 0
-    plan_motion(world, query((0.0, 0.4)))
-    plan_motion(world, query((0.0, 0.3)))
-    assert world.counters.plan_calls == 2
-    assert plan_motion(world, query((0.0, 0.2))).obstructors == ()
-    assert world.counters.plan_calls == 3  # an obstruction probe is a plan call too
+    W.plan_motion(world, query((0.0, 0.4)))
+    W.plan_motion(world, query((0.0, 0.3)))
+    assert plan_calls == 2
+    assert W.plan_motion(world, query((0.0, 0.2))).obstructors == ()
+    assert plan_calls == 3
 
 
 # ------------------------------------------------------------- search memo
