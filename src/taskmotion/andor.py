@@ -5,6 +5,11 @@ parent to an AND-set of children; alternative arcs into the same parent
 are the OR branches. Leaves carry truth values assigned from outside;
 everything else derives solvedness and cost bottom-up. Costs are exact
 rationals so equal-cost alternatives stay equal under rescaling.
+
+A template declares nodes and arcs once; `build_graph` validates it in
+one topological pass (Kahn, "Topological sorting of large networks",
+CACM 5(11), 1962), which also gives every node its height. The root and
+the failure node are the one node of each kind.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 INF = math.inf
 
@@ -22,7 +27,7 @@ Cost = Union[Fraction, float]
 
 
 class GraphError(Exception):
-    """Base class; `element` names the offending node or arc."""
+    """Base class; `element` is the `("node" | "arc", id)` at fault, or None."""
 
     def __init__(self, message: str, element=None):
         self.element = element
@@ -77,19 +82,6 @@ class NodeKind(Enum):
     VIRTUAL = "virtual"
 
 
-def as_weight(value) -> Fraction:
-    """Normalize arc weights to exact rationals."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"unsupported weight {value!r}")
-
-
 @dataclass
 class Node:
     id: int
@@ -105,8 +97,8 @@ class HyperArc:
     id: int
     parent: int
     children: tuple[int, ...]
-    actions: tuple[str, ...] = ()
     weight: Fraction = Fraction(1)
+    actions: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -114,15 +106,6 @@ class NodeDecl:
     id: int
     kind: NodeKind
     label: str
-
-
-@dataclass(frozen=True)
-class ArcDecl:
-    id: int
-    parent: int
-    children: tuple[int, ...]
-    weight: Fraction = Fraction(1)
-    actions: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -135,9 +118,7 @@ class GraphTemplate:
     """
 
     nodes: tuple[NodeDecl, ...]
-    arcs: tuple[ArcDecl, ...]
-    root: int
-    failure: int
+    arcs: tuple[HyperArc, ...]
 
     @cached_property
     def graph(self) -> AndOrGraph:
@@ -146,11 +127,16 @@ class GraphTemplate:
 
 @dataclass
 class AndOrGraph:
+    """`height` is 0 for a node that is not priced (a leaf, the failure
+    node), else one more than its highest child; a root or internal node
+    without arcs also has height 0."""
+
     nodes: dict[int, Node] = field(default_factory=dict)
-    arcs: list[HyperArc] = field(default_factory=list)
+    arcs: tuple[HyperArc, ...] = ()
     root: int = -1
     failure: int = -1
     _arcs_by_parent: dict[int, list[HyperArc]] = field(default_factory=dict, repr=False)
+    height: dict[int, int] = field(default_factory=dict, repr=False)
     _dirty: bool = field(default=True, repr=False)
 
     def arcs_into(self, node_id: int) -> list[HyperArc]:
@@ -174,92 +160,91 @@ class AugmentedGraph:
 
 
 def build_graph(template: GraphTemplate) -> AndOrGraph:
-    """Validate a template and assemble the graph.
+    """Validate a template and assemble its graph from the template's own arcs.
 
     Rejects duplicate ids, dangling references, cyclic parent-child
-    structure, arcs into leaves, missing root/failure designations, and
-    roots no leaf can reach.
+    structure, arcs into leaves, anything but one root and one failure
+    node, and roots no leaf can reach. An error's `element` is the
+    `("node" | "arc", id)` it is about, or None.
     """
     nodes: dict[int, Node] = {}
     for decl in template.nodes:
         if decl.id in nodes:
-            raise DuplicateNodeId(f"node id {decl.id} declared twice", decl.id)
+            raise DuplicateNodeId(f"node id {decl.id} declared twice", ("node", decl.id))
         if decl.kind is NodeKind.VIRTUAL:
-            raise InvalidArc(f"node {decl.id}: virtual nodes appear only via augment", decl.id)
+            raise InvalidArc(f"node {decl.id}: virtual nodes appear only via augment",
+                             ("node", decl.id))
         nodes[decl.id] = Node(decl.id, decl.label, decl.kind)
+    roots = [nid for nid, node in nodes.items() if node.kind is NodeKind.ROOT]
+    failures = [nid for nid, node in nodes.items() if node.kind is NodeKind.FAILURE]
+    if len(roots) != 1:
+        raise MissingRoot(f"expected exactly one root node, found {len(roots)}")
+    if len(failures) != 1:
+        raise MissingFailure(f"expected exactly one failure node, found {len(failures)}")
 
-    if template.root not in nodes:
-        raise MissingRoot(f"root id {template.root} not declared", template.root)
-    if nodes[template.root].kind is not NodeKind.ROOT:
-        raise MissingRoot(f"node {template.root} is not of kind root", template.root)
-    if template.failure not in nodes:
-        raise MissingFailure(f"failure id {template.failure} not declared", template.failure)
-    if nodes[template.failure].kind is not NodeKind.FAILURE:
-        raise MissingFailure(f"node {template.failure} is not of kind failure", template.failure)
-    root_count = sum(1 for n in nodes.values() if n.kind is NodeKind.ROOT)
-    fail_count = sum(1 for n in nodes.values() if n.kind is NodeKind.FAILURE)
-    if root_count != 1:
-        raise MissingRoot(f"expected exactly one root node, found {root_count}")
-    if fail_count != 1:
-        raise MissingFailure(f"expected exactly one failure node, found {fail_count}")
-
-    arcs: list[HyperArc] = []
-    seen_arc_ids: set[int] = set()
-    for decl in template.arcs:
-        if decl.id in seen_arc_ids:
-            raise DuplicateNodeId(f"arc id {decl.id} declared twice", decl.id)
-        seen_arc_ids.add(decl.id)
-        if decl.parent not in nodes:
-            raise DanglingReference(f"arc {decl.id}: unknown parent {decl.parent}", decl.id)
-        if nodes[decl.parent].kind is NodeKind.LEAF:
-            raise InvalidArc(f"arc {decl.id}: parent {decl.parent} is a leaf", decl.id)
-        if not decl.children:
-            raise InvalidArc(f"arc {decl.id}: empty child set", decl.id)
-        for child in decl.children:
-            if child not in nodes:
-                raise DanglingReference(f"arc {decl.id}: unknown child {child}", decl.id)
-        if decl.weight < 0:
-            raise InvalidArc(f"arc {decl.id}: negative weight", decl.id)
-        arcs.append(HyperArc(decl.id, decl.parent, tuple(decl.children),
-                             tuple(decl.actions), as_weight(decl.weight)))
-
-    graph = AndOrGraph(nodes=nodes, arcs=arcs, root=template.root, failure=template.failure)
     by_parent: dict[int, list[HyperArc]] = {}
-    for arc in arcs:
+    seen_arc_ids: set[int] = set()
+    for arc in template.arcs:
+        element = ("arc", arc.id)
+        if arc.id in seen_arc_ids:
+            raise DuplicateNodeId(f"arc id {arc.id} declared twice", element)
+        seen_arc_ids.add(arc.id)
+        if arc.parent not in nodes:
+            raise DanglingReference(f"arc {arc.id}: unknown parent {arc.parent}", element)
+        if nodes[arc.parent].kind is NodeKind.LEAF:
+            raise InvalidArc(f"arc {arc.id}: parent {arc.parent} is a leaf", element)
+        if not arc.children:
+            raise InvalidArc(f"arc {arc.id}: empty child set", element)
+        for child in arc.children:
+            if child not in nodes:
+                raise DanglingReference(f"arc {arc.id}: unknown child {child}", element)
+        if arc.weight < 0:
+            raise InvalidArc(f"arc {arc.id}: negative weight", element)
         by_parent.setdefault(arc.parent, []).append(arc)
     for lst in by_parent.values():
         lst.sort(key=lambda a: a.id)
-    graph._arcs_by_parent = by_parent
 
-    _check_acyclic(graph)
+    graph = AndOrGraph(nodes, template.arcs, roots[0], failures[0], by_parent,
+                       _topological_height(nodes, by_parent))
     _check_root_reaches_leaf(graph)
-    graph._dirty = True
     return graph
 
 
-def _check_acyclic(graph: AndOrGraph) -> None:
-    # Iterative DFS over parent -> children; a gray node seen again is a cycle.
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {nid: WHITE for nid in graph.nodes}
-    for start in graph.nodes:
-        if color[start] != WHITE:
-            continue
-        stack = [(start, iter(_child_ids(graph, start)))]
-        color[start] = GRAY
-        while stack:
-            nid, it = stack[-1]
-            advanced = False
-            for child in it:
-                if color[child] == GRAY:
-                    raise CycleDetected(f"cycle through node {child}", child)
-                if color[child] == WHITE:
-                    color[child] = GRAY
-                    stack.append((child, iter(_child_ids(graph, child))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[nid] = BLACK
-                stack.pop()
+_PRICED = (NodeKind.ROOT, NodeKind.INTERNAL)
+
+
+def _topological_height(nodes: Mapping[int, Node],
+                        by_parent: Mapping[int, list[HyperArc]]) -> dict[int, int]:
+    """Every node's height, by Kahn's algorithm: a node is processed once
+    all of its children are, leaves first, and lifts each root or internal
+    parent above itself. Nodes left over lie on or above a cycle; the
+    walk from the smallest of them along left-over children repeats a
+    node of a cycle, which `CycleDetected` names."""
+    pending = dict.fromkeys(nodes, 0)
+    parents: dict[int, list[int]] = {}
+    for parent, arcs in by_parent.items():
+        for arc in arcs:
+            pending[parent] += len(arc.children)
+            for child in arc.children:
+                parents.setdefault(child, []).append(parent)
+    height = dict.fromkeys(nodes, 0)
+    ready = [nid for nid, count in pending.items() if count == 0]
+    for nid in ready:  # grows while it is walked
+        lift = height[nid] + 1
+        for parent in parents.get(nid, ()):
+            if nodes[parent].kind in _PRICED and height[parent] < lift:
+                height[parent] = lift
+            pending[parent] -= 1
+            if pending[parent] == 0:
+                ready.append(parent)
+    if len(ready) < len(nodes):
+        left = {nid for nid, count in pending.items() if count}
+        nid, seen = min(left), set()
+        while nid not in seen:
+            seen.add(nid)
+            nid = next(c for arc in by_parent[nid] for c in arc.children if c in left)
+        raise CycleDetected(f"cycle through node {nid}", ("node", nid))
+    return height
 
 
 def _child_ids(graph: AndOrGraph, node_id: int) -> list[int]:
@@ -280,13 +265,15 @@ def _check_root_reaches_leaf(graph: AndOrGraph) -> None:
             if child not in seen:
                 seen.add(child)
                 frontier.append(child)
-    raise UnreachableRoot("no leaf reaches the root through any arc chain", graph.root)
+    raise UnreachableRoot("no leaf reaches the root through any arc chain",
+                          ("node", graph.root))
 
 
 def copy_graph(graph: AndOrGraph) -> AndOrGraph:
     """A copy with nodes of its own; the immutable arcs are shared."""
     return AndOrGraph({nid: replace(node) for nid, node in graph.nodes.items()},
-                      graph.arcs, graph.root, graph.failure, graph._arcs_by_parent)
+                      graph.arcs, graph.root, graph.failure, graph._arcs_by_parent,
+                      graph.height)
 
 
 def set_leaf_truth(graph: AndOrGraph, truths: Mapping[int, bool]) -> None:
@@ -294,9 +281,9 @@ def set_leaf_truth(graph: AndOrGraph, truths: Mapping[int, bool]) -> None:
     for nid, value in truths.items():
         node = graph.nodes.get(nid)
         if node is None:
-            raise UnknownNode(f"node {nid} not in graph", nid)
+            raise UnknownNode(f"node {nid} not in graph", ("node", nid))
         if node.kind is not NodeKind.LEAF:
-            raise NotALeaf(f"node {nid} ({node.kind.value}) is not a leaf", nid)
+            raise NotALeaf(f"node {nid} ({node.kind.value}) is not a leaf", ("node", nid))
         node.truth = bool(value)
     graph._dirty = True
 
@@ -309,8 +296,7 @@ def _refresh(graph: AndOrGraph) -> None:
     """
     if not graph._dirty:
         return
-    order = children_first_order(graph)
-    for nid in order:
+    for nid in sorted(graph.nodes, key=graph.height.__getitem__):
         node = graph.nodes[nid]
         if node.kind is NodeKind.LEAF:
             node.solved = node.truth
@@ -340,34 +326,10 @@ def _refresh(graph: AndOrGraph) -> None:
     graph._dirty = False
 
 
-def children_first_order(graph: AndOrGraph) -> list[int]:
-    """Every node id, each after all of its children."""
-    order: list[int] = []
-    state: dict[int, int] = {}
-    for start in graph.nodes:
-        if state.get(start):
-            continue
-        stack = [(start, False)]
-        while stack:
-            nid, processed = stack.pop()
-            if processed:
-                order.append(nid)
-                state[nid] = 2
-                continue
-            if state.get(nid):
-                continue
-            state[nid] = 1
-            stack.append((nid, True))
-            for child in _child_ids(graph, nid):
-                if not state.get(child):
-                    stack.append((child, False))
-    return order
-
-
 def solved(graph: AndOrGraph, node_id: int) -> bool:
     """True iff the node is derivable from true leaves."""
     if node_id not in graph.nodes:
-        raise UnknownNode(f"node {node_id} not in graph", node_id)
+        raise UnknownNode(f"node {node_id} not in graph", ("node", node_id))
     _refresh(graph)
     return graph.nodes[node_id].solved
 
@@ -375,7 +337,7 @@ def solved(graph: AndOrGraph, node_id: int) -> bool:
 def node_cost(graph: AndOrGraph, node_id: int) -> Cost:
     """Minimal derivation cost; +infinity when unsolvable."""
     if node_id not in graph.nodes:
-        raise UnknownNode(f"node {node_id} not in graph", node_id)
+        raise UnknownNode(f"node {node_id} not in graph", ("node", node_id))
     _refresh(graph)
     return graph.nodes[node_id].cost
 
@@ -387,7 +349,7 @@ def best_arc(graph: AndOrGraph, node_id: int) -> HyperArc | None:
     minimum encountered.
     """
     if node_id not in graph.nodes:
-        raise UnknownNode(f"node {node_id} not in graph", node_id)
+        raise UnknownNode(f"node {node_id} not in graph", ("node", node_id))
     _refresh(graph)
     best: HyperArc | None = None
     best_cost: Cost = INF
@@ -436,13 +398,14 @@ def solution_subgraph(graph: AndOrGraph) -> dict[int, HyperArc]:
 def augment(graph: AndOrGraph | AugmentedGraph) -> AugmentedGraph:
     """Attach the virtual node, wired from both the failure node and root."""
     if isinstance(graph, AugmentedGraph):
-        raise AlreadyAugmented("graph already carries a virtual node", graph.virtual_node.id)
+        raise AlreadyAugmented("graph already carries a virtual node",
+                               ("node", graph.virtual_node.id))
     virtual_id = max(graph.nodes) + 1 if graph.nodes else 0
     next_arc_id = max((a.id for a in graph.arcs), default=-1) + 1
     virtual = Node(virtual_id, "virtual", NodeKind.VIRTUAL)
     arcs = (
-        HyperArc(next_arc_id, virtual_id, (graph.failure,), (), Fraction(0)),
-        HyperArc(next_arc_id + 1, virtual_id, (graph.root,), (), Fraction(0)),
+        HyperArc(next_arc_id, virtual_id, (graph.failure,), Fraction(0)),
+        HyperArc(next_arc_id + 1, virtual_id, (graph.root,), Fraction(0)),
     )
     return AugmentedGraph(base=graph, virtual_node=virtual, virtual_arcs=arcs)
 

@@ -66,7 +66,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .andor import ArcDecl, GraphError, GraphTemplate, NodeDecl, NodeKind
+from .andor import GraphError, GraphTemplate, HyperArc, NodeDecl, NodeKind
 from .domain import (
     BUILTIN_PREDICATE_DECLS,
     DERIVED_PREDICATES,
@@ -81,8 +81,6 @@ from .domain import (
 SECTIONS = ("OBJECTS", "AGENTS", "PREDICATES", "ACTIONS", "INIT", "GOAL",
             "GRAPH", "STAGES")
 _BLOCK_TAGS = ("all", "arm", "base")
-_NODE_KINDS = {"root": NodeKind.ROOT, "failure": NodeKind.FAILURE,
-               "leaf": NodeKind.LEAF, "internal": NodeKind.INTERNAL}
 
 
 class DslError(Exception):
@@ -325,7 +323,7 @@ _ARC_LINE = re.compile(
     r'(?:[ \t]+actions((?:[ \t]+[A-Za-z_][A-Za-z0-9_]*)+))?[ \t]*(?:#.*)?')
 
 
-def _match_graph_line(raw: str) -> NodeDecl | ArcDecl | None:
+def _match_graph_line(raw: str) -> NodeDecl | HyperArc | None:
     """The declaration on a `node` or `arc` line of a plain shape, else None;
     a number too long to convert leaves the line to the cursor."""
     try:
@@ -338,26 +336,26 @@ def _match_graph_line(raw: str) -> NodeDecl | ArcDecl | None:
                 weight = Fraction(num + decimals)
             else:
                 weight = Fraction(int(num))
-            return ArcDecl(int(aid), int(parent), tuple(map(int, children.split())),
-                           weight, tuple(actions.split()) if actions else ())
+            return HyperArc(int(aid), int(parent), tuple(map(int, children.split())),
+                            weight, tuple(actions.split()) if actions else ())
         match = _NODE_LINE.fullmatch(raw)
         if match is None:
             return None
         nid, kind, label = match.groups()
-        return NodeDecl(int(nid), _NODE_KINDS[kind], _unescape(label))
+        return NodeDecl(int(nid), NodeKind(kind), _unescape(label))
     except ValueError:
         return None
 
 
-def _read_graph_line(cur: _Cursor) -> NodeDecl | ArcDecl:
+def _read_graph_line(cur: _Cursor) -> NodeDecl | HyperArc:
     """The declaration on any `node` or `arc` line, read token by token."""
     head = cur.word("node", "arc")
     if head.value == "node":
         nid, _ = cur.integer()
-        kind = cur.word(*_NODE_KINDS)
+        kind = cur.word("root", "failure", "leaf", "internal")
         label, _ = cur.string()
         cur.finish()
-        return NodeDecl(nid, _NODE_KINDS[kind.value], label)
+        return NodeDecl(nid, NodeKind(kind.value), label)
     aid, _ = cur.integer()
     cur.word("parent")
     parent, _ = cur.integer()
@@ -384,11 +382,11 @@ def _read_graph_line(cur: _Cursor) -> NodeDecl | ArcDecl:
                 break
             actions.append(cur.word().value)
     cur.finish()
-    return ArcDecl(aid, parent, tuple(children), weight, tuple(actions))
+    return HyperArc(aid, parent, tuple(children), weight, tuple(actions))
 
 
-def _add_graph_decl(decl: NodeDecl | ArcDecl, line_no: int, nodes: list[NodeDecl],
-                    arcs: list[ArcDecl], decl_lines: dict):
+def _add_graph_decl(decl: NodeDecl | HyperArc, line_no: int, nodes: list[NodeDecl],
+                    arcs: list[HyperArc], decl_lines: dict):
     if isinstance(decl, NodeDecl):
         nodes.append(decl)
         decl_lines[("node", decl.id)] = line_no
@@ -411,7 +409,7 @@ class _Parser:
         self.entity_ids: set[str] = set()  # objects, markers and agents declared so far
         self.stage_decl_lines: dict[str, dict[tuple[str, object], int]] = {}
         self._graph_nodes: list[NodeDecl] = []
-        self._graph_arcs: list[ArcDecl] = []
+        self._graph_arcs: list[HyperArc] = []
         self.graph_line = 1
         self.index = 0
 
@@ -669,7 +667,7 @@ class _Parser:
         if name.value in self.scenario.stages:
             raise ParseError(f"duplicate stage {name.value}", name.line, name.col)
         nodes: list[NodeDecl] = []
-        arcs: list[ArcDecl] = []
+        arcs: list[HyperArc] = []
         lines: dict = {}
         closed = False
         while self.index < len(self.lines):
@@ -704,20 +702,11 @@ class _Parser:
         self.entity_ids.add(name.value)
 
     def _template(self, nodes, arcs, decl_lines, what, line, col) -> GraphTemplate:
-        roots = [n.id for n in nodes if n.kind is NodeKind.ROOT]
-        failures = [n.id for n in nodes if n.kind is NodeKind.FAILURE]
-        if len(roots) != 1:
-            raise ResolveError(f"{what} needs exactly one root node, found {len(roots)}",
-                               line, col)
-        if len(failures) != 1:
-            raise ResolveError(
-                f"{what} needs exactly one failure node, found {len(failures)}", line, col)
-        template = GraphTemplate(tuple(nodes), tuple(arcs), roots[0], failures[0])
+        template = GraphTemplate(tuple(nodes), tuple(arcs))
         try:
             template.graph
         except GraphError as exc:
-            element = getattr(exc, "element", None)
-            at = decl_lines.get(("node", element), decl_lines.get(("arc", element)))
+            at = decl_lines.get(exc.element)
             if at is None:
                 raise ResolveError(f"{what}: {exc}", line, col) from exc
             raise ResolveError(f"{what}: {exc}", at, 1) from exc
@@ -941,11 +930,9 @@ def _action_lines(action: ActionTemplate) -> list[str]:
 
 
 def _template_lines(template: GraphTemplate, indent: str = "") -> list[str]:
-    kind_name = {NodeKind.ROOT: "root", NodeKind.FAILURE: "failure",
-                 NodeKind.LEAF: "leaf", NodeKind.INTERNAL: "internal"}
     out = []
     for node in sorted(template.nodes, key=lambda n: n.id):
-        out.append(f"{indent}node {node.id} {kind_name[node.kind]} {_escape(node.label)}")
+        out.append(f"{indent}node {node.id} {node.kind.value} {_escape(node.label)}")
     for arc in sorted(template.arcs, key=lambda a: a.id):
         line = (f"{indent}arc {arc.id} parent {arc.parent} children "
                 + " ".join(str(c) for c in arc.children)

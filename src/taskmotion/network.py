@@ -6,14 +6,15 @@ dead end, and every exhausted frontier appends a further graph instead of
 mutating an existing one. The network therefore records the full history
 of the run, and its length is the reported search depth.
 
-Each template is validated once, by `GraphTemplate.graph`, and compiled
-once into a `CompiledGraph` that every graph instantiated from it shares:
-the main template on first use, a composed rearrangement template when
-it is composed. A `GraphEntry` holds only what differs between
-instantiations, its leaf truths and its achieved nodes. The newest entry
-is priced once, when it is first searched: the bottom-up min-cost
-evaluation of AO* (Martelli & Montanari, 1973), run one level of equal
-height at a time over numpy arrays.
+Each template is validated once, by `GraphTemplate.graph`, whose one
+topological pass also gives every node its height, and compiled once into
+a `CompiledGraph` that every graph instantiated from it shares: the main
+template on first use, a composed rearrangement template when it is
+composed. A `GraphEntry` holds only what differs between instantiations,
+its leaf truths and its achieved nodes. The newest entry is priced once,
+when it is first searched: the bottom-up min-cost evaluation of AO*
+(Martelli & Montanari, 1973), run one level of equal height at a time
+over numpy arrays.
 
 Candidates are drawn from the newest graph only. A node is a candidate
 when it is not yet achieved, at least one of its incoming arcs has all
@@ -38,7 +39,6 @@ import numpy as np
 
 from .andor import (  # noqa: F401 - see the note below
     AndOrGraph,
-    ArcDecl,
     GraphTemplate,
     HyperArc,
     NodeDecl,
@@ -114,13 +114,13 @@ class CompiledGraph:
     every arc total to `inf` is exact.
 
     The root and the internal nodes with arcs are priced. A node's level
-    is its height, the longest chain of arcs from it down to a node that
-    is not priced: a leaf, the failure node or a node without arcs, which
-    make up level 0. Nodes of one level never depend on each other, so
-    `price` evaluates a whole level in a few numpy segment reductions over
-    its `_Level` arrays. Nodes have positions in the cost array and arcs in
-    the totals array, both level by level, so each level is one slice of
-    each; the arcs of the node at position p are `arc_start[p]` up to
+    is its `graph.height`, the longest chain of arcs from it down to a
+    node that is not priced: a leaf, the failure node or a node without
+    arcs, which make up level 0. Nodes of one level never depend on each
+    other, so `price` evaluates a whole level in a few numpy segment
+    reductions over its `_Level` arrays. Nodes have positions in the cost
+    array and arcs in the totals array, both level by level, so each level
+    is one slice of each; the arcs of the node at position p are `arc_start[p]` up to
     `arc_start[p + 1]`. Costs are `int64` when every unclamped arc total
     fits, and Python integers in an object array otherwise, through the
     same code. The graph itself is shared by every entry and never
@@ -135,7 +135,7 @@ class CompiledGraph:
     def __init__(self, graph: AndOrGraph):
         self.graph = graph
         self.scale = math.lcm(*(arc.weight.denominator for arc in graph.arcs))
-        height = _heights(graph)
+        height = graph.height
         order = sorted(graph.nodes, key=lambda nid: (height[nid], nid))
         self.pos = {nid: p for p, nid in enumerate(order)}
         counts = [len(graph.arcs_into(nid)) if height[nid] else 0 for nid in order]
@@ -233,26 +233,6 @@ class CompiledGraph:
                 chosen[nid] = arc
                 stack.extend(arc.children)
         return chosen
-
-
-def _heights(graph: AndOrGraph) -> dict[int, int]:
-    """Each node's height: 0 for a node that is not priced, else one more
-    than its highest child. One vectorized pass per level: after pass k
-    every node of height up to k has its final height, and the graph is
-    acyclic."""
-    index = {nid: i for i, nid in enumerate(graph.nodes)}
-    arcs = [arc for arc in graph.arcs
-            if graph.nodes[arc.parent].kind in (NodeKind.ROOT, NodeKind.INTERNAL)]
-    child = np.fromiter(map(index.__getitem__, _children(arcs)), np.intp)
-    parent = np.repeat(np.fromiter((index[arc.parent] for arc in arcs), np.intp),
-                       np.fromiter(map(len, (arc.children for arc in arcs)), np.intp))
-    height = np.zeros(len(index), np.intp)
-    while True:
-        lifted = np.zeros_like(height)
-        np.maximum.at(lifted, parent, height[child] + 1)
-        if np.array_equal(lifted, height):
-            return dict(zip(graph.nodes, height.tolist()))
-        height = lifted
 
 
 def _children(arcs: Iterable[HyperArc]) -> Iterator[int]:
@@ -459,30 +439,31 @@ def compose_rearrangement(stages: list[tuple[str, GraphTemplate]]) -> GraphTempl
     """
     nodes = [NodeDecl(1, NodeKind.ROOT, "obstructions cleared"),
              NodeDecl(2, NodeKind.FAILURE, "rearrangement impossible")]
-    arcs: list[ArcDecl] = []
+    arcs: list[HyperArc] = []
     ids = itertools.count(3)
     arc_ids = itertools.count(2)
     stage_roots = []
     for oid, template in stages:
+        root, failure = template.graph.root, template.graph.failure
         remap: dict[int, int] = {}
         for decl in sorted(template.nodes, key=lambda d: d.id):
-            if decl.id == template.failure:
+            if decl.id == failure:
                 remap[decl.id] = 2
                 continue
             new_id = next(ids)
             remap[decl.id] = new_id
-            kind = NodeKind.INTERNAL if decl.id == template.root else decl.kind
+            kind = NodeKind.INTERNAL if decl.id == root else decl.kind
             nodes.append(NodeDecl(new_id, kind, decl.label))
         knowledge_leaf = next(ids)
         nodes.append(NodeDecl(knowledge_leaf, NodeKind.LEAF,
                               Fact(OBSTRUCTION_PREDICATE, (oid,)).text()))
         for arc in sorted(template.arcs, key=lambda a: a.id):
             children = tuple(remap[c] for c in arc.children)
-            if arc.parent == template.root:
+            if arc.parent == root:
                 children = children + (knowledge_leaf,)
-            arcs.append(ArcDecl(next(arc_ids), remap[arc.parent], children,
-                                arc.weight, arc.actions))
-        stage_roots.append(remap[template.root])
-    arcs.insert(0, ArcDecl(1, 1, tuple(stage_roots), Fraction(0), ()))
-    return GraphTemplate(tuple(nodes), tuple(arcs), 1, 2)
+            arcs.append(HyperArc(next(arc_ids), remap[arc.parent], children,
+                                 arc.weight, arc.actions))
+        stage_roots.append(remap[root])
+    arcs.insert(0, HyperArc(1, 1, tuple(stage_roots), Fraction(0)))
+    return GraphTemplate(tuple(nodes), tuple(arcs))
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 
-from .andor import ArcDecl, GraphTemplate, NodeDecl, NodeKind
+from .andor import GraphTemplate, HyperArc, NodeDecl, NodeKind
 from .domain import ActionTemplate, Condition, Fact, MotionClass, PredicateDecl
 from .dsl import AgentDecl, MarkerDecl, ObjDecl, Scenario
 
@@ -177,8 +177,8 @@ def _hanoi_graph(n: int, slots: tuple[str, ...], pairs: frozenset,
         nodes.append(NodeDecl(next_id, NodeKind.LEAF, label))
         next_id += 1
 
-    arcs = [ArcDecl(1, 1, tuple(sorted(leaf_id[f.text()] for f in goal_chain)),
-                    Fraction(0), ())]
+    arcs = [HyperArc(1, 1, tuple(sorted(leaf_id[f.text()] for f in goal_chain)),
+                     Fraction(0))]
     arc_id = 2
     for state in sorted(dist):
         state_leaves = tuple(sorted(
@@ -190,12 +190,12 @@ def _hanoi_graph(n: int, slots: tuple[str, ...], pairs: frozenset,
             nodes.append(NodeDecl(next_id, NodeKind.INTERNAL,
                                   f"state {','.join(map(str, state))} "
                                   f"then {action}"))
-            arcs.append(ArcDecl(arc_id, next_id, state_leaves, Fraction(1), (action,)))
+            arcs.append(HyperArc(arc_id, next_id, state_leaves, Fraction(1), (action,)))
             arc_id += 1
-            arcs.append(ArcDecl(arc_id, 1, (next_id,), Fraction(dist[nxt]), ()))
+            arcs.append(HyperArc(arc_id, 1, (next_id,), Fraction(dist[nxt])))
             arc_id += 1
             next_id += 1
-    return GraphTemplate(tuple(nodes), tuple(arcs), 1, 2)
+    return GraphTemplate(tuple(nodes), tuple(arcs))
 
 
 # --------------------------------------------------------------- habitat
@@ -365,23 +365,23 @@ def _habitat_graph(scn: Scenario, main_order: list[str]) -> GraphTemplate:
         leaf_id[label] = next_id
         nodes.append(NodeDecl(next_id, NodeKind.LEAF, label))
         next_id += 1
-    arcs = [ArcDecl(1, 1, tuple(sorted(leaf_id[f.text()] for f in scn.goal)),
-                    Fraction(0), ())]
+    arcs = [HyperArc(1, 1, tuple(sorted(leaf_id[f.text()] for f in scn.goal)),
+                     Fraction(0))]
     arc_id = 2
     for name in main_order:
         action = scn.actions[name]
         children = tuple(sorted({leaf_id[c.fact.text()]
                                  for c in action.preconditions if not c.negated}))
         nodes.append(NodeDecl(next_id, NodeKind.INTERNAL, f"{name} done"))
-        arcs.append(ArcDecl(arc_id, next_id, children, Fraction(1), (name,)))
+        arcs.append(HyperArc(arc_id, next_id, children, Fraction(1), (name,)))
         next_id += 1
         arc_id += 1
-    return GraphTemplate(tuple(nodes), tuple(arcs), 1, 2)
+    return GraphTemplate(tuple(nodes), tuple(arcs))
 
 
 def _clear_stage(i: int) -> GraphTemplate:
     nodes = (NodeDecl(1, NodeKind.ROOT, f"tray {i} mouth free"),
              NodeDecl(2, NodeKind.FAILURE, "cannot move the container"),
              NodeDecl(3, NodeKind.LEAF, f"at pink_{i} mouth_{i}"))
-    arcs = (ArcDecl(1, 1, (3,), Fraction(1), (f"relocate_pink_{i}",)),)
-    return GraphTemplate(nodes, arcs, 1, 2)
+    arcs = (HyperArc(1, 1, (3,), Fraction(1), (f"relocate_pink_{i}",)),)
+    return GraphTemplate(nodes, arcs)

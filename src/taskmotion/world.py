@@ -691,18 +691,18 @@ def plan_motion(world: World, q: MotionQuery, memo: SearchMemo | None = None) ->
     return done(True, full_path, total_expansions, (), "")
 
 
+def _covers(obj: Obj, point: tuple[float, float], inflation: float) -> bool:
+    """Whether the object's footprint, grown by `inflation`, contains the point."""
+    dx, dy = point[0] - obj.x, point[1] - obj.y
+    if obj.shape == "circle":
+        return math.hypot(dx, dy) <= obj.dims[0] + inflation
+    return (abs(dx) <= obj.dims[0] / 2.0 + inflation
+            and abs(dy) <= obj.dims[1] / 2.0 + inflation)
+
+
 def _engaged(world: World, point: tuple[float, float], inflation: float) -> set[str]:
     """Objects whose inflated footprint already contains the point."""
-    out = set()
-    for oid, obj in world.objects.items():
-        if obj.shape == "circle":
-            if math.hypot(point[0] - obj.x, point[1] - obj.y) <= obj.dims[0] + inflation:
-                out.add(oid)
-        else:
-            if (abs(point[0] - obj.x) <= obj.dims[0] / 2.0 + inflation
-                    and abs(point[1] - obj.y) <= obj.dims[1] / 2.0 + inflation):
-                out.add(oid)
-    return out
+    return {oid for oid, obj in world.objects.items() if _covers(obj, point, inflation)}
 
 
 def _plan_leg(world: World, agent: Agent, q: MotionQuery, leg: _Leg, memo: SearchMemo):
@@ -757,16 +757,9 @@ def _diagnose(world: World, agent: Agent, leg: _Leg, exclude: set[str], inflatio
                 if obj.movable and oid not in exclude and oid not in holders]
     first_hit: dict[str, int] = {}
     for idx, cell in enumerate(cells):
-        px, py = grid.center(cell)
+        point = grid.center(cell)
         for obj in movables:
-            if obj.id in first_hit:
-                continue
-            if obj.shape == "circle":
-                hit = math.hypot(px - obj.x, py - obj.y) <= obj.dims[0] + inflation
-            else:
-                hit = (abs(px - obj.x) <= obj.dims[0] / 2.0 + inflation
-                       and abs(py - obj.y) <= obj.dims[1] / 2.0 + inflation)
-            if hit:
+            if obj.id not in first_hit and _covers(obj, point, inflation):
                 first_hit[obj.id] = idx
     return tuple(sorted(first_hit, key=lambda oid: (first_hit[oid], oid)))
 

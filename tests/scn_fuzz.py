@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from taskmotion.andor import ArcDecl, GraphTemplate, NodeDecl, NodeKind
+from taskmotion.andor import GraphTemplate, HyperArc, NodeDecl, NodeKind
 from taskmotion.domain import ActionTemplate, Condition, Fact, MotionClass, PredicateDecl
 from taskmotion.dsl import AgentDecl, MarkerDecl, ObjDecl, Scenario
 
@@ -59,17 +59,17 @@ def _random_template(rng: random.Random, pool: list[Fact],
             return ()
         return tuple(rng.sample(action_names, rng.randint(1, min(2, len(action_names)))))
 
-    arcs = [ArcDecl(1, 1, (rng.choice(leaf_ids),), weight(), tags())]
+    arcs = [HyperArc(1, 1, (rng.choice(leaf_ids),), weight(), tags())]
     next_arc = 2
     for parent in internal_ids:
         for _ in range(rng.randint(0, 2)):
             children = tuple(sorted(rng.sample(leaf_ids, rng.randint(1, len(leaf_ids)))))
-            arcs.append(ArcDecl(next_arc, parent, children, weight(), tags()))
+            arcs.append(HyperArc(next_arc, parent, children, weight(), tags()))
             next_arc += 1
     if internal_ids and rng.random() < 0.7:
         child = rng.choice(internal_ids)
-        arcs.append(ArcDecl(next_arc, 1, (child,), weight(), tags()))
-    return GraphTemplate(tuple(nodes), tuple(arcs), 1, 2)
+        arcs.append(HyperArc(next_arc, 1, (child,), weight(), tags()))
+    return GraphTemplate(tuple(nodes), tuple(arcs))
 
 
 def fuzz_scenario(seed: int) -> Scenario:

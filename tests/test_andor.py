@@ -11,7 +11,6 @@ from taskmotion import andor
 from taskmotion.andor import (
     AlreadyAugmented,
     AndOrGraph,
-    ArcDecl,
     CycleDetected,
     DanglingReference,
     DuplicateNodeId,
@@ -35,6 +34,8 @@ from taskmotion.andor import (
     solved,
     to_dot,
 )
+from taskmotion.scenarios import gen_habitat, gen_hanoi
+from scn_fuzz import fuzz_scenario
 
 INF = math.inf
 
@@ -48,9 +49,7 @@ def minimal_template(weight=Fraction(1)):
             NodeDecl(2, NodeKind.LEAF, "right fact"),
             NodeDecl(3, NodeKind.FAILURE, "failure"),
         ),
-        arcs=(ArcDecl(0, 0, (1, 2), weight),),
-        root=0,
-        failure=3,
+        arcs=(HyperArc(0, 0, (1, 2), weight),),
     )
 
 
@@ -62,11 +61,11 @@ def test_template_graph_is_validated_once_and_replace_validates_afresh(monkeypat
     graph = template.graph
     assert template.graph is graph and built == [template]
     assert template == minimal_template() and hash(template) == hash(minimal_template())
-    heavier = replace(template, arcs=(ArcDecl(0, 0, (1, 2), Fraction(7)),))
+    heavier = replace(template, arcs=(HyperArc(0, 0, (1, 2), Fraction(7)),))
     assert heavier.graph is not graph and built == [template, heavier]
     assert heavier.graph.arcs[0].weight == 7 and graph.arcs[0].weight == 1
     with pytest.raises(CycleDetected):
-        replace(template, arcs=template.arcs + (ArcDecl(1, 0, (0,)),)).graph
+        replace(template, arcs=template.arcs + (HyperArc(1, 0, (0,)),)).graph
 
 
 def enumerate_solutions(graph, node_id):
@@ -122,15 +121,15 @@ def random_template(rng, max_nodes=12, max_arcs=8):
     parents = internal_ids + [0]
     # Make sure the root can see a leaf so validation passes.
     first_children = tuple(rng.sample(leaf_ids, min(len(leaf_ids), rng.randint(1, 2))))
-    arcs.append(ArcDecl(arc_id, 0, first_children, Fraction(rng.randint(0, 100), 10)))
+    arcs.append(HyperArc(arc_id, 0, first_children, Fraction(rng.randint(0, 100), 10)))
     arc_id += 1
     while arc_id < rng.randint(2, max_arcs) and parents:
         parent = rng.choice(parents)
         options = below[parent]
         children = tuple(rng.sample(options, rng.randint(1, min(3, len(options)))))
-        arcs.append(ArcDecl(arc_id, parent, children, Fraction(rng.randint(0, 100), 10)))
+        arcs.append(HyperArc(arc_id, parent, children, Fraction(rng.randint(0, 100), 10)))
         arc_id += 1
-    return GraphTemplate(tuple(decls), tuple(arcs), 0, 1)
+    return GraphTemplate(tuple(decls), tuple(arcs))
 
 
 def test_minimal_graph_builds_and_solves():
@@ -158,11 +157,9 @@ def test_or_choice_takes_cheaper_arc():
             NodeDecl(3, NodeKind.FAILURE, "failure"),
         ),
         arcs=(
-            ArcDecl(0, 0, (1,), Fraction(5)),
-            ArcDecl(1, 0, (2,), Fraction(2)),
+            HyperArc(0, 0, (1,), Fraction(5)),
+            HyperArc(1, 0, (2,), Fraction(2)),
         ),
-        root=0,
-        failure=3,
     )
     graph = build_graph(template)
     set_leaf_truth(graph, {1: True, 2: True})
@@ -182,11 +179,9 @@ def test_cost_tie_breaks_to_lowest_arc_id():
             NodeDecl(3, NodeKind.FAILURE, "failure"),
         ),
         arcs=(
-            ArcDecl(4, 0, (1,), Fraction(3)),
-            ArcDecl(7, 0, (2,), Fraction(3)),
+            HyperArc(4, 0, (1,), Fraction(3)),
+            HyperArc(7, 0, (2,), Fraction(3)),
         ),
-        root=0,
-        failure=3,
     )
     graph = build_graph(template)
     set_leaf_truth(graph, {1: True, 2: True})
@@ -203,15 +198,15 @@ def test_failure_node_never_solved_and_infinite():
 def test_duplicate_node_id_rejected():
     template = minimal_template()
     bad = GraphTemplate(template.nodes + (NodeDecl(1, NodeKind.LEAF, "dup"),),
-                        template.arcs, 0, 3)
+                        template.arcs)
     with pytest.raises(DuplicateNodeId) as err:
         build_graph(bad)
-    assert err.value.element == 1
+    assert err.value.element == ("node", 1)
 
 
 def test_dangling_child_reference_rejected():
     template = minimal_template()
-    bad = GraphTemplate(template.nodes, template.arcs + (ArcDecl(1, 0, (99,)),), 0, 3)
+    bad = GraphTemplate(template.nodes, template.arcs + (HyperArc(1, 0, (99,)),))
     with pytest.raises(DanglingReference):
         build_graph(bad)
 
@@ -226,15 +221,77 @@ def test_cycle_detected():
             NodeDecl(4, NodeKind.FAILURE, "failure"),
         ),
         arcs=(
-            ArcDecl(0, 0, (1, 3)),
-            ArcDecl(1, 1, (2,)),
-            ArcDecl(2, 2, (1,)),
+            HyperArc(0, 0, (1, 3)),
+            HyperArc(1, 1, (2,)),
+            HyperArc(2, 2, (1,)),
         ),
-        root=0,
-        failure=4,
     )
-    with pytest.raises(CycleDetected):
+    with pytest.raises(CycleDetected) as err:
         build_graph(template)
+    assert err.value.element in (("node", 1), ("node", 2))
+
+
+def successors(arcs) -> dict[int, set[int]]:
+    out: dict[int, set[int]] = {}
+    for arc in arcs:
+        out.setdefault(arc.parent, set()).update(arc.children)
+    return out
+
+
+def below(succ, start) -> set[int]:
+    """Every node reachable from `start` through at least one arc."""
+    seen: set[int] = set()
+    stack = list(succ.get(start, ()))
+    while stack:
+        nid = stack.pop()
+        if nid not in seen:
+            seen.add(nid)
+            stack.extend(succ.get(nid, ()))
+    return seen
+
+
+def test_cycle_error_names_a_node_on_the_cycle():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        template = random_template(rng)
+        succ = successors(template.arcs)
+        priced = [d.id for d in template.nodes
+                  if d.kind in (NodeKind.ROOT, NodeKind.INTERNAL)]
+        top = rng.choice(priced)
+        # A back arc from a priced node at or under `top` up to `top`.
+        bottom = rng.choice(sorted({top} | (below(succ, top) & set(priced))))
+        back = HyperArc(len(template.arcs), bottom, (top,))
+        cyclic = replace(template, arcs=template.arcs + (back,))
+        with pytest.raises(CycleDetected) as err:
+            cyclic.graph
+        kind, nid = err.value.element
+        assert kind == "node" and nid in below(successors(cyclic.arcs), nid)
+        assert str(err.value) == f"cycle through node {nid}"
+
+
+def test_height_is_one_above_the_highest_child_of_a_priced_node():
+    rng = random.Random(5)
+    templates = [random_template(rng) for _ in range(200)]
+    templates += [gen_hanoi(n, omnipotent=solo).graph for n in (3, 4) for solo in (True, False)]
+    templates += [gen_habitat().graph, *gen_habitat().stages.values()]
+    # The failure node may have arcs, but it is not priced.
+    templates.append(replace(minimal_template(),
+                             arcs=minimal_template().arcs + (HyperArc(1, 3, (1,)),)))
+    for seed in range(100):
+        scn = fuzz_scenario(seed)
+        templates += [scn.graph, *scn.stages.values()]
+    for template in templates:
+        graph = template.graph
+        expect: dict[int, int] = {}
+
+        def height(nid: int) -> int:
+            if nid not in expect:
+                priced = graph.nodes[nid].kind in (NodeKind.ROOT, NodeKind.INTERNAL)
+                expect[nid] = max((height(c) + 1 for arc in graph.arcs_into(nid)
+                                   for c in arc.children), default=0) if priced else 0
+            return expect[nid]
+
+        assert graph.height == {nid: height(nid) for nid in graph.nodes}
 
 
 def test_missing_root_and_failure_rejected():
@@ -244,18 +301,18 @@ def test_missing_root_and_failure_rejected():
         NodeDecl(2, NodeKind.FAILURE, "failure"),
     )
     with pytest.raises(MissingRoot):
-        build_graph(GraphTemplate(nodes, (ArcDecl(0, 0, (1,)),), 0, 2))
+        build_graph(GraphTemplate(nodes, (HyperArc(0, 0, (1,)),)))
     nodes2 = (
         NodeDecl(0, NodeKind.ROOT, "root"),
         NodeDecl(1, NodeKind.LEAF, "leaf"),
     )
     with pytest.raises(MissingFailure):
-        build_graph(GraphTemplate(nodes2, (ArcDecl(0, 0, (1,)),), 0, 9))
+        build_graph(GraphTemplate(nodes2, (HyperArc(0, 0, (1,)),)))
 
 
 def test_arc_into_leaf_rejected():
     template = minimal_template()
-    bad = GraphTemplate(template.nodes, template.arcs + (ArcDecl(1, 1, (2,)),), 0, 3)
+    bad = GraphTemplate(template.nodes, template.arcs + (HyperArc(1, 1, (2,)),))
     with pytest.raises(InvalidArc):
         build_graph(bad)
 
@@ -269,11 +326,9 @@ def test_root_unreachable_from_leaves_rejected():
             NodeDecl(3, NodeKind.FAILURE, "failure"),
         ),
         arcs=(
-            ArcDecl(0, 0, (1,)),
-            ArcDecl(1, 1, (3,)),
+            HyperArc(0, 0, (1,)),
+            HyperArc(1, 1, (3,)),
         ),
-        root=0,
-        failure=3,
     )
     with pytest.raises(UnreachableRoot):
         build_graph(template)
@@ -382,10 +437,8 @@ def test_uniform_weight_scaling_preserves_choices():
         base_choice = {nid: arc.id for nid, arc in solution_subgraph(graph).items()}
         scaled = GraphTemplate(
             template.nodes,
-            tuple(ArcDecl(a.id, a.parent, a.children, a.weight * 17, a.actions)
+            tuple(HyperArc(a.id, a.parent, a.children, a.weight * 17, a.actions)
                   for a in template.arcs),
-            template.root,
-            template.failure,
         )
         graph2 = build_graph(scaled)
         set_leaf_truth(graph2, truths)

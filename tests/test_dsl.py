@@ -56,7 +56,7 @@ def test_minimal_fixture_contents():
     assert scn.actions["park"].preconditions[0].negated
     assert Fact("polished", ("table",)) in scn.init
     assert scn.goal == (Fact("at", ("cup", "pad")),)
-    assert scn.graph.root == 1
+    assert scn.graph.graph.root == 1
     assert scn.graph.arcs[1].weight == Fraction(1, 2)
     assert scn.stages["clear_cup"].arcs[0].weight == Fraction(2, 3)
 
@@ -111,6 +111,7 @@ MALFORMED = [
     ("m15_decimal_fraction_weight.scn", ParseError, 11, 34),
     ("m16_huge_number.scn", ParseError, 10, 6),
     ("m17_exclusive_conflict.scn", ResolveError, 11, 1),
+    ("m18_unknown_child.scn", ResolveError, 12, 1),
 ]
 
 
@@ -132,6 +133,20 @@ def test_cycle_diagnostic_points_into_the_graph():
     with pytest.raises(ResolveError) as info:
         parse_file(FIXTURES / "malformed" / "m10_cycle.scn")
     assert info.value.line in (11, 12, 14, 15)
+
+
+@pytest.mark.parametrize("arc,message", [
+    ("arc 2 parent 1 children 99 weight 1", "arc 2: unknown child 99"),
+    ("arc 1 parent 1 children 3 weight 2", "arc id 1 declared twice"),
+    ("arc 3 parent 3 children 1 weight 1", "arc 3: parent 3 is a leaf"),
+], ids=["unknown_child", "duplicate_arc", "arc_out_of_a_leaf"])
+def test_an_arc_error_points_at_the_arc_not_a_node_of_its_id(arc, message):
+    lines = read("malformed/m18_unknown_child.scn").splitlines()
+    assert lines[7:10] == ['node 1 root "g"', 'node 2 failure "f"', 'node 3 leaf "clear z"']
+    with pytest.raises(ResolveError) as info:
+        parse("\n".join(lines[:-1] + [arc]))
+    assert (info.value.line, info.value.col) == (12, 1)
+    assert info.value.message == f"graph: {message}"
 
 
 def test_object_as_its_own_destination_is_a_located_error():

@@ -12,8 +12,8 @@ from test_andor import random_template
 from taskmotion import network
 from taskmotion.andor import (
     INF,
-    ArcDecl,
     GraphTemplate,
+    HyperArc,
     NodeDecl,
     NodeKind,
     best_arc,
@@ -54,12 +54,12 @@ def template_two_options():
         node(6, NodeKind.INTERNAL, "via b"),
     )
     arcs = (
-        ArcDecl(1, 5, (3,), Fraction(5), ("use_a",)),
-        ArcDecl(2, 6, (4,), Fraction(1), ("use_b",)),
-        ArcDecl(3, 1, (5,), Fraction(0)),
-        ArcDecl(4, 1, (6,), Fraction(0)),
+        HyperArc(1, 5, (3,), Fraction(5), ("use_a",)),
+        HyperArc(2, 6, (4,), Fraction(1), ("use_b",)),
+        HyperArc(3, 1, (5,), Fraction(0)),
+        HyperArc(4, 1, (6,), Fraction(0)),
     )
-    return GraphTemplate(nodes, arcs, 1, 2)
+    return GraphTemplate(nodes, arcs)
 
 
 def simple_actions():
@@ -101,7 +101,7 @@ def test_frontier_lists_arcs_with_achieved_children():
 
 def test_frontier_never_offers_the_failure_node():
     template = template_two_options()
-    stuck_when_ready = ArcDecl(5, 2, (3,), Fraction(0))
+    stuck_when_ready = HyperArc(5, 2, (3,), Fraction(0))
     net = GraphNetwork(replace(template, arcs=template.arcs + (stuck_when_ready,)), {},
                        simple_actions())
     net.bootstrap(FACTS)
@@ -144,11 +144,11 @@ def test_fallback_ordering_when_root_unsolvable():
     # The root requires an unreachable leaf, so no solution subgraph exists;
     # selection must fall back to cost then arc id among candidates.
     arcs = (
-        ArcDecl(1, 5, (3,), Fraction(2), ("use_a",)),
-        ArcDecl(2, 6, (3,), Fraction(2), ("use_b",)),
-        ArcDecl(3, 1, (5, 6, 4), Fraction(0)),
+        HyperArc(1, 5, (3,), Fraction(2), ("use_a",)),
+        HyperArc(2, 6, (3,), Fraction(2), ("use_b",)),
+        HyperArc(3, 1, (5, 6, 4), Fraction(0)),
     )
-    net = GraphNetwork(GraphTemplate(nodes, arcs, 1, 2), {}, simple_actions())
+    net = GraphNetwork(GraphTemplate(nodes, arcs), {}, simple_actions())
     net.bootstrap(frozenset({Fact("ready", ("a",))}))
     chosen = net.select(frozenset({Fact("ready", ("a",))}), SIG)
     assert chosen.arc.id == 1
@@ -160,8 +160,8 @@ def test_symbolic_applicability_filters_candidates():
         node(2, NodeKind.FAILURE, "stuck"),
         node(3, NodeKind.LEAF, "ready a"),
     )
-    arcs = (ArcDecl(1, 1, (3,), Fraction(1), ("guarded",)),)
-    net = GraphNetwork(GraphTemplate(nodes, arcs, 1, 2), {}, simple_actions())
+    arcs = (HyperArc(1, 1, (3,), Fraction(1), ("guarded",)),)
+    net = GraphNetwork(GraphTemplate(nodes, arcs), {}, simple_actions())
     facts = frozenset({Fact("ready", ("a",))})
     net.bootstrap(facts)
     assert net.frontier(facts, SIG) == []
@@ -228,14 +228,14 @@ def clear_stage(oid):
         node(2, NodeKind.FAILURE, "stuck"),
         node(3, NodeKind.LEAF, f"clear {oid}"),
     )
-    arcs = (ArcDecl(1, 1, (3,), Fraction(1), ("use_a",)),)
-    return GraphTemplate(nodes, arcs, 1, 2)
+    arcs = (HyperArc(1, 1, (3,), Fraction(1), ("use_a",)),)
+    return GraphTemplate(nodes, arcs)
 
 
 def test_rearrangement_composition_structure():
     stages = [("box1", clear_stage("box1")), ("box2", clear_stage("box2"))]
     template = compose_rearrangement(stages)
-    root_arcs = [a for a in template.arcs if a.parent == template.root]
+    root_arcs = [a for a in template.arcs if a.parent == template.graph.root]
     assert len(root_arcs) == 1
     assert len(root_arcs[0].children) == 2
     labels = {n.id: n.label for n in template.nodes}
@@ -364,8 +364,8 @@ def layered_template(rng, height, weight):
                 arcs.append((parent, (first, *others)))
     arc_ids = rng.sample(range(1, 10 * len(arcs)), len(arcs))
     return GraphTemplate(tuple(decls), tuple(
-        ArcDecl(aid, parent, children, weight(rng))
-        for aid, (parent, children) in zip(arc_ids, arcs)), 0, 1)
+        HyperArc(aid, parent, children, weight(rng))
+        for aid, (parent, children) in zip(arc_ids, arcs)))
 
 
 def random_truths(rng, template, draws):
@@ -419,10 +419,10 @@ def test_compiled_pricing_clamps_unsolved_totals_within_int64():
     for first in range(5, 20, 3):
         layer = (first, first + 1, first + 2)
         nodes += [NodeDecl(nid, NodeKind.INTERNAL, f"node {nid}") for nid in layer]
-        arcs += [ArcDecl(nid, nid, below, Fraction(0)) for nid in layer]
+        arcs += [HyperArc(nid, nid, below, Fraction(0)) for nid in layer]
         below = layer
-    arcs += [ArcDecl(1, 0, below, Fraction(2**57)), ArcDecl(2, 0, (2,), Fraction(1))]
-    template = GraphTemplate(tuple(nodes), tuple(arcs), 0, 1)
+    arcs += [HyperArc(1, 0, below, Fraction(2**57)), HyperArc(2, 0, (2,), Fraction(1))]
+    template = GraphTemplate(tuple(nodes), tuple(arcs))
     compiled = CompiledGraph(build_graph(template))
     assert compiled.dtype is np.int64
     assert compiled.inf == 2**57 + 1

@@ -15,7 +15,7 @@ import pytest
 
 from taskmotion import interface, planner
 from taskmotion import world as world_module
-from taskmotion.andor import ArcDecl, GraphTemplate, NodeDecl, NodeKind
+from taskmotion.andor import GraphTemplate, HyperArc, NodeDecl, NodeKind
 from taskmotion.domain import (
     ActionTemplate,
     Condition,
@@ -59,9 +59,8 @@ def fetch_scenario():
                NodeDecl(3, NodeKind.LEAF, "at ball start"),
                NodeDecl(4, NodeKind.LEAF, "at ball home"),
                NodeDecl(5, NodeKind.INTERNAL, "deliver done")),
-        arcs=(ArcDecl(1, 1, (4,), weight=Fraction(0)),
-              ArcDecl(2, 5, (3,), actions=("deliver_ball",))),
-        root=1, failure=2)
+        arcs=(HyperArc(1, 1, (4,), weight=Fraction(0)),
+              HyperArc(2, 5, (3,), actions=("deliver_ball",))))
     return scn
 
 
@@ -97,15 +96,13 @@ def blocked_scenario():
                NodeDecl(3, NodeKind.LEAF, "at prize spot"),
                NodeDecl(4, NodeKind.LEAF, "at prize home"),
                NodeDecl(5, NodeKind.INTERNAL, "move prize done")),
-        arcs=(ArcDecl(1, 1, (4,), weight=Fraction(0)),
-              ArcDecl(2, 5, (3,), actions=("move_prize",))),
-        root=1, failure=2)
+        arcs=(HyperArc(1, 1, (4,), weight=Fraction(0)),
+              HyperArc(2, 5, (3,), actions=("move_prize",))))
     scn.stages["clear_wall"] = GraphTemplate(
         nodes=(NodeDecl(1, NodeKind.ROOT, "wall cleared"),
                NodeDecl(2, NodeKind.FAILURE, "wall stuck"),
                NodeDecl(3, NodeKind.LEAF, "at wall wallpos")),
-        arcs=(ArcDecl(1, 1, (3,), actions=("relocate_wall",)),),
-        root=1, failure=2)
+        arcs=(HyperArc(1, 1, (3,), actions=("relocate_wall",)),))
     return scn
 
 
@@ -149,10 +146,9 @@ def test_grounding_failure_suppresses_and_falls_back():
                NodeDecl(4, NodeKind.LEAF, "at ball home"),
                NodeDecl(5, NodeKind.INTERNAL, "meteor plan"),
                NodeDecl(6, NodeKind.INTERNAL, "ball plan")),
-        arcs=(ArcDecl(1, 1, (4,), weight=Fraction(0)),
-              ArcDecl(2, 5, (3,), actions=("deliver_meteor",)),
-              ArcDecl(3, 6, (3,), actions=("deliver_ball",))),
-        root=1, failure=2)
+        arcs=(HyperArc(1, 1, (4,), weight=Fraction(0)),
+              HyperArc(2, 5, (3,), actions=("deliver_meteor",)),
+              HyperArc(3, 6, (3,), actions=("deliver_ball",))))
     res = run_scenario(scn)
     assert res.status is FinalStatus.GOAL_ACHIEVED
     assert res.moves == 1
@@ -194,8 +190,7 @@ def test_unreachable_goal_is_reported_unsolvable():
         nodes=(NodeDecl(1, NodeKind.ROOT, "blessing"),
                NodeDecl(2, NodeKind.FAILURE, "no blessing"),
                NodeDecl(3, NodeKind.LEAF, "blessed ball")),
-        arcs=(ArcDecl(1, 1, (3,), weight=Fraction(0)),),
-        root=1, failure=2)
+        arcs=(HyperArc(1, 1, (3,), weight=Fraction(0)),))
     res = run_scenario(scn)
     assert res.status is FinalStatus.UNSOLVABLE
     assert res.moves == 0

@@ -110,11 +110,11 @@ def test_solo_graph_structure():
     leaves = [n for n in graph.nodes.values() if n.kind is NodeKind.LEAF]
     # 3 disks x 3 pegs position leaves plus the 3 goal stacking leaves.
     assert len(leaves) == 12
-    goal_arc = graph.arcs_into(scn.graph.root)[0]
+    goal_arc = graph.arcs_into(graph.root)[0]
     assert goal_arc.id == 1 and goal_arc.weight == Fraction(0)
     # One action node and one root arc per (state, legal move) pair.
     internals = [n for n in graph.nodes.values() if n.kind is NodeKind.INTERNAL]
-    root_arcs = graph.arcs_into(scn.graph.root)
+    root_arcs = graph.arcs_into(graph.root)
     assert len(root_arcs) == len(internals) + 1
     for arc in root_arcs[1:]:
         assert len(arc.children) == 1 and arc.weight >= 0
@@ -125,7 +125,7 @@ def test_solo_root_arcs_rank_the_opening_moves():
     graph = build_graph(scn.graph)
     by_label = {n.label: n.id for n in graph.nodes.values()}
     opening = {}
-    for arc in graph.arcs_into(scn.graph.root)[1:]:
+    for arc in graph.arcs_into(graph.root)[1:]:
         node = graph.nodes[arc.children[0]]
         if node.label.startswith("state 0,0,0 "):
             move = node.label.split(" then ")[1]
