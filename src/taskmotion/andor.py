@@ -8,8 +8,9 @@ rationals so equal-cost alternatives stay equal under rescaling.
 
 A template declares nodes and arcs once; `build_graph` validates it in
 one topological pass (Kahn, "Topological sorting of large networks",
-CACM 5(11), 1962), which also gives every node its height. The root and
-the failure node are the one node of each kind.
+CACM 5(11), 1962), which finds cycles, checks that a leaf reaches the
+root, and gives every node its height. The root and the failure node are
+the one node of each kind.
 """
 
 from __future__ import annotations
@@ -204,22 +205,21 @@ def build_graph(template: GraphTemplate) -> AndOrGraph:
     for lst in by_parent.values():
         lst.sort(key=lambda a: a.id)
 
-    graph = AndOrGraph(nodes, template.arcs, roots[0], failures[0], by_parent,
-                       _topological_height(nodes, by_parent))
-    _check_root_reaches_leaf(graph)
-    return graph
+    return AndOrGraph(nodes, template.arcs, roots[0], failures[0], by_parent,
+                      _topological_height(nodes, by_parent, roots[0]))
 
 
 _PRICED = (NodeKind.ROOT, NodeKind.INTERNAL)
 
 
-def _topological_height(nodes: Mapping[int, Node],
-                        by_parent: Mapping[int, list[HyperArc]]) -> dict[int, int]:
+def _topological_height(nodes: Mapping[int, Node], by_parent: Mapping[int, list[HyperArc]],
+                        root: int) -> dict[int, int]:
     """Every node's height, by Kahn's algorithm: a node is processed once
-    all of its children are, leaves first, and lifts each root or internal
-    parent above itself. Nodes left over lie on or above a cycle; the
-    walk from the smallest of them along left-over children repeats a
-    node of a cycle, which `CycleDetected` names."""
+    all of its children are, leaves first, lifts each root or internal
+    parent above itself, and passes on whether a leaf reaches it. Nodes
+    left over lie on or above a cycle; the walk from the smallest of them
+    along left-over children repeats a node of a cycle, which
+    `CycleDetected` names. Then a root no leaf reaches is `UnreachableRoot`."""
     pending = dict.fromkeys(nodes, 0)
     parents: dict[int, list[int]] = {}
     for parent, arcs in by_parent.items():
@@ -228,10 +228,14 @@ def _topological_height(nodes: Mapping[int, Node],
             for child in arc.children:
                 parents.setdefault(child, []).append(parent)
     height = dict.fromkeys(nodes, 0)
+    reached = {nid for nid, node in nodes.items() if node.kind is NodeKind.LEAF}
     ready = [nid for nid, count in pending.items() if count == 0]
     for nid in ready:  # grows while it is walked
         lift = height[nid] + 1
-        for parent in parents.get(nid, ()):
+        above = parents.get(nid, ())
+        if nid in reached:
+            reached.update(above)
+        for parent in above:
             if nodes[parent].kind in _PRICED and height[parent] < lift:
                 height[parent] = lift
             pending[parent] -= 1
@@ -244,29 +248,10 @@ def _topological_height(nodes: Mapping[int, Node],
             seen.add(nid)
             nid = next(c for arc in by_parent[nid] for c in arc.children if c in left)
         raise CycleDetected(f"cycle through node {nid}", ("node", nid))
+    if root not in reached:
+        raise UnreachableRoot("no leaf reaches the root through any arc chain",
+                              ("node", root))
     return height
-
-
-def _child_ids(graph: AndOrGraph, node_id: int) -> list[int]:
-    out = []
-    for arc in graph.arcs_into(node_id):
-        out.extend(arc.children)
-    return out
-
-
-def _check_root_reaches_leaf(graph: AndOrGraph) -> None:
-    seen = {graph.root}
-    frontier = [graph.root]
-    while frontier:
-        nid = frontier.pop()
-        if graph.nodes[nid].kind is NodeKind.LEAF:
-            return
-        for child in _child_ids(graph, nid):
-            if child not in seen:
-                seen.add(child)
-                frontier.append(child)
-    raise UnreachableRoot("no leaf reaches the root through any arc chain",
-                          ("node", graph.root))
 
 
 def copy_graph(graph: AndOrGraph) -> AndOrGraph:

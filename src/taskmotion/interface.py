@@ -11,8 +11,8 @@ geometric step is planned just in time (so it sees every pose change the
 previous steps made), retried across a deterministic low-discrepancy set
 of alternative goal points when the action allows play in its goal
 region, and executed on success. `_step_goal` is the one place a step's
-goal point and region are derived; the A* budget of every query is
-`MotionQuery`'s default. The first failure stops the walk and is
+goal point and region are derived; every query searches under
+`world.DEFAULT_MAX_EXPANSIONS`. The first failure stops the walk and is
 reported with the blocking objects, so the caller can decide between
 rearrangement, trying another candidate, or giving up.
 """
@@ -148,6 +148,8 @@ def ground(world: World, actions: tuple[ActionTemplate, ...]) -> GroundingResult
                 if not bases:
                     raise GroundingFailed(f"action {action.name}: no base agent")
                 base_id = sorted(bases)[0]
+            elif base_id not in world.agents or world.agents[base_id].kind != "base":
+                raise GroundingFailed(f"action {action.name}: {base_id} is not a base agent")
             if action.area is None:
                 raise GroundingFailed(f"action {action.name}: transit without area")
             steps.append(GroundedAction(action, base_id))

@@ -10,11 +10,12 @@ Each template is validated once, by `GraphTemplate.graph`, whose one
 topological pass also gives every node its height, and compiled once into
 a `CompiledGraph` that every graph instantiated from it shares: the main
 template on first use, a composed rearrangement template when it is
-composed. A `GraphEntry` holds only what differs between instantiations,
-its leaf truths and its achieved nodes. The newest entry is priced once,
-when it is first searched: the bottom-up min-cost evaluation of AO*
-(Martelli & Montanari, 1973), run one level of equal height at a time
-over numpy arrays.
+composed. A compiled graph gives each priced arc one place, which pricing,
+the frontier and selection all index. A `GraphEntry` holds only what
+differs between instantiations, its leaf truths and its achieved nodes.
+The newest entry is priced once, when it is first searched: the bottom-up
+min-cost evaluation of AO* (Martelli & Montanari, 1973), run one level of
+equal height at a time over numpy arrays.
 
 Candidates are drawn from the newest graph only. A node is a candidate
 when it is not yet achieved, at least one of its incoming arcs has all
@@ -23,17 +24,20 @@ combination has not been suppressed in the current world; only arcs that
 one segment reduction finds enabled are tested for the last two. Selection
 prefers arcs on the minimal-cost solution of the graph; when the root is
 currently unsolvable it falls back to the cheapest applicable arc with
-the lowest arc id.
+the lowest arc id. A candidate's total is read from the priced totals at
+its arc's place.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Collection, Iterable, Iterator, NamedTuple
+from operator import attrgetter
+from typing import Collection, Iterable, NamedTuple
 
 import numpy as np
 
@@ -91,20 +95,17 @@ OBSTRUCTION_PREDICATE = "obstructs"
 
 
 class _Level(NamedTuple):
-    """The priced nodes of one height and their arcs, in cost and total
-    positions; a node's arcs are in id order."""
+    """The priced nodes of one height as slices of positions, places and `children`."""
 
     nodes: slice
     arcs: slice
-    children: np.ndarray  # child positions of every arc, arc after arc
-    arc_starts: np.ndarray  # each arc's first index in `children`
-    weights: np.ndarray  # each arc's scaled weight
+    children: slice
+    arc_starts: np.ndarray  # each arc's first index in the level's children
     node_starts: np.ndarray  # each node's first arc, counted from `arcs.start`
 
 
 class CompiledGraph:
-    """A validated graph, flattened once for repeated pricing and frontier
-    search.
+    """A validated graph, flattened once for repeated pricing and search.
 
     Arc weights are scaled to integers by the least common multiple of
     their denominators, so costs are exact integers that order and tie
@@ -114,22 +115,21 @@ class CompiledGraph:
     every arc total to `inf` is exact.
 
     The root and the internal nodes with arcs are priced. A node's level
-    is its `graph.height`, the longest chain of arcs from it down to a
-    node that is not priced: a leaf, the failure node or a node without
-    arcs, which make up level 0. Nodes of one level never depend on each
-    other, so `price` evaluates a whole level in a few numpy segment
-    reductions over its `_Level` arrays. Nodes have positions in the cost
-    array and arcs in the totals array, both level by level, so each level
-    is one slice of each; the arcs of the node at position p are `arc_start[p]` up to
-    `arc_start[p + 1]`. Costs are `int64` when every unclamped arc total
-    fits, and Python integers in an object array otherwise, through the
-    same code. The graph itself is shared by every entry and never
-    mutated: its leaves all stay false.
-
-    The frontier's arcs, all but the failure node's, are laid out once in
-    `offered` by parent id then arc id: child positions arc after arc from
-    `offered_starts`, and parent positions. `enabled` is one logical-and
-    segment reduction of an achieved mask gathered at the children.
+    is its `graph.height`, the longest chain of arcs down to a node that
+    is not priced (a leaf, the failure node or a node without arcs); those
+    make up level 0. Nodes have positions in the cost array, by level then
+    id. Each arc of a priced node, which is every arc but the failure
+    node's, has one place, node by node in position order and by id within
+    a node, so the node at position p owns places `arc_start[p]` up to
+    `arc_start[p + 1]`. A place indexes `arcs`, `price`'s totals,
+    `parents`, `weights` and `arc_starts`, the arc's first index in
+    `children`. Nodes of one level never depend on each other, so `price`
+    evaluates a level in a few numpy segment reductions over its `_Level`
+    slices; `enabled` is one reduction of an achieved mask gathered at
+    `children`, read in `by_parent_id` order. Costs are `int64` when every
+    unclamped arc total fits, and Python integers in an object array
+    otherwise, through the same code. The graph is shared by every entry
+    and never mutated: its leaves all stay false.
     """
 
     def __init__(self, graph: AndOrGraph):
@@ -138,68 +138,61 @@ class CompiledGraph:
         height = graph.height
         order = sorted(graph.nodes, key=lambda nid: (height[nid], nid))
         self.pos = {nid: p for p, nid in enumerate(order)}
+        self.arcs = tuple(arc for nid in order if height[nid] for arc in graph.arcs_into(nid))
         counts = [len(graph.arcs_into(nid)) if height[nid] else 0 for nid in order]
         self.arc_start = np.cumsum([0, *counts])
-        levels = []
+        self.parents = np.repeat(np.arange(len(order)), counts)
+        self.by_parent_id = np.argsort(np.array(order)[self.parents], kind="stable")
+        child_start = np.cumsum([0, *(len(arc.children) for arc in self.arcs)])
+        self.arc_starts = child_start[:-1]
+        self.children = np.fromiter((self.pos[c] for arc in self.arcs for c in arc.children),
+                                    np.intp, child_start[-1])
+        weights = np.array([arc.weight.numerator * (self.scale // arc.weight.denominator)
+                            for arc in self.arcs], dtype=object)
+        self.levels = []
         lo = sum(1 for h in height.values() if h == 0)
         for _, group in itertools.groupby(order[lo:], key=height.__getitem__):
-            nodes = list(group)
-            hi = lo + len(nodes)
-            arcs = [arc for nid in nodes for arc in graph.arcs_into(nid)]
-            first = self.arc_start[lo]
-            levels.append(_Level(
-                slice(lo, hi), slice(first, first + len(arcs)), *self._segments(arcs),
-                np.array([self.scaled_weight(arc) for arc in arcs], dtype=object),
-                self.arc_start[lo:hi] - first))
+            hi = lo + len(list(group))
+            first, last = self.arc_start[lo], self.arc_start[hi]
+            self.levels.append(_Level(slice(lo, hi), slice(first, last),
+                                      slice(child_start[first], child_start[last]),
+                                      child_start[first:last] - child_start[first],
+                                      self.arc_start[lo:hi] - first))
             lo = hi
         # Every finite cost is at most its node's most expensive derivation.
         bound = np.zeros(len(order), dtype=object)
-        for level in levels:
-            totals = np.add.reduceat(bound[level.children], level.arc_starts) + level.weights
+        for level in self.levels:
+            totals = (np.add.reduceat(bound[self.children[level.children]], level.arc_starts)
+                      + weights[level.arcs])
             bound[level.nodes] = np.maximum.reduceat(totals, level.node_starts)
         self.inf = int(bound.max()) + 1
         # An unclamped total is below (arity + 1) * inf: `arity` child costs
         # of at most `inf` each plus a weight below it.
         arity = max((len(arc.children) for arc in graph.arcs), default=0)
         self.dtype = np.int64 if (arity + 1) * self.inf < 2**62 else object
-        self.levels = tuple(level._replace(weights=level.weights.astype(self.dtype))
-                            for level in levels)
-        self.offered = tuple(arc for nid in sorted(graph.nodes) if nid != graph.failure
-                             for arc in graph.arcs_into(nid))
-        self.offered_children, self.offered_starts = self._segments(self.offered)
-        self.offered_parents = np.fromiter(
-            (self.pos[arc.parent] for arc in self.offered), np.intp)
+        self.weights = weights.astype(self.dtype)
         self.leaf_facts: tuple[tuple[int, Fact], ...] = tuple(_leaf_facts(graph))
 
-    def _segments(self, arcs: Collection[HyperArc]) -> tuple[np.ndarray, np.ndarray]:
-        """Child positions of `arcs`, arc after arc, and each arc's first index."""
-        arities = np.fromiter(map(len, (arc.children for arc in arcs)), np.intp)
-        return (np.fromiter(map(self.pos.__getitem__, _children(arcs)), np.intp),
-                np.cumsum(arities) - arities)
-
     def enabled(self, achieved: Collection[int]) -> list[HyperArc]:
-        """The offered arcs whose children are all in `achieved` and whose
+        """The priced arcs whose children are all in `achieved` and whose
         parent is not, by parent id then arc id."""
         mask = np.zeros(len(self.pos), dtype=bool)
         mask[[self.pos[nid] for nid in achieved]] = True
-        ready = np.logical_and.reduceat(mask[self.offered_children], self.offered_starts)
-        ready &= ~mask[self.offered_parents]
-        return [self.offered[i] for i in np.flatnonzero(ready).tolist()]
-
-    def scaled_weight(self, arc: HyperArc) -> int:
-        """The arc's weight times `scale`."""
-        return arc.weight.numerator * (self.scale // arc.weight.denominator)
+        ready = np.logical_and.reduceat(mask[self.children], self.arc_starts)
+        ready &= ~mask[self.parents]
+        places = self.by_parent_id[ready[self.by_parent_id]]
+        return [self.arcs[place] for place in places.tolist()]
 
     def price(self, true_leaves: Collection[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Scaled cost of every node by position and total of every priced
-        arc by its place in the totals array, both clamped to `inf`, when
-        exactly `true_leaves` hold."""
+        """Scaled cost of every node by position and total of every arc by
+        place, both clamped to `inf`, when exactly `true_leaves` hold."""
         cost = np.full(len(self.pos), self.inf, dtype=self.dtype)
         cost[[self.pos[lid] for lid in true_leaves]] = 0
-        totals = np.empty(self.arc_start[-1], dtype=self.dtype)
-        for nodes, arcs, children, arc_starts, weights, node_starts in self.levels:
-            level_totals = np.add.reduceat(cost[children], arc_starts, out=totals[arcs])
-            level_totals += weights
+        totals = np.empty(len(self.arcs), dtype=self.dtype)
+        for nodes, arcs, children, arc_starts, node_starts in self.levels:
+            level_totals = np.add.reduceat(cost[self.children[children]], arc_starts,
+                                           out=totals[arcs])
+            level_totals += self.weights[arcs]
             np.minimum(level_totals, self.inf, out=level_totals)
             cost[nodes] = np.minimum.reduceat(level_totals, node_starts)
         return cost, totals
@@ -211,14 +204,13 @@ class CompiledGraph:
         start, stop = self.arc_start[p], self.arc_start[p + 1]
         if start == stop or cost[p] >= self.inf:
             return None
-        return self.graph.arcs_into(nid)[int(np.argmin(totals[start:stop]))]
+        return self.arcs[start + int(np.argmin(totals[start:stop]))]
 
-    def arc_total(self, cost: np.ndarray, arc: HyperArc) -> int:
-        """Scaled cost of `arc.parent` through `arc`, `inf` when a child
-        is unsolved."""
-        total = sum((int(cost[self.pos[child]]) for child in arc.children),
-                    self.scaled_weight(arc))
-        return min(total, self.inf)
+    def place(self, arc: HyperArc) -> int:
+        """The arc's place, found by id among its parent's places."""
+        p = self.pos[arc.parent]
+        return bisect.bisect_left(self.arcs, arc.id, self.arc_start[p], self.arc_start[p + 1],
+                                  key=attrgetter("id"))
 
     def solution(self, cost: np.ndarray, totals: np.ndarray) -> dict[int, HyperArc]:
         """The arcs `andor.solution_subgraph` picks, from one `price` result."""
@@ -233,11 +225,6 @@ class CompiledGraph:
                 chosen[nid] = arc
                 stack.extend(arc.children)
         return chosen
-
-
-def _children(arcs: Iterable[HyperArc]) -> Iterator[int]:
-    """The children of every arc in turn."""
-    return itertools.chain.from_iterable(arc.children for arc in arcs)
 
 
 def _leaf_facts(graph: AndOrGraph):
@@ -372,7 +359,7 @@ class GraphNetwork:
         # Unsolved totals are all `inf`, above every finite one, so they
         # come last and tie on to the arc id.
         return min(candidates, key=lambda c: (
-            compiled.arc_total(cost, c.arc), c.arc.id, c.node_id))
+            totals[compiled.place(c.arc)], c.arc.id, c.node_id))
 
     def mark_executed(self, candidate: Candidate):
         self.entries[candidate.graph_index].achieved.add(candidate.node_id)

@@ -13,9 +13,9 @@ equals (x, y) order, so paths and tie-breaks are those of A* on
 coordinate tuples; obstructor order depends on them.
 
 A* itself runs once per distinct search in a `SearchMemo`'s scope. The
-memo maps everything `_astar` reads (the mask, its stride, the start and
-goal cells and the budget) to the cell path, kept as a tuple, and the
-pop count. The planner keeps one memo per run; a `plan_motion` call
+memo maps everything `_astar` reads but the one budget (the mask, its
+stride, the start and goal cells) to the cell path, kept as a tuple, and
+the pop count. The planner keeps one memo per run; a `plan_motion` call
 without one gets a fresh memo of its own. A result's `expansions` is the
 pop count of the search that produced it, whether that search ran now or
 earlier in the memo's scope.
@@ -27,9 +27,9 @@ runs along each column; when the goal lies outside the start's
 means the pops an exhaustive A* would make: the component size, capped
 by the budget.
 
-A `MotionQuery` names an agent, its start and one goal point; its A*
-budget defaults to `DEFAULT_MAX_EXPANSIONS`, the one planning budget,
-and every leg of the query searches under that whole budget.
+A `MotionQuery` names an agent, its start and one goal point; every
+search, a leg's or the diagnosis', runs under the one planning budget,
+`DEFAULT_MAX_EXPANSIONS`.
 
 Stacking never forms a cycle: `execute` refuses a support that rests on
 the object being placed.
@@ -166,7 +166,6 @@ class World:
     clock: float = 0.0
     rng_seed: int = 0
     resolution: float = DEFAULT_RESOLUTION
-    clearance: float = DEFAULT_CLEARANCE
 
     def __post_init__(self):
         for name in ("objects", "agents", "markers"):
@@ -187,7 +186,6 @@ class MotionQuery:
     goal_point: tuple[float, float]
     manipulated: str | None = None
     dest: str | None = None
-    max_expansions: int = DEFAULT_MAX_EXPANSIONS
 
 
 @dataclass(frozen=True)
@@ -423,8 +421,8 @@ def _body_radius(world: World, agent: Agent, carry: str | None) -> float:
     return radius
 
 
-# (free mask, stride, start cell, goal cell, budget) -> (cell path | None, pops)
-SearchMemo = dict[tuple[bytes, int, tuple[int, int], tuple[int, int], int],
+# (free mask, stride, start cell, goal cell) -> (cell path | None, pops)
+SearchMemo = dict[tuple[bytes, int, tuple[int, int], tuple[int, int]],
                   tuple[tuple[tuple[int, int], ...] | None, int]]
 
 
@@ -574,14 +572,14 @@ def _astar(grid: _Grid, start: tuple[int, int], goal: tuple[int, int],
     return None, pops
 
 
-def _search(memo: SearchMemo, grid: _Grid, start: tuple[int, int], goal: tuple[int, int],
-            budget: int) -> tuple[tuple[tuple[int, int], ...] | None, int]:
-    """`_astar`, run only when the memo holds no search with the same
-    inputs. The key keeps the mask's bytes but not the grid."""
-    key = (grid.free_mask, grid.stride, start, goal, budget)
+def _search(memo: SearchMemo, grid: _Grid, start: tuple[int, int], goal: tuple[int, int]
+            ) -> tuple[tuple[tuple[int, int], ...] | None, int]:
+    """`_astar` under the one budget, run only when the memo holds no
+    search with the same inputs; the key keeps the mask's bytes, not the grid."""
+    key = (grid.free_mask, grid.stride, start, goal)
     found = memo.get(key)
     if found is None:
-        cells, pops = _astar(grid, start, goal, budget)
+        cells, pops = _astar(grid, start, goal, DEFAULT_MAX_EXPANSIONS)
         found = memo[key] = (None if cells is None else tuple(cells), pops)
     return found
 
@@ -640,8 +638,8 @@ def _unreached_pops(free_mask: bytes, stride: int, source: int, target: int) -> 
 
 def plan_motion(world: World, q: MotionQuery, memo: SearchMemo | None = None) -> MotionResult:
     """Plan one query; transfers plan both legs before reporting success.
-    Each leg searches under the query's whole budget, `q.max_expansions`,
-    so a leg that repeats an earlier search finds it in the memo.
+    Each leg searches under the whole budget, so a leg that repeats an
+    earlier search finds it in the memo.
 
     Infeasible results carry the obstruction diagnosis: movable objects
     crossing the path a movable-free world would allow, in path order.
@@ -706,10 +704,8 @@ def _engaged(world: World, point: tuple[float, float], inflation: float) -> set[
 
 
 def _plan_leg(world: World, agent: Agent, q: MotionQuery, leg: _Leg, memo: SearchMemo):
-    """One grid search under the query's budget. Returns (path | None,
-    expansions, obstructors, detail)."""
-    budget = q.max_expansions
-    inflation = world.clearance + _body_radius(world, agent, leg.carry)
+    """One grid search; returns (path | None, expansions, obstructors, detail)."""
+    inflation = DEFAULT_CLEARANCE + _body_radius(world, agent, leg.carry)
     exclude: set[str] = set()
     if q.manipulated is not None:
         exclude.add(q.manipulated)
@@ -729,11 +725,11 @@ def _plan_leg(world: World, agent: Agent, q: MotionQuery, leg: _Leg, memo: Searc
         raise InvalidQuery(
             f"agent {agent.id}: start {leg.start} in collision or outside region")
     if not grid.free(goal_cell):
-        obstructors = _diagnose(world, agent, leg, exclude, inflation, budget, memo)
+        obstructors = _diagnose(world, agent, leg, exclude, inflation, memo)
         return None, 0, obstructors, "goal cell blocked"
-    cells, expansions = _search(memo, grid, start_cell, goal_cell, budget)
+    cells, expansions = _search(memo, grid, start_cell, goal_cell)
     if cells is None:
-        obstructors = _diagnose(world, agent, leg, exclude, inflation, budget, memo)
+        obstructors = _diagnose(world, agent, leg, exclude, inflation, memo)
         return None, expansions, obstructors, "no path within budget"
     points = [grid.center(c) for c in cells]
     points[0] = leg.start
@@ -742,14 +738,14 @@ def _plan_leg(world: World, agent: Agent, q: MotionQuery, leg: _Leg, memo: Searc
 
 
 def _diagnose(world: World, agent: Agent, leg: _Leg, exclude: set[str], inflation: float,
-              budget: int, memo: SearchMemo) -> tuple[str, ...]:
+              memo: SearchMemo) -> tuple[str, ...]:
     ghost_obstacles = _obstacles_for(world, agent, exclude, ghost=True)
     grid = _Grid(world, agent, ghost_obstacles, inflation)
     start_cell = grid.cell(leg.start)
     goal_cell = grid.cell(leg.goal)
     if not grid.free(start_cell) or not grid.free(goal_cell):
         return ()
-    cells, _ = _search(memo, grid, start_cell, goal_cell, max(budget, DEFAULT_MAX_EXPANSIONS))
+    cells, _ = _search(memo, grid, start_cell, goal_cell)
     if cells is None:
         return ()
     holders = held_by(world)

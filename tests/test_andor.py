@@ -334,6 +334,69 @@ def test_root_unreachable_from_leaves_rejected():
         build_graph(template)
 
 
+def walk_finds_a_leaf(template) -> bool:
+    """The oracle: the depth-first walk that validation once made after
+    its cycle check, from the root along the children of every arc."""
+    kinds = {decl.id: decl.kind for decl in template.nodes}
+    succ = successors(template.arcs)
+    root = next(nid for nid, kind in kinds.items() if kind is NodeKind.ROOT)
+    seen, frontier = {root}, [root]
+    while frontier:
+        nid = frontier.pop()
+        if kinds[nid] is NodeKind.LEAF:
+            return True
+        for child in succ.get(nid, ()):
+            if child not in seen:
+                seen.add(child)
+                frontier.append(child)
+    return False
+
+
+def detached(template, rng):
+    """A `random_template` whose root arcs reach only the failure node, a
+    new internal node without arcs, or internal nodes, which may reach a
+    leaf or not; in half of them the failure node has an arc to a leaf."""
+    island = max(decl.id for decl in template.nodes) + 1
+    pool = [1, island] + [d.id for d in template.nodes if d.kind is NodeKind.INTERNAL]
+    arcs = tuple(replace(arc, children=tuple(rng.sample(pool, rng.randint(1, 2))))
+                 if arc.parent == 0 else arc for arc in template.arcs)
+    if rng.random() < 0.5:
+        arcs += (HyperArc(len(arcs), 1, (2,)),)  # 2 is always a leaf
+    return GraphTemplate(template.nodes + (NodeDecl(island, NodeKind.INTERNAL, "island"),),
+                         arcs)
+
+
+def test_unreachable_root_is_raised_exactly_when_no_leaf_reaches_the_root():
+    rng = random.Random(13)
+    randoms = [random_template(rng) for _ in range(200)]
+    templates = randoms + [detached(template, rng) for template in randoms]
+    for seed in range(100):
+        scn = fuzz_scenario(seed)
+        templates += [scn.graph, *scn.stages.values()]
+    unreachable = []
+    for template in templates:
+        if walk_finds_a_leaf(template):
+            assert build_graph(template).nodes
+            continue
+        with pytest.raises(UnreachableRoot) as err:
+            build_graph(template)
+        assert err.value.element == ("node", 0)
+        assert str(err.value) == "no leaf reaches the root through any arc chain"
+        unreachable.append(template)
+    assert 50 <= len(unreachable) <= 150  # detached roots go both ways
+    # A cycle is reported before an unreachable root, here one under the root.
+    for template in unreachable:
+        a, b = 1000, 1001
+        cyclic = GraphTemplate(
+            template.nodes + (NodeDecl(a, NodeKind.INTERNAL, "a"),
+                              NodeDecl(b, NodeKind.INTERNAL, "b")),
+            template.arcs + (HyperArc(1000, a, (b,)), HyperArc(1001, b, (a,)),
+                             HyperArc(1002, 0, (a,))))
+        with pytest.raises(CycleDetected) as err:
+            build_graph(cyclic)
+        assert err.value.element in (("node", a), ("node", b))
+
+
 def test_set_leaf_truth_rejects_non_leaf_and_unknown():
     graph = build_graph(minimal_template())
     with pytest.raises(NotALeaf):

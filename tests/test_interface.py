@@ -118,6 +118,14 @@ def test_area_action_folds_in_base_travel():
                                                        MotionClass.TRANSFER]
 
 
+@pytest.mark.parametrize("agent", ["arm", "ghost"])
+def test_a_transit_needs_a_base_agent_of_the_world(agent):
+    walk = ActionTemplate("walk", MotionClass.TRANSIT, agent=agent, area="shelf_front")
+    with pytest.raises(GroundingFailed, match="is not a base agent"):
+        ground(mobile_world(), (walk,))
+    assert ground(mobile_world(), (replace(walk, agent="cart"),)).steps[0].agent_id == "cart"
+
+
 def test_transit_skipped_when_base_already_parked():
     world = mobile_world()
     grasp = ActionTemplate("take_jar", MotionClass.TRANSFER, verb="grasp",

@@ -321,11 +321,14 @@ def assert_pricing_matches_refresh(template, compiled, truths):
         else:
             assert arc is None
     assert compiled.solution(cost, totals) == solution_subgraph(fresh)
-    for arc in fresh.arcs:
+    assert {arc.id for arc in compiled.arcs} == {
+        arc.id for arc in fresh.arcs if arc.parent != fresh.failure}
+    for place, arc in enumerate(compiled.arcs):
         want = arc.weight + sum((node_cost(fresh, child) for child in arc.children),
                                 Fraction(0))
-        total = compiled.arc_total(cost, arc)
+        total = int(totals[place])
         assert (INF if total >= compiled.inf else Fraction(total, compiled.scale)) == want
+        assert compiled.place(arc) == place
 
 
 def test_compiled_pricing_matches_refresh_over_flip_sequences():
@@ -529,6 +532,25 @@ def test_frontier_and_select_match_the_scan_over_flip_sequences():
                     net.mark_executed(chosen)
                     achieved.add(chosen.node_id)
     assert compared > 2000
+
+
+def test_enabled_keeps_the_scan_order_on_layered_templates():
+    """Arc places run level by level, so root 0 has the last places; the
+    frontier still comes by parent id, then arc id (ids are shuffled)."""
+    rng = random.Random(7)
+    compared = 0
+    for i in range(60):
+        template = layered_template(rng, 2 + i % 4, small_weight)
+        compiled = CompiledGraph(build_graph(template))
+        graph = compiled.graph
+        assert compiled.arcs[-1].parent == 0 != compiled.arcs[0].parent
+        for _ in range(10):
+            achieved = {nid for nid in graph.nodes if rng.random() < rng.random()}
+            want = [c.arc for c in scan_frontier(graph, achieved, {}, set(), frozenset(),
+                                                 "sig", 0)]
+            assert compiled.enabled(achieved) == want
+            compared += len(want) > 1 and want[0].parent == 0
+    assert compared >= 20  # the root's arcs lead frontiers that hold others too
 
 
 def test_frontier_matches_the_scan_on_the_hanoi_4_main_template():

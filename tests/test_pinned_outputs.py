@@ -3,6 +3,11 @@
 A speed-up must not change what the planner does: every faster path
 must reproduce these sha256 digests, recorded from the from-scratch
 pricing of `andor`, byte for byte.
+
+The benchmark's own contract is checked here too: each workload meets
+the expectations `perfbench/harness.py` checks, and the layer trace of
+`perfbench/tracer.py` still finds every name it patches (its import
+fails otherwise) and leaves the run it traces unchanged.
 """
 
 import hashlib
@@ -20,6 +25,8 @@ from taskmotion.planner import (
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from harness import expectation  # noqa: E402
+from tracer import Tracer, leaked_wrappers  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 # workload: (sha256 of the masked trace, sha256 of the masked metrics)
@@ -45,3 +52,25 @@ def test_masked_outputs_match_the_pinned_digests(name):
     result = run_scenario(parse(WORKLOADS[name].make_text()), RunConfig(seed=0))
     assert (sha256(masked_trace_text(result.trace)),
             sha256(masked_metrics_text(result.metrics))) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_each_workload_meets_the_benchmark_expectations(name):
+    workload = WORKLOADS[name]
+    scenario = parse(workload.make_text())
+    result = run_scenario(scenario, RunConfig(seed=0))
+    assert expectation(workload)(scenario, result) == []  # status, moves, extra check
+
+
+def test_a_traced_run_matches_the_untraced_one_and_leaves_no_wrapper():
+    scenario = parse(WORKLOADS["habitat_unclearable"].make_text())
+    tracer = Tracer()
+    tracer.install()
+    try:
+        traced = run_scenario(scenario, RunConfig(seed=0))
+    finally:
+        tracer.remove()
+    assert leaked_wrappers() == []
+    assert tracer.take().calls["network.select"] > 0
+    untraced = run_scenario(scenario, RunConfig(seed=0))
+    assert masked_trace_text(traced.trace) == masked_trace_text(untraced.trace)

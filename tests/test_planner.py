@@ -160,6 +160,53 @@ def test_grounding_failure_suppresses_and_falls_back():
     assert selected == ["meteor plan", "ball plan"]
 
 
+ARM_TRANSIT_TEXT = """scenario arm_transit
+
+OBJECTS
+bounds -1 -1 1 1
+marker far at 0.5 0
+
+AGENTS
+arm lifter at 0 0 reach 0.6
+
+PREDICATES
+pred walked 0
+pred ready 0
+
+ACTIONS
+action walk transit
+  agent lifter
+  area far
+end
+
+INIT
+ready
+
+GOAL
+walked
+
+GRAPH
+node 1 root "walked"
+node 2 failure "stuck"
+node 3 leaf "walked"
+node 4 internal "walk done"
+node 5 leaf "ready"
+arc 1 parent 1 children 3 weight 1
+arc 2 parent 4 children 5 weight 1 actions walk
+"""
+
+
+def test_a_transit_bound_to_an_arm_fails_grounding():
+    """A transit moves a base; bound to an arm it must not move the arm's
+    anchor (it once did, and the run looped to the depth cap)."""
+    res = run_scenario(parse(ARM_TRANSIT_TEXT))
+    assert res.status is FinalStatus.UNSOLVABLE
+    assert res.moves == 0
+    assert res.world.agents["lifter"].anchor == (0.0, 0.0)
+    suppressions = [e for e in res.trace if e["event"] == "suppress"]
+    assert [(e["label"], e["reason"]) for e in suppressions] == [("walk done", "grounding")]
+
+
 def test_obstruction_grows_rearrangement_graph(monkeypatch):
     calls = recorded_plan_calls(monkeypatch)
     res = run_scenario(blocked_scenario())

@@ -166,16 +166,14 @@ def test_plan_is_deterministic():
     assert a.obstructors == b.obstructors
 
 
-def test_budget_monotonicity():
+def test_budget_monotonicity(monkeypatch):
     world = movable_wall_world()
     goal = (0.3, -0.2)
-    small = plan_motion(world, MotionQuery("arm", MotionClass.TRANSFER, "put",
-                                           (0.0, 0.0), goal,
-                                           max_expansions=3))
-    big = plan_motion(world, MotionQuery("arm", MotionClass.TRANSFER, "put",
-                                         (0.0, 0.0), goal,
-                                         max_expansions=50_000))
-    assert not small.feasible
+    monkeypatch.setattr(W, "DEFAULT_MAX_EXPANSIONS", 3)
+    small = plan_motion(world, query(goal))
+    monkeypatch.setattr(W, "DEFAULT_MAX_EXPANSIONS", 50_000)
+    big = plan_motion(world, query(goal))
+    assert not small.feasible and small.expansions == 3
     assert big.feasible
 
 
@@ -237,19 +235,6 @@ def test_a_memo_hit_runs_no_search_and_repeats_the_result(monkeypatch):
     assert again.expansions == first.expansions > 0
 
 
-def test_a_memo_keeps_searches_of_different_budgets_apart():
-    world = movable_wall_world()
-    goal = (0.3, -0.2)
-    memo = {}
-    small = plan_motion(world, MotionQuery("arm", MotionClass.TRANSFER, "put",
-                                           (0.0, 0.0), goal, max_expansions=3), memo)
-    big = plan_motion(world, MotionQuery("arm", MotionClass.TRANSFER, "put",
-                                         (0.0, 0.0), goal), memo)
-    assert not small.feasible and small.expansions == 3
-    assert big.feasible
-    assert without_elapsed(big) == without_elapsed(plan_motion(world, query(goal)))
-
-
 def test_memo_entries_hold_tuples_and_no_grid():
     """Paths are tuples, so no caller can change a shared entry, and keys
     keep the mask's bytes, not the grid that made them."""
@@ -258,10 +243,10 @@ def test_memo_entries_hold_tuples_and_no_grid():
     assert not plan_motion(world, query((0.0, 0.4)), memo).feasible  # leg and ghost
     assert plan_motion(world, query((0.3, -0.2)), memo).feasible
     assert len(memo) == 3
-    for (mask, stride, start, goal, budget), (path, pops) in memo.items():
+    for (mask, stride, start, goal), (path, pops) in memo.items():
         assert type(mask) is bytes and len(mask) % stride == 0
         assert all(type(v) is tuple and len(v) == 2 for v in (start, goal))
-        assert type(budget) is int and type(pops) is int
+        assert type(pops) is int
         assert path is None or type(path) is tuple
     assert any(path is not None for path, _ in memo.values())
 
