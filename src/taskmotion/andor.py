@@ -6,11 +6,16 @@ are the OR branches. Leaves carry truth values assigned from outside;
 everything else derives solvedness and cost bottom-up. Costs are exact
 rationals so equal-cost alternatives stay equal under rescaling.
 
-A template declares nodes and arcs once; `build_graph` validates it in
-one topological pass (Kahn, "Topological sorting of large networks",
-CACM 5(11), 1962), which finds cycles, checks that a leaf reaches the
-root, and gives every node its height. The root and the failure node are
-the one node of each kind.
+A `GraphTemplate` holds a graph's declarations as integer columns: node
+ids and kinds, arc ids and parents, child offsets into one flat children
+array, and weight numerators and denominators. Validation is one numpy
+pass over those columns, ending in a level-by-level topological sort
+(Kahn, "Topological sorting of large networks", CACM 5(11), 1962) that
+finds cycles, checks that a leaf reaches the root, and gives every node
+its height. The root and the failure node are the one node of each kind.
+`NodeDecl`, `HyperArc` and `Node` objects are built from the columns
+only for the code that reads them: serialization, DOT export and the
+from-scratch pricing below.
 """
 
 from __future__ import annotations
@@ -20,7 +25,10 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Union
+from operator import attrgetter
+from typing import Iterable, Mapping, NamedTuple, Union
+
+import numpy as np
 
 INF = math.inf
 
@@ -109,21 +117,131 @@ class NodeDecl:
     label: str
 
 
-@dataclass(frozen=True)
-class GraphTemplate:
-    """Declarative graph description; `build_graph` validates it.
+KINDS = tuple(NodeKind)  # a node's code in a template's `kinds` column indexes this
+_CODE = {kind: code for code, kind in enumerate(KINDS)}
+_LEAF, _INTERNAL, _ROOT, _FAILURE, _VIRTUAL = (_CODE[kind] for kind in NodeKind)
+_PRICED = np.array([kind in (NodeKind.ROOT, NodeKind.INTERNAL) for kind in KINDS])
 
-    `graph` is built on first access and kept, so a template is validated
-    once. It is shared and never mutated: truths and costs go on a
-    `copy_graph`. `dataclasses.replace` makes a template validated afresh.
+
+def int_column(values) -> np.ndarray:
+    """Integers (or their decimal strings) as an `int64` column, or as Python
+    integers in an object column when one does not fit in 64 bits."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array([int(value) for value in values], dtype=object)
+
+
+class Checked(NamedTuple):
+    """What validation learns about a template, by declaration index: the
+    root and the failure node, each node's height (0 for a node that is not
+    priced, else one more than its highest child), and the node index of
+    each arc's parent and of each entry of `children`."""
+
+    root: int
+    failure: int
+    height: np.ndarray
+    parent: np.ndarray
+    child: np.ndarray
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class GraphTemplate:
+    """A graph's declarations as columns, in declaration order.
+
+    Node `i` has id `ids[i]`, kind `KINDS[kinds[i]]` and label `labels[i]`.
+    Arc `j` has id `arc_ids[j]` and parent `parents[j]`; its children are
+    `children[child_starts[j]:child_starts[j + 1]]`, its weight is
+    `weight_num[j] / weight_den[j]` in lowest terms, and its actions are
+    `actions[j]`. Integer columns are `int64`, or object columns of Python
+    integers when a value does not fit (`int_column`). `of` makes a
+    template from `NodeDecl`s and `HyperArc`s.
+
+    The template is shared and never mutated: its arrays are read-only.
+    `checked` validates it on first access and keeps the result; `nodes`,
+    `arcs` and the object `graph` are built from the columns when first
+    read. Two templates are equal when they declare the same nodes and
+    arcs, whatever the order of the declarations.
     """
 
-    nodes: tuple[NodeDecl, ...]
-    arcs: tuple[HyperArc, ...]
+    ids: np.ndarray
+    kinds: np.ndarray
+    labels: tuple[str, ...]
+    arc_ids: np.ndarray
+    parents: np.ndarray
+    child_starts: np.ndarray
+    children: np.ndarray
+    weight_num: np.ndarray
+    weight_den: np.ndarray
+    actions: tuple[tuple[str, ...], ...]
+
+    def __post_init__(self):
+        for column in (self.ids, self.kinds, self.arc_ids, self.parents, self.child_starts,
+                       self.children, self.weight_num, self.weight_den):
+            column.flags.writeable = False
+
+    @classmethod
+    def of(cls, nodes: Iterable[NodeDecl], arcs: Iterable[HyperArc]) -> GraphTemplate:
+        """The template that declares `nodes` and `arcs` in this order."""
+        nodes, arcs = tuple(nodes), tuple(arcs)
+        return cls(int_column([decl.id for decl in nodes]),
+                   np.array([_CODE[decl.kind] for decl in nodes], dtype=np.int8),
+                   tuple(decl.label for decl in nodes),
+                   int_column([arc.id for arc in arcs]),
+                   int_column([arc.parent for arc in arcs]),
+                   np.cumsum([0, *(len(arc.children) for arc in arcs)]),
+                   int_column([child for arc in arcs for child in arc.children]),
+                   int_column([arc.weight.numerator for arc in arcs]),
+                   int_column([arc.weight.denominator for arc in arcs]),
+                   tuple(arc.actions for arc in arcs))
+
+    @cached_property
+    def checked(self) -> Checked:
+        return _check(self)
+
+    @property
+    def root(self) -> int:
+        return int(self.ids[self.checked.root])
+
+    @property
+    def failure(self) -> int:
+        return int(self.ids[self.checked.failure])
+
+    def arc(self, j: int) -> HyperArc:
+        """The arc declared `j`-th, built from the columns."""
+        start, stop = self.child_starts[j], self.child_starts[j + 1]
+        return HyperArc(int(self.arc_ids[j]), int(self.parents[j]),
+                        tuple(self.children[start:stop].tolist()),
+                        Fraction(int(self.weight_num[j]), int(self.weight_den[j])),
+                        self.actions[j])
+
+    @cached_property
+    def nodes(self) -> tuple[NodeDecl, ...]:
+        return tuple(map(NodeDecl, self.ids.tolist(), map(KINDS.__getitem__, self.kinds.tolist()),
+                         self.labels))
+
+    @cached_property
+    def arcs(self) -> tuple[HyperArc, ...]:
+        return tuple(map(self.arc, range(len(self.arc_ids))))
 
     @cached_property
     def graph(self) -> AndOrGraph:
         return build_graph(self)
+
+    def _by_id(self) -> tuple[tuple[NodeDecl, ...], tuple[HyperArc, ...]]:
+        return (tuple(sorted(self.nodes, key=attrgetter("id"))),
+                tuple(sorted(self.arcs, key=attrgetter("id"))))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GraphTemplate):
+            return NotImplemented
+        return self is other or self._by_id() == other._by_id()
+
+    def __hash__(self) -> int:
+        return hash(self._by_id())
+
+    def __repr__(self) -> str:
+        return f"GraphTemplate({len(self.ids)} nodes, {len(self.arc_ids)} arcs)"
 
 
 @dataclass
@@ -161,97 +279,143 @@ class AugmentedGraph:
 
 
 def build_graph(template: GraphTemplate) -> AndOrGraph:
-    """Validate a template and assemble its graph from the template's own arcs.
-
-    Rejects duplicate ids, dangling references, cyclic parent-child
-    structure, arcs into leaves, anything but one root and one failure
-    node, and roots no leaf can reach. An error's `element` is the
-    `("node" | "arc", id)` it is about, or None.
-    """
-    nodes: dict[int, Node] = {}
-    for decl in template.nodes:
-        if decl.id in nodes:
-            raise DuplicateNodeId(f"node id {decl.id} declared twice", ("node", decl.id))
-        if decl.kind is NodeKind.VIRTUAL:
-            raise InvalidArc(f"node {decl.id}: virtual nodes appear only via augment",
-                             ("node", decl.id))
-        nodes[decl.id] = Node(decl.id, decl.label, decl.kind)
-    roots = [nid for nid, node in nodes.items() if node.kind is NodeKind.ROOT]
-    failures = [nid for nid, node in nodes.items() if node.kind is NodeKind.FAILURE]
-    if len(roots) != 1:
-        raise MissingRoot(f"expected exactly one root node, found {len(roots)}")
-    if len(failures) != 1:
-        raise MissingFailure(f"expected exactly one failure node, found {len(failures)}")
-
+    """The object graph of a template, which must pass `checked`: its nodes,
+    its own arcs, and each node's arcs sorted by id."""
+    checked = template.checked
+    ids = template.ids.tolist()
+    nodes = {nid: Node(nid, label, KINDS[code])
+             for nid, code, label in zip(ids, template.kinds.tolist(), template.labels)}
     by_parent: dict[int, list[HyperArc]] = {}
-    seen_arc_ids: set[int] = set()
-    for arc in template.arcs:
-        element = ("arc", arc.id)
-        if arc.id in seen_arc_ids:
-            raise DuplicateNodeId(f"arc id {arc.id} declared twice", element)
-        seen_arc_ids.add(arc.id)
-        if arc.parent not in nodes:
-            raise DanglingReference(f"arc {arc.id}: unknown parent {arc.parent}", element)
-        if nodes[arc.parent].kind is NodeKind.LEAF:
-            raise InvalidArc(f"arc {arc.id}: parent {arc.parent} is a leaf", element)
-        if not arc.children:
-            raise InvalidArc(f"arc {arc.id}: empty child set", element)
-        for child in arc.children:
-            if child not in nodes:
-                raise DanglingReference(f"arc {arc.id}: unknown child {child}", element)
-        if arc.weight < 0:
-            raise InvalidArc(f"arc {arc.id}: negative weight", element)
+    for arc in sorted(template.arcs, key=attrgetter("id")):
         by_parent.setdefault(arc.parent, []).append(arc)
-    for lst in by_parent.values():
-        lst.sort(key=lambda a: a.id)
-
-    return AndOrGraph(nodes, template.arcs, roots[0], failures[0], by_parent,
-                      _topological_height(nodes, by_parent, roots[0]))
+    return AndOrGraph(nodes, template.arcs, ids[checked.root], ids[checked.failure],
+                      by_parent, dict(zip(ids, checked.height.tolist())))
 
 
-_PRICED = (NodeKind.ROOT, NodeKind.INTERNAL)
+def _check(t: GraphTemplate) -> Checked:
+    """Validate a template's columns in one pass.
 
+    Rejects duplicate ids, dangling references, arcs into leaves, empty
+    child sets, negative weights, anything but one root and one failure
+    node, cycles, and roots no leaf can reach. The error is the one that
+    checking node by node and then arc by arc, in declaration order, meets
+    first; within an arc the order is duplicate id, unknown parent, leaf
+    parent, empty child set, unknown child, negative weight. Its `element`
+    is the `("node" | "arc", id)` it is about, or None.
 
-def _topological_height(nodes: Mapping[int, Node], by_parent: Mapping[int, list[HyperArc]],
-                        root: int) -> dict[int, int]:
-    """Every node's height, by Kahn's algorithm: a node is processed once
-    all of its children are, leaves first, lifts each root or internal
-    parent above itself, and passes on whether a leaf reaches it. Nodes
-    left over lie on or above a cycle; the walk from the smallest of them
-    along left-over children repeats a node of a cycle, which
-    `CycleDetected` names. Then a root no leaf reaches is `UnreachableRoot`."""
-    pending = dict.fromkeys(nodes, 0)
-    parents: dict[int, list[int]] = {}
-    for parent, arcs in by_parent.items():
-        for arc in arcs:
-            pending[parent] += len(arc.children)
-            for child in arc.children:
-                parents.setdefault(child, []).append(parent)
-    height = dict.fromkeys(nodes, 0)
-    reached = {nid for nid, node in nodes.items() if node.kind is NodeKind.LEAF}
-    ready = [nid for nid, count in pending.items() if count == 0]
-    for nid in ready:  # grows while it is walked
-        lift = height[nid] + 1
-        above = parents.get(nid, ())
-        if nid in reached:
-            reached.update(above)
-        for parent in above:
-            if nodes[parent].kind in _PRICED and height[parent] < lift:
-                height[parent] = lift
-            pending[parent] -= 1
-            if pending[parent] == 0:
-                ready.append(parent)
-    if len(ready) < len(nodes):
-        left = {nid for nid, count in pending.items() if count}
-        nid, seen = min(left), set()
-        while nid not in seen:
-            seen.add(nid)
-            nid = next(c for arc in by_parent[nid] for c in arc.children if c in left)
+    The last step is Kahn's algorithm, one level of ready nodes at a time:
+    a node is ready once all of its children are, leaves first, lifts each
+    root or internal parent above itself and passes on whether a leaf
+    reaches it. Nodes never ready lie on or above a cycle.
+    """
+    ids, kinds = t.ids, t.kinds
+    n = len(ids)
+    by_id = ids.argsort(kind="stable")
+    sorted_ids = ids[by_id]
+    again = sorted_ids[1:] == sorted_ids[:-1]  # a later declaration of the id before
+    count = np.bincount(kinds, minlength=len(KINDS)).tolist()
+    if count[_VIRTUAL] or again.any():
+        i = min(by_id[1:][again].min(initial=n),
+                (kinds == _VIRTUAL).argmax() if count[_VIRTUAL] else n)
+        nid = int(ids[i])
+        if i in by_id[1:][again]:
+            raise DuplicateNodeId(f"node id {nid} declared twice", ("node", nid))
+        raise InvalidArc(f"node {nid}: virtual nodes appear only via augment", ("node", nid))
+    if count[_ROOT] != 1:
+        raise MissingRoot(f"expected exactly one root node, found {count[_ROOT]}")
+    if count[_FAILURE] != 1:
+        raise MissingFailure(f"expected exactly one failure node, found {count[_FAILURE]}")
+
+    m = len(t.arc_ids)
+    refs = np.concatenate((t.parents, t.children))
+    at = sorted_ids.searchsorted(refs)
+    index = by_id.take(at, mode="clip")
+    index[sorted_ids.take(at, mode="clip") != refs] = -1
+    parent, child = index[:m], index[m:]
+    arity = t.child_starts[1:] - t.child_starts[:-1]
+    arc_ids = t.arc_ids[t.arc_ids.argsort(kind="stable")]
+    # `_LEAF` is code 0, so a leaf parent makes `kinds[parent].all()` false.
+    if (index.min(initial=0) < 0 or not kinds[parent].all() or not arity.all()
+            or t.weight_num.min(initial=0) < 0 or (arc_ids[1:] == arc_ids[:-1]).any()):
+        _raise_arc_error(t, parent, child)
+
+    up = parent.repeat(arity)  # the parent at the other end of each entry of `children`
+    pending = np.bincount(up, minlength=n)
+    by_child = child.argsort(kind="stable")
+    above, below = up[by_child], child[by_child]  # each (child, parent) pair, by child
+    first_above = below.searchsorted(np.arange(n + 1))
+    n_above = first_above[1:] - first_above[:-1]
+    lifts = _PRICED[kinds][above]  # whether the parent of a pair is priced
+    height = np.zeros(n, dtype=np.int64)
+    reached = kinds == _LEAF
+    ready = (pending == 0).nonzero()[0]
+    done = 0
+    while len(ready):
+        done += len(ready)
+        count = n_above[ready]
+        ends = count.cumsum()
+        if not ends[-1]:
+            break  # nothing above the nodes made ready last
+        pairs = (first_above[ready] - ends + count).repeat(count) + np.arange(ends[-1])
+        lifted, lifting = above[pairs], below[pairs]
+        np.maximum.at(height, lifted, (height[lifting] + 1) * lifts[pairs])
+        reached[lifted[reached[lifting]]] = True
+        np.subtract.at(pending, lifted, 1)
+        # Each node once, in time that grows with the pairs of the round, not
+        # with the graph (`np.unique` would import numpy.ma, 1 MB of memory).
+        ready = lifted[pending[lifted] == 0]
+        ready = ready[ready.argsort(kind="stable")]
+        first = np.ones(len(ready), dtype=bool)
+        first[1:] = ready[1:] != ready[:-1]
+        ready = ready[first]
+    if done < n:
+        nid = int(ids[_node_on_cycle(t, pending > 0, by_id, parent, child)])
         raise CycleDetected(f"cycle through node {nid}", ("node", nid))
-    if root not in reached:
+    root = int((kinds == _ROOT).nonzero()[0][0])
+    if not reached[root]:
         raise UnreachableRoot("no leaf reaches the root through any arc chain",
-                              ("node", root))
-    return height
+                              ("node", int(ids[root])))
+    return Checked(root, int((kinds == _FAILURE).nonzero()[0][0]), height, parent, child)
+
+
+def _raise_arc_error(t: GraphTemplate, parent: np.ndarray, child: np.ndarray):
+    """Raise the error of the first arc that has one, in the order `_check`
+    gives."""
+    seen: set[int] = set()
+    for j, aid in enumerate(t.arc_ids.tolist()):
+        element = ("arc", aid)
+        if aid in seen:
+            raise DuplicateNodeId(f"arc id {aid} declared twice", element)
+        seen.add(aid)
+        if parent[j] < 0:
+            raise DanglingReference(f"arc {aid}: unknown parent {int(t.parents[j])}", element)
+        if t.kinds[parent[j]] == _LEAF:
+            raise InvalidArc(f"arc {aid}: parent {int(t.parents[j])} is a leaf", element)
+        start, stop = t.child_starts[j], t.child_starts[j + 1]
+        if start == stop:
+            raise InvalidArc(f"arc {aid}: empty child set", element)
+        unknown = np.flatnonzero(child[start:stop] < 0)
+        if len(unknown):
+            raise DanglingReference(
+                f"arc {aid}: unknown child {int(t.children[start + unknown[0]])}", element)
+        if t.weight_num[j] < 0:
+            raise InvalidArc(f"arc {aid}: negative weight", element)
+
+
+def _node_on_cycle(t: GraphTemplate, left: np.ndarray, by_id: np.ndarray,
+                   parent: np.ndarray, child: np.ndarray) -> int:
+    """A node on a cycle among the `left` nodes: the walk from the one with
+    the smallest id, each time to the first left child of its arcs by arc
+    id, repeats a node of a cycle."""
+    i = int(by_id[left[by_id]][0])
+    seen = set()
+    while i not in seen:
+        seen.add(i)
+        arcs = np.flatnonzero(parent == i)
+        arcs = arcs[np.argsort(t.arc_ids[arcs], kind="stable")]
+        i = next(c for j in arcs.tolist()
+                 for c in child[t.child_starts[j]:t.child_starts[j + 1]].tolist() if left[c])
+    return i
 
 
 def copy_graph(graph: AndOrGraph) -> AndOrGraph:

@@ -135,7 +135,7 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     scn = _load_scenario(args)
     print(f"{scn.name}: ok ({len(scn.objects)} objects, "
-          f"{len(scn.actions)} actions, {len(scn.graph.graph.nodes)} graph nodes, "
+          f"{len(scn.actions)} actions, {len(scn.graph.ids)} graph nodes, "
           f"{len(scn.stages)} stages)")
     return 0
 

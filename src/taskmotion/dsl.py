@@ -46,13 +46,19 @@ ignored, and an uppercase word alone on a line opens a section:
       arc 1 parent 1 children 2 weight 1
     end
 
-Two line shapes of GRAPH and STAGES are read with one whole-line pattern
-each, without tokens: `node <id> <kind> "<label>"` and `arc <id> parent
-<id> children <id>... weight <w> [actions <name>...]`, with blanks between
-the parts, unsigned ASCII numbers, a weight that is an integer, a decimal
-or a fraction with a non-zero denominator, and an optional trailing
-comment. Every other line, including each one that is wrong, goes through
-the token cursor, which alone makes diagnostics.
+A graph (GRAPH, or one stage of STAGES) is read into columns, not
+objects. Two line shapes are read with one whole-line pattern each,
+without tokens: `node <id> <kind> "<label>"` and `arc <id> parent <id>
+children <id>... weight <w> [actions <name>...]`, with blanks between the
+parts, unsigned ASCII numbers of at most 18 digits, a weight that is an
+integer, a decimal or a fraction with a non-zero denominator, and an
+optional trailing comment. Their fields are appended, as strings, to the
+lists of the section. Every other line, including each one that is wrong,
+goes through the token cursor, which alone makes diagnostics and appends
+the same fields as integers. When the section ends its lists become the
+integer columns of an `andor.GraphTemplate` in a few bulk conversions,
+and the template is validated over those columns; an error about a node
+or an arc is located through the line kept for each declaration.
 
 Parsing fails fast: the first problem raises one diagnostic carrying the
 line and column. `serialize` emits a canonical form (sections in a fixed
@@ -66,7 +72,9 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .andor import GraphError, GraphTemplate, HyperArc, NodeDecl, NodeKind
+import numpy as np
+
+from .andor import KINDS, GraphError, GraphTemplate, int_column
 from .domain import (
     BUILTIN_PREDICATE_DECLS,
     DERIVED_PREDICATES,
@@ -313,86 +321,133 @@ def _escape(text: str) -> str:
 # nearly all of a large graph's text. A label is the lexer's string pattern
 # with its loop unrolled: the same strings, matched about four times faster.
 # Every line these accept lexes into the same tokens and reads to the same
-# declaration through the cursor.
+# fields through the cursor. A number has at most 18 digits, so it fits in
+# 64 bits and its conversion cannot fail; a longer one is left to the cursor.
 _NODE_LINE = re.compile(
-    r'[ \t]*node[ \t]+([0-9]+)[ \t]+(root|failure|leaf|internal)[ \t]+'
+    r'[ \t]*node[ \t]+([0-9]{1,18})[ \t]+(root|failure|leaf|internal)[ \t]+'
     r'("[^"\\]*(?:\\.[^"\\]*)*")[ \t]*(?:#.*)?')
 _ARC_LINE = re.compile(
-    r'[ \t]*arc[ \t]+([0-9]+)[ \t]+parent[ \t]+([0-9]+)[ \t]+children'
-    r'((?:[ \t]+[0-9]+)+)[ \t]+weight[ \t]+([0-9]+)(?:/(0*[1-9][0-9]*)|(\.[0-9]+))?'
+    r'[ \t]*arc[ \t]+([0-9]{1,18})[ \t]+parent[ \t]+([0-9]{1,18})[ \t]+children'
+    r'((?:[ \t]+[0-9]{1,18})+)[ \t]+weight[ \t]+([0-9]{1,18})'
+    r'(?:/([1-9][0-9]{0,17})|\.([0-9]{1,18}))?'
     r'(?:[ \t]+actions((?:[ \t]+[A-Za-z_][A-Za-z0-9_]*)+))?[ \t]*(?:#.*)?')
+_KIND_CODE = {kind.value: code for code, kind in enumerate(KINDS)}
 
 
-def _match_graph_line(raw: str) -> NodeDecl | HyperArc | None:
-    """The declaration on a `node` or `arc` line of a plain shape, else None;
-    a number too long to convert leaves the line to the cursor."""
-    try:
+class _GraphSection:
+    """The fields of the `node` and `arc` lines of GRAPH or of one stage, in
+    declaration order, with the line each came from.
+
+    `match` takes a line of a plain shape as strings; `read` takes any
+    line through the cursor, as integers. `template` converts the lists to
+    the template's columns in bulk.
+    """
+
+    def __init__(self):
+        self.node_ids: list = []
+        self.kinds: list[int] = []
+        self.labels: list[str] = []
+        self.node_lines: list[int] = []
+        self.arc_ids: list = []
+        self.parents: list = []
+        self.children: list = []
+        self.child_starts = [0]
+        self.nums: list = []
+        self.dens: list = []
+        self.actions: list[tuple[str, ...]] = []
+        self.arc_lines: list[int] = []
+
+    def match(self, raw: str, line_no: int) -> bool:
+        """Take a `node` or `arc` line of a plain shape; False for any other."""
         match = _ARC_LINE.fullmatch(raw)
         if match is not None:
             aid, parent, children, num, den, decimals, actions = match.groups()
-            if den is not None:
-                weight = Fraction(int(num), int(den))
-            elif decimals is not None:
-                weight = Fraction(num + decimals)
-            else:
-                weight = Fraction(int(num))
-            return HyperArc(int(aid), int(parent), tuple(map(int, children.split())),
-                            weight, tuple(actions.split()) if actions else ())
+            if decimals is not None:
+                num, den = num + decimals, 10 ** len(decimals)
+            self._arc(aid, parent, children.split(), num, den or 1,
+                      tuple(actions.split()) if actions else (), line_no)
+            return True
         match = _NODE_LINE.fullmatch(raw)
         if match is None:
-            return None
+            return False
         nid, kind, label = match.groups()
-        return NodeDecl(int(nid), NodeKind(kind), _unescape(label))
-    except ValueError:
-        return None
+        self._node(nid, _KIND_CODE[kind], _unescape(label), line_no)
+        return True
 
-
-def _read_graph_line(cur: _Cursor) -> NodeDecl | HyperArc:
-    """The declaration on any `node` or `arc` line, read token by token."""
-    head = cur.word("node", "arc")
-    if head.value == "node":
-        nid, _ = cur.integer()
-        kind = cur.word("root", "failure", "leaf", "internal")
-        label, _ = cur.string()
-        cur.finish()
-        return NodeDecl(nid, NodeKind(kind.value), label)
-    aid, _ = cur.integer()
-    cur.word("parent")
-    parent, _ = cur.integer()
-    cur.word("children")
-    children = []
-    first, _ = cur.integer()
-    children.append(first)
-    while True:
-        tok = cur.peek()
-        if tok is None or tok.kind != "number":
-            break
-        value, _ = cur.integer()
-        children.append(value)
-    cur.word("weight")
-    weight, wtok = cur.weight()
-    if weight < 0:
-        raise ParseError("negative weight", wtok.line, wtok.col)
-    actions: list[str] = []
-    if cur.maybe_word("actions"):
-        actions.append(cur.word().value)
+    def read(self, cur: _Cursor):
+        """Take any `node` or `arc` line, token by token."""
+        head = cur.word("node", "arc")
+        if head.value == "node":
+            nid, _ = cur.integer()
+            kind = cur.word("root", "failure", "leaf", "internal")
+            label, _ = cur.string()
+            cur.finish()
+            self._node(nid, _KIND_CODE[kind.value], label, cur.line)
+            return
+        aid, _ = cur.integer()
+        cur.word("parent")
+        parent, _ = cur.integer()
+        cur.word("children")
+        children = []
+        first, _ = cur.integer()
+        children.append(first)
         while True:
             tok = cur.peek()
-            if tok is None or tok.kind != "word":
+            if tok is None or tok.kind != "number":
                 break
+            value, _ = cur.integer()
+            children.append(value)
+        cur.word("weight")
+        weight, wtok = cur.weight()
+        if weight < 0:
+            raise ParseError("negative weight", wtok.line, wtok.col)
+        actions: list[str] = []
+        if cur.maybe_word("actions"):
             actions.append(cur.word().value)
-    cur.finish()
-    return HyperArc(aid, parent, tuple(children), weight, tuple(actions))
+            while True:
+                tok = cur.peek()
+                if tok is None or tok.kind != "word":
+                    break
+                actions.append(cur.word().value)
+        cur.finish()
+        self._arc(aid, parent, children, weight.numerator, weight.denominator,
+                  tuple(actions), cur.line)
 
+    def _node(self, nid, kind: int, label: str, line_no: int):
+        self.node_ids.append(nid)
+        self.kinds.append(kind)
+        self.labels.append(label)
+        self.node_lines.append(line_no)
 
-def _add_graph_decl(decl: NodeDecl | HyperArc, line_no: int, nodes: list[NodeDecl],
-                    arcs: list[HyperArc], decl_lines: dict):
-    if isinstance(decl, NodeDecl):
-        nodes.append(decl)
-        decl_lines[("node", decl.id)] = line_no
-    else:
-        arcs.append(decl)
-        decl_lines[("arc", decl.id)] = line_no
+    def _arc(self, aid, parent, children: list, num, den, actions: tuple[str, ...],
+             line_no: int):
+        self.arc_ids.append(aid)
+        self.parents.append(parent)
+        self.children.extend(children)
+        self.child_starts.append(len(self.children))
+        self.nums.append(num)
+        self.dens.append(den)
+        self.actions.append(actions)
+        self.arc_lines.append(line_no)
+
+    def template(self) -> GraphTemplate:
+        num, den = int_column(self.nums), int_column(self.dens)
+        common = np.gcd(num, den)
+        return GraphTemplate(int_column(self.node_ids), np.array(self.kinds, dtype=np.int8),
+                             tuple(self.labels), int_column(self.arc_ids),
+                             int_column(self.parents), np.array(self.child_starts),
+                             int_column(self.children), num // common, den // common,
+                             tuple(self.actions))
+
+    def line_of(self, template: GraphTemplate, element) -> int | None:
+        """The line of the last declaration of a `("node" | "arc", id)`."""
+        if element is None:
+            return None
+        kind, eid = element
+        ids, lines = ((template.ids, self.node_lines) if kind == "node"
+                      else (template.arc_ids, self.arc_lines))
+        at = np.flatnonzero(ids == eid)
+        return lines[at[-1]] if len(at) else None
 
 
 # ----------------------------------------------------------------- parser
@@ -407,9 +462,8 @@ class _Parser:
         self.seen_sections: set[str] = set()
         self.decl_lines: dict[tuple[str, object], int] = {}
         self.entity_ids: set[str] = set()  # objects, markers and agents declared so far
-        self.stage_decl_lines: dict[str, dict[tuple[str, object], int]] = {}
-        self._graph_nodes: list[NodeDecl] = []
-        self._graph_arcs: list[HyperArc] = []
+        self.graph_section = _GraphSection()
+        self.stage_sections: dict[str, _GraphSection] = {}
         self.graph_line = 1
         self.index = 0
 
@@ -419,12 +473,8 @@ class _Parser:
             line_no = self.index + 1
             raw = self.lines[self.index]
             self.index += 1
-            if self.section == "GRAPH":
-                decl = _match_graph_line(raw)
-                if decl is not None:
-                    _add_graph_decl(decl, line_no, self._graph_nodes, self._graph_arcs,
-                                    self.decl_lines)
-                    continue
+            if self.section == "GRAPH" and self.graph_section.match(raw, line_no):
+                continue
             tokens = _lex_line(raw, line_no)
             if not tokens:
                 continue
@@ -657,8 +707,7 @@ class _Parser:
         self.decl_lines[("goal", fact)] = tok.line
 
     def _line_GRAPH(self, cur: _Cursor):
-        _add_graph_decl(_read_graph_line(cur), cur.line, self._graph_nodes,
-                        self._graph_arcs, self.decl_lines)
+        self.graph_section.read(cur)
 
     def _line_STAGES(self, cur: _Cursor):
         head = cur.word("stage")
@@ -666,33 +715,29 @@ class _Parser:
         cur.finish()
         if name.value in self.scenario.stages:
             raise ParseError(f"duplicate stage {name.value}", name.line, name.col)
-        nodes: list[NodeDecl] = []
-        arcs: list[HyperArc] = []
-        lines: dict = {}
+        section = _GraphSection()
         closed = False
         while self.index < len(self.lines):
             line_no = self.index + 1
             raw = self.lines[self.index]
             self.index += 1
-            decl = _match_graph_line(raw)
-            if decl is None:
-                tokens = _lex_line(raw, line_no)
-                if not tokens:
-                    continue
-                inner = _Cursor(tokens, line_no, len(raw))
-                if inner.maybe_word("end"):
-                    inner.finish()
-                    closed = True
-                    break
-                decl = _read_graph_line(inner)
-            _add_graph_decl(decl, line_no, nodes, arcs, lines)
+            if section.match(raw, line_no):
+                continue
+            tokens = _lex_line(raw, line_no)
+            if not tokens:
+                continue
+            inner = _Cursor(tokens, line_no, len(raw))
+            if inner.maybe_word("end"):
+                inner.finish()
+                closed = True
+                break
+            section.read(inner)
         if not closed:
             raise ParseError(f"stage {name.value} missing end", head.line, head.col,
                              ("end",))
-        template = self._template(nodes, arcs, lines, f"stage {name.value}",
-                                  name.line, name.col)
-        self.scenario.stages[name.value] = template
-        self.stage_decl_lines[name.value] = lines
+        self.scenario.stages[name.value] = self._template(
+            section, f"stage {name.value}", name.line, name.col)
+        self.stage_sections[name.value] = section
 
     # -- shared helpers ---------------------------------------------------
 
@@ -701,12 +746,13 @@ class _Parser:
             raise ParseError(f"duplicate entity id {name.value}", name.line, name.col)
         self.entity_ids.add(name.value)
 
-    def _template(self, nodes, arcs, decl_lines, what, line, col) -> GraphTemplate:
-        template = GraphTemplate(tuple(nodes), tuple(arcs))
+    def _template(self, section: _GraphSection, what: str, line: int,
+                  col: int) -> GraphTemplate:
+        template = section.template()
         try:
-            template.graph
+            template.checked
         except GraphError as exc:
-            at = decl_lines.get(exc.element)
+            at = section.line_of(template, exc.element)
             if at is None:
                 raise ResolveError(f"{what}: {exc}", line, col) from exc
             raise ResolveError(f"{what}: {exc}", at, 1) from exc
@@ -798,15 +844,12 @@ class _Parser:
             self._check_fact(fact, predicates, entities,
                              self.decl_lines.get(("goal", fact), 1))
 
-        nodes = self._graph_nodes
-        arcs = self._graph_arcs
-        if not nodes:
+        if not self.graph_section.node_ids:
             raise ResolveError("missing GRAPH section", len(self.lines) + 1, 1)
-        scn.graph = self._template(nodes, arcs, self.decl_lines, "graph",
-                                   self.graph_line, 1)
-        self._check_template(scn.graph, self.decl_lines, predicates)
+        scn.graph = self._template(self.graph_section, "graph", self.graph_line, 1)
+        self._check_template(scn.graph, self.graph_section, predicates)
         for name, template in scn.stages.items():
-            self._check_template(template, self.stage_decl_lines[name], predicates)
+            self._check_template(template, self.stage_sections[name], predicates)
 
     def _check_fact(self, fact: Fact, predicates, entities, line: int):
         decl = predicates.get(fact.predicate)
@@ -820,23 +863,26 @@ class _Parser:
             if arg not in entities:
                 raise ResolveError(f"unknown entity {arg}", line, 1)
 
-    def _check_template(self, template: GraphTemplate, decl_lines, predicates):
+    def _check_template(self, template: GraphTemplate, section: _GraphSection, predicates):
+        """Leaf labels state declared facts and arcs name declared actions;
+        the template is valid, so each id has one declaration line."""
         entities = self.scenario.entity_ids()
-        for node in template.nodes:
-            if node.kind is not NodeKind.LEAF:
-                continue
-            line = decl_lines.get(("node", node.id), 1)
+        for i in np.flatnonzero(template.kinds == _KIND_CODE["leaf"]).tolist():
+            line = section.node_lines[i]
             try:
-                fact = Fact.parse(node.label)
+                fact = Fact.parse(template.labels[i])
             except ValueError:
-                raise ResolveError(f"leaf {node.id} label is not a fact", line, 1)
+                raise ResolveError(f"leaf {int(template.ids[i])} label is not a fact",
+                                   line, 1)
             self._check_fact(fact, predicates, entities, line)
-        for arc in template.arcs:
-            line = decl_lines.get(("arc", arc.id), 1)
-            for action in arc.actions:
+        if set().union(*template.actions) <= self.scenario.actions.keys():
+            return
+        for j, actions in enumerate(template.actions):
+            for action in actions:
                 if action not in self.scenario.actions:
-                    raise ResolveError(f"arc {arc.id} references unknown action {action}",
-                                       line, 1)
+                    raise ResolveError(
+                        f"arc {int(template.arc_ids[j])} references unknown action {action}",
+                        section.arc_lines[j], 1)
 
 
 def parse(text: str) -> Scenario:
@@ -917,7 +963,9 @@ def _action_lines(action: ActionTemplate) -> list[str]:
         out.append(f"  from {action.source}")
     if action.dest is not None:
         out.append(f"  to {action.dest}")
-    if action.is_geometric() and action.motion_class is not MotionClass.TRANSIT:
+    # The verb binds only transfers, but a stated one round-trips.
+    if (action.is_geometric() and action.motion_class is not MotionClass.TRANSIT
+            or action.verb != ActionTemplate.verb):
         out.append(f"  verb {action.verb}")
     for condition in action.preconditions:
         out.append("  pre " + condition.text())

@@ -6,12 +6,15 @@ dead end, and every exhausted frontier appends a further graph instead of
 mutating an existing one. The network therefore records the full history
 of the run, and its length is the reported search depth.
 
-Each template is validated once, by `GraphTemplate.graph`, whose one
-topological pass also gives every node its height, and compiled once into
-a `CompiledGraph` that every graph instantiated from it shares: the main
-template on first use, a composed rearrangement template when it is
-composed. A compiled graph gives each priced arc one place, which pricing,
-the frontier and selection all index. A `GraphEntry` holds only what
+Each template is validated once, by `GraphTemplate.checked`, whose one
+pass over the template's integer columns also gives every node its
+height, and compiled once into a `CompiledGraph` that every graph
+instantiated from it shares: the main template on first use, a composed
+rearrangement template when it is composed. Compilation gathers numpy
+arrays from the columns; it builds no node or arc objects. A compiled
+graph gives each priced arc one place, which pricing, the frontier and
+selection all index; the `HyperArc` of a place is built only when the
+frontier offers it as a candidate. A `GraphEntry` holds only what
 differs between instantiations, its leaf truths and its achieved nodes.
 The newest entry is priced once, when it is first searched: the bottom-up
 min-cost evaluation of AO* (Martelli & Montanari, 1973), run one level of
@@ -25,23 +28,22 @@ one segment reduction finds enabled are tested for the last two. Selection
 prefers arcs on the minimal-cost solution of the graph; when the root is
 currently unsolvable it falls back to the cheapest applicable arc with
 the lowest arc id. A candidate's total is read from the priced totals at
-its arc's place.
+its arc's place, and the solution is a map from node to place.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from operator import attrgetter
 from typing import Collection, Iterable, NamedTuple
 
 import numpy as np
 
 from .andor import (  # noqa: F401 - see the note below
+    KINDS,
     AndOrGraph,
     GraphTemplate,
     HyperArc,
@@ -58,10 +60,10 @@ from .andor import (  # noqa: F401 - see the note below
 )
 from .domain import ActionTemplate, Fact, chain_applicable
 
-# `solved`, `node_cost` and `solution_subgraph` are the from-scratch
-# pricing of `andor`, which the tests keep as the reference for
-# `CompiledGraph`. They stay bound here because the layer trace in
-# perfbench/tracer.py wraps the network's pricing calls under these names.
+# `build_graph` and `solved`, `node_cost` and `solution_subgraph`, the
+# from-scratch pricing of `andor` that the tests keep as the reference
+# for `CompiledGraph`, are not called here. They stay bound because the
+# layer trace in perfbench/tracer.py patches these names on this module.
 
 
 class NetworkError(Exception):
@@ -105,7 +107,7 @@ class _Level(NamedTuple):
 
 
 class CompiledGraph:
-    """A validated graph, flattened once for repeated pricing and search.
+    """A validated template, flattened once for repeated pricing and search.
 
     Arc weights are scaled to integers by the least common multiple of
     their denominators, so costs are exact integers that order and tie
@@ -115,52 +117,71 @@ class CompiledGraph:
     every arc total to `inf` is exact.
 
     The root and the internal nodes with arcs are priced. A node's level
-    is its `graph.height`, the longest chain of arcs down to a node that
-    is not priced (a leaf, the failure node or a node without arcs); those
-    make up level 0. Nodes have positions in the cost array, by level then
-    id. Each arc of a priced node, which is every arc but the failure
-    node's, has one place, node by node in position order and by id within
-    a node, so the node at position p owns places `arc_start[p]` up to
-    `arc_start[p + 1]`. A place indexes `arcs`, `price`'s totals,
-    `parents`, `weights` and `arc_starts`, the arc's first index in
-    `children`. Nodes of one level never depend on each other, so `price`
-    evaluates a level in a few numpy segment reductions over its `_Level`
-    slices; `enabled` is one reduction of an achieved mask gathered at
-    `children`, read in `by_parent_id` order. Costs are `int64` when every
-    unclamped arc total fits, and Python integers in an object array
-    otherwise, through the same code. The graph is shared by every entry
-    and never mutated: its leaves all stay false.
+    is its height from `template.checked`, the longest chain of arcs down
+    to a node that is not priced (a leaf, the failure node or a node
+    without arcs); those make up level 0. Nodes have positions in the cost
+    array, by level then id; `ids` and `pos` map between the two. Each arc
+    of a priced node, which is every arc but the failure node's, has one
+    place, node by node in position order and by id within a node, so the
+    node at position p owns places `arc_start[p]` up to `arc_start[p + 1]`.
+    A place indexes `price`'s totals, `parents`, `weights`, `decl` (the
+    arc's declaration index in the template) and `child_start`, which
+    bounds the arc's children in `children`. Everything is gathered from
+    the template's columns with numpy; an arc's `HyperArc` is built only
+    when `arc` is asked for its place, and kept.
+
+    Nodes of one level never depend on each other, so `price` evaluates a
+    level in a few numpy segment reductions over its `_Level` slices;
+    `enabled` is one reduction of an achieved mask gathered at `children`,
+    read in `by_parent_id` order. Costs are `int64` when every unclamped
+    arc total fits, and Python integers in an object array otherwise,
+    through the same code. The graph is shared by every entry and never
+    mutated: its leaves all stay false.
     """
 
-    def __init__(self, graph: AndOrGraph):
-        self.graph = graph
-        self.scale = math.lcm(*(arc.weight.denominator for arc in graph.arcs))
-        height = graph.height
-        order = sorted(graph.nodes, key=lambda nid: (height[nid], nid))
-        self.pos = {nid: p for p, nid in enumerate(order)}
-        self.arcs = tuple(arc for nid in order if height[nid] for arc in graph.arcs_into(nid))
-        counts = [len(graph.arcs_into(nid)) if height[nid] else 0 for nid in order]
-        self.arc_start = np.cumsum([0, *counts])
-        self.parents = np.repeat(np.arange(len(order)), counts)
-        self.by_parent_id = np.argsort(np.array(order)[self.parents], kind="stable")
-        child_start = np.cumsum([0, *(len(arc.children) for arc in self.arcs)])
-        self.arc_starts = child_start[:-1]
-        self.children = np.fromiter((self.pos[c] for arc in self.arcs for c in arc.children),
-                                    np.intp, child_start[-1])
-        weights = np.array([arc.weight.numerator * (self.scale // arc.weight.denominator)
-                            for arc in self.arcs], dtype=object)
+    def __init__(self, template: GraphTemplate):
+        checked = template.checked
+        self.template = template
+        self.root = template.root
+        height = checked.height
+        by_id = np.argsort(template.ids, kind="stable")
+        node_at = by_id[np.argsort(height[by_id], kind="stable")]  # declaration index by position
+        self.ids = template.ids[node_at].tolist()
+        self.pos = dict(zip(self.ids, range(len(self.ids))))
+        pos_of = np.empty(len(node_at), dtype=np.intp)
+        pos_of[node_at] = np.arange(len(node_at))
+        self.labels = np.array(template.labels, dtype=object)[node_at]
+        # Places: the priced arcs by parent position, then by id.
+        parent_pos = pos_of[checked.parent]
+        priced = np.flatnonzero(height[checked.parent] > 0)
+        priced = priced[np.argsort(template.arc_ids[priced], kind="stable")]
+        self.decl = priced[np.argsort(parent_pos[priced], kind="stable")]
+        self.parents = parent_pos[self.decl]
+        self.arc_start = np.concatenate(
+            ([0], np.cumsum(np.bincount(self.parents, minlength=len(node_at)))))
+        self.by_parent_id = np.argsort(template.parents[self.decl], kind="stable")
+        self._place_ids = template.arc_ids[self.decl]
+        self._by_arc_id = np.argsort(self._place_ids, kind="stable")
+        declared_start = template.child_starts[self.decl]
+        count = template.child_starts[self.decl + 1] - declared_start
+        self.child_start = np.concatenate(([0], np.cumsum(count)))
+        self.arc_starts = self.child_start[:-1]
+        self.children = pos_of[checked.child[np.repeat(declared_start - self.arc_starts, count)
+                                             + np.arange(self.child_start[-1])]]
+        self.scale = math.lcm(*set(template.weight_den.tolist()))
+        weights = (template.weight_num[self.decl].astype(object)
+                   * (self.scale // template.weight_den[self.decl].astype(object)))
         self.levels = []
-        lo = sum(1 for h in height.values() if h == 0)
-        for _, group in itertools.groupby(order[lo:], key=height.__getitem__):
-            hi = lo + len(list(group))
+        level_of = height[node_at]
+        bounds = np.flatnonzero(np.diff(level_of)) + 1
+        for lo, hi in zip(bounds, [*bounds[1:], len(node_at)]):
             first, last = self.arc_start[lo], self.arc_start[hi]
             self.levels.append(_Level(slice(lo, hi), slice(first, last),
-                                      slice(child_start[first], child_start[last]),
-                                      child_start[first:last] - child_start[first],
+                                      slice(self.child_start[first], self.child_start[last]),
+                                      self.arc_starts[first:last] - self.child_start[first],
                                       self.arc_start[lo:hi] - first))
-            lo = hi
         # Every finite cost is at most its node's most expensive derivation.
-        bound = np.zeros(len(order), dtype=object)
+        bound = np.zeros(len(node_at), dtype=object)
         for level in self.levels:
             totals = (np.add.reduceat(bound[self.children[level.children]], level.arc_starts)
                       + weights[level.arcs])
@@ -168,27 +189,34 @@ class CompiledGraph:
         self.inf = int(bound.max()) + 1
         # An unclamped total is below (arity + 1) * inf: `arity` child costs
         # of at most `inf` each plus a weight below it.
-        arity = max((len(arc.children) for arc in graph.arcs), default=0)
+        arity = int(np.diff(template.child_starts).max(initial=0))
         self.dtype = np.int64 if (arity + 1) * self.inf < 2**62 else object
         self.weights = weights.astype(self.dtype)
-        self.leaf_facts: tuple[tuple[int, Fact], ...] = tuple(_leaf_facts(graph))
+        self.leaf_facts: tuple[tuple[int, Fact], ...] = tuple(_leaf_facts(template))
+        self._arcs: dict[int, HyperArc] = {}
 
-    def enabled(self, achieved: Collection[int]) -> list[HyperArc]:
-        """The priced arcs whose children are all in `achieved` and whose
-        parent is not, by parent id then arc id."""
-        mask = np.zeros(len(self.pos), dtype=bool)
+    def arc(self, place: int) -> HyperArc:
+        """The arc at a place, built on first request and kept."""
+        arc = self._arcs.get(place)
+        if arc is None:
+            arc = self._arcs[place] = self.template.arc(int(self.decl[place]))
+        return arc
+
+    def enabled(self, achieved: Collection[int]) -> list[int]:
+        """The places of the priced arcs whose children are all in
+        `achieved` and whose parent is not, by parent id then arc id."""
+        mask = np.zeros(len(self.ids), dtype=bool)
         mask[[self.pos[nid] for nid in achieved]] = True
         ready = np.logical_and.reduceat(mask[self.children], self.arc_starts)
         ready &= ~mask[self.parents]
-        places = self.by_parent_id[ready[self.by_parent_id]]
-        return [self.arcs[place] for place in places.tolist()]
+        return self.by_parent_id[ready[self.by_parent_id]].tolist()
 
     def price(self, true_leaves: Collection[int]) -> tuple[np.ndarray, np.ndarray]:
         """Scaled cost of every node by position and total of every arc by
         place, both clamped to `inf`, when exactly `true_leaves` hold."""
-        cost = np.full(len(self.pos), self.inf, dtype=self.dtype)
+        cost = np.full(len(self.ids), self.inf, dtype=self.dtype)
         cost[[self.pos[lid] for lid in true_leaves]] = 0
-        totals = np.empty(len(self.arcs), dtype=self.dtype)
+        totals = np.empty(len(self.decl), dtype=self.dtype)
         for nodes, arcs, children, arc_starts, node_starts in self.levels:
             level_totals = np.add.reduceat(cost[self.children[children]], arc_starts,
                                            out=totals[arcs])
@@ -197,40 +225,42 @@ class CompiledGraph:
             cost[nodes] = np.minimum.reduceat(level_totals, node_starts)
         return cost, totals
 
-    def cheapest(self, cost: np.ndarray, totals: np.ndarray, nid: int) -> HyperArc | None:
-        """The cheapest arc into a solved priced node, ties to the lowest
-        arc id (argmin takes the first minimum); None for any other node."""
+    def cheapest(self, cost: np.ndarray, totals: np.ndarray, nid: int) -> int | None:
+        """The place of the cheapest arc into a solved priced node, ties to
+        the lowest arc id (argmin takes the first minimum); None for any
+        other node."""
         p = self.pos[nid]
         start, stop = self.arc_start[p], self.arc_start[p + 1]
         if start == stop or cost[p] >= self.inf:
             return None
-        return self.arcs[start + int(np.argmin(totals[start:stop]))]
+        return int(start + np.argmin(totals[start:stop]))
 
     def place(self, arc: HyperArc) -> int:
-        """The arc's place, found by id among its parent's places."""
-        p = self.pos[arc.parent]
-        return bisect.bisect_left(self.arcs, arc.id, self.arc_start[p], self.arc_start[p + 1],
-                                  key=attrgetter("id"))
+        """The place of a priced arc, looked up by its id."""
+        return int(self._by_arc_id[np.searchsorted(self._place_ids, arc.id,
+                                                   sorter=self._by_arc_id)])
 
-    def solution(self, cost: np.ndarray, totals: np.ndarray) -> dict[int, HyperArc]:
-        """The arcs `andor.solution_subgraph` picks, from one `price` result."""
-        chosen: dict[int, HyperArc] = {}
-        stack = [self.graph.root]
+    def solution(self, cost: np.ndarray, totals: np.ndarray) -> dict[int, int]:
+        """The place of the arc `andor.solution_subgraph` picks for each node
+        it picks one for, from one `price` result."""
+        chosen: dict[int, int] = {}
+        stack = [self.root]
         while stack:
             nid = stack.pop()
             if nid in chosen:
                 continue
-            arc = self.cheapest(cost, totals, nid)
-            if arc is not None:
-                chosen[nid] = arc
-                stack.extend(arc.children)
+            place = self.cheapest(cost, totals, nid)
+            if place is not None:
+                chosen[nid] = place
+                stack.extend(self.ids[p] for p in self.children[
+                    self.child_start[place]:self.child_start[place + 1]].tolist())
         return chosen
 
 
-def _leaf_facts(graph: AndOrGraph):
-    for leaf in graph.leaves():
+def _leaf_facts(template: GraphTemplate):
+    for i in np.flatnonzero(template.kinds == KINDS.index(NodeKind.LEAF)).tolist():
         try:
-            yield leaf.id, Fact.parse(leaf.label)
+            yield int(template.ids[i]), Fact.parse(template.labels[i])
         except ValueError:
             continue  # an empty label states no fact; the leaf stays false
 
@@ -244,7 +274,7 @@ class GraphEntry:
 
     def graph(self) -> AndOrGraph:
         """A fresh copy of this entry's graph with its leaf truths set."""
-        graph = copy_graph(self.compiled.graph)
+        graph = copy_graph(self.compiled.template.graph)
         set_leaf_truth(graph, dict.fromkeys(self.true_leaves, True))
         return graph
 
@@ -305,7 +335,7 @@ class GraphNetwork:
     def _instantiate_main(self, facts: frozenset[Fact]) -> GraphEntry:
         # Compiled on first use and kept: the main template never changes.
         if self._main is None:
-            self._main = CompiledGraph(self.main_template.graph)
+            self._main = CompiledGraph(self.main_template)
         return self._instantiate(self._main, "main", facts)
 
     def _instantiate(self, compiled: CompiledGraph, kind: str,
@@ -331,18 +361,19 @@ class GraphNetwork:
         if not self.entries:
             raise NetworkError("network not bootstrapped")
         entry = self.latest
-        nodes = entry.compiled.graph.nodes
+        compiled = entry.compiled
         index = len(self.entries) - 1
         out = []
-        for arc in entry.compiled.enabled(entry.achieved):
-            actions = tuple(self.actions[name] for name in arc.actions)
-            candidate = Candidate(index, arc.parent, nodes[arc.parent].label, arc, actions)
-            label, names = candidate.key()
+        for place in compiled.enabled(entry.achieved):
+            names = compiled.template.actions[compiled.decl[place]]
+            label = compiled.labels[compiled.parents[place]]
             if (label, names, world_sig) in self.suppressed:
                 continue
+            actions = tuple(self.actions[name] for name in names)
             if not chain_applicable(facts, actions):
                 continue
-            out.append(candidate)
+            arc = compiled.arc(place)
+            out.append(Candidate(index, arc.parent, label, arc, actions))
         return out
 
     def select(self, facts: frozenset[Fact], world_sig: str) -> Candidate | None:
@@ -353,13 +384,13 @@ class GraphNetwork:
         compiled = self.latest.compiled
         cost, totals = self._priced()
         chosen = compiled.solution(cost, totals)
-        on_solution = [c for c in candidates if chosen.get(c.node_id) is c.arc]
+        placed = [(compiled.place(c.arc), c) for c in candidates]
+        on_solution = [(place, c) for place, c in placed if chosen.get(c.node_id) == place]
         if on_solution:
-            candidates = on_solution
+            placed = on_solution
         # Unsolved totals are all `inf`, above every finite one, so they
         # come last and tie on to the arc id.
-        return min(candidates, key=lambda c: (
-            totals[compiled.place(c.arc)], c.arc.id, c.node_id))
+        return min(placed, key=lambda pc: (totals[pc[0]], pc[1].arc.id, pc[1].node_id))[1]
 
     def mark_executed(self, candidate: Candidate):
         self.entries[candidate.graph_index].achieved.add(candidate.node_id)
@@ -411,7 +442,7 @@ class GraphNetwork:
                 "no relocation stage for any of: " + ", ".join(obstructor_ids))
         for oid, _ in stages:
             self.knowledge.add(Fact(OBSTRUCTION_PREDICATE, (oid,)))
-        compiled = CompiledGraph(build_graph(compose_rearrangement(stages)))
+        compiled = CompiledGraph(compose_rearrangement(stages))
         return self._instantiate(compiled, "rearrangement", facts)
 
 
@@ -431,7 +462,7 @@ def compose_rearrangement(stages: list[tuple[str, GraphTemplate]]) -> GraphTempl
     arc_ids = itertools.count(2)
     stage_roots = []
     for oid, template in stages:
-        root, failure = template.graph.root, template.graph.failure
+        root, failure = template.root, template.failure
         remap: dict[int, int] = {}
         for decl in sorted(template.nodes, key=lambda d: d.id):
             if decl.id == failure:
@@ -452,5 +483,5 @@ def compose_rearrangement(stages: list[tuple[str, GraphTemplate]]) -> GraphTempl
                                  arc.weight, arc.actions))
         stage_roots.append(remap[root])
     arcs.insert(0, HyperArc(1, 1, tuple(stage_roots), Fraction(0)))
-    return GraphTemplate(tuple(nodes), tuple(arcs))
+    return GraphTemplate.of(nodes, arcs)
 

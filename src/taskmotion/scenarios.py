@@ -195,7 +195,7 @@ def _hanoi_graph(n: int, slots: tuple[str, ...], pairs: frozenset,
             arcs.append(HyperArc(arc_id, 1, (next_id,), Fraction(dist[nxt])))
             arc_id += 1
             next_id += 1
-    return GraphTemplate(tuple(nodes), tuple(arcs))
+    return GraphTemplate.of(nodes, arcs)
 
 
 # --------------------------------------------------------------- habitat
@@ -376,7 +376,7 @@ def _habitat_graph(scn: Scenario, main_order: list[str]) -> GraphTemplate:
         arcs.append(HyperArc(arc_id, next_id, children, Fraction(1), (name,)))
         next_id += 1
         arc_id += 1
-    return GraphTemplate(tuple(nodes), tuple(arcs))
+    return GraphTemplate.of(nodes, arcs)
 
 
 def _clear_stage(i: int) -> GraphTemplate:
@@ -384,4 +384,4 @@ def _clear_stage(i: int) -> GraphTemplate:
              NodeDecl(2, NodeKind.FAILURE, "cannot move the container"),
              NodeDecl(3, NodeKind.LEAF, f"at pink_{i} mouth_{i}"))
     arcs = (HyperArc(1, 1, (3,), Fraction(1), (f"relocate_pink_{i}",)),)
-    return GraphTemplate(nodes, arcs)
+    return GraphTemplate.of(nodes, arcs)

@@ -69,7 +69,7 @@ def _random_template(rng: random.Random, pool: list[Fact],
     if internal_ids and rng.random() < 0.7:
         child = rng.choice(internal_ids)
         arcs.append(HyperArc(next_arc, 1, (child,), weight(), tags()))
-    return GraphTemplate(tuple(nodes), tuple(arcs))
+    return GraphTemplate.of(nodes, arcs)
 
 
 def fuzz_scenario(seed: int) -> Scenario:

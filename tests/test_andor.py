@@ -14,6 +14,7 @@ from taskmotion.andor import (
     CycleDetected,
     DanglingReference,
     DuplicateNodeId,
+    GraphError,
     GraphTemplate,
     HyperArc,
     InvalidArc,
@@ -35,6 +36,7 @@ from taskmotion.andor import (
     to_dot,
 )
 from taskmotion.scenarios import gen_habitat, gen_hanoi
+from graph_oracle import oracle_build_graph
 from scn_fuzz import fuzz_scenario
 
 INF = math.inf
@@ -42,7 +44,7 @@ INF = math.inf
 
 def minimal_template(weight=Fraction(1)):
     """Root fed by two leaves through one arc, plus the failure node."""
-    return GraphTemplate(
+    return GraphTemplate.of(
         nodes=(
             NodeDecl(0, NodeKind.ROOT, "goal"),
             NodeDecl(1, NodeKind.LEAF, "left fact"),
@@ -54,18 +56,25 @@ def minimal_template(weight=Fraction(1)):
 
 
 def test_template_graph_is_validated_once_and_replace_validates_afresh(monkeypatch):
-    built = []
-    monkeypatch.setattr(andor, "build_graph",
-                        lambda template: built.append(template) or build_graph(template))
+    checked, built = [], []
+    check, build = andor._check, andor.build_graph
+    monkeypatch.setattr(andor, "_check", lambda template: checked.append(template)
+                        or check(template))
+    monkeypatch.setattr(andor, "build_graph", lambda template: built.append(template)
+                        or build(template))
     template = minimal_template()
+    assert template.checked is template.checked and checked == [template]
     graph = template.graph
-    assert template.graph is graph and built == [template]
+    assert template.graph is graph and built == [template] and checked == [template]
     assert template == minimal_template() and hash(template) == hash(minimal_template())
-    heavier = replace(template, arcs=(HyperArc(0, 0, (1, 2), Fraction(7)),))
+    heavier = GraphTemplate.of(template.nodes, (HyperArc(0, 0, (1, 2), Fraction(7)),))
     assert heavier.graph is not graph and built == [template, heavier]
+    assert checked == [template, heavier]
     assert heavier.graph.arcs[0].weight == 7 and graph.arcs[0].weight == 1
     with pytest.raises(CycleDetected):
-        replace(template, arcs=template.arcs + (HyperArc(1, 0, (0,)),)).graph
+        GraphTemplate.of(template.nodes, template.arcs + (HyperArc(1, 0, (0,)),)).graph
+    with pytest.raises(ValueError):
+        template.ids[0] = 5  # the columns are read-only
 
 
 def enumerate_solutions(graph, node_id):
@@ -129,7 +138,7 @@ def random_template(rng, max_nodes=12, max_arcs=8):
         children = tuple(rng.sample(options, rng.randint(1, min(3, len(options)))))
         arcs.append(HyperArc(arc_id, parent, children, Fraction(rng.randint(0, 100), 10)))
         arc_id += 1
-    return GraphTemplate(tuple(decls), tuple(arcs))
+    return GraphTemplate.of(decls, arcs)
 
 
 def test_minimal_graph_builds_and_solves():
@@ -149,7 +158,7 @@ def test_and_semantics_one_false_leaf_blocks_root():
 
 
 def test_or_choice_takes_cheaper_arc():
-    template = GraphTemplate(
+    template = GraphTemplate.of(
         nodes=(
             NodeDecl(0, NodeKind.ROOT, "goal"),
             NodeDecl(1, NodeKind.LEAF, "a"),
@@ -171,7 +180,7 @@ def test_or_choice_takes_cheaper_arc():
 
 
 def test_cost_tie_breaks_to_lowest_arc_id():
-    template = GraphTemplate(
+    template = GraphTemplate.of(
         nodes=(
             NodeDecl(0, NodeKind.ROOT, "goal"),
             NodeDecl(1, NodeKind.LEAF, "a"),
@@ -197,7 +206,7 @@ def test_failure_node_never_solved_and_infinite():
 
 def test_duplicate_node_id_rejected():
     template = minimal_template()
-    bad = GraphTemplate(template.nodes + (NodeDecl(1, NodeKind.LEAF, "dup"),),
+    bad = GraphTemplate.of(template.nodes + (NodeDecl(1, NodeKind.LEAF, "dup"),),
                         template.arcs)
     with pytest.raises(DuplicateNodeId) as err:
         build_graph(bad)
@@ -206,13 +215,13 @@ def test_duplicate_node_id_rejected():
 
 def test_dangling_child_reference_rejected():
     template = minimal_template()
-    bad = GraphTemplate(template.nodes, template.arcs + (HyperArc(1, 0, (99,)),))
+    bad = GraphTemplate.of(template.nodes, template.arcs + (HyperArc(1, 0, (99,)),))
     with pytest.raises(DanglingReference):
         build_graph(bad)
 
 
 def test_cycle_detected():
-    template = GraphTemplate(
+    template = GraphTemplate.of(
         nodes=(
             NodeDecl(0, NodeKind.ROOT, "goal"),
             NodeDecl(1, NodeKind.INTERNAL, "x"),
@@ -261,7 +270,7 @@ def test_cycle_error_names_a_node_on_the_cycle():
         # A back arc from a priced node at or under `top` up to `top`.
         bottom = rng.choice(sorted({top} | (below(succ, top) & set(priced))))
         back = HyperArc(len(template.arcs), bottom, (top,))
-        cyclic = replace(template, arcs=template.arcs + (back,))
+        cyclic = GraphTemplate.of(template.nodes, template.arcs + (back,))
         with pytest.raises(CycleDetected) as err:
             cyclic.graph
         kind, nid = err.value.element
@@ -275,8 +284,8 @@ def test_height_is_one_above_the_highest_child_of_a_priced_node():
     templates += [gen_hanoi(n, omnipotent=solo).graph for n in (3, 4) for solo in (True, False)]
     templates += [gen_habitat().graph, *gen_habitat().stages.values()]
     # The failure node may have arcs, but it is not priced.
-    templates.append(replace(minimal_template(),
-                             arcs=minimal_template().arcs + (HyperArc(1, 3, (1,)),)))
+    templates.append(GraphTemplate.of(minimal_template().nodes,
+                                      minimal_template().arcs + (HyperArc(1, 3, (1,)),)))
     for seed in range(100):
         scn = fuzz_scenario(seed)
         templates += [scn.graph, *scn.stages.values()]
@@ -301,24 +310,24 @@ def test_missing_root_and_failure_rejected():
         NodeDecl(2, NodeKind.FAILURE, "failure"),
     )
     with pytest.raises(MissingRoot):
-        build_graph(GraphTemplate(nodes, (HyperArc(0, 0, (1,)),)))
+        build_graph(GraphTemplate.of(nodes, (HyperArc(0, 0, (1,)),)))
     nodes2 = (
         NodeDecl(0, NodeKind.ROOT, "root"),
         NodeDecl(1, NodeKind.LEAF, "leaf"),
     )
     with pytest.raises(MissingFailure):
-        build_graph(GraphTemplate(nodes2, (HyperArc(0, 0, (1,)),)))
+        build_graph(GraphTemplate.of(nodes2, (HyperArc(0, 0, (1,)),)))
 
 
 def test_arc_into_leaf_rejected():
     template = minimal_template()
-    bad = GraphTemplate(template.nodes, template.arcs + (HyperArc(1, 1, (2,)),))
+    bad = GraphTemplate.of(template.nodes, template.arcs + (HyperArc(1, 1, (2,)),))
     with pytest.raises(InvalidArc):
         build_graph(bad)
 
 
 def test_root_unreachable_from_leaves_rejected():
-    template = GraphTemplate(
+    template = GraphTemplate.of(
         nodes=(
             NodeDecl(0, NodeKind.ROOT, "goal"),
             NodeDecl(1, NodeKind.INTERNAL, "island"),
@@ -362,7 +371,7 @@ def detached(template, rng):
                  if arc.parent == 0 else arc for arc in template.arcs)
     if rng.random() < 0.5:
         arcs += (HyperArc(len(arcs), 1, (2,)),)  # 2 is always a leaf
-    return GraphTemplate(template.nodes + (NodeDecl(island, NodeKind.INTERNAL, "island"),),
+    return GraphTemplate.of(template.nodes + (NodeDecl(island, NodeKind.INTERNAL, "island"),),
                          arcs)
 
 
@@ -387,7 +396,7 @@ def test_unreachable_root_is_raised_exactly_when_no_leaf_reaches_the_root():
     # A cycle is reported before an unreachable root, here one under the root.
     for template in unreachable:
         a, b = 1000, 1001
-        cyclic = GraphTemplate(
+        cyclic = GraphTemplate.of(
             template.nodes + (NodeDecl(a, NodeKind.INTERNAL, "a"),
                               NodeDecl(b, NodeKind.INTERNAL, "b")),
             template.arcs + (HyperArc(1000, a, (b,)), HyperArc(1001, b, (a,)),
@@ -395,6 +404,98 @@ def test_unreachable_root_is_raised_exactly_when_no_leaf_reaches_the_root():
         with pytest.raises(CycleDetected) as err:
             build_graph(cyclic)
         assert err.value.element in (("node", a), ("node", b))
+
+
+def validation_outcome(build, template):
+    """(root, failure, heights) of a valid template, else the error's
+    class, message and element."""
+    try:
+        graph = build(template)
+    except GraphError as err:
+        return type(err), str(err), err.element
+    return graph.root, graph.failure, graph.height
+
+
+def mutated(template, rng, kind):
+    """The template with one fault of `kind` declared at a random place."""
+    nodes, arcs = list(template.nodes), list(template.arcs)
+    ids = [decl.id for decl in nodes]
+    fresh = max(ids) + 1 + rng.randint(0, 3)
+    leaves = [decl.id for decl in nodes if decl.kind is NodeKind.LEAF]
+    arc_id = max((arc.id for arc in arcs), default=0) + 1
+    children = rng.sample(ids, rng.randint(1, min(3, len(ids))))
+    parent = rng.choice(ids)
+
+    def insert(into, item):
+        into.insert(rng.randint(0, len(into)), item)
+
+    if kind == "duplicate node id":
+        insert(nodes, NodeDecl(rng.choice(ids), rng.choice(list(NodeKind)[:2]), "again"))
+    elif kind == "duplicate arc id" and arcs:
+        insert(arcs, HyperArc(rng.choice(arcs).id, parent, tuple(children)))
+    elif kind == "unknown parent":
+        insert(arcs, HyperArc(arc_id, fresh, tuple(children)))
+    elif kind == "unknown child":
+        children.insert(rng.randint(0, len(children)), fresh)
+        insert(arcs, HyperArc(arc_id, parent, tuple(children)))
+    elif kind == "leaf parent" and leaves:
+        insert(arcs, HyperArc(arc_id, rng.choice(leaves), tuple(children)))
+    elif kind == "empty child set":
+        insert(arcs, HyperArc(arc_id, parent, ()))
+    elif kind == "negative weight":
+        insert(arcs, HyperArc(arc_id, parent, tuple(children), Fraction(-rng.randint(1, 9), 2)))
+    elif kind == "two roots":
+        i = rng.randrange(len(nodes))
+        nodes[i] = replace(nodes[i], kind=NodeKind.ROOT)
+    elif kind == "no failure node":
+        nodes = [replace(decl, kind=NodeKind.INTERNAL) if decl.kind is NodeKind.FAILURE
+                 else decl for decl in nodes]
+    elif kind == "cycle":
+        priced = [d.id for d in nodes if d.kind in (NodeKind.ROOT, NodeKind.INTERNAL)]
+        top = rng.choice(priced)
+        bottom = rng.choice(sorted({top} | (below(successors(arcs), top) & set(priced))))
+        insert(arcs, HyperArc(arc_id, bottom, (top,)))
+    elif kind == "unreachable root":
+        return detached(template, rng)
+    return GraphTemplate.of(nodes, arcs)
+
+
+FAULTS = ["duplicate node id", "duplicate arc id", "unknown parent", "unknown child",
+          "leaf parent", "empty child set", "negative weight", "two roots",
+          "no failure node", "cycle", "unreachable root"]
+
+
+def test_the_column_pass_matches_the_object_validator():
+    rng = random.Random(14)
+    templates = [random_template(rng) for _ in range(200)]
+    templates += [gen_hanoi(n, omnipotent=solo).graph for n in range(3, 7)
+                  for solo in (True, False)]
+    templates += [gen_habitat().graph, *gen_habitat().stages.values()]
+    for seed in range(100):
+        scn = fuzz_scenario(seed)
+        templates += [scn.graph, *scn.stages.values()]
+    # Ids beyond 64 bits are held in object columns.
+    templates += [GraphTemplate.of(
+        [replace(decl, id=decl.id + 2**70) for decl in template.nodes],
+        [replace(arc, id=arc.id * 2**64, parent=arc.parent + 2**70,
+                 children=tuple(c + 2**70 for c in arc.children)) for arc in template.arcs])
+        for template in templates[:20]]
+    for template in templates:
+        outcome = validation_outcome(build_graph, template)
+        assert outcome == validation_outcome(oracle_build_graph, template)
+        assert not isinstance(outcome[0], type)
+    faulty = [mutated(template, rng, kind)
+              for template in templates[:60] + templates[-40:] for kind in FAULTS]
+    # Two faults in one template: the first one declared is reported.
+    faulty += [mutated(mutated(template, rng, rng.choice(FAULTS)), rng, rng.choice(FAULTS))
+               for template in templates[:200]]
+    seen = set()
+    for template in faulty:
+        outcome = validation_outcome(build_graph, template)
+        assert outcome == validation_outcome(oracle_build_graph, template), template.arcs
+        seen.add(outcome[0])
+    assert seen >= {DuplicateNodeId, DanglingReference, InvalidArc, MissingRoot,
+                    MissingFailure, CycleDetected, UnreachableRoot}
 
 
 def test_set_leaf_truth_rejects_non_leaf_and_unknown():
@@ -498,7 +599,7 @@ def test_uniform_weight_scaling_preserves_choices():
         truths = {n.id: rng.random() < 0.7 for n in graph.leaves()}
         set_leaf_truth(graph, truths)
         base_choice = {nid: arc.id for nid, arc in solution_subgraph(graph).items()}
-        scaled = GraphTemplate(
+        scaled = GraphTemplate.of(
             template.nodes,
             tuple(HyperArc(a.id, a.parent, a.children, a.weight * 17, a.actions)
                   for a in template.arcs),

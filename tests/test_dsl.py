@@ -20,6 +20,7 @@ from taskmotion.dsl import (
     parse_file,
     serialize,
 )
+from taskmotion.planner import FinalStatus, RunConfig, run_scenario
 from taskmotion.scenarios import gen_habitat, gen_hanoi
 from scn_fuzz import fuzz_scenario
 
@@ -91,6 +92,48 @@ def test_fraction_weights_survive():
     text = serialize(scn)
     assert "weight 2/3" in text
     assert parse(text).stages["clear_cup"].arcs[0].weight == Fraction(2, 3)
+
+
+@pytest.mark.parametrize("moved", ['node 3 leaf "at d1 pad"',
+                                   "arc 2 parent 18 children 6 9 12 weight 1 actions "
+                                   "move_d1_pegA_pegB"], ids=["node", "arc"])
+def test_templates_are_equal_whatever_their_declaration_order(moved):
+    lines = read("hanoi3.scn").splitlines()
+    lines.remove(moved)
+    reordered = parse("\n".join(lines + [moved]))
+    text = serialize(reordered)
+    assert parse(text) == reordered and serialize(parse(text)) == text
+    assert parse(text) == parse(read("hanoi3.scn"))
+    heavier = "\n".join(lines + [moved]).replace(" weight 10\n", " weight 11\n", 1)
+    assert parse(heavier).graph != reordered.graph
+
+
+def test_a_verb_on_an_action_that_moves_nothing_round_trips():
+    raw = read("minimal.scn")
+    assert "action buff symbolic\n" in raw
+    scn = parse(raw.replace("action buff symbolic\n", "action buff symbolic\n  verb put\n"))
+    assert scn.actions["buff"].verb == "put"
+    assert parse(serialize(scn)) == scn
+    assert serialize(parse(raw)) == raw  # the default verb of a symbolic action is not written
+
+
+def test_values_beyond_64_bits_parse_and_solve():
+    big = 10**20
+    root = read("hanoi3.scn").replace('node 1 root', f'node {big} root').replace(
+        "parent 1 children", f"parent {big} children")
+    lines = read("hanoi3.scn").splitlines()
+    arcs = [i for i, line in enumerate(lines) if line.startswith("arc ")][:3]
+    for i in arcs:
+        lines[i] = re.sub(r"weight \S+", f"weight {10**23}", lines[i])
+    for text in (root, "\n".join(lines)):
+        scn = parse(text)
+        assert object in (scn.graph.ids.dtype, scn.graph.weight_num.dtype)
+        assert parse(serialize(scn)) == scn
+        result = run_scenario(scn, RunConfig(seed=0))
+        assert (result.status, result.moves) == (FinalStatus.GOAL_ACHIEVED, 9)
+    with pytest.raises(ParseError) as info:
+        parse_file(FIXTURES / "malformed" / "m16_huge_number.scn")
+    assert info.value.message == "number has too many digits"
 
 
 MALFORMED = [
@@ -286,31 +329,56 @@ def varied_graph_lines() -> list[str]:
     return hand_written + fuzz
 
 
+def declarations(template):
+    """A template's node and arc declarations, in declaration order."""
+    return repr(template.nodes + template.arcs)
+
+
+def the_declaration(section):
+    """The one declaration a section took, as the template built from it
+    holds it."""
+    template = section.template()
+    (decl,) = template.nodes + template.arcs
+    return decl
+
+
 def read_with_cursor(line: str):
     """The token path's declaration for one graph line; None if it rejects it."""
+    section = dsl._GraphSection()
     try:
-        return dsl._read_graph_line(dsl._Cursor(dsl._lex_line(line, 1), 1, len(line)))
+        section.read(dsl._Cursor(dsl._lex_line(line, 1), 1, len(line)))
     except DslError:
         return None
+    return the_declaration(section)
 
 
 def fast_path_agrees(line: str) -> bool:
     """True when the whole-line patterns accept the line; fails the test if
     they accept a line the cursor rejects or read it differently."""
-    fast = dsl._match_graph_line(line)
-    if fast is None:
+    section = dsl._GraphSection()
+    if not section.match(line, 1):
         return False
     slow = read_with_cursor(line)
     assert slow is not None, f"patterns accept a line the cursor rejects: {line!r}"
-    assert repr(fast) == repr(slow), line
+    assert repr(the_declaration(section)) == repr(slow), line
     return True
+
+
+def cursor_only(monkeypatch):
+    """Make every graph line go through the cursor."""
+    monkeypatch.setattr(dsl._GraphSection, "match", lambda self, raw, line_no: False)
 
 
 def test_patterns_read_every_benchmark_and_fuzz_graph_line_as_the_cursor_does():
     lines = benchmark_graph_lines() + varied_graph_lines()
     assert len(lines) > 12000
-    declined = [line for line in lines if not fast_path_agrees(line)]
+    fast, slow = dsl._GraphSection(), dsl._GraphSection()
+    declined = [line for line in lines if not fast.match(line, 1)]
     assert declined == []
+    for line in lines:
+        slow.read(dsl._Cursor(dsl._lex_line(line, 1), 1, len(line)))
+    by_patterns, by_tokens = fast.template(), slow.template()
+    assert list(by_patterns.nodes + by_patterns.arcs) == list(by_tokens.nodes + by_tokens.arcs)
 
 
 @pytest.mark.parametrize("line,taken", [
@@ -338,10 +406,10 @@ def test_graph_lines_parse_as_the_cursor_alone_reads_them(line, taken, monkeypat
     scn = parse(text)
     for template in (scn.graph, scn.stages["clear_cup"]):
         assert repr(expected) in map(repr, template.nodes + template.arcs)
-    monkeypatch.setattr(dsl, "_match_graph_line", lambda raw: None)
+    cursor_only(monkeypatch)
     by_tokens = parse(text)
-    assert repr(by_tokens.graph) == repr(scn.graph)
-    assert repr(by_tokens.stages) == repr(scn.stages)
+    assert declarations(by_tokens.graph) == declarations(scn.graph)
+    assert declarations(by_tokens.stages["clear_cup"]) == declarations(scn.stages["clear_cup"])
 
 
 NUMBERS = ["-0", "-1", "0", "007", "1/0", "0/0", "3/00", "1.5/2", "1.0/3", "2.50", "-1/2",
@@ -421,9 +489,67 @@ def test_parse_equals_the_token_only_parse(monkeypatch):
     parsed = [parse(text) for text in texts]
     for scn, parsed_scn in zip(fuzz, parsed[-len(fuzz):]):
         assert parsed_scn == scn, scn.name
-    monkeypatch.setattr(dsl, "_match_graph_line", lambda raw: None)
+    cursor_only(monkeypatch)
     for text, scn in zip(texts, parsed):
         by_tokens = parse(text)
         assert scn == by_tokens, scn.name
-        assert repr(scn.graph) == repr(by_tokens.graph), scn.name
-        assert repr(scn.stages) == repr(by_tokens.stages), scn.name
+        assert declarations(scn.graph) == declarations(by_tokens.graph), scn.name
+        assert ({name: declarations(t) for name, t in scn.stages.items()}
+                == {name: declarations(t) for name, t in by_tokens.stages.items()}), scn.name
+
+
+# ------------------------------------------------ whole-text mutations
+
+
+@functools.cache
+def mutation_sources() -> tuple[list[str], ...]:
+    return read("hanoi3.scn").splitlines(), benchmark_texts()["habitat"].splitlines()
+
+
+MUTANT_TOKENS = ["-1", "1/0", "99999999999999999999", "#", "end", *dsl.SECTIONS, "0", "2.5",
+                 '"x"', "node", "arc", "stage", "weight", "children", "actions", "root",
+                 "failure", "leaf"]
+LINE_EDITS = ["delete line", "duplicate line", "insert line", "move line", "replace token",
+              "insert token", "delete token", "duplicate token"]
+
+
+@st.composite
+def mutated_texts(draw):
+    """hanoi3.scn or the habitat text with one to three lines or tokens
+    deleted, duplicated, moved or replaced."""
+    lines = list(draw(st.sampled_from(mutation_sources())))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        how = draw(st.sampled_from(LINE_EDITS))
+        if how == "delete line":
+            del lines[i]
+        elif how == "duplicate line":
+            lines.insert(i, lines[i])
+        elif how == "insert line":
+            lines.insert(i, draw(st.sampled_from(MUTANT_TOKENS)))
+        elif how == "move line":
+            lines.insert(draw(st.integers(0, len(lines) - 1)), lines.pop(i))
+        else:
+            tokens = lines[i].split(" ")
+            j = draw(st.integers(0, len(tokens) - 1))
+            if how == "replace token":
+                tokens[j] = draw(st.sampled_from(MUTANT_TOKENS))
+            elif how == "insert token":
+                tokens.insert(j, draw(st.sampled_from(MUTANT_TOKENS)))
+            elif how == "delete token":
+                del tokens[j]
+            else:
+                tokens.insert(j, tokens[j])
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(mutated_texts())
+def test_a_mutated_text_is_one_located_error_or_round_trips(text):
+    try:
+        scn = parse(text)
+    except DslError as err:
+        assert err.line >= 1 and err.col >= 1
+        return
+    assert parse(serialize(scn)) == scn

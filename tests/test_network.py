@@ -7,24 +7,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from graph_oracle import oracle_build_graph
 from test_andor import random_template
 
-from taskmotion import network
+from taskmotion import andor
 from taskmotion.andor import (
     INF,
     GraphTemplate,
     HyperArc,
+    Node,
     NodeDecl,
     NodeKind,
     best_arc,
-    build_graph,
     node_cost,
     set_leaf_truth,
     solution_subgraph,
     solved,
 )
 from taskmotion.domain import ActionTemplate, Condition, Fact, MotionClass, chain_applicable
-from taskmotion.dsl import parse_file
+from taskmotion.dsl import parse, parse_file, serialize
 from taskmotion.network import (
     Candidate,
     CompiledGraph,
@@ -59,7 +60,7 @@ def template_two_options():
         HyperArc(3, 1, (5,), Fraction(0)),
         HyperArc(4, 1, (6,), Fraction(0)),
     )
-    return GraphTemplate(nodes, arcs)
+    return GraphTemplate.of(nodes, arcs)
 
 
 def simple_actions():
@@ -102,8 +103,8 @@ def test_frontier_lists_arcs_with_achieved_children():
 def test_frontier_never_offers_the_failure_node():
     template = template_two_options()
     stuck_when_ready = HyperArc(5, 2, (3,), Fraction(0))
-    net = GraphNetwork(replace(template, arcs=template.arcs + (stuck_when_ready,)), {},
-                       simple_actions())
+    net = GraphNetwork(GraphTemplate.of(template.nodes, template.arcs + (stuck_when_ready,)),
+                       {}, simple_actions())
     net.bootstrap(FACTS)
     frontier = net.frontier(FACTS, SIG)
     assert [(c.node_id, c.arc.id) for c in frontier] == [(5, 1), (6, 2)]
@@ -148,7 +149,7 @@ def test_fallback_ordering_when_root_unsolvable():
         HyperArc(2, 6, (3,), Fraction(2), ("use_b",)),
         HyperArc(3, 1, (5, 6, 4), Fraction(0)),
     )
-    net = GraphNetwork(GraphTemplate(nodes, arcs), {}, simple_actions())
+    net = GraphNetwork(GraphTemplate.of(nodes, arcs), {}, simple_actions())
     net.bootstrap(frozenset({Fact("ready", ("a",))}))
     chosen = net.select(frozenset({Fact("ready", ("a",))}), SIG)
     assert chosen.arc.id == 1
@@ -161,7 +162,7 @@ def test_symbolic_applicability_filters_candidates():
         node(3, NodeKind.LEAF, "ready a"),
     )
     arcs = (HyperArc(1, 1, (3,), Fraction(1), ("guarded",)),)
-    net = GraphNetwork(GraphTemplate(nodes, arcs), {}, simple_actions())
+    net = GraphNetwork(GraphTemplate.of(nodes, arcs), {}, simple_actions())
     facts = frozenset({Fact("ready", ("a",))})
     net.bootstrap(facts)
     assert net.frontier(facts, SIG) == []
@@ -229,7 +230,7 @@ def clear_stage(oid):
         node(3, NodeKind.LEAF, f"clear {oid}"),
     )
     arcs = (HyperArc(1, 1, (3,), Fraction(1), ("use_a",)),)
-    return GraphTemplate(nodes, arcs)
+    return GraphTemplate.of(nodes, arcs)
 
 
 def test_rearrangement_composition_structure():
@@ -283,7 +284,7 @@ def test_motion_failure_skips_unknown_stages():
 def varied_weights(template, rng):
     """The template with small weights over mixed denominators, so that
     scaling to integers matters and equal-cost ties are common."""
-    return replace(template, arcs=tuple(
+    return GraphTemplate.of(template.nodes, (
         replace(arc, weight=Fraction(rng.randint(0, 12), rng.choice([1, 2, 3, 4, 7])))
         for arc in template.arcs))
 
@@ -304,26 +305,32 @@ def flip_sequences(rng, templates=200, flips=10):
         yield template, sequence
 
 
+def compiled_arcs(compiled):
+    """The arc of every place, in place order."""
+    return [compiled.arc(place) for place in range(len(compiled.decl))]
+
+
 def assert_pricing_matches_refresh(template, compiled, truths):
     """`compiled.price` agrees with `andor`'s from-scratch pricing on every
     node's cost, solvedness and cheapest arc, and on the solution arcs."""
     cost, totals = compiled.price({lid for lid, on in truths.items() if on})
-    fresh = build_graph(template)
+    fresh = oracle_build_graph(template)
     set_leaf_truth(fresh, truths)
     for nid in fresh.nodes:
         scaled = int(cost[compiled.pos[nid]])
         got = INF if scaled >= compiled.inf else Fraction(scaled, compiled.scale)
         assert got == node_cost(fresh, nid), (template, truths, nid)
         assert (got != INF) == solved(fresh, nid)
-        arc = compiled.cheapest(cost, totals, nid)
+        place = compiled.cheapest(cost, totals, nid)
         if fresh.nodes[nid].kind is not NodeKind.LEAF:
-            assert arc == best_arc(fresh, nid)
+            assert (place if place is None else compiled.arc(place)) == best_arc(fresh, nid)
         else:
-            assert arc is None
-    assert compiled.solution(cost, totals) == solution_subgraph(fresh)
-    assert {arc.id for arc in compiled.arcs} == {
+            assert place is None
+    assert {nid: compiled.arc(place) for nid, place in
+            compiled.solution(cost, totals).items()} == solution_subgraph(fresh)
+    assert {arc.id for arc in compiled_arcs(compiled)} == {
         arc.id for arc in fresh.arcs if arc.parent != fresh.failure}
-    for place, arc in enumerate(compiled.arcs):
+    for place, arc in enumerate(compiled_arcs(compiled)):
         want = arc.weight + sum((node_cost(fresh, child) for child in arc.children),
                                 Fraction(0))
         total = int(totals[place])
@@ -334,7 +341,7 @@ def assert_pricing_matches_refresh(template, compiled, truths):
 def test_compiled_pricing_matches_refresh_over_flip_sequences():
     checked = 0
     for template, sequence in flip_sequences(random.Random(20261018)):
-        compiled = CompiledGraph(build_graph(template))
+        compiled = CompiledGraph(template)
         for truths in sequence:
             assert_pricing_matches_refresh(template, compiled, truths)
             checked += 1
@@ -366,7 +373,7 @@ def layered_template(rng, height, weight):
                 others = rng.sample([n for n in below if n != first], rng.randint(0, 2))
                 arcs.append((parent, (first, *others)))
     arc_ids = rng.sample(range(1, 10 * len(arcs)), len(arcs))
-    return GraphTemplate(tuple(decls), tuple(
+    return GraphTemplate.of(tuple(decls), tuple(
         HyperArc(aid, parent, children, weight(rng))
         for aid, (parent, children) in zip(arc_ids, arcs)))
 
@@ -386,7 +393,7 @@ def test_compiled_pricing_matches_refresh_on_three_or_more_levels():
     rng = random.Random(3)
     for i in range(100):
         template = layered_template(rng, 3 + i % 4, small_weight)
-        compiled = CompiledGraph(build_graph(template))
+        compiled = CompiledGraph(template)
         assert len(compiled.levels) == 3 + i % 4
         assert compiled.dtype is np.int64
         for truths in random_truths(rng, template, 5):
@@ -402,7 +409,7 @@ def test_compiled_pricing_matches_refresh_on_python_integers(weight):
     checked = 0
     for _ in range(40):
         template = layered_template(rng, 3, weight)
-        compiled = CompiledGraph(build_graph(template))
+        compiled = CompiledGraph(template)
         if compiled.inf < 2**61:
             continue  # every weight drew 0
         assert compiled.dtype is object
@@ -425,8 +432,8 @@ def test_compiled_pricing_clamps_unsolved_totals_within_int64():
         arcs += [HyperArc(nid, nid, below, Fraction(0)) for nid in layer]
         below = layer
     arcs += [HyperArc(1, 0, below, Fraction(2**57)), HyperArc(2, 0, (2,), Fraction(1))]
-    template = GraphTemplate(tuple(nodes), tuple(arcs))
-    compiled = CompiledGraph(build_graph(template))
+    template = GraphTemplate.of(nodes, arcs)
+    compiled = CompiledGraph(template)
     assert compiled.dtype is np.int64
     assert compiled.inf == 2**57 + 1
     for true_leaves in ((), (2,), (3, 4), (2, 3, 4)):
@@ -436,7 +443,7 @@ def test_compiled_pricing_clamps_unsolved_totals_within_int64():
 
 def test_compiled_pricing_matches_refresh_on_the_hanoi_4_main_template():
     scenario = gen_hanoi(4, omnipotent=False)
-    compiled = CompiledGraph(build_graph(scenario.graph))
+    compiled = CompiledGraph(scenario.graph)
     assert compiled.dtype is np.int64
     rng = random.Random(4)
     init = frozenset(scenario.init)
@@ -499,7 +506,7 @@ def test_frontier_and_select_match_the_scan_over_flip_sequences():
     names = sorted(actions)
     compared = 0
     for template, sequence in flip_sequences(rng):
-        template = replace(template, arcs=tuple(
+        template = GraphTemplate.of(template.nodes, (
             replace(arc, actions=tuple(rng.sample(names, rng.randint(0, 1))))
             for arc in template.arcs))
         net = GraphNetwork(template, {}, actions)
@@ -510,7 +517,7 @@ def test_frontier_and_select_match_the_scan_over_flip_sequences():
                 net.bootstrap(facts)
             else:
                 net.expand(ExpandReason.STAGE_COMPLETE, facts)
-            graph = build_graph(template)
+            graph = oracle_build_graph(template)
             set_leaf_truth(graph, truths)
             achieved = {lid for lid, on in truths.items() if on}
             assert net.latest.achieved == achieved
@@ -541,14 +548,15 @@ def test_enabled_keeps_the_scan_order_on_layered_templates():
     compared = 0
     for i in range(60):
         template = layered_template(rng, 2 + i % 4, small_weight)
-        compiled = CompiledGraph(build_graph(template))
-        graph = compiled.graph
-        assert compiled.arcs[-1].parent == 0 != compiled.arcs[0].parent
+        compiled = CompiledGraph(template)
+        graph = oracle_build_graph(template)
+        arcs = compiled_arcs(compiled)
+        assert arcs[-1].parent == 0 != arcs[0].parent
         for _ in range(10):
             achieved = {nid for nid in graph.nodes if rng.random() < rng.random()}
             want = [c.arc for c in scan_frontier(graph, achieved, {}, set(), frozenset(),
                                                  "sig", 0)]
-            assert compiled.enabled(achieved) == want
+            assert [compiled.arc(place) for place in compiled.enabled(achieved)] == want
             compared += len(want) > 1 and want[0].parent == 0
     assert compared >= 20  # the root's arcs lead frontiers that hold others too
 
@@ -574,7 +582,8 @@ def test_frontier_matches_the_scan_on_the_hanoi_4_main_template():
         enabled = [arc for nid in ids if nid not in entry.achieved
                    and graph.nodes[nid].kind is not NodeKind.FAILURE
                    for arc in graph.arcs_into(nid) if entry.achieved.issuperset(arc.children)]
-        assert entry.compiled.enabled(entry.achieved) == enabled
+        assert [entry.compiled.arc(place)
+                for place in entry.compiled.enabled(entry.achieved)] == enabled
         multi_child += sum(len(arc.children) > 1 for arc in enabled)
         facts = frozenset(f for f in pool
                           if rng.random() < (0.1 if f in negated else 0.8))
@@ -593,14 +602,15 @@ def test_frontier_matches_the_scan_on_the_hanoi_4_main_template():
 
 def test_a_parsed_main_template_is_never_validated_again(monkeypatch):
     scenario = parse_file(Path(__file__).parent / "fixtures" / "hanoi3.scn")
-    assert "graph" in vars(scenario.graph)  # validated by `parse`
-    built = []
-    monkeypatch.setattr(network, "build_graph",
-                        lambda template: built.append(template) or build_graph(template))
+    assert "checked" in vars(scenario.graph)  # validated by `parse`
+    checked = []
+    check = andor._check
+    monkeypatch.setattr(andor, "_check",
+                        lambda template: checked.append(template) or check(template))
     result = run_scenario(scenario, RunConfig(seed=0))
     assert result.status is FinalStatus.GOAL_ACHIEVED
-    assert all(template != scenario.graph for template in built)
-    assert all(entry.compiled.graph is scenario.graph.graph
+    assert checked == []
+    assert all(entry.compiled.template is scenario.graph
                for entry in result.network.entries if entry.kind == "main")
     # The validated graph is shared and stays as built, also after every
     # entry is rendered with its leaf truths: no truths or costs.
@@ -608,3 +618,40 @@ def test_a_parsed_main_template_is_never_validated_again(monkeypatch):
         entry.to_dot(f"graph {index}")
     for node in scenario.graph.graph.nodes.values():
         assert (node.truth, node.solved, node.cost) == (False, False, INF), node
+
+
+def count_constructions(monkeypatch, *classes) -> dict[str, int]:
+    """Count the objects of each class built from now on, by name."""
+    counts = dict.fromkeys((cls.__name__ for cls in classes), 0)
+    for cls in classes:
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    return counts
+
+
+def test_parsing_a_large_graph_builds_no_declaration_or_node_objects(monkeypatch):
+    text = serialize(gen_hanoi(6, omnipotent=False))
+    counts = count_constructions(monkeypatch, NodeDecl, HyperArc, Node)
+    scenario = parse(text)
+    assert counts == {"NodeDecl": 0, "HyperArc": 0, "Node": 0}
+    assert len(scenario.graph.ids) == 4148 and len(scenario.graph.arc_ids) == 8233
+
+
+def test_a_hanoi_dual_run_builds_only_the_arcs_its_frontiers_offer(monkeypatch):
+    scenario = parse(serialize(gen_hanoi(6, omnipotent=False)))
+    offered = set()
+    frontier = GraphNetwork.frontier
+
+    def recording(net, *args):
+        candidates = frontier(net, *args)
+        offered.update((id(net.latest.compiled), c.arc.id) for c in candidates)
+        return candidates
+
+    monkeypatch.setattr(GraphNetwork, "frontier", recording)
+    counts = count_constructions(monkeypatch, HyperArc)
+    result = run_scenario(scenario, RunConfig(seed=0))
+    assert (result.status, result.moves) == (FinalStatus.GOAL_ACHIEVED, 84)
+    assert counts["HyperArc"] <= len(offered)
+    assert (counts["HyperArc"], len(offered)) == (297, 297)

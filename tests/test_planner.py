@@ -53,7 +53,7 @@ def fetch_scenario():
         preconditions=(Condition(Fact("at", ("ball", "start"))),),
         verb="transfer", manipulated="ball", source="start", dest="home")
     scn.goal = (Fact("at", ("ball", "home")),)
-    scn.graph = GraphTemplate(
+    scn.graph = GraphTemplate.of(
         nodes=(NodeDecl(1, NodeKind.ROOT, "ball delivered"),
                NodeDecl(2, NodeKind.FAILURE, "no delivery"),
                NodeDecl(3, NodeKind.LEAF, "at ball start"),
@@ -90,7 +90,7 @@ def blocked_scenario():
         preconditions=(Condition(Fact("at", ("wall", "wallpos"))),),
         verb="transfer", manipulated="wall", source="wallpos", dest="aside")
     scn.goal = (Fact("at", ("prize", "home")),)
-    scn.graph = GraphTemplate(
+    scn.graph = GraphTemplate.of(
         nodes=(NodeDecl(1, NodeKind.ROOT, "prize home"),
                NodeDecl(2, NodeKind.FAILURE, "no route"),
                NodeDecl(3, NodeKind.LEAF, "at prize spot"),
@@ -98,7 +98,7 @@ def blocked_scenario():
                NodeDecl(5, NodeKind.INTERNAL, "move prize done")),
         arcs=(HyperArc(1, 1, (4,), weight=Fraction(0)),
               HyperArc(2, 5, (3,), actions=("move_prize",))))
-    scn.stages["clear_wall"] = GraphTemplate(
+    scn.stages["clear_wall"] = GraphTemplate.of(
         nodes=(NodeDecl(1, NodeKind.ROOT, "wall cleared"),
                NodeDecl(2, NodeKind.FAILURE, "wall stuck"),
                NodeDecl(3, NodeKind.LEAF, "at wall wallpos")),
@@ -139,7 +139,7 @@ def test_grounding_failure_suppresses_and_falls_back():
     scn.actions["deliver_meteor"] = ActionTemplate(
         "deliver_meteor", MotionClass.TRANSFER,
         verb="transfer", manipulated="meteor", dest="home")
-    scn.graph = GraphTemplate(
+    scn.graph = GraphTemplate.of(
         nodes=(NodeDecl(1, NodeKind.ROOT, "ball delivered"),
                NodeDecl(2, NodeKind.FAILURE, "no delivery"),
                NodeDecl(3, NodeKind.LEAF, "at ball start"),
@@ -233,7 +233,7 @@ def test_unreachable_goal_is_reported_unsolvable():
     scn = fetch_scenario()
     scn.predicates["blessed"] = PredicateDecl("blessed", 1)
     scn.goal = (Fact("blessed", ("ball",)),)
-    scn.graph = GraphTemplate(
+    scn.graph = GraphTemplate.of(
         nodes=(NodeDecl(1, NodeKind.ROOT, "blessing"),
                NodeDecl(2, NodeKind.FAILURE, "no blessing"),
                NodeDecl(3, NodeKind.LEAF, "blessed ball")),
