@@ -68,6 +68,7 @@ parses back to an equal scenario.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -85,6 +86,7 @@ from .domain import (
     MotionClass,
     PredicateDecl,
 )
+from .world import DEFAULT_RESOLUTION, MAX_GRID_CELLS, grid_shape
 
 SECTIONS = ("OBJECTS", "AGENTS", "PREDICATES", "ACTIONS", "INIT", "GOAL",
             "GRAPH", "STAGES")
@@ -254,7 +256,10 @@ class _Cursor:
         if tok is None or tok.kind != "number" or "/" in tok.value:
             self._fail(("number",))
         self.index += 1
-        return float(tok.value), tok
+        value = float(tok.value)
+        if math.isinf(value):
+            raise ParseError("number out of range", tok.line, tok.col)
+        return value, tok
 
     def integer(self) -> tuple[int, Token]:
         tok = self.peek()
@@ -520,6 +525,10 @@ class _Parser:
                 raise ParseError("bounds must satisfy x0 < x1", tx.line, tx.col)
             if y1 <= y0:
                 raise ParseError("bounds must satisfy y0 < y1", ty.line, ty.col)
+            _, _, nx, ny = grid_shape((x0, y0, x1, y1), DEFAULT_RESOLUTION)
+            if nx * ny > MAX_GRID_CELLS:
+                raise ParseError(f"bounds span {nx * ny} grid cells, more than "
+                                 f"{MAX_GRID_CELLS}", head.line, head.col)
             self.scenario.bounds = (x0, y0, x1, y1)
             self.bounds_line = head.line
             return

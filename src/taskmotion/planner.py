@@ -14,7 +14,9 @@ Only a dispatch changes the world, so the loop takes one snapshot per
 world state: one at the start and one after each dispatch. Goal checks,
 selection and expansion read the latest one. A run keeps one search memo
 (`world.SearchMemo`) for all its dispatches, so each distinct grid search
-runs once per run; a new run starts with an empty one.
+runs once per run and each reach disc and obstacle footprint its grids
+are assembled from is rasterized once per run; a new run starts with an
+empty one.
 
 Timing discipline: every timestamp in the trace is simulated clock time,
 so traces are reproducible byte for byte. Wall-clock durations appear
@@ -92,7 +94,7 @@ def run_scenario(scenario: Scenario, config: RunConfig = RunConfig()) -> PlanRes
     trace: list[dict] = []
     steps: list[StepOutcome] = []
     timers = _Timers()
-    memo: SearchMemo = {}
+    memo = SearchMemo()
 
     known = scenario.entity_ids()
     missing = sorted({arg for fact in scenario.goal for arg in fact.args

@@ -6,11 +6,14 @@ the base is a disc that travels the floor. Motion planning runs A* on a
 uniform occupancy grid; when a plan fails, a second search that ignores
 movable objects diagnoses which of them stand in the way.
 
-Each search builds its grid fresh: obstacles are rasterized over their
-bounding boxes only, and the grid is kept as a byte mask padded by one
-ring of blocked cells. A* walks flat indices into that mask, whose order
-equals (x, y) order, so paths and tie-breaks are those of A* on
-coordinate tuples; obstructor order depends on them.
+Each search assembles its grid from layers rasterized once per
+`SearchMemo` scope: the cell-centre axes of the bounds, an arm's reach
+disc, and each obstacle footprint over its bounding box only, each layer
+keyed on exactly the inputs it reads. A grid is a copy of the reach disc
+(all free for a base) OR-ed with its obstacles' footprint patches, kept as
+a byte mask padded by one ring of blocked cells. A* walks flat indices
+into that mask, whose order equals (x, y) order, so paths and tie-breaks
+are those of A* on coordinate tuples; obstructor order depends on them.
 
 A* itself runs once per distinct search in a `SearchMemo`'s scope. The
 memo maps everything `_astar` reads but the one budget (the mask, its
@@ -64,6 +67,10 @@ import numpy as np
 from .domain import DERIVED_PREDICATES, ActionTemplate, Fact, MotionClass
 
 DEFAULT_RESOLUTION = 0.02
+# Largest occupancy grid a scenario may ask for: about 20 m x 20 m at the
+# default resolution. Each search over a grid this size holds a few MB of
+# rasters.
+MAX_GRID_CELLS = 1_000_000
 DEFAULT_CLEARANCE = 0.01
 DEFAULT_MAX_EXPANSIONS = 50_000
 # A* pops after which a search still short of its goal checks whether the
@@ -421,70 +428,133 @@ def _body_radius(world: World, agent: Agent, carry: str | None) -> float:
     return radius
 
 
-# (free mask, stride, start cell, goal cell) -> (cell path | None, pops)
-SearchMemo = dict[tuple[bytes, int, tuple[int, int], tuple[int, int]],
-                  tuple[tuple[tuple[int, int], ...] | None, int]]
+@dataclass
+class SearchMemo:
+    """What the searches of one scope share; the planner keeps one per run.
+
+    `searches` maps (free mask, stride, start cell, goal cell) to (cell
+    path | None, pops). `rasters` holds the layers grids are assembled
+    from, each made once and kept read-only: a grid's cell-centre axes
+    under its geometry (bounds, resolution), an arm's reach disc under
+    (geometry, anchor, reach), and an obstacle's footprint patch under
+    (geometry, shape, dims, x, y, inflation), exactly the inputs each one
+    reads.
+    """
+
+    searches: dict[tuple[bytes, int, tuple[int, int], tuple[int, int]],
+                   tuple[tuple[tuple[int, int], ...] | None, int]] = field(default_factory=dict)
+    rasters: dict[tuple, object] = field(default_factory=dict)
+
+
+def grid_shape(bounds: tuple[float, float, float, float], resolution: float
+               ) -> tuple[int, int, int, int]:
+    """(ix0, iy0, nx, ny) of the grid over `bounds`: the integer index of
+    its first cell centre along x and y, and its cell counts. Cell (x, y)
+    is centred on ((x + ix0) * resolution, (y + iy0) * resolution)."""
+    x0, y0, x1, y1 = bounds
+    ix0 = math.ceil(round(x0 / resolution, 9))
+    iy0 = math.ceil(round(y0 / resolution, 9))
+    ix1 = math.floor(round(x1 / resolution, 9))
+    iy1 = math.floor(round(y1 / resolution, 9))
+    return ix0, iy0, max(ix1 - ix0 + 1, 0), max(iy1 - iy0 + 1, 0)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _layer(rasters: dict, key: tuple, make):
+    """The layer kept under `key`, made by `make()` on first use."""
+    try:
+        return rasters[key]
+    except KeyError:
+        layer = rasters[key] = make()
+        return layer
+
+
+def _axes(bounds: tuple[float, float, float, float], res: float):
+    """(ix0, iy0, xs, ys): a column and a row vector that broadcast to the
+    cell-centre coordinates; every raster test compares exactly these
+    float values."""
+    ix0, iy0, nx, ny = grid_shape(bounds, res)
+    xs = ((np.arange(nx) + ix0) * res)[:, None]
+    ys = ((np.arange(ny) + iy0) * res)[None, :]
+    return ix0, iy0, _frozen(xs), _frozen(ys)
+
+
+def _span(lo: float, hi: float, res: float, i0: int, n: int) -> tuple[int, int]:
+    """Index range [a, b) of the cells within one cell of [lo, hi]."""
+    a = math.floor(lo / res) - i0 - 1
+    b = math.ceil(hi / res) - i0 + 2
+    return max(a, 0), min(b, n)
+
+
+def _footprint(obj: Obj, inflation: float, res: float, axes):
+    """The cells the object's footprint, grown by `inflation`, blocks:
+    (xa, xb, ya, yb, hit), where `hit` covers cells [xa, xb) x [ya, yb),
+    or None when the footprint misses the grid."""
+    ix0, iy0, xs, ys = axes
+    if obj.shape == "circle":
+        r = obj.dims[0] + inflation
+        hw = hh = r
+    else:
+        hw = obj.dims[0] / 2.0 + inflation
+        hh = obj.dims[1] / 2.0 + inflation
+    # Bounding box plus one cell, so rounding in the index bounds can never
+    # leave out a cell the footprint test would block.
+    xa, xb = _span(obj.x - hw, obj.x + hw, res, ix0, xs.shape[0])
+    ya, yb = _span(obj.y - hh, obj.y + hh, res, iy0, ys.shape[1])
+    if xa >= xb or ya >= yb:
+        return None
+    bx = xs[xa:xb]
+    by = ys[:, ya:yb]
+    if obj.shape == "circle":
+        hit = (bx - obj.x) ** 2 + (by - obj.y) ** 2 <= r * r
+    else:
+        hit = (np.abs(bx - obj.x) <= hw) & (np.abs(by - obj.y) <= hh)
+    return xa, xb, ya, yb, _frozen(hit)
 
 
 class _Grid:
     """Occupancy raster over the agent's admissible region.
 
-    `blocked` is the (nx, ny) raster. `free_mask` is the same raster
-    inverted and padded by one ring of blocked cells, flattened to bytes:
-    cell (x, y) is free when `free_mask[(x + 1) * stride + y + 1]` is
-    non-zero, with `stride = ny + 2`, so a neighbour step never needs a
-    range test.
+    `blocked` is the (nx, ny) raster: the arm's reach disc (none for a
+    base) OR-ed with each obstacle's footprint, all taken from the layers
+    in `rasters` (a `SearchMemo.rasters`; a fresh map when None). `free_mask`
+    is the same raster inverted and padded by one ring of blocked cells,
+    flattened to bytes: cell (x, y) is free when
+    `free_mask[(x + 1) * stride + y + 1]` is non-zero, with
+    `stride = ny + 2`, so a neighbour step never needs a range test.
     """
 
-    def __init__(self, world: World, agent: Agent, obstacles: list[Obj], inflation: float):
+    def __init__(self, world: World, agent: Agent, obstacles: list[Obj], inflation: float,
+                 rasters: dict | None = None):
+        if rasters is None:
+            rasters = {}
         res = world.resolution
-        x0, y0, x1, y1 = world.bounds
+        geometry = (world.bounds, res)
+        axes = _layer(rasters, geometry, lambda: _axes(world.bounds, res))
         self.res = res
-        self.ix0 = math.ceil(round(x0 / res, 9))
-        self.iy0 = math.ceil(round(y0 / res, 9))
-        ix1 = math.floor(round(x1 / res, 9))
-        iy1 = math.floor(round(y1 / res, 9))
-        self.nx = max(ix1 - self.ix0 + 1, 0)
-        self.ny = max(iy1 - self.iy0 + 1, 0)
+        self.ix0, self.iy0, xs, ys = axes
+        self.nx, self.ny = xs.shape[0], ys.shape[1]
         self.stride = self.ny + 2
-        # Column and row vectors broadcast to the cell-centre coordinates;
-        # every obstacle test below compares exactly these float values.
-        xs = ((np.arange(self.nx) + self.ix0) * res)[:, None]
-        ys = ((np.arange(self.ny) + self.iy0) * res)[None, :]
-        blocked = np.zeros((self.nx, self.ny), dtype=bool)
-        if agent.kind == "arm":
-            dist2 = (xs - agent.anchor[0]) ** 2 + (ys - agent.anchor[1]) ** 2
-            blocked |= dist2 > agent.reach ** 2
+        if agent.kind == "arm":  # the cells outside the arm's reach disc
+            (ax, ay), reach = agent.anchor, agent.reach
+            blocked = _layer(rasters, (geometry, agent.anchor, reach), lambda: _frozen(
+                (xs - ax) ** 2 + (ys - ay) ** 2 > reach ** 2)).copy()
+        else:
+            blocked = np.zeros((self.nx, self.ny), dtype=bool)
         for obj in obstacles:
-            if obj.shape == "circle":
-                r = obj.dims[0] + inflation
-                hw = hh = r
-            else:
-                hw = obj.dims[0] / 2.0 + inflation
-                hh = obj.dims[1] / 2.0 + inflation
-            # Bounding box plus one cell, so rounding in the index bounds
-            # can never leave out a cell the footprint test would block.
-            xa, xb = self._span(obj.x - hw, obj.x + hw, self.ix0, self.nx)
-            ya, yb = self._span(obj.y - hh, obj.y + hh, self.iy0, self.ny)
-            if xa >= xb or ya >= yb:
-                continue
-            bx = xs[xa:xb]
-            by = ys[:, ya:yb]
-            if obj.shape == "circle":
-                hit = (bx - obj.x) ** 2 + (by - obj.y) ** 2 <= r * r
-            else:
-                hit = (np.abs(bx - obj.x) <= hw) & (np.abs(by - obj.y) <= hh)
-            blocked[xa:xb, ya:yb] |= hit
+            patch = _layer(rasters, (geometry, obj.shape, obj.dims, obj.x, obj.y, inflation),
+                           lambda: _footprint(obj, inflation, res, axes))
+            if patch is not None:
+                xa, xb, ya, yb, hit = patch
+                blocked[xa:xb, ya:yb] |= hit
         self.blocked = blocked
         padded = np.zeros((self.nx + 2, self.stride), dtype=bool)
         np.logical_not(blocked, out=padded[1:-1, 1:-1])
         self.free_mask = padded.tobytes()
-
-    def _span(self, lo: float, hi: float, i0: int, n: int) -> tuple[int, int]:
-        """Index range [a, b) of the cells within one cell of [lo, hi]."""
-        a = math.floor(lo / self.res) - i0 - 1
-        b = math.ceil(hi / self.res) - i0 + 2
-        return max(a, 0), min(b, n)
 
     def cell(self, point: tuple[float, float]) -> tuple[int, int]:
         return (round(point[0] / self.res) - self.ix0,
@@ -577,10 +647,10 @@ def _search(memo: SearchMemo, grid: _Grid, start: tuple[int, int], goal: tuple[i
     """`_astar` under the one budget, run only when the memo holds no
     search with the same inputs; the key keeps the mask's bytes, not the grid."""
     key = (grid.free_mask, grid.stride, start, goal)
-    found = memo.get(key)
+    found = memo.searches.get(key)
     if found is None:
         cells, pops = _astar(grid, start, goal, DEFAULT_MAX_EXPANSIONS)
-        found = memo[key] = (None if cells is None else tuple(cells), pops)
+        found = memo.searches[key] = (None if cells is None else tuple(cells), pops)
     return found
 
 
@@ -654,7 +724,7 @@ def plan_motion(world: World, q: MotionQuery, memo: SearchMemo | None = None) ->
     """
     t0 = time.perf_counter()
     if memo is None:
-        memo = {}
+        memo = SearchMemo()
     sig = world_signature(world)
     agent = world.agents.get(q.agent)
     if agent is None:
@@ -718,7 +788,7 @@ def _plan_leg(world: World, agent: Agent, q: MotionQuery, leg: _Leg, memo: Searc
     exclude.update(_engaged(world, leg.start, inflation))
 
     obstacles = _obstacles_for(world, agent, exclude, ghost=False)
-    grid = _Grid(world, agent, obstacles, inflation)
+    grid = _Grid(world, agent, obstacles, inflation, memo.rasters)
     start_cell = grid.cell(leg.start)
     goal_cell = grid.cell(leg.goal)
     if not grid.in_range(start_cell) or not grid.free(start_cell):
@@ -740,7 +810,7 @@ def _plan_leg(world: World, agent: Agent, q: MotionQuery, leg: _Leg, memo: Searc
 def _diagnose(world: World, agent: Agent, leg: _Leg, exclude: set[str], inflation: float,
               memo: SearchMemo) -> tuple[str, ...]:
     ghost_obstacles = _obstacles_for(world, agent, exclude, ghost=True)
-    grid = _Grid(world, agent, ghost_obstacles, inflation)
+    grid = _Grid(world, agent, ghost_obstacles, inflation, memo.rasters)
     start_cell = grid.cell(leg.start)
     goal_cell = grid.cell(leg.goal)
     if not grid.free(start_cell) or not grid.free(goal_cell):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taskmotion import dsl
+from taskmotion import dsl, world
 from taskmotion.domain import Fact
 from taskmotion.dsl import (
     DslError,
@@ -155,6 +155,7 @@ MALFORMED = [
     ("m16_huge_number.scn", ParseError, 10, 6),
     ("m17_exclusive_conflict.scn", ResolveError, 11, 1),
     ("m18_unknown_child.scn", ResolveError, 12, 1),
+    ("m19_huge_bounds.scn", ParseError, 3, 1),
 ]
 
 
@@ -244,6 +245,44 @@ def test_a_number_too_long_to_convert_is_a_located_error(old, new):
     number = re.search(r"[0-9./]*" + HUGE, lines[at])
     assert (info.value.line, info.value.col) == (at + 1, number.start() + 1)
     assert info.value.message == "number has too many digits"
+
+
+@pytest.mark.parametrize("old,new", [
+    ("bounds -0.5 -0.5 0.5 0.5", f"bounds -1{'0' * 400} -0.5 0.5 0.5"),
+    ("at 0.2 0.2 movable", f"at 0.2 {HUGE} movable"),
+    ("reach 0.6", f"reach 1{'0' * 400}"),
+], ids=["bounds", "position", "reach"])
+def test_a_number_beyond_float_range_is_a_located_error(old, new):
+    lines = read("minimal.scn").splitlines()
+    at = next(i for i, line in enumerate(lines) if old in line)
+    lines[at] = lines[at].replace(old, new)
+    with pytest.raises(ParseError) as info:
+        parse("\n".join(lines))
+    number = re.search(r"-?[0-9]{300,}", lines[at])
+    assert (info.value.line, info.value.col) == (at + 1, number.start() + 1)
+    assert info.value.message == "number out of range"
+
+
+@pytest.mark.parametrize("bounds,cells", [
+    ("0 0 19.98 19.98", 1000 * 1000),
+    ("0 0 19.98 20", 1000 * 1001),
+    ("-1000000000 0 1000000000 1", 100000000001 * 51),
+])
+def test_bounds_are_capped_by_their_grid_cell_count(bounds, cells):
+    lines = read("minimal.scn").splitlines()
+    at = lines.index("bounds -0.5 -0.5 0.5 0.5")
+    lines[at] = f"bounds {bounds}"
+    text = "\n".join(lines)
+    values = tuple(map(float, bounds.split()))
+    _, _, nx, ny = world.grid_shape(values, world.DEFAULT_RESOLUTION)
+    assert nx * ny == cells
+    if cells <= world.MAX_GRID_CELLS:
+        assert parse(text).bounds == values
+        return
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert (info.value.line, info.value.col) == (at + 1, 1)
+    assert info.value.message == f"bounds span {cells} grid cells, more than 1000000"
 
 
 @pytest.mark.parametrize("old,new,line", [

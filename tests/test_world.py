@@ -226,7 +226,7 @@ def without_elapsed(result):
 def test_a_memo_hit_runs_no_search_and_repeats_the_result(monkeypatch):
     world = movable_wall_world()
     runs = counted_astar(monkeypatch)
-    memo = {}
+    memo = W.SearchMemo()
     first = plan_motion(world, query((0.3, -0.2)), memo)
     searches = runs[0]
     again = plan_motion(world, query((0.3, -0.2)), memo)
@@ -237,18 +237,38 @@ def test_a_memo_hit_runs_no_search_and_repeats_the_result(monkeypatch):
 
 def test_memo_entries_hold_tuples_and_no_grid():
     """Paths are tuples, so no caller can change a shared entry, and keys
-    keep the mask's bytes, not the grid that made them."""
+    keep the mask's bytes, not the grid that made them; no map of the
+    memo holds a grid."""
     world = movable_wall_world()
-    memo = {}
+    memo = W.SearchMemo()
     assert not plan_motion(world, query((0.0, 0.4)), memo).feasible  # leg and ghost
     assert plan_motion(world, query((0.3, -0.2)), memo).feasible
-    assert len(memo) == 3
-    for (mask, stride, start, goal), (path, pops) in memo.items():
+    assert len(memo.searches) == 3
+    for (mask, stride, start, goal), (path, pops) in memo.searches.items():
         assert type(mask) is bytes and len(mask) % stride == 0
         assert all(type(v) is tuple and len(v) == 2 for v in (start, goal))
         assert type(pops) is int
         assert path is None or type(path) is tuple
-    assert any(path is not None for path, _ in memo.values())
+    assert any(path is not None for path, _ in memo.searches.values())
+    assert memo.rasters
+    for key, layer in memo.rasters.items():
+        assert type(key) is tuple
+        assert not isinstance(layer, W._Grid)
+        assert layer is None or isinstance(layer, (tuple, np.ndarray))
+        if isinstance(layer, tuple):
+            assert not any(isinstance(part, W._Grid) for part in layer)
+
+
+def test_cached_layers_are_read_only():
+    memo = W.SearchMemo()
+    plan_motion(movable_wall_world(), query((0.0, 0.4)), memo)
+    arrays = [part for layer in memo.rasters.values()
+              for part in (layer if isinstance(layer, tuple) else (layer,))
+              if isinstance(part, np.ndarray)]
+    assert len(arrays) >= 4  # two axes, a reach disc and a footprint at least
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 0
 
 
 # ------------------------------------------------------------- execution
@@ -705,6 +725,59 @@ def test_raster_matches_full_grid_oracle():
         for x in range(-1, fast.nx + 1):
             for y in range(-1, fast.ny + 1):
                 assert fast.free((x, y)) == slow.free((x, y))
+
+
+def test_grids_assembled_from_shared_layers_match_the_oracle():
+    """Grids built in random order through one memo's layers equal the
+    from-scratch oracle cell for cell, padding ring included. One pool of
+    objects, some moved from scene to scene and some partly off the
+    bounds, is seen over three geometries; a base, a fixed arm and an arm
+    mounted on the base, whose anchor moves with it, take ghost and
+    non-ghost obstacle sets at several inflations; each arm's reach is one
+    of two from scene to scene."""
+    rng = random.Random(20261019)
+    pool = []
+    for i in range(10):
+        x, y = rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7)
+        movable, blocks = rng.random() < 0.5, rng.choice(["all", "all", "arm", "base"])
+        if rng.random() < 0.5:
+            pool.append(Obj(f"o{i}", "circle", (rng.uniform(0.01, 0.15),), x, y,
+                            movable=movable, blocks=blocks))
+        else:
+            pool.append(Obj(f"o{i}", "box", (rng.uniform(0.01, 0.3), rng.uniform(0.01, 0.3)),
+                            x, y, movable=movable, blocks=blocks))
+    cases = []
+    for bounds, res in (((-0.5, -0.5, 0.5, 0.5), 0.02), ((-0.3, -0.6, 0.6, 0.2), 0.02),
+                        ((-0.5, -0.5, 0.5, 0.5), 0.025)):
+        for _ in range(4):
+            objects = {obj.id: obj for obj in pool}
+            for obj in rng.sample(pool, 3):
+                objects[obj.id] = replace(obj, x=rng.uniform(-0.7, 0.7), y=rng.uniform(-0.7, 0.7))
+            bx, by = rng.choice([(0.0, 0.0), (0.2, -0.1), (-0.25, 0.3)])
+            agents = [Agent("cart", "base", anchor=(bx, by), radius=0.1, config=(bx, by)),
+                      Agent("fixed", "arm", anchor=(-0.2, 0.1), reach=rng.choice([0.35, 0.5])),
+                      Agent("mounted", "arm", anchor=(bx + 0.05, by - 0.1),
+                            reach=rng.choice([0.3, 0.4]),
+                            mount="cart", mount_off=(0.05, -0.1))]
+            world = World(bounds=bounds, resolution=res, objects=objects,
+                          agents={agent.id: agent for agent in agents})
+            for agent in agents:
+                for ghost in (False, True):
+                    exclude = set(rng.sample(sorted(objects), rng.randint(0, 2)))
+                    obstacles = W._obstacles_for(world, agent, exclude, ghost)
+                    for inflation in rng.sample([0.0, 0.01, 0.03, 0.06], 2):
+                        cases.append((world, agent, obstacles, inflation))
+    rng.shuffle(cases)
+    memo = W.SearchMemo()
+    for world, agent, obstacles, inflation in cases + cases[:20]:
+        fast = W._Grid(world, agent, obstacles, inflation, memo.rasters)
+        slow = OracleGrid(world, agent, obstacles, inflation)
+        padded = np.zeros((slow.nx + 2, slow.ny + 2), dtype=bool)
+        padded[1:-1, 1:-1] = ~slow.blocked
+        assert fast.stride == slow.ny + 2
+        assert fast.free_mask == padded.tobytes()
+    footprints = sum(len(obstacles) for _, _, obstacles, _ in cases)
+    assert len(cases) == 144 and footprints > 2 * len(memo.rasters)  # layers were shared
 
 
 def test_astar_matches_tuple_oracle():
