@@ -11,9 +11,12 @@ Each search assembles its grid from layers rasterized once per
 disc, and each obstacle footprint over its bounding box only, each layer
 keyed on exactly the inputs it reads. A grid is a copy of the reach disc
 (all free for a base) OR-ed with its obstacles' footprint patches, kept as
-a byte mask padded by one ring of blocked cells. A* walks flat indices
-into that mask, whose order equals (x, y) order, so paths and tie-breaks
-are those of A* on coordinate tuples; obstructor order depends on them.
+a byte mask padded by one ring of blocked cells. The diagnosis reads its
+movables' footprint patches from the same layers. A* walks flat indices
+into that mask, whose order equals (x, y) order. Among cells of equal f
+it pops the deeper one (higher g) first, then the one first in (x, y)
+order, so paths are those of A* on coordinate tuples under that rule;
+obstructor order depends on them.
 
 A* itself runs once per distinct search in a `SearchMemo`'s scope. The
 memo maps everything `_astar` reads but the one budget (the mask, its
@@ -74,9 +77,12 @@ MAX_GRID_CELLS = 1_000_000
 DEFAULT_CLEARANCE = 0.01
 DEFAULT_MAX_EXPANSIONS = 50_000
 # A* pops after which a search still short of its goal checks whether the
-# goal is reachable at all. Labeling the free cells costs about as much as
-# 40 pops, so a search that gets this far has spent over ten times that.
-PROOF_CHECKPOINT = 512
+# goal is reachable at all. On the benchmark grids labeling the free cells
+# takes about 47 us, as long as 16 pops, so a search that gets this far
+# has spent eight times that. Deeper-first ties leave more stale heap
+# entries while a search floods a dead end: its first 512 pops take about
+# 1.5 times as long as under lower-g-first ties, its first 128 no longer.
+PROOF_CHECKPOINT = 128
 ARM_POINT_RADIUS = 0.02
 MOVE_SPEED = 1.0  # meters of path per simulated second
 
@@ -109,6 +115,11 @@ class Obj:
     blocks: str = "all"  # "all" | "arm" | "base"
     stack_on: str | None = None
 
+    @cached_property
+    def signature_text(self) -> str:
+        """This object's pose in the world signature, made on first read."""
+        return f"{self.id}:{round(self.x, 9)}:{round(self.y, 9)}:{round(self.yaw, 9)};"
+
     def carry_extent(self) -> float:
         """Swept radius while carried. A planar carry can swing a box to
         slip through gaps, so the tight half extent governs, not the
@@ -138,6 +149,11 @@ class Agent:
     holding: str | None = None
     mount: str | None = None
     mount_off: tuple[float, float] = (0.0, 0.0)
+
+    @cached_property
+    def signature_text(self) -> str:
+        """This agent's config in the world signature, made on first read."""
+        return f"{self.id}@{round(self.config[0], 9)}:{round(self.config[1], 9)};"
 
 
 def _read_only(mapping: Mapping) -> MappingProxyType:
@@ -349,27 +365,21 @@ def _derive_state(world: World) -> WorldState:
     facts |= world.facts
     poses = {oid: (o.x, o.y, o.yaw) for oid, o in sorted(world.objects.items())}
     configs = {aid: a.config for aid, a in sorted(world.agents.items())}
-    sig = _signature(poses, configs, facts)
+    sig = _signature(world, facts)
     holding = {a.id: a.holding for a in world.agents.values() if a.holding is not None}
     return WorldState(facts=frozenset(facts), poses=MappingProxyType(poses),
                       holding=MappingProxyType(holding),
                       configs=MappingProxyType(configs), clock=world.clock, signature=sig)
 
 
-def _signature(poses: dict[str, tuple[float, float, float]],
-               configs: dict[str, tuple[float, float]], facts: Iterable[Fact]) -> str:
-    hasher = hashlib.sha256()
-    for oid in sorted(poses):
-        x, y, yaw = poses[oid]
-        hasher.update(f"{oid}:{round(x, 9)}:{round(y, 9)}:{round(yaw, 9)};".encode())
-    for aid in sorted(configs):
-        x, y = configs[aid]
-        hasher.update(f"{aid}@{round(x, 9)}:{round(y, 9)};".encode())
-    # The same order as `Fact`'s generated `__lt__`, at a fraction of its cost.
-    for fact in sorted(facts, key=attrgetter("predicate", "args")):
-        hasher.update(fact.text().encode())
-        hasher.update(b"|")
-    return hasher.hexdigest()
+def _signature(world: World, facts: Iterable[Fact]) -> str:
+    """sha256 of one text: each object's pose and each agent's config in
+    id order, then each fact followed by "|", in the order of `Fact`'s
+    generated `__lt__`, sorted here at a fraction of its cost."""
+    parts = [world.objects[oid].signature_text for oid in sorted(world.objects)]
+    parts += [world.agents[aid].signature_text for aid in sorted(world.agents)]
+    parts += [f"{fact.text()}|" for fact in sorted(facts, key=attrgetter("predicate", "args"))]
+    return hashlib.sha256("".join(parts).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------- planning
@@ -521,7 +531,8 @@ class _Grid:
 
     `blocked` is the (nx, ny) raster: the arm's reach disc (none for a
     base) OR-ed with each obstacle's footprint, all taken from the layers
-    in `rasters` (a `SearchMemo.rasters`; a fresh map when None). `free_mask`
+    in `rasters` (a `SearchMemo.rasters`; a fresh map when None), where
+    `footprint` looks up the patch of any object. `free_mask`
     is the same raster inverted and padded by one ring of blocked cells,
     flattened to bytes: cell (x, y) is free when
     `free_mask[(x + 1) * stride + y + 1]` is non-zero, with
@@ -533,8 +544,9 @@ class _Grid:
         if rasters is None:
             rasters = {}
         res = world.resolution
-        geometry = (world.bounds, res)
-        axes = _layer(rasters, geometry, lambda: _axes(world.bounds, res))
+        self.rasters = rasters
+        self.geometry = geometry = (world.bounds, res)
+        self.axes = axes = _layer(rasters, geometry, lambda: _axes(world.bounds, res))
         self.res = res
         self.ix0, self.iy0, xs, ys = axes
         self.nx, self.ny = xs.shape[0], ys.shape[1]
@@ -546,8 +558,7 @@ class _Grid:
         else:
             blocked = np.zeros((self.nx, self.ny), dtype=bool)
         for obj in obstacles:
-            patch = _layer(rasters, (geometry, obj.shape, obj.dims, obj.x, obj.y, inflation),
-                           lambda: _footprint(obj, inflation, res, axes))
+            patch = self.footprint(obj, inflation)
             if patch is not None:
                 xa, xb, ya, yb, hit = patch
                 blocked[xa:xb, ya:yb] |= hit
@@ -555,6 +566,12 @@ class _Grid:
         padded = np.zeros((self.nx + 2, self.stride), dtype=bool)
         np.logical_not(blocked, out=padded[1:-1, 1:-1])
         self.free_mask = padded.tobytes()
+
+    def footprint(self, obj: Obj, inflation: float):
+        """The object's footprint patch over this grid (see `_footprint`),
+        taken from the layers or made and kept there on first use."""
+        return _layer(self.rasters, (self.geometry, obj.shape, obj.dims, obj.x, obj.y, inflation),
+                      lambda: _footprint(obj, inflation, self.res, self.axes))
 
     def cell(self, point: tuple[float, float]) -> tuple[int, int]:
         return (round(point[0] / self.res) - self.ix0,
@@ -581,8 +598,10 @@ def _astar(grid: _Grid, start: tuple[int, int], goal: tuple[int, int],
     """Deterministic 8-connected A*; integer costs 5/7 avoid float ties.
 
     Both cells must lie inside the grid. The search runs on flat indices
-    into `grid.free_mask`; since `0 <= y + 1 < stride`, index order is
-    (x, y) order, so heap ties break exactly as on coordinate tuples.
+    into `grid.free_mask`. Heap entries are (f, -g, cell): among equal f
+    the deeper cell pops first, so on open floor the search follows one
+    optimal path instead of popping the band of them; then the smaller
+    index, and since `0 <= y + 1 < stride` index order is (x, y) order.
 
     Returns the cell path, or None, with the pop count. A search that
     pops its `PROOF_CHECKPOINT`-th cell short of the goal asks
@@ -610,7 +629,7 @@ def _astar(grid: _Grid, start: tuple[int, int], goal: tuple[int, int],
     pops = 0
     checkpoint = PROOF_CHECKPOINT
     while open_heap and pops < budget:
-        f, g, cell = heappop(open_heap)
+        f, minus_g, cell = heappop(open_heap)
         if not open_cell[cell]:
             continue
         open_cell[cell] = 0
@@ -630,7 +649,7 @@ def _astar(grid: _Grid, start: tuple[int, int], goal: tuple[int, int],
             nxt = cell + offset
             if not open_cell[nxt]:
                 continue
-            tentative = g + step
+            tentative = step - minus_g
             if tentative < g_score.get(nxt, 1 << 60):
                 g_score[nxt] = tentative
                 came[nxt] = cell
@@ -638,7 +657,7 @@ def _astar(grid: _Grid, start: tuple[int, int], goal: tuple[int, int],
                 dx = x - gx if x > gx else gx - x
                 dy = y - gy if y > gy else gy - y
                 heappush(open_heap, (tentative + 5 * (dx + dy) - 3 * (dx if dx < dy else dy),
-                                     tentative, nxt))
+                                     -tentative, nxt))
     return None, pops
 
 
@@ -809,6 +828,8 @@ def _plan_leg(world: World, agent: Agent, q: MotionQuery, leg: _Leg, memo: Searc
 
 def _diagnose(world: World, agent: Agent, leg: _Leg, exclude: set[str], inflation: float,
               memo: SearchMemo) -> tuple[str, ...]:
+    """The movables that block the path a world without them allows, in
+    path order: each one's first path cell its footprint patch covers."""
     ghost_obstacles = _obstacles_for(world, agent, exclude, ghost=True)
     grid = _Grid(world, agent, ghost_obstacles, inflation, memo.rasters)
     start_cell = grid.cell(leg.start)
@@ -821,12 +842,17 @@ def _diagnose(world: World, agent: Agent, leg: _Leg, exclude: set[str], inflatio
     holders = held_by(world)
     movables = [obj for oid, obj in sorted(world.objects.items())
                 if obj.movable and oid not in exclude and oid not in holders]
+    px, py = np.array(cells).T
     first_hit: dict[str, int] = {}
-    for idx, cell in enumerate(cells):
-        point = grid.center(cell)
-        for obj in movables:
-            if obj.id not in first_hit and _covers(obj, point, inflation):
-                first_hit[obj.id] = idx
+    for obj in movables:
+        patch = grid.footprint(obj, inflation)
+        if patch is None:
+            continue
+        xa, xb, ya, yb, hit = patch
+        inside = np.flatnonzero((px >= xa) & (px < xb) & (py >= ya) & (py < yb))
+        hits = inside[hit[px[inside] - xa, py[inside] - ya]]
+        if hits.size:
+            first_hit[obj.id] = int(hits[0])
     return tuple(sorted(first_hit, key=lambda oid: (first_hit[oid], oid)))
 
 

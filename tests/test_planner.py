@@ -388,6 +388,16 @@ def test_each_distinct_search_runs_once_per_run(name, searches, monkeypatch):
     assert len(keys) == len(set(keys)) == searches
 
 
+@pytest.mark.parametrize("name,expansions", [
+    ("hanoi_dual", 3386), ("habitat", 8943), ("habitat_unclearable", 74102)])
+def test_step_expansions_per_run_are_pinned(name, expansions):
+    """A* pops behind a run's steps at seed 0. Breaking f-ties towards the
+    lower g, the earlier order, made 20563, 14820 and 77447; an unreachable
+    goal's pops are its component size under either order."""
+    result = run_scenario(parse(WORKLOADS[name].make_text()), RunConfig(seed=0))
+    assert sum(step.expansions for step in result.steps) == expansions
+
+
 @pytest.mark.parametrize("name", ["hanoi_dual", "habitat", "habitat_unclearable"])
 def test_every_search_gets_the_whole_budget(name, monkeypatch):
     """A transfer's second leg searches under the query's budget, not

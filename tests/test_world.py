@@ -9,7 +9,9 @@ import hashlib
 import heapq
 import math
 import random
+import sys
 from dataclasses import FrozenInstanceError, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ import pytest
 from taskmotion.domain import Fact, MotionClass, ActionTemplate
 from taskmotion import interface, planner
 from taskmotion import world as W
-from taskmotion.planner import FinalStatus, run_scenario
+from taskmotion.dsl import parse
+from taskmotion.planner import FinalStatus, RunConfig, run_scenario
 from taskmotion.scenarios import gen_habitat, gen_hanoi
 from taskmotion.world import (
     Agent,
@@ -35,6 +38,10 @@ from taskmotion.world import (
     world_from_scenario,
     world_signature,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
+from scn_fuzz import fuzz_scenario  # noqa: E402
 
 
 def arm_world(reach=0.45, bounds=(-0.5, -0.5, 0.5, 0.5), objects=(), markers=()):
@@ -603,11 +610,13 @@ def test_random_obstructions_removal_oracle():
 
 # --------------------------------------- fast grid and A* against oracles
 #
-# The oracles are the planner's earlier from-scratch versions, kept
-# verbatim: a raster that tests every obstacle over the full grid, and A*
-# on (x, y) tuples with a range test per neighbour. The fast versions must
-# block the same cells and return the same path and pop count, since
-# obstructor order depends on the exact path.
+# The oracles are the planner's earlier from-scratch versions: a raster
+# that tests every obstacle over the full grid, A* on (x, y) tuples with a
+# range test per neighbour, and a diagnosis that tests each path cell
+# against each movable. The fast versions must block the same cells and
+# return the same path and pop count, since obstructor order depends on
+# the exact path. The tuple A* also keeps the earlier lower-g-first tie
+# order, as an oracle of path cost, feasibility and dead-end pops.
 
 
 class OracleGrid:
@@ -651,9 +660,14 @@ _NEIGHBORS = ((1, 0, 5), (1, 1, 7), (0, 1, 5), (-1, 1, 7),
               (-1, 0, 5), (-1, -1, 7), (0, -1, 5), (1, -1, 7))
 
 
-def oracle_astar(grid, start: tuple[int, int], goal: tuple[int, int],
-                 budget: int) -> tuple[list[tuple[int, int]] | None, int]:
-    """Deterministic 8-connected A*; integer costs 5/7 avoid float ties."""
+def oracle_astar(grid, start: tuple[int, int], goal: tuple[int, int], budget: int,
+                 deeper_first: bool = True) -> tuple[list[tuple[int, int]] | None, int]:
+    """Deterministic 8-connected A*; integer costs 5/7 avoid float ties.
+
+    Equal f pops the higher g first, then the smaller (x, y). With
+    `deeper_first=False` it pops the lower g first, the planner's earlier
+    order: a different optimal path, so it serves as a cost oracle only."""
+    sign = -1 if deeper_first else 1  # of g in the heap key
 
     def heuristic(c):
         dx = abs(c[0] - goal[0])
@@ -666,7 +680,8 @@ def oracle_astar(grid, start: tuple[int, int], goal: tuple[int, int],
     closed: set[tuple[int, int]] = set()
     pops = 0
     while open_heap and pops < budget:
-        f, g, cell = heapq.heappop(open_heap)
+        f, key, cell = heapq.heappop(open_heap)
+        g = sign * key
         if cell in closed:
             continue
         closed.add(cell)
@@ -686,7 +701,7 @@ def oracle_astar(grid, start: tuple[int, int], goal: tuple[int, int],
             if tentative < g_score.get(nxt, 1 << 60):
                 g_score[nxt] = tentative
                 came[nxt] = cell
-                heapq.heappush(open_heap, (tentative + heuristic(nxt), tentative, nxt))
+                heapq.heappush(open_heap, (tentative + heuristic(nxt), sign * tentative, nxt))
     return None, pops
 
 
@@ -780,9 +795,10 @@ def test_grids_assembled_from_shared_layers_match_the_oracle():
     assert len(cases) == 144 and footprints > 2 * len(memo.rasters)  # layers were shared
 
 
-def test_astar_matches_tuple_oracle():
+def random_searches():
+    """(fast grid, oracle grid, start, goal) on random raster cases: free
+    and random cells, goals equal to the start included."""
     rng = random.Random(20261019)
-    unreachable = reached = 0
     for _ in range(150):
         world, agent, obstacles, inflation = random_raster_case(rng)
         fast = W._Grid(world, agent, obstacles, inflation)
@@ -794,15 +810,143 @@ def test_astar_matches_tuple_oracle():
         starts = [rng.choice(free)] if free else cells[:1]
         for start in starts + cells[:1]:
             for goal in [start, cells[1]] + ([rng.choice(free)] if free else []):
-                for budget in (1, 3, 50_000):
-                    want = oracle_astar(slow, start, goal, budget)
-                    assert W._astar(fast, start, goal, budget) == want
-                    if budget == 50_000:
-                        if want[0] is None:
-                            unreachable += 1
-                        elif start != goal:
-                            reached += 1
+                yield fast, slow, start, goal
+
+
+def test_astar_matches_tuple_oracle():
+    unreachable = reached = 0
+    for fast, slow, start, goal in random_searches():
+        for budget in (1, 3, 50_000):
+            want = oracle_astar(slow, start, goal, budget)
+            assert W._astar(fast, start, goal, budget) == want
+            if budget == 50_000:
+                if want[0] is None:
+                    unreachable += 1
+                elif start != goal:
+                    reached += 1
     assert unreachable >= 100 and reached >= 300
+
+
+@pytest.fixture(scope="module")
+def workload_runs():
+    """What the three benchmark workloads hand to `_astar` and `_diagnose`
+    at seeds 0-3: every distinct search as (grid, start, goal, budget),
+    and the arguments and result of every diagnosis."""
+    searches, diagnoses = {}, []
+    astar, diagnose = W._astar, W._diagnose
+
+    def recorded_search(grid, start, goal, budget):
+        searches.setdefault((grid.free_mask, grid.stride, start, goal, budget),
+                            (grid, start, goal, budget))
+        return astar(grid, start, goal, budget)
+
+    def recorded_diagnosis(*args):
+        diagnoses.append((args, diagnose(*args)))
+        return diagnoses[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(W, "_astar", recorded_search)
+        patch.setattr(W, "_diagnose", recorded_diagnosis)
+        for name in sorted(WORKLOADS):
+            scenario = parse(WORKLOADS[name].make_text())
+            for seed in range(4):
+                run_scenario(scenario, RunConfig(seed=seed))
+    return list(searches.values()), diagnoses
+
+
+def path_cost(cells) -> int:
+    return sum(7 if a[0] != b[0] and a[1] != b[1] else 5 for a, b in zip(cells, cells[1:]))
+
+
+def astar_cases(searched):
+    """(grid, oracle grid, start, goal, budget): the random raster cases
+    under the whole budget, then the recorded searches, whose oracle reads
+    the grid's own mask."""
+    for fast, slow, start, goal in random_searches():
+        yield fast, slow, start, goal, 50_000
+    for grid, start, goal, budget in searched:
+        yield grid, grid, start, goal, budget
+
+
+def test_astar_keeps_the_cost_feasibility_and_dead_end_pops_of_the_earlier_order(
+        workload_runs):
+    """Against the lower-g-first oracle, on the random raster cases and on
+    every search of the workloads: the same optimal path cost, the same
+    verdict, and for an unreachable goal the same pops (the component
+    size, capped by the budget). Deeper-first ties pop fewer cells."""
+    searched = workload_runs[0]
+    assert len(searched) >= 100
+    new_pops = old_pops = 0
+    for fast, slow, start, goal, budget in astar_cases(searched):
+        path, popped = W._astar(fast, start, goal, budget)
+        old_path, old_popped = oracle_astar(slow, start, goal, budget, deeper_first=False)
+        assert (path is None) == (old_path is None)
+        if path is None:
+            assert popped == old_popped
+        else:
+            assert path_cost(path) == path_cost(old_path)
+            new_pops += popped
+            old_pops += old_popped
+    assert new_pops < old_pops / 2
+
+
+@pytest.mark.parametrize("checkpoint", [64, 512])
+def test_the_proof_checkpoint_changes_no_astar_result(checkpoint, workload_runs, monkeypatch):
+    """Where a search stops to prove its goal unreachable changes neither
+    its path nor its pop count."""
+    cases = list(astar_cases(workload_runs[0]))
+    want = [W._astar(fast, start, goal, budget) for fast, _, start, goal, budget in cases]
+    assert W.PROOF_CHECKPOINT == 128
+    monkeypatch.setattr(W, "PROOF_CHECKPOINT", checkpoint)
+    assert [W._astar(fast, start, goal, budget) for fast, _, start, goal, budget in cases] == want
+
+
+def oracle_diagnose(world, agent, leg, exclude, inflation, memo):
+    """The earlier `_diagnose`: each ghost-path cell centre tested against
+    each movable with the scalar `_covers`."""
+    ghost_obstacles = W._obstacles_for(world, agent, exclude, ghost=True)
+    grid = W._Grid(world, agent, ghost_obstacles, inflation, memo.rasters)
+    start_cell = grid.cell(leg.start)
+    goal_cell = grid.cell(leg.goal)
+    if not grid.free(start_cell) or not grid.free(goal_cell):
+        return ()
+    cells, _ = W._search(memo, grid, start_cell, goal_cell)
+    if cells is None:
+        return ()
+    holders = W.held_by(world)
+    movables = [obj for oid, obj in sorted(world.objects.items())
+                if obj.movable and oid not in exclude and oid not in holders]
+    first_hit: dict[str, int] = {}
+    for idx, cell in enumerate(cells):
+        point = grid.center(cell)
+        for obj in movables:
+            if obj.id not in first_hit and W._covers(obj, point, inflation):
+                first_hit[obj.id] = idx
+    return tuple(sorted(first_hit, key=lambda oid: (first_hit[oid], oid)))
+
+
+def test_diagnosis_matches_the_scalar_covers_oracle(workload_runs, monkeypatch):
+    """Footprint patches test a circle by squared distance, `_covers` by
+    `hypot`; over every diagnosis of the workloads at seeds 0-3, the fuzz
+    runs and the random blocked worlds, both name the same obstructors in
+    the same order."""
+    diagnoses = list(workload_runs[1])
+    diagnose = W._diagnose
+
+    def recorded(*args):
+        diagnoses.append((args, diagnose(*args)))
+        return diagnoses[-1][1]
+
+    monkeypatch.setattr(W, "_diagnose", recorded)
+    for seed in range(200):
+        run_scenario(fuzz_scenario(seed), RunConfig(depth_cap=12, seed=seed))
+    rng = random.Random(20260816)
+    for _ in range(100):
+        world, goal = random_blocked_world(rng)
+        plan_motion(world, query(goal))
+    assert sum(bool(found) for _, found in diagnoses) >= 200
+    for args, found in diagnoses:
+        assert found == oracle_diagnose(*args)
 
 
 class FreeCells:
