@@ -13,20 +13,20 @@ pass over those columns, ending in a level-by-level topological sort
 (Kahn, "Topological sorting of large networks", CACM 5(11), 1962) that
 finds cycles, checks that a leaf reaches the root, and gives every node
 its height. The root and the failure node are the one node of each kind.
-`NodeDecl`, `HyperArc` and `Node` objects are built from the columns
-only for the code that reads them: serialization, DOT export and the
-from-scratch pricing below.
+`NodeDecl` and `HyperArc` objects are built from the columns only for
+the code that reads them: serialization and DOT export. `build_graph`
+builds the `Node` objects of the from-scratch pricing below.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Collection, Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -158,10 +158,10 @@ class GraphTemplate:
     template from `NodeDecl`s and `HyperArc`s.
 
     The template is shared and never mutated: its arrays are read-only.
-    `checked` validates it on first access and keeps the result; `nodes`,
-    `arcs` and the object `graph` are built from the columns when first
-    read. Two templates are equal when they declare the same nodes and
-    arcs, whatever the order of the declarations.
+    `checked` validates it on first access and keeps the result; `nodes`
+    and `arcs` are built from the columns when first read. Two templates
+    are equal when they declare the same nodes and arcs, whatever the
+    order of the declarations.
     """
 
     ids: np.ndarray
@@ -223,10 +223,6 @@ class GraphTemplate:
     @cached_property
     def arcs(self) -> tuple[HyperArc, ...]:
         return tuple(map(self.arc, range(len(self.arc_ids))))
-
-    @cached_property
-    def graph(self) -> AndOrGraph:
-        return build_graph(self)
 
     def _by_id(self) -> tuple[tuple[NodeDecl, ...], tuple[HyperArc, ...]]:
         return (tuple(sorted(self.nodes, key=attrgetter("id"))),
@@ -418,13 +414,6 @@ def _node_on_cycle(t: GraphTemplate, left: np.ndarray, by_id: np.ndarray,
     return i
 
 
-def copy_graph(graph: AndOrGraph) -> AndOrGraph:
-    """A copy with nodes of its own; the immutable arcs are shared."""
-    return AndOrGraph({nid: replace(node) for nid, node in graph.nodes.items()},
-                      graph.arcs, graph.root, graph.failure, graph._arcs_by_parent,
-                      graph.height)
-
-
 def set_leaf_truth(graph: AndOrGraph, truths: Mapping[int, bool]) -> None:
     """Assign truth values to leaves; any other node id is rejected."""
     for nid, value in truths.items():
@@ -549,14 +538,20 @@ def augment(graph: AndOrGraph | AugmentedGraph) -> AugmentedGraph:
     if isinstance(graph, AugmentedGraph):
         raise AlreadyAugmented("graph already carries a virtual node",
                                ("node", graph.virtual_node.id))
-    virtual_id = max(graph.nodes) + 1 if graph.nodes else 0
-    next_arc_id = max((a.id for a in graph.arcs), default=-1) + 1
+    virtual_id, arcs = _virtual(graph.nodes, (a.id for a in graph.arcs),
+                                graph.failure, graph.root)
     virtual = Node(virtual_id, "virtual", NodeKind.VIRTUAL)
-    arcs = (
-        HyperArc(next_arc_id, virtual_id, (graph.failure,), Fraction(0)),
-        HyperArc(next_arc_id + 1, virtual_id, (graph.root,), Fraction(0)),
-    )
     return AugmentedGraph(base=graph, virtual_node=virtual, virtual_arcs=arcs)
+
+
+def _virtual(node_ids: Iterable[int], arc_ids: Iterable[int], failure: int,
+             root: int) -> tuple[int, tuple[HyperArc, HyperArc]]:
+    """The virtual node's id, one above every node id, and its two arcs,
+    numbered on from the arc ids: one from the failure node, one from the root."""
+    virtual_id = max(node_ids, default=-1) + 1
+    arc_id = max(arc_ids, default=-1) + 1
+    return virtual_id, (HyperArc(arc_id, virtual_id, (failure,), Fraction(0)),
+                        HyperArc(arc_id + 1, virtual_id, (root,), Fraction(0)))
 
 
 _DOT_SHAPE = {
@@ -572,30 +567,31 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def to_dot(graph: AndOrGraph | AugmentedGraph, title: str = "andor") -> str:
-    """Deterministic DOT rendering; hyper-arcs render through point junctions."""
-    if isinstance(graph, AugmentedGraph):
-        base = graph.base
-        extra_nodes = [graph.virtual_node]
-        extra_arcs = list(graph.virtual_arcs)
-    else:
-        base = graph
-        extra_nodes = []
-        extra_arcs = []
+def to_dot(template: GraphTemplate, title: str = "andor",
+           true_leaves: Collection[int] = frozenset(), virtual: bool = False) -> str:
+    """Deterministic DOT rendering of a template, the leaves in `true_leaves`
+    filled; `virtual` adds the virtual node of `augment`. Hyper-arcs render
+    through point junctions."""
+    nodes = list(template.nodes)
+    arcs = list(template.arcs)
+    if virtual:
+        virtual_id, virtual_arcs = _virtual((n.id for n in nodes), (a.id for a in arcs),
+                                            template.failure, template.root)
+        nodes.append(NodeDecl(virtual_id, NodeKind.VIRTUAL, "virtual"))
+        arcs += virtual_arcs
 
     lines = [f'digraph "{_dot_escape(title)}" {{', "  rankdir=BT;",
              '  node [fontname="Helvetica"];']
-    all_nodes = sorted(list(base.nodes.values()) + extra_nodes, key=lambda n: n.id)
-    for node in all_nodes:
+    for node in sorted(nodes, key=attrgetter("id")):
         attrs = [f'label="{_dot_escape(node.label)}"', f"shape={_DOT_SHAPE[node.kind]}"]
-        if node.kind is NodeKind.LEAF and node.truth:
+        if node.kind is NodeKind.LEAF and node.id in true_leaves:
             attrs.append('style=filled fillcolor="#c8e6c9"')
         if node.kind is NodeKind.FAILURE:
             attrs.append('style=filled fillcolor="#ffcdd2"')
         if node.kind is NodeKind.VIRTUAL:
             attrs.append("style=dashed")
         lines.append(f'  n{node.id} [{" ".join(attrs)}];')
-    for arc in sorted(list(base.arcs) + extra_arcs, key=lambda a: (a.parent, a.id)):
+    for arc in sorted(arcs, key=attrgetter("parent", "id")):
         junction = f"h{arc.id}"
         label_bits = [f"w={arc.weight}"]
         if arc.actions:

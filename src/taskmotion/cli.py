@@ -99,7 +99,8 @@ def _export_network_dots(result: PlanResult, directory: str):
     out.mkdir(parents=True, exist_ok=True)
     entries = result.network.entries if result.network is not None else []
     for index, entry in enumerate(entries, start=1):
-        text = entry.to_dot(title=f"graph_{index:03d}_{entry.kind}")
+        text = to_dot(entry.compiled.template, f"graph_{index:03d}_{entry.kind}",
+                      entry.true_leaves, virtual=True)
         (out / f"graph_{index:03d}.dot").write_text(text)
     return len(entries)
 
@@ -156,13 +157,13 @@ def _cmd_dot(args) -> int:
     if args.dot:
         out = Path(args.dot)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "main.dot").write_text(to_dot(scn.graph.graph, title=scn.name))
+        (out / "main.dot").write_text(to_dot(scn.graph, title=scn.name))
         for stage_name in sorted(scn.stages):
-            text = to_dot(scn.stages[stage_name].graph, title=stage_name)
+            text = to_dot(scn.stages[stage_name], title=stage_name)
             (out / f"{stage_name}.dot").write_text(text)
         print(f"wrote {1 + len(scn.stages)} graph files to {args.dot}")
     else:
-        sys.stdout.write(to_dot(scn.graph.graph, title=scn.name))
+        sys.stdout.write(to_dot(scn.graph, title=scn.name))
     return 0
 
 

@@ -86,7 +86,7 @@ from .domain import (
     MotionClass,
     PredicateDecl,
 )
-from .world import DEFAULT_RESOLUTION, MAX_GRID_CELLS, grid_shape
+from .world import DEFAULT_RESOLUTION, DEFAULT_SNAP, MAX_GRID_CELLS, grid_shape
 
 SECTIONS = ("OBJECTS", "AGENTS", "PREDICATES", "ACTIONS", "INIT", "GOAL",
             "GRAPH", "STAGES")
@@ -137,7 +137,7 @@ class MarkerDecl:
     id: str
     x: float
     y: float
-    snap: float = 0.04
+    snap: float = DEFAULT_SNAP
     handover: bool = False
 
 
@@ -572,7 +572,7 @@ class _Parser:
         cur.word("at")
         x, _ = cur.number()
         y, _ = cur.number()
-        snap = 0.04
+        snap = DEFAULT_SNAP
         if cur.maybe_word("snap"):
             snap, ts = cur.number()
             if snap <= 0:
@@ -939,7 +939,7 @@ def _obj_line(obj: ObjDecl) -> str:
 
 def _marker_line(marker: MarkerDecl) -> str:
     parts = [f"marker {marker.id} at {fmt_float(marker.x)} {fmt_float(marker.y)}"]
-    if marker.snap != 0.04:
+    if marker.snap != DEFAULT_SNAP:
         parts.append(f"snap {fmt_float(marker.snap)}")
     if marker.handover:
         parts.append("handover")

@@ -243,6 +243,8 @@ def goal_candidates(goal: tuple[float, float], region: Box, retries: int,
 
 
 def _resolve_agent(world: World, grounded: GroundedAction) -> str | None:
+    """The agent a step binds to: its own, or for a put, whoever holds the
+    object by now. `ground` binds every other geometric step."""
     if grounded.agent_id is not None:
         return grounded.agent_id
     action = grounded.action
@@ -250,10 +252,6 @@ def _resolve_agent(world: World, grounded: GroundedAction) -> str | None:
         for agent in world.agents.values():
             if agent.holding == action.manipulated:
                 return agent.id
-        return None
-    for arm in _arms(world):
-        if all(reaches(arm, p) for p in _needed_points(world, action)):
-            return arm.id
     return None
 
 
@@ -288,8 +286,8 @@ def dispatch(world: World, grounding: GroundingResult, retries: int = 2,
     """Execute a grounded sequence step by step on the live world.
 
     A geometric step tries its goal point and then up to `retries`
-    alternates; each query searches with `MotionQuery`'s default A*
-    budget, through `memo` when the caller keeps one (the planner keeps
+    alternates; each query searches under `world.DEFAULT_MAX_EXPANSIONS`,
+    through `memo` when the caller keeps one (the planner keeps
     one per run), so a search made earlier in its scope is not run again
     and a step's `expansions` still counts its searches' pops.
 

@@ -15,17 +15,19 @@ arrays from the columns; it builds no node or arc objects. A compiled
 graph gives each priced arc one place, which pricing, the frontier and
 selection all index; the `HyperArc` of a place is built only when the
 frontier offers it as a candidate. A `GraphEntry` holds only what
-differs between instantiations, its leaf truths and its achieved nodes.
-The newest entry is priced once, when it is first searched: the bottom-up
-min-cost evaluation of AO* (Martelli & Montanari, 1973), run one level of
-equal height at a time over numpy arrays.
+differs between instantiations: its leaf truths, read from the facts it
+was instantiated against. An entry never changes; an executed step is
+followed by a new entry, or the run ends. The newest entry is priced
+once, when it is first searched: the bottom-up min-cost evaluation of
+AO* (Martelli & Montanari, 1973), run one level of equal height at a
+time over numpy arrays.
 
 Candidates are drawn from the newest graph only. A node is a candidate
-when it is not yet achieved, at least one of its incoming arcs has all
-children achieved, the arc's actions are symbolically applicable, and the
-combination has not been suppressed in the current world; only arcs that
-one segment reduction finds enabled are tested for the last two. Selection
-prefers arcs on the minimal-cost solution of the graph; when the root is
+when at least one of its incoming arcs has only true leaves as children,
+the arc's actions are symbolically applicable, and the combination has
+not been suppressed in the current world; only arcs that one segment
+reduction finds enabled are tested for the last two. Selection prefers
+arcs on the minimal-cost solution of the graph; when the root is
 currently unsolvable it falls back to the cheapest applicable arc with
 the lowest arc id. A candidate's total is read from the priced totals at
 its arc's place, and the solution is a map from node to place.
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Collection, Iterable, NamedTuple
@@ -44,26 +46,24 @@ import numpy as np
 
 from .andor import (  # noqa: F401 - see the note below
     KINDS,
-    AndOrGraph,
     GraphTemplate,
     HyperArc,
     NodeDecl,
     NodeKind,
     augment,
     build_graph,
-    copy_graph,
     node_cost,
     set_leaf_truth,
     solution_subgraph,
     solved,
-    to_dot,
 )
 from .domain import ActionTemplate, Fact, chain_applicable
 
-# `build_graph` and `solved`, `node_cost` and `solution_subgraph`, the
-# from-scratch pricing of `andor` that the tests keep as the reference
-# for `CompiledGraph`, are not called here. They stay bound because the
-# layer trace in perfbench/tracer.py patches these names on this module.
+# `build_graph`, `augment`, `set_leaf_truth`, and `solved`, `node_cost` and
+# `solution_subgraph`, the from-scratch pricing of `andor` that the tests
+# keep as the reference for `CompiledGraph`, are not called here. They stay
+# bound because the layer trace in perfbench/tracer.py patches these names
+# on this module.
 
 
 class NetworkError(Exception):
@@ -265,29 +265,19 @@ def _leaf_facts(template: GraphTemplate):
             continue  # an empty label states no fact; the leaf stays false
 
 
-@dataclass
+@dataclass(frozen=True)
 class GraphEntry:
+    """One instantiation of a compiled graph: the leaves that hold in it."""
+
     compiled: CompiledGraph
     kind: str  # "main" | "rearrangement"
     true_leaves: frozenset[int]
-    achieved: set[int] = field(default_factory=set)
-
-    def graph(self) -> AndOrGraph:
-        """A fresh copy of this entry's graph with its leaf truths set."""
-        graph = copy_graph(self.compiled.template.graph)
-        set_leaf_truth(graph, dict.fromkeys(self.true_leaves, True))
-        return graph
-
-    def to_dot(self, title: str) -> str:
-        """DOT rendering of this entry's graph with the virtual node."""
-        return to_dot(augment(self.graph()), title=title)
 
 
 @dataclass(frozen=True)
 class Candidate:
     """One executable option: achieve `node_id` through `arc`."""
 
-    graph_index: int
     node_id: int
     label: str
     arc: HyperArc
@@ -342,7 +332,7 @@ class GraphNetwork:
                      facts: frozenset[Fact]) -> GraphEntry:
         known = facts | self.knowledge
         true_leaves = frozenset(lid for lid, fact in compiled.leaf_facts if fact in known)
-        entry = GraphEntry(compiled, kind, true_leaves, set(true_leaves))
+        entry = GraphEntry(compiled, kind, true_leaves)
         self.entries.append(entry)
         return entry
 
@@ -362,9 +352,8 @@ class GraphNetwork:
             raise NetworkError("network not bootstrapped")
         entry = self.latest
         compiled = entry.compiled
-        index = len(self.entries) - 1
         out = []
-        for place in compiled.enabled(entry.achieved):
+        for place in compiled.enabled(entry.true_leaves):
             names = compiled.template.actions[compiled.decl[place]]
             label = compiled.labels[compiled.parents[place]]
             if (label, names, world_sig) in self.suppressed:
@@ -373,7 +362,7 @@ class GraphNetwork:
             if not chain_applicable(facts, actions):
                 continue
             arc = compiled.arc(place)
-            out.append(Candidate(index, arc.parent, label, arc, actions))
+            out.append(Candidate(arc.parent, label, arc, actions))
         return out
 
     def select(self, facts: frozenset[Fact], world_sig: str) -> Candidate | None:
@@ -391,9 +380,6 @@ class GraphNetwork:
         # Unsolved totals are all `inf`, above every finite one, so they
         # come last and tie on to the arc id.
         return min(placed, key=lambda pc: (totals[pc[0]], pc[1].arc.id, pc[1].node_id))[1]
-
-    def mark_executed(self, candidate: Candidate):
-        self.entries[candidate.graph_index].achieved.add(candidate.node_id)
 
     def suppress(self, candidate: Candidate, world_sig: str):
         label, names = candidate.key()

@@ -1,9 +1,9 @@
 """Top-level run loop tying graphs, grounding, and geometry together.
 
 One loop iteration: check the goal, pick a candidate from the newest
-graph, ground it, dispatch it. Success marks the node achieved and, unless
-the goal is already reached, re-instantiates the main graph against the
-new state. A geometric failure whose obstructors have relocation stages
+graph, ground it, dispatch it. Success re-instantiates the main graph,
+whose true leaves are the new state's facts, unless the goal is already
+reached. A geometric failure whose obstructors have relocation stages
 grows a rearrangement graph instead; anything else suppresses the
 candidate for the world before and after the dispatch and tries the next
 one. An exhausted frontier re-expands once per distinct state; a repeat
@@ -138,7 +138,7 @@ def run_scenario(scenario: Scenario, config: RunConfig = RunConfig()) -> PlanRes
         if candidate is None:
             status = expand(ExpandReason.NO_FEASIBLE_STATE)
             continue
-        trace.append({"event": "select", "graph": candidate.graph_index + 1,
+        trace.append({"event": "select", "graph": network.depth,
                       "node": candidate.node_id, "label": candidate.label,
                       "arc": candidate.arc.id,
                       "actions": [a.name for a in candidate.actions]})
@@ -158,7 +158,6 @@ def run_scenario(scenario: Scenario, config: RunConfig = RunConfig()) -> PlanRes
             trace.append(_step_event(step))
 
         if result.ok:
-            network.mark_executed(candidate)
             moves += 1
             trace.append({"event": "execute", "label": candidate.label,
                           "moves": moves})
@@ -180,9 +179,9 @@ def run_scenario(scenario: Scenario, config: RunConfig = RunConfig()) -> PlanRes
 
     depth = network.depth
     trace.append({"event": "result", "status": status.value, "d": depth,
-                  "moves": moves, "t_sim": round(state.clock, 9),
-                  "poses": {oid: [round(p[0], 9), round(p[1], 9)]
-                            for oid, p in sorted(state.poses.items())}})
+                  "moves": moves, "t_sim": round(world.clock, 9),
+                  "poses": {oid: [round(o.x, 9), round(o.y, 9)]
+                            for oid, o in sorted(world.objects.items())}})
     return _finish(scenario, status, depth, moves, steps, world, trace, timers,
                    network)
 

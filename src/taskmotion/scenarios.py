@@ -29,6 +29,7 @@ from fractions import Fraction
 from .andor import GraphTemplate, HyperArc, NodeDecl, NodeKind
 from .domain import ActionTemplate, Condition, Fact, MotionClass, PredicateDecl
 from .dsl import AgentDecl, MarkerDecl, ObjDecl, Scenario
+from .world import DEFAULT_SNAP
 
 
 class BadDiskCount(Exception):
@@ -245,7 +246,7 @@ def gen_habitat() -> Scenario:
         scn.objects[f"glass_{i}"] = ObjDecl(f"glass_{i}", "circle", (0.035,),
                                             gx, gy, movable=True, blocks="arm")
 
-    def marker(mid, point, snap=0.04):
+    def marker(mid, point, snap=DEFAULT_SNAP):
         scn.markers[mid] = MarkerDecl(mid, point[0], point[1], snap=snap)
 
     for i in (1, 2):

@@ -75,6 +75,7 @@ DEFAULT_RESOLUTION = 0.02
 # rasters.
 MAX_GRID_CELLS = 1_000_000
 DEFAULT_CLEARANCE = 0.01
+DEFAULT_SNAP = 0.04  # a marker's snap radius when its declaration names none
 DEFAULT_MAX_EXPANSIONS = 50_000
 # A* pops after which a search still short of its goal checks whether the
 # goal is reachable at all. On the benchmark grids labeling the free cells
@@ -134,7 +135,7 @@ class Marker:
     id: str
     x: float
     y: float
-    snap: float = 0.04
+    snap: float = DEFAULT_SNAP
     handover: bool = False
 
 
@@ -166,13 +167,11 @@ def _read_only(mapping: Mapping) -> MappingProxyType:
 
 @dataclass(frozen=True)
 class WorldState:
-    """Read-only snapshot: derived plus stored facts and raw poses."""
+    """Read-only snapshot: the derived and stored facts, and the signature
+    of the facts and the geometry. Poses, holdings, configs and the clock
+    are read from the `World` itself."""
 
     facts: frozenset[Fact]
-    poses: Mapping[str, tuple[float, float, float]]
-    holding: Mapping[str, str]
-    configs: Mapping[str, tuple[float, float]]
-    clock: float
     signature: str
 
 
@@ -363,13 +362,7 @@ def _derive_state(world: World) -> WorldState:
             if math.hypot(agent.config[0] - marker.x, agent.config[1] - marker.y) <= marker.snap:
                 facts.add(Fact("at", (agent.id, marker.id)))
     facts |= world.facts
-    poses = {oid: (o.x, o.y, o.yaw) for oid, o in sorted(world.objects.items())}
-    configs = {aid: a.config for aid, a in sorted(world.agents.items())}
-    sig = _signature(world, facts)
-    holding = {a.id: a.holding for a in world.agents.values() if a.holding is not None}
-    return WorldState(facts=frozenset(facts), poses=MappingProxyType(poses),
-                      holding=MappingProxyType(holding),
-                      configs=MappingProxyType(configs), clock=world.clock, signature=sig)
+    return WorldState(frozenset(facts), _signature(world, facts))
 
 
 def _signature(world: World, facts: Iterable[Fact]) -> str:

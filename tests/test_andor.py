@@ -56,23 +56,20 @@ def minimal_template(weight=Fraction(1)):
 
 
 def test_template_graph_is_validated_once_and_replace_validates_afresh(monkeypatch):
-    checked, built = [], []
-    check, build = andor._check, andor.build_graph
+    checked = []
+    check = andor._check
     monkeypatch.setattr(andor, "_check", lambda template: checked.append(template)
                         or check(template))
-    monkeypatch.setattr(andor, "build_graph", lambda template: built.append(template)
-                        or build(template))
     template = minimal_template()
     assert template.checked is template.checked and checked == [template]
-    graph = template.graph
-    assert template.graph is graph and built == [template] and checked == [template]
+    graph = build_graph(template)
+    assert build_graph(template) == graph and checked == [template]
     assert template == minimal_template() and hash(template) == hash(minimal_template())
     heavier = GraphTemplate.of(template.nodes, (HyperArc(0, 0, (1, 2), Fraction(7)),))
-    assert heavier.graph is not graph and built == [template, heavier]
+    assert build_graph(heavier).arcs[0].weight == 7 and graph.arcs[0].weight == 1
     assert checked == [template, heavier]
-    assert heavier.graph.arcs[0].weight == 7 and graph.arcs[0].weight == 1
     with pytest.raises(CycleDetected):
-        GraphTemplate.of(template.nodes, template.arcs + (HyperArc(1, 0, (0,)),)).graph
+        GraphTemplate.of(template.nodes, template.arcs + (HyperArc(1, 0, (0,)),)).checked
     with pytest.raises(ValueError):
         template.ids[0] = 5  # the columns are read-only
 
@@ -272,7 +269,7 @@ def test_cycle_error_names_a_node_on_the_cycle():
         back = HyperArc(len(template.arcs), bottom, (top,))
         cyclic = GraphTemplate.of(template.nodes, template.arcs + (back,))
         with pytest.raises(CycleDetected) as err:
-            cyclic.graph
+            cyclic.checked
         kind, nid = err.value.element
         assert kind == "node" and nid in below(successors(cyclic.arcs), nid)
         assert str(err.value) == f"cycle through node {nid}"
@@ -290,7 +287,7 @@ def test_height_is_one_above_the_highest_child_of_a_priced_node():
         scn = fuzz_scenario(seed)
         templates += [scn.graph, *scn.stages.values()]
     for template in templates:
-        graph = template.graph
+        graph = build_graph(template)
         expect: dict[int, int] = {}
 
         def height(nid: int) -> int:
@@ -537,11 +534,12 @@ def test_augment_minimal_graph_adds_virtual_node_and_two_arcs():
 
 
 def test_to_dot_deterministic_and_structurally_closed():
-    graph = build_graph(minimal_template())
-    set_leaf_truth(graph, {1: True})
-    first = to_dot(augment(graph))
-    second = to_dot(augment(graph))
+    first = to_dot(minimal_template(), true_leaves={1}, virtual=True)
+    second = to_dot(minimal_template(), true_leaves=frozenset({1}), virtual=True)
     assert first == second
+    assert '  n1 [label="left fact" shape=ellipse style=filled fillcolor="#c8e6c9"];' in first
+    assert '  n4 [label="virtual" shape=diamond style=dashed];' in first
+    assert "n4" not in to_dot(minimal_template())
     declared = set()
     referenced = set()
     for line in first.splitlines():

@@ -1,5 +1,6 @@
 """Exercises each subcommand through cli.main with captured output."""
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -67,6 +68,28 @@ def test_run_dot_exports_one_file_per_graph(tmp_path, capsys):
     assert len(files) == depth
     for path in files:
         assert path.read_text().startswith("digraph")
+
+
+# command: (number of DOT files, sha256 over each file's name, a newline
+# and its text, by file name).
+PINNED_DOT = {
+    "dot habitat": (3, "d5837a41123bfa75466c6f941f8e62bdca5bc5daa80101fd4eda6aad975805eb"),
+    "dot hanoi --disks 4": (
+        1, "2fe87601cf92f591d426077ba80b3e9b9a2aaefc1b261f89eec8f1b302b61743"),
+    "run habitat": (28, "0b71b2dbf5825e321382c86cb98ca0b45206854985ceb950dda8485b8d7632d0"),
+    "run hanoi --disks 3": (
+        9, "8a9438683af673095b252fb70abee53c0e03b1b1216f6f3c9c83d472dbb8484e"),
+}
+
+
+@pytest.mark.parametrize("command", PINNED_DOT)
+def test_dot_files_match_the_pinned_digests(command, tmp_path, capsys):
+    main([*command.split(), "--dot", str(tmp_path)])
+    digest = hashlib.sha256()
+    files = sorted(tmp_path.glob("*.dot"))
+    for path in files:
+        digest.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert (len(files), digest.hexdigest()) == PINNED_DOT[command]
 
 
 def test_run_depth_capped_exits_two(capsys):

@@ -57,7 +57,7 @@ def test_minimal_fixture_contents():
     assert scn.actions["park"].preconditions[0].negated
     assert Fact("polished", ("table",)) in scn.init
     assert scn.goal == (Fact("at", ("cup", "pad")),)
-    assert scn.graph.graph.root == 1
+    assert scn.graph.root == 1
     assert scn.graph.arcs[1].weight == Fraction(1, 2)
     assert scn.stages["clear_cup"].arcs[0].weight == Fraction(2, 3)
 

@@ -1,7 +1,7 @@
 """Graph-network tests: frontiers, selection, suppression, expansion."""
 
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,6 +32,7 @@ from taskmotion.network import (
     DepthLimitExceeded,
     ExpandReason,
     ExpansionCycle,
+    GraphEntry,
     GraphNetwork,
     UnknownStage,
     compose_rearrangement,
@@ -89,9 +90,11 @@ def test_bootstrap_marks_true_leaves_achieved():
     net = fresh_network()
     assert net.depth == 1
     entry = net.latest
-    assert entry.achieved == {3, 4}
     assert entry.kind == "main"
     assert entry.true_leaves == {3, 4}
+    assert [f.name for f in fields(entry)] == ["compiled", "kind", "true_leaves"]
+    with pytest.raises(FrozenInstanceError):
+        entry.true_leaves = frozenset()
 
 
 def test_frontier_lists_arcs_with_achieved_children():
@@ -116,14 +119,6 @@ def test_selection_prefers_cheapest_solution_path():
     # Arc 1 has the lower id, but arc 2 carries the cheaper total cost.
     assert chosen.node_id == 6
     assert chosen.arc.id == 2
-
-
-def test_execution_cascades_toward_the_root():
-    net = fresh_network()
-    chosen = net.select(FACTS, SIG)
-    net.mark_executed(chosen)
-    frontier = net.frontier(FACTS, SIG)
-    assert (1, 4) in [(c.node_id, c.arc.id) for c in frontier]
 
 
 def test_partial_truth_limits_frontier():
@@ -183,15 +178,15 @@ def test_suppression_is_world_scoped():
 
 def test_stage_complete_expansion_appends_fresh_main_graph():
     net = fresh_network()
-    chosen = net.select(FACTS, SIG)
-    net.mark_executed(chosen)
-    entry = net.expand(ExpandReason.STAGE_COMPLETE, FACTS)
+    first = net.latest
+    entry = net.expand(ExpandReason.STAGE_COMPLETE, frozenset({Fact("ready", ("a",))}))
     assert net.depth == 2
     assert entry.kind == "main"
-    assert entry.achieved == {3, 4}
-    assert entry.compiled is net.entries[0].compiled
-    # Old graph keeps its achieved history but no longer feeds the frontier.
-    assert all(c.graph_index == 1 for c in net.frontier(FACTS, SIG))
+    assert entry.true_leaves == {3}
+    assert entry.compiled is first.compiled
+    # The old graph keeps its leaf truths but no longer feeds the frontier.
+    assert net.entries == [first, entry] and first.true_leaves == {3, 4}
+    assert [c.arc.id for c in net.frontier(FACTS, SIG)] == [1]
 
 
 def test_exhausted_frontier_twice_is_a_cycle():
@@ -236,7 +231,7 @@ def clear_stage(oid):
 def test_rearrangement_composition_structure():
     stages = [("box1", clear_stage("box1")), ("box2", clear_stage("box2"))]
     template = compose_rearrangement(stages)
-    root_arcs = [a for a in template.arcs if a.parent == template.graph.root]
+    root_arcs = [a for a in template.arcs if a.parent == template.root]
     assert len(root_arcs) == 1
     assert len(root_arcs[0].children) == 2
     labels = {n.id: n.label for n in template.nodes}
@@ -261,9 +256,10 @@ def test_motion_failure_expansion_uses_knowledge():
     entry = net.expand(ExpandReason.MOTION_FAILURE, snapshot, ("box1",))
     assert entry.kind == "rearrangement"
     assert Fact("obstructs", ("box1",)) in net.knowledge
-    leaves = {leaf.label: leaf for leaf in entry.graph().leaves()}
-    assert leaves["obstructs box1"].truth
-    assert leaves["clear box1"].truth
+    leaves = {decl.label: decl.id for decl in entry.compiled.template.nodes
+              if decl.kind is NodeKind.LEAF}
+    assert leaves["obstructs box1"] in entry.true_leaves
+    assert leaves["clear box1"] in entry.true_leaves
     # The relocation arc is executable straight away.
     frontier = net.frontier(snapshot, SIG)
     assert any(c.actions and c.actions[0].name == "use_a" for c in frontier)
@@ -452,7 +448,7 @@ def test_compiled_pricing_matches_refresh_on_the_hanoi_4_main_template():
         assert_pricing_matches_refresh(scenario.graph, compiled, truths)
 
 
-def scan_frontier(graph, achieved, actions, suppressed, facts, world_sig, index):
+def scan_frontier(graph, achieved, actions, suppressed, facts, world_sig):
     """The frontier as first written: scan every node of a built graph."""
     out = []
     for nid in sorted(graph.nodes):
@@ -464,7 +460,7 @@ def scan_frontier(graph, achieved, actions, suppressed, facts, world_sig, index)
             if not set(arc.children) <= achieved:
                 continue
             acts = tuple(actions[name] for name in arc.actions)
-            candidate = Candidate(index, nid, node.label, arc, acts)
+            candidate = Candidate(nid, node.label, arc, acts)
             label, names = candidate.key()
             if (label, names, world_sig) in suppressed:
                 continue
@@ -520,12 +516,12 @@ def test_frontier_and_select_match_the_scan_over_flip_sequences():
             graph = oracle_build_graph(template)
             set_leaf_truth(graph, truths)
             achieved = {lid for lid, on in truths.items() if on}
-            assert net.latest.achieved == achieved
-            # Execute and suppress a few candidates, checking after each.
+            assert net.latest.true_leaves == achieved
+            # Suppress a few candidates, checking after each; executing one
+            # ends the stage, and the next truths start the next one.
             for _ in range(3):
                 sig = rng.choice(["sig-0", "sig-1"])
-                want = scan_frontier(graph, achieved, actions, suppressed, facts,
-                                     sig, net.depth - 1)
+                want = scan_frontier(graph, achieved, actions, suppressed, facts, sig)
                 assert net.frontier(facts, sig) == want
                 chosen = net.select(facts, sig)
                 assert chosen == scan_select(graph, want)
@@ -536,8 +532,7 @@ def test_frontier_and_select_match_the_scan_over_flip_sequences():
                     net.suppress(chosen, sig)
                     suppressed.add(chosen.key() + (sig,))
                 else:
-                    net.mark_executed(chosen)
-                    achieved.add(chosen.node_id)
+                    break
     assert compared > 2000
 
 
@@ -555,7 +550,7 @@ def test_enabled_keeps_the_scan_order_on_layered_templates():
         for _ in range(10):
             achieved = {nid for nid in graph.nodes if rng.random() < rng.random()}
             want = [c.arc for c in scan_frontier(graph, achieved, {}, set(), frozenset(),
-                                                 "sig", 0)]
+                                                 "sig")]
             assert [compiled.arc(place) for place in compiled.enabled(achieved)] == want
             compared += len(want) > 1 and want[0].parent == 0
     assert compared >= 20  # the root's arcs lead frontiers that hold others too
@@ -565,7 +560,7 @@ def test_frontier_matches_the_scan_on_the_hanoi_4_main_template():
     # A deep graph whose arcs have several children; random achieved sets
     # enable arcs at every level, and random facts and suppressions filter.
     scenario = gen_hanoi(4, omnipotent=False)
-    graph = scenario.graph.graph
+    graph = andor.build_graph(scenario.graph)
     conditions = {c for action in scenario.actions.values() for c in action.preconditions}
     pool = sorted({Fact.parse(leaf.label) for leaf in graph.leaves()}
                   | {c.fact for c in conditions})
@@ -573,24 +568,25 @@ def test_frontier_matches_the_scan_on_the_hanoi_4_main_template():
     # many enabled arcs are also applicable.
     negated = {c.fact for c in conditions if c.negated}
     net = GraphNetwork(scenario.graph, scenario.stages, scenario.actions)
-    entry = net.bootstrap(frozenset(scenario.init))
+    compiled = net.bootstrap(frozenset(scenario.init)).compiled
     rng = random.Random(44)
     ids = sorted(graph.nodes)
     compared = multi_child = 0
     for density in (0.0, 0.1, 0.3, 0.6, 0.8, 0.9, 1.0) * 4:
-        entry.achieved = {nid for nid in ids if rng.random() < density}
-        enabled = [arc for nid in ids if nid not in entry.achieved
+        achieved = frozenset(nid for nid in ids if rng.random() < density)
+        # The frontier reads every node of `true_leaves` as achieved.
+        net.entries[-1] = GraphEntry(compiled, "main", achieved)
+        enabled = [arc for nid in ids if nid not in achieved
                    and graph.nodes[nid].kind is not NodeKind.FAILURE
-                   for arc in graph.arcs_into(nid) if entry.achieved.issuperset(arc.children)]
-        assert [entry.compiled.arc(place)
-                for place in entry.compiled.enabled(entry.achieved)] == enabled
+                   for arc in graph.arcs_into(nid) if achieved.issuperset(arc.children)]
+        assert [compiled.arc(place) for place in compiled.enabled(achieved)] == enabled
         multi_child += sum(len(arc.children) > 1 for arc in enabled)
         facts = frozenset(f for f in pool
                           if rng.random() < (0.1 if f in negated else 0.8))
         suppressed = set()
         for _ in range(2):
-            want = scan_frontier(graph, entry.achieved, scenario.actions, suppressed,
-                                 facts, "sig", 0)
+            want = scan_frontier(graph, achieved, scenario.actions, suppressed,
+                                 facts, "sig")
             assert net.frontier(facts, "sig") == want
             compared += len(want)
             for candidate in rng.sample(want, len(want) // 2):
@@ -609,15 +605,13 @@ def test_a_parsed_main_template_is_never_validated_again(monkeypatch):
                         lambda template: checked.append(template) or check(template))
     result = run_scenario(scenario, RunConfig(seed=0))
     assert result.status is FinalStatus.GOAL_ACHIEVED
-    assert checked == []
     assert all(entry.compiled.template is scenario.graph
                for entry in result.network.entries if entry.kind == "main")
-    # The validated graph is shared and stays as built, also after every
-    # entry is rendered with its leaf truths: no truths or costs.
+    # Rendering every entry with its leaf truths reads the shared template.
     for index, entry in enumerate(result.network.entries):
-        entry.to_dot(f"graph {index}")
-    for node in scenario.graph.graph.nodes.values():
-        assert (node.truth, node.solved, node.cost) == (False, False, INF), node
+        andor.to_dot(entry.compiled.template, f"graph {index}", entry.true_leaves,
+                     virtual=True)
+    assert checked == []
 
 
 def count_constructions(monkeypatch, *classes) -> dict[str, int]:
