@@ -9,17 +9,20 @@ scenario file path.
 
 Exit codes: 0 when a run reaches its goal (and for any successful
 non-run command), 2 when a run ends unsolvable or depth-limited, 1 for
-usage and parse errors.
+usage and parse errors and for an output that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .andor import to_dot
 from .dsl import DslError, Scenario, parse, serialize
+from .interface import DEFAULT_RETRIES
+from .network import DEFAULT_DEPTH_CAP
 from .planner import (
     FinalStatus,
     PlanResult,
@@ -76,6 +79,16 @@ def _load_scenario(args) -> Scenario:
         raise CliError(f"{name}:{exc.line}:{exc.col}: {exc.message}")
 
 
+@contextmanager
+def _writing(path: str):
+    """Yield `path` to write an output to; an `OSError` in the block
+    becomes one `cannot write` line naming the path that failed."""
+    try:
+        yield Path(path)
+    except OSError as exc:
+        raise CliError(f"error: cannot write {exc.filename or path}: {exc.strerror}")
+
+
 def _render_table(metrics: dict) -> str:
     columns = metrics["table"]["columns"]
     rows = metrics["table"]["rows"]
@@ -95,13 +108,13 @@ def _fmt(value) -> str:
 
 
 def _export_network_dots(result: PlanResult, directory: str):
-    out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
     entries = result.network.entries if result.network is not None else []
-    for index, entry in enumerate(entries, start=1):
-        text = to_dot(entry.compiled.template, f"graph_{index:03d}_{entry.kind}",
-                      entry.true_leaves, virtual=True)
-        (out / f"graph_{index:03d}.dot").write_text(text)
+    with _writing(directory) as out:
+        out.mkdir(parents=True, exist_ok=True)
+        for index, entry in enumerate(entries, start=1):
+            text = to_dot(entry.compiled.template, f"graph_{index:03d}_{entry.kind}",
+                          entry.true_leaves, virtual=True)
+            (out / f"graph_{index:03d}.dot").write_text(text)
     return len(entries)
 
 
@@ -122,10 +135,12 @@ def _cmd_run(args) -> int:
         print(f"{row['module']:<28} avg {row['avg_s']:.6f}s"
               f"  std {row['std_s']:.6f}s  calls {row['calls']}")
     if args.out:
-        Path(args.out).write_text(metrics_text(result.metrics))
+        with _writing(args.out) as out:
+            out.write_text(metrics_text(result.metrics))
         print(f"wrote {args.out}")
     if args.trace:
-        Path(args.trace).write_text(trace_text(result.trace))
+        with _writing(args.trace) as out:
+            out.write_text(trace_text(result.trace))
         print(f"wrote {args.trace}")
     if args.dot:
         count = _export_network_dots(result, args.dot)
@@ -145,7 +160,8 @@ def _cmd_gen(args) -> int:
     scn = _load_scenario(args)
     text = serialize(scn)
     if args.out:
-        Path(args.out).write_text(text)
+        with _writing(args.out) as out:
+            out.write_text(text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -155,12 +171,12 @@ def _cmd_gen(args) -> int:
 def _cmd_dot(args) -> int:
     scn = _load_scenario(args)
     if args.dot:
-        out = Path(args.dot)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "main.dot").write_text(to_dot(scn.graph, title=scn.name))
-        for stage_name in sorted(scn.stages):
-            text = to_dot(scn.stages[stage_name], title=stage_name)
-            (out / f"{stage_name}.dot").write_text(text)
+        with _writing(args.dot) as out:
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "main.dot").write_text(to_dot(scn.graph, title=scn.name))
+            for stage_name in sorted(scn.stages):
+                text = to_dot(scn.stages[stage_name], title=stage_name)
+                (out / f"{stage_name}.dot").write_text(text)
         print(f"wrote {1 + len(scn.stages)} graph files to {args.dot}")
     else:
         sys.stdout.write(to_dot(scn.graph, title=scn.name))
@@ -197,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     run = commands.add_parser("run", help="execute a scenario")
     _add_scenario_args(run)
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--depth-cap", type=_at_least(1), default=512)
-    run.add_argument("--retries", type=_at_least(0), default=2)
+    run.add_argument("--depth-cap", type=_at_least(1), default=DEFAULT_DEPTH_CAP)
+    run.add_argument("--retries", type=_at_least(0), default=DEFAULT_RETRIES)
     run.add_argument("--out", help="write the metrics document to this file")
     run.add_argument("--trace", help="write line-delimited run events to this file")
     run.add_argument("--dot", help="directory for one DOT file per network graph")

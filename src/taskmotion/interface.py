@@ -38,6 +38,7 @@ from .world import (
 
 TRANSIT_PREFIX = "approach_"
 HANDOVER_SUFFIX = ("_handover_give", "_handover_take")
+DEFAULT_RETRIES = 2  # alternate goal points a geometric step tries after its own
 
 
 class InterfaceError(Exception):
@@ -281,7 +282,7 @@ def _query(world: World, action: ActionTemplate, agent_id: str,
                        manipulated=action.manipulated, dest=dest)
 
 
-def dispatch(world: World, grounding: GroundingResult, retries: int = 2,
+def dispatch(world: World, grounding: GroundingResult, retries: int = DEFAULT_RETRIES,
              memo: SearchMemo | None = None) -> DispatchResult:
     """Execute a grounded sequence step by step on the live world.
 

@@ -13,14 +13,15 @@ instantiated from it shares: the main template on first use, a composed
 rearrangement template when it is composed. Compilation gathers numpy
 arrays from the columns; it builds no node or arc objects. A compiled
 graph gives each priced arc one place, which pricing, the frontier and
-selection all index; the `HyperArc` of a place is built only when the
-frontier offers it as a candidate. A `GraphEntry` holds only what
-differs between instantiations: its leaf truths, read from the facts it
-was instantiated against. An entry never changes; an executed step is
-followed by a new entry, or the run ends. The newest entry is priced
-once, when it is first searched: the bottom-up min-cost evaluation of
-AO* (Martelli & Montanari, 1973), run one level of equal height at a
-time over numpy arrays.
+selection all index. A candidate carries its arc's place and id, read
+from the compiled columns, so the frontier and selection build no arc
+object; only composing a rearrangement template does. A `GraphEntry`
+holds only what differs between instantiations: its leaf truths, read
+from the facts it was instantiated against. An entry never changes; an
+executed step is followed by a new entry, or the run ends. The newest
+entry is priced once, when it is first searched: the bottom-up min-cost
+evaluation of AO* (Martelli & Montanari, 1973), run one level of equal
+height at a time over numpy arrays.
 
 Candidates are drawn from the newest graph only. A node is a candidate
 when at least one of its incoming arcs has only true leaves as children,
@@ -95,6 +96,8 @@ class ExpandReason(Enum):
 
 OBSTRUCTION_PREDICATE = "obstructs"
 
+DEFAULT_DEPTH_CAP = 512  # the most graphs a network holds unless told otherwise
+
 
 class _Level(NamedTuple):
     """The priced nodes of one height as slices of positions, places and `children`."""
@@ -124,11 +127,11 @@ class CompiledGraph:
     of a priced node, which is every arc but the failure node's, has one
     place, node by node in position order and by id within a node, so the
     node at position p owns places `arc_start[p]` up to `arc_start[p + 1]`.
-    A place indexes `price`'s totals, `parents`, `weights`, `decl` (the
-    arc's declaration index in the template) and `child_start`, which
-    bounds the arc's children in `children`. Everything is gathered from
-    the template's columns with numpy; an arc's `HyperArc` is built only
-    when `arc` is asked for its place, and kept.
+    A place indexes `price`'s totals, `parents`, `weights`, `arc_ids`,
+    `decl` (the arc's declaration index in the template) and
+    `child_start`, which bounds the arc's children in `children`.
+    Everything is gathered from the template's columns with numpy; no
+    node or arc object is built.
 
     Nodes of one level never depend on each other, so `price` evaluates a
     level in a few numpy segment reductions over its `_Level` slices;
@@ -160,8 +163,7 @@ class CompiledGraph:
         self.arc_start = np.concatenate(
             ([0], np.cumsum(np.bincount(self.parents, minlength=len(node_at)))))
         self.by_parent_id = np.argsort(template.parents[self.decl], kind="stable")
-        self._place_ids = template.arc_ids[self.decl]
-        self._by_arc_id = np.argsort(self._place_ids, kind="stable")
+        self.arc_ids = template.arc_ids[self.decl]
         declared_start = template.child_starts[self.decl]
         count = template.child_starts[self.decl + 1] - declared_start
         self.child_start = np.concatenate(([0], np.cumsum(count)))
@@ -193,22 +195,14 @@ class CompiledGraph:
         self.dtype = np.int64 if (arity + 1) * self.inf < 2**62 else object
         self.weights = weights.astype(self.dtype)
         self.leaf_facts: tuple[tuple[int, Fact], ...] = tuple(_leaf_facts(template))
-        self._arcs: dict[int, HyperArc] = {}
 
-    def arc(self, place: int) -> HyperArc:
-        """The arc at a place, built on first request and kept."""
-        arc = self._arcs.get(place)
-        if arc is None:
-            arc = self._arcs[place] = self.template.arc(int(self.decl[place]))
-        return arc
-
-    def enabled(self, achieved: Collection[int]) -> list[int]:
+    def enabled(self, true_leaves: Collection[int]) -> list[int]:
         """The places of the priced arcs whose children are all in
-        `achieved` and whose parent is not, by parent id then arc id."""
+        `true_leaves`, by parent id then arc id. A leaf is never an arc's
+        parent, so no parent is among them."""
         mask = np.zeros(len(self.ids), dtype=bool)
-        mask[[self.pos[nid] for nid in achieved]] = True
+        mask[[self.pos[lid] for lid in true_leaves]] = True
         ready = np.logical_and.reduceat(mask[self.children], self.arc_starts)
-        ready &= ~mask[self.parents]
         return self.by_parent_id[ready[self.by_parent_id]].tolist()
 
     def price(self, true_leaves: Collection[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -234,11 +228,6 @@ class CompiledGraph:
         if start == stop or cost[p] >= self.inf:
             return None
         return int(start + np.argmin(totals[start:stop]))
-
-    def place(self, arc: HyperArc) -> int:
-        """The place of a priced arc, looked up by its id."""
-        return int(self._by_arc_id[np.searchsorted(self._place_ids, arc.id,
-                                                   sorter=self._by_arc_id)])
 
     def solution(self, cost: np.ndarray, totals: np.ndarray) -> dict[int, int]:
         """The place of the arc `andor.solution_subgraph` picks for each node
@@ -276,11 +265,13 @@ class GraphEntry:
 
 @dataclass(frozen=True)
 class Candidate:
-    """One executable option: achieve `node_id` through `arc`."""
+    """One executable option: achieve `node_id` through the arc with id
+    `arc_id` at `place` of the newest compiled graph."""
 
     node_id: int
     label: str
-    arc: HyperArc
+    place: int
+    arc_id: int
     actions: tuple[ActionTemplate, ...]
 
     def key(self) -> tuple[str, tuple[str, ...]]:
@@ -291,7 +282,7 @@ class GraphNetwork:
     def __init__(self, main_template: GraphTemplate,
                  stage_templates: dict[str, GraphTemplate],
                  actions: dict[str, ActionTemplate],
-                 depth_cap: int = 512):
+                 depth_cap: int = DEFAULT_DEPTH_CAP):
         if depth_cap < 1:
             raise ValueError(f"depth cap {depth_cap} is below 1: the network "
                              "holds its first graph from the start")
@@ -361,8 +352,8 @@ class GraphNetwork:
             actions = tuple(self.actions[name] for name in names)
             if not chain_applicable(facts, actions):
                 continue
-            arc = compiled.arc(place)
-            out.append(Candidate(arc.parent, label, arc, actions))
+            out.append(Candidate(compiled.ids[compiled.parents[place]], label, place,
+                                 int(compiled.arc_ids[place]), actions))
         return out
 
     def select(self, facts: frozenset[Fact], world_sig: str) -> Candidate | None:
@@ -370,16 +361,12 @@ class GraphNetwork:
         candidates = self.frontier(facts, world_sig)
         if not candidates:
             return None
-        compiled = self.latest.compiled
         cost, totals = self._priced()
-        chosen = compiled.solution(cost, totals)
-        placed = [(compiled.place(c.arc), c) for c in candidates]
-        on_solution = [(place, c) for place, c in placed if chosen.get(c.node_id) == place]
-        if on_solution:
-            placed = on_solution
+        chosen = self.latest.compiled.solution(cost, totals)
+        on_solution = [c for c in candidates if chosen.get(c.node_id) == c.place]
         # Unsolved totals are all `inf`, above every finite one, so they
-        # come last and tie on to the arc id.
-        return min(placed, key=lambda pc: (totals[pc[0]], pc[1].arc.id, pc[1].node_id))[1]
+        # come last and tie on to the arc id, unique in a template.
+        return min(on_solution or candidates, key=lambda c: (totals[c.place], c.arc_id))
 
     def suppress(self, candidate: Candidate, world_sig: str):
         label, names = candidate.key()

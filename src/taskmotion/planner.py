@@ -34,8 +34,14 @@ from enum import Enum
 
 from .domain import MotionClass, is_goal
 from .dsl import Scenario
-from .interface import GroundingFailed, StepOutcome, dispatch, ground
-from .network import DepthLimitExceeded, ExpandReason, ExpansionCycle, GraphNetwork
+from .interface import DEFAULT_RETRIES, GroundingFailed, StepOutcome, dispatch, ground
+from .network import (
+    DEFAULT_DEPTH_CAP,
+    DepthLimitExceeded,
+    ExpandReason,
+    ExpansionCycle,
+    GraphNetwork,
+)
 from .world import SearchMemo, World, snapshot, world_from_scenario
 
 TABLE_COLUMNS = ("Objects", "d", "TP [s]", "Right MP [s]", "Right attempts",
@@ -53,8 +59,8 @@ class FinalStatus(Enum):
 
 @dataclass(frozen=True)
 class RunConfig:
-    depth_cap: int = 512  # the most graphs the network may hold
-    retries: int = 2  # alternate goal points per geometric step
+    depth_cap: int = DEFAULT_DEPTH_CAP  # the most graphs the network may hold
+    retries: int = DEFAULT_RETRIES  # alternate goal points per geometric step
     seed: int = 0
 
 
@@ -140,7 +146,7 @@ def run_scenario(scenario: Scenario, config: RunConfig = RunConfig()) -> PlanRes
             continue
         trace.append({"event": "select", "graph": network.depth,
                       "node": candidate.node_id, "label": candidate.label,
-                      "arc": candidate.arc.id,
+                      "arc": candidate.arc_id,
                       "actions": [a.name for a in candidate.actions]})
         try:
             grounding = ground(world, candidate.actions)

@@ -1,7 +1,9 @@
 """Exercises each subcommand through cli.main with captured output."""
 
+import errno
 import hashlib
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -171,6 +173,24 @@ def test_missing_file_reports_cleanly(capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("command, target, failing, code", [
+    ("run hanoi --omnipotent --dot", "a_file", "a_file", errno.EEXIST),
+    ("dot habitat --dot", "a_file", "a_file", errno.EEXIST),
+    ("dot habitat --dot", "a_dir", "a_dir/main.dot", errno.EISDIR),
+    ("gen hanoi --out", "a_dir", "a_dir", errno.EISDIR),
+    ("run hanoi --omnipotent --out", "a_dir", "a_dir", errno.EISDIR),
+    ("run hanoi --omnipotent --trace", "no_dir/trace.jsonl", "no_dir/trace.jsonl",
+     errno.ENOENT),
+])
+def test_an_output_that_cannot_be_written_is_one_error_line(command, target, failing, code,
+                                                            tmp_path, capsys):
+    (tmp_path / "a_file").write_text("")
+    (tmp_path / "a_dir" / "main.dot").mkdir(parents=True)
+    assert main([*command.split(), str(tmp_path / target)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {tmp_path / failing}: {os.strerror(code)}\n"
 
 
 def test_dot_renders_main_graph(capsys):

@@ -27,6 +27,7 @@ from taskmotion.andor import (
 from taskmotion.domain import ActionTemplate, Condition, Fact, MotionClass, chain_applicable
 from taskmotion.dsl import parse, parse_file, serialize
 from taskmotion.network import (
+    DEFAULT_DEPTH_CAP,
     Candidate,
     CompiledGraph,
     DepthLimitExceeded,
@@ -80,7 +81,7 @@ FACTS = frozenset({Fact("ready", ("a",)), Fact("ready", ("b",))})
 SIG = "sig-0"
 
 
-def fresh_network(depth_cap=512):
+def fresh_network(depth_cap=DEFAULT_DEPTH_CAP):
     net = GraphNetwork(template_two_options(), {}, simple_actions(), depth_cap)
     net.bootstrap(FACTS)
     return net
@@ -100,7 +101,7 @@ def test_bootstrap_marks_true_leaves_achieved():
 def test_frontier_lists_arcs_with_achieved_children():
     net = fresh_network()
     frontier = net.frontier(FACTS, SIG)
-    assert [(c.node_id, c.arc.id) for c in frontier] == [(5, 1), (6, 2)]
+    assert [(c.node_id, c.arc_id) for c in frontier] == [(5, 1), (6, 2)]
 
 
 def test_frontier_never_offers_the_failure_node():
@@ -110,7 +111,7 @@ def test_frontier_never_offers_the_failure_node():
                        {}, simple_actions())
     net.bootstrap(FACTS)
     frontier = net.frontier(FACTS, SIG)
-    assert [(c.node_id, c.arc.id) for c in frontier] == [(5, 1), (6, 2)]
+    assert [(c.node_id, c.arc_id) for c in frontier] == [(5, 1), (6, 2)]
 
 
 def test_selection_prefers_cheapest_solution_path():
@@ -118,14 +119,14 @@ def test_selection_prefers_cheapest_solution_path():
     chosen = net.select(FACTS, SIG)
     # Arc 1 has the lower id, but arc 2 carries the cheaper total cost.
     assert chosen.node_id == 6
-    assert chosen.arc.id == 2
+    assert chosen.arc_id == 2
 
 
 def test_partial_truth_limits_frontier():
     net = GraphNetwork(template_two_options(), {}, simple_actions())
     net.bootstrap(frozenset({Fact("ready", ("a",))}))
     frontier = net.frontier(frozenset({Fact("ready", ("a",))}), SIG)
-    assert [(c.node_id, c.arc.id) for c in frontier] == [(5, 1)]
+    assert [(c.node_id, c.arc_id) for c in frontier] == [(5, 1)]
 
 
 def test_fallback_ordering_when_root_unsolvable():
@@ -147,7 +148,7 @@ def test_fallback_ordering_when_root_unsolvable():
     net = GraphNetwork(GraphTemplate.of(nodes, arcs), {}, simple_actions())
     net.bootstrap(frozenset({Fact("ready", ("a",))}))
     chosen = net.select(frozenset({Fact("ready", ("a",))}), SIG)
-    assert chosen.arc.id == 1
+    assert chosen.arc_id == 1
 
 
 def test_symbolic_applicability_filters_candidates():
@@ -163,17 +164,17 @@ def test_symbolic_applicability_filters_candidates():
     assert net.frontier(facts, SIG) == []
     armed = facts | {Fact("armed", ())}
     # Truth was synced at instantiation; applicability tracks live facts.
-    assert [c.arc.id for c in net.frontier(armed, SIG)] == [1]
+    assert [c.arc_id for c in net.frontier(armed, SIG)] == [1]
 
 
 def test_suppression_is_world_scoped():
     net = fresh_network()
     chosen = net.select(FACTS, SIG)
     net.suppress(chosen, SIG)
-    remaining = [c.arc.id for c in net.frontier(FACTS, SIG)]
+    remaining = [c.arc_id for c in net.frontier(FACTS, SIG)]
     assert remaining == [1]
     # A different world signature re-admits the suppressed candidate.
-    assert [c.arc.id for c in net.frontier(FACTS, "sig-1")] == [1, 2]
+    assert [c.arc_id for c in net.frontier(FACTS, "sig-1")] == [1, 2]
 
 
 def test_stage_complete_expansion_appends_fresh_main_graph():
@@ -186,7 +187,7 @@ def test_stage_complete_expansion_appends_fresh_main_graph():
     assert entry.compiled is first.compiled
     # The old graph keeps its leaf truths but no longer feeds the frontier.
     assert net.entries == [first, entry] and first.true_leaves == {3, 4}
-    assert [c.arc.id for c in net.frontier(FACTS, SIG)] == [1]
+    assert [c.arc_id for c in net.frontier(FACTS, SIG)] == [1]
 
 
 def test_exhausted_frontier_twice_is_a_cycle():
@@ -301,9 +302,14 @@ def flip_sequences(rng, templates=200, flips=10):
         yield template, sequence
 
 
+def arc_at(compiled, place):
+    """The arc at a place, built from the template's columns."""
+    return compiled.template.arc(int(compiled.decl[place]))
+
+
 def compiled_arcs(compiled):
     """The arc of every place, in place order."""
-    return [compiled.arc(place) for place in range(len(compiled.decl))]
+    return [arc_at(compiled, place) for place in range(len(compiled.decl))]
 
 
 def assert_pricing_matches_refresh(template, compiled, truths):
@@ -319,10 +325,10 @@ def assert_pricing_matches_refresh(template, compiled, truths):
         assert (got != INF) == solved(fresh, nid)
         place = compiled.cheapest(cost, totals, nid)
         if fresh.nodes[nid].kind is not NodeKind.LEAF:
-            assert (place if place is None else compiled.arc(place)) == best_arc(fresh, nid)
+            assert (place if place is None else arc_at(compiled, place)) == best_arc(fresh, nid)
         else:
             assert place is None
-    assert {nid: compiled.arc(place) for nid, place in
+    assert {nid: arc_at(compiled, place) for nid, place in
             compiled.solution(cost, totals).items()} == solution_subgraph(fresh)
     assert {arc.id for arc in compiled_arcs(compiled)} == {
         arc.id for arc in fresh.arcs if arc.parent != fresh.failure}
@@ -331,7 +337,7 @@ def assert_pricing_matches_refresh(template, compiled, truths):
                                 Fraction(0))
         total = int(totals[place])
         assert (INF if total >= compiled.inf else Fraction(total, compiled.scale)) == want
-        assert compiled.place(arc) == place
+        assert compiled.arc_ids[place] == arc.id
 
 
 def test_compiled_pricing_matches_refresh_over_flip_sequences():
@@ -348,7 +354,7 @@ def layered_template(rng, height, weight):
     """Random template whose root has height `height`: every node of layer
     k has an arc with a child in layer k - 1, and may draw other children
     from any lower layer, from the failure node, or from an internal node
-    without arcs. Arc ids are shuffled against declaration order, and
+    without arcs; the root also has one arc over two leaves. Arc ids are shuffled against declaration order, and
     `weight(rng)` draws each arc's weight."""
     ids = iter(range(3, 1000))
     decls = [NodeDecl(0, NodeKind.ROOT, "root"), NodeDecl(1, NodeKind.FAILURE, "failure"),
@@ -368,6 +374,7 @@ def layered_template(rng, height, weight):
                 first = rng.choice(lower)
                 others = rng.sample([n for n in below if n != first], rng.randint(0, 2))
                 arcs.append((parent, (first, *others)))
+    arcs.append((0, tuple(rng.sample(layers[0], 2))))
     arc_ids = rng.sample(range(1, 10 * len(arcs)), len(arcs))
     return GraphTemplate.of(tuple(decls), tuple(
         HyperArc(aid, parent, children, weight(rng))
@@ -448,8 +455,10 @@ def test_compiled_pricing_matches_refresh_on_the_hanoi_4_main_template():
         assert_pricing_matches_refresh(scenario.graph, compiled, truths)
 
 
-def scan_frontier(graph, achieved, actions, suppressed, facts, world_sig):
-    """The frontier as first written: scan every node of a built graph."""
+def scan_frontier(graph, compiled, achieved, actions, suppressed, facts, world_sig):
+    """The frontier as first written: scan every node of a built graph.
+    Each candidate takes its arc's place in `compiled`."""
+    places = {arc_id: place for place, arc_id in enumerate(compiled.arc_ids.tolist())}
     out = []
     for nid in sorted(graph.nodes):
         node = graph.nodes[nid]
@@ -460,7 +469,7 @@ def scan_frontier(graph, achieved, actions, suppressed, facts, world_sig):
             if not set(arc.children) <= achieved:
                 continue
             acts = tuple(actions[name] for name in arc.actions)
-            candidate = Candidate(nid, node.label, arc, acts)
+            candidate = Candidate(nid, node.label, places[arc.id], arc.id, acts)
             label, names = candidate.key()
             if (label, names, world_sig) in suppressed:
                 continue
@@ -478,14 +487,15 @@ def scan_select(graph, candidates):
         chosen = solution_subgraph(graph)
         on_solution = [c for c in candidates
                        if chosen.get(c.node_id) is not None
-                       and chosen[c.node_id].id == c.arc.id]
+                       and chosen[c.node_id].id == c.arc_id]
         if on_solution:
             candidates = on_solution
 
     def sort_key(c):
-        est = c.arc.weight + sum(
-            (node_cost(graph, child) for child in c.arc.children), Fraction(0))
-        return (est == INF, est if est != INF else Fraction(0), c.arc.id, c.node_id)
+        arc = next(a for a in graph.arcs_into(c.node_id) if a.id == c.arc_id)
+        est = arc.weight + sum(
+            (node_cost(graph, child) for child in arc.children), Fraction(0))
+        return (est == INF, est if est != INF else Fraction(0), c.arc_id, c.node_id)
 
     return min(candidates, key=sort_key)
 
@@ -521,7 +531,8 @@ def test_frontier_and_select_match_the_scan_over_flip_sequences():
             # ends the stage, and the next truths start the next one.
             for _ in range(3):
                 sig = rng.choice(["sig-0", "sig-1"])
-                want = scan_frontier(graph, achieved, actions, suppressed, facts, sig)
+                want = scan_frontier(graph, net.latest.compiled, achieved, actions,
+                                     suppressed, facts, sig)
                 assert net.frontier(facts, sig) == want
                 chosen = net.select(facts, sig)
                 assert chosen == scan_select(graph, want)
@@ -547,18 +558,19 @@ def test_enabled_keeps_the_scan_order_on_layered_templates():
         graph = oracle_build_graph(template)
         arcs = compiled_arcs(compiled)
         assert arcs[-1].parent == 0 != arcs[0].parent
+        leaves = [leaf.id for leaf in graph.leaves()]
         for _ in range(10):
-            achieved = {nid for nid in graph.nodes if rng.random() < rng.random()}
-            want = [c.arc for c in scan_frontier(graph, achieved, {}, set(), frozenset(),
-                                                 "sig")]
-            assert [compiled.arc(place) for place in compiled.enabled(achieved)] == want
-            compared += len(want) > 1 and want[0].parent == 0
+            achieved = {lid for lid in leaves if rng.random() < rng.random()}
+            want = scan_frontier(graph, compiled, achieved, {}, set(), frozenset(), "sig")
+            assert [arcs[place].id for place in compiled.enabled(achieved)] == [
+                c.arc_id for c in want]
+            compared += len(want) > 1 and want[0].node_id == 0
     assert compared >= 20  # the root's arcs lead frontiers that hold others too
 
 
 def test_frontier_matches_the_scan_on_the_hanoi_4_main_template():
-    # A deep graph whose arcs have several children; random achieved sets
-    # enable arcs at every level, and random facts and suppressions filter.
+    # A deep graph whose arcs have several children; random sets of true
+    # leaves enable arcs, and random facts and suppressions filter.
     scenario = gen_hanoi(4, omnipotent=False)
     graph = andor.build_graph(scenario.graph)
     conditions = {c for action in scenario.actions.values() for c in action.preconditions}
@@ -571,21 +583,21 @@ def test_frontier_matches_the_scan_on_the_hanoi_4_main_template():
     compiled = net.bootstrap(frozenset(scenario.init)).compiled
     rng = random.Random(44)
     ids = sorted(graph.nodes)
+    leaves = sorted(leaf.id for leaf in graph.leaves())
     compared = multi_child = 0
-    for density in (0.0, 0.1, 0.3, 0.6, 0.8, 0.9, 1.0) * 4:
-        achieved = frozenset(nid for nid in ids if rng.random() < density)
-        # The frontier reads every node of `true_leaves` as achieved.
+    for density in (0.0, 0.1, 0.3, 0.6, 0.8, 0.9, 1.0) * 16:
+        achieved = frozenset(lid for lid in leaves if rng.random() < density)
         net.entries[-1] = GraphEntry(compiled, "main", achieved)
         enabled = [arc for nid in ids if nid not in achieved
                    and graph.nodes[nid].kind is not NodeKind.FAILURE
                    for arc in graph.arcs_into(nid) if achieved.issuperset(arc.children)]
-        assert [compiled.arc(place) for place in compiled.enabled(achieved)] == enabled
+        assert [arc_at(compiled, place) for place in compiled.enabled(achieved)] == enabled
         multi_child += sum(len(arc.children) > 1 for arc in enabled)
         facts = frozenset(f for f in pool
                           if rng.random() < (0.1 if f in negated else 0.8))
         suppressed = set()
         for _ in range(2):
-            want = scan_frontier(graph, achieved, scenario.actions, suppressed,
+            want = scan_frontier(graph, compiled, achieved, scenario.actions, suppressed,
                                  facts, "sig")
             assert net.frontier(facts, "sig") == want
             compared += len(want)
@@ -633,19 +645,19 @@ def test_parsing_a_large_graph_builds_no_declaration_or_node_objects(monkeypatch
     assert len(scenario.graph.ids) == 4148 and len(scenario.graph.arc_ids) == 8233
 
 
-def test_a_hanoi_dual_run_builds_only_the_arcs_its_frontiers_offer(monkeypatch):
+def test_a_hanoi_dual_run_builds_no_arc_or_node_objects(monkeypatch):
     scenario = parse(serialize(gen_hanoi(6, omnipotent=False)))
     offered = set()
     frontier = GraphNetwork.frontier
 
     def recording(net, *args):
         candidates = frontier(net, *args)
-        offered.update((id(net.latest.compiled), c.arc.id) for c in candidates)
+        offered.update((id(net.latest.compiled), c.arc_id) for c in candidates)
         return candidates
 
     monkeypatch.setattr(GraphNetwork, "frontier", recording)
-    counts = count_constructions(monkeypatch, HyperArc)
+    counts = count_constructions(monkeypatch, HyperArc, NodeDecl, Node)
     result = run_scenario(scenario, RunConfig(seed=0))
     assert (result.status, result.moves) == (FinalStatus.GOAL_ACHIEVED, 84)
-    assert counts["HyperArc"] <= len(offered)
-    assert (counts["HyperArc"], len(offered)) == (297, 297)
+    assert counts == {"HyperArc": 0, "NodeDecl": 0, "Node": 0}
+    assert len(offered) == 297
