@@ -108,9 +108,14 @@ def _fmt(value) -> str:
 
 
 def _export_network_dots(result: PlanResult, directory: str):
+    """Write one `graph_NNN.dot` per network entry into `directory`, after
+    removing the `graph_NNN.dot` files an earlier run left there."""
     entries = result.network.entries if result.network is not None else []
     with _writing(directory) as out:
         out.mkdir(parents=True, exist_ok=True)
+        for old in out.glob("graph_*.dot"):
+            if old.name[len("graph_"):-len(".dot")].isdigit():
+                old.unlink()
         for index, entry in enumerate(entries, start=1):
             text = to_dot(entry.compiled.template, f"graph_{index:03d}_{entry.kind}",
                           entry.true_leaves, virtual=True)

@@ -86,7 +86,7 @@ from .domain import (
     MotionClass,
     PredicateDecl,
 )
-from .world import DEFAULT_RESOLUTION, DEFAULT_SNAP, MAX_GRID_CELLS, grid_shape
+from .world import DEFAULT_RESOLUTION, DEFAULT_SNAP, MAX_GRID_CELLS, Marker, grid_shape
 
 SECTIONS = ("OBJECTS", "AGENTS", "PREDICATES", "ACTIONS", "INIT", "GOAL",
             "GRAPH", "STAGES")
@@ -133,15 +133,6 @@ class ObjDecl:
 
 
 @dataclass(frozen=True)
-class MarkerDecl:
-    id: str
-    x: float
-    y: float
-    snap: float = DEFAULT_SNAP
-    handover: bool = False
-
-
-@dataclass(frozen=True)
 class AgentDecl:
     id: str
     kind: str
@@ -159,7 +150,7 @@ class Scenario:
     name: str
     bounds: tuple[float, float, float, float] = (0.0, 0.0, 1.0, 1.0)
     objects: dict[str, ObjDecl] = field(default_factory=dict)
-    markers: dict[str, MarkerDecl] = field(default_factory=dict)
+    markers: dict[str, Marker] = field(default_factory=dict)
     agents: dict[str, AgentDecl] = field(default_factory=dict)
     predicates: dict[str, PredicateDecl] = field(default_factory=dict)
     actions: dict[str, ActionTemplate] = field(default_factory=dict)
@@ -580,7 +571,7 @@ class _Parser:
         handover = cur.maybe_word("handover") is not None
         cur.finish()
         self._declare(name)
-        self.scenario.markers[name.value] = MarkerDecl(name.value, x, y, snap, handover)
+        self.scenario.markers[name.value] = Marker(name.value, x, y, snap, handover)
         self.decl_lines[("entity", name.value)] = name.line
 
     def _line_AGENTS(self, cur: _Cursor):
@@ -937,7 +928,7 @@ def _obj_line(obj: ObjDecl) -> str:
     return " ".join(parts)
 
 
-def _marker_line(marker: MarkerDecl) -> str:
+def _marker_line(marker: Marker) -> str:
     parts = [f"marker {marker.id} at {fmt_float(marker.x)} {fmt_float(marker.y)}"]
     if marker.snap != DEFAULT_SNAP:
         parts.append(f"snap {fmt_float(marker.snap)}")

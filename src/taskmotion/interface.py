@@ -11,21 +11,22 @@ geometric step is planned just in time (so it sees every pose change the
 previous steps made), retried across a deterministic low-discrepancy set
 of alternative goal points when the action allows play in its goal
 region, and executed on success. `_step_goal` is the one place a step's
-goal point and region are derived; every query searches under
-`world.DEFAULT_MAX_EXPANSIONS`. The first failure stops the walk and is
-reported with the blocking objects, so the caller can decide between
-rearrangement, trying another candidate, or giving up.
+goal point and region are derived; the run's seed picks the alternates.
+`world.plan_motion` takes the grounded action itself, and dispatch times
+each call. The first failure stops the walk and is reported with the
+blocking objects, so the caller can decide between rearrangement,
+trying another candidate, or giving up.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 
 from .domain import ActionTemplate, Box, Fact, MotionClass, applicable
 from .world import (
     Agent,
     InvalidQuery,
-    MotionQuery,
     SearchMemo,
     World,
     entity_point,
@@ -59,11 +60,6 @@ class GroundedAction:
 
     action: ActionTemplate
     agent_id: str | None
-
-
-@dataclass(frozen=True)
-class GroundingResult:
-    steps: tuple[GroundedAction, ...]
 
 
 @dataclass(frozen=True)
@@ -135,7 +131,7 @@ def _transit_step(base_id: str, marker_id: str) -> GroundedAction:
 # ---------------------------------------------------------------- grounding
 
 
-def ground(world: World, actions: tuple[ActionTemplate, ...]) -> GroundingResult:
+def ground(world: World, actions: tuple[ActionTemplate, ...]) -> tuple[GroundedAction, ...]:
     """Assign agents, fold in base travel, rewrite unreachable transfers."""
     steps: list[GroundedAction] = []
     for action in actions:
@@ -156,7 +152,7 @@ def ground(world: World, actions: tuple[ActionTemplate, ...]) -> GroundingResult
             steps.append(GroundedAction(action, base_id))
             continue
         steps.extend(_ground_manipulation(world, action))
-    return GroundingResult(tuple(steps))
+    return tuple(steps)
 
 
 def _ground_manipulation(world: World, action: ActionTemplate) -> list[GroundedAction]:
@@ -272,34 +268,27 @@ def _step_goal(world: World, action: ActionTemplate) -> tuple[tuple[float, float
     return (x, y), Box(x, y, half, half)
 
 
-def _query(world: World, action: ActionTemplate, agent_id: str,
-           goal: tuple[float, float]) -> MotionQuery:
-    start = world.agents[agent_id].config
-    if action.motion_class is MotionClass.TRANSIT:
-        return MotionQuery(agent_id, MotionClass.TRANSIT, "transfer", start, goal)
-    dest = None if action.verb == "grasp" else action.dest
-    return MotionQuery(agent_id, action.motion_class, action.verb, start, goal,
-                       manipulated=action.manipulated, dest=dest)
-
-
-def dispatch(world: World, grounding: GroundingResult, retries: int = DEFAULT_RETRIES,
-             memo: SearchMemo | None = None) -> DispatchResult:
+def dispatch(world: World, steps: tuple[GroundedAction, ...],
+             retries: int = DEFAULT_RETRIES, memo: SearchMemo | None = None,
+             seed: int = 0) -> DispatchResult:
     """Execute a grounded sequence step by step on the live world.
 
     A geometric step tries its goal point and then up to `retries`
-    alternates; each query searches under `world.DEFAULT_MAX_EXPANSIONS`,
-    through `memo` when the caller keeps one (the planner keeps
-    one per run), so a search made earlier in its scope is not run again
-    and a step's `expansions` still counts its searches' pops.
+    alternates, drawn from its goal region by `seed` (the planner passes
+    `RunConfig.seed`). Each `plan_motion` call searches under
+    `world.DEFAULT_MAX_EXPANSIONS`, through `memo` when the caller keeps
+    one (the planner keeps one per run), so a search made earlier in its
+    scope is not run again and a step's `expansions` still counts its
+    searches' pops. Each call's wall time is one `plan_times` sample.
 
-    A query the world rejects (`InvalidQuery`: a start in collision or
+    A call the world rejects (`InvalidQuery`: a start in collision or
     outside the grid, a put without the object in hand, a support that
     would close a stacking cycle) ends the sequence as an "invalid"
     failure, like any other failed step: its outcome is recorded and
-    counts the rejected call as an attempt.
+    counts the rejected call as an attempt, untimed.
     """
     result = DispatchResult(ok=True, world=world)
-    for grounded in grounding.steps:
+    for grounded in steps:
         action = grounded.action
         state = snapshot(result.world)
         if not applicable(state.facts, action):
@@ -330,12 +319,12 @@ def dispatch(world: World, grounding: GroundingResult, retries: int = DEFAULT_RE
         plan_times: list[float] = []
         failure = motion = None
         try:
-            for point in goal_candidates(goal, region, retries, result.world.rng_seed):
+            for point in goal_candidates(goal, region, retries, seed):
                 attempts += 1
-                motion = plan_motion(result.world,
-                                     _query(result.world, action, agent_id, point), memo)
+                start = time.perf_counter()
+                motion = plan_motion(result.world, agent_id, action, point, memo)
+                plan_times.append(time.perf_counter() - start)
                 expansions += motion.expansions
-                plan_times.append(motion.elapsed)
                 if motion.feasible:
                     break
             if motion.feasible:

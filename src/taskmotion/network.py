@@ -81,7 +81,8 @@ class DepthLimitExceeded(NetworkError):
 
 
 class ExpansionCycle(NetworkError):
-    """The same expansion was requested twice with nothing changed."""
+    """The main graph was to be instantiated again in a state it was
+    instantiated in before: the run would repeat itself."""
 
 
 class UnknownStage(NetworkError):
@@ -293,7 +294,7 @@ class GraphNetwork:
         self.entries: list[GraphEntry] = []
         self.knowledge: set[Fact] = set()
         self.suppressed: set[tuple[str, tuple[str, ...], str]] = set()
-        self._expansion_seen: set[tuple] = set()
+        self._main_states: set[tuple] = set()
         self._main: CompiledGraph | None = None
         # (entry, costs, arc totals) of the entry last searched.
         self._pricing: tuple[GraphEntry, np.ndarray, np.ndarray] | None = None
@@ -374,31 +375,29 @@ class GraphNetwork:
 
     # -- expansion -----------------------------------------------------------
 
-    def expand(self, reason: ExpandReason, facts: frozenset[Fact],
+    def expand(self, reason: ExpandReason, facts: frozenset[Fact], world_sig: str,
                obstructor_ids: tuple[str, ...] = ()) -> GraphEntry:
         """Append the next graph; how it is built depends on the reason.
 
         Stage completion and an exhausted frontier re-instantiate the main
-        template against the current facts. A geometric dead end composes
-        the relocation stages of the reported obstructors into one graph
-        and records what obstructs what as network knowledge.
+        template against the current facts, in the world `world_sig`. The
+        run's future from there depends only on that world (its signature
+        hashes the facts and the geometry), the suppressions and the
+        knowledge, so a re-instantiation in a state of those three seen
+        before is a loop and raises `ExpansionCycle`. A geometric dead end
+        composes the relocation stages of the reported obstructors into
+        one graph and records what obstructs what as network knowledge.
         """
         if len(self.entries) >= self.depth_cap:
             raise DepthLimitExceeded(len(self.entries), self.depth_cap)
         if reason is ExpandReason.MOTION_FAILURE:
             return self._expand_rearrangement(facts, obstructor_ids)
-        if reason is ExpandReason.NO_FEASIBLE_STATE:
-            signature = self._expansion_signature(facts)
-            if signature in self._expansion_seen:
-                raise ExpansionCycle(
-                    "frontier exhausted twice with identical state and knowledge")
-            self._expansion_seen.add(signature)
+        state = (world_sig, frozenset(self.suppressed), frozenset(self.knowledge))
+        if state in self._main_states:
+            raise ExpansionCycle("main graph instantiated twice with the same world, "
+                                 "suppressions and knowledge")
+        self._main_states.add(state)
         return self._instantiate_main(facts)
-
-    def _expansion_signature(self, facts: frozenset[Fact]) -> tuple:
-        return ("main", tuple(sorted(f.text() for f in facts)),
-                tuple(sorted(self.suppressed)), tuple(sorted(
-                    f.text() for f in self.knowledge)))
 
     def relocation_stages(self, obstructor_ids: Iterable[str]
                           ) -> list[tuple[str, GraphTemplate]]:

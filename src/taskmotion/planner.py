@@ -6,9 +6,11 @@ whose true leaves are the new state's facts, unless the goal is already
 reached. A geometric failure whose obstructors have relocation stages
 grows a rearrangement graph instead; anything else suppresses the
 candidate for the world before and after the dispatch and tries the next
-one. An exhausted frontier re-expands once per distinct state; a repeat
-means the task is unsolvable. The network depth cap, at least 1, turns
-runaway growth into a reported depth-limit result.
+one; an exhausted frontier re-instantiates the main graph too. Each
+re-instantiation happens once per state (the world signature, the
+suppressions and the knowledge); a repeat would loop, so the run ends
+unsolvable. The network depth cap, at least 1, turns runaway growth into
+a reported depth-limit result.
 
 Only a dispatch changes the world, so the loop takes one snapshot per
 world state: one at the start and one after each dispatch. Goal checks,
@@ -96,7 +98,7 @@ class _Timers:
 
 
 def run_scenario(scenario: Scenario, config: RunConfig = RunConfig()) -> PlanResult:
-    world = world_from_scenario(scenario, seed=config.seed)
+    world = world_from_scenario(scenario)
     trace: list[dict] = []
     steps: list[StepOutcome] = []
     timers = _Timers()
@@ -122,7 +124,8 @@ def run_scenario(scenario: Scenario, config: RunConfig = RunConfig()) -> PlanRes
         """Grow the network from the current state; the final status when
         it refuses to grow, else None."""
         try:
-            timers.timed("expand", network.expand, reason, state.facts, obstructors)
+            timers.timed("expand", network.expand, reason, state.facts, state.signature,
+                         obstructors)
         except ExpansionCycle:
             return FinalStatus.UNSOLVABLE
         except DepthLimitExceeded:
@@ -149,14 +152,14 @@ def run_scenario(scenario: Scenario, config: RunConfig = RunConfig()) -> PlanRes
                       "arc": candidate.arc_id,
                       "actions": [a.name for a in candidate.actions]})
         try:
-            grounding = ground(world, candidate.actions)
+            grounded = ground(world, candidate.actions)
         except GroundingFailed as exc:
             network.suppress(candidate, state.signature)
             trace.append({"event": "suppress", "label": candidate.label,
                           "reason": "grounding", "detail": str(exc)})
             continue
 
-        result = dispatch(world, grounding, config.retries, memo)
+        result = dispatch(world, grounded, config.retries, memo, config.seed)
         world = result.world
         before, state = state, snapshot(world)
         steps.extend(result.steps)

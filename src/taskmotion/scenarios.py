@@ -28,8 +28,8 @@ from fractions import Fraction
 
 from .andor import GraphTemplate, HyperArc, NodeDecl, NodeKind
 from .domain import ActionTemplate, Condition, Fact, MotionClass, PredicateDecl
-from .dsl import AgentDecl, MarkerDecl, ObjDecl, Scenario
-from .world import DEFAULT_SNAP
+from .dsl import AgentDecl, ObjDecl, Scenario
+from .world import DEFAULT_SNAP, Marker
 
 
 class BadDiskCount(Exception):
@@ -129,7 +129,7 @@ def gen_hanoi(n: int, omnipotent: bool = False) -> Scenario:
     if omnipotent:
         scn.agents["arm_solo"] = AgentDecl("arm_solo", "arm", 0.0, 0.45, reach=2.0)
     else:
-        scn.markers[PAD] = MarkerDecl(PAD, PAD_POINT[0], PAD_POINT[1], handover=True)
+        scn.markers[PAD] = Marker(PAD, PAD_POINT[0], PAD_POINT[1], handover=True)
         scn.agents["arm_left"] = AgentDecl("arm_left", "arm", -0.3, 0.0, reach=0.75)
         scn.agents["arm_right"] = AgentDecl("arm_right", "arm", 0.3, 0.0, reach=0.75)
 
@@ -247,7 +247,7 @@ def gen_habitat() -> Scenario:
                                             gx, gy, movable=True, blocks="arm")
 
     def marker(mid, point, snap=DEFAULT_SNAP):
-        scn.markers[mid] = MarkerDecl(mid, point[0], point[1], snap=snap)
+        scn.markers[mid] = Marker(mid, point[0], point[1], snap=snap)
 
     for i in (1, 2):
         marker(f"tray_{i}", (TRAY_X[i], 1.28))

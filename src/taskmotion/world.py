@@ -33,9 +33,10 @@ runs along each column; when the goal lies outside the start's
 means the pops an exhaustive A* would make: the component size, capped
 by the budget.
 
-A `MotionQuery` names an agent, its start and one goal point; every
-search, a leg's or the diagnosis', runs under the one planning budget,
-`DEFAULT_MAX_EXPANSIONS`.
+`plan_motion` plans a grounded action from the agent's config to one
+goal point, and `execute` applies it; both read the action's verb
+through `_roles`. Every search, a leg's or the diagnosis', runs under
+the one planning budget, `DEFAULT_MAX_EXPANSIONS`.
 
 Stacking never forms a cycle: `execute` refuses a support that rests on
 the object being placed.
@@ -45,11 +46,10 @@ Worlds are immutable values: a `World` is frozen and its `objects`,
 world and a changed world is always a new one (`dataclasses.replace`).
 A world shares no mutable state with another. Each world derives its
 symbolic snapshot once, on first read, and keeps it: `snapshot` and
-`world_signature` return that one read-only `WorldState`. Reads
-(`snapshot`, `plan_motion`) are pure, apart from filling the search
-memo, and safe to repeat; replaying the same query on the same world
-yields a bit-identical result apart from the wall-clock `elapsed`
-field, with any memo or none.
+`world_signature` return that one read-only `WorldState`. A world holds
+no run settings. Reads (`snapshot`, `plan_motion`) are pure, apart from
+filling the search memo, and safe to repeat: the same action, goal
+point and world give an equal result, with any memo or none.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ import bisect
 import hashlib
 import heapq
 import math
-import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import attrgetter
@@ -186,7 +185,6 @@ class World:
     markers: Mapping[str, Marker] = field(default_factory=dict)
     facts: frozenset[Fact] = frozenset()
     clock: float = 0.0
-    rng_seed: int = 0
     resolution: float = DEFAULT_RESOLUTION
 
     def __post_init__(self):
@@ -200,17 +198,6 @@ class World:
 
 
 @dataclass(frozen=True)
-class MotionQuery:
-    agent: str
-    motion_class: MotionClass
-    verb: str
-    start: tuple[float, float]
-    goal_point: tuple[float, float]
-    manipulated: str | None = None
-    dest: str | None = None
-
-
-@dataclass(frozen=True)
 class MotionResult:
     feasible: bool
     path: tuple[tuple[float, float], ...]
@@ -219,17 +206,14 @@ class MotionResult:
     goal_point: tuple[float, float]
     world_sig: str
     detail: str = ""
-    elapsed: float = 0.0
 
 
-def world_from_scenario(scenario, seed: int = 0) -> World:
+def world_from_scenario(scenario) -> World:
     """Materialize the initial world from scenario declarations."""
     objects = {}
     for decl in scenario.objects.values():
         objects[decl.id] = Obj(decl.id, decl.shape, tuple(decl.dims), decl.x, decl.y,
                                decl.yaw, decl.movable, decl.blocks, decl.on)
-    markers = {m.id: Marker(m.id, m.x, m.y, m.snap, m.handover)
-               for m in scenario.markers.values()}
     agents = {}
     for decl in scenario.agents.values():
         anchor = (decl.x, decl.y)
@@ -239,8 +223,8 @@ def world_from_scenario(scenario, seed: int = 0) -> World:
         agents[decl.id] = Agent(decl.id, decl.kind, anchor, decl.reach, decl.radius,
                                 config=anchor, mount=decl.mount,
                                 mount_off=(decl.mount_dx, decl.mount_dy))
-    return World(bounds=scenario.bounds, objects=objects, agents=agents, markers=markers,
-                 facts=frozenset(scenario.init), rng_seed=seed)
+    return World(bounds=scenario.bounds, objects=objects, agents=agents,
+                 markers=scenario.markers, facts=frozenset(scenario.init))
 
 
 def stack_chain_down(world: World, obj_id: str) -> list[str]:
@@ -385,15 +369,24 @@ class _Leg:
     carry: str | None  # object carried along this leg
 
 
-def _legs_for(world: World, q: MotionQuery) -> list[_Leg]:
-    if q.motion_class is MotionClass.TRANSIT:
-        return [_Leg(q.start, q.goal_point, None)]
-    if q.verb == "grasp":
-        return [_Leg(q.start, entity_point(world, q.manipulated), None)]
-    if q.verb == "put":
-        return [_Leg(q.start, q.goal_point, q.manipulated)]
-    grasp = entity_point(world, q.manipulated)
-    return [_Leg(q.start, grasp, None), _Leg(grasp, q.goal_point, q.manipulated)]
+def _roles(action: ActionTemplate) -> tuple[str | None, str | None]:
+    """(manipulated, dest) of a geometric action as the world reads them:
+    a transit moves no object, and a grasp puts its object nowhere."""
+    if action.motion_class is MotionClass.TRANSIT:
+        return None, None
+    return action.manipulated, None if action.verb == "grasp" else action.dest
+
+
+def _legs_for(world: World, action: ActionTemplate, start: tuple[float, float],
+              goal: tuple[float, float], manipulated: str | None) -> list[_Leg]:
+    if manipulated is None:
+        return [_Leg(start, goal, None)]
+    if action.verb == "grasp":
+        return [_Leg(start, entity_point(world, manipulated), None)]
+    if action.verb == "put":
+        return [_Leg(start, goal, manipulated)]
+    grasp = entity_point(world, manipulated)
+    return [_Leg(start, grasp, None), _Leg(grasp, goal, manipulated)]
 
 
 def _obstacles_for(world: World, agent: Agent, exclude: set[str],
@@ -718,10 +711,13 @@ def _unreached_pops(free_mask: bytes, stride: int, source: int, target: int) -> 
     return pops + sum(ends[i] - starts[i] for i in range(len(parent)) if root(i) in reached)
 
 
-def plan_motion(world: World, q: MotionQuery, memo: SearchMemo | None = None) -> MotionResult:
-    """Plan one query; transfers plan both legs before reporting success.
-    Each leg searches under the whole budget, so a leg that repeats an
-    earlier search finds it in the memo.
+def plan_motion(world: World, agent_id: str, action: ActionTemplate,
+                goal_point: tuple[float, float], memo: SearchMemo | None = None
+                ) -> MotionResult:
+    """Plan a grounded geometric action for `agent_id`, from its config to
+    `goal_point`; transfers plan both legs before reporting success. Each
+    leg searches under the whole budget, so a leg that repeats an earlier
+    search finds it in the memo.
 
     Infeasible results carry the obstruction diagnosis: movable objects
     crossing the path a movable-free world would allow, in path order.
@@ -734,33 +730,40 @@ def plan_motion(world: World, q: MotionQuery, memo: SearchMemo | None = None) ->
     either way, `expansions` included: it counts the pops of the searches
     that produced the result, whenever they ran.
     """
-    t0 = time.perf_counter()
     if memo is None:
         memo = SearchMemo()
     sig = world_signature(world)
-    agent = world.agents.get(q.agent)
+    agent = world.agents.get(agent_id)
     if agent is None:
-        raise UnknownEntity(f"agent {q.agent!r} not in world")
+        raise UnknownEntity(f"agent {agent_id!r} not in world")
+    manipulated, dest = _roles(action)
 
     def done(feasible, path, expansions, obstructors, detail):
         return MotionResult(feasible, tuple(path), expansions, tuple(obstructors),
-                            q.goal_point, sig, detail, time.perf_counter() - t0)
+                            goal_point, sig, detail)
 
     if agent.kind == "arm":
-        if not reaches(agent, q.goal_point):
+        if not reaches(agent, goal_point):
             return done(False, (), 0, (), "goal out of reach")
-        if q.manipulated is not None and q.verb in ("grasp", "transfer"):
-            if not reaches(agent, entity_point(world, q.manipulated)):
+        if manipulated is not None and action.verb in ("grasp", "transfer"):
+            if not reaches(agent, entity_point(world, manipulated)):
                 return done(False, (), 0, (), "manipulated object out of reach")
-            above = stack_chain_up(world, q.manipulated)
+            above = stack_chain_up(world, manipulated)
             if above:
                 return done(False, (), 0, tuple(reversed(above)),
                             "manipulated object is not stack-top")
 
+    # What the moving body may touch: the object it moves with everything
+    # under it, and the destination object with everything on it.
+    exclude: set[str] = set()
+    if manipulated is not None:
+        exclude.update([manipulated, *stack_chain_down(world, manipulated)])
+    if dest is not None and dest in world.objects:
+        exclude.update([dest, *stack_chain_up(world, dest)])
     total_expansions = 0
     full_path: list[tuple[float, float]] = []
-    for index, leg in enumerate(_legs_for(world, q)):
-        path, expansions, obstructors, detail = _plan_leg(world, agent, q, leg, memo)
+    for index, leg in enumerate(_legs_for(world, action, agent.config, goal_point, manipulated)):
+        path, expansions, obstructors, detail = _plan_leg(world, agent, leg, exclude, memo)
         total_expansions += expansions
         if path is None:
             return done(False, (), total_expansions, obstructors, f"leg {index}: {detail}")
@@ -785,19 +788,13 @@ def _engaged(world: World, point: tuple[float, float], inflation: float) -> set[
     return {oid for oid, obj in world.objects.items() if _covers(obj, point, inflation)}
 
 
-def _plan_leg(world: World, agent: Agent, q: MotionQuery, leg: _Leg, memo: SearchMemo):
-    """One grid search; returns (path | None, expansions, obstructors, detail)."""
+def _plan_leg(world: World, agent: Agent, leg: _Leg, exclude: set[str], memo: SearchMemo):
+    """One grid search around every object but `exclude`; returns
+    (path | None, expansions, obstructors, detail)."""
     inflation = DEFAULT_CLEARANCE + _body_radius(world, agent, leg.carry)
-    exclude: set[str] = set()
-    if q.manipulated is not None:
-        exclude.add(q.manipulated)
-        exclude.update(stack_chain_down(world, q.manipulated))
-    if q.dest is not None and q.dest in world.objects:
-        exclude.add(q.dest)
-        exclude.update(stack_chain_up(world, q.dest))
     # Engagement tolerance: bodies begin flush against whatever they just
     # touched; those footprints cannot invalidate the start.
-    exclude.update(_engaged(world, leg.start, inflation))
+    exclude = exclude | _engaged(world, leg.start, inflation)
 
     obstacles = _obstacles_for(world, agent, exclude, ghost=False)
     grid = _Grid(world, agent, obstacles, inflation, memo.rasters)
@@ -870,8 +867,9 @@ def execute(world: World, agent_id: str, result: MotionResult,
             action: ActionTemplate) -> World:
     """Apply a planned motion (or a symbolic action) to a copy of the world.
 
-    Raises StaleResult when the world signature no longer matches the one
-    the plan was computed against. Never creates or destroys objects.
+    Reads the action through `_roles`, as `plan_motion` does. Raises
+    StaleResult when the world signature no longer matches the one the
+    plan was computed against. Never creates or destroys objects.
     """
     if result is not None and result.world_sig != world_signature(world):
         raise StaleResult(f"world moved since planning {action.name}")
@@ -883,11 +881,12 @@ def execute(world: World, agent_id: str, result: MotionResult,
     if action.motion_class in (MotionClass.SYMBOLIC, MotionClass.WAIT):
         clock += action.duration
     else:
+        manipulated, dest = _roles(action)
         agent = agents[agent_id]
         path_len = path_length(result.path)
         clock += path_len / MOVE_SPEED
         end = result.path[-1] if result.path else agent.config
-        if action.motion_class is MotionClass.TRANSIT:
+        if manipulated is None:
             delta = (end[0] - agent.config[0], end[1] - agent.config[1])
             agents[agent_id] = replace(agent, anchor=end, config=end)
             for aid, other in list(agents.items()):
@@ -900,20 +899,18 @@ def execute(world: World, agent_id: str, result: MotionResult,
                         held = objects[other.holding]
                         objects[other.holding] = replace(
                             held, x=new_anchor[0], y=new_anchor[1])
-        elif action.verb == "grasp":
-            obj = objects[action.manipulated]
-            agents[agent_id] = replace(agent, config=end, holding=action.manipulated)
-            objects[action.manipulated] = replace(obj, x=end[0], y=end[1], stack_on=None)
+        elif dest is None:  # grasp
+            obj = objects[manipulated]
+            agents[agent_id] = replace(agent, config=end, holding=manipulated)
+            objects[manipulated] = replace(obj, x=end[0], y=end[1], stack_on=None)
         else:  # put, or fused transfer
-            if action.verb == "put" and agent.holding != action.manipulated:
-                raise InvalidQuery(
-                    f"agent {agent_id} does not hold {action.manipulated}")
-            support = _resolve_support(world, action.dest, action.manipulated)
-            obj = objects[action.manipulated]
+            if action.verb == "put" and agent.holding != manipulated:
+                raise InvalidQuery(f"agent {agent_id} does not hold {manipulated}")
+            support = _resolve_support(world, dest, manipulated)
+            obj = objects[manipulated]
             goal = result.goal_point
             agents[agent_id] = replace(agent, config=end, holding=None)
-            objects[action.manipulated] = replace(obj, x=goal[0], y=goal[1],
-                                                  stack_on=support)
+            objects[manipulated] = replace(obj, x=goal[0], y=goal[1], stack_on=support)
 
     for fact in action.effects_del:
         if fact.predicate not in DERIVED_PREDICATES:

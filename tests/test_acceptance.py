@@ -24,7 +24,7 @@ from taskmotion.andor import (
     set_leaf_truth,
     solved,
 )
-from taskmotion.domain import Fact, MotionClass
+from taskmotion.domain import ActionTemplate, Fact, MotionClass
 from taskmotion.dsl import DslError, parse, serialize
 from taskmotion.planner import (
     MODULE_ROWS,
@@ -36,7 +36,6 @@ from taskmotion.planner import (
 from taskmotion.scenarios import gen_habitat, gen_hanoi
 from taskmotion.world import (
     Agent,
-    MotionQuery,
     Obj,
     World,
     plan_motion,
@@ -148,10 +147,9 @@ def _probe_world(rng: random.Random):
     arm = Agent("arm", "arm", anchor=(0.0, 0.0), reach=reach, config=(0.0, 0.0))
     world = World(bounds=(-1.2, -1.3, 1.2, 1.3), objects=objects,
                   agents={"arm": arm})
-    query = MotionQuery(agent="arm", motion_class=MotionClass.TRANSFER,
-                        verb="grasp", start=(0.0, 0.0), goal_point=(tx, ty),
-                        manipulated="prize")
-    return world, query, in_reach
+    grasp = ActionTemplate("grasp_prize", MotionClass.TRANSFER, verb="grasp",
+                           manipulated="prize")
+    return world, ("arm", grasp, (tx, ty)), in_reach
 
 
 def test_ac4_obstruction_reports_are_complete_and_honest():
@@ -160,7 +158,7 @@ def test_ac4_obstruction_reports_are_complete_and_honest():
     bad = []
     while cases < 100:
         world, query, in_reach = _probe_world(rng)
-        result = plan_motion(world, query)
+        result = plan_motion(world, *query)
         cases += 1
         if not in_reach:
             out_of_reach += 1
@@ -178,7 +176,7 @@ def test_ac4_obstruction_reports_are_complete_and_honest():
         cleared = replace(world, objects={
             oid: obj for oid, obj in world.objects.items()
             if oid not in result.obstructors})
-        retry = plan_motion(cleared, query)
+        retry = plan_motion(cleared, *query)
         if not retry.feasible:
             bad.append(f"case {cases}: removing {result.obstructors} "
                        f"did not restore a path")

@@ -72,6 +72,16 @@ def test_run_dot_exports_one_file_per_graph(tmp_path, capsys):
         assert path.read_text().startswith("digraph")
 
 
+def test_run_dot_replaces_the_graph_files_of_an_earlier_run(tmp_path, capsys):
+    assert main(["run", "habitat", "--dot", str(tmp_path)]) == 0
+    assert len(list(tmp_path.glob("graph_*.dot"))) == 28
+    (tmp_path / "graph_notes.dot").write_text("kept")
+    assert main(["run", "hanoi", "--omnipotent", "--dot", str(tmp_path)]) == 0
+    assert "wrote 7 graph files" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        [f"graph_{i:03d}.dot" for i in range(1, 8)] + ["graph_notes.dot"])
+
+
 # command: (number of DOT files, sha256 over each file's name, a newline
 # and its text, by file name).
 PINNED_DOT = {

@@ -4,7 +4,9 @@ Every run must end in one of the three outcomes, conserve the objects,
 leave no stacking cycle and repeat byte for byte. The digest pins the
 masked outputs of a fixed range of seeds, so a change to graph building,
 pricing or stage composition that alters any random run shows here, not
-only on the three benchmark workloads.
+only on the three benchmark workloads. A second digest pins the blocked
+family, whose runs reach the obstruction diagnosis and grow rearrangement
+graphs, which the first family never does.
 """
 
 import hashlib
@@ -12,6 +14,8 @@ import hashlib
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taskmotion import world as world_module
+from taskmotion.dsl import parse, serialize
 from taskmotion.planner import (
     FinalStatus,
     RunConfig,
@@ -19,15 +23,29 @@ from taskmotion.planner import (
     masked_trace_text,
     run_scenario,
 )
-from scn_fuzz import fuzz_scenario
+from scn_fuzz import blocked_scenario, fuzz_scenario
 
 # sha256 over each run's masked trace, then its masked metrics, seed by seed.
 FUZZ_SEEDS = range(200)
-FUZZ_DIGEST = "0af29b65135047bbdfd7af122db456da96aca33bde060f107a0d4c8c4f5c61ab"
+FUZZ_DIGEST = "db845e7d455e3395d781ac1e559b60d9470c29962aed45bf47324305601af1af"
+BLOCKED_SEEDS = range(50)
+BLOCKED_DIGEST = "b26ee7a0bb7365b497670ba743f32ce7accd71dde9a4ccb921478d8878e57f77"
 
 
 def fuzz_run(seed: int):
     return run_scenario(fuzz_scenario(seed), RunConfig(depth_cap=12, seed=seed))
+
+
+def blocked_run(seed: int):
+    return run_scenario(blocked_scenario(seed), RunConfig(depth_cap=30, seed=seed))
+
+
+def masked_digest(results) -> str:
+    digest = hashlib.sha256()
+    for result in results:
+        digest.update(masked_trace_text(result.trace).encode("utf-8"))
+        digest.update(masked_metrics_text(result.metrics).encode("utf-8"))
+    return digest.hexdigest()
 
 
 def has_stacking_cycle(world) -> bool:
@@ -56,9 +74,39 @@ def test_a_random_scenario_runs_to_an_outcome_the_same_way_twice(seed):
 
 
 def test_random_runs_match_the_pinned_digest():
-    digest = hashlib.sha256()
+    assert masked_digest(fuzz_run(seed) for seed in FUZZ_SEEDS) == FUZZ_DIGEST
+
+
+def test_no_random_run_loops_to_a_depth_cap_of_300():
+    """A run that would instantiate the main graph again in a state it did
+    so before ends `unsolvable`, however high the cap."""
     for seed in FUZZ_SEEDS:
-        result = fuzz_run(seed)
-        digest.update(masked_trace_text(result.trace).encode("utf-8"))
-        digest.update(masked_metrics_text(result.metrics).encode("utf-8"))
-    assert digest.hexdigest() == FUZZ_DIGEST
+        result = run_scenario(fuzz_scenario(seed), RunConfig(depth_cap=300, seed=seed))
+        assert result.status is not FinalStatus.DEPTH_LIMIT, seed
+
+
+def test_blocked_scenarios_are_valid_scenario_text():
+    for seed in BLOCKED_SEEDS:
+        scenario = blocked_scenario(seed)
+        assert parse(serialize(scenario)) == scenario, seed
+
+
+def test_blocked_runs_match_the_pinned_digest(monkeypatch):
+    """The pin covers the diagnosis: at least a quarter of the runs call
+    it, and at least one composes a rearrangement graph."""
+    diagnose = world_module._diagnose
+    diagnosed = set()
+    seed = None
+
+    def recording(*args):
+        diagnosed.add(seed)
+        return diagnose(*args)
+
+    monkeypatch.setattr(world_module, "_diagnose", recording)
+    results = []
+    for seed in BLOCKED_SEEDS:
+        results.append(blocked_run(seed))
+    assert masked_digest(results) == BLOCKED_DIGEST
+    assert len(diagnosed) >= len(BLOCKED_SEEDS) / 4
+    assert any(event.get("reason") == "motion_failure"
+               for result in results for event in result.trace)

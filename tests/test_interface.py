@@ -46,22 +46,22 @@ def transfer(name, obj, dest, **kw):
 
 def test_single_arm_assignment_prefers_reaching_arm():
     world = two_arm_world()
-    result = ground(world, (transfer("bring", "cup", "west"),))
-    assert len(result.steps) == 1
-    assert result.steps[0].agent_id == "arm_left"
+    steps = ground(world, (transfer("bring", "cup", "west"),))
+    assert len(steps) == 1
+    assert steps[0].agent_id == "arm_left"
 
 
 def test_unreachable_transfer_rewrites_through_handover_marker():
     world = two_arm_world()
-    result = ground(world, (transfer("bring", "cup", "east"),))
-    names = [s.action.name for s in result.steps]
+    steps = ground(world, (transfer("bring", "cup", "east"),))
+    names = [s.action.name for s in steps]
     assert names == ["bring_handover_give", "bring_handover_take"]
-    assert result.steps[0].agent_id == "arm_left"
-    assert result.steps[1].agent_id == "arm_right"
-    assert all(s.action.motion_class is MotionClass.HANDOVER for s in result.steps)
-    assert result.steps[0].action.dest == "pad"
-    assert result.steps[1].action.source == "pad"
-    assert result.steps[1].action.dest == "east"
+    assert steps[0].agent_id == "arm_left"
+    assert steps[1].agent_id == "arm_right"
+    assert all(s.action.motion_class is MotionClass.HANDOVER for s in steps)
+    assert steps[0].action.dest == "pad"
+    assert steps[1].action.source == "pad"
+    assert steps[1].action.dest == "east"
 
 
 def test_handover_dispatch_moves_object_across():
@@ -102,9 +102,9 @@ def test_area_action_folds_in_base_travel():
     grasp = ActionTemplate("take_jar", MotionClass.TRANSFER, verb="grasp",
                            manipulated="jar", area="shelf_front")
     grounding = ground(world, (grasp,))
-    names = [s.action.name for s in grounding.steps]
+    names = [s.action.name for s in grounding]
     assert names == ["approach_shelf_front", "take_jar"]
-    inserted = grounding.steps[0]
+    inserted = grounding[0]
     assert inserted.action.name.startswith(TRANSIT_PREFIX)
     assert inserted.action.motion_class is MotionClass.TRANSIT
     assert (inserted.agent_id, inserted.action.area) == ("cart", "shelf_front")
@@ -123,7 +123,7 @@ def test_a_transit_needs_a_base_agent_of_the_world(agent):
     walk = ActionTemplate("walk", MotionClass.TRANSIT, agent=agent, area="shelf_front")
     with pytest.raises(GroundingFailed, match="is not a base agent"):
         ground(mobile_world(), (walk,))
-    assert ground(mobile_world(), (replace(walk, agent="cart"),)).steps[0].agent_id == "cart"
+    assert ground(mobile_world(), (replace(walk, agent="cart"),))[0].agent_id == "cart"
 
 
 def test_transit_skipped_when_base_already_parked():
@@ -151,7 +151,7 @@ def test_put_binds_to_the_holding_agent():
     put = ActionTemplate("drop", MotionClass.TRANSFER, verb="put",
                          manipulated="cup", dest="west")
     grounding = ground(world, (grasp, put))
-    assert grounding.steps[1].agent_id is None  # deferred until someone holds
+    assert grounding[1].agent_id is None  # deferred until someone holds
     outcome = dispatch(world, grounding)
     assert outcome.ok
     assert outcome.steps[1].agent == "arm_left"

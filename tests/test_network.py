@@ -180,7 +180,7 @@ def test_suppression_is_world_scoped():
 def test_stage_complete_expansion_appends_fresh_main_graph():
     net = fresh_network()
     first = net.latest
-    entry = net.expand(ExpandReason.STAGE_COMPLETE, frozenset({Fact("ready", ("a",))}))
+    entry = net.expand(ExpandReason.STAGE_COMPLETE, frozenset({Fact("ready", ("a",))}), SIG)
     assert net.depth == 2
     assert entry.kind == "main"
     assert entry.true_leaves == {3}
@@ -192,16 +192,42 @@ def test_stage_complete_expansion_appends_fresh_main_graph():
 
 def test_exhausted_frontier_twice_is_a_cycle():
     net = fresh_network()
-    net.expand(ExpandReason.NO_FEASIBLE_STATE, FACTS)
+    net.expand(ExpandReason.NO_FEASIBLE_STATE, FACTS, SIG)
     with pytest.raises(ExpansionCycle):
-        net.expand(ExpandReason.NO_FEASIBLE_STATE, FACTS)
+        net.expand(ExpandReason.NO_FEASIBLE_STATE, FACTS, SIG)
 
 
 def test_exhausted_frontier_with_new_facts_is_not_a_cycle():
     net = fresh_network()
-    net.expand(ExpandReason.NO_FEASIBLE_STATE, FACTS)
-    net.expand(ExpandReason.NO_FEASIBLE_STATE, FACTS | {Fact("used", ("a",))})
+    net.expand(ExpandReason.NO_FEASIBLE_STATE, FACTS, SIG)
+    # New facts make a new world, which has a new signature.
+    net.expand(ExpandReason.NO_FEASIBLE_STATE, FACTS | {Fact("used", ("a",))}, "sig-1")
     assert net.depth == 3
+
+
+@pytest.mark.parametrize("first,second", [
+    (ExpandReason.STAGE_COMPLETE, ExpandReason.STAGE_COMPLETE),
+    (ExpandReason.STAGE_COMPLETE, ExpandReason.NO_FEASIBLE_STATE),
+    (ExpandReason.NO_FEASIBLE_STATE, ExpandReason.STAGE_COMPLETE),
+])
+def test_every_main_instantiation_in_a_state_seen_before_is_a_cycle(first, second):
+    net = fresh_network()
+    net.expand(first, FACTS, SIG)
+    with pytest.raises(ExpansionCycle, match="same world, suppressions and knowledge"):
+        net.expand(second, FACTS, SIG)
+    assert net.depth == 2
+
+
+def test_a_new_suppression_or_new_knowledge_makes_a_new_state():
+    net = GraphNetwork(template_two_options(), {"clear_box1": clear_stage("box1")},
+                       simple_actions())
+    net.bootstrap(FACTS)
+    net.expand(ExpandReason.STAGE_COMPLETE, FACTS, SIG)
+    net.suppress(net.select(FACTS, SIG), SIG)
+    net.expand(ExpandReason.STAGE_COMPLETE, FACTS, SIG)
+    net.expand(ExpandReason.MOTION_FAILURE, FACTS, SIG, ("box1",))
+    net.expand(ExpandReason.STAGE_COMPLETE, FACTS, SIG)
+    assert net.depth == 5
 
 
 @pytest.mark.parametrize("cap", [0, -1])
@@ -212,10 +238,10 @@ def test_depth_cap_below_one_is_refused(cap):
 
 def test_depth_cap_raises_on_the_excess_expansion():
     net = fresh_network(depth_cap=3)
-    net.expand(ExpandReason.STAGE_COMPLETE, FACTS)  # depth 2
-    net.expand(ExpandReason.STAGE_COMPLETE, FACTS)  # depth 3 == cap
+    net.expand(ExpandReason.STAGE_COMPLETE, FACTS, "sig-1")  # depth 2
+    net.expand(ExpandReason.STAGE_COMPLETE, FACTS, "sig-2")  # depth 3 == cap
     with pytest.raises(DepthLimitExceeded):
-        net.expand(ExpandReason.STAGE_COMPLETE, FACTS)
+        net.expand(ExpandReason.STAGE_COMPLETE, FACTS, "sig-3")
     assert net.depth == 3
 
 
@@ -254,7 +280,7 @@ def test_motion_failure_expansion_uses_knowledge():
     net.bootstrap(FACTS)
     # Truths sync against the snapshot taken at expansion time.
     snapshot = FACTS | {Fact("clear", ("box1",))}
-    entry = net.expand(ExpandReason.MOTION_FAILURE, snapshot, ("box1",))
+    entry = net.expand(ExpandReason.MOTION_FAILURE, snapshot, SIG, ("box1",))
     assert entry.kind == "rearrangement"
     assert Fact("obstructs", ("box1",)) in net.knowledge
     leaves = {decl.label: decl.id for decl in entry.compiled.template.nodes
@@ -270,10 +296,10 @@ def test_motion_failure_skips_unknown_stages():
     net = GraphNetwork(template_two_options(), {"clear_box1": clear_stage("box1")},
                        simple_actions())
     net.bootstrap(FACTS)
-    entry = net.expand(ExpandReason.MOTION_FAILURE, FACTS, ("ghost", "box1"))
+    entry = net.expand(ExpandReason.MOTION_FAILURE, FACTS, SIG, ("ghost", "box1"))
     assert entry.kind == "rearrangement"
     with pytest.raises(UnknownStage):
-        net.expand(ExpandReason.MOTION_FAILURE, FACTS, ("ghost",))
+        net.expand(ExpandReason.MOTION_FAILURE, FACTS, SIG, ("ghost",))
 
 # -- the compiled fast path against the from-scratch reference -------------
 
@@ -522,7 +548,7 @@ def test_frontier_and_select_match_the_scan_over_flip_sequences():
             if step == 0:
                 net.bootstrap(facts)
             else:
-                net.expand(ExpandReason.STAGE_COMPLETE, facts)
+                net.expand(ExpandReason.STAGE_COMPLETE, facts, f"world-{step}")
             graph = oracle_build_graph(template)
             set_leaf_truth(graph, truths)
             achieved = {lid for lid, on in truths.items() if on}

@@ -23,7 +23,7 @@ from taskmotion.domain import (
     MotionClass,
     PredicateDecl,
 )
-from taskmotion.dsl import AgentDecl, MarkerDecl, ObjDecl, Scenario, parse
+from taskmotion.dsl import AgentDecl, ObjDecl, Scenario, parse
 from taskmotion.planner import (
     MODULE_ROWS,
     TABLE_COLUMNS,
@@ -36,6 +36,7 @@ from taskmotion.planner import (
     trace_text,
 )
 from taskmotion.scenarios import gen_habitat, gen_hanoi
+from taskmotion.world import Marker
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
@@ -45,8 +46,8 @@ def fetch_scenario():
     """One arm moves one ball to one marker: a single-candidate run."""
     scn = Scenario("fetch", bounds=(-0.6, -0.6, 0.8, 0.8))
     scn.objects["ball"] = ObjDecl("ball", "circle", (0.03,), 0.0, 0.2, movable=True)
-    scn.markers["start"] = MarkerDecl("start", 0.0, 0.2)
-    scn.markers["home"] = MarkerDecl("home", 0.3, 0.0)
+    scn.markers["start"] = Marker("start", 0.0, 0.2)
+    scn.markers["home"] = Marker("home", 0.3, 0.0)
     scn.agents["arm"] = AgentDecl("arm", "arm", 0.0, 0.0, reach=0.5)
     scn.actions["deliver_ball"] = ActionTemplate(
         "deliver_ball", MotionClass.TRANSFER,
@@ -76,10 +77,10 @@ def blocked_scenario():
                                    movable=True)
     scn.objects["wall"] = ObjDecl("wall", "box", (0.08, 2.0), 0.3, 0.0,
                                   movable=True, blocks="arm")
-    scn.markers["spot"] = MarkerDecl("spot", 0.5, 0.0)
-    scn.markers["home"] = MarkerDecl("home", 0.0, -0.5)
-    scn.markers["wallpos"] = MarkerDecl("wallpos", 0.3, 0.0)
-    scn.markers["aside"] = MarkerDecl("aside", -0.5, 0.0)
+    scn.markers["spot"] = Marker("spot", 0.5, 0.0)
+    scn.markers["home"] = Marker("home", 0.0, -0.5)
+    scn.markers["wallpos"] = Marker("wallpos", 0.3, 0.0)
+    scn.markers["aside"] = Marker("aside", -0.5, 0.0)
     scn.agents["arm"] = AgentDecl("arm", "arm", 0.0, 0.0, reach=0.9)
     scn.actions["move_prize"] = ActionTemplate(
         "move_prize", MotionClass.TRANSFER,
@@ -335,15 +336,16 @@ def recorded_plan_calls(monkeypatch):
     return calls
 
 
-def without_elapsed(outcome):
+def comparable(outcome):
+    """A motion result as it is; an exception as its type and message."""
     if isinstance(outcome, world_module.MotionResult):
-        return replace(outcome, elapsed=0.0)
+        return outcome
     return (type(outcome), str(outcome))
 
 
-def fresh_outcome(world, q):
+def fresh_outcome(world, *query):
     try:
-        return world_module.plan_motion(world, q)
+        return world_module.plan_motion(world, *query)
     except world_module.WorldError as exc:
         return exc
 
@@ -360,10 +362,10 @@ def test_run_memo_results_match_fresh_planning(scenario, seed, monkeypatch):
     calls = recorded_plan_calls(monkeypatch)
     run_scenario(scenario(), RunConfig(seed=seed))
     assert len(calls) >= 9
-    memos = {id(args[2]) for args, _ in calls}
-    assert len(memos) == 1 and isinstance(calls[0][0][2], world_module.SearchMemo)
-    for (world, q, _), outcome in calls:
-        assert without_elapsed(outcome) == without_elapsed(fresh_outcome(world, q)), q
+    memos = {id(args[-1]) for args, _ in calls}
+    assert len(memos) == 1 and isinstance(calls[0][0][-1], world_module.SearchMemo)
+    for (world, *query, _), outcome in calls:
+        assert comparable(outcome) == comparable(fresh_outcome(world, *query)), query
 
 
 def executed_searches(monkeypatch):
@@ -554,6 +556,18 @@ def test_hanoi_solo_stays_optimal_at_the_largest_size():
     assert res.status is FinalStatus.GOAL_ACHIEVED
     assert res.moves == 2 ** 6 - 1
     assert res.depth == 2 ** 6 - 1
+
+
+def test_a_hanoi_dual_run_that_comes_back_to_a_state_ends_unsolvable():
+    """At seed 44 the pad cannot take d4 while d6 sits on peg A, and the
+    move is suppressed; selection then takes d1 from peg A to B and back.
+    The main graph would be instantiated again in the same world, with the
+    same suppressions and knowledge, so the run ends there instead of
+    using up the depth cap."""
+    result = run_scenario(gen_hanoi(6), RunConfig(seed=44))
+    assert result.status is FinalStatus.UNSOLVABLE
+    assert (result.moves, result.depth) == (33, 33)
+    assert [e["obstructors"] for e in result.trace if e["event"] == "suppress"] == [["d6"]]
 
 
 def test_hanoi_dual_arm_run_uses_the_pad():
