@@ -13,9 +13,12 @@ pass over those columns, ending in a level-by-level topological sort
 (Kahn, "Topological sorting of large networks", CACM 5(11), 1962) that
 finds cycles, checks that a leaf reaches the root, and gives every node
 its height. The root and the failure node are the one node of each kind.
-`NodeDecl` and `HyperArc` objects are built from the columns only for
-the code that reads them: serialization and DOT export. `build_graph`
-builds the `Node` objects of the from-scratch pricing below.
+A `GraphBuilder` is the one way to write a template: it collects
+declarations in lists and converts them to columns in bulk. `rows` is
+the one way to read one back, as plain tuples sorted by id, for
+serialization, DOT export and equality. Only `build_graph` and `augment`
+build objects, the `Node`s and `HyperArc`s of the from-scratch pricing
+below.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter
+from operator import itemgetter
 from typing import Collection, Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
@@ -110,13 +113,6 @@ class HyperArc:
     actions: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class NodeDecl:
-    id: int
-    kind: NodeKind
-    label: str
-
-
 KINDS = tuple(NodeKind)  # a node's code in a template's `kinds` column indexes this
 _CODE = {kind: code for code, kind in enumerate(KINDS)}
 _LEAF, _INTERNAL, _ROOT, _FAILURE, _VIRTUAL = (_CODE[kind] for kind in NodeKind)
@@ -154,14 +150,13 @@ class GraphTemplate:
     `children[child_starts[j]:child_starts[j + 1]]`, its weight is
     `weight_num[j] / weight_den[j]` in lowest terms, and its actions are
     `actions[j]`. Integer columns are `int64`, or object columns of Python
-    integers when a value does not fit (`int_column`). `of` makes a
-    template from `NodeDecl`s and `HyperArc`s.
+    integers when a value does not fit (`int_column`). A `GraphBuilder`
+    writes the columns.
 
     The template is shared and never mutated: its arrays are read-only.
-    `checked` validates it on first access and keeps the result; `nodes`
-    and `arcs` are built from the columns when first read. Two templates
-    are equal when they declare the same nodes and arcs, whatever the
-    order of the declarations.
+    `checked` validates it on first access and keeps the result; `rows`
+    reads the declarations back. Two templates are equal when they declare
+    the same nodes and arcs, whatever the order of the declarations.
     """
 
     ids: np.ndarray
@@ -180,21 +175,6 @@ class GraphTemplate:
                        self.children, self.weight_num, self.weight_den):
             column.flags.writeable = False
 
-    @classmethod
-    def of(cls, nodes: Iterable[NodeDecl], arcs: Iterable[HyperArc]) -> GraphTemplate:
-        """The template that declares `nodes` and `arcs` in this order."""
-        nodes, arcs = tuple(nodes), tuple(arcs)
-        return cls(int_column([decl.id for decl in nodes]),
-                   np.array([_CODE[decl.kind] for decl in nodes], dtype=np.int8),
-                   tuple(decl.label for decl in nodes),
-                   int_column([arc.id for arc in arcs]),
-                   int_column([arc.parent for arc in arcs]),
-                   np.cumsum([0, *(len(arc.children) for arc in arcs)]),
-                   int_column([child for arc in arcs for child in arc.children]),
-                   int_column([arc.weight.numerator for arc in arcs]),
-                   int_column([arc.weight.denominator for arc in arcs]),
-                   tuple(arc.actions for arc in arcs))
-
     @cached_property
     def checked(self) -> Checked:
         return _check(self)
@@ -207,37 +187,75 @@ class GraphTemplate:
     def failure(self) -> int:
         return int(self.ids[self.checked.failure])
 
-    def arc(self, j: int) -> HyperArc:
-        """The arc declared `j`-th, built from the columns."""
-        start, stop = self.child_starts[j], self.child_starts[j + 1]
-        return HyperArc(int(self.arc_ids[j]), int(self.parents[j]),
-                        tuple(self.children[start:stop].tolist()),
-                        Fraction(int(self.weight_num[j]), int(self.weight_den[j])),
-                        self.actions[j])
-
-    @cached_property
-    def nodes(self) -> tuple[NodeDecl, ...]:
-        return tuple(map(NodeDecl, self.ids.tolist(), map(KINDS.__getitem__, self.kinds.tolist()),
-                         self.labels))
-
-    @cached_property
-    def arcs(self) -> tuple[HyperArc, ...]:
-        return tuple(map(self.arc, range(len(self.arc_ids))))
-
-    def _by_id(self) -> tuple[tuple[NodeDecl, ...], tuple[HyperArc, ...]]:
-        return (tuple(sorted(self.nodes, key=attrgetter("id"))),
-                tuple(sorted(self.arcs, key=attrgetter("id"))))
+    def rows(self) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
+        """The node rows `(id, kind, label)` and the arc rows `(id, parent,
+        children, weight, actions)`, each sorted by id (a repeated id in
+        declaration order)."""
+        nodes = zip(self.ids.tolist(), map(KINDS.__getitem__, self.kinds.tolist()),
+                    self.labels)
+        starts, children = self.child_starts.tolist(), self.children.tolist()
+        arcs = zip(self.arc_ids.tolist(), self.parents.tolist(),
+                   (tuple(children[start:stop]) for start, stop in zip(starts, starts[1:])),
+                   map(Fraction, self.weight_num.tolist(), self.weight_den.tolist()),
+                   self.actions)
+        return tuple(sorted(nodes, key=itemgetter(0))), tuple(sorted(arcs, key=itemgetter(0)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GraphTemplate):
             return NotImplemented
-        return self is other or self._by_id() == other._by_id()
+        return self is other or self.rows() == other.rows()
 
     def __hash__(self) -> int:
-        return hash(self._by_id())
+        return hash(self.rows())
 
     def __repr__(self) -> str:
         return f"GraphTemplate({len(self.ids)} nodes, {len(self.arc_ids)} arcs)"
+
+
+class GraphBuilder:
+    """A template's declarations in lists, in declaration order, which
+    `template` converts to columns in a few bulk conversions.
+
+    An id, a child or a weight term is an integer or its decimal string;
+    an arc's weight is `num / den`, which `template` reduces to lowest
+    terms.
+    """
+
+    def __init__(self):
+        self.node_ids: list = []
+        self.kinds: list[int] = []
+        self.labels: list[str] = []
+        self.arc_ids: list = []
+        self.parents: list = []
+        self.children: list = []
+        self.child_starts = [0]
+        self.nums: list = []
+        self.dens: list = []
+        self.actions: list[tuple[str, ...]] = []
+
+    def node(self, nid, kind: NodeKind, label: str):
+        self.node_ids.append(nid)
+        self.kinds.append(_CODE[kind])
+        self.labels.append(label)
+
+    def arc(self, aid, parent, children: Iterable, num=1, den=1,
+            actions: tuple[str, ...] = ()):
+        self.arc_ids.append(aid)
+        self.parents.append(parent)
+        self.children.extend(children)
+        self.child_starts.append(len(self.children))
+        self.nums.append(num)
+        self.dens.append(den)
+        self.actions.append(actions)
+
+    def template(self) -> GraphTemplate:
+        num, den = int_column(self.nums), int_column(self.dens)
+        common = np.gcd(num, den)
+        return GraphTemplate(int_column(self.node_ids), np.array(self.kinds, dtype=np.int8),
+                             tuple(self.labels), int_column(self.arc_ids),
+                             int_column(self.parents), np.array(self.child_starts),
+                             int_column(self.children), num // common, den // common,
+                             tuple(self.actions))
 
 
 @dataclass
@@ -275,16 +293,17 @@ class AugmentedGraph:
 
 
 def build_graph(template: GraphTemplate) -> AndOrGraph:
-    """The object graph of a template, which must pass `checked`: its nodes,
-    its own arcs, and each node's arcs sorted by id."""
+    """The object graph of a template, which must pass `checked`: its nodes
+    and its arcs, both by id, and each node's arcs."""
     checked = template.checked
-    ids = template.ids.tolist()
-    nodes = {nid: Node(nid, label, KINDS[code])
-             for nid, code, label in zip(ids, template.kinds.tolist(), template.labels)}
+    node_rows, arc_rows = template.rows()
+    nodes = {nid: Node(nid, label, kind) for nid, kind, label in node_rows}
+    arcs = tuple(HyperArc(*row) for row in arc_rows)
     by_parent: dict[int, list[HyperArc]] = {}
-    for arc in sorted(template.arcs, key=attrgetter("id")):
+    for arc in arcs:
         by_parent.setdefault(arc.parent, []).append(arc)
-    return AndOrGraph(nodes, template.arcs, ids[checked.root], ids[checked.failure],
+    ids = template.ids.tolist()
+    return AndOrGraph(nodes, arcs, ids[checked.root], ids[checked.failure],
                       by_parent, dict(zip(ids, checked.height.tolist())))
 
 
@@ -541,17 +560,19 @@ def augment(graph: AndOrGraph | AugmentedGraph) -> AugmentedGraph:
     virtual_id, arcs = _virtual(graph.nodes, (a.id for a in graph.arcs),
                                 graph.failure, graph.root)
     virtual = Node(virtual_id, "virtual", NodeKind.VIRTUAL)
-    return AugmentedGraph(base=graph, virtual_node=virtual, virtual_arcs=arcs)
+    return AugmentedGraph(base=graph, virtual_node=virtual,
+                          virtual_arcs=tuple(HyperArc(*row) for row in arcs))
 
 
 def _virtual(node_ids: Iterable[int], arc_ids: Iterable[int], failure: int,
-             root: int) -> tuple[int, tuple[HyperArc, HyperArc]]:
-    """The virtual node's id, one above every node id, and its two arcs,
-    numbered on from the arc ids: one from the failure node, one from the root."""
+             root: int) -> tuple[int, tuple[tuple, tuple]]:
+    """The virtual node's id, one above every node id, and the rows of its
+    two arcs, numbered on from the arc ids: one from the failure node, one
+    from the root."""
     virtual_id = max(node_ids, default=-1) + 1
     arc_id = max(arc_ids, default=-1) + 1
-    return virtual_id, (HyperArc(arc_id, virtual_id, (failure,), Fraction(0)),
-                        HyperArc(arc_id + 1, virtual_id, (root,), Fraction(0)))
+    return virtual_id, ((arc_id, virtual_id, (failure,), Fraction(0), ()),
+                        (arc_id + 1, virtual_id, (root,), Fraction(0), ()))
 
 
 _DOT_SHAPE = {
@@ -572,33 +593,32 @@ def to_dot(template: GraphTemplate, title: str = "andor",
     """Deterministic DOT rendering of a template, the leaves in `true_leaves`
     filled; `virtual` adds the virtual node of `augment`. Hyper-arcs render
     through point junctions."""
-    nodes = list(template.nodes)
-    arcs = list(template.arcs)
+    nodes, arcs = template.rows()
     if virtual:
-        virtual_id, virtual_arcs = _virtual((n.id for n in nodes), (a.id for a in arcs),
+        virtual_id, virtual_arcs = _virtual((row[0] for row in nodes), (row[0] for row in arcs),
                                             template.failure, template.root)
-        nodes.append(NodeDecl(virtual_id, NodeKind.VIRTUAL, "virtual"))
+        nodes += ((virtual_id, NodeKind.VIRTUAL, "virtual"),)
         arcs += virtual_arcs
 
     lines = [f'digraph "{_dot_escape(title)}" {{', "  rankdir=BT;",
              '  node [fontname="Helvetica"];']
-    for node in sorted(nodes, key=attrgetter("id")):
-        attrs = [f'label="{_dot_escape(node.label)}"', f"shape={_DOT_SHAPE[node.kind]}"]
-        if node.kind is NodeKind.LEAF and node.id in true_leaves:
+    for nid, kind, label in nodes:
+        attrs = [f'label="{_dot_escape(label)}"', f"shape={_DOT_SHAPE[kind]}"]
+        if kind is NodeKind.LEAF and nid in true_leaves:
             attrs.append('style=filled fillcolor="#c8e6c9"')
-        if node.kind is NodeKind.FAILURE:
+        if kind is NodeKind.FAILURE:
             attrs.append('style=filled fillcolor="#ffcdd2"')
-        if node.kind is NodeKind.VIRTUAL:
+        if kind is NodeKind.VIRTUAL:
             attrs.append("style=dashed")
-        lines.append(f'  n{node.id} [{" ".join(attrs)}];')
-    for arc in sorted(arcs, key=attrgetter("parent", "id")):
-        junction = f"h{arc.id}"
-        label_bits = [f"w={arc.weight}"]
-        if arc.actions:
-            label_bits.append(",".join(arc.actions))
+        lines.append(f'  n{nid} [{" ".join(attrs)}];')
+    for aid, parent, children, weight, actions in sorted(arcs, key=itemgetter(1, 0)):
+        junction = f"h{aid}"
+        label_bits = [f"w={weight}"]
+        if actions:
+            label_bits.append(",".join(actions))
         lines.append(f'  {junction} [shape=point label="" width=0.06];')
-        lines.append(f'  {junction} -> n{arc.parent} [label="{_dot_escape(" ".join(label_bits))}"];')
-        for child in arc.children:
+        lines.append(f'  {junction} -> n{parent} [label="{_dot_escape(" ".join(label_bits))}"];')
+        for child in children:
             lines.append(f"  n{child} -> {junction} [arrowhead=none];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -47,18 +47,20 @@ ignored, and an uppercase word alone on a line opens a section:
     end
 
 A graph (GRAPH, or one stage of STAGES) is read into columns, not
-objects. Two line shapes are read with one whole-line pattern each,
-without tokens: `node <id> <kind> "<label>"` and `arc <id> parent <id>
-children <id>... weight <w> [actions <name>...]`, with blanks between the
-parts, unsigned ASCII numbers of at most 18 digits, a weight that is an
-integer, a decimal or a fraction with a non-zero denominator, and an
-optional trailing comment. Their fields are appended, as strings, to the
-lists of the section. Every other line, including each one that is wrong,
-goes through the token cursor, which alone makes diagnostics and appends
-the same fields as integers. When the section ends its lists become the
-integer columns of an `andor.GraphTemplate` in a few bulk conversions,
-and the template is validated over those columns; an error about a node
-or an arc is located through the line kept for each declaration.
+objects, through an `andor.GraphBuilder`. Two line shapes are read with
+one whole-line pattern each, without tokens: `node <id> <kind> "<label>"`
+and `arc <id> parent <id> children <id>... weight <w> [actions
+<name>...]`, with blanks between the parts, unsigned ASCII numbers of at
+most 18 digits, a weight that is an integer, a decimal or a fraction with
+a non-zero denominator, and an optional trailing comment. Their fields
+go to the builder as strings. Every other line, including each one that
+is wrong, goes through the token cursor, which alone makes diagnostics
+and gives the builder the same fields as integers. When the section ends
+the builder converts its lists to the integer columns of an
+`andor.GraphTemplate` in a few bulk conversions, and the template is
+validated over those columns; an error about a node or an arc is located
+through the line kept for each declaration. `serialize` writes a graph
+from the template's `rows`.
 
 Parsing fails fast: the first problem raises one diagnostic carrying the
 line and column. `serialize` emits a canonical form (sections in a fixed
@@ -75,7 +77,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .andor import KINDS, GraphError, GraphTemplate, int_column
+from .andor import KINDS, GraphBuilder, GraphError, GraphTemplate, NodeKind
 from .domain import (
     BUILTIN_PREDICATE_DECLS,
     DERIVED_PREDICATES,
@@ -327,30 +329,21 @@ _ARC_LINE = re.compile(
     r'((?:[ \t]+[0-9]{1,18})+)[ \t]+weight[ \t]+([0-9]{1,18})'
     r'(?:/([1-9][0-9]{0,17})|\.([0-9]{1,18}))?'
     r'(?:[ \t]+actions((?:[ \t]+[A-Za-z_][A-Za-z0-9_]*)+))?[ \t]*(?:#.*)?')
-_KIND_CODE = {kind.value: code for code, kind in enumerate(KINDS)}
+_KIND = {kind.value: kind for kind in NodeKind}
+_LEAF_CODE = KINDS.index(NodeKind.LEAF)
 
 
-class _GraphSection:
-    """The fields of the `node` and `arc` lines of GRAPH or of one stage, in
-    declaration order, with the line each came from.
+class _GraphSection(GraphBuilder):
+    """The `node` and `arc` lines of GRAPH or of one stage, built into a
+    template, with the line each declaration came from.
 
     `match` takes a line of a plain shape as strings; `read` takes any
-    line through the cursor, as integers. `template` converts the lists to
-    the template's columns in bulk.
+    line through the cursor, as integers.
     """
 
     def __init__(self):
-        self.node_ids: list = []
-        self.kinds: list[int] = []
-        self.labels: list[str] = []
+        super().__init__()
         self.node_lines: list[int] = []
-        self.arc_ids: list = []
-        self.parents: list = []
-        self.children: list = []
-        self.child_starts = [0]
-        self.nums: list = []
-        self.dens: list = []
-        self.actions: list[tuple[str, ...]] = []
         self.arc_lines: list[int] = []
 
     def match(self, raw: str, line_no: int) -> bool:
@@ -360,14 +353,16 @@ class _GraphSection:
             aid, parent, children, num, den, decimals, actions = match.groups()
             if decimals is not None:
                 num, den = num + decimals, 10 ** len(decimals)
-            self._arc(aid, parent, children.split(), num, den or 1,
-                      tuple(actions.split()) if actions else (), line_no)
+            self.arc(aid, parent, children.split(), num, den or 1,
+                     tuple(actions.split()) if actions else ())
+            self.arc_lines.append(line_no)
             return True
         match = _NODE_LINE.fullmatch(raw)
         if match is None:
             return False
         nid, kind, label = match.groups()
-        self._node(nid, _KIND_CODE[kind], _unescape(label), line_no)
+        self.node(nid, _KIND[kind], _unescape(label))
+        self.node_lines.append(line_no)
         return True
 
     def read(self, cur: _Cursor):
@@ -378,7 +373,8 @@ class _GraphSection:
             kind = cur.word("root", "failure", "leaf", "internal")
             label, _ = cur.string()
             cur.finish()
-            self._node(nid, _KIND_CODE[kind.value], label, cur.line)
+            self.node(nid, _KIND[kind.value], label)
+            self.node_lines.append(cur.line)
             return
         aid, _ = cur.integer()
         cur.word("parent")
@@ -406,34 +402,9 @@ class _GraphSection:
                     break
                 actions.append(cur.word().value)
         cur.finish()
-        self._arc(aid, parent, children, weight.numerator, weight.denominator,
-                  tuple(actions), cur.line)
-
-    def _node(self, nid, kind: int, label: str, line_no: int):
-        self.node_ids.append(nid)
-        self.kinds.append(kind)
-        self.labels.append(label)
-        self.node_lines.append(line_no)
-
-    def _arc(self, aid, parent, children: list, num, den, actions: tuple[str, ...],
-             line_no: int):
-        self.arc_ids.append(aid)
-        self.parents.append(parent)
-        self.children.extend(children)
-        self.child_starts.append(len(self.children))
-        self.nums.append(num)
-        self.dens.append(den)
-        self.actions.append(actions)
-        self.arc_lines.append(line_no)
-
-    def template(self) -> GraphTemplate:
-        num, den = int_column(self.nums), int_column(self.dens)
-        common = np.gcd(num, den)
-        return GraphTemplate(int_column(self.node_ids), np.array(self.kinds, dtype=np.int8),
-                             tuple(self.labels), int_column(self.arc_ids),
-                             int_column(self.parents), np.array(self.child_starts),
-                             int_column(self.children), num // common, den // common,
-                             tuple(self.actions))
+        self.arc(aid, parent, children, weight.numerator, weight.denominator,
+                 tuple(actions))
+        self.arc_lines.append(cur.line)
 
     def line_of(self, template: GraphTemplate, element) -> int | None:
         """The line of the last declaration of a `("node" | "arc", id)`."""
@@ -867,7 +838,7 @@ class _Parser:
         """Leaf labels state declared facts and arcs name declared actions;
         the template is valid, so each id has one declaration line."""
         entities = self.scenario.entity_ids()
-        for i in np.flatnonzero(template.kinds == _KIND_CODE["leaf"]).tolist():
+        for i in np.flatnonzero(template.kinds == _LEAF_CODE).tolist():
             line = section.node_lines[i]
             try:
                 fact = Fact.parse(template.labels[i])
@@ -978,15 +949,13 @@ def _action_lines(action: ActionTemplate) -> list[str]:
 
 
 def _template_lines(template: GraphTemplate, indent: str = "") -> list[str]:
-    out = []
-    for node in sorted(template.nodes, key=lambda n: n.id):
-        out.append(f"{indent}node {node.id} {node.kind.value} {_escape(node.label)}")
-    for arc in sorted(template.arcs, key=lambda a: a.id):
-        line = (f"{indent}arc {arc.id} parent {arc.parent} children "
-                + " ".join(str(c) for c in arc.children)
-                + f" weight {fmt_weight(arc.weight)}")
-        if arc.actions:
-            line += " actions " + " ".join(arc.actions)
+    nodes, arcs = template.rows()
+    out = [f"{indent}node {nid} {kind.value} {_escape(label)}" for nid, kind, label in nodes]
+    for aid, parent, children, weight, actions in arcs:
+        line = (f"{indent}arc {aid} parent {parent} children "
+                + " ".join(map(str, children)) + f" weight {fmt_weight(weight)}")
+        if actions:
+            line += " actions " + " ".join(actions)
         out.append(line)
     return out
 

@@ -132,7 +132,10 @@ def _transit_step(base_id: str, marker_id: str) -> GroundedAction:
 
 
 def ground(world: World, actions: tuple[ActionTemplate, ...]) -> tuple[GroundedAction, ...]:
-    """Assign agents, fold in base travel, rewrite unreachable transfers."""
+    """Assign agents, fold in base travel, rewrite unreachable transfers.
+    An arc without actions has nothing to execute and fails to ground."""
+    if not actions:
+        raise GroundingFailed("no actions to execute")
     steps: list[GroundedAction] = []
     for action in actions:
         if action.motion_class in (MotionClass.SYMBOLIC, MotionClass.WAIT):

@@ -15,7 +15,8 @@ arrays from the columns; it builds no node or arc objects. A compiled
 graph gives each priced arc one place, which pricing, the frontier and
 selection all index. A candidate carries its arc's place and id, read
 from the compiled columns, so the frontier and selection build no arc
-object; only composing a rearrangement template does. A `GraphEntry`
+object, and a rearrangement template is written through an
+`andor.GraphBuilder` from the rows of its stages. A `GraphEntry`
 holds only what differs between instantiations: its leaf truths, read
 from the facts it was instantiated against. An entry never changes; an
 executed step is followed by a new entry, or the run ends. The newest
@@ -40,16 +41,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Collection, Iterable, NamedTuple
 
 import numpy as np
 
 from .andor import (  # noqa: F401 - see the note below
     KINDS,
+    GraphBuilder,
     GraphTemplate,
-    HyperArc,
-    NodeDecl,
     NodeKind,
     augment,
     build_graph,
@@ -81,8 +80,8 @@ class DepthLimitExceeded(NetworkError):
 
 
 class ExpansionCycle(NetworkError):
-    """The main graph was to be instantiated again in a state it was
-    instantiated in before: the run would repeat itself."""
+    """A graph of the same stages was to be instantiated again in a state
+    it was instantiated in before: the run would repeat itself."""
 
 
 class UnknownStage(NetworkError):
@@ -294,7 +293,7 @@ class GraphNetwork:
         self.entries: list[GraphEntry] = []
         self.knowledge: set[Fact] = set()
         self.suppressed: set[tuple[str, tuple[str, ...], str]] = set()
-        self._main_states: set[tuple] = set()
+        self._states: set[tuple] = set()
         self._main: CompiledGraph | None = None
         # (entry, costs, arc totals) of the entry last searched.
         self._pricing: tuple[GraphEntry, np.ndarray, np.ndarray] | None = None
@@ -380,23 +379,35 @@ class GraphNetwork:
         """Append the next graph; how it is built depends on the reason.
 
         Stage completion and an exhausted frontier re-instantiate the main
-        template against the current facts, in the world `world_sig`. The
-        run's future from there depends only on that world (its signature
-        hashes the facts and the geometry), the suppressions and the
-        knowledge, so a re-instantiation in a state of those three seen
-        before is a loop and raises `ExpansionCycle`. A geometric dead end
-        composes the relocation stages of the reported obstructors into
-        one graph and records what obstructs what as network knowledge.
+        template against the current facts, in the world `world_sig`. A
+        geometric dead end records what obstructs what as network
+        knowledge and composes the relocation stages of the reported
+        obstructors into one graph. The run's future from a new graph
+        depends only on its stages (none for the main graph), the world
+        (its signature hashes the facts and the geometry), the
+        suppressions and the knowledge, so an expansion to a state of
+        those four seen before is a loop and raises `ExpansionCycle`,
+        before either graph is built.
         """
         if len(self.entries) >= self.depth_cap:
             raise DepthLimitExceeded(len(self.entries), self.depth_cap)
+        stages = []
         if reason is ExpandReason.MOTION_FAILURE:
-            return self._expand_rearrangement(facts, obstructor_ids)
-        state = (world_sig, frozenset(self.suppressed), frozenset(self.knowledge))
-        if state in self._main_states:
-            raise ExpansionCycle("main graph instantiated twice with the same world, "
-                                 "suppressions and knowledge")
-        self._main_states.add(state)
+            stages = self.relocation_stages(obstructor_ids)
+            if not stages:
+                raise UnknownStage(
+                    "no relocation stage for any of: " + ", ".join(obstructor_ids))
+            for oid, _ in stages:
+                self.knowledge.add(Fact(OBSTRUCTION_PREDICATE, (oid,)))
+        state = (tuple(oid for oid, _ in stages), world_sig, frozenset(self.suppressed),
+                 frozenset(self.knowledge))
+        if state in self._states:
+            raise ExpansionCycle("graph of the same stages instantiated twice with the "
+                                 "same world, suppressions and knowledge")
+        self._states.add(state)
+        if stages:
+            compiled = CompiledGraph(compose_rearrangement(stages))
+            return self._instantiate(compiled, "rearrangement", facts)
         return self._instantiate_main(facts)
 
     def relocation_stages(self, obstructor_ids: Iterable[str]
@@ -405,17 +416,6 @@ class GraphNetwork:
         in the given order."""
         return [(oid, stage) for oid in obstructor_ids
                 if (stage := self.stage_templates.get(f"clear_{oid}")) is not None]
-
-    def _expand_rearrangement(self, facts: frozenset[Fact],
-                              obstructor_ids: tuple[str, ...]) -> GraphEntry:
-        stages = self.relocation_stages(obstructor_ids)
-        if not stages:
-            raise UnknownStage(
-                "no relocation stage for any of: " + ", ".join(obstructor_ids))
-        for oid, _ in stages:
-            self.knowledge.add(Fact(OBSTRUCTION_PREDICATE, (oid,)))
-        compiled = CompiledGraph(compose_rearrangement(stages))
-        return self._instantiate(compiled, "rearrangement", facts)
 
 
 def compose_rearrangement(stages: list[tuple[str, GraphTemplate]]) -> GraphTemplate:
@@ -427,33 +427,28 @@ def compose_rearrangement(stages: list[tuple[str, GraphTemplate]]) -> GraphTempl
     at once, mirroring that feasibility returns only when every reported
     obstruction is gone.
     """
-    nodes = [NodeDecl(1, NodeKind.ROOT, "obstructions cleared"),
-             NodeDecl(2, NodeKind.FAILURE, "rearrangement impossible")]
-    arcs: list[HyperArc] = []
+    graph = GraphBuilder()
+    graph.node(1, NodeKind.ROOT, "obstructions cleared")
+    graph.node(2, NodeKind.FAILURE, "rearrangement impossible")
     ids = itertools.count(3)
     arc_ids = itertools.count(2)
     stage_roots = []
     for oid, template in stages:
         root, failure = template.root, template.failure
-        remap: dict[int, int] = {}
-        for decl in sorted(template.nodes, key=lambda d: d.id):
-            if decl.id == failure:
-                remap[decl.id] = 2
-                continue
-            new_id = next(ids)
-            remap[decl.id] = new_id
-            kind = NodeKind.INTERNAL if decl.id == root else decl.kind
-            nodes.append(NodeDecl(new_id, kind, decl.label))
+        nodes, arcs = template.rows()
+        remap = {failure: 2}
+        for nid, kind, label in nodes:
+            if nid != failure:
+                remap[nid] = next(ids)
+                graph.node(remap[nid], NodeKind.INTERNAL if nid == root else kind, label)
         knowledge_leaf = next(ids)
-        nodes.append(NodeDecl(knowledge_leaf, NodeKind.LEAF,
-                              Fact(OBSTRUCTION_PREDICATE, (oid,)).text()))
-        for arc in sorted(template.arcs, key=lambda a: a.id):
-            children = tuple(remap[c] for c in arc.children)
-            if arc.parent == root:
-                children = children + (knowledge_leaf,)
-            arcs.append(HyperArc(next(arc_ids), remap[arc.parent], children,
-                                 arc.weight, arc.actions))
+        graph.node(knowledge_leaf, NodeKind.LEAF, Fact(OBSTRUCTION_PREDICATE, (oid,)).text())
+        for _, parent, children, weight, actions in arcs:
+            children = [remap[c] for c in children]
+            if parent == root:
+                children.append(knowledge_leaf)
+            graph.arc(next(arc_ids), remap[parent], children, weight.numerator,
+                      weight.denominator, actions)
         stage_roots.append(remap[root])
-    arcs.insert(0, HyperArc(1, 1, tuple(stage_roots), Fraction(0)))
-    return GraphTemplate.of(nodes, arcs)
-
+    graph.arc(1, 1, stage_roots, 0)
+    return graph.template()

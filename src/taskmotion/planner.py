@@ -1,16 +1,18 @@
 """Top-level run loop tying graphs, grounding, and geometry together.
 
 One loop iteration: check the goal, pick a candidate from the newest
-graph, ground it, dispatch it. Success re-instantiates the main graph,
-whose true leaves are the new state's facts, unless the goal is already
-reached. A geometric failure whose obstructors have relocation stages
-grows a rearrangement graph instead; anything else suppresses the
-candidate for the world before and after the dispatch and tries the next
-one; an exhausted frontier re-instantiates the main graph too. Each
-re-instantiation happens once per state (the world signature, the
-suppressions and the knowledge); a repeat would loop, so the run ends
-unsolvable. The network depth cap, at least 1, turns runaway growth into
-a reported depth-limit result.
+graph, ground it, dispatch it. A candidate whose arc has no actions
+fails grounding and is suppressed like any other that cannot be
+grounded. Success re-instantiates the main graph, whose true leaves are
+the new state's facts, unless the goal is already reached. A geometric
+failure whose obstructors have relocation stages grows a rearrangement
+graph instead; anything else suppresses the candidate for the world
+before and after the dispatch and tries the next one; an exhausted
+frontier re-instantiates the main graph too. A graph of the same stages
+is instantiated once per state (the world signature, the suppressions
+and the knowledge); a repeat would loop, so the run ends unsolvable. The
+network depth cap, at least 1, turns runaway growth into a reported
+depth-limit result.
 
 Only a dispatch changes the world, so the loop takes one snapshot per
 world state: one at the start and one after each dispatch. Goal checks,

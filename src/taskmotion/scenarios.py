@@ -24,9 +24,8 @@ to its exact original spot is part of the goal.
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 
-from .andor import GraphTemplate, HyperArc, NodeDecl, NodeKind
+from .andor import GraphBuilder, GraphTemplate, NodeKind
 from .domain import ActionTemplate, Condition, Fact, MotionClass, PredicateDecl
 from .dsl import AgentDecl, ObjDecl, Scenario
 from .world import DEFAULT_SNAP, Marker
@@ -169,34 +168,32 @@ def _hanoi_graph(n: int, slots: tuple[str, ...], pairs: frozenset,
     leaf_labels = sorted(
         {_position_fact(disk, slot).text() for disk in disks for slot in slots}
         | {fact.text() for fact in goal_chain})
-    nodes = [NodeDecl(1, NodeKind.ROOT, "all disks stacked on the goal peg"),
-             NodeDecl(2, NodeKind.FAILURE, "no move helps")]
+    graph = GraphBuilder()
+    graph.node(1, NodeKind.ROOT, "all disks stacked on the goal peg")
+    graph.node(2, NodeKind.FAILURE, "no move helps")
     leaf_id = {}
     next_id = 3
     for label in leaf_labels:
         leaf_id[label] = next_id
-        nodes.append(NodeDecl(next_id, NodeKind.LEAF, label))
+        graph.node(next_id, NodeKind.LEAF, label)
         next_id += 1
 
-    arcs = [HyperArc(1, 1, tuple(sorted(leaf_id[f.text()] for f in goal_chain)),
-                     Fraction(0))]
+    graph.arc(1, 1, sorted(leaf_id[f.text()] for f in goal_chain), 0)
     arc_id = 2
     for state in sorted(dist):
-        state_leaves = tuple(sorted(
-            leaf_id[_position_fact(disks[i], slots[state[i]]).text()]
-            for i in range(n)))
+        state_leaves = sorted(leaf_id[_position_fact(disks[i], slots[state[i]]).text()]
+                              for i in range(n))
         for disk, target in sorted(_legal_moves(state, slots, pairs)):
             nxt = state[:disk] + (target,) + state[disk + 1:]
             action = f"move_{disks[disk]}_{slots[state[disk]]}_{slots[target]}"
-            nodes.append(NodeDecl(next_id, NodeKind.INTERNAL,
-                                  f"state {','.join(map(str, state))} "
-                                  f"then {action}"))
-            arcs.append(HyperArc(arc_id, next_id, state_leaves, Fraction(1), (action,)))
+            graph.node(next_id, NodeKind.INTERNAL,
+                       f"state {','.join(map(str, state))} then {action}")
+            graph.arc(arc_id, next_id, state_leaves, 1, 1, (action,))
             arc_id += 1
-            arcs.append(HyperArc(arc_id, 1, (next_id,), Fraction(dist[nxt])))
+            graph.arc(arc_id, 1, (next_id,), dist[nxt])
             arc_id += 1
             next_id += 1
-    return GraphTemplate.of(nodes, arcs)
+    return graph.template()
 
 
 # --------------------------------------------------------------- habitat
@@ -358,31 +355,32 @@ def _habitat_graph(scn: Scenario, main_order: list[str]) -> GraphTemplate:
         for condition in scn.actions[name].preconditions:
             if not condition.negated:
                 leaf_labels.add(condition.fact.text())
-    nodes = [NodeDecl(1, NodeKind.ROOT, "laboratory routine finished"),
-             NodeDecl(2, NodeKind.FAILURE, "routine stuck")]
+    graph = GraphBuilder()
+    graph.node(1, NodeKind.ROOT, "laboratory routine finished")
+    graph.node(2, NodeKind.FAILURE, "routine stuck")
     leaf_id = {}
     next_id = 3
     for label in sorted(leaf_labels):
         leaf_id[label] = next_id
-        nodes.append(NodeDecl(next_id, NodeKind.LEAF, label))
+        graph.node(next_id, NodeKind.LEAF, label)
         next_id += 1
-    arcs = [HyperArc(1, 1, tuple(sorted(leaf_id[f.text()] for f in scn.goal)),
-                     Fraction(0))]
+    graph.arc(1, 1, sorted(leaf_id[f.text()] for f in scn.goal), 0)
     arc_id = 2
     for name in main_order:
         action = scn.actions[name]
-        children = tuple(sorted({leaf_id[c.fact.text()]
-                                 for c in action.preconditions if not c.negated}))
-        nodes.append(NodeDecl(next_id, NodeKind.INTERNAL, f"{name} done"))
-        arcs.append(HyperArc(arc_id, next_id, children, Fraction(1), (name,)))
+        children = sorted({leaf_id[c.fact.text()]
+                           for c in action.preconditions if not c.negated})
+        graph.node(next_id, NodeKind.INTERNAL, f"{name} done")
+        graph.arc(arc_id, next_id, children, 1, 1, (name,))
         next_id += 1
         arc_id += 1
-    return GraphTemplate.of(nodes, arcs)
+    return graph.template()
 
 
 def _clear_stage(i: int) -> GraphTemplate:
-    nodes = (NodeDecl(1, NodeKind.ROOT, f"tray {i} mouth free"),
-             NodeDecl(2, NodeKind.FAILURE, "cannot move the container"),
-             NodeDecl(3, NodeKind.LEAF, f"at pink_{i} mouth_{i}"))
-    arcs = (HyperArc(1, 1, (3,), Fraction(1), (f"relocate_pink_{i}",)),)
-    return GraphTemplate.of(nodes, arcs)
+    graph = GraphBuilder()
+    graph.node(1, NodeKind.ROOT, f"tray {i} mouth free")
+    graph.node(2, NodeKind.FAILURE, "cannot move the container")
+    graph.node(3, NodeKind.LEAF, f"at pink_{i} mouth_{i}")
+    graph.arc(1, 1, (3,), 1, 1, (f"relocate_pink_{i}",))
+    return graph.template()

@@ -1,19 +1,30 @@
-"""The object validator that `andor` once ran, kept as the reference for
-the column pass of `GraphTemplate.checked`.
+"""The object forms of a template that `andor` once kept, as the tests'
+vocabulary and as references for the column code.
 
-It reads a template's `NodeDecl`s and `HyperArc`s one at a time into
-Python dicts and runs Kahn's algorithm node by node.
+A template is declared here as `NodeDecl`s and `HyperArc`s: `template_of`
+writes them through `andor.GraphBuilder`, and `nodes_of`, `arcs_of` and
+`arc_of` read them back from the columns in declaration order. Three
+references follow: the object validator, which reads the declarations
+one at a time into Python dicts and runs Kahn's algorithm node by node,
+for the column pass of `GraphTemplate.checked`; and the serialized lines
+and the DOT text that `dsl` and `andor` once rendered from the objects,
+for the renderings from `GraphTemplate.rows`.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from dataclasses import dataclass
+from fractions import Fraction
+from operator import attrgetter
+from typing import Collection, Iterable, Mapping
 
 from taskmotion.andor import (
+    KINDS,
     AndOrGraph,
     CycleDetected,
     DanglingReference,
     DuplicateNodeId,
+    GraphBuilder,
     GraphTemplate,
     HyperArc,
     InvalidArc,
@@ -22,7 +33,105 @@ from taskmotion.andor import (
     Node,
     NodeKind,
     UnreachableRoot,
+    _dot_escape,
+    _DOT_SHAPE,
 )
+from taskmotion.dsl import _escape, fmt_weight
+
+
+@dataclass(frozen=True)
+class NodeDecl:
+    id: int
+    kind: NodeKind
+    label: str
+
+
+def template_of(nodes: Iterable[NodeDecl], arcs: Iterable[HyperArc]) -> GraphTemplate:
+    """The template that declares `nodes` and `arcs` in this order."""
+    graph = GraphBuilder()
+    for decl in nodes:
+        graph.node(decl.id, decl.kind, decl.label)
+    for arc in arcs:
+        graph.arc(arc.id, arc.parent, arc.children, arc.weight.numerator,
+                  arc.weight.denominator, arc.actions)
+    return graph.template()
+
+
+def nodes_of(template: GraphTemplate) -> tuple[NodeDecl, ...]:
+    """The node declarations of a template, in declaration order."""
+    return tuple(map(NodeDecl, template.ids.tolist(),
+                     map(KINDS.__getitem__, template.kinds.tolist()), template.labels))
+
+
+def arc_of(template: GraphTemplate, j: int) -> HyperArc:
+    """The arc declared `j`-th."""
+    start, stop = template.child_starts[j], template.child_starts[j + 1]
+    return HyperArc(int(template.arc_ids[j]), int(template.parents[j]),
+                    tuple(template.children[start:stop].tolist()),
+                    Fraction(int(template.weight_num[j]), int(template.weight_den[j])),
+                    template.actions[j])
+
+
+def arcs_of(template: GraphTemplate) -> tuple[HyperArc, ...]:
+    """The arc declarations of a template, in declaration order."""
+    return tuple(arc_of(template, j) for j in range(len(template.arc_ids)))
+
+
+def by_id(template: GraphTemplate) -> tuple[tuple[NodeDecl, ...], tuple[HyperArc, ...]]:
+    """The declarations sorted by id, a repeated id in declaration order."""
+    return (tuple(sorted(nodes_of(template), key=attrgetter("id"))),
+            tuple(sorted(arcs_of(template), key=attrgetter("id"))))
+
+
+def oracle_template_lines(template: GraphTemplate, indent: str = "") -> list[str]:
+    """The GRAPH lines of a template, rendered from its declaration objects."""
+    out = []
+    for node in sorted(nodes_of(template), key=lambda n: n.id):
+        out.append(f"{indent}node {node.id} {node.kind.value} {_escape(node.label)}")
+    for arc in sorted(arcs_of(template), key=lambda a: a.id):
+        line = (f"{indent}arc {arc.id} parent {arc.parent} children "
+                + " ".join(str(c) for c in arc.children)
+                + f" weight {fmt_weight(arc.weight)}")
+        if arc.actions:
+            line += " actions " + " ".join(arc.actions)
+        out.append(line)
+    return out
+
+
+def oracle_to_dot(template: GraphTemplate, title: str = "andor",
+                  true_leaves: Collection[int] = frozenset(), virtual: bool = False) -> str:
+    """The DOT text of a template, rendered from its declaration objects."""
+    nodes = list(nodes_of(template))
+    arcs = list(arcs_of(template))
+    if virtual:
+        virtual_id = max((n.id for n in nodes), default=-1) + 1
+        arc_id = max((a.id for a in arcs), default=-1) + 1
+        nodes.append(NodeDecl(virtual_id, NodeKind.VIRTUAL, "virtual"))
+        arcs += [HyperArc(arc_id, virtual_id, (template.failure,), Fraction(0)),
+                 HyperArc(arc_id + 1, virtual_id, (template.root,), Fraction(0))]
+
+    lines = [f'digraph "{_dot_escape(title)}" {{', "  rankdir=BT;",
+             '  node [fontname="Helvetica"];']
+    for node in sorted(nodes, key=attrgetter("id")):
+        attrs = [f'label="{_dot_escape(node.label)}"', f"shape={_DOT_SHAPE[node.kind]}"]
+        if node.kind is NodeKind.LEAF and node.id in true_leaves:
+            attrs.append('style=filled fillcolor="#c8e6c9"')
+        if node.kind is NodeKind.FAILURE:
+            attrs.append('style=filled fillcolor="#ffcdd2"')
+        if node.kind is NodeKind.VIRTUAL:
+            attrs.append("style=dashed")
+        lines.append(f'  n{node.id} [{" ".join(attrs)}];')
+    for arc in sorted(arcs, key=attrgetter("parent", "id")):
+        junction = f"h{arc.id}"
+        label_bits = [f"w={arc.weight}"]
+        if arc.actions:
+            label_bits.append(",".join(arc.actions))
+        lines.append(f'  {junction} [shape=point label="" width=0.06];')
+        lines.append(f'  {junction} -> n{arc.parent} [label="{_dot_escape(" ".join(label_bits))}"];')
+        for child in arc.children:
+            lines.append(f"  n{child} -> {junction} [arrowhead=none];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def oracle_build_graph(template: GraphTemplate) -> AndOrGraph:
@@ -34,7 +143,7 @@ def oracle_build_graph(template: GraphTemplate) -> AndOrGraph:
     `("node" | "arc", id)` it is about, or None.
     """
     nodes: dict[int, Node] = {}
-    for decl in template.nodes:
+    for decl in nodes_of(template):
         if decl.id in nodes:
             raise DuplicateNodeId(f"node id {decl.id} declared twice", ("node", decl.id))
         if decl.kind is NodeKind.VIRTUAL:
@@ -50,7 +159,7 @@ def oracle_build_graph(template: GraphTemplate) -> AndOrGraph:
 
     by_parent: dict[int, list[HyperArc]] = {}
     seen_arc_ids: set[int] = set()
-    for arc in template.arcs:
+    for arc in arcs_of(template):
         element = ("arc", arc.id)
         if arc.id in seen_arc_ids:
             raise DuplicateNodeId(f"arc id {arc.id} declared twice", element)
@@ -70,7 +179,7 @@ def oracle_build_graph(template: GraphTemplate) -> AndOrGraph:
     for lst in by_parent.values():
         lst.sort(key=lambda a: a.id)
 
-    return AndOrGraph(nodes, template.arcs, roots[0], failures[0], by_parent,
+    return AndOrGraph(nodes, arcs_of(template), roots[0], failures[0], by_parent,
                       _topological_height(nodes, by_parent, roots[0]))
 
 

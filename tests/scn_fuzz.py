@@ -3,10 +3,11 @@
 import random
 from fractions import Fraction
 
-from taskmotion.andor import GraphTemplate, HyperArc, NodeDecl, NodeKind
+from taskmotion.andor import GraphTemplate, HyperArc, NodeKind
 from taskmotion.domain import ActionTemplate, Condition, Fact, MotionClass, PredicateDecl
 from taskmotion.dsl import AgentDecl, ObjDecl, Scenario
 from taskmotion.world import Marker
+from graph_oracle import NodeDecl, template_of
 
 
 def _coord(rng: random.Random) -> float:
@@ -70,7 +71,7 @@ def _random_template(rng: random.Random, pool: list[Fact],
     if internal_ids and rng.random() < 0.7:
         child = rng.choice(internal_ids)
         arcs.append(HyperArc(next_arc, 1, (child,), weight(), tags()))
-    return GraphTemplate.of(nodes, arcs)
+    return template_of(nodes, arcs)
 
 
 def fuzz_scenario(seed: int) -> Scenario:
@@ -183,7 +184,7 @@ def _leaf_and_arcs(scn: Scenario, arcs_of: list[tuple[str, tuple[str, ...], Frac
         nid = len(nodes) + 1
         nodes.append(NodeDecl(nid, NodeKind.INTERNAL, label))
         arcs.append(HyperArc(i + 2, nid, tuple(sorted(leaf[t] for t in need)), weight, actions))
-    return GraphTemplate.of(nodes, arcs)
+    return template_of(nodes, arcs)
 
 
 def blocked_scenario(seed: int) -> Scenario:

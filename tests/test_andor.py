@@ -1,5 +1,6 @@
 """AND/OR graph core: validation, truth, costs, augmentation, DOT."""
 
+import functools
 import math
 import random
 from dataclasses import replace
@@ -21,7 +22,6 @@ from taskmotion.andor import (
     MissingFailure,
     MissingRoot,
     Node,
-    NodeDecl,
     NodeKind,
     NotALeaf,
     UnknownNode,
@@ -35,8 +35,19 @@ from taskmotion.andor import (
     solved,
     to_dot,
 )
+from taskmotion.dsl import _template_lines
+from taskmotion.network import compose_rearrangement
 from taskmotion.scenarios import gen_habitat, gen_hanoi
-from graph_oracle import oracle_build_graph
+from graph_oracle import (
+    NodeDecl,
+    arcs_of,
+    by_id,
+    nodes_of,
+    oracle_build_graph,
+    oracle_template_lines,
+    oracle_to_dot,
+    template_of,
+)
 from scn_fuzz import fuzz_scenario
 
 INF = math.inf
@@ -44,7 +55,7 @@ INF = math.inf
 
 def minimal_template(weight=Fraction(1)):
     """Root fed by two leaves through one arc, plus the failure node."""
-    return GraphTemplate.of(
+    return template_of(
         nodes=(
             NodeDecl(0, NodeKind.ROOT, "goal"),
             NodeDecl(1, NodeKind.LEAF, "left fact"),
@@ -65,11 +76,11 @@ def test_template_graph_is_validated_once_and_replace_validates_afresh(monkeypat
     graph = build_graph(template)
     assert build_graph(template) == graph and checked == [template]
     assert template == minimal_template() and hash(template) == hash(minimal_template())
-    heavier = GraphTemplate.of(template.nodes, (HyperArc(0, 0, (1, 2), Fraction(7)),))
+    heavier = template_of(nodes_of(template), (HyperArc(0, 0, (1, 2), Fraction(7)),))
     assert build_graph(heavier).arcs[0].weight == 7 and graph.arcs[0].weight == 1
     assert checked == [template, heavier]
     with pytest.raises(CycleDetected):
-        GraphTemplate.of(template.nodes, template.arcs + (HyperArc(1, 0, (0,)),)).checked
+        template_of(nodes_of(template), arcs_of(template) + (HyperArc(1, 0, (0,)),)).checked
     with pytest.raises(ValueError):
         template.ids[0] = 5  # the columns are read-only
 
@@ -135,7 +146,7 @@ def random_template(rng, max_nodes=12, max_arcs=8):
         children = tuple(rng.sample(options, rng.randint(1, min(3, len(options)))))
         arcs.append(HyperArc(arc_id, parent, children, Fraction(rng.randint(0, 100), 10)))
         arc_id += 1
-    return GraphTemplate.of(decls, arcs)
+    return template_of(decls, arcs)
 
 
 def test_minimal_graph_builds_and_solves():
@@ -155,7 +166,7 @@ def test_and_semantics_one_false_leaf_blocks_root():
 
 
 def test_or_choice_takes_cheaper_arc():
-    template = GraphTemplate.of(
+    template = template_of(
         nodes=(
             NodeDecl(0, NodeKind.ROOT, "goal"),
             NodeDecl(1, NodeKind.LEAF, "a"),
@@ -177,7 +188,7 @@ def test_or_choice_takes_cheaper_arc():
 
 
 def test_cost_tie_breaks_to_lowest_arc_id():
-    template = GraphTemplate.of(
+    template = template_of(
         nodes=(
             NodeDecl(0, NodeKind.ROOT, "goal"),
             NodeDecl(1, NodeKind.LEAF, "a"),
@@ -203,8 +214,8 @@ def test_failure_node_never_solved_and_infinite():
 
 def test_duplicate_node_id_rejected():
     template = minimal_template()
-    bad = GraphTemplate.of(template.nodes + (NodeDecl(1, NodeKind.LEAF, "dup"),),
-                        template.arcs)
+    bad = template_of(nodes_of(template) + (NodeDecl(1, NodeKind.LEAF, "dup"),),
+                      arcs_of(template))
     with pytest.raises(DuplicateNodeId) as err:
         build_graph(bad)
     assert err.value.element == ("node", 1)
@@ -212,13 +223,13 @@ def test_duplicate_node_id_rejected():
 
 def test_dangling_child_reference_rejected():
     template = minimal_template()
-    bad = GraphTemplate.of(template.nodes, template.arcs + (HyperArc(1, 0, (99,)),))
+    bad = template_of(nodes_of(template), arcs_of(template) + (HyperArc(1, 0, (99,)),))
     with pytest.raises(DanglingReference):
         build_graph(bad)
 
 
 def test_cycle_detected():
-    template = GraphTemplate.of(
+    template = template_of(
         nodes=(
             NodeDecl(0, NodeKind.ROOT, "goal"),
             NodeDecl(1, NodeKind.INTERNAL, "x"),
@@ -260,18 +271,18 @@ def test_cycle_error_names_a_node_on_the_cycle():
     rng = random.Random(20261018)
     for _ in range(300):
         template = random_template(rng)
-        succ = successors(template.arcs)
-        priced = [d.id for d in template.nodes
+        succ = successors(arcs_of(template))
+        priced = [d.id for d in nodes_of(template)
                   if d.kind in (NodeKind.ROOT, NodeKind.INTERNAL)]
         top = rng.choice(priced)
         # A back arc from a priced node at or under `top` up to `top`.
         bottom = rng.choice(sorted({top} | (below(succ, top) & set(priced))))
-        back = HyperArc(len(template.arcs), bottom, (top,))
-        cyclic = GraphTemplate.of(template.nodes, template.arcs + (back,))
+        back = HyperArc(len(arcs_of(template)), bottom, (top,))
+        cyclic = template_of(nodes_of(template), arcs_of(template) + (back,))
         with pytest.raises(CycleDetected) as err:
             cyclic.checked
         kind, nid = err.value.element
-        assert kind == "node" and nid in below(successors(cyclic.arcs), nid)
+        assert kind == "node" and nid in below(successors(arcs_of(cyclic)), nid)
         assert str(err.value) == f"cycle through node {nid}"
 
 
@@ -281,8 +292,8 @@ def test_height_is_one_above_the_highest_child_of_a_priced_node():
     templates += [gen_hanoi(n, omnipotent=solo).graph for n in (3, 4) for solo in (True, False)]
     templates += [gen_habitat().graph, *gen_habitat().stages.values()]
     # The failure node may have arcs, but it is not priced.
-    templates.append(GraphTemplate.of(minimal_template().nodes,
-                                      minimal_template().arcs + (HyperArc(1, 3, (1,)),)))
+    templates.append(template_of(nodes_of(minimal_template()),
+                                 arcs_of(minimal_template()) + (HyperArc(1, 3, (1,)),)))
     for seed in range(100):
         scn = fuzz_scenario(seed)
         templates += [scn.graph, *scn.stages.values()]
@@ -307,24 +318,24 @@ def test_missing_root_and_failure_rejected():
         NodeDecl(2, NodeKind.FAILURE, "failure"),
     )
     with pytest.raises(MissingRoot):
-        build_graph(GraphTemplate.of(nodes, (HyperArc(0, 0, (1,)),)))
+        build_graph(template_of(nodes, (HyperArc(0, 0, (1,)),)))
     nodes2 = (
         NodeDecl(0, NodeKind.ROOT, "root"),
         NodeDecl(1, NodeKind.LEAF, "leaf"),
     )
     with pytest.raises(MissingFailure):
-        build_graph(GraphTemplate.of(nodes2, (HyperArc(0, 0, (1,)),)))
+        build_graph(template_of(nodes2, (HyperArc(0, 0, (1,)),)))
 
 
 def test_arc_into_leaf_rejected():
     template = minimal_template()
-    bad = GraphTemplate.of(template.nodes, template.arcs + (HyperArc(1, 1, (2,)),))
+    bad = template_of(nodes_of(template), arcs_of(template) + (HyperArc(1, 1, (2,)),))
     with pytest.raises(InvalidArc):
         build_graph(bad)
 
 
 def test_root_unreachable_from_leaves_rejected():
-    template = GraphTemplate.of(
+    template = template_of(
         nodes=(
             NodeDecl(0, NodeKind.ROOT, "goal"),
             NodeDecl(1, NodeKind.INTERNAL, "island"),
@@ -343,8 +354,8 @@ def test_root_unreachable_from_leaves_rejected():
 def walk_finds_a_leaf(template) -> bool:
     """The oracle: the depth-first walk that validation once made after
     its cycle check, from the root along the children of every arc."""
-    kinds = {decl.id: decl.kind for decl in template.nodes}
-    succ = successors(template.arcs)
+    kinds = {decl.id: decl.kind for decl in nodes_of(template)}
+    succ = successors(arcs_of(template))
     root = next(nid for nid, kind in kinds.items() if kind is NodeKind.ROOT)
     seen, frontier = {root}, [root]
     while frontier:
@@ -362,14 +373,14 @@ def detached(template, rng):
     """A `random_template` whose root arcs reach only the failure node, a
     new internal node without arcs, or internal nodes, which may reach a
     leaf or not; in half of them the failure node has an arc to a leaf."""
-    island = max(decl.id for decl in template.nodes) + 1
-    pool = [1, island] + [d.id for d in template.nodes if d.kind is NodeKind.INTERNAL]
+    island = max(decl.id for decl in nodes_of(template)) + 1
+    pool = [1, island] + [d.id for d in nodes_of(template) if d.kind is NodeKind.INTERNAL]
     arcs = tuple(replace(arc, children=tuple(rng.sample(pool, rng.randint(1, 2))))
-                 if arc.parent == 0 else arc for arc in template.arcs)
+                 if arc.parent == 0 else arc for arc in arcs_of(template))
     if rng.random() < 0.5:
         arcs += (HyperArc(len(arcs), 1, (2,)),)  # 2 is always a leaf
-    return GraphTemplate.of(template.nodes + (NodeDecl(island, NodeKind.INTERNAL, "island"),),
-                         arcs)
+    return template_of(nodes_of(template) + (NodeDecl(island, NodeKind.INTERNAL, "island"),),
+                       arcs)
 
 
 def test_unreachable_root_is_raised_exactly_when_no_leaf_reaches_the_root():
@@ -393,10 +404,10 @@ def test_unreachable_root_is_raised_exactly_when_no_leaf_reaches_the_root():
     # A cycle is reported before an unreachable root, here one under the root.
     for template in unreachable:
         a, b = 1000, 1001
-        cyclic = GraphTemplate.of(
-            template.nodes + (NodeDecl(a, NodeKind.INTERNAL, "a"),
+        cyclic = template_of(
+            nodes_of(template) + (NodeDecl(a, NodeKind.INTERNAL, "a"),
                               NodeDecl(b, NodeKind.INTERNAL, "b")),
-            template.arcs + (HyperArc(1000, a, (b,)), HyperArc(1001, b, (a,)),
+            arcs_of(template) + (HyperArc(1000, a, (b,)), HyperArc(1001, b, (a,)),
                              HyperArc(1002, 0, (a,))))
         with pytest.raises(CycleDetected) as err:
             build_graph(cyclic)
@@ -415,7 +426,7 @@ def validation_outcome(build, template):
 
 def mutated(template, rng, kind):
     """The template with one fault of `kind` declared at a random place."""
-    nodes, arcs = list(template.nodes), list(template.arcs)
+    nodes, arcs = list(nodes_of(template)), list(arcs_of(template))
     ids = [decl.id for decl in nodes]
     fresh = max(ids) + 1 + rng.randint(0, 3)
     leaves = [decl.id for decl in nodes if decl.kind is NodeKind.LEAF]
@@ -454,7 +465,7 @@ def mutated(template, rng, kind):
         insert(arcs, HyperArc(arc_id, bottom, (top,)))
     elif kind == "unreachable root":
         return detached(template, rng)
-    return GraphTemplate.of(nodes, arcs)
+    return template_of(nodes, arcs)
 
 
 FAULTS = ["duplicate node id", "duplicate arc id", "unknown parent", "unknown child",
@@ -472,10 +483,10 @@ def test_the_column_pass_matches_the_object_validator():
         scn = fuzz_scenario(seed)
         templates += [scn.graph, *scn.stages.values()]
     # Ids beyond 64 bits are held in object columns.
-    templates += [GraphTemplate.of(
-        [replace(decl, id=decl.id + 2**70) for decl in template.nodes],
+    templates += [template_of(
+        [replace(decl, id=decl.id + 2**70) for decl in nodes_of(template)],
         [replace(arc, id=arc.id * 2**64, parent=arc.parent + 2**70,
-                 children=tuple(c + 2**70 for c in arc.children)) for arc in template.arcs])
+                 children=tuple(c + 2**70 for c in arc.children)) for arc in arcs_of(template)])
         for template in templates[:20]]
     for template in templates:
         outcome = validation_outcome(build_graph, template)
@@ -489,7 +500,7 @@ def test_the_column_pass_matches_the_object_validator():
     seen = set()
     for template in faulty:
         outcome = validation_outcome(build_graph, template)
-        assert outcome == validation_outcome(oracle_build_graph, template), template.arcs
+        assert outcome == validation_outcome(oracle_build_graph, template), arcs_of(template)
         seen.add(outcome[0])
     assert seen >= {DuplicateNodeId, DanglingReference, InvalidArc, MissingRoot,
                     MissingFailure, CycleDetected, UnreachableRoot}
@@ -553,6 +564,55 @@ def test_to_dot_deterministic_and_structurally_closed():
     assert referenced <= declared
 
 
+@functools.cache
+def reader_templates() -> tuple[GraphTemplate, ...]:
+    """Random templates, with decimal weights and with fractional ones of
+    small and of huge denominators, the same beyond 64 bits (object
+    columns), hanoi 3 to 8, and habitat's graph, stages and compositions."""
+    rng = random.Random(31)
+    templates = [random_template(rng) for _ in range(60)]
+    templates += [template_of(nodes_of(template), [
+        replace(arc, weight=Fraction(rng.randint(0, 50), rng.choice((1, 3, 7, 2**70))))
+        for arc in arcs_of(template)]) for template in templates[:30]]
+    templates += [template_of(
+        [replace(decl, id=decl.id + 2**70) for decl in nodes_of(template)],
+        [replace(arc, id=arc.id * 2**64, parent=arc.parent + 2**70,
+                 children=tuple(c + 2**70 for c in arc.children)) for arc in arcs_of(template)])
+        for template in templates[:20] + templates[60:70]]
+    templates += [gen_hanoi(n, omnipotent=n % 2 == 0).graph for n in range(3, 9)]
+    habitat = gen_habitat()
+    stages = [(name.removeprefix("clear_"), stage) for name, stage in habitat.stages.items()]
+    templates += [habitat.graph, *habitat.stages.values(), compose_rearrangement(stages),
+                  compose_rearrangement(stages[::-1]), compose_rearrangement(stages[:1])]
+    return tuple(templates)
+
+
+def test_the_column_reader_matches_the_object_renderings():
+    for template in reader_templates():
+        nodes, arcs = by_id(template)
+        assert template.rows() == (
+            tuple((decl.id, decl.kind, decl.label) for decl in nodes),
+            tuple((arc.id, arc.parent, arc.children, arc.weight, arc.actions) for arc in arcs))
+        assert _template_lines(template, "  ") == oracle_template_lines(template, "  ")
+        leaves = frozenset(decl.id for decl in nodes[::2] if decl.kind is NodeKind.LEAF)
+        assert to_dot(template) == oracle_to_dot(template)
+        assert (to_dot(template, "t", leaves, virtual=True)
+                == oracle_to_dot(template, "t", leaves, virtual=True))
+
+
+def test_equality_and_hash_ignore_declaration_order():
+    rng = random.Random(32)
+    for template in reader_templates():
+        nodes, arcs = list(nodes_of(template)), list(arcs_of(template))
+        rng.shuffle(nodes)
+        rng.shuffle(arcs)
+        shuffled = template_of(nodes, arcs)
+        assert shuffled == template and hash(shuffled) == hash(template)
+        relabelled = template_of([replace(nodes[0], label=nodes[0].label + "!"), *nodes[1:]],
+                                 arcs)
+        assert relabelled != template
+
+
 def test_oracle_equivalence_on_random_graphs():
     rng = random.Random(20260816)
     for _ in range(80):
@@ -597,10 +657,10 @@ def test_uniform_weight_scaling_preserves_choices():
         truths = {n.id: rng.random() < 0.7 for n in graph.leaves()}
         set_leaf_truth(graph, truths)
         base_choice = {nid: arc.id for nid, arc in solution_subgraph(graph).items()}
-        scaled = GraphTemplate.of(
-            template.nodes,
+        scaled = template_of(
+            nodes_of(template),
             tuple(HyperArc(a.id, a.parent, a.children, a.weight * 17, a.actions)
-                  for a in template.arcs),
+                  for a in arcs_of(template)),
         )
         graph2 = build_graph(scaled)
         set_leaf_truth(graph2, truths)

@@ -22,6 +22,7 @@ from taskmotion.dsl import (
 )
 from taskmotion.planner import FinalStatus, RunConfig, run_scenario
 from taskmotion.scenarios import gen_habitat, gen_hanoi
+from graph_oracle import arcs_of, nodes_of
 from scn_fuzz import fuzz_scenario
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -58,8 +59,8 @@ def test_minimal_fixture_contents():
     assert Fact("polished", ("table",)) in scn.init
     assert scn.goal == (Fact("at", ("cup", "pad")),)
     assert scn.graph.root == 1
-    assert scn.graph.arcs[1].weight == Fraction(1, 2)
-    assert scn.stages["clear_cup"].arcs[0].weight == Fraction(2, 3)
+    assert arcs_of(scn.graph)[1].weight == Fraction(1, 2)
+    assert arcs_of(scn.stages["clear_cup"])[0].weight == Fraction(2, 3)
 
 
 def test_fact_order_does_not_matter():
@@ -76,7 +77,7 @@ def test_internal_labels_roundtrip_escapes():
         'node 1 root "cup parked"',
         'node 1 root "say \\"hi\\" \\\\ done"')
     scn = parse(raw)
-    root_label = next(n.label for n in scn.graph.nodes if n.id == 1)
+    root_label = next(n.label for n in nodes_of(scn.graph) if n.id == 1)
     assert root_label == 'say "hi" \\ done'
     assert parse(serialize(scn)) == scn
 
@@ -91,7 +92,7 @@ def test_fraction_weights_survive():
     scn = parse(read("minimal.scn"))
     text = serialize(scn)
     assert "weight 2/3" in text
-    assert parse(text).stages["clear_cup"].arcs[0].weight == Fraction(2, 3)
+    assert arcs_of(parse(text).stages["clear_cup"])[0].weight == Fraction(2, 3)
 
 
 @pytest.mark.parametrize("moved", ['node 3 leaf "at d1 pad"',
@@ -370,14 +371,14 @@ def varied_graph_lines() -> list[str]:
 
 def declarations(template):
     """A template's node and arc declarations, in declaration order."""
-    return repr(template.nodes + template.arcs)
+    return repr(nodes_of(template) + arcs_of(template))
 
 
 def the_declaration(section):
     """The one declaration a section took, as the template built from it
     holds it."""
     template = section.template()
-    (decl,) = template.nodes + template.arcs
+    (decl,) = nodes_of(template) + arcs_of(template)
     return decl
 
 
@@ -417,7 +418,8 @@ def test_patterns_read_every_benchmark_and_fuzz_graph_line_as_the_cursor_does():
     for line in lines:
         slow.read(dsl._Cursor(dsl._lex_line(line, 1), 1, len(line)))
     by_patterns, by_tokens = fast.template(), slow.template()
-    assert list(by_patterns.nodes + by_patterns.arcs) == list(by_tokens.nodes + by_tokens.arcs)
+    assert (list(nodes_of(by_patterns) + arcs_of(by_patterns))
+            == list(nodes_of(by_tokens) + arcs_of(by_tokens)))
 
 
 @pytest.mark.parametrize("line,taken", [
@@ -444,7 +446,7 @@ def test_graph_lines_parse_as_the_cursor_alone_reads_them(line, taken, monkeypat
     assert fast_path_agrees(line) is taken
     scn = parse(text)
     for template in (scn.graph, scn.stages["clear_cup"]):
-        assert repr(expected) in map(repr, template.nodes + template.arcs)
+        assert repr(expected) in map(repr, nodes_of(template) + arcs_of(template))
     cursor_only(monkeypatch)
     by_tokens = parse(text)
     assert declarations(by_tokens.graph) == declarations(scn.graph)

@@ -27,9 +27,9 @@ from scn_fuzz import blocked_scenario, fuzz_scenario
 
 # sha256 over each run's masked trace, then its masked metrics, seed by seed.
 FUZZ_SEEDS = range(200)
-FUZZ_DIGEST = "db845e7d455e3395d781ac1e559b60d9470c29962aed45bf47324305601af1af"
+FUZZ_DIGEST = "113e4652125c21b01666595497b8505ec2dd0b32a52e0e803f214757a91238ca"
 BLOCKED_SEEDS = range(50)
-BLOCKED_DIGEST = "b26ee7a0bb7365b497670ba743f32ce7accd71dde9a4ccb921478d8878e57f77"
+BLOCKED_DIGEST = "acfb159c24d244a1b5f9ae7675758874972c193a755a502af26cc759d06bf026"
 
 
 def fuzz_run(seed: int):
@@ -78,11 +78,28 @@ def test_random_runs_match_the_pinned_digest():
 
 
 def test_no_random_run_loops_to_a_depth_cap_of_300():
-    """A run that would instantiate the main graph again in a state it did
-    so before ends `unsolvable`, however high the cap."""
+    """A run that would instantiate a graph of the same stages again in a
+    state it did so before ends `unsolvable`, however high the cap; in the
+    blocked family such a loop can be made of rearrangements alone."""
     for seed in FUZZ_SEEDS:
         result = run_scenario(fuzz_scenario(seed), RunConfig(depth_cap=300, seed=seed))
         assert result.status is not FinalStatus.DEPTH_LIMIT, seed
+    for seed in BLOCKED_SEEDS:
+        result = run_scenario(blocked_scenario(seed), RunConfig(depth_cap=300, seed=seed))
+        assert result.status is not FinalStatus.DEPTH_LIMIT, seed
+
+
+def test_an_arc_without_actions_is_never_executed():
+    """Such an arc fails to ground, so no `execute` event, and no move,
+    follows its selection."""
+    selected_empty = 0
+    for result in [*map(fuzz_run, FUZZ_SEEDS), *map(blocked_run, BLOCKED_SEEDS)]:
+        events = [e for e in result.trace if e["event"] in ("select", "execute")]
+        for event, after in zip(events, events[1:]):
+            if event["event"] == "select" and not event["actions"]:
+                selected_empty += 1
+                assert after["event"] != "execute", result.trace
+    assert selected_empty > 0
 
 
 def test_blocked_scenarios_are_valid_scenario_text():

@@ -86,6 +86,11 @@ def test_grounding_fails_without_any_route():
         ground(world, (transfer("bring", "cup", "east"),))
 
 
+def test_grounding_fails_without_any_action():
+    with pytest.raises(GroundingFailed, match="no actions to execute"):
+        ground(two_arm_world(), ())
+
+
 def mobile_world():
     base = Agent("cart", "base", anchor=(0.0, 0.0), radius=0.1, config=(0.0, 0.0))
     arm = Agent("arm", "arm", anchor=(0.0, 0.15), reach=0.4, config=(0.0, 0.15),

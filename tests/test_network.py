@@ -1,22 +1,21 @@
 """Graph-network tests: frontiers, selection, suppression, expansion."""
 
 import random
+import sys
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from graph_oracle import oracle_build_graph
+from graph_oracle import NodeDecl, arc_of, arcs_of, nodes_of, oracle_build_graph, template_of
 from test_andor import random_template
 
 from taskmotion import andor
 from taskmotion.andor import (
     INF,
-    GraphTemplate,
     HyperArc,
     Node,
-    NodeDecl,
     NodeKind,
     best_arc,
     node_cost,
@@ -41,6 +40,9 @@ from taskmotion.network import (
 from taskmotion.planner import FinalStatus, RunConfig, run_scenario
 from taskmotion.scenarios import gen_hanoi
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
+
 
 def node(nid, kind, label):
     return NodeDecl(nid, kind, label)
@@ -62,7 +64,7 @@ def template_two_options():
         HyperArc(3, 1, (5,), Fraction(0)),
         HyperArc(4, 1, (6,), Fraction(0)),
     )
-    return GraphTemplate.of(nodes, arcs)
+    return template_of(nodes, arcs)
 
 
 def simple_actions():
@@ -107,7 +109,7 @@ def test_frontier_lists_arcs_with_achieved_children():
 def test_frontier_never_offers_the_failure_node():
     template = template_two_options()
     stuck_when_ready = HyperArc(5, 2, (3,), Fraction(0))
-    net = GraphNetwork(GraphTemplate.of(template.nodes, template.arcs + (stuck_when_ready,)),
+    net = GraphNetwork(template_of(nodes_of(template), arcs_of(template) + (stuck_when_ready,)),
                        {}, simple_actions())
     net.bootstrap(FACTS)
     frontier = net.frontier(FACTS, SIG)
@@ -145,7 +147,7 @@ def test_fallback_ordering_when_root_unsolvable():
         HyperArc(2, 6, (3,), Fraction(2), ("use_b",)),
         HyperArc(3, 1, (5, 6, 4), Fraction(0)),
     )
-    net = GraphNetwork(GraphTemplate.of(nodes, arcs), {}, simple_actions())
+    net = GraphNetwork(template_of(nodes, arcs), {}, simple_actions())
     net.bootstrap(frozenset({Fact("ready", ("a",))}))
     chosen = net.select(frozenset({Fact("ready", ("a",))}), SIG)
     assert chosen.arc_id == 1
@@ -158,7 +160,7 @@ def test_symbolic_applicability_filters_candidates():
         node(3, NodeKind.LEAF, "ready a"),
     )
     arcs = (HyperArc(1, 1, (3,), Fraction(1), ("guarded",)),)
-    net = GraphNetwork(GraphTemplate.of(nodes, arcs), {}, simple_actions())
+    net = GraphNetwork(template_of(nodes, arcs), {}, simple_actions())
     facts = frozenset({Fact("ready", ("a",))})
     net.bootstrap(facts)
     assert net.frontier(facts, SIG) == []
@@ -213,9 +215,27 @@ def test_exhausted_frontier_with_new_facts_is_not_a_cycle():
 def test_every_main_instantiation_in_a_state_seen_before_is_a_cycle(first, second):
     net = fresh_network()
     net.expand(first, FACTS, SIG)
-    with pytest.raises(ExpansionCycle, match="same world, suppressions and knowledge"):
+    with pytest.raises(ExpansionCycle, match="same stages instantiated twice with the same "
+                                             "world, suppressions and knowledge"):
         net.expand(second, FACTS, SIG)
     assert net.depth == 2
+
+
+def test_a_rearrangement_repeated_in_the_same_state_is_a_cycle():
+    """Only the same stages in the same state repeat: the main graph, or
+    the stages of other obstructors, in that state do not."""
+    net = GraphNetwork(template_two_options(),
+                       {"clear_box1": clear_stage("box1"), "clear_box2": clear_stage("box2")},
+                       simple_actions())
+    net.bootstrap(FACTS)
+    net.expand(ExpandReason.MOTION_FAILURE, FACTS, SIG, ("box1",))
+    net.expand(ExpandReason.MOTION_FAILURE, FACTS, SIG, ("box1", "box2"))
+    net.expand(ExpandReason.MOTION_FAILURE, FACTS, SIG, ("box2", "box1"))
+    net.expand(ExpandReason.MOTION_FAILURE, FACTS, SIG, ("box2",))
+    net.expand(ExpandReason.STAGE_COMPLETE, FACTS, SIG)
+    with pytest.raises(ExpansionCycle, match="same stages instantiated twice"):
+        net.expand(ExpandReason.MOTION_FAILURE, FACTS, SIG, ("box2",))
+    assert net.depth == 6
 
 
 def test_a_new_suppression_or_new_knowledge_makes_a_new_state():
@@ -252,23 +272,23 @@ def clear_stage(oid):
         node(3, NodeKind.LEAF, f"clear {oid}"),
     )
     arcs = (HyperArc(1, 1, (3,), Fraction(1), ("use_a",)),)
-    return GraphTemplate.of(nodes, arcs)
+    return template_of(nodes, arcs)
 
 
 def test_rearrangement_composition_structure():
     stages = [("box1", clear_stage("box1")), ("box2", clear_stage("box2"))]
     template = compose_rearrangement(stages)
-    root_arcs = [a for a in template.arcs if a.parent == template.root]
+    root_arcs = [a for a in arcs_of(template) if a.parent == template.root]
     assert len(root_arcs) == 1
     assert len(root_arcs[0].children) == 2
-    labels = {n.id: n.label for n in template.nodes}
-    kinds = {n.id: n.kind for n in template.nodes}
+    labels = {n.id: n.label for n in nodes_of(template)}
+    kinds = {n.id: n.kind for n in nodes_of(template)}
     for stage_root in root_arcs[0].children:
         assert kinds[stage_root] is NodeKind.INTERNAL
-    knowledge = [n for n in template.nodes if n.label.startswith("obstructs ")]
+    knowledge = [n for n in nodes_of(template) if n.label.startswith("obstructs ")]
     assert [n.label for n in knowledge] == ["obstructs box1", "obstructs box2"]
     # Each stage root's arc gained its knowledge leaf as an extra child.
-    for arc in template.arcs:
+    for arc in arcs_of(template):
         if arc.actions == ("use_a",):
             child_labels = {labels[c] for c in arc.children}
             assert any(lbl.startswith("obstructs ") for lbl in child_labels)
@@ -283,7 +303,7 @@ def test_motion_failure_expansion_uses_knowledge():
     entry = net.expand(ExpandReason.MOTION_FAILURE, snapshot, SIG, ("box1",))
     assert entry.kind == "rearrangement"
     assert Fact("obstructs", ("box1",)) in net.knowledge
-    leaves = {decl.label: decl.id for decl in entry.compiled.template.nodes
+    leaves = {decl.label: decl.id for decl in nodes_of(entry.compiled.template)
               if decl.kind is NodeKind.LEAF}
     assert leaves["obstructs box1"] in entry.true_leaves
     assert leaves["clear box1"] in entry.true_leaves
@@ -307,9 +327,9 @@ def test_motion_failure_skips_unknown_stages():
 def varied_weights(template, rng):
     """The template with small weights over mixed denominators, so that
     scaling to integers matters and equal-cost ties are common."""
-    return GraphTemplate.of(template.nodes, (
+    return template_of(nodes_of(template), (
         replace(arc, weight=Fraction(rng.randint(0, 12), rng.choice([1, 2, 3, 4, 7])))
-        for arc in template.arcs))
+        for arc in arcs_of(template)))
 
 
 def flip_sequences(rng, templates=200, flips=10):
@@ -318,7 +338,7 @@ def flip_sequences(rng, templates=200, flips=10):
         template = random_template(rng)
         if i % 2:
             template = varied_weights(template, rng)
-        leaves = sorted(d.id for d in template.nodes if d.kind is NodeKind.LEAF)
+        leaves = sorted(d.id for d in nodes_of(template) if d.kind is NodeKind.LEAF)
         truths = {lid: rng.random() < 0.6 for lid in leaves}
         sequence = [dict(truths)]
         for _ in range(flips):
@@ -330,7 +350,7 @@ def flip_sequences(rng, templates=200, flips=10):
 
 def arc_at(compiled, place):
     """The arc at a place, built from the template's columns."""
-    return compiled.template.arc(int(compiled.decl[place]))
+    return arc_of(compiled.template, int(compiled.decl[place]))
 
 
 def compiled_arcs(compiled):
@@ -402,13 +422,13 @@ def layered_template(rng, height, weight):
                 arcs.append((parent, (first, *others)))
     arcs.append((0, tuple(rng.sample(layers[0], 2))))
     arc_ids = rng.sample(range(1, 10 * len(arcs)), len(arcs))
-    return GraphTemplate.of(tuple(decls), tuple(
+    return template_of(tuple(decls), tuple(
         HyperArc(aid, parent, children, weight(rng))
         for aid, (parent, children) in zip(arc_ids, arcs)))
 
 
 def random_truths(rng, template, draws):
-    leaves = sorted(d.id for d in template.nodes if d.kind is NodeKind.LEAF)
+    leaves = sorted(d.id for d in nodes_of(template) if d.kind is NodeKind.LEAF)
     for _ in range(draws):
         share = rng.random()
         yield {lid: rng.random() < share for lid in leaves}
@@ -461,7 +481,7 @@ def test_compiled_pricing_clamps_unsolved_totals_within_int64():
         arcs += [HyperArc(nid, nid, below, Fraction(0)) for nid in layer]
         below = layer
     arcs += [HyperArc(1, 0, below, Fraction(2**57)), HyperArc(2, 0, (2,), Fraction(1))]
-    template = GraphTemplate.of(nodes, arcs)
+    template = template_of(nodes, arcs)
     compiled = CompiledGraph(template)
     assert compiled.dtype is np.int64
     assert compiled.inf == 2**57 + 1
@@ -538,9 +558,9 @@ def test_frontier_and_select_match_the_scan_over_flip_sequences():
     names = sorted(actions)
     compared = 0
     for template, sequence in flip_sequences(rng):
-        template = GraphTemplate.of(template.nodes, (
+        template = template_of(nodes_of(template), (
             replace(arc, actions=tuple(rng.sample(names, rng.randint(0, 1))))
-            for arc in template.arcs))
+            for arc in arcs_of(template)))
         net = GraphNetwork(template, {}, actions)
         suppressed = set()
         for step, truths in enumerate(sequence):
@@ -672,7 +692,11 @@ def test_parsing_a_large_graph_builds_no_declaration_or_node_objects(monkeypatch
 
 
 def test_a_hanoi_dual_run_builds_no_arc_or_node_objects(monkeypatch):
+    """Nor does generating, writing and reading its text, nor a run of
+    the other workloads, where habitat composes rearrangement graphs."""
+    counts = count_constructions(monkeypatch, HyperArc, NodeDecl, Node)
     scenario = parse(serialize(gen_hanoi(6, omnipotent=False)))
+    assert counts == {"HyperArc": 0, "NodeDecl": 0, "Node": 0}
     offered = set()
     frontier = GraphNetwork.frontier
 
@@ -682,8 +706,11 @@ def test_a_hanoi_dual_run_builds_no_arc_or_node_objects(monkeypatch):
         return candidates
 
     monkeypatch.setattr(GraphNetwork, "frontier", recording)
-    counts = count_constructions(monkeypatch, HyperArc, NodeDecl, Node)
     result = run_scenario(scenario, RunConfig(seed=0))
     assert (result.status, result.moves) == (FinalStatus.GOAL_ACHIEVED, 84)
     assert counts == {"HyperArc": 0, "NodeDecl": 0, "Node": 0}
     assert len(offered) == 297
+    result = run_scenario(parse(WORKLOADS["habitat"].make_text()), RunConfig(seed=0))
+    assert any(entry.kind == "rearrangement" for entry in result.network.entries)
+    run_scenario(parse(WORKLOADS["habitat_unclearable"].make_text()), RunConfig(seed=0))
+    assert counts == {"HyperArc": 0, "NodeDecl": 0, "Node": 0}

@@ -15,7 +15,7 @@ import pytest
 
 from taskmotion import interface, planner
 from taskmotion import world as world_module
-from taskmotion.andor import GraphTemplate, HyperArc, NodeDecl, NodeKind
+from taskmotion.andor import HyperArc, NodeKind
 from taskmotion.domain import (
     ActionTemplate,
     Condition,
@@ -37,6 +37,7 @@ from taskmotion.planner import (
 )
 from taskmotion.scenarios import gen_habitat, gen_hanoi
 from taskmotion.world import Marker
+from graph_oracle import NodeDecl, template_of
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
@@ -54,7 +55,7 @@ def fetch_scenario():
         preconditions=(Condition(Fact("at", ("ball", "start"))),),
         verb="transfer", manipulated="ball", source="start", dest="home")
     scn.goal = (Fact("at", ("ball", "home")),)
-    scn.graph = GraphTemplate.of(
+    scn.graph = template_of(
         nodes=(NodeDecl(1, NodeKind.ROOT, "ball delivered"),
                NodeDecl(2, NodeKind.FAILURE, "no delivery"),
                NodeDecl(3, NodeKind.LEAF, "at ball start"),
@@ -91,7 +92,7 @@ def blocked_scenario():
         preconditions=(Condition(Fact("at", ("wall", "wallpos"))),),
         verb="transfer", manipulated="wall", source="wallpos", dest="aside")
     scn.goal = (Fact("at", ("prize", "home")),)
-    scn.graph = GraphTemplate.of(
+    scn.graph = template_of(
         nodes=(NodeDecl(1, NodeKind.ROOT, "prize home"),
                NodeDecl(2, NodeKind.FAILURE, "no route"),
                NodeDecl(3, NodeKind.LEAF, "at prize spot"),
@@ -99,7 +100,7 @@ def blocked_scenario():
                NodeDecl(5, NodeKind.INTERNAL, "move prize done")),
         arcs=(HyperArc(1, 1, (4,), weight=Fraction(0)),
               HyperArc(2, 5, (3,), actions=("move_prize",))))
-    scn.stages["clear_wall"] = GraphTemplate.of(
+    scn.stages["clear_wall"] = template_of(
         nodes=(NodeDecl(1, NodeKind.ROOT, "wall cleared"),
                NodeDecl(2, NodeKind.FAILURE, "wall stuck"),
                NodeDecl(3, NodeKind.LEAF, "at wall wallpos")),
@@ -140,7 +141,7 @@ def test_grounding_failure_suppresses_and_falls_back():
     scn.actions["deliver_meteor"] = ActionTemplate(
         "deliver_meteor", MotionClass.TRANSFER,
         verb="transfer", manipulated="meteor", dest="home")
-    scn.graph = GraphTemplate.of(
+    scn.graph = template_of(
         nodes=(NodeDecl(1, NodeKind.ROOT, "ball delivered"),
                NodeDecl(2, NodeKind.FAILURE, "no delivery"),
                NodeDecl(3, NodeKind.LEAF, "at ball start"),
@@ -234,7 +235,7 @@ def test_unreachable_goal_is_reported_unsolvable():
     scn = fetch_scenario()
     scn.predicates["blessed"] = PredicateDecl("blessed", 1)
     scn.goal = (Fact("blessed", ("ball",)),)
-    scn.graph = GraphTemplate.of(
+    scn.graph = template_of(
         nodes=(NodeDecl(1, NodeKind.ROOT, "blessing"),
                NodeDecl(2, NodeKind.FAILURE, "no blessing"),
                NodeDecl(3, NodeKind.LEAF, "blessed ball")),

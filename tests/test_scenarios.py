@@ -25,6 +25,7 @@ from taskmotion.scenarios import (
     gen_hanoi,
 )
 from taskmotion.world import snapshot, world_from_scenario
+from graph_oracle import arcs_of
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -196,15 +197,15 @@ def test_habitat_structure():
         build_graph(stage)
     assert set(scn.stages) == {"clear_pink_1", "clear_pink_2"}
     # The main graph drives every action except the stage-only relocations.
-    graph_actions = {a for arc in scn.graph.arcs for a in arc.actions}
+    graph_actions = {a for arc in arcs_of(scn.graph) for a in arc.actions}
     assert graph_actions == set(scn.actions) - {"relocate_pink_1", "relocate_pink_2"}
     # Relocations keep their dedicated arc in the stages.
     stage_actions = {a for tpl in scn.stages.values()
-                     for arc in tpl.arcs for a in arc.actions}
+                     for arc in arcs_of(tpl) for a in arc.actions}
     assert stage_actions == {"relocate_pink_1", "relocate_pink_2"}
-    restore_arcs = [arc for arc in scn.graph.arcs
+    restore_arcs = [arc for arc in arcs_of(scn.graph)
                     if arc.actions and arc.actions[0].startswith("restore_")]
-    other_arcs = [arc for arc in scn.graph.arcs
+    other_arcs = [arc for arc in arcs_of(scn.graph)
                   if not arc.actions or not arc.actions[0].startswith("restore_")]
     assert min(a.id for a in restore_arcs) > max(a.id for a in other_arcs)
 
