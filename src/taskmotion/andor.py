@@ -156,7 +156,9 @@ class GraphTemplate:
     The template is shared and never mutated: its arrays are read-only.
     `checked` validates it on first access and keeps the result; `rows`
     reads the declarations back. Two templates are equal when they declare
-    the same nodes and arcs, whatever the order of the declarations.
+    the same nodes and arcs, whatever the order of the declarations; the
+    hash reads only the sorted ids, and equality compares rows only after
+    the sizes and the sorted ids agree.
     """
 
     ids: np.ndarray
@@ -200,13 +202,23 @@ class GraphTemplate:
                    self.actions)
         return tuple(sorted(nodes, key=itemgetter(0))), tuple(sorted(arcs, key=itemgetter(0)))
 
+    def _sorted_ids(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The node ids and the arc ids, each sorted: equal templates have
+        equal ones."""
+        return tuple(np.sort(self.ids).tolist()), tuple(np.sort(self.arc_ids).tolist())
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, GraphTemplate):
             return NotImplemented
-        return self is other or self.rows() == other.rows()
+        if self is other:
+            return True
+        if (len(self.ids), len(self.arc_ids), len(self.children)) != (
+                len(other.ids), len(other.arc_ids), len(other.children)):
+            return False
+        return self._sorted_ids() == other._sorted_ids() and self.rows() == other.rows()
 
     def __hash__(self) -> int:
-        return hash(self.rows())
+        return hash(self._sorted_ids())
 
     def __repr__(self) -> str:
         return f"GraphTemplate({len(self.ids)} nodes, {len(self.arc_ids)} arcs)"

@@ -19,20 +19,30 @@ object, and a rearrangement template is written through an
 `andor.GraphBuilder` from the rows of its stages. A `GraphEntry`
 holds only what differs between instantiations: its leaf truths, read
 from the facts it was instantiated against. An entry never changes; an
-executed step is followed by a new entry, or the run ends. The newest
-entry is priced once, when it is first searched: the bottom-up min-cost
-evaluation of AO* (Martelli & Montanari, 1973), run one level of equal
-height at a time over numpy arrays.
+executed step is followed by a new entry, or the run ends.
+
+When the newest entry is first searched, its ready arcs, those whose
+children all hold, are found by counting: each true leaf's parent arcs,
+read from a child-to-arcs index, are counted once per child with one
+`np.bincount`, and an arc is ready when its count reaches its number of
+children (the counter per clause of Dowling & Gallier's linear-time Horn
+satisfiability, 1984). That touches only the true leaves' parent arcs,
+not every child of the graph. The network keeps the mask of the entry
+last searched, never on the entry. When a selection needs them, the
+entry is priced once: the bottom-up min-cost evaluation of AO*
+(Martelli & Montanari, 1973), one level of equal height at a time over
+numpy arrays. The first level reads its arc totals off the ready mask;
+each higher level gathers its children's costs.
 
 Candidates are drawn from the newest graph only. A node is a candidate
 when at least one of its incoming arcs has only true leaves as children,
 the arc's actions are symbolically applicable, and the combination has
-not been suppressed in the current world; only arcs that one segment
-reduction finds enabled are tested for the last two. Selection prefers
-arcs on the minimal-cost solution of the graph; when the root is
-currently unsolvable it falls back to the cheapest applicable arc with
-the lowest arc id. A candidate's total is read from the priced totals at
-its arc's place, and the solution is a map from node to place.
+not been suppressed in the current world; only the ready arcs are
+tested for the last two. Selection prefers arcs on the minimal-cost
+solution of the graph; when the root is currently unsolvable it falls
+back to the cheapest applicable arc with the lowest arc id. A
+candidate's total is read from the priced totals at its arc's place,
+and the solution is a map from node to place.
 """
 
 from __future__ import annotations
@@ -133,10 +143,16 @@ class CompiledGraph:
     Everything is gathered from the template's columns with numpy; no
     node or arc object is built.
 
-    Nodes of one level never depend on each other, so `price` evaluates a
-    level in a few numpy segment reductions over its `_Level` slices;
-    `enabled` is one reduction of an achieved mask gathered at `children`,
-    read in `by_parent_id` order. Costs are `int64` when every unclamped
+    `fan_out` indexes `children` the other way round for the leaves: by
+    leaf id, the places of the leaf's parent arcs, once per child slot,
+    as slices of one compact integer column sorted by child (CSR). With
+    `arity`, each place's number of children, `ready` counts the true
+    leaves' parent arcs in one `np.bincount`, and `enabled` reads the ready
+    mask in `by_parent_id` order. Nodes of one level never depend on each
+    other, so `price` evaluates a level in a few numpy operations over
+    its `_Level` slices: the first level, whose children are all at level
+    0, from the ready mask alone, each higher one in segment reductions
+    of its children's costs. Costs are `int64` when every unclamped
     arc total fits, and Python integers in an object array otherwise,
     through the same code. The graph is shared by every entry and never
     mutated: its leaves all stay false.
@@ -167,9 +183,20 @@ class CompiledGraph:
         declared_start = template.child_starts[self.decl]
         count = template.child_starts[self.decl + 1] - declared_start
         self.child_start = np.concatenate(([0], np.cumsum(count)))
-        self.arc_starts = self.child_start[:-1]
-        self.children = pos_of[checked.child[np.repeat(declared_start - self.arc_starts, count)
+        arc_starts = self.child_start[:-1]
+        self.children = pos_of[checked.child[np.repeat(declared_start - arc_starts, count)
                                              + np.arange(self.child_start[-1])]]
+        # Each leaf's parent arcs, one place per entry of `children` that
+        # holds the leaf: views of one column of places sorted by child.
+        self.arity = count.astype(np.min_scalar_type(count.max()))
+        fan = np.repeat(np.arange(len(self.decl), dtype=np.min_scalar_type(len(self.decl))),
+                        count)[np.argsort(self.children, kind="stable")]
+        fan_start = np.concatenate(
+            ([0], np.cumsum(np.bincount(self.children, minlength=len(node_at)))))
+        leaves = np.flatnonzero(template.kinds == KINDS.index(NodeKind.LEAF))
+        at = pos_of[leaves]
+        self.fan_out = {lid: fan[start:stop] for lid, start, stop in zip(
+            template.ids[leaves].tolist(), fan_start[at].tolist(), fan_start[at + 1].tolist())}
         self.scale = math.lcm(*set(template.weight_den.tolist()))
         weights = (template.weight_num[self.decl].astype(object)
                    * (self.scale // template.weight_den[self.decl].astype(object)))
@@ -180,7 +207,7 @@ class CompiledGraph:
             first, last = self.arc_start[lo], self.arc_start[hi]
             self.levels.append(_Level(slice(lo, hi), slice(first, last),
                                       slice(self.child_start[first], self.child_start[last]),
-                                      self.arc_starts[first:last] - self.child_start[first],
+                                      arc_starts[first:last] - self.child_start[first],
                                       self.arc_start[lo:hi] - first))
         # Every finite cost is at most its node's most expensive derivation.
         bound = np.zeros(len(node_at), dtype=object)
@@ -196,22 +223,34 @@ class CompiledGraph:
         self.weights = weights.astype(self.dtype)
         self.leaf_facts: tuple[tuple[int, Fact], ...] = tuple(_leaf_facts(template))
 
-    def enabled(self, true_leaves: Collection[int]) -> list[int]:
-        """The places of the priced arcs whose children are all in
-        `true_leaves`, by parent id then arc id. A leaf is never an arc's
-        parent, so no parent is among them."""
-        mask = np.zeros(len(self.ids), dtype=bool)
-        mask[[self.pos[lid] for lid in true_leaves]] = True
-        ready = np.logical_and.reduceat(mask[self.children], self.arc_starts)
+    def ready(self, true_leaves: Collection[int]) -> np.ndarray:
+        """Whether each place's children are all among `true_leaves`, ids of
+        leaves, by place: an arc is ready when the true leaves' parent
+        arcs, counted once per child, count it `arity` times."""
+        # The empty first part makes no true leaves count nothing.
+        held = np.concatenate([self.arity[:0], *map(self.fan_out.__getitem__, true_leaves)])
+        return np.bincount(held, minlength=len(self.decl)) == self.arity
+
+    def enabled(self, ready: np.ndarray) -> list[int]:
+        """The places that `ready` holds, by parent id then arc id."""
         return self.by_parent_id[ready[self.by_parent_id]].tolist()
 
-    def price(self, true_leaves: Collection[int]) -> tuple[np.ndarray, np.ndarray]:
+    def price(self, true_leaves: Collection[int],
+              ready: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Scaled cost of every node by position and total of every arc by
-        place, both clamped to `inf`, when exactly `true_leaves` hold."""
+        place, both clamped to `inf`, when exactly `true_leaves` hold;
+        `ready` is `self.ready(true_leaves)`."""
         cost = np.full(len(self.ids), self.inf, dtype=self.dtype)
         cost[[self.pos[lid] for lid in true_leaves]] = 0
         totals = np.empty(len(self.decl), dtype=self.dtype)
-        for nodes, arcs, children, arc_starts, node_starts in self.levels:
+        # The first level's children are all at level 0, where only the true
+        # leaves cost 0: an arc there totals its weight when ready, else
+        # `inf`, and only its ready arcs can lower their parent's cost.
+        first, *higher = self.levels
+        totals[first.arcs] = np.where(ready[first.arcs], self.weights[first.arcs], self.inf)
+        hits = first.arcs.start + ready[first.arcs].nonzero()[0]
+        np.minimum.at(cost, self.parents[hits], self.weights[hits])
+        for nodes, arcs, children, arc_starts, node_starts in higher:
             level_totals = np.add.reduceat(cost[self.children[children]], arc_starts,
                                            out=totals[arcs])
             level_totals += self.weights[arcs]
@@ -295,8 +334,10 @@ class GraphNetwork:
         self.suppressed: set[tuple[str, tuple[str, ...], str]] = set()
         self._states: set[tuple] = set()
         self._main: CompiledGraph | None = None
-        # (entry, costs, arc totals) of the entry last searched.
-        self._pricing: tuple[GraphEntry, np.ndarray, np.ndarray] | None = None
+        # (entry, ready mask, costs, arc totals) of the entry last searched;
+        # the costs and totals are None until a selection needs them.
+        self._pricing: tuple[GraphEntry, np.ndarray, np.ndarray | None,
+                             np.ndarray | None] | None = None
 
     # -- structure ---------------------------------------------------------
 
@@ -327,13 +368,22 @@ class GraphNetwork:
         self.entries.append(entry)
         return entry
 
-    def _priced(self) -> tuple[np.ndarray, np.ndarray]:
-        """`CompiledGraph.price` of the newest entry, computed once per entry;
+    def _ready(self) -> np.ndarray:
+        """`CompiledGraph.ready` of the newest entry, computed once per entry;
         its leaf truths never change."""
         entry = self.latest
         if self._pricing is None or self._pricing[0] is not entry:
-            self._pricing = (entry, *entry.compiled.price(entry.true_leaves))
-        return self._pricing[1], self._pricing[2]
+            self._pricing = (entry, entry.compiled.ready(entry.true_leaves), None, None)
+        return self._pricing[1]
+
+    def _priced(self) -> tuple[np.ndarray, np.ndarray]:
+        """`CompiledGraph.price` of the newest entry, computed once per entry,
+        after `frontier` has found its ready arcs."""
+        entry, ready, cost, totals = self._pricing
+        if cost is None:
+            cost, totals = entry.compiled.price(entry.true_leaves, ready)
+            self._pricing = (entry, ready, cost, totals)
+        return cost, totals
 
     # -- candidate enumeration and selection --------------------------------
 
@@ -344,7 +394,7 @@ class GraphNetwork:
         entry = self.latest
         compiled = entry.compiled
         out = []
-        for place in compiled.enabled(entry.true_leaves):
+        for place in compiled.enabled(self._ready()):
             names = compiled.template.actions[compiled.decl[place]]
             label = compiled.labels[compiled.parents[place]]
             if (label, names, world_sig) in self.suppressed:

@@ -8,7 +8,11 @@ references follow: the object validator, which reads the declarations
 one at a time into Python dicts and runs Kahn's algorithm node by node,
 for the column pass of `GraphTemplate.checked`; and the serialized lines
 and the DOT text that `dsl` and `andor` once rendered from the objects,
-for the renderings from `GraphTemplate.rows`.
+for the renderings from `GraphTemplate.rows`. Last come the gather and
+segment reductions over every entry of `CompiledGraph.children` that
+found the ready arcs and priced every level before the graph counted its
+true leaves' parent arcs, for `CompiledGraph.ready`, `enabled` and
+`price`.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Collection, Iterable, Mapping
 
+import numpy as np
 from taskmotion.andor import (
     KINDS,
     AndOrGraph,
@@ -37,6 +42,7 @@ from taskmotion.andor import (
     _DOT_SHAPE,
 )
 from taskmotion.dsl import _escape, fmt_weight
+from taskmotion.network import CompiledGraph
 
 
 @dataclass(frozen=True)
@@ -226,3 +232,33 @@ def _topological_height(nodes: Mapping[int, Node], by_parent: Mapping[int, list[
         raise UnreachableRoot("no leaf reaches the root through any arc chain",
                               ("node", root))
     return height
+
+
+def oracle_ready(compiled: CompiledGraph, true_leaves: Collection[int]) -> np.ndarray:
+    """Whether each place's children all hold: one reduction of an achieved
+    mask gathered at every entry of `children`."""
+    mask = np.zeros(len(compiled.ids), dtype=bool)
+    mask[[compiled.pos[lid] for lid in true_leaves]] = True
+    return np.logical_and.reduceat(mask[compiled.children], compiled.child_start[:-1])
+
+
+def oracle_enabled(compiled: CompiledGraph, true_leaves: Collection[int]) -> list[int]:
+    """The places of the arcs whose children all hold, by parent id then arc id."""
+    ready = oracle_ready(compiled, true_leaves)
+    return compiled.by_parent_id[ready[compiled.by_parent_id]].tolist()
+
+
+def oracle_price(compiled: CompiledGraph,
+                 true_leaves: Collection[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's cost by position and every arc's total by place, each
+    level gathered from the costs below it and reduced by segments."""
+    cost = np.full(len(compiled.ids), compiled.inf, dtype=compiled.dtype)
+    cost[[compiled.pos[lid] for lid in true_leaves]] = 0
+    totals = np.empty(len(compiled.decl), dtype=compiled.dtype)
+    for nodes, arcs, children, arc_starts, node_starts in compiled.levels:
+        level_totals = np.add.reduceat(cost[compiled.children[children]], arc_starts,
+                                       out=totals[arcs])
+        level_totals += compiled.weights[arcs]
+        np.minimum(level_totals, compiled.inf, out=level_totals)
+        cost[nodes] = np.minimum.reduceat(level_totals, node_starts)
+    return cost, totals

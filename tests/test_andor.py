@@ -613,6 +613,27 @@ def test_equality_and_hash_ignore_declaration_order():
         assert relabelled != template
 
 
+def test_hash_and_unequal_ids_never_read_rows(monkeypatch):
+    """Hashing reads the sorted id columns only, and equality rejects other
+    sizes or other ids before it builds any row."""
+    hanoi8 = gen_hanoi(8, omnipotent=False).graph
+    again = gen_hanoi(8, omnipotent=False).graph
+    solo = gen_hanoi(8, omnipotent=True).graph
+    hanoi3 = gen_hanoi(3).graph
+    arcs = arcs_of(hanoi3)
+    renumbered = template_of(nodes_of(hanoi3),
+                             [replace(arcs[0], id=max(arc.id for arc in arcs) + 1), *arcs[1:]])
+
+    def no_rows(template):
+        raise AssertionError("rows() was called")
+
+    monkeypatch.setattr(GraphTemplate, "rows", no_rows)
+    assert hash(hanoi8) == hash(again) != hash(solo)
+    assert hanoi8 != solo and renumbered != hanoi3 and hanoi3 != renumbered
+    with pytest.raises(AssertionError, match="rows"):
+        assert hanoi8 == again  # equal ids: only the rows can tell
+
+
 def test_oracle_equivalence_on_random_graphs():
     rng = random.Random(20260816)
     for _ in range(80):

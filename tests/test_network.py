@@ -1,5 +1,6 @@
 """Graph-network tests: frontiers, selection, suppression, expansion."""
 
+import copy
 import random
 import sys
 from dataclasses import FrozenInstanceError, fields, replace
@@ -8,7 +9,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from graph_oracle import NodeDecl, arc_of, arcs_of, nodes_of, oracle_build_graph, template_of
+from graph_oracle import (
+    NodeDecl,
+    arc_of,
+    arcs_of,
+    nodes_of,
+    oracle_build_graph,
+    oracle_enabled,
+    oracle_price,
+    oracle_ready,
+    template_of,
+)
 from test_andor import random_template
 
 from taskmotion import andor
@@ -358,10 +369,37 @@ def compiled_arcs(compiled):
     return [arc_at(compiled, place) for place in range(len(compiled.decl))]
 
 
+def with_object_costs(compiled):
+    """A copy of `compiled` that prices in Python integers, as a graph whose
+    totals may not fit in 64 bits does."""
+    copied = copy.copy(compiled)
+    copied.dtype = object
+    copied.weights = compiled.weights.astype(object)
+    return copied
+
+
+def assert_search_matches_oracle(compiled, true_leaves):
+    """`ready`, `enabled` and `price` equal the gather over every child of
+    `graph_oracle`, on the compiled cost type and on Python integers; the
+    compiled results are returned."""
+    for graph in (with_object_costs(compiled), compiled):
+        ready = graph.ready(true_leaves)
+        assert ready.dtype == bool
+        assert np.array_equal(ready, oracle_ready(graph, true_leaves))
+        assert graph.enabled(ready) == oracle_enabled(graph, true_leaves)
+        cost, totals = graph.price(true_leaves, ready)
+        want_cost, want_totals = oracle_price(graph, true_leaves)
+        assert cost.dtype == want_cost.dtype == graph.dtype == totals.dtype
+        assert cost.tolist() == want_cost.tolist() and totals.tolist() == want_totals.tolist()
+    return ready, cost, totals
+
+
 def assert_pricing_matches_refresh(template, compiled, truths):
     """`compiled.price` agrees with `andor`'s from-scratch pricing on every
-    node's cost, solvedness and cheapest arc, and on the solution arcs."""
-    cost, totals = compiled.price({lid for lid, on in truths.items() if on})
+    node's cost, solvedness and cheapest arc, and on the solution arcs, and
+    with `graph_oracle`'s gather on the ready arcs and every cost."""
+    _, cost, totals = assert_search_matches_oracle(
+        compiled, {lid for lid, on in truths.items() if on})
     fresh = oracle_build_graph(template)
     set_leaf_truth(fresh, truths)
     for nid in fresh.nodes:
@@ -608,7 +646,8 @@ def test_enabled_keeps_the_scan_order_on_layered_templates():
         for _ in range(10):
             achieved = {lid for lid in leaves if rng.random() < rng.random()}
             want = scan_frontier(graph, compiled, achieved, {}, set(), frozenset(), "sig")
-            assert [arcs[place].id for place in compiled.enabled(achieved)] == [
+            ready, _, _ = assert_search_matches_oracle(compiled, achieved)
+            assert [arcs[place].id for place in compiled.enabled(ready)] == [
                 c.arc_id for c in want]
             compared += len(want) > 1 and want[0].node_id == 0
     assert compared >= 20  # the root's arcs lead frontiers that hold others too
@@ -637,7 +676,8 @@ def test_frontier_matches_the_scan_on_the_hanoi_4_main_template():
         enabled = [arc for nid in ids if nid not in achieved
                    and graph.nodes[nid].kind is not NodeKind.FAILURE
                    for arc in graph.arcs_into(nid) if achieved.issuperset(arc.children)]
-        assert [arc_at(compiled, place) for place in compiled.enabled(achieved)] == enabled
+        ready, _, _ = assert_search_matches_oracle(compiled, achieved)
+        assert [arc_at(compiled, place) for place in compiled.enabled(ready)] == enabled
         multi_child += sum(len(arc.children) > 1 for arc in enabled)
         facts = frozenset(f for f in pool
                           if rng.random() < (0.1 if f in negated else 0.8))
@@ -714,3 +754,71 @@ def test_a_hanoi_dual_run_builds_no_arc_or_node_objects(monkeypatch):
     assert any(entry.kind == "rearrangement" for entry in result.network.entries)
     run_scenario(parse(WORKLOADS["habitat_unclearable"].make_text()), RunConfig(seed=0))
     assert counts == {"HyperArc": 0, "NodeDecl": 0, "Node": 0}
+
+
+def count_ready(monkeypatch) -> list[tuple[CompiledGraph, frozenset, int]]:
+    """Record each `CompiledGraph.ready` call from now on: the graph, the
+    true leaves and the fan-out entries (parent arcs of true leaves) it
+    counts."""
+    calls = []
+    ready = CompiledGraph.ready
+
+    def counting(compiled, true_leaves):
+        fan_out = sum(len(compiled.fan_out[lid]) for lid in true_leaves)
+        calls.append((compiled, frozenset(true_leaves), fan_out))
+        return ready(compiled, true_leaves)
+
+    monkeypatch.setattr(CompiledGraph, "ready", counting)
+    return calls
+
+
+def test_a_hanoi_dual_run_counts_each_entry_s_true_leaves_once(monkeypatch):
+    """Each searched entry finds its ready arcs once, counting fewer parent
+    arcs than the gather over every child of the graph read, and every
+    entry's ready arcs and prices equal that gather's."""
+    calls = count_ready(monkeypatch)
+    result = run_scenario(parse(WORKLOADS["hanoi_dual"].make_text()), RunConfig(seed=0))
+    assert (result.status, result.moves) == (FinalStatus.GOAL_ACHIEVED, 84)
+    entries = result.network.entries
+    assert len(calls) == len(entries) == 84
+    compiled = entries[0].compiled
+    assert len(compiled.children) == 28818
+    assert [(graph, leaves) for graph, leaves, _ in calls] == [
+        (compiled, entry.true_leaves) for entry in entries]
+    assert max(fan_out for *_, fan_out in calls) < 28818
+    assert sum(fan_out for *_, fan_out in calls) == 646393
+    for entry in entries:
+        assert_search_matches_oracle(entry.compiled, entry.true_leaves)
+
+
+def test_searching_an_entry_again_after_a_suppression_counts_nothing(monkeypatch):
+    calls = count_ready(monkeypatch)
+    searched = []
+    frontier = GraphNetwork.frontier
+
+    def recording(net, *args):
+        searched.append(net.latest)
+        return frontier(net, *args)
+
+    monkeypatch.setattr(GraphNetwork, "frontier", recording)
+    result = run_scenario(parse(WORKLOADS["habitat_unclearable"].make_text()),
+                          RunConfig(seed=0))
+    assert result.network.suppressed
+    assert len(calls) == len(set(map(id, searched))) < len(searched)
+    for entry in result.network.entries:
+        assert_search_matches_oracle(entry.compiled, entry.true_leaves)
+
+
+def test_ready_and_price_match_the_gather_on_the_hanoi_8_main_graph():
+    """Over the leaf truths of a two-arm hanoi 8 run. It ends unsolvable
+    because the handover pad at `scenarios.PAD_POINT` is too close to peg A
+    to take a disk while the largest one sits there."""
+    result = run_scenario(gen_hanoi(8), RunConfig(seed=0, depth_cap=60))
+    assert (result.status, result.moves) == (FinalStatus.UNSOLVABLE, 33)
+    compiled = result.network.entries[0].compiled
+    assert len(compiled.decl) == 76681 and compiled.dtype is np.int64
+    truths = {entry.true_leaves for entry in result.network.entries
+              if entry.compiled is compiled}
+    assert len(truths) > 20
+    for true_leaves in truths:
+        assert_search_matches_oracle(compiled, true_leaves)
