@@ -596,7 +596,8 @@ _DOT_SHAPE = {
 }
 
 
-def _dot_escape(text: str) -> str:
+def escape_label(text: str) -> str:
+    """`text` escaped for a double-quoted label in DOT or in scenario text."""
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
@@ -612,10 +613,10 @@ def to_dot(template: GraphTemplate, title: str = "andor",
         nodes += ((virtual_id, NodeKind.VIRTUAL, "virtual"),)
         arcs += virtual_arcs
 
-    lines = [f'digraph "{_dot_escape(title)}" {{', "  rankdir=BT;",
+    lines = [f'digraph "{escape_label(title)}" {{', "  rankdir=BT;",
              '  node [fontname="Helvetica"];']
     for nid, kind, label in nodes:
-        attrs = [f'label="{_dot_escape(label)}"', f"shape={_DOT_SHAPE[kind]}"]
+        attrs = [f'label="{escape_label(label)}"', f"shape={_DOT_SHAPE[kind]}"]
         if kind is NodeKind.LEAF and nid in true_leaves:
             attrs.append('style=filled fillcolor="#c8e6c9"')
         if kind is NodeKind.FAILURE:
@@ -629,7 +630,7 @@ def to_dot(template: GraphTemplate, title: str = "andor",
         if actions:
             label_bits.append(",".join(actions))
         lines.append(f'  {junction} [shape=point label="" width=0.06];')
-        lines.append(f'  {junction} -> n{parent} [label="{_dot_escape(" ".join(label_bits))}"];')
+        lines.append(f'  {junction} -> n{parent} [label="{escape_label(" ".join(label_bits))}"];')
         for child in children:
             lines.append(f"  n{child} -> {junction} [arrowhead=none];")
     lines.append("}")

@@ -46,6 +46,9 @@ ignored, and an uppercase word alone on a line opens a section:
       arc 1 parent 1 children 2 weight 1
     end
 
+A scenario declares its objects, markers and agents as the `world`
+module's own `Obj`, `Marker` and `Agent` values, as written.
+
 A graph (GRAPH, or one stage of STAGES) is read into columns, not
 objects, through an `andor.GraphBuilder`. Two line shapes are read with
 one whole-line pattern each, without tokens: `node <id> <kind> "<label>"`
@@ -77,7 +80,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .andor import KINDS, GraphBuilder, GraphError, GraphTemplate, NodeKind
+from .andor import KINDS, GraphBuilder, GraphError, GraphTemplate, NodeKind, escape_label
 from .domain import (
     BUILTIN_PREDICATE_DECLS,
     DERIVED_PREDICATES,
@@ -88,7 +91,8 @@ from .domain import (
     MotionClass,
     PredicateDecl,
 )
-from .world import DEFAULT_RESOLUTION, DEFAULT_SNAP, MAX_GRID_CELLS, Marker, grid_shape
+from .world import (DEFAULT_RESOLUTION, DEFAULT_SNAP, MAX_GRID_CELLS, Agent, Marker, Obj,
+                    grid_shape)
 
 SECTIONS = ("OBJECTS", "AGENTS", "PREDICATES", "ACTIONS", "INIT", "GOAL",
             "GRAPH", "STAGES")
@@ -121,39 +125,16 @@ class ResolveError(DslError):
     pass
 
 
-@dataclass(frozen=True)
-class ObjDecl:
-    id: str
-    shape: str
-    dims: tuple[float, ...]
-    x: float
-    y: float
-    movable: bool
-    yaw: float = 0.0
-    on: str | None = None
-    blocks: str = "all"
-
-
-@dataclass(frozen=True)
-class AgentDecl:
-    id: str
-    kind: str
-    x: float
-    y: float
-    reach: float = 0.0
-    radius: float = 0.0
-    mount: str | None = None
-    mount_dx: float = 0.0
-    mount_dy: float = 0.0
-
-
 @dataclass
 class Scenario:
+    """Entities are `world` values as declared: an agent's `anchor` is its
+    `at` point and `world.world_from_scenario` places it."""
+
     name: str
     bounds: tuple[float, float, float, float] = (0.0, 0.0, 1.0, 1.0)
-    objects: dict[str, ObjDecl] = field(default_factory=dict)
+    objects: dict[str, Obj] = field(default_factory=dict)
     markers: dict[str, Marker] = field(default_factory=dict)
-    agents: dict[str, AgentDecl] = field(default_factory=dict)
+    agents: dict[str, Agent] = field(default_factory=dict)
     predicates: dict[str, PredicateDecl] = field(default_factory=dict)
     actions: dict[str, ActionTemplate] = field(default_factory=dict)
     init: tuple[Fact, ...] = ()
@@ -311,10 +292,6 @@ def _unescape(raw: str) -> str:
     return body.replace("\\\"", "\"").replace("\\\\", "\\")
 
 
-def _escape(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
 # The plain `node` and `arc` shapes of the module docstring, which make up
 # nearly all of a large graph's text. A label is the lexer's string pattern
 # with its loop unrolled: the same strings, matched about four times faster.
@@ -429,6 +406,8 @@ class _Parser:
         self.seen_sections: set[str] = set()
         self.decl_lines: dict[tuple[str, object], int] = {}
         self.entity_ids: set[str] = set()  # objects, markers and agents declared so far
+        self.init: list[Fact] = []  # INIT and GOAL facts in file order
+        self.goal: list[Fact] = []
         self.graph_section = _GraphSection()
         self.stage_sections: dict[str, _GraphSection] = {}
         self.graph_line = 1
@@ -525,9 +504,9 @@ class _Parser:
                 blocks = cur.word(*_BLOCK_TAGS).value
             cur.finish()
             self._declare(name)
-            self.scenario.objects[name.value] = ObjDecl(
-                name.value, shape.value, dims, x, y,
-                mobility.value == "movable", yaw, on, blocks)
+            self.scenario.objects[name.value] = Obj(
+                name.value, shape.value, dims, x, y, yaw=yaw,
+                movable=mobility.value == "movable", blocks=blocks, stack_on=on)
             self.decl_lines[("entity", name.value)] = name.line
             return
         name = cur.word()
@@ -563,17 +542,17 @@ class _Parser:
                 dx, _ = cur.number()
                 dy, _ = cur.number()
             cur.finish()
-            decl = AgentDecl(name.value, "arm", x, y, reach=reach,
-                             mount=mount, mount_dx=dx, mount_dy=dy)
+            agent = Agent(name.value, "arm", anchor=(x, y), reach=reach,
+                          mount=mount, mount_off=(dx, dy))
         else:
             cur.word("radius")
             radius, tr = cur.number()
             if radius <= 0:
                 raise ParseError("radius must be positive", tr.line, tr.col)
             cur.finish()
-            decl = AgentDecl(name.value, "base", x, y, radius=radius)
+            agent = Agent(name.value, "base", anchor=(x, y), radius=radius)
         self._declare(name)
-        self.scenario.agents[name.value] = decl
+        self.scenario.agents[name.value] = agent
         self.decl_lines[("entity", name.value)] = name.line
 
     def _line_PREDICATES(self, cur: _Cursor):
@@ -668,13 +647,13 @@ class _Parser:
             raise ResolveError(
                 f"predicate {fact.predicate} is derived from geometry and cannot be "
                 "asserted initially", tok.line, tok.col)
-        self.scenario.init = self.scenario.init + (fact,)
+        self.init.append(fact)
         self.decl_lines[("init", fact)] = tok.line
 
     def _line_GOAL(self, cur: _Cursor):
         fact, tok = self._fact(cur)
         cur.finish()
-        self.scenario.goal = self.scenario.goal + (fact,)
+        self.goal.append(fact)
         self.decl_lines[("goal", fact)] = tok.line
 
     def _line_GRAPH(self, cur: _Cursor):
@@ -739,15 +718,16 @@ class _Parser:
         if self.bounds_line is None:
             raise ResolveError("missing bounds line in OBJECTS",
                                len(self.lines) + 1, 1)
+        scn.init, scn.goal = tuple(self.init), tuple(self.goal)
         entities = scn.entity_ids()
         predicates = scn.all_predicates()
 
         for obj in scn.objects.values():
             line, col = self._at(("entity", obj.id))
-            if obj.on is not None and obj.on not in scn.objects:
-                raise ResolveError(f"object {obj.id} rests on unknown object {obj.on}",
-                                   line, col)
-            if obj.on is not None and not obj.movable:
+            if obj.stack_on is not None and obj.stack_on not in scn.objects:
+                raise ResolveError(
+                    f"object {obj.id} rests on unknown object {obj.stack_on}", line, col)
+            if obj.stack_on is not None and not obj.movable:
                 raise ResolveError(f"fixed object {obj.id} cannot rest on another",
                                    line, col)
         acyclic: set[str] = set()
@@ -760,7 +740,7 @@ class _Parser:
                     line, col = self._at(("entity", current))
                     raise ResolveError("stacking cycle: " + " on ".join(cycle), line, col)
                 chain.append(current)
-                current = scn.objects[current].on
+                current = scn.objects[current].stack_on
             acyclic.update(chain)
         for agent in scn.agents.values():
             line, col = self._at(("entity", agent.id))
@@ -886,14 +866,14 @@ def fmt_weight(weight: Fraction) -> str:
     return f"{weight.numerator}/{weight.denominator}"
 
 
-def _obj_line(obj: ObjDecl) -> str:
+def _obj_line(obj: Obj) -> str:
     dims = " ".join(fmt_float(d) for d in obj.dims)
     parts = [f"obj {obj.id} {obj.shape} {dims} at {fmt_float(obj.x)} {fmt_float(obj.y)}",
              "movable" if obj.movable else "fixed"]
     if obj.yaw:
         parts.append(f"yaw {fmt_float(obj.yaw)}")
-    if obj.on is not None:
-        parts.append(f"on {obj.on}")
+    if obj.stack_on is not None:
+        parts.append(f"on {obj.stack_on}")
     if obj.blocks != "all":
         parts.append(f"blocks {obj.blocks}")
     return " ".join(parts)
@@ -908,16 +888,15 @@ def _marker_line(marker: Marker) -> str:
     return " ".join(parts)
 
 
-def _agent_line(agent: AgentDecl) -> str:
-    if agent.kind == "arm":
-        parts = [f"arm {agent.id} at {fmt_float(agent.x)} {fmt_float(agent.y)} "
-                 f"reach {fmt_float(agent.reach)}"]
-        if agent.mount is not None:
-            parts.append(f"mount {agent.mount} offset {fmt_float(agent.mount_dx)} "
-                         f"{fmt_float(agent.mount_dy)}")
-        return " ".join(parts)
-    return (f"base {agent.id} at {fmt_float(agent.x)} {fmt_float(agent.y)} "
-            f"radius {fmt_float(agent.radius)}")
+def _agent_line(agent: Agent) -> str:
+    at = f"{agent.id} at {fmt_float(agent.anchor[0])} {fmt_float(agent.anchor[1])}"
+    if agent.kind == "base":
+        return f"base {at} radius {fmt_float(agent.radius)}"
+    line = f"arm {at} reach {fmt_float(agent.reach)}"
+    if agent.mount is not None:
+        dx, dy = agent.mount_off
+        line += f" mount {agent.mount} offset {fmt_float(dx)} {fmt_float(dy)}"
+    return line
 
 
 def _action_lines(action: ActionTemplate) -> list[str]:
@@ -950,7 +929,7 @@ def _action_lines(action: ActionTemplate) -> list[str]:
 
 def _template_lines(template: GraphTemplate, indent: str = "") -> list[str]:
     nodes, arcs = template.rows()
-    out = [f"{indent}node {nid} {kind.value} {_escape(label)}" for nid, kind, label in nodes]
+    out = [f'{indent}node {nid} {kind.value} "{escape_label(label)}"' for nid, kind, label in nodes]
     for aid, parent, children, weight, actions in arcs:
         line = (f"{indent}arc {aid} parent {parent} children "
                 + " ".join(map(str, children)) + f" weight {fmt_weight(weight)}")

@@ -218,10 +218,11 @@ def _finish(scenario, status, depth, moves, steps, world, trace, timers,
 def _metric_groups(scenario: Scenario) -> dict[str, str]:
     """Agent id -> the group its plan calls report in, read from the
     declared agents: "base" for a base; when two or more arms are
-    declared, "left" for the arm of smallest x (ties by id); "right" for
-    every other arm, a lone arm included."""
-    groups = {aid: "base" for aid, decl in scenario.agents.items() if decl.kind == "base"}
-    arms = sorted((decl.x, aid) for aid, decl in scenario.agents.items() if decl.kind == "arm")
+    declared, "left" for the arm of smallest declared x (ties by id);
+    "right" for every other arm, a lone arm included."""
+    groups = {aid: "base" for aid, agent in scenario.agents.items() if agent.kind == "base"}
+    arms = sorted((agent.anchor[0], aid) for aid, agent in scenario.agents.items()
+                  if agent.kind == "arm")
     groups.update((aid, "right") for _, aid in arms)
     if len(arms) >= 2:
         groups[arms[0][1]] = "left"

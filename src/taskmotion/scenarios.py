@@ -27,8 +27,8 @@ from collections import deque
 
 from .andor import GraphBuilder, GraphTemplate, NodeKind
 from .domain import ActionTemplate, Condition, Fact, MotionClass, PredicateDecl
-from .dsl import AgentDecl, ObjDecl, Scenario
-from .world import DEFAULT_SNAP, Marker
+from .dsl import Scenario
+from .world import DEFAULT_SNAP, Agent, Marker, Obj
 
 
 class BadDiskCount(Exception):
@@ -119,18 +119,18 @@ def gen_hanoi(n: int, omnipotent: bool = False) -> Scenario:
     scn.bounds = HANOI_BOUNDS
     for peg in PEGS:
         x, y = PEG_POINTS[peg]
-        scn.objects[peg] = ObjDecl(peg, "circle", (0.028,), x, y, movable=False)
+        scn.objects[peg] = Obj(peg, "circle", (0.028,), x, y, movable=False)
     ax, ay = PEG_POINTS["pegA"]
     for i, disk in enumerate(disks, start=1):
         support = PEGS[0] if i == n else disks[i]  # d_n sits on the peg
-        scn.objects[disk] = ObjDecl(disk, "circle", (disk_radius(i),), ax, ay,
-                                    movable=True, on=support)
+        scn.objects[disk] = Obj(disk, "circle", (disk_radius(i),), ax, ay,
+                                movable=True, stack_on=support)
     if omnipotent:
-        scn.agents["arm_solo"] = AgentDecl("arm_solo", "arm", 0.0, 0.45, reach=2.0)
+        scn.agents["arm_solo"] = Agent("arm_solo", "arm", anchor=(0.0, 0.45), reach=2.0)
     else:
         scn.markers[PAD] = Marker(PAD, PAD_POINT[0], PAD_POINT[1], handover=True)
-        scn.agents["arm_left"] = AgentDecl("arm_left", "arm", -0.3, 0.0, reach=0.75)
-        scn.agents["arm_right"] = AgentDecl("arm_right", "arm", 0.3, 0.0, reach=0.75)
+        scn.agents["arm_left"] = Agent("arm_left", "arm", anchor=(-0.3, 0.0), reach=0.75)
+        scn.agents["arm_right"] = Agent("arm_right", "arm", anchor=(0.3, 0.0), reach=0.75)
 
     goal_chain = [Fact("on", (disks[-1], "pegC"))]
     for upper, lower in zip(disks, disks[1:]):
@@ -215,8 +215,7 @@ def gen_habitat() -> Scenario:
     scn.bounds = HABITAT_BOUNDS
 
     def fixed(oid, w, h, x, y, blocks):
-        scn.objects[oid] = ObjDecl(oid, "box", (w, h), x, y, movable=False,
-                                   blocks=blocks)
+        scn.objects[oid] = Obj(oid, "box", (w, h), x, y, movable=False, blocks=blocks)
 
     fixed("workbench", 1.6, 0.4, 0.0, 1.2, "base")
     fixed("west_table", 0.5, 1.05, -1.15, 0.025, "base")
@@ -235,13 +234,13 @@ def gen_habitat() -> Scenario:
 
     for i in (1, 2):
         x = TRAY_X[i]
-        scn.objects[f"sample_{i}"] = ObjDecl(f"sample_{i}", "circle", (0.03,),
-                                             x, 1.28, movable=True, blocks="arm")
-        scn.objects[f"pink_{i}"] = ObjDecl(f"pink_{i}", "box", (0.16, 0.08),
-                                           x, 1.18, movable=True, blocks="arm")
+        scn.objects[f"sample_{i}"] = Obj(f"sample_{i}", "circle", (0.03,),
+                                         x, 1.28, movable=True, blocks="arm")
+        scn.objects[f"pink_{i}"] = Obj(f"pink_{i}", "box", (0.16, 0.08),
+                                       x, 1.18, movable=True, blocks="arm")
         gx, gy = SIDE_POINTS[i]
-        scn.objects[f"glass_{i}"] = ObjDecl(f"glass_{i}", "circle", (0.035,),
-                                            gx, gy, movable=True, blocks="arm")
+        scn.objects[f"glass_{i}"] = Obj(f"glass_{i}", "circle", (0.035,),
+                                        gx, gy, movable=True, blocks="arm")
 
     def marker(mid, point, snap=DEFAULT_SNAP):
         scn.markers[mid] = Marker(mid, point[0], point[1], snap=snap)
@@ -257,11 +256,11 @@ def gen_habitat() -> Scenario:
     for mid, point in APPROACH_POINTS.items():
         marker(mid, point, snap=0.05)
 
-    scn.agents["base_main"] = AgentDecl("base_main", "base", 0.0, 0.0, radius=0.22)
-    scn.agents["arm_left"] = AgentDecl("arm_left", "arm", -0.25, 0.05, reach=0.65,
-                                       mount="base_main", mount_dx=-0.25, mount_dy=0.05)
-    scn.agents["arm_right"] = AgentDecl("arm_right", "arm", 0.25, 0.05, reach=0.65,
-                                        mount="base_main", mount_dx=0.25, mount_dy=0.05)
+    scn.agents["base_main"] = Agent("base_main", "base", anchor=(0.0, 0.0), radius=0.22)
+    scn.agents["arm_left"] = Agent("arm_left", "arm", anchor=(-0.25, 0.05), reach=0.65,
+                                   mount="base_main", mount_off=(-0.25, 0.05))
+    scn.agents["arm_right"] = Agent("arm_right", "arm", anchor=(0.25, 0.05), reach=0.65,
+                                    mount="base_main", mount_off=(0.25, 0.05))
 
     for name in ("sterilised", "incubated", "cleaned"):
         scn.predicates[name] = PredicateDecl(name, 1)

@@ -115,6 +115,12 @@ class Obj:
     blocks: str = "all"  # "all" | "arm" | "base"
     stack_on: str | None = None
 
+    @property
+    def on(self) -> str | None:
+        """`stack_on` under its scenario-file name. Its one reader is
+        `containers_restored` in perfbench/workloads.py."""
+        return self.stack_on
+
     @cached_property
     def signature_text(self) -> str:
         """This object's pose in the world signature, made on first read."""
@@ -209,21 +215,17 @@ class MotionResult:
 
 
 def world_from_scenario(scenario) -> World:
-    """Materialize the initial world from scenario declarations."""
-    objects = {}
-    for decl in scenario.objects.values():
-        objects[decl.id] = Obj(decl.id, decl.shape, tuple(decl.dims), decl.x, decl.y,
-                               decl.yaw, decl.movable, decl.blocks, decl.on)
+    """The initial world of a scenario, whose entities are this module's
+    values. Only agents change: each is placed at its declared point, a
+    mounted arm at its base's declared point plus its offset."""
     agents = {}
-    for decl in scenario.agents.values():
-        anchor = (decl.x, decl.y)
-        if decl.mount is not None:
-            base = scenario.agents[decl.mount]
-            anchor = (base.x + decl.mount_dx, base.y + decl.mount_dy)
-        agents[decl.id] = Agent(decl.id, decl.kind, anchor, decl.reach, decl.radius,
-                                config=anchor, mount=decl.mount,
-                                mount_off=(decl.mount_dx, decl.mount_dy))
-    return World(bounds=scenario.bounds, objects=objects, agents=agents,
+    for agent in scenario.agents.values():
+        at = agent.anchor
+        if agent.mount is not None:
+            base = scenario.agents[agent.mount].anchor
+            at = (base[0] + agent.mount_off[0], base[1] + agent.mount_off[1])
+        agents[agent.id] = replace(agent, anchor=at, config=at)
+    return World(bounds=scenario.bounds, objects=scenario.objects, agents=agents,
                  markers=scenario.markers, facts=frozenset(scenario.init))
 
 

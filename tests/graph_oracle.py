@@ -38,10 +38,10 @@ from taskmotion.andor import (
     Node,
     NodeKind,
     UnreachableRoot,
-    _dot_escape,
     _DOT_SHAPE,
+    escape_label,
 )
-from taskmotion.dsl import _escape, fmt_weight
+from taskmotion.dsl import fmt_weight
 from taskmotion.network import CompiledGraph
 
 
@@ -93,7 +93,7 @@ def oracle_template_lines(template: GraphTemplate, indent: str = "") -> list[str
     """The GRAPH lines of a template, rendered from its declaration objects."""
     out = []
     for node in sorted(nodes_of(template), key=lambda n: n.id):
-        out.append(f"{indent}node {node.id} {node.kind.value} {_escape(node.label)}")
+        out.append(f'{indent}node {node.id} {node.kind.value} "{escape_label(node.label)}"')
     for arc in sorted(arcs_of(template), key=lambda a: a.id):
         line = (f"{indent}arc {arc.id} parent {arc.parent} children "
                 + " ".join(str(c) for c in arc.children)
@@ -116,10 +116,10 @@ def oracle_to_dot(template: GraphTemplate, title: str = "andor",
         arcs += [HyperArc(arc_id, virtual_id, (template.failure,), Fraction(0)),
                  HyperArc(arc_id + 1, virtual_id, (template.root,), Fraction(0))]
 
-    lines = [f'digraph "{_dot_escape(title)}" {{', "  rankdir=BT;",
+    lines = [f'digraph "{escape_label(title)}" {{', "  rankdir=BT;",
              '  node [fontname="Helvetica"];']
     for node in sorted(nodes, key=attrgetter("id")):
-        attrs = [f'label="{_dot_escape(node.label)}"', f"shape={_DOT_SHAPE[node.kind]}"]
+        attrs = [f'label="{escape_label(node.label)}"', f"shape={_DOT_SHAPE[node.kind]}"]
         if node.kind is NodeKind.LEAF and node.id in true_leaves:
             attrs.append('style=filled fillcolor="#c8e6c9"')
         if node.kind is NodeKind.FAILURE:
@@ -133,7 +133,7 @@ def oracle_to_dot(template: GraphTemplate, title: str = "andor",
         if arc.actions:
             label_bits.append(",".join(arc.actions))
         lines.append(f'  {junction} [shape=point label="" width=0.06];')
-        lines.append(f'  {junction} -> n{arc.parent} [label="{_dot_escape(" ".join(label_bits))}"];')
+        lines.append(f'  {junction} -> n{arc.parent} [label="{escape_label(" ".join(label_bits))}"];')
         for child in arc.children:
             lines.append(f"  n{child} -> {junction} [arrowhead=none];")
     lines.append("}")

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 from taskmotion.andor import GraphTemplate, HyperArc, NodeKind
 from taskmotion.domain import ActionTemplate, Condition, Fact, MotionClass, PredicateDecl
-from taskmotion.dsl import AgentDecl, ObjDecl, Scenario
-from taskmotion.world import Marker
+from taskmotion.dsl import Scenario
+from taskmotion.world import Agent, Marker, Obj
 from graph_oracle import NodeDecl, template_of
 
 
@@ -88,26 +88,26 @@ def fuzz_scenario(seed: int) -> Scenario:
         on = None
         if movable and scn.objects and rng.random() < 0.25:
             on = rng.choice(sorted(scn.objects))
-        scn.objects[oid] = ObjDecl(
-            oid, shape, dims, _coord(rng), _coord(rng), movable,
+        scn.objects[oid] = Obj(
+            oid, shape, dims, _coord(rng), _coord(rng), movable=movable,
             yaw=round(rng.uniform(0, 1.5), 2) if rng.random() < 0.3 else 0.0,
-            on=on, blocks=rng.choice(["all", "all", "arm", "base"]))
+            stack_on=on, blocks=rng.choice(["all", "all", "arm", "base"]))
     for i in range(rng.randint(0, 3)):
         mid = f"k{i}"
         scn.markers[mid] = Marker(
             mid, _coord(rng), _coord(rng),
             snap=round(rng.uniform(0.02, 0.1), 2) if rng.random() < 0.5 else 0.04,
             handover=rng.random() < 0.3)
-    scn.agents["a1"] = AgentDecl("a1", "arm", _coord(rng), _coord(rng),
-                                 reach=round(rng.uniform(0.5, 1.5), 2))
+    scn.agents["a1"] = Agent("a1", "arm", anchor=(_coord(rng), _coord(rng)),
+                             reach=round(rng.uniform(0.5, 1.5), 2))
     if rng.random() < 0.5:
-        scn.agents["b1"] = AgentDecl("b1", "base", _coord(rng), _coord(rng),
-                                     radius=round(rng.uniform(0.1, 0.3), 2))
+        scn.agents["b1"] = Agent("b1", "base", anchor=(_coord(rng), _coord(rng)),
+                                 radius=round(rng.uniform(0.1, 0.3), 2))
         if rng.random() < 0.5:
-            scn.agents["a2"] = AgentDecl(
-                "a2", "arm", 0.0, 0.0, reach=round(rng.uniform(0.5, 1.5), 2),
-                mount="b1", mount_dx=round(rng.uniform(-0.3, 0.3), 2),
-                mount_dy=round(rng.uniform(-0.3, 0.3), 2))
+            scn.agents["a2"] = Agent(
+                "a2", "arm", anchor=(0.0, 0.0), reach=round(rng.uniform(0.5, 1.5), 2),
+                mount="b1", mount_off=(round(rng.uniform(-0.3, 0.3), 2),
+                                       round(rng.uniform(-0.3, 0.3), 2)))
 
     for i in range(rng.randint(0, 3)):
         arity = rng.randint(0, 2)
@@ -204,13 +204,13 @@ def blocked_scenario(seed: int) -> Scenario:
     not_carrying = Condition(Fact("carrying", ()), negated=True)
     mobile = rng.random() < 0.3
     if mobile:
-        scn.agents["cart"] = AgentDecl("cart", "base", round(rng.uniform(-0.2, 0.2), 2), -0.75,
-                                     radius=round(rng.uniform(0.08, 0.14), 2))
-        scn.agents["a1"] = AgentDecl("a1", "arm", 0.0, 0.0, reach=round(rng.uniform(1.0, 1.2), 2),
-                                     mount="cart", mount_dx=0.0, mount_dy=0.1)
+        scn.agents["cart"] = Agent("cart", "base", anchor=(round(rng.uniform(-0.2, 0.2), 2), -0.75),
+                                   radius=round(rng.uniform(0.08, 0.14), 2))
+        scn.agents["a1"] = Agent("a1", "arm", anchor=(0.0, 0.0), reach=round(rng.uniform(1.0, 1.2), 2),
+                                 mount="cart", mount_off=(0.0, 0.1))
     else:
-        scn.agents["a1"] = AgentDecl("a1", "arm", round(rng.uniform(-0.3, 0.3), 2), -0.85,
-                                     reach=round(rng.uniform(1.8, 2.2), 2))
+        scn.agents["a1"] = Agent("a1", "arm", anchor=(round(rng.uniform(-0.3, 0.3), 2), -0.85),
+                                 reach=round(rng.uniform(1.8, 2.2), 2))
 
     arcs_of = []
     blockers = []  # (blocker id, x, y)
@@ -221,8 +221,8 @@ def blocked_scenario(seed: int) -> Scenario:
         gx, gy = round(rng.uniform(0.35, 0.8), 2), round(rng.uniform(-0.3, 0.7), 2)
         if i == 1:
             sx, gx = -sx, -gx  # the second item travels the other way
-        scn.objects[item] = ObjDecl(item, "circle", (round(rng.uniform(0.025, 0.05), 3),),
-                                    sx, sy, movable=True)
+        scn.objects[item] = Obj(item, "circle", (round(rng.uniform(0.025, 0.05), 3),),
+                                sx, sy, movable=True)
         scn.markers[start] = Marker(start, sx, sy)
         scn.markers[goal] = Marker(goal, gx, gy, snap=rng.choice([0.04, 0.06]))
         area = {}
@@ -272,15 +272,15 @@ def blocked_scenario(seed: int) -> Scenario:
                 half = round(rng.uniform(0.1, 0.16), 2)
                 for wid, lo, hi in ((f"fence{i}_s", -1.0, y - half),
                                     (f"fence{i}_n", y + half, 1.0)):
-                    scn.objects[wid] = ObjDecl(wid, "box", (0.04, round(hi - lo, 2)), x,
-                                               round((lo + hi) / 2, 2), movable=False,
-                                               blocks="arm")
+                    scn.objects[wid] = Obj(wid, "box", (0.04, round(hi - lo, 2)), x,
+                                           round((lo + hi) / 2, 2), movable=False,
+                                           blocks="arm")
             if kind in ("gap", "floor"):
                 shape, dims = "box", (0.06, round(rng.uniform(0.2, 0.4), 2))
             else:
                 shape, dims = "circle", (round(rng.uniform(0.03, 0.06), 3),)
-            scn.objects[bid] = ObjDecl(bid, shape, dims, x, y, movable=True, on=on,
-                                       blocks=rng.choice(["all", "arm"]))
+            scn.objects[bid] = Obj(bid, shape, dims, x, y, movable=True, stack_on=on,
+                                   blocks=rng.choice(["all", "arm"]))
             blockers.append((bid, x, y))
 
     for bid, x, y in blockers:

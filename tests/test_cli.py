@@ -114,7 +114,7 @@ def test_run_depth_capped_exits_two(capsys):
 def test_run_with_an_agent_outside_the_grid_exits_two(tmp_path, capsys):
     scenario = gen_hanoi(3, omnipotent=True)
     arm = scenario.agents["arm_solo"]
-    scenario.agents["arm_solo"] = replace(arm, y=scenario.bounds[3] + 0.1)
+    scenario.agents["arm_solo"] = replace(arm, anchor=(arm.anchor[0], scenario.bounds[3] + 0.1))
     path = tmp_path / "outside.scn"
     path.write_text(serialize(scenario))
     code = main(["run", str(path)])

@@ -63,6 +63,34 @@ def test_minimal_fixture_contents():
     assert arcs_of(scn.stages["clear_cup"])[0].weight == Fraction(2, 3)
 
 
+def test_a_mounted_arm_keeps_its_declared_point_and_is_placed_on_its_base():
+    """The scenario keeps an arm's declared `at` point through a round trip;
+    the world places the arm at its base's declared point plus its offset,
+    and holds the scenario's own objects."""
+    raw = read("minimal.scn").replace(
+        "obj cup circle 0.04 at 0.2 0.2 movable\n",
+        "obj cup circle 0.04 at 0.2 0.2 movable on table\n").replace(
+        "arm lifter at 0 0 reach 0.6\n",
+        "base cart at 0.3 -0.2 radius 0.1\n"
+        "arm lifter at 0.1 0.1 reach 0.6 mount cart offset -0.25 0.05\n")
+    scn = parse(raw)
+    again = parse(serialize(scn))
+    assert again == scn
+    assert again.agents["lifter"].anchor == (0.1, 0.1)
+    assert again.agents["lifter"].mount_off == (-0.25, 0.05)
+
+    initial = world.world_from_scenario(scn)
+    placed = (0.3 + -0.25, -0.2 + 0.05)
+    assert initial.agents["lifter"].anchor == placed
+    assert initial.agents["lifter"].config == placed
+    assert initial.agents["cart"].anchor == initial.agents["cart"].config == (0.3, -0.2)
+    assert initial.objects.keys() == scn.objects.keys()
+    for oid, obj in initial.objects.items():
+        assert obj is scn.objects[oid]
+        assert obj.on == obj.stack_on
+    assert initial.objects["cup"].on == "table"
+
+
 def test_fact_order_does_not_matter():
     raw = read("minimal.scn")
     swapped = raw.replace(

@@ -23,7 +23,7 @@ from taskmotion.domain import (
     MotionClass,
     PredicateDecl,
 )
-from taskmotion.dsl import AgentDecl, ObjDecl, Scenario, parse
+from taskmotion.dsl import Scenario, parse
 from taskmotion.planner import (
     MODULE_ROWS,
     TABLE_COLUMNS,
@@ -36,7 +36,7 @@ from taskmotion.planner import (
     trace_text,
 )
 from taskmotion.scenarios import gen_habitat, gen_hanoi
-from taskmotion.world import Marker
+from taskmotion.world import Agent, Marker, Obj
 from graph_oracle import NodeDecl, template_of
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -46,10 +46,10 @@ from workloads import WORKLOADS  # noqa: E402
 def fetch_scenario():
     """One arm moves one ball to one marker: a single-candidate run."""
     scn = Scenario("fetch", bounds=(-0.6, -0.6, 0.8, 0.8))
-    scn.objects["ball"] = ObjDecl("ball", "circle", (0.03,), 0.0, 0.2, movable=True)
+    scn.objects["ball"] = Obj("ball", "circle", (0.03,), 0.0, 0.2, movable=True)
     scn.markers["start"] = Marker("start", 0.0, 0.2)
     scn.markers["home"] = Marker("home", 0.3, 0.0)
-    scn.agents["arm"] = AgentDecl("arm", "arm", 0.0, 0.0, reach=0.5)
+    scn.agents["arm"] = Agent("arm", "arm", anchor=(0.0, 0.0), reach=0.5)
     scn.actions["deliver_ball"] = ActionTemplate(
         "deliver_ball", MotionClass.TRANSFER,
         preconditions=(Condition(Fact("at", ("ball", "start"))),),
@@ -74,15 +74,14 @@ def blocked_scenario():
     graph, park the wall aside, and come back for the prize.
     """
     scn = Scenario("blocked", bounds=(-1.0, -1.0, 1.0, 1.0))
-    scn.objects["prize"] = ObjDecl("prize", "circle", (0.03,), 0.5, 0.0,
-                                   movable=True)
-    scn.objects["wall"] = ObjDecl("wall", "box", (0.08, 2.0), 0.3, 0.0,
-                                  movable=True, blocks="arm")
+    scn.objects["prize"] = Obj("prize", "circle", (0.03,), 0.5, 0.0, movable=True)
+    scn.objects["wall"] = Obj("wall", "box", (0.08, 2.0), 0.3, 0.0,
+                              movable=True, blocks="arm")
     scn.markers["spot"] = Marker("spot", 0.5, 0.0)
     scn.markers["home"] = Marker("home", 0.0, -0.5)
     scn.markers["wallpos"] = Marker("wallpos", 0.3, 0.0)
     scn.markers["aside"] = Marker("aside", -0.5, 0.0)
-    scn.agents["arm"] = AgentDecl("arm", "arm", 0.0, 0.0, reach=0.9)
+    scn.agents["arm"] = Agent("arm", "arm", anchor=(0.0, 0.0), reach=0.9)
     scn.actions["move_prize"] = ActionTemplate(
         "move_prize", MotionClass.TRANSFER,
         preconditions=(Condition(Fact("at", ("prize", "spot"))),),
@@ -136,8 +135,7 @@ def test_grounding_failure_suppresses_and_falls_back():
     scn = fetch_scenario()
     # A decoy option with a lower arc id grabs priority, but its object
     # sits outside every arm's reach, so grounding must reject it.
-    scn.objects["meteor"] = ObjDecl("meteor", "circle", (0.03,), 0.6, 0.6,
-                                    movable=True)
+    scn.objects["meteor"] = Obj("meteor", "circle", (0.03,), 0.6, 0.6, movable=True)
     scn.actions["deliver_meteor"] = ActionTemplate(
         "deliver_meteor", MotionClass.TRANSFER,
         verb="transfer", manipulated="meteor", dest="home")
@@ -278,7 +276,7 @@ def test_rejected_queries_count_as_attempts():
     """A query the world rejects is a plan call, so it is an attempt too."""
     scn = gen_hanoi(3, omnipotent=True)
     arm = scn.agents["arm_solo"]
-    scn.agents["arm_solo"] = replace(arm, y=scn.bounds[3] + 0.1)
+    scn.agents["arm_solo"] = replace(arm, anchor=(arm.anchor[0], scn.bounds[3] + 0.1))
     res = run_scenario(scn)
     assert res.status is FinalStatus.UNSOLVABLE
     assert res.metrics["plan_calls"] > 0
@@ -495,8 +493,8 @@ def test_arm_columns_follow_the_declared_geometry():
     right column; the arm at -0.3, named arm_right, in the left."""
     scn = gen_hanoi(3)
     left, right = scn.agents["arm_left"], scn.agents["arm_right"]
-    scn.agents["arm_left"] = replace(left, x=right.x, y=right.y)
-    scn.agents["arm_right"] = replace(right, x=left.x, y=left.y)
+    scn.agents["arm_left"] = replace(left, anchor=right.anchor)
+    scn.agents["arm_right"] = replace(right, anchor=left.anchor)
     res = run_scenario(scn)
     assert res.status is FinalStatus.GOAL_ACHIEVED
     attempts = res.metrics["attempts"]
