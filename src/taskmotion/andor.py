@@ -157,8 +157,8 @@ class GraphTemplate:
     `checked` validates it on first access and keeps the result; `rows`
     reads the declarations back. Two templates are equal when they declare
     the same nodes and arcs, whatever the order of the declarations; the
-    hash reads only the sorted ids, and equality compares rows only after
-    the sizes and the sorted ids agree.
+    hash reads only the sorted ids, and equality compares the columns in
+    id order once the sizes agree, without building rows.
     """
 
     ids: np.ndarray
@@ -207,7 +207,21 @@ class GraphTemplate:
         equal ones."""
         return tuple(np.sort(self.ids).tolist()), tuple(np.sort(self.arc_ids).tolist())
 
+    def _id_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The declaration indexes of the nodes and of the arcs, each in id
+        order (a repeated id in declaration order), as `rows` sorts them,
+        and the index into `children` of each arc's children in that order."""
+        nodes = np.argsort(self.ids, kind="stable")
+        arcs = np.argsort(self.arc_ids, kind="stable")
+        counts = np.diff(self.child_starts)[arcs]
+        ends = np.cumsum(counts)
+        within = np.arange(len(self.children)) - np.repeat(ends - counts, counts)
+        return nodes, arcs, np.repeat(self.child_starts[:-1][arcs], counts) + within
+
     def __eq__(self, other) -> bool:
+        """Whether the rows are equal, read from the columns in id order;
+        a weight is in lowest terms, so its two columns compare as the
+        fraction does."""
         if not isinstance(other, GraphTemplate):
             return NotImplemented
         if self is other:
@@ -215,7 +229,22 @@ class GraphTemplate:
         if (len(self.ids), len(self.arc_ids), len(self.children)) != (
                 len(other.ids), len(other.arc_ids), len(other.children)):
             return False
-        return self._sorted_ids() == other._sorted_ids() and self.rows() == other.rows()
+        (nodes, arcs, children), (their_nodes, their_arcs, their_children) = (
+            self._id_order(), other._id_order())
+        return (all(np.array_equal(mine[order], theirs[their_order])
+                    for mine, theirs, order, their_order in (
+                        (self.ids, other.ids, nodes, their_nodes),
+                        (self.arc_ids, other.arc_ids, arcs, their_arcs),
+                        (self.kinds, other.kinds, nodes, their_nodes),
+                        (self.parents, other.parents, arcs, their_arcs),
+                        (np.diff(self.child_starts), np.diff(other.child_starts), arcs, their_arcs),
+                        (self.children, other.children, children, their_children),
+                        (self.weight_num, other.weight_num, arcs, their_arcs),
+                        (self.weight_den, other.weight_den, arcs, their_arcs)))
+                and [self.labels[i] for i in nodes.tolist()]
+                == [other.labels[i] for i in their_nodes.tolist()]
+                and [self.actions[j] for j in arcs.tolist()]
+                == [other.actions[j] for j in their_arcs.tolist()])
 
     def __hash__(self) -> int:
         return hash(self._sorted_ids())

@@ -31,7 +31,6 @@ from .world import (
     World,
     entity_point,
     execute,
-    path_length,
     plan_motion,
     reaches,
     snapshot,
@@ -340,7 +339,7 @@ def dispatch(world: World, steps: tuple[GroundedAction, ...],
             failure = DispatchFailure("invalid", action.name, detail=str(exc))
         result.steps.append(StepOutcome(
             action.name, agent_id, action.motion_class, failure is None, attempts,
-            expansions, 0.0 if failure is not None else path_length(motion.path),
+            expansions, 0.0 if failure is not None else motion.length,
             result.world.clock, tuple(plan_times)))
         if failure is not None:
             result.ok = False

@@ -8,15 +8,18 @@ movable objects diagnoses which of them stand in the way.
 
 Each search assembles its grid from layers rasterized once per
 `SearchMemo` scope: the cell-centre axes of the bounds, an arm's reach
-disc, and each obstacle footprint over its bounding box only, each layer
-keyed on exactly the inputs it reads. A grid is a copy of the reach disc
-(all free for a base) OR-ed with its obstacles' footprint patches, kept as
-a byte mask padded by one ring of blocked cells. The diagnosis reads its
-movables' footprint patches from the same layers. A* walks flat indices
-into that mask, whose order equals (x, y) order. Among cells of equal f
-it pops the deeper one (higher g) first, then the one first in (x, y)
-order, so paths are those of A* on coordinate tuples under that rule;
-obstructor order depends on them.
+disc, each obstacle footprint over its bounding box only, and static
+layers, each layer keyed on exactly the inputs it reads. A static layer
+is what no movable changes: the reach disc (all free for a base) OR-ed
+with the footprints of the obstacles that are not movable. A grid is its
+static layer with only its movables' footprint patches OR-ed in, kept as
+a byte mask padded by one ring of blocked cells; the diagnosis' ghost
+grid, which drops every movable, is the static layer itself, and reads
+its movables' footprint patches from the same layers. A* walks flat
+indices into that mask, whose order equals (x, y) order. Among cells of
+equal f it pops the deeper one (higher g) first, then the one first in
+(x, y) order, so paths are those of A* on coordinate tuples under that
+rule; obstructor order depends on them.
 
 A* itself runs once per distinct search in a `SearchMemo`'s scope. The
 memo maps everything `_astar` reads but the one budget (the mask, its
@@ -28,10 +31,12 @@ earlier in the memo's scope.
 
 An unreachable goal is proved, not searched out. A search still short
 of its goal after `PROOF_CHECKPOINT` pops labels the free cells once, by
-runs along each column; when the goal lies outside the start's
-8-connected component it stops. Its pop count (`expansions`) still
-means the pops an exhaustive A* would make: the component size, capped
-by the budget.
+runs along each column, and the memo keeps that labelling under the
+mask; when the goal lies outside the start's 8-connected component it
+stops. A later search on a mask the memo has labelled asks before its
+first pop, so an unreachable goal there costs one lookup. Its pop count
+(`expansions`) still means the pops an exhaustive A* would make: the
+component size, capped by the budget.
 
 `plan_motion` plans a grounded action from the agent's config to one
 goal point, and `execute` applies it; both read the action's verb
@@ -44,12 +49,15 @@ the object being placed.
 Worlds are immutable values: a `World` is frozen and its `objects`,
 `agents` and `markers` maps are read-only, so `execute` returns a new
 world and a changed world is always a new one (`dataclasses.replace`).
-A world shares no mutable state with another. Each world derives its
-symbolic snapshot once, on first read, and keeps it: `snapshot` and
-`world_signature` return that one read-only `WorldState`. A world holds
-no run settings. Reads (`snapshot`, `plan_motion`) are pure, apart from
-filling the search memo, and safe to repeat: the same action, goal
-point and world give an equal result, with any memo or none.
+Nothing a world shares with another is ever changed. Each world derives its
+symbolic snapshot once and keeps it: `snapshot` and `world_signature`
+return that one read-only `WorldState`. A world made by `execute` comes
+with its snapshot derived from its parent's, recomputing only the facts
+of the objects and agents the step changed; any other world derives its
+own from scratch on first read. A world holds no run settings. Reads
+(`snapshot`, `plan_motion`) are pure, apart from filling the search
+memo, and safe to repeat: the same action, goal point and world give an
+equal result, with any memo or none.
 """
 
 from __future__ import annotations
@@ -62,7 +70,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Collection, Mapping, NamedTuple
 
 import numpy as np
 
@@ -180,6 +188,31 @@ class WorldState:
     signature: str
 
 
+@dataclass(frozen=True, eq=False)
+class _Derivation:
+    """A world's `WorldState` with what a child's state is derived from.
+
+    `owned` maps each object and agent id to the derived facts it owns
+    (see `_object_facts` and `_agent_facts`), and `derived` is those facts
+    and `carrying`, without the stored ones; `children` maps each support
+    to the ids resting directly on it, in id order. The signature text is
+    `poses` (each object's, then each agent's pose text, in id order;
+    `slot` gives an id's index there) and then `texts`, each fact's text
+    and "|", sorted by `keys`, each fact's `(predicate, args)`. `slot` and
+    `owned` are None when an object and an agent share an id, and then
+    every child is derived from scratch. No list or map here is changed
+    once made; a child copies what it changes."""
+
+    state: WorldState
+    owned: Mapping[str, list[Fact]] | None
+    derived: frozenset[Fact]
+    children: Mapping[str, tuple[str, ...]]
+    keys: list[tuple[str, tuple[str, ...]]]
+    texts: list[str]
+    poses: list[str]
+    slot: Mapping[str, int] | None
+
+
 @dataclass(frozen=True)
 class World:
     """One immutable world state. The maps are read-only views, so the
@@ -198,9 +231,15 @@ class World:
             object.__setattr__(self, name, _read_only(getattr(self, name)))
 
     @cached_property
-    def state(self) -> WorldState:
-        """The symbolic view of this world, derived on first read."""
+    def _derivation(self) -> _Derivation:
+        """Derived from scratch on first read, unless `execute` handed
+        this world the one it derived from its parent's."""
         return _derive_state(self)
+
+    @property
+    def state(self) -> WorldState:
+        """The symbolic view of this world, derived once."""
+        return self._derivation.state
 
 
 @dataclass(frozen=True)
@@ -212,6 +251,14 @@ class MotionResult:
     goal_point: tuple[float, float]
     world_sig: str
     detail: str = ""
+
+    @cached_property
+    def length(self) -> float:
+        """The path's Euclidean length, computed on first read."""
+        total = 0.0
+        for (x0, y0), (x1, y1) in zip(self.path, self.path[1:]):
+            total += math.hypot(x1 - x0, y1 - y0)
+        return total
 
 
 def world_from_scenario(scenario) -> World:
@@ -245,14 +292,19 @@ def stack_chain_down(world: World, obj_id: str) -> list[str]:
     return chain
 
 
-def _supported(world: World) -> dict[str, list[str]]:
+def _supported(world: World) -> Mapping[str, tuple[str, ...]]:
     """Support id -> the ids resting directly on it, in id order."""
+    return world._derivation.children
+
+
+def _children_of(objects: Mapping[str, Obj]) -> dict[str, tuple[str, ...]]:
+    """`_supported`, made from scratch."""
     children: dict[str, list[str]] = {}
-    for oid in sorted(world.objects):
-        support = world.objects[oid].stack_on
+    for oid in sorted(objects):
+        support = objects[oid].stack_on
         if support is not None:
             children.setdefault(support, []).append(oid)
-    return children
+    return {support: tuple(ids) for support, ids in children.items()}
 
 
 def stack_chain_up(world: World, obj_id: str) -> list[str]:
@@ -311,54 +363,155 @@ def world_signature(world: World) -> str:
     return world.state.signature
 
 
-def _derive_state(world: World) -> WorldState:
-    """Derive the symbolic view of the current geometry.
+_CARRYING = Fact("carrying", ())
 
-    `on`/`clear` follow the stacking relation, `at` compares poses with
-    marker snap radii, `at_peg` names the root support of a stack, and
-    `holding`/`held`/`carrying` reflect attachment. Stored facts (the
-    non-derivable ones such as process flags) are unioned in.
-    """
-    facts: set[Fact] = set()
+
+def _object_facts(world: World, oid: str, holders: Mapping[str, str],
+                  children: Mapping[str, tuple[str, ...]]) -> list[Fact]:
+    """The derived facts about one object: `on` and `at_peg` follow its
+    stack, `holding`/`held` its holder; an object not held is `clear`
+    with nothing on it, and a movable one is `at` each marker whose snap
+    radius holds it."""
+    obj = world.objects[oid]
+    facts = []
+    if obj.stack_on is not None:
+        facts.append(Fact("on", (oid, obj.stack_on)))
+        chain = stack_chain_down(world, oid)
+        if chain:
+            facts.append(Fact("at_peg", (oid, chain[-1])))
+    if oid in holders:
+        facts += [Fact("holding", (holders[oid], oid)), Fact("held", (oid,))]
+        return facts
+    if oid not in children:
+        facts.append(Fact("clear", (oid,)))
+    if obj.movable:
+        facts += [Fact("at", (oid, marker.id)) for marker in world.markers.values()
+                  if math.hypot(obj.x - marker.x, obj.y - marker.y) <= marker.snap]
+    return facts
+
+
+def _agent_facts(world: World, agent: Agent) -> list[Fact]:
+    """A base is `at` each marker whose snap radius holds its config."""
+    if agent.kind != "base":
+        return []
+    x, y = agent.config
+    return [Fact("at", (agent.id, marker.id)) for marker in world.markers.values()
+            if math.hypot(x - marker.x, y - marker.y) <= marker.snap]
+
+
+def _derive_state(world: World) -> _Derivation:
+    """Derive the symbolic view of the whole geometry from scratch: each
+    object's and each agent's facts, `carrying` while anything is held,
+    and the stored facts (the non-derivable ones such as process flags)."""
+    children = _children_of(world.objects)
     holders = held_by(world)
-    supports = _supported(world)
-    for oid in sorted(world.objects):
-        obj = world.objects[oid]
-        if obj.stack_on is not None:
-            facts.add(Fact("on", (oid, obj.stack_on)))
-            chain = stack_chain_down(world, oid)
-            if chain:
-                facts.add(Fact("at_peg", (oid, chain[-1])))
-        if oid in holders:
-            facts.add(Fact("holding", (holders[oid], oid)))
-            facts.add(Fact("held", (oid,)))
-            continue
-        if oid not in supports:
-            facts.add(Fact("clear", (oid,)))
-        if obj.movable:
-            for marker in world.markers.values():
-                if math.hypot(obj.x - marker.x, obj.y - marker.y) <= marker.snap:
-                    facts.add(Fact("at", (oid, marker.id)))
+    owned = {oid: _object_facts(world, oid, holders, children) for oid in world.objects}
+    by_agent = {aid: _agent_facts(world, agent) for aid, agent in world.agents.items()}
+    derived = {fact for facts in (*owned.values(), *by_agent.values()) for fact in facts}
     if holders:
-        facts.add(Fact("carrying", ()))
-    for agent in world.agents.values():
-        if agent.kind != "base":
+        derived.add(_CARRYING)
+    facts = derived | world.facts
+    order = sorted(facts, key=attrgetter("predicate", "args"))
+    object_ids, agent_ids = sorted(world.objects), sorted(world.agents)
+    poses = [world.objects[oid].signature_text for oid in object_ids]
+    poses += [world.agents[aid].signature_text for aid in agent_ids]
+    slot = {eid: index for index, eid in enumerate(object_ids + agent_ids)}
+    if len(slot) == len(poses):
+        owned.update(by_agent)
+    else:
+        owned = slot = None
+    return _assemble(owned, frozenset(derived), frozenset(facts), children,
+                     [(fact.predicate, fact.args) for fact in order],
+                     [f"{fact.text()}|" for fact in order], poses, slot)
+
+
+def _assemble(owned, derived, facts, children, keys, texts, poses, slot) -> _Derivation:
+    """The derivation with its state. The signature is the sha256 of the
+    pose texts and then the fact texts: each object's pose and each
+    agent's config in id order, then each fact followed by "|", in the
+    order of `Fact`'s generated `__lt__`."""
+    signature = hashlib.sha256(("".join(poses) + "".join(texts)).encode()).hexdigest()
+    return _Derivation(WorldState(facts, signature), owned, derived, children, keys, texts,
+                       poses, slot)
+
+
+def _child_derivation(parent: World, child: World, moved: Collection[str],
+                      changed: Collection[str]) -> _Derivation:
+    """The child's derivation, made from its parent's, when `child` differs
+    from `parent` only in the objects `moved`, the agents `changed`, the
+    stored facts and the clock.
+
+    Only the facts owned by what the change touches are derived again:
+    those of the moved objects (which include every object a changed
+    agent takes or lets go), of their old and new supports, of whatever
+    rests on a moved object and of the changed agents, and `carrying`.
+    Each fact has one owner, so swapping an owner's old facts for its new
+    ones leaves every other fact as it was. The signature's sorted fact
+    texts and pose texts change in place at the changed entries."""
+    base = parent._derivation
+    if base.owned is None:
+        return _derive_state(child)
+    children = base.children
+    owners = set(moved)
+    for oid in moved:
+        old, new = parent.objects[oid].stack_on, child.objects[oid].stack_on
+        if old == new:
             continue
-        for marker in world.markers.values():
-            if math.hypot(agent.config[0] - marker.x, agent.config[1] - marker.y) <= marker.snap:
-                facts.add(Fact("at", (agent.id, marker.id)))
-    facts |= world.facts
-    return WorldState(frozenset(facts), _signature(world, facts))
-
-
-def _signature(world: World, facts: Iterable[Fact]) -> str:
-    """sha256 of one text: each object's pose and each agent's config in
-    id order, then each fact followed by "|", in the order of `Fact`'s
-    generated `__lt__`, sorted here at a fraction of its cost."""
-    parts = [world.objects[oid].signature_text for oid in sorted(world.objects)]
-    parts += [world.agents[aid].signature_text for aid in sorted(world.agents)]
-    parts += [f"{fact.text()}|" for fact in sorted(facts, key=attrgetter("predicate", "args"))]
-    return hashlib.sha256("".join(parts).encode()).hexdigest()
+        if children is base.children:
+            children = dict(children)
+        if old is not None:
+            rest = tuple(other for other in children[old] if other != oid)
+            if rest:
+                children[old] = rest
+            else:
+                del children[old]
+        if new is not None:
+            children[new] = tuple(sorted(children.get(new, ()) + (oid,)))
+        owners.update(support for support in (old, new) if support in child.objects)
+    above, seen = list(moved), set(moved)
+    for oid in above:  # grows while it is walked: everything on a moved object
+        for other in children.get(oid, ()):
+            if other not in seen:
+                seen.add(other)
+                above.append(other)
+    owners.update(above)
+    holders = held_by(child)
+    owned = dict(base.owned)
+    gone, came = [], []
+    for oid in owners:
+        gone += owned[oid]
+        owned[oid] = facts = _object_facts(child, oid, holders, children)
+        came += facts
+    for aid in changed:
+        gone += owned[aid]
+        owned[aid] = facts = _agent_facts(child, child.agents[aid])
+        came += facts
+    (came if holders else gone).append(_CARRYING)
+    gone, came = set(gone), set(came)
+    lost, won = gone - came, came - gone
+    derived = (base.derived - lost) | won
+    facts = derived | child.facts
+    old_facts = base.state.facts
+    stored = parent.facts ^ child.facts
+    drop = [fact for fact in lost | stored if fact in old_facts and fact not in facts]
+    add = [fact for fact in won | stored if fact in facts and fact not in old_facts]
+    keys, texts = base.keys, base.texts
+    if drop or add:
+        keys, texts = keys.copy(), texts.copy()
+        for fact in drop:
+            index = bisect.bisect_left(keys, (fact.predicate, fact.args))
+            del keys[index], texts[index]
+        for fact in add:
+            key = (fact.predicate, fact.args)
+            index = bisect.bisect_left(keys, key)
+            keys.insert(index, key)
+            texts.insert(index, f"{fact.text()}|")
+    poses = base.poses.copy()
+    for oid in moved:
+        poses[base.slot[oid]] = child.objects[oid].signature_text
+    for aid in changed:
+        poses[base.slot[aid]] = child.agents[aid].signature_text
+    return _assemble(owned, derived, facts, children, keys, texts, poses, base.slot)
 
 
 # ---------------------------------------------------------------- planning
@@ -431,16 +584,23 @@ class SearchMemo:
     """What the searches of one scope share; the planner keeps one per run.
 
     `searches` maps (free mask, stride, start cell, goal cell) to (cell
-    path | None, pops). `rasters` holds the layers grids are assembled
-    from, each made once and kept read-only: a grid's cell-centre axes
-    under its geometry (bounds, resolution), an arm's reach disc under
-    (geometry, anchor, reach), and an obstacle's footprint patch under
-    (geometry, shape, dims, x, y, inflation), exactly the inputs each one
-    reads.
+    path | None, pops), and `components` maps (free mask, stride) to the
+    mask's component labelling, made by the first search on the mask
+    that needs it. `rasters` holds the layers grids are assembled from,
+    each made once and kept read-only, under exactly the inputs each one
+    reads:
+
+    - a grid's cell-centre axes under its geometry (bounds, resolution);
+    - an arm's reach disc under (geometry, anchor, reach);
+    - an obstacle's footprint patch under (geometry, shape, dims, x, y,
+      inflation);
+    - a static layer under (geometry, agent kind, (anchor, reach) for an
+      arm, inflation, and each fixed obstacle's (shape, dims, x, y)).
     """
 
     searches: dict[tuple[bytes, int, tuple[int, int], tuple[int, int]],
                    tuple[tuple[tuple[int, int], ...] | None, int]] = field(default_factory=dict)
+    components: dict[tuple[bytes, int], _Labelling] = field(default_factory=dict)
     rasters: dict[tuple, object] = field(default_factory=dict)
 
 
@@ -517,12 +677,15 @@ def _footprint(obj: Obj, inflation: float, res: float, axes):
 class _Grid:
     """Occupancy raster over the agent's admissible region.
 
-    `blocked` is the (nx, ny) raster: the arm's reach disc (none for a
-    base) OR-ed with each obstacle's footprint, all taken from the layers
-    in `rasters` (a `SearchMemo.rasters`; a fresh map when None), where
-    `footprint` looks up the patch of any object. `free_mask`
-    is the same raster inverted and padded by one ring of blocked cells,
-    flattened to bytes: cell (x, y) is free when
+    The grid starts from its static layer (`_static_layer`): the arm's
+    reach disc (none for a base) OR-ed with the footprints of the
+    obstacles that are not movable. It then ORs in only its movable
+    obstacles' footprints, and a grid without any, such as a diagnosis'
+    ghost grid, is the layer itself. Every layer comes from `rasters` (a
+    `SearchMemo.rasters`; a fresh map when None), where `footprint` looks
+    up the patch of any object. `blocked` is the (nx, ny) raster;
+    `free_mask` is the same raster inverted and padded by one ring of
+    blocked cells, flattened to bytes: cell (x, y) is free when
     `free_mask[(x + 1) * stride + y + 1]` is non-zero, with
     `stride = ny + 2`, so a neighbour step never needs a range test.
     """
@@ -539,21 +702,25 @@ class _Grid:
         self.ix0, self.iy0, xs, ys = axes
         self.nx, self.ny = xs.shape[0], ys.shape[1]
         self.stride = self.ny + 2
-        if agent.kind == "arm":  # the cells outside the arm's reach disc
-            (ax, ay), reach = agent.anchor, agent.reach
-            blocked = _layer(rasters, (geometry, agent.anchor, reach), lambda: _frozen(
-                (xs - ax) ** 2 + (ys - ay) ** 2 > reach ** 2)).copy()
-        else:
-            blocked = np.zeros((self.nx, self.ny), dtype=bool)
+        fixed = [obj for obj in obstacles if not obj.movable]
+        disc = (agent.anchor, agent.reach) if agent.kind == "arm" else None
+        key = (geometry, agent.kind, disc, inflation,
+               tuple([(obj.shape, obj.dims, obj.x, obj.y) for obj in fixed]))
+        padded, self.free_mask = _layer(
+            rasters, key, lambda: _static_layer(self, disc, fixed, inflation))
+        if len(fixed) < len(obstacles):
+            padded = padded.copy()
+            self.stamp(padded, [obj for obj in obstacles if obj.movable], inflation)
+            self.free_mask = np.logical_not(padded).tobytes()
+        self.blocked = padded[1:-1, 1:-1]
+
+    def stamp(self, padded: np.ndarray, obstacles: list[Obj], inflation: float) -> None:
+        """OR each obstacle's footprint patch into a raster padded by one ring."""
         for obj in obstacles:
             patch = self.footprint(obj, inflation)
             if patch is not None:
                 xa, xb, ya, yb, hit = patch
-                blocked[xa:xb, ya:yb] |= hit
-        self.blocked = blocked
-        padded = np.zeros((self.nx + 2, self.stride), dtype=bool)
-        np.logical_not(blocked, out=padded[1:-1, 1:-1])
-        self.free_mask = padded.tobytes()
+                padded[xa + 1:xb + 1, ya + 1:yb + 1] |= hit
 
     def footprint(self, obj: Obj, inflation: float):
         """The object's footprint patch over this grid (see `_footprint`),
@@ -575,14 +742,32 @@ class _Grid:
         return ((c[0] + self.ix0) * self.res, (c[1] + self.iy0) * self.res)
 
 
+def _static_layer(grid: _Grid, disc: tuple[tuple[float, float], float] | None,
+                  fixed: list[Obj], inflation: float) -> tuple[np.ndarray, bytes]:
+    """What no movable changes in a grid: the cells outside the reach disc
+    `(anchor, reach)` (none when None) OR-ed with the footprints of the
+    `fixed` obstacles, as a read-only raster padded by one ring of blocked
+    cells, and that raster's free mask (see `_Grid`)."""
+    padded = np.ones((grid.nx + 2, grid.stride), dtype=bool)
+    if disc is None:
+        padded[1:-1, 1:-1] = False
+    else:
+        (ax, ay), reach = disc
+        _, _, xs, ys = grid.axes
+        padded[1:-1, 1:-1] = _layer(grid.rasters, (grid.geometry, *disc), lambda: _frozen(
+            (xs - ax) ** 2 + (ys - ay) ** 2 > reach ** 2))
+    grid.stamp(padded, fixed, inflation)
+    return _frozen(padded), np.logical_not(padded).tobytes()
+
+
 def _steps(stride: int) -> tuple[tuple[int, int], ...]:
     """The eight neighbour offsets of a flat cell index, each with its cost."""
     return ((stride, 5), (stride + 1, 7), (1, 5), (1 - stride, 7),
             (-stride, 5), (-stride - 1, 7), (-1, 5), (stride - 1, 7))
 
 
-def _astar(grid: _Grid, start: tuple[int, int], goal: tuple[int, int],
-           budget: int) -> tuple[list[tuple[int, int]] | None, int]:
+def _astar(grid: _Grid, start: tuple[int, int], goal: tuple[int, int], budget: int,
+           components: dict | None = None) -> tuple[list[tuple[int, int]] | None, int]:
     """Deterministic 8-connected A*; integer costs 5/7 avoid float ties.
 
     Both cells must lie inside the grid. The search runs on flat indices
@@ -599,10 +784,25 @@ def _astar(grid: _Grid, start: tuple[int, int], goal: tuple[int, int],
     since it pops each reachable cell once and never the goal.
     Otherwise the same search goes on. Either way the path and the pop
     count are those of A* run to the end.
+
+    `components` maps (free mask, stride) to the mask's labelling
+    (`_components`); a search that labels its mask keeps it there. When
+    the labelling is already held, the question is asked before the
+    first pop: an unreachable goal returns at once, and a reachable one
+    skips the checkpoint.
     """
     stride = grid.stride
     source = (start[0] + 1) * stride + start[1] + 1
     target = (goal[0] + 1) * stride + goal[1] + 1
+    if components is None:
+        components = {}
+    labelled = components.get((grid.free_mask, stride))
+    checkpoint = PROOF_CHECKPOINT
+    if labelled is not None and source != target:  # a blocked source equal to the goal is a path
+        unreached = _unreached_pops(labelled, source, target)
+        if unreached is not None:
+            return None, min(unreached, budget)
+        checkpoint = 0  # pops is at least 1 when it is compared: no proof to make
     gx, gy = divmod(target, stride)
     neighbors = _steps(stride)
     # Open to expansion: free and not yet closed. The start is popped
@@ -615,7 +815,6 @@ def _astar(grid: _Grid, start: tuple[int, int], goal: tuple[int, int],
     came: dict[int, int] = {}
     heappop, heappush = heapq.heappop, heapq.heappush
     pops = 0
-    checkpoint = PROOF_CHECKPOINT
     while open_heap and pops < budget:
         f, minus_g, cell = heappop(open_heap)
         if not open_cell[cell]:
@@ -630,7 +829,10 @@ def _astar(grid: _Grid, start: tuple[int, int], goal: tuple[int, int],
             path.reverse()
             return [(c // stride - 1, c % stride - 1) for c in path], pops
         if pops == checkpoint:
-            unreached = _unreached_pops(grid.free_mask, stride, source, target)
+            key = (grid.free_mask, stride)
+            if key not in components:
+                components[key] = _components(grid.free_mask, stride)
+            unreached = _unreached_pops(components[key], source, target)
             if unreached is not None:
                 return None, min(unreached, budget)
         for offset, step in neighbors:
@@ -651,27 +853,35 @@ def _astar(grid: _Grid, start: tuple[int, int], goal: tuple[int, int],
 
 def _search(memo: SearchMemo, grid: _Grid, start: tuple[int, int], goal: tuple[int, int]
             ) -> tuple[tuple[tuple[int, int], ...] | None, int]:
-    """`_astar` under the one budget, run only when the memo holds no
-    search with the same inputs; the key keeps the mask's bytes, not the grid."""
+    """`_astar` under the one budget and the memo's labellings, run only
+    when the memo holds no search with the same inputs; the key keeps the
+    mask's bytes, not the grid."""
     key = (grid.free_mask, grid.stride, start, goal)
     found = memo.searches.get(key)
     if found is None:
-        cells, pops = _astar(grid, start, goal, DEFAULT_MAX_EXPANSIONS)
+        cells, pops = _astar(grid, start, goal, DEFAULT_MAX_EXPANSIONS, memo.components)
         found = memo.searches[key] = (None if cells is None else tuple(cells), pops)
     return found
 
 
-def _unreached_pops(free_mask: bytes, stride: int, source: int, target: int) -> int | None:
-    """The cells A* from `source` can reach, counted, when `target` is not
-    one of them; None when it is.
+class _Labelling(NamedTuple):
+    """A free mask's 8-connected components, as runs: run i covers flat
+    cells [starts[i], ends[i]) and belongs to the component `roots[i]`,
+    whose cell count is `sizes[roots[i]]`."""
 
-    Labels free cells by runs: the maximal stretches of free cells along
-    y, which the padding ring ends at their column. A run links to each
-    run of the next column whose y range overlaps it or touches it
+    stride: int
+    starts: list[int]
+    ends: list[int]
+    roots: list[int]
+    sizes: dict[int, int]
+
+
+def _components(free_mask: bytes, stride: int) -> _Labelling:
+    """Label the free cells by runs: the maximal stretches of free cells
+    along y, which the padding ring ends at their column. A run links to
+    each run of the next column whose y range overlaps it or touches it
     diagonally, which is exactly 8-connectivity; linked runs are joined
-    in a union-find. A blocked `source` is still popped once, and reaches
-    the components of its free neighbours.
-    """
+    in a union-find."""
     free = np.frombuffer(free_mask, dtype=bool)
     edges = np.flatnonzero(free[1:] != free[:-1]) + 1
     starts, ends = edges[0::2], edges[1::2]  # flat [start, end) of each run
@@ -695,6 +905,18 @@ def _unreached_pops(free_mask: bytes, stride: int, source: int, target: int) -> 
             a, b = root(i), root(j)
             if a != b:
                 parent[b] = a
+    roots = [root(i) for i in range(len(parent))]
+    sizes: dict[int, int] = {}
+    for i, r in enumerate(roots):
+        sizes[r] = sizes.get(r, 0) + ends[i] - starts[i]
+    return _Labelling(stride, starts, ends, roots, sizes)
+
+
+def _unreached_pops(labelling: _Labelling, source: int, target: int) -> int | None:
+    """The cells A* from `source` can reach, counted, when `target` is not
+    one of them; None when it is. A blocked `source` is still popped
+    once, and reaches the components of its free neighbours."""
+    starts, ends, roots = labelling.starts, labelling.ends, labelling.roots
 
     def run_of(cell: int) -> int | None:
         i = bisect.bisect_right(starts, cell) - 1
@@ -704,13 +926,13 @@ def _unreached_pops(free_mask: bytes, stride: int, source: int, target: int) -> 
     if home is not None:
         seeds, pops = [home], 0
     else:
-        seeds = [run_of(source + offset) for offset, _ in _steps(stride)]
+        seeds = [run_of(source + offset) for offset, _ in _steps(labelling.stride)]
         pops = 1
-    reached = {root(i) for i in seeds if i is not None}
+    reached = {roots[i] for i in seeds if i is not None}
     goal_run = run_of(target)
-    if goal_run is not None and root(goal_run) in reached:
+    if goal_run is not None and roots[goal_run] in reached:
         return None
-    return pops + sum(ends[i] - starts[i] for i in range(len(parent)) if root(i) in reached)
+    return pops + sum(labelling.sizes[r] for r in reached)
 
 
 def plan_motion(world: World, agent_id: str, action: ActionTemplate,
@@ -871,12 +1093,14 @@ def execute(world: World, agent_id: str, result: MotionResult,
 
     Reads the action through `_roles`, as `plan_motion` does. Raises
     StaleResult when the world signature no longer matches the one the
-    plan was computed against. Never creates or destroys objects.
+    plan was computed against. Never creates or destroys objects. The
+    new world comes with its state, derived from this world's
+    (`_child_derivation`).
     """
     if result is not None and result.world_sig != world_signature(world):
         raise StaleResult(f"world moved since planning {action.name}")
-    objects = dict(world.objects)
-    agents = dict(world.agents)
+    moved: dict[str, Obj] = {}
+    changed: dict[str, Agent] = {}
     facts = set(world.facts)
     clock = world.clock
 
@@ -884,35 +1108,33 @@ def execute(world: World, agent_id: str, result: MotionResult,
         clock += action.duration
     else:
         manipulated, dest = _roles(action)
-        agent = agents[agent_id]
-        path_len = path_length(result.path)
-        clock += path_len / MOVE_SPEED
+        agent = world.agents[agent_id]
+        clock += result.length / MOVE_SPEED
         end = result.path[-1] if result.path else agent.config
         if manipulated is None:
             delta = (end[0] - agent.config[0], end[1] - agent.config[1])
-            agents[agent_id] = replace(agent, anchor=end, config=end)
-            for aid, other in list(agents.items()):
+            changed[agent_id] = replace(agent, anchor=end, config=end)
+            for aid, other in world.agents.items():
                 if other.mount == agent_id:
                     # Arms stow over their mount point while the base
                     # drives, so every later leg starts from the mount.
                     new_anchor = (other.anchor[0] + delta[0], other.anchor[1] + delta[1])
-                    agents[aid] = replace(other, anchor=new_anchor, config=new_anchor)
+                    changed[aid] = replace(other, anchor=new_anchor, config=new_anchor)
                     if other.holding is not None:
-                        held = objects[other.holding]
-                        objects[other.holding] = replace(
-                            held, x=new_anchor[0], y=new_anchor[1])
+                        held = world.objects[other.holding]
+                        moved[other.holding] = replace(held, x=new_anchor[0], y=new_anchor[1])
         elif dest is None:  # grasp
-            obj = objects[manipulated]
-            agents[agent_id] = replace(agent, config=end, holding=manipulated)
-            objects[manipulated] = replace(obj, x=end[0], y=end[1], stack_on=None)
+            obj = world.objects[manipulated]
+            changed[agent_id] = replace(agent, config=end, holding=manipulated)
+            moved[manipulated] = replace(obj, x=end[0], y=end[1], stack_on=None)
         else:  # put, or fused transfer
             if action.verb == "put" and agent.holding != manipulated:
                 raise InvalidQuery(f"agent {agent_id} does not hold {manipulated}")
             support = _resolve_support(world, dest, manipulated)
-            obj = objects[manipulated]
+            obj = world.objects[manipulated]
             goal = result.goal_point
-            agents[agent_id] = replace(agent, config=end, holding=None)
-            objects[manipulated] = replace(obj, x=goal[0], y=goal[1], stack_on=support)
+            changed[agent_id] = replace(agent, config=end, holding=None)
+            moved[manipulated] = replace(obj, x=goal[0], y=goal[1], stack_on=support)
 
     for fact in action.effects_del:
         if fact.predicate not in DERIVED_PREDICATES:
@@ -921,13 +1143,8 @@ def execute(world: World, agent_id: str, result: MotionResult,
         if fact.predicate not in DERIVED_PREDICATES:
             facts.add(fact)
 
-    return replace(world, objects=objects, agents=agents, facts=frozenset(facts),
-                   clock=clock)
-
-
-def path_length(path: tuple[tuple[float, float], ...]) -> float:
-    """Euclidean length of a polyline."""
-    total = 0.0
-    for (x0, y0), (x1, y1) in zip(path, path[1:]):
-        total += math.hypot(x1 - x0, y1 - y0)
-    return total
+    child = replace(world, objects={**world.objects, **moved},
+                    agents={**world.agents, **changed}, facts=frozenset(facts), clock=clock)
+    # Fills the cached property, as its first read would.
+    object.__setattr__(child, "_derivation", _child_derivation(world, child, moved, changed))
+    return child

@@ -615,7 +615,8 @@ def test_equality_and_hash_ignore_declaration_order():
 
 def test_hash_and_unequal_ids_never_read_rows(monkeypatch):
     """Hashing reads the sorted id columns only, and equality rejects other
-    sizes or other ids before it builds any row."""
+    sizes or other ids, and accepts equal templates, without building any
+    row."""
     hanoi8 = gen_hanoi(8, omnipotent=False).graph
     again = gen_hanoi(8, omnipotent=False).graph
     solo = gen_hanoi(8, omnipotent=True).graph
@@ -630,8 +631,73 @@ def test_hash_and_unequal_ids_never_read_rows(monkeypatch):
     monkeypatch.setattr(GraphTemplate, "rows", no_rows)
     assert hash(hanoi8) == hash(again) != hash(solo)
     assert hanoi8 != solo and renumbered != hanoi3 and hanoi3 != renumbered
-    with pytest.raises(AssertionError, match="rows"):
-        assert hanoi8 == again  # equal ids: only the rows can tell
+    assert hanoi8 == again and again == hanoi8
+
+
+def column_changes(template, rng):
+    """(column, template) pairs: the template with one row changed in one
+    column, declared in a shuffled order."""
+    nodes, arcs = list(nodes_of(template)), list(arcs_of(template))
+    node = rng.randrange(len(nodes))
+    arc = rng.randrange(len(arcs))
+    other = next((j for j in range(len(arcs)) if j != arc and len(arcs[j].children) > 1), None)
+    decl, chosen = nodes[node], arcs[arc]
+    changes = {
+        "kinds": ([replace(decl, kind=NodeKind.INTERNAL if decl.kind is NodeKind.LEAF
+                                   else NodeKind.LEAF)], []),
+        "labels": ([replace(decl, label=decl.label + "!")], []),
+        "parents": ([], [replace(chosen, parent=next(d.id for d in nodes
+                                                     if d.id != chosen.parent))]),
+        "children": ([], [replace(chosen, children=(chosen.children[0] + 1,)
+                                  + chosen.children[1:])]),
+        "child_starts": None if other is None else (
+            [], [replace(chosen, children=chosen.children + arcs[other].children[-1:]),
+                 replace(arcs[other], children=arcs[other].children[:-1])]),
+        "weight_num": ([], [replace(chosen, weight=chosen.weight + 1)]),
+        "weight_den": ([], [replace(chosen, weight=Fraction(
+            chosen.weight.numerator, chosen.weight.denominator * 2 + 1))]),
+        "actions": ([], [replace(chosen, actions=chosen.actions + ("extra",))]),
+    }
+    for column, change in changes.items():
+        if change is None:
+            continue
+        new_nodes, new_arcs = change
+        node_ids = {d.id for d in new_nodes}
+        arc_ids = {a.id for a in new_arcs}
+        changed_nodes = new_nodes + [d for d in nodes if d.id not in node_ids]
+        changed_arcs = new_arcs + [a for a in arcs if a.id not in arc_ids]
+        rng.shuffle(changed_nodes)
+        rng.shuffle(changed_arcs)
+        yield column, template_of(changed_nodes, changed_arcs)
+
+
+def test_equality_reads_the_columns_and_catches_a_change_in_any(monkeypatch):
+    """A change to one row in any one column makes templates unequal, as
+    their rows are, and equality never builds a row: on hanoi 8 and on
+    random templates, some with ids beyond 64 bits (object columns)."""
+    rng = random.Random(33)
+    small = [random_template(rng) for _ in range(8)]
+    small += [template_of(
+        [replace(decl, id=decl.id + 2**70) for decl in nodes_of(template)],
+        [replace(arc, id=arc.id, parent=arc.parent + 2**70,
+                 children=tuple(c + 2**70 for c in arc.children)) for arc in arcs_of(template)])
+        for template in small[:4]]
+    cases = [(template, column, changed) for template in small
+             for column, changed in column_changes(template, rng)]
+    rows = GraphTemplate.rows
+    assert all(rows(template) != rows(changed) for template, _, changed in cases)
+    hanoi8 = gen_hanoi(8, omnipotent=False).graph
+    cases += [(hanoi8, column, changed) for column, changed in column_changes(hanoi8, rng)]
+
+    def no_rows(template):
+        raise AssertionError("rows() was called")
+
+    monkeypatch.setattr(GraphTemplate, "rows", no_rows)
+    for template, column, changed in cases:
+        assert template != changed and changed != template, column
+    assert {column for _, column, _ in cases} == {
+        "kinds", "labels", "parents", "children", "child_starts", "weight_num", "weight_den",
+        "actions"}
 
 
 def test_oracle_equivalence_on_random_graphs():

@@ -308,13 +308,18 @@ def test_loop_snapshots_once_per_world_state(make, monkeypatch):
     ("hanoi_dual", 85), ("habitat", 39), ("habitat_unclearable", 38)])
 def test_each_world_derives_its_snapshot_once(name, derivations, monkeypatch):
     """The initial world and each world `execute` returns derive their
-    state once, however often the loop, dispatch and planning read it."""
-    calls = {"derive": 0, "execute": 0}
+    state once, however often the loop, dispatch and planning read it:
+    the initial world from scratch, the only one to be, and each later
+    one from its parent's."""
+    calls = {"derive": 0, "child": 0, "execute": 0}
     monkeypatch.setattr(world_module, "_derive_state",
                         counted(calls, "derive", world_module._derive_state))
+    monkeypatch.setattr(world_module, "_child_derivation",
+                        counted(calls, "child", world_module._child_derivation))
     monkeypatch.setattr(interface, "execute", counted(calls, "execute", interface.execute))
     run_scenario(parse(WORKLOADS[name].make_text()), RunConfig(seed=0))
-    assert calls["derive"] == calls["execute"] + 1 == derivations
+    assert calls["derive"] == 1
+    assert calls["derive"] + calls["child"] == calls["execute"] + 1 == derivations
 
 
 def recorded_plan_calls(monkeypatch):
@@ -372,9 +377,9 @@ def executed_searches(monkeypatch):
     keys = []
     astar = world_module._astar
 
-    def recording(grid, start, goal, budget):
+    def recording(grid, start, goal, budget, components=None):
         keys.append((grid.free_mask, grid.stride, start, goal, budget))
-        return astar(grid, start, goal, budget)
+        return astar(grid, start, goal, budget, components)
 
     monkeypatch.setattr(world_module, "_astar", recording)
     return keys
@@ -433,6 +438,30 @@ def rasterized_footprints(monkeypatch):
 
     monkeypatch.setattr(world_module, "_footprint", recording)
     return keys
+
+
+@pytest.mark.parametrize("name,layers,grids", [
+    ("hanoi_dual", 21, 174), ("habitat", 20, 40), ("habitat_unclearable", 15, 81)])
+def test_each_static_layer_is_built_once_per_run(name, layers, grids, monkeypatch):
+    """A run builds each static layer (reach disc and fixed footprints
+    under one inflation) once, and its grids at seed 0 share them."""
+    keys, built = [], [0]
+    static_layer, grid = world_module._static_layer, world_module._Grid
+
+    def recording(grid, disc, fixed, inflation):
+        keys.append((grid.geometry, disc, inflation,
+                     tuple((obj.shape, obj.dims, obj.x, obj.y) for obj in fixed)))
+        return static_layer(grid, disc, fixed, inflation)
+
+    def counting(*args):
+        built[0] += 1
+        return grid(*args)
+
+    monkeypatch.setattr(world_module, "_static_layer", recording)
+    monkeypatch.setattr(world_module, "_Grid", counting)
+    run_scenario(parse(WORKLOADS[name].make_text()), RunConfig(seed=0))
+    assert len(keys) == len(set(keys)) == layers
+    assert built[0] == grids
 
 
 @pytest.mark.parametrize("name,footprints", [

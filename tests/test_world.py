@@ -40,7 +40,7 @@ from taskmotion.world import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
-from scn_fuzz import fuzz_scenario  # noqa: E402
+from scn_fuzz import blocked_scenario, fuzz_scenario  # noqa: E402
 
 
 def arm_world(reach=0.45, bounds=(-0.5, -0.5, 0.5, 0.5), objects=(), markers=()):
@@ -543,11 +543,33 @@ def oracle_snapshot(world):
     return WorldState(frozenset(facts), hasher.hexdigest())
 
 
-@pytest.mark.parametrize("make", [gen_habitat, lambda: gen_hanoi(3)],
-                         ids=["habitat", "hanoi3_dual"])
-def test_cached_states_match_the_from_scratch_oracle(make, monkeypatch):
-    """Every world a run passes through: the initial one and each that
-    `execute` returns."""
+def assert_states_match_the_oracle(world):
+    """The world's state, and the support index the stack walks read,
+    equal what the from-scratch oracle derives."""
+    cached, oracle = snapshot(world), oracle_snapshot(world)
+    for f in fields(WorldState):
+        assert getattr(cached, f.name) == getattr(oracle, f.name), f.name
+    assert world_signature(world) == oracle.signature
+    assert W._supported(world) == W._children_of(world.objects)
+
+
+def workload(name):
+    return lambda: parse(WORKLOADS[name].make_text())
+
+
+@pytest.mark.parametrize("make,config,goal", [
+    (gen_habitat, RunConfig(), True),
+    (lambda: gen_hanoi(3), RunConfig(), True),
+    (workload("habitat_unclearable"), RunConfig(), False),
+    (lambda: gen_hanoi(6), RunConfig(), True),
+] + [(lambda seed=seed: blocked_scenario(seed), RunConfig(depth_cap=30, seed=seed), None)
+     for seed in range(50)],
+    ids=["habitat", "hanoi3_dual", "habitat_unclearable", "hanoi6_dual"]
+    + [f"blocked{seed}" for seed in range(50)])
+def test_cached_states_match_the_from_scratch_oracle(make, config, goal, monkeypatch):
+    """Every world a run passes through: the initial one, derived from
+    scratch, and each that `execute` returns with its state derived from
+    its parent's."""
     worlds = []
 
     def recorded(fn):
@@ -558,13 +580,77 @@ def test_cached_states_match_the_from_scratch_oracle(make, monkeypatch):
 
     monkeypatch.setattr(planner, "world_from_scenario", recorded(planner.world_from_scenario))
     monkeypatch.setattr(interface, "execute", recorded(interface.execute))
-    assert run_scenario(make()).status is FinalStatus.GOAL_ACHIEVED
-    assert len(worlds) > 5
+    status = run_scenario(make(), config).status
+    if goal is not None:
+        assert (status is FinalStatus.GOAL_ACHIEVED) == goal
+        assert len(worlds) > 5
     for world in worlds:
-        cached, oracle = snapshot(world), oracle_snapshot(world)
-        for f in fields(WorldState):
-            assert getattr(cached, f.name) == getattr(oracle, f.name), f.name
-        assert world_signature(world) == oracle.signature
+        assert_states_match_the_oracle(world)
+
+
+def mounted_world(**arm):
+    """A base at marker `home` with an arm mounted on it, and a cup."""
+    base = Agent("cart", "base", anchor=(0.0, 0.0), radius=0.1, config=(0.0, 0.0))
+    mounted = Agent("arm", "arm", anchor=(0.1, 0.0), reach=0.4, config=(0.1, 0.0),
+                    mount="cart", mount_off=(0.1, 0.0), **arm)
+    return World(bounds=(-1.0, -1.0, 1.0, 1.0), agents={"cart": base, "arm": mounted},
+                 objects={"cup": Obj("cup", "circle", (0.03,), 0.1, 0.0, movable=True),
+                          "table": Obj("table", "box", (0.2, 0.2), 0.6, 0.4)},
+                 markers={"home": Marker("home", 0.0, 0.0), "far": Marker("far", 0.5, 0.0),
+                          "spot": Marker("spot", 0.3, 0.0)},
+                 facts=frozenset({Fact("lit", ("table",))}))
+
+
+def planned(world, path, goal=None):
+    """A feasible motion result along `path` on this world."""
+    return MotionResult(True, tuple(path), 0, (), goal or path[-1], world_signature(world))
+
+
+def test_child_states_of_every_kind_of_step_match_the_oracle():
+    """Steps the workloads do not take, each checked against the oracle:
+    symbolic actions that add and delete stored facts (and name derived
+    ones, which are not stored), a base transit whose mounted arm holds an
+    object, a grasp from under a stack and puts onto one, and a world
+    where an object and an agent share an id."""
+    world = mounted_world(holding="cup")
+    assert_states_match_the_oracle(world)
+    lit = Fact("lit", ("table",))
+    symbolic = ActionTemplate("switch", MotionClass.SYMBOLIC, duration=2.0,
+                              effects_add=frozenset({Fact("dark", ("table",)), Fact("clear", ("cup",))}),
+                              effects_del=frozenset({lit, Fact("held", ("cup",))}))
+    world = execute(world, "", None, symbolic)
+    assert lit not in snapshot(world).facts and world.clock == 2.0
+    assert_states_match_the_oracle(world)
+    drive = ActionTemplate("approach_far", MotionClass.TRANSIT, agent="cart", area="far")
+    moved = execute(world, "cart", planned(world, [(0.0, 0.0), (0.25, 0.0), (0.5, 0.0)]), drive)
+    assert moved.objects["cup"].x == 0.6 and Fact("at", ("cart", "far")) in snapshot(moved).facts
+    assert_states_match_the_oracle(moved)
+    put = ActionTemplate("put_cup", MotionClass.TRANSFER, verb="put", manipulated="cup",
+                         dest="table")
+    placed = execute(moved, "arm", planned(moved, [(0.6, 0.0), (0.6, 0.4)]), put)
+    assert Fact("on", ("cup", "table")) in snapshot(placed).facts
+    assert_states_match_the_oracle(placed)
+
+    stacked = stacked_world()
+    grasp = ActionTemplate("grasp_d2", MotionClass.TRANSFER, verb="grasp", manipulated="d2")
+    lifted = execute(stacked, "arm", planned(stacked, [(0.0, 0.0), (-0.4, 0.4)]), grasp)
+    assert Fact("at_peg", ("d1", "d2")) in snapshot(lifted).facts  # d1 came along on d2
+    assert_states_match_the_oracle(lifted)
+    onto = execute(lifted, "arm", planned(lifted, [(-0.4, 0.4), (0.4, 0.4)]),
+                   ActionTemplate("put_d2", MotionClass.TRANSFER, verb="put",
+                                  manipulated="d2", dest="pegB"))
+    assert_states_match_the_oracle(onto)
+    for manipulated, dest in (("d1", "pegA"), ("d2", "pegA"), ("d2", "pegB"), ("d1", "d2")):
+        onto = execute(onto, "arm", planned(onto, [(0.0, 0.0), (0.1, 0.1)]),
+                       transfer_action(f"move_{manipulated}", manipulated, dest))
+        assert_states_match_the_oracle(onto)
+
+    shared = replace(mounted_world(), objects={"cart": Obj("cart", "circle", (0.02,), 0.0, 0.0,
+                                                           movable=True)})
+    assert W._supported(shared) == {} and shared._derivation.slot is None
+    assert_states_match_the_oracle(shared)
+    driven = execute(shared, "cart", planned(shared, [(0.0, 0.0), (0.5, 0.0)]), drive)
+    assert_states_match_the_oracle(driven)
 
 
 # ----------------------------------------------- randomized removal oracle
@@ -792,6 +878,31 @@ def test_grids_assembled_from_shared_layers_match_the_oracle():
     assert len(cases) == 144 and footprints > 2 * len(memo.rasters)  # layers were shared
 
 
+def test_every_workload_grid_equals_the_from_scratch_raster(monkeypatch):
+    """Every grid the three workloads build at seeds 0-3, from a static
+    layer alone (a ghost grid) or with movables OR-ed in, blocks the
+    cells of the reach disc OR-ed with every obstacle's footprint, cell
+    for cell, padding ring included."""
+    built = {"layer": 0, "movables": 0}
+
+    class CheckedGrid(W._Grid):
+        def __init__(self, world, agent, obstacles, inflation, rasters=None):
+            super().__init__(world, agent, obstacles, inflation, rasters)
+            slow = OracleGrid(world, agent, obstacles, inflation)
+            padded = np.zeros((slow.nx + 2, slow.ny + 2), dtype=bool)
+            padded[1:-1, 1:-1] = ~slow.blocked
+            assert self.free_mask == padded.tobytes()
+            assert np.array_equal(self.blocked, slow.blocked)
+            built["movables" if any(obj.movable for obj in obstacles) else "layer"] += 1
+
+    monkeypatch.setattr(W, "_Grid", CheckedGrid)
+    for name in sorted(WORKLOADS):
+        scenario = parse(WORKLOADS[name].make_text())
+        for seed in range(4):
+            run_scenario(scenario, RunConfig(seed=seed))
+    assert built["layer"] >= 100 and built["movables"] >= 300
+
+
 def random_searches():
     """(fast grid, oracle grid, start, goal) on random raster cases: free
     and random cells, goals equal to the start included."""
@@ -824,6 +935,20 @@ def test_astar_matches_tuple_oracle():
     assert unreachable >= 100 and reached >= 300
 
 
+def test_a_held_labelling_changes_no_astar_result():
+    """A search whose mask is already labelled answers before its first
+    pop, or skips its checkpoint, with the result of the search that
+    labels afresh; blocked starts and goals equal to the start included."""
+    shortcuts = 0
+    for fast, _, start, goal in random_searches():
+        for budget in (1, 3, 50_000):
+            held = {(fast.free_mask, fast.stride): W._components(fast.free_mask, fast.stride)}
+            want = W._astar(fast, start, goal, budget)
+            assert W._astar(fast, start, goal, budget, held) == want
+            shortcuts += want[0] is None and budget == 50_000
+    assert shortcuts >= 100
+
+
 @pytest.fixture(scope="module")
 def workload_runs():
     """What the three benchmark workloads hand to `_astar` and `_diagnose`
@@ -832,10 +957,10 @@ def workload_runs():
     searches, diagnoses = {}, []
     astar, diagnose = W._astar, W._diagnose
 
-    def recorded_search(grid, start, goal, budget):
+    def recorded_search(grid, start, goal, budget, components=None):
         searches.setdefault((grid.free_mask, grid.stride, start, goal, budget),
                             (grid, start, goal, budget))
-        return astar(grid, start, goal, budget)
+        return astar(grid, start, goal, budget, components)
 
     def recorded_diagnosis(*args):
         diagnoses.append((args, diagnose(*args)))
@@ -946,6 +1071,38 @@ def test_diagnosis_matches_the_scalar_covers_oracle(workload_runs, monkeypatch):
         assert found == oracle_diagnose(*args)
 
 
+def test_every_component_answer_matches_a_fresh_labelling(monkeypatch):
+    """Over the three workloads at seeds 0-3, each answer `_unreached_pops`
+    gives from a memo's labelling, made for that search or kept from an
+    earlier one on the same mask, equals the answer from the mask
+    labelled afresh; some labellings answer more than one search."""
+    label, ask = W._components, W._unreached_pops
+    masks, answers = {}, []
+
+    def labelling(free_mask, stride):
+        made = label(free_mask, stride)
+        masks[id(made)] = (made, free_mask, stride)
+        return made
+
+    def answer(labelled, source, target):
+        answers.append((labelled, source, target, ask(labelled, source, target)))
+        return answers[-1][-1]
+
+    monkeypatch.setattr(W, "_components", labelling)
+    monkeypatch.setattr(W, "_unreached_pops", answer)
+    for name in sorted(WORKLOADS):
+        scenario = parse(WORKLOADS[name].make_text())
+        for seed in range(4):
+            run_scenario(scenario, RunConfig(seed=seed))
+    for labelled, source, target, found in answers:
+        made, free_mask, stride = masks[id(labelled)]
+        assert made is labelled
+        assert found == ask(label(free_mask, stride), source, target)
+    kept = len(answers) - len(masks)
+    assert len(masks) >= 20 and kept >= 20
+    assert sum(found is not None for *_, found in answers) >= 20
+
+
 class FreeCells:
     """`OracleGrid`'s free test as a set lookup, for the larger grids below."""
 
@@ -1016,9 +1173,9 @@ def test_astar_past_the_proof_checkpoint_matches_tuple_oracle(monkeypatch):
     proofs = []
     label = W._unreached_pops
 
-    def recorded(free_mask, stride, source, target):
-        result = label(free_mask, stride, source, target)
-        proofs.append((free_mask[source] != 0, result))
+    def recorded(labelling, source, target):
+        result = label(labelling, source, target)
+        proofs.append((fast.free_mask[source] != 0, result))
         return result
 
     monkeypatch.setattr(W, "_unreached_pops", recorded)
