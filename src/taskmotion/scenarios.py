@@ -40,7 +40,9 @@ MIN_DISKS, MAX_DISKS = 3, 8
 PEGS = ("pegA", "pegB", "pegC")
 PAD = "pad"
 PEG_POINTS = {"pegA": (0.0, 0.2), "pegB": (-0.3, 0.72), "pegC": (0.3, 0.72)}
-PAD_POINT = (0.0, 0.45)
+# Far enough from peg A that a disk one size below the largest, carried by
+# an arm, clears the largest disk on peg A for every disk count up to 8.
+PAD_POINT = (0.0, 0.52)
 HANOI_BOUNDS = (-1.1, -0.3, 1.1, 1.1)
 
 

@@ -51,13 +51,14 @@ Worlds are immutable values: a `World` is frozen and its `objects`,
 world and a changed world is always a new one (`dataclasses.replace`).
 Nothing a world shares with another is ever changed. Each world derives its
 symbolic snapshot once and keeps it: `snapshot` and `world_signature`
-return that one read-only `WorldState`. A world made by `execute` comes
-with its snapshot derived from its parent's, recomputing only the facts
-of the objects and agents the step changed; any other world derives its
-own from scratch on first read. A world holds no run settings. Reads
-(`snapshot`, `plan_motion`) are pure, apart from filling the search
-memo, and safe to repeat: the same action, goal point and world give an
-equal result, with any memo or none.
+return that one read-only `WorldState`. Every snapshot comes from one
+derivation, `_derive`, which recomputes only the facts of the objects
+and agents a change touches. A world made by `execute` derives its own
+from its parent's; any other world derives its own on first read from
+the empty world's, as a change in which every object and agent is new.
+A world holds no run settings. Reads (`snapshot`, `plan_motion`) are
+pure, apart from filling the search memo, and safe to repeat: the same
+action, goal point and world give an equal result, with any memo or none.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ import heapq
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from operator import attrgetter
 from types import MappingProxyType
 from typing import Collection, Mapping, NamedTuple
 
@@ -190,27 +190,30 @@ class WorldState:
 
 @dataclass(frozen=True, eq=False)
 class _Derivation:
-    """A world's `WorldState` with what a child's state is derived from.
+    """A world's `WorldState` with what a later world's is derived from
+    (`_derive`); every world's comes from `_NOTHING`, the empty world's,
+    through a chain of them.
 
     `owned` maps each object and agent id to the derived facts it owns
     (see `_object_facts` and `_agent_facts`), and `derived` is those facts
     and `carrying`, without the stored ones; `children` maps each support
-    to the ids resting directly on it, in id order. The signature text is
-    `poses` (each object's, then each agent's pose text, in id order;
-    `slot` gives an id's index there) and then `texts`, each fact's text
-    and "|", sorted by `keys`, each fact's `(predicate, args)`. `slot` and
-    `owned` are None when an object and an agent share an id, and then
-    every child is derived from scratch. No list or map here is changed
-    once made; a child copies what it changes."""
+    to the ids resting directly on it, in id order. The signature is the
+    sha256 of the pose texts, `poses` (id -> pose text: each object's, then
+    each agent's, in id order), and then of `texts`, each fact's text and
+    "|", sorted by `keys`, each fact's `(predicate, args)`. No list or map
+    here is changed once made; a later world copies what it changes."""
 
     state: WorldState
-    owned: Mapping[str, list[Fact]] | None
+    owned: Mapping[str, list[Fact]]
     derived: frozenset[Fact]
     children: Mapping[str, tuple[str, ...]]
     keys: list[tuple[str, tuple[str, ...]]]
     texts: list[str]
-    poses: list[str]
-    slot: Mapping[str, int] | None
+    poses: Mapping[str, str]
+
+
+_NOTHING = _Derivation(WorldState(frozenset(), hashlib.sha256(b"").hexdigest()), {},
+                       frozenset(), {}, [], [], {})
 
 
 @dataclass(frozen=True)
@@ -232,9 +235,14 @@ class World:
 
     @cached_property
     def _derivation(self) -> _Derivation:
-        """Derived from scratch on first read, unless `execute` handed
-        this world the one it derived from its parent's."""
-        return _derive_state(self)
+        """Derived from the empty world's on first read, every object and
+        agent being new, unless `execute` handed this world the one it
+        derived from its parent's. An object and an agent that share an
+        id would each own the other's facts, so such a world has none."""
+        shared = self.objects.keys() & self.agents.keys()
+        if shared:
+            raise WorldError(f"ids shared by an object and an agent: {', '.join(sorted(shared))}")
+        return _derive(_NOTHING, {}, frozenset(), self, sorted(self.objects), sorted(self.agents))
 
     @property
     def state(self) -> WorldState:
@@ -295,16 +303,6 @@ def stack_chain_down(world: World, obj_id: str) -> list[str]:
 def _supported(world: World) -> Mapping[str, tuple[str, ...]]:
     """Support id -> the ids resting directly on it, in id order."""
     return world._derivation.children
-
-
-def _children_of(objects: Mapping[str, Obj]) -> dict[str, tuple[str, ...]]:
-    """`_supported`, made from scratch."""
-    children: dict[str, list[str]] = {}
-    for oid in sorted(objects):
-        support = objects[oid].stack_on
-        if support is not None:
-            children.setdefault(support, []).append(oid)
-    return {support: tuple(ids) for support, ids in children.items()}
 
 
 def stack_chain_up(world: World, obj_id: str) -> list[str]:
@@ -399,75 +397,45 @@ def _agent_facts(world: World, agent: Agent) -> list[Fact]:
             if math.hypot(x - marker.x, y - marker.y) <= marker.snap]
 
 
-def _derive_state(world: World) -> _Derivation:
-    """Derive the symbolic view of the whole geometry from scratch: each
-    object's and each agent's facts, `carrying` while anything is held,
-    and the stored facts (the non-derivable ones such as process flags)."""
-    children = _children_of(world.objects)
-    holders = held_by(world)
-    owned = {oid: _object_facts(world, oid, holders, children) for oid in world.objects}
-    by_agent = {aid: _agent_facts(world, agent) for aid, agent in world.agents.items()}
-    derived = {fact for facts in (*owned.values(), *by_agent.values()) for fact in facts}
-    if holders:
-        derived.add(_CARRYING)
-    facts = derived | world.facts
-    order = sorted(facts, key=attrgetter("predicate", "args"))
-    object_ids, agent_ids = sorted(world.objects), sorted(world.agents)
-    poses = [world.objects[oid].signature_text for oid in object_ids]
-    poses += [world.agents[aid].signature_text for aid in agent_ids]
-    slot = {eid: index for index, eid in enumerate(object_ids + agent_ids)}
-    if len(slot) == len(poses):
-        owned.update(by_agent)
-    else:
-        owned = slot = None
-    return _assemble(owned, frozenset(derived), frozenset(facts), children,
-                     [(fact.predicate, fact.args) for fact in order],
-                     [f"{fact.text()}|" for fact in order], poses, slot)
-
-
-def _assemble(owned, derived, facts, children, keys, texts, poses, slot) -> _Derivation:
-    """The derivation with its state. The signature is the sha256 of the
-    pose texts and then the fact texts: each object's pose and each
-    agent's config in id order, then each fact followed by "|", in the
-    order of `Fact`'s generated `__lt__`."""
-    signature = hashlib.sha256(("".join(poses) + "".join(texts)).encode()).hexdigest()
-    return _Derivation(WorldState(facts, signature), owned, derived, children, keys, texts,
-                       poses, slot)
-
-
-def _child_derivation(parent: World, child: World, moved: Collection[str],
-                      changed: Collection[str]) -> _Derivation:
-    """The child's derivation, made from its parent's, when `child` differs
-    from `parent` only in the objects `moved`, the agents `changed`, the
-    stored facts and the clock.
+def _derive(base: _Derivation, before: Mapping[str, Obj], stored: frozenset[Fact],
+            world: World, moved: Collection[str], changed: Collection[str]) -> _Derivation:
+    """The world's derivation, made from `base`, the derivation of an
+    earlier world whose objects were `before` and whose stored facts were
+    `stored`, when `world` differs from it only in the objects `moved`, the
+    agents `changed`, the stored facts and the clock. From `_NOTHING`, the
+    empty world's, every object and agent is moved or changed.
 
     Only the facts owned by what the change touches are derived again:
     those of the moved objects (which include every object a changed
     agent takes or lets go), of their old and new supports, of whatever
     rests on a moved object and of the changed agents, and `carrying`.
     Each fact has one owner, so swapping an owner's old facts for its new
-    ones leaves every other fact as it was. The signature's sorted fact
-    texts and pose texts change in place at the changed entries."""
-    base = parent._derivation
-    if base.owned is None:
-        return _derive_state(child)
+    ones leaves every other fact as it was. The sorted fact texts change
+    in place at the changed entries, and so do the pose texts, whose new
+    entries are written in id order: objects, then agents. Each support's
+    children are sorted once and new facts are inserted in key order, so
+    that from `_NOTHING` the derivation stays O(n log n) in the objects."""
     children = base.children
     owners = set(moved)
+    resting: dict[str, set[str]] = {}  # each support the change touches -> the ids on it after
     for oid in moved:
-        old, new = parent.objects[oid].stack_on, child.objects[oid].stack_on
+        old = before[oid].stack_on if oid in before else None
+        new = world.objects[oid].stack_on
         if old == new:
             continue
-        if children is base.children:
-            children = dict(children)
-        if old is not None:
-            rest = tuple(other for other in children[old] if other != oid)
-            if rest:
-                children[old] = rest
+        for support in (old, new):  # oid leaves the one and joins the other
+            if support is not None:
+                if support not in resting:
+                    resting[support] = set(children.get(support, ()))
+                resting[support] ^= {oid}
+        owners.update(support for support in (old, new) if support in world.objects)
+    if resting:
+        children = dict(children)
+        for support, ids in resting.items():
+            if ids:
+                children[support] = tuple(sorted(ids))
             else:
-                del children[old]
-        if new is not None:
-            children[new] = tuple(sorted(children.get(new, ()) + (oid,)))
-        owners.update(support for support in (old, new) if support in child.objects)
+                del children[support]
     above, seen = list(moved), set(moved)
     for oid in above:  # grows while it is walked: everything on a moved object
         for other in children.get(oid, ()):
@@ -475,43 +443,41 @@ def _child_derivation(parent: World, child: World, moved: Collection[str],
                 seen.add(other)
                 above.append(other)
     owners.update(above)
-    holders = held_by(child)
-    owned = dict(base.owned)
+    holders = held_by(world)
+    owned, poses = dict(base.owned), dict(base.poses)
     gone, came = [], []
-    for oid in owners:
-        gone += owned[oid]
-        owned[oid] = facts = _object_facts(child, oid, holders, children)
+    for oid in sorted(owners):
+        gone += owned.get(oid, ())
+        owned[oid] = facts = _object_facts(world, oid, holders, children)
         came += facts
+        poses[oid] = world.objects[oid].signature_text
     for aid in changed:
-        gone += owned[aid]
-        owned[aid] = facts = _agent_facts(child, child.agents[aid])
+        gone += owned.get(aid, ())
+        owned[aid] = facts = _agent_facts(world, world.agents[aid])
         came += facts
+        poses[aid] = world.agents[aid].signature_text
     (came if holders else gone).append(_CARRYING)
     gone, came = set(gone), set(came)
     lost, won = gone - came, came - gone
     derived = (base.derived - lost) | won
-    facts = derived | child.facts
+    facts = derived | world.facts
     old_facts = base.state.facts
-    stored = parent.facts ^ child.facts
-    drop = [fact for fact in lost | stored if fact in old_facts and fact not in facts]
-    add = [fact for fact in won | stored if fact in facts and fact not in old_facts]
+    flipped = stored ^ world.facts  # stored facts that came or went
+    drop = [fact for fact in lost | flipped if fact in old_facts and fact not in facts]
+    add = [fact for fact in won | flipped if fact in facts and fact not in old_facts]
     keys, texts = base.keys, base.texts
     if drop or add:
         keys, texts = keys.copy(), texts.copy()
         for fact in drop:
             index = bisect.bisect_left(keys, (fact.predicate, fact.args))
             del keys[index], texts[index]
-        for fact in add:
-            key = (fact.predicate, fact.args)
+        for key, fact in sorted([((fact.predicate, fact.args), fact) for fact in add]):
             index = bisect.bisect_left(keys, key)
             keys.insert(index, key)
             texts.insert(index, f"{fact.text()}|")
-    poses = base.poses.copy()
-    for oid in moved:
-        poses[base.slot[oid]] = child.objects[oid].signature_text
-    for aid in changed:
-        poses[base.slot[aid]] = child.agents[aid].signature_text
-    return _assemble(owned, derived, facts, children, keys, texts, poses, base.slot)
+    signature = hashlib.sha256(("".join(poses.values()) + "".join(texts)).encode()).hexdigest()
+    return _Derivation(WorldState(facts, signature), owned, derived, children, keys, texts,
+                       poses)
 
 
 # ---------------------------------------------------------------- planning
@@ -682,18 +648,16 @@ class _Grid:
     obstacles that are not movable. It then ORs in only its movable
     obstacles' footprints, and a grid without any, such as a diagnosis'
     ghost grid, is the layer itself. Every layer comes from `rasters` (a
-    `SearchMemo.rasters`; a fresh map when None), where `footprint` looks
-    up the patch of any object. `blocked` is the (nx, ny) raster;
-    `free_mask` is the same raster inverted and padded by one ring of
-    blocked cells, flattened to bytes: cell (x, y) is free when
-    `free_mask[(x + 1) * stride + y + 1]` is non-zero, with
-    `stride = ny + 2`, so a neighbour step never needs a range test.
+    `SearchMemo.rasters`), where `footprint` looks up the patch of any
+    object. `blocked` is the (nx, ny) raster; `free_mask` is the same
+    raster inverted and padded by one ring of blocked cells, flattened to
+    bytes: cell (x, y) is free when `free_mask[(x + 1) * stride + y + 1]`
+    is non-zero, with `stride = ny + 2`, so a neighbour step never needs a
+    range test.
     """
 
     def __init__(self, world: World, agent: Agent, obstacles: list[Obj], inflation: float,
-                 rasters: dict | None = None):
-        if rasters is None:
-            rasters = {}
+                 rasters: dict):
         res = world.resolution
         self.rasters = rasters
         self.geometry = geometry = (world.bounds, res)
@@ -767,7 +731,7 @@ def _steps(stride: int) -> tuple[tuple[int, int], ...]:
 
 
 def _astar(grid: _Grid, start: tuple[int, int], goal: tuple[int, int], budget: int,
-           components: dict | None = None) -> tuple[list[tuple[int, int]] | None, int]:
+           components: dict) -> tuple[list[tuple[int, int]] | None, int]:
     """Deterministic 8-connected A*; integer costs 5/7 avoid float ties.
 
     Both cells must lie inside the grid. The search runs on flat indices
@@ -794,8 +758,6 @@ def _astar(grid: _Grid, start: tuple[int, int], goal: tuple[int, int], budget: i
     stride = grid.stride
     source = (start[0] + 1) * stride + start[1] + 1
     target = (goal[0] + 1) * stride + goal[1] + 1
-    if components is None:
-        components = {}
     labelled = components.get((grid.free_mask, stride))
     checkpoint = PROOF_CHECKPOINT
     if labelled is not None and source != target:  # a blocked source equal to the goal is a path
@@ -1094,8 +1056,8 @@ def execute(world: World, agent_id: str, result: MotionResult,
     Reads the action through `_roles`, as `plan_motion` does. Raises
     StaleResult when the world signature no longer matches the one the
     plan was computed against. Never creates or destroys objects. The
-    new world comes with its state, derived from this world's
-    (`_child_derivation`).
+    new world comes with its state, derived from this world's by `_derive`,
+    the one derivation every world's state comes from.
     """
     if result is not None and result.world_sig != world_signature(world):
         raise StaleResult(f"world moved since planning {action.name}")
@@ -1145,6 +1107,7 @@ def execute(world: World, agent_id: str, result: MotionResult,
 
     child = replace(world, objects={**world.objects, **moved},
                     agents={**world.agents, **changed}, facts=frozenset(facts), clock=clock)
+    derivation = _derive(world._derivation, world.objects, world.facts, child, moved, changed)
     # Fills the cached property, as its first read would.
-    object.__setattr__(child, "_derivation", _child_derivation(world, child, moved, changed))
+    object.__setattr__(child, "_derivation", derivation)
     return child

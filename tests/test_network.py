@@ -22,7 +22,7 @@ from graph_oracle import (
 )
 from test_andor import random_template
 
-from taskmotion import andor
+from taskmotion import andor, scenarios
 from taskmotion.andor import (
     INF,
     HyperArc,
@@ -809,10 +809,12 @@ def test_searching_an_entry_again_after_a_suppression_counts_nothing(monkeypatch
         assert_search_matches_oracle(entry.compiled, entry.true_leaves)
 
 
-def test_ready_and_price_match_the_gather_on_the_hanoi_8_main_graph():
-    """Over the leaf truths of a two-arm hanoi 8 run. It ends unsolvable
-    because the handover pad at `scenarios.PAD_POINT` is too close to peg A
-    to take a disk while the largest one sits there."""
+def test_ready_and_price_match_the_gather_on_the_hanoi_8_main_graph(monkeypatch):
+    """Over the leaf truths of a two-arm hanoi 8 run with the handover pad
+    at its earlier point, (0, 0.45). It ends unsolvable because the pad
+    is then too close to peg A to take a disk while the largest one sits
+    there."""
+    monkeypatch.setattr(scenarios, "PAD_POINT", (0.0, 0.45))
     result = run_scenario(gen_hanoi(8), RunConfig(seed=0, depth_cap=60))
     assert (result.status, result.moves) == (FinalStatus.UNSOLVABLE, 33)
     compiled = result.network.entries[0].compiled

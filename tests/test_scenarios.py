@@ -6,6 +6,7 @@ generator's slot-assignment encoding, so move counts are cross-checked
 by two unrelated pieces of code.
 """
 
+import math
 from collections import deque
 from fractions import Fraction
 from pathlib import Path
@@ -15,16 +16,25 @@ import pytest
 from taskmotion.andor import NodeKind, build_graph
 from taskmotion.dsl import parse, serialize
 from taskmotion.interface import dispatch, ground
+from taskmotion.planner import FinalStatus, RunConfig, run_scenario
 from taskmotion.scenarios import (
+    MAX_DISKS,
+    MIN_DISKS,
     PAD,
     PEGS,
     BadDiskCount,
     _hanoi_distances,
     _hanoi_slot_pairs,
+    disk_radius,
     gen_habitat,
     gen_hanoi,
 )
-from taskmotion.world import snapshot, world_from_scenario
+from taskmotion.world import (
+    ARM_POINT_RADIUS,
+    DEFAULT_CLEARANCE,
+    snapshot,
+    world_from_scenario,
+)
 from graph_oracle import arcs_of
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -166,6 +176,28 @@ def test_hanoi_roundtrip(n, omnipotent):
 def test_hanoi_fixture_is_current():
     expected = serialize(gen_hanoi(3))
     assert (FIXTURES / "hanoi3.scn").read_text() == expected
+
+
+@pytest.mark.parametrize("n", range(MIN_DISKS, MAX_DISKS + 1))
+def test_the_pad_takes_the_second_largest_disk_beside_the_largest_on_any_peg(n):
+    """The pad's goal cell lies outside the largest disk's footprint on
+    every peg, inflated as the world inflates it for an arm carrying the
+    next largest disk, so that disk can always be put on the pad."""
+    world = world_from_scenario(gen_hanoi(n))
+    res, pad = world.resolution, world.markers[PAD]
+    cx, cy = round(pad.x / res) * res, round(pad.y / res) * res  # the goal cell's centre
+    reach = disk_radius(n) + DEFAULT_CLEARANCE + ARM_POINT_RADIUS + disk_radius(n - 1)
+    for peg in PEGS:
+        peg_obj = world.objects[peg]
+        assert math.hypot(cx - peg_obj.x, cy - peg_obj.y) > reach, (n, peg)
+
+
+@pytest.mark.parametrize("seed", [35, 44, 56])
+def test_hanoi_6_dual_reaches_the_goal_where_the_earlier_pad_failed(seed):
+    """With the pad at (0, 0.45) these seeds ended unsolvable after 33
+    moves: the pad could not take d4 while d6 sat on peg A."""
+    result = run_scenario(gen_hanoi(6), RunConfig(seed=seed))
+    assert (result.status, result.moves) == (FinalStatus.GOAL_ACHIEVED, 84)
 
 
 def test_hanoi_solo_first_move_executes():
