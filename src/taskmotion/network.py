@@ -68,6 +68,7 @@ from .andor import (  # noqa: F401 - see the note below
     solved,
 )
 from .domain import ActionTemplate, Fact, chain_applicable
+from .world import Signature
 
 # `build_graph`, `augment`, `set_leaf_truth`, and `solved`, `node_cost` and
 # `solution_subgraph`, the from-scratch pricing of `andor` that the tests
@@ -387,7 +388,7 @@ class GraphNetwork:
 
     # -- candidate enumeration and selection --------------------------------
 
-    def frontier(self, facts: frozenset[Fact], world_sig: str) -> list[Candidate]:
+    def frontier(self, facts: frozenset[Fact], world_sig: Signature) -> list[Candidate]:
         """Executable candidates of the newest graph, by node id then arc id."""
         if not self.entries:
             raise NetworkError("network not bootstrapped")
@@ -406,7 +407,7 @@ class GraphNetwork:
                                  int(compiled.arc_ids[place]), actions))
         return out
 
-    def select(self, facts: frozenset[Fact], world_sig: str) -> Candidate | None:
+    def select(self, facts: frozenset[Fact], world_sig: Signature) -> Candidate | None:
         """Pick the next candidate to execute, or None when none remain."""
         candidates = self.frontier(facts, world_sig)
         if not candidates:
@@ -418,13 +419,13 @@ class GraphNetwork:
         # come last and tie on to the arc id, unique in a template.
         return min(on_solution or candidates, key=lambda c: (totals[c.place], c.arc_id))
 
-    def suppress(self, candidate: Candidate, world_sig: str):
+    def suppress(self, candidate: Candidate, world_sig: Signature):
         label, names = candidate.key()
         self.suppressed.add((label, names, world_sig))
 
     # -- expansion -----------------------------------------------------------
 
-    def expand(self, reason: ExpandReason, facts: frozenset[Fact], world_sig: str,
+    def expand(self, reason: ExpandReason, facts: frozenset[Fact], world_sig: Signature,
                obstructor_ids: tuple[str, ...] = ()) -> GraphEntry:
         """Append the next graph; how it is built depends on the reason.
 
@@ -434,7 +435,7 @@ class GraphNetwork:
         knowledge and composes the relocation stages of the reported
         obstructors into one graph. The run's future from a new graph
         depends only on its stages (none for the main graph), the world
-        (its signature hashes the facts and the geometry), the
+        (its signature: the facts and the rounded poses), the
         suppressions and the knowledge, so an expansion to a state of
         those four seen before is a loop and raises `ExpansionCycle`,
         before either graph is built.

@@ -216,13 +216,13 @@ def _finish(scenario, status, depth, moves, steps, world, trace, timers,
 
 
 def _metric_groups(scenario: Scenario) -> dict[str, str]:
-    """Agent id -> the group its plan calls report in, read from the
-    declared agents: "base" for a base; when two or more arms are
-    declared, "left" for the arm of smallest declared x (ties by id);
-    "right" for every other arm, a lone arm included."""
-    groups = {aid: "base" for aid, agent in scenario.agents.items() if agent.kind == "base"}
-    arms = sorted((agent.anchor[0], aid) for aid, agent in scenario.agents.items()
-                  if agent.kind == "arm")
+    """Agent id -> the group its plan calls report in: "base" for a base;
+    when two or more arms are declared, "left" for the arm the initial
+    world places at the smallest x (ties by id), a mounted one beside its
+    base; "right" for every other arm, a lone arm included."""
+    agents = world_from_scenario(scenario).agents
+    groups = {aid: "base" for aid, agent in agents.items() if agent.kind == "base"}
+    arms = sorted((agent.anchor[0], aid) for aid, agent in agents.items() if agent.kind == "arm")
     groups.update((aid, "right") for _, aid in arms)
     if len(arms) >= 2:
         groups[arms[0][1]] = "left"

@@ -51,11 +51,12 @@ Worlds are immutable values: a `World` is frozen and its `objects`,
 world and a changed world is always a new one (`dataclasses.replace`).
 Nothing a world shares with another is ever changed. Each world derives its
 symbolic snapshot once and keeps it: `snapshot` and `world_signature`
-return that one read-only `WorldState`. Every snapshot comes from one
-derivation, `_derive`, which recomputes only the facts of the objects
-and agents a change touches. A world made by `execute` derives its own
-from its parent's; any other world derives its own on first read from
-the empty world's, as a change in which every object and agent is new.
+return that one read-only `WorldState`, whose signature is a value: its
+facts and its rounded poses. Every snapshot comes from one derivation,
+`_derive`, which recomputes only the facts of the objects and agents a
+change touches. A world made by `execute` derives its own from its
+parent's; any other world derives its own on first read from the empty
+world's, as a change in which every object and agent is new.
 A world holds no run settings. Reads (`snapshot`, `plan_motion`) are
 pure, apart from filling the search memo, and safe to repeat: the same
 action, goal point and world give an equal result, with any memo or none.
@@ -64,7 +65,6 @@ action, goal point and world give an equal result, with any memo or none.
 from __future__ import annotations
 
 import bisect
-import hashlib
 import heapq
 import math
 from dataclasses import dataclass, field, replace
@@ -130,9 +130,9 @@ class Obj:
         return self.stack_on
 
     @cached_property
-    def signature_text(self) -> str:
+    def pose(self) -> tuple[str, float, float, float]:
         """This object's pose in the world signature, made on first read."""
-        return f"{self.id}:{round(self.x, 9)}:{round(self.y, 9)}:{round(self.yaw, 9)};"
+        return (self.id, round(self.x, 9), round(self.y, 9), round(self.yaw, 9))
 
     def carry_extent(self) -> float:
         """Swept radius while carried. A planar carry can swing a box to
@@ -165,9 +165,9 @@ class Agent:
     mount_off: tuple[float, float] = (0.0, 0.0)
 
     @cached_property
-    def signature_text(self) -> str:
+    def pose(self) -> tuple[str, float, float]:
         """This agent's config in the world signature, made on first read."""
-        return f"{self.id}@{round(self.config[0], 9)}:{round(self.config[1], 9)};"
+        return (self.id, round(self.config[0], 9), round(self.config[1], 9))
 
 
 def _read_only(mapping: Mapping) -> MappingProxyType:
@@ -178,14 +178,20 @@ def _read_only(mapping: Mapping) -> MappingProxyType:
     return MappingProxyType(dict(mapping))
 
 
+# A world's facts, and the `pose` of each of its objects and agents rounded
+# to 9 decimals, so that float noise makes no new signature.
+Signature = tuple[frozenset[Fact], frozenset[tuple]]
+
+
 @dataclass(frozen=True)
 class WorldState:
-    """Read-only snapshot: the derived and stored facts, and the signature
-    of the facts and the geometry. Poses, holdings, configs and the clock
-    are read from the `World` itself."""
+    """Read-only snapshot: the derived and stored facts, and the signature,
+    those facts paired with the poses: frozensets, which compare by value
+    and keep their hashes. Poses, holdings, configs and the clock are read
+    from the `World` itself."""
 
     facts: frozenset[Fact]
-    signature: str
+    signature: Signature
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,23 +203,16 @@ class _Derivation:
     `owned` maps each object and agent id to the derived facts it owns
     (see `_object_facts` and `_agent_facts`), and `derived` is those facts
     and `carrying`, without the stored ones; `children` maps each support
-    to the ids resting directly on it, in id order. The signature is the
-    sha256 of the pose texts, `poses` (id -> pose text: each object's, then
-    each agent's, in id order), and then of `texts`, each fact's text and
-    "|", sorted by `keys`, each fact's `(predicate, args)`. No list or map
-    here is changed once made; a later world copies what it changes."""
+    to the ids resting directly on it, in id order. No list or map here is
+    changed once made; a later world copies what it changes."""
 
     state: WorldState
     owned: Mapping[str, list[Fact]]
     derived: frozenset[Fact]
     children: Mapping[str, tuple[str, ...]]
-    keys: list[tuple[str, tuple[str, ...]]]
-    texts: list[str]
-    poses: Mapping[str, str]
 
 
-_NOTHING = _Derivation(WorldState(frozenset(), hashlib.sha256(b"").hexdigest()), {},
-                       frozenset(), {}, [], [], {})
+_NOTHING = _Derivation(WorldState(frozenset(), (frozenset(), frozenset())), {}, frozenset(), {})
 
 
 @dataclass(frozen=True)
@@ -242,7 +241,7 @@ class World:
         shared = self.objects.keys() & self.agents.keys()
         if shared:
             raise WorldError(f"ids shared by an object and an agent: {', '.join(sorted(shared))}")
-        return _derive(_NOTHING, {}, frozenset(), self, sorted(self.objects), sorted(self.agents))
+        return _derive(_NOTHING, {}, self, sorted(self.objects), sorted(self.agents))
 
     @property
     def state(self) -> WorldState:
@@ -257,7 +256,7 @@ class MotionResult:
     expansions: int
     obstructors: tuple[str, ...]
     goal_point: tuple[float, float]
-    world_sig: str
+    world_sig: Signature
     detail: str = ""
 
     @cached_property
@@ -357,7 +356,7 @@ def snapshot(world: World) -> WorldState:
     return world.state
 
 
-def world_signature(world: World) -> str:
+def world_signature(world: World) -> Signature:
     return world.state.signature
 
 
@@ -397,24 +396,22 @@ def _agent_facts(world: World, agent: Agent) -> list[Fact]:
             if math.hypot(x - marker.x, y - marker.y) <= marker.snap]
 
 
-def _derive(base: _Derivation, before: Mapping[str, Obj], stored: frozenset[Fact],
-            world: World, moved: Collection[str], changed: Collection[str]) -> _Derivation:
+def _derive(base: _Derivation, before: Mapping[str, Obj], world: World,
+            moved: Collection[str], changed: Collection[str]) -> _Derivation:
     """The world's derivation, made from `base`, the derivation of an
-    earlier world whose objects were `before` and whose stored facts were
-    `stored`, when `world` differs from it only in the objects `moved`, the
-    agents `changed`, the stored facts and the clock. From `_NOTHING`, the
-    empty world's, every object and agent is moved or changed.
+    earlier world whose objects were `before`, when `world` differs from it
+    only in the objects `moved`, the agents `changed`, the stored facts and
+    the clock. From `_NOTHING`, the empty world's, every object and agent
+    is moved or changed.
 
     Only the facts owned by what the change touches are derived again:
     those of the moved objects (which include every object a changed
     agent takes or lets go), of their old and new supports, of whatever
     rests on a moved object and of the changed agents, and `carrying`.
     Each fact has one owner, so swapping an owner's old facts for its new
-    ones leaves every other fact as it was. The sorted fact texts change
-    in place at the changed entries, and so do the pose texts, whose new
-    entries are written in id order: objects, then agents. Each support's
-    children are sorted once and new facts are inserted in key order, so
-    that from `_NOTHING` the derivation stays O(n log n) in the objects."""
+    ones leaves every other fact as it was. Each support's children are
+    sorted once, so that from `_NOTHING` the derivation stays O(n log n)
+    in the objects."""
     children = base.children
     owners = set(moved)
     resting: dict[str, set[str]] = {}  # each support the change touches -> the ids on it after
@@ -444,40 +441,22 @@ def _derive(base: _Derivation, before: Mapping[str, Obj], stored: frozenset[Fact
                 above.append(other)
     owners.update(above)
     holders = held_by(world)
-    owned, poses = dict(base.owned), dict(base.poses)
+    owned = dict(base.owned)
     gone, came = [], []
     for oid in sorted(owners):
         gone += owned.get(oid, ())
         owned[oid] = facts = _object_facts(world, oid, holders, children)
         came += facts
-        poses[oid] = world.objects[oid].signature_text
     for aid in changed:
         gone += owned.get(aid, ())
         owned[aid] = facts = _agent_facts(world, world.agents[aid])
         came += facts
-        poses[aid] = world.agents[aid].signature_text
     (came if holders else gone).append(_CARRYING)
     gone, came = set(gone), set(came)
-    lost, won = gone - came, came - gone
-    derived = (base.derived - lost) | won
+    derived = (base.derived - (gone - came)) | (came - gone)
     facts = derived | world.facts
-    old_facts = base.state.facts
-    flipped = stored ^ world.facts  # stored facts that came or went
-    drop = [fact for fact in lost | flipped if fact in old_facts and fact not in facts]
-    add = [fact for fact in won | flipped if fact in facts and fact not in old_facts]
-    keys, texts = base.keys, base.texts
-    if drop or add:
-        keys, texts = keys.copy(), texts.copy()
-        for fact in drop:
-            index = bisect.bisect_left(keys, (fact.predicate, fact.args))
-            del keys[index], texts[index]
-        for key, fact in sorted([((fact.predicate, fact.args), fact) for fact in add]):
-            index = bisect.bisect_left(keys, key)
-            keys.insert(index, key)
-            texts.insert(index, f"{fact.text()}|")
-    signature = hashlib.sha256(("".join(poses.values()) + "".join(texts)).encode()).hexdigest()
-    return _Derivation(WorldState(facts, signature), owned, derived, children, keys, texts,
-                       poses)
+    poses = frozenset(thing.pose for thing in (*world.objects.values(), *world.agents.values()))
+    return _Derivation(WorldState(facts, (facts, poses)), owned, derived, children)
 
 
 # ---------------------------------------------------------------- planning
@@ -1107,7 +1086,7 @@ def execute(world: World, agent_id: str, result: MotionResult,
 
     child = replace(world, objects={**world.objects, **moved},
                     agents={**world.agents, **changed}, facts=frozenset(facts), clock=clock)
-    derivation = _derive(world._derivation, world.objects, world.facts, child, moved, changed)
+    derivation = _derive(world._derivation, world.objects, child, moved, changed)
     # Fills the cached property, as its first read would.
     object.__setattr__(child, "_derivation", derivation)
     return child

@@ -520,22 +520,29 @@ def test_module_rows_derive_mean_and_std_from_per_call_samples(monkeypatch):
         assert row["std_s"] > 0.0
 
 
-def test_arm_columns_follow_the_declared_geometry():
-    """With the ids swapped, arm_left stands at +0.3 and reports in the
-    right column; the arm at -0.3, named arm_right, in the left."""
-    scn = gen_hanoi(3)
+@pytest.mark.parametrize("make,left_id", [
+    (lambda: gen_hanoi(3), "arm_right"),
+    (gen_habitat, "arm_left"),
+], ids=["hanoi3", "habitat"])
+def test_arm_columns_follow_where_the_arms_are_placed(make, left_id):
+    """With their declared points swapped, Hanoi's fixed arms trade
+    columns: arm_right now stands at -0.3 and reports in the left one.
+    Habitat's arms are mounted, so the swap leaves them at the base's
+    -0.25 and +0.25 offsets, each in its own column."""
+    scn = make()
     left, right = scn.agents["arm_left"], scn.agents["arm_right"]
     scn.agents["arm_left"] = replace(left, anchor=right.anchor)
     scn.agents["arm_right"] = replace(right, anchor=left.anchor)
     res = run_scenario(scn)
     assert res.status is FinalStatus.GOAL_ACHIEVED
     attempts = res.metrics["attempts"]
+    (right_id,) = {"arm_left", "arm_right"} - {left_id}
     row = res.metrics["table"]["rows"][0]
-    assert (row["Left attempts"], row["Right attempts"]) == (attempts["arm_right"],
-                                                             attempts["arm_left"])
+    assert (row["Left attempts"], row["Right attempts"]) == (attempts[left_id],
+                                                             attempts[right_id])
     modules = {m["module"]: m["calls"] for m in res.metrics["modules"]}
-    assert modules["Motion Planner (left arm)"] == attempts["arm_right"]
-    assert modules["Motion Planner (right arm)"] == attempts["arm_left"]
+    assert modules["Motion Planner (left arm)"] == attempts[left_id]
+    assert modules["Motion Planner (right arm)"] == attempts[right_id]
     assert attempts["arm_left"] != attempts["arm_right"]
 
 
