@@ -5,6 +5,7 @@ independent oracle: whatever objects the planner blames, deleting exactly
 those from the world must make the original query succeed.
 """
 
+import hashlib
 import heapq
 import math
 import random
@@ -33,6 +34,7 @@ from taskmotion.world import (
     execute,
     plan_motion,
     snapshot,
+    world_from_scenario,
     world_signature,
 )
 
@@ -484,6 +486,32 @@ def test_a_replaced_world_derives_its_own_state():
     assert world_signature(moved) != world_signature(world)
     assert snapshot(world) is state
     assert moved.markers is world.markers  # views are passed on, not nested
+
+
+def signature_digest(signature):
+    """The sha256 of a signature's facts and poses, in a text that does not
+    depend on set order: objects' poses by id, then agents', then the fact
+    texts in `Fact`'s own order."""
+    facts, poses = signature
+    hasher = hashlib.sha256()
+    for oid, x, y, yaw in sorted(pose for pose in poses if len(pose) == 4):
+        hasher.update(f"{oid}:{x}:{y}:{yaw};".encode())
+    for aid, x, y in sorted(pose for pose in poses if len(pose) == 3):
+        hasher.update(f"{aid}@{x}:{y};".encode())
+    for fact in sorted(facts):
+        hasher.update(fact.text().encode())
+        hasher.update(b"|")
+    return hasher.hexdigest()
+
+
+@pytest.mark.parametrize("make,signature", [
+    (gen_habitat, "77b4212dcab573a53245f0e69b41b9a30dc50cd1e850315451fbc632b6e9ceaf"),
+    (lambda: gen_hanoi(3), "5379268158f74107f3c6cb8d9cf54b49227f38101d03208f25c208f862c9bb7c"),
+], ids=["habitat", "hanoi3"])
+def test_initial_world_signatures_are_pinned(make, signature):
+    """The initial worlds' facts and rounded poses are those the earlier
+    text signature hashed to these digests."""
+    assert signature_digest(world_signature(world_from_scenario(make()))) == signature
 
 
 def four_peg_world():
