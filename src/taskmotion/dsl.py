@@ -47,7 +47,16 @@ ignored, and an uppercase word alone on a line opens a section:
     end
 
 A scenario declares its objects, markers and agents as the `world`
-module's own `Obj`, `Marker` and `Agent` values, as written.
+module's own `Obj`, `Marker` and `Agent` values, as written. An action's
+role keywords (`agent`, `area`, `obj`, `from`, `to`) map to its
+`ActionTemplate` fields through one table, `_ROLES`, which the reader,
+the resolver and `serialize` share.
+
+Every line is read through one loop, `_Parser._cursors`: while a graph
+section (GRAPH, or a stage block) is open, a line of a plain graph shape
+goes straight to it; every other line with tokens becomes a token cursor.
+An action or stage block is the loop's lines up to `end`, through one
+block reader, `_Parser._block`.
 
 A graph (GRAPH, or one stage of STAGES) is read into columns, not
 objects, through an `andor.GraphBuilder`. Two line shapes are read with
@@ -66,9 +75,10 @@ through the line kept for each declaration. `serialize` writes a graph
 from the template's `rows`.
 
 Parsing fails fast: the first problem raises one diagnostic carrying the
-line and column. `serialize` emits a canonical form (sections in a fixed
-order, entries sorted, numbers in their shortest exact spelling) that
-parses back to an equal scenario.
+line and column. An action's roles are checked in `_ROLES` order and its
+facts in the order the file states them. `serialize` emits a canonical
+form (sections in a fixed order, entries sorted, numbers in their
+shortest exact spelling) that parses back to an equal scenario.
 """
 
 from __future__ import annotations
@@ -97,6 +107,10 @@ from .world import (DEFAULT_RESOLUTION, DEFAULT_SNAP, MAX_GRID_CELLS, Agent, Mar
 SECTIONS = ("OBJECTS", "AGENTS", "PREDICATES", "ACTIONS", "INIT", "GOAL",
             "GRAPH", "STAGES")
 _BLOCK_TAGS = ("all", "arm", "base")
+# An action's entity roles: each keyword and the `ActionTemplate` field it
+# sets, in the order `serialize` writes them.
+_ROLES = {"agent": "agent", "area": "area", "obj": "manipulated", "from": "source",
+          "to": "dest"}
 
 
 class DslError(Exception):
@@ -212,11 +226,23 @@ class _Cursor:
     def peek(self) -> Token | None:
         return self.tokens[self.index] if self.index < len(self.tokens) else None
 
+    def at(self, kind: str) -> bool:
+        tok = self.peek()
+        return tok is not None and tok.kind == kind
+
     def _fail(self, expected: tuple[str, ...]):
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of line", self.line, self.end_col, expected)
         raise ParseError(f"unexpected {tok.kind} {tok.value!r}", tok.line, tok.col, expected)
+
+    def _take(self, kind: str, expected: str, bad: str = "") -> Token:
+        """The next token if it is a `kind` holding none of the characters of `bad`."""
+        tok = self.peek()
+        if tok is None or tok.kind != kind or not set(bad).isdisjoint(tok.value):
+            self._fail((expected,))
+        self.index += 1
+        return tok
 
     def word(self, *expected: str) -> Token:
         tok = self.peek()
@@ -226,28 +252,24 @@ class _Cursor:
         return tok
 
     def number(self) -> tuple[float, Token]:
-        tok = self.peek()
-        if tok is None or tok.kind != "number" or "/" in tok.value:
-            self._fail(("number",))
-        self.index += 1
+        tok = self._take("number", "number", "/")
         value = float(tok.value)
         if math.isinf(value):
             raise ParseError("number out of range", tok.line, tok.col)
         return value, tok
 
-    def integer(self) -> tuple[int, Token]:
-        tok = self.peek()
-        if tok is None or tok.kind != "number" or "." in tok.value or "/" in tok.value \
-                or tok.value.startswith("-"):
-            self._fail(("non-negative integer",))
-        self.index += 1
-        return _convert(int, tok.value, tok), tok
+    def positive(self, what: str) -> float:
+        value, tok = self.number()
+        if value <= 0:
+            raise ParseError(f"{what} must be positive", tok.line, tok.col)
+        return value
+
+    def integer(self) -> int:
+        tok = self._take("number", "non-negative integer", "./-")
+        return _convert(int, tok.value, tok)
 
     def weight(self) -> tuple[Fraction, Token]:
-        tok = self.peek()
-        if tok is None or tok.kind != "number":
-            self._fail(("weight",))
-        self.index += 1
+        tok = self._take("number", "weight")
         if "/" in tok.value:
             num, den = tok.value.split("/")
             if "." in num:
@@ -258,12 +280,8 @@ class _Cursor:
             return Fraction(_convert(int, num, tok), den), tok
         return _convert(Fraction, tok.value, tok), tok
 
-    def string(self) -> tuple[str, Token]:
-        tok = self.peek()
-        if tok is None or tok.kind != "string":
-            self._fail(("quoted label",))
-        self.index += 1
-        return _unescape(tok.value), tok
+    def string(self) -> str:
+        return _unescape(self._take("string", "quoted label").value)
 
     def maybe_word(self, *values: str) -> Token | None:
         tok = self.peek()
@@ -346,26 +364,20 @@ class _GraphSection(GraphBuilder):
         """Take any `node` or `arc` line, token by token."""
         head = cur.word("node", "arc")
         if head.value == "node":
-            nid, _ = cur.integer()
+            nid = cur.integer()
             kind = cur.word("root", "failure", "leaf", "internal")
-            label, _ = cur.string()
+            label = cur.string()
             cur.finish()
             self.node(nid, _KIND[kind.value], label)
             self.node_lines.append(cur.line)
             return
-        aid, _ = cur.integer()
+        aid = cur.integer()
         cur.word("parent")
-        parent, _ = cur.integer()
+        parent = cur.integer()
         cur.word("children")
-        children = []
-        first, _ = cur.integer()
-        children.append(first)
-        while True:
-            tok = cur.peek()
-            if tok is None or tok.kind != "number":
-                break
-            value, _ = cur.integer()
-            children.append(value)
+        children = [cur.integer()]
+        while cur.at("number"):
+            children.append(cur.integer())
         cur.word("weight")
         weight, wtok = cur.weight()
         if weight < 0:
@@ -373,10 +385,7 @@ class _GraphSection(GraphBuilder):
         actions: list[str] = []
         if cur.maybe_word("actions"):
             actions.append(cur.word().value)
-            while True:
-                tok = cur.peek()
-                if tok is None or tok.kind != "word":
-                    break
+            while cur.at("word"):
                 actions.append(cur.word().value)
         cur.finish()
         self.arc(aid, parent, children, weight.numerator, weight.denominator,
@@ -405,39 +414,32 @@ class _Parser:
         self.section: str | None = None
         self.seen_sections: set[str] = set()
         self.decl_lines: dict[tuple[str, object], int] = {}
-        self.entity_ids: set[str] = set()  # objects, markers and agents declared so far
+        # Each action's facts as stated, with their lines: pre, add, del, each in file order.
+        self.action_facts: dict[str, list[tuple[Fact, int]]] = {}
         self.init: list[Fact] = []  # INIT and GOAL facts in file order
         self.goal: list[Fact] = []
         self.graph_section = _GraphSection()
         self.stage_sections: dict[str, _GraphSection] = {}
+        self.open_graph: _GraphSection | None = None  # GRAPH's, or the stage's being read
         self.graph_line = 1
         self.index = 0
 
     def parse(self) -> Scenario:
         had_name = False
-        while self.index < len(self.lines):
-            line_no = self.index + 1
-            raw = self.lines[self.index]
-            self.index += 1
-            if self.section == "GRAPH" and self.graph_section.match(raw, line_no):
-                continue
-            tokens = _lex_line(raw, line_no)
-            if not tokens:
-                continue
-            cur = _Cursor(tokens, line_no, len(raw))
-            head = tokens[0]
-            if head.kind == "word" and head.value in SECTIONS:
+        for cur in self._cursors():
+            head = cur.peek()
+            if head.value in SECTIONS:
                 cur.word()
                 cur.finish()
                 if head.value in self.seen_sections:
                     raise ParseError(f"duplicate section {head.value}", head.line, head.col)
                 self.seen_sections.add(head.value)
                 self.section = head.value
+                self.open_graph = None
                 if head.value == "GRAPH":
-                    self.graph_line = head.line
+                    self.open_graph, self.graph_line = self.graph_section, head.line
                 continue
-            if head.kind == "word" and head.value == "scenario" and not had_name \
-                    and self.section is None:
+            if head.value == "scenario" and not had_name and self.section is None:
                 cur.word()
                 self.scenario.name = cur.word().value
                 cur.finish()
@@ -449,6 +451,27 @@ class _Parser:
             getattr(self, f"_line_{self.section}")(cur)
         self._resolve()
         return self.scenario
+
+    def _cursors(self):
+        """A cursor for each line from `self.index` on that has tokens; a
+        line of a plain graph shape goes to the open graph section instead."""
+        while self.index < len(self.lines):
+            raw = self.lines[self.index]
+            self.index += 1
+            if self.open_graph is not None and self.open_graph.match(raw, self.index):
+                continue
+            tokens = _lex_line(raw, self.index)
+            if tokens:
+                yield _Cursor(tokens, self.index, len(raw))
+
+    def _block(self, head: Token, what: str):
+        """A cursor for each line of the block opened at `head`, up to its `end`."""
+        for cur in self._cursors():
+            if cur.maybe_word("end"):
+                cur.finish()
+                return
+            yield cur
+        raise ParseError(f"{what} missing end", head.line, head.col, ("end",))
 
     # -- section line handlers -------------------------------------------
 
@@ -473,22 +496,13 @@ class _Parser:
             self.scenario.bounds = (x0, y0, x1, y1)
             self.bounds_line = head.line
             return
+        name = cur.word()
         if head.value == "obj":
-            name = cur.word()
             shape = cur.word("circle", "box")
             if shape.value == "circle":
-                r, tr = cur.number()
-                if r <= 0:
-                    raise ParseError("radius must be positive", tr.line, tr.col)
-                dims: tuple[float, ...] = (r,)
+                dims: tuple[float, ...] = (cur.positive("radius"),)
             else:
-                w, tw = cur.number()
-                h, th = cur.number()
-                if w <= 0:
-                    raise ParseError("width must be positive", tw.line, tw.col)
-                if h <= 0:
-                    raise ParseError("height must be positive", th.line, th.col)
-                dims = (w, h)
+                dims = (cur.positive("width"), cur.positive("height"))
             cur.word("at")
             x, _ = cur.number()
             y, _ = cur.number()
@@ -507,22 +521,15 @@ class _Parser:
             self.scenario.objects[name.value] = Obj(
                 name.value, shape.value, dims, x, y, yaw=yaw,
                 movable=mobility.value == "movable", blocks=blocks, stack_on=on)
-            self.decl_lines[("entity", name.value)] = name.line
             return
-        name = cur.word()
         cur.word("at")
         x, _ = cur.number()
         y, _ = cur.number()
-        snap = DEFAULT_SNAP
-        if cur.maybe_word("snap"):
-            snap, ts = cur.number()
-            if snap <= 0:
-                raise ParseError("snap radius must be positive", ts.line, ts.col)
+        snap = cur.positive("snap radius") if cur.maybe_word("snap") else DEFAULT_SNAP
         handover = cur.maybe_word("handover") is not None
         cur.finish()
         self._declare(name)
         self.scenario.markers[name.value] = Marker(name.value, x, y, snap, handover)
-        self.decl_lines[("entity", name.value)] = name.line
 
     def _line_AGENTS(self, cur: _Cursor):
         head = cur.word("arm", "base")
@@ -532,9 +539,7 @@ class _Parser:
         y, _ = cur.number()
         if head.value == "arm":
             cur.word("reach")
-            reach, tr = cur.number()
-            if reach <= 0:
-                raise ParseError("reach must be positive", tr.line, tr.col)
+            reach = cur.positive("reach")
             mount, dx, dy = None, 0.0, 0.0
             if cur.maybe_word("mount"):
                 mount = cur.word().value
@@ -546,19 +551,16 @@ class _Parser:
                           mount=mount, mount_off=(dx, dy))
         else:
             cur.word("radius")
-            radius, tr = cur.number()
-            if radius <= 0:
-                raise ParseError("radius must be positive", tr.line, tr.col)
+            radius = cur.positive("radius")
             cur.finish()
             agent = Agent(name.value, "base", anchor=(x, y), radius=radius)
         self._declare(name)
         self.scenario.agents[name.value] = agent
-        self.decl_lines[("entity", name.value)] = name.line
 
     def _line_PREDICATES(self, cur: _Cursor):
         cur.word("pred")
         name = cur.word()
-        arity, _ = cur.integer()
+        arity = cur.integer()
         exclusive = cur.maybe_word("exclusive") is not None
         cur.finish()
         if name.value in self.scenario.predicates:
@@ -576,35 +578,14 @@ class _Parser:
             raise ParseError(f"duplicate action {name.value}", name.line, name.col)
         fields: dict = {"name": name.value, "motion_class": MotionClass(klass.value)}
         pre: list[Condition] = []
-        add: set[Fact] = set()
-        delete: set[Fact] = set()
-        closed = False
-        while self.index < len(self.lines):
-            line_no = self.index + 1
-            raw = self.lines[self.index]
-            self.index += 1
-            tokens = _lex_line(raw, line_no)
-            if not tokens:
-                continue
-            inner = _Cursor(tokens, line_no, len(raw))
-            key = inner.word("end", "duration", "agent", "area", "obj", "from",
-                             "to", "verb", "pre", "add", "del")
-            if key.value == "end":
-                inner.finish()
-                closed = True
-                break
+        stated: dict[str, list[tuple[Fact, int]]] = {"pre": [], "add": [], "del": []}
+        for inner in self._block(head, f"action {name.value}"):
+            # The block reader takes `end`; a wrong key lists it as expected too.
+            key = inner.word("end", "duration", *_ROLES, "verb", "pre", "add", "del")
             if key.value == "duration":
                 fields["duration"], _ = inner.number()
-            elif key.value == "agent":
-                fields["agent"] = inner.word().value
-            elif key.value == "area":
-                fields["area"] = inner.word().value
-            elif key.value == "obj":
-                fields["manipulated"] = inner.word().value
-            elif key.value == "from":
-                fields["source"] = inner.word().value
-            elif key.value == "to":
-                fields["dest"] = inner.word().value
+            elif key.value in _ROLES:
+                fields[_ROLES[key.value]] = inner.word().value
             elif key.value == "verb":
                 fields["verb"] = inner.word("transfer", "grasp", "put").value
             else:
@@ -612,32 +593,23 @@ class _Parser:
                 fact, tok = self._fact(inner)
                 if key.value == "pre":
                     pre.append(Condition(fact, negated))
-                elif key.value == "add":
-                    add.add(fact)
-                else:
-                    delete.add(fact)
-                self.decl_lines[("fact", (name.value, key.value, fact))] = tok.line
+                stated[key.value].append((fact, tok.line))
             inner.finish()
-        if not closed:
-            raise ParseError(f"action {name.value} missing end", head.line, head.col,
-                             ("end",))
         try:
-            template = ActionTemplate(preconditions=tuple(pre), effects_add=frozenset(add),
-                                      effects_del=frozenset(delete), **fields)
+            template = ActionTemplate(
+                preconditions=tuple(pre), effects_add=frozenset(f for f, _ in stated["add"]),
+                effects_del=frozenset(f for f, _ in stated["del"]), **fields)
         except InvalidState as exc:
             raise ResolveError(str(exc), name.line, name.col) from exc
         self.scenario.actions[name.value] = template
         self.decl_lines[("action", name.value)] = name.line
+        self.action_facts[name.value] = stated["pre"] + stated["add"] + stated["del"]
 
     def _fact(self, cur: _Cursor) -> tuple[Fact, Token]:
         pred = cur.word()
         args = []
-        while True:
-            tok = cur.peek()
-            if tok is None or tok.kind != "word":
-                break
-            cur.index += 1
-            args.append(tok.value)
+        while cur.at("word"):
+            args.append(cur.word().value)
         return Fact(pred.value, tuple(args)), pred
 
     def _line_INIT(self, cur: _Cursor):
@@ -665,26 +637,10 @@ class _Parser:
         cur.finish()
         if name.value in self.scenario.stages:
             raise ParseError(f"duplicate stage {name.value}", name.line, name.col)
-        section = _GraphSection()
-        closed = False
-        while self.index < len(self.lines):
-            line_no = self.index + 1
-            raw = self.lines[self.index]
-            self.index += 1
-            if section.match(raw, line_no):
-                continue
-            tokens = _lex_line(raw, line_no)
-            if not tokens:
-                continue
-            inner = _Cursor(tokens, line_no, len(raw))
-            if inner.maybe_word("end"):
-                inner.finish()
-                closed = True
-                break
+        section = self.open_graph = _GraphSection()
+        for inner in self._block(head, f"stage {name.value}"):
             section.read(inner)
-        if not closed:
-            raise ParseError(f"stage {name.value} missing end", head.line, head.col,
-                             ("end",))
+        self.open_graph = None
         self.scenario.stages[name.value] = self._template(
             section, f"stage {name.value}", name.line, name.col)
         self.stage_sections[name.value] = section
@@ -692,9 +648,10 @@ class _Parser:
     # -- shared helpers ---------------------------------------------------
 
     def _declare(self, name: Token):
-        if name.value in self.entity_ids:
+        key = ("entity", name.value)
+        if key in self.decl_lines:
             raise ParseError(f"duplicate entity id {name.value}", name.line, name.col)
-        self.entity_ids.add(name.value)
+        self.decl_lines[key] = name.line
 
     def _template(self, section: _GraphSection, what: str, line: int,
                   col: int) -> GraphTemplate:
@@ -752,12 +709,9 @@ class _Parser:
 
         for action in scn.actions.values():
             line, col = self._at(("action", action.name))
-            for role, value in (("agent", action.agent), ("obj", action.manipulated),
-                                ("from", action.source), ("to", action.dest),
-                                ("area", action.area)):
-                if value is None:
-                    continue
-                if value not in entities:
+            for role, attr in _ROLES.items():
+                value = getattr(action, attr)
+                if value is not None and value not in entities:
                     raise ResolveError(
                         f"action {action.name}: {role} references unknown id {value}",
                         line, col)
@@ -773,11 +727,8 @@ class _Parser:
             if action.agent is not None and action.agent not in scn.agents:
                 raise ResolveError(
                     f"action {action.name}: agent must name an agent", line, col)
-            for kind, facts in (("pre", [c.fact for c in action.preconditions]),
-                                ("add", action.effects_add), ("del", action.effects_del)):
-                for fact in facts:
-                    at = self.decl_lines.get(("fact", (action.name, kind, fact)), line)
-                    self._check_fact(fact, predicates, entities, at)
+            for fact, at in self.action_facts[action.name]:
+                self._check_fact(fact, predicates, entities, at)
 
         held: dict[tuple, Fact] = {}  # the first fact of each exclusive key
         for fact in scn.init:
@@ -903,16 +854,9 @@ def _action_lines(action: ActionTemplate) -> list[str]:
     out = [f"action {action.name} {action.motion_class.value}"]
     if action.duration:
         out.append(f"  duration {fmt_float(action.duration)}")
-    if action.agent is not None:
-        out.append(f"  agent {action.agent}")
-    if action.area is not None:
-        out.append(f"  area {action.area}")
-    if action.manipulated is not None:
-        out.append(f"  obj {action.manipulated}")
-    if action.source is not None:
-        out.append(f"  from {action.source}")
-    if action.dest is not None:
-        out.append(f"  to {action.dest}")
+    for role, attr in _ROLES.items():
+        if getattr(action, attr) is not None:
+            out.append(f"  {role} {getattr(action, attr)}")
     # The verb binds only transfers, but a stated one round-trips.
     if (action.is_geometric() and action.motion_class is not MotionClass.TRANSIT
             or action.verb != ActionTemplate.verb):

@@ -965,7 +965,7 @@ def _plan_leg(world: World, agent: Agent, leg: _Leg, exclude: set[str], memo: Se
     grid = _Grid(world, agent, obstacles, inflation, memo.rasters)
     start_cell = grid.cell(leg.start)
     goal_cell = grid.cell(leg.goal)
-    if not grid.in_range(start_cell) or not grid.free(start_cell):
+    if not grid.free(start_cell):
         raise InvalidQuery(
             f"agent {agent.id}: start {leg.start} in collision or outside region")
     if not grid.free(goal_cell):

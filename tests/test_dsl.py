@@ -185,7 +185,35 @@ MALFORMED = [
     ("m17_exclusive_conflict.scn", ResolveError, 11, 1),
     ("m18_unknown_child.scn", ResolveError, 12, 1),
     ("m19_huge_bounds.scn", ParseError, 3, 1),
+    ("m20_stage_missing_end.scn", ParseError, 13, 1),
 ]
+
+# Each fixture's diagnostic as `str` gives it after the location: the
+# message and the expected tokens it lists.
+MESSAGES = {
+    "m01_bad_char.scn": "unexpected character '$'",
+    "m02_unterminated_string.scn": "unterminated string",
+    "m03_missing_end.scn": "action lift missing end (expected end)",
+    "m04_bad_keyword.scn": "unexpected word 'circel' (expected circle | box)",
+    "m05_dup_entity.scn": "duplicate entity id cup",
+    "m06_negative_weight.scn": "negative weight",
+    "m07_unknown_action_ref.scn": "arc 1 references unknown action ghost",
+    "m08_unknown_predicate.scn": "unknown predicate shiny",
+    "m09_arity_mismatch.scn": "predicate warm expects 1 arguments, got 2",
+    "m10_cycle.scn": "graph: cycle through node 4",
+    "m11_derived_in_init.scn":
+        "predicate clear is derived from geometry and cannot be asserted initially",
+    "m12_missing_bounds.scn": "missing bounds line in OBJECTS",
+    "m13_two_roots.scn": "graph: expected exactly one root node, found 2",
+    "m14_missing_goal.scn": "GOAL section must state at least one fact",
+    "m15_decimal_fraction_weight.scn": "fraction weight needs a whole numerator",
+    "m16_huge_number.scn": "number has too many digits",
+    "m17_exclusive_conflict.scn":
+        "exclusive predicate slot: slot cup pad conflicts with slot cup table",
+    "m18_unknown_child.scn": "graph: arc 2: unknown child 99",
+    "m19_huge_bounds.scn": "bounds span 10000000000200000000001 grid cells, more than 1000000",
+    "m20_stage_missing_end.scn": "stage clear_z missing end (expected end)",
+}
 
 
 @pytest.mark.parametrize("name,errtype,line,col", MALFORMED)
@@ -199,7 +227,7 @@ def test_malformed_fixture_one_located_diagnostic(name, errtype, line, col):
         assert err.line == line
     if col is not None:
         assert err.col == col
-    assert f"line {err.line}" in str(err)
+    assert str(err) == f"line {err.line}, col {err.col}: {MESSAGES[name]}"
 
 
 def test_cycle_diagnostic_points_into_the_graph():
@@ -220,6 +248,27 @@ def test_an_arc_error_points_at_the_arc_not_a_node_of_its_id(arc, message):
         parse("\n".join(lines[:-1] + [arc]))
     assert (info.value.line, info.value.col) == (12, 1)
     assert info.value.message == f"graph: {message}"
+
+
+@pytest.mark.parametrize("kind", ["add", "del"])
+def test_the_first_bad_effect_fact_is_reported_whatever_the_hash_seed(kind):
+    """An action's effects are frozensets, which iterate in an order that
+    changes with the hash seed; their facts are checked in file order."""
+    raw = read("minimal.scn")
+    assert "  add polished cup\n" in raw
+    bad = "".join(f"  {kind} polished {name}\n" for name in ("ghost", "phantom", "spectre"))
+    with pytest.raises(ResolveError) as info:
+        parse(raw.replace("  add polished cup\n", bad))
+    assert (info.value.line, info.value.message) == (18, "unknown entity ghost")
+
+
+def test_an_action_s_roles_are_checked_in_the_order_serialize_writes_them():
+    raw = read("minimal.scn")
+    assert "  area pad\n" in raw and "  to pad\n" in raw
+    with pytest.raises(ResolveError) as info:
+        parse(raw.replace("marker pad", "marker spot"))
+    assert (info.value.line, info.value.message) == (20, "action park: area references "
+                                                         "unknown id pad")
 
 
 def test_object_as_its_own_destination_is_a_located_error():
