@@ -9,9 +9,9 @@ world owns the authoritative runtime state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class DomainError(Exception):
@@ -50,8 +50,7 @@ VERBS = ("transfer", "grasp", "put")
 DERIVED_PREDICATES = frozenset({"on", "clear", "holding", "held", "carrying", "at", "at_peg"})
 
 
-@dataclass(frozen=True, order=True)
-class Fact:
+class Fact(NamedTuple):
     """A ground atom: predicate name plus entity arguments."""
 
     predicate: str
@@ -112,6 +111,8 @@ class ActionTemplate:
 
     Only the agent (and the concrete goal configuration) stays open; the
     planner's interface layer binds those when it grounds the action.
+    `takes` and `places` are the one reading of `verb`: only a transfer or
+    a handover names an object (`manipulated`) or a destination (`dest`).
     """
 
     name: str
@@ -143,9 +144,19 @@ class ActionTemplate:
                 raise InvalidState(f"action {self.name}: verb {self.verb} needs a destination")
             if self.dest == self.manipulated:
                 raise InvalidState(f"action {self.name}: {self.manipulated} cannot be put on itself")
-        elif self.motion_class in (MotionClass.SYMBOLIC, MotionClass.WAIT):
-            if self.manipulated is not None or self.dest is not None:
-                raise InvalidState(f"action {self.name}: symbolic action carries geometry")
+        elif self.manipulated is not None or self.dest is not None:
+            raise InvalidState(f"action {self.name}: a {self.motion_class.value} action "
+                               "moves no object")
+
+    @property
+    def takes(self) -> str | None:
+        """The object a grasp or a transfer picks up, else None."""
+        return None if self.verb == "put" else self.manipulated
+
+    @property
+    def places(self) -> str | None:
+        """Where a put or a transfer sets its object down, else None."""
+        return None if self.verb == "grasp" else self.dest
 
     def is_geometric(self) -> bool:
         return self.motion_class in GEOMETRIC_CLASSES

@@ -87,6 +87,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -188,8 +189,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "word" | "number" | "string"
     value: str
     line: int
@@ -620,13 +620,13 @@ class _Parser:
                 f"predicate {fact.predicate} is derived from geometry and cannot be "
                 "asserted initially", tok.line, tok.col)
         self.init.append(fact)
-        self.decl_lines[("init", fact)] = tok.line
+        self.decl_lines.setdefault(("init", fact), tok.line)
 
     def _line_GOAL(self, cur: _Cursor):
         fact, tok = self._fact(cur)
         cur.finish()
         self.goal.append(fact)
-        self.decl_lines[("goal", fact)] = tok.line
+        self.decl_lines.setdefault(("goal", fact), tok.line)
 
     def _line_GRAPH(self, cur: _Cursor):
         self.graph_section.read(cur)

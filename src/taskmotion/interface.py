@@ -4,7 +4,8 @@ Grounding turns the actions of a candidate into an executable sequence:
 it picks which agent performs each motion, prepends base travel when an
 action names a work area the base is not currently at, and rewrites a
 transfer whose endpoints no single arm can reach into two handover legs
-through a marker flagged for that purpose.
+through a marker flagged for that purpose. Grounding and dispatch read
+what an action moves only through `ActionTemplate.takes` and `places`.
 
 Dispatch then walks the grounded sequence against the live world. Each
 geometric step is planned just in time (so it sees every pose change the
@@ -31,6 +32,7 @@ from .world import (
     World,
     entity_point,
     execute,
+    held_by,
     plan_motion,
     reaches,
     snapshot,
@@ -88,22 +90,16 @@ class DispatchFailure:
 
 @dataclass
 class DispatchResult:
-    ok: bool
     world: World
     steps: list[StepOutcome] = field(default_factory=list)
     failure: DispatchFailure | None = None
 
+    @property
+    def ok(self) -> bool:
+        return self.failure is None
+
 
 # ----------------------------------------------------------------- helpers
-
-
-def _needed_points(world: World, action: ActionTemplate) -> list[tuple[float, float]]:
-    points = []
-    if action.verb in ("grasp", "transfer") and action.manipulated is not None:
-        points.append(entity_point(world, action.manipulated))
-    if action.verb in ("put", "transfer") and action.dest is not None:
-        points.append(entity_point(world, action.dest))
-    return points
 
 
 def _prospective_anchor(world: World, arm: Agent,
@@ -163,7 +159,8 @@ def _ground_manipulation(world: World, action: ActionTemplate) -> list[GroundedA
         raise GroundingFailed(f"action {action.name}: no arm agent")
     if action.agent is not None:
         arms = [world.agents[action.agent]]
-    points = _needed_points(world, action)
+    points = [entity_point(world, oid) for oid in (action.takes, action.places)
+              if oid is not None]
 
     candidates = [arm for arm in arms
                   if all(reaches(arm, p, _prospective_anchor(world, arm, action))
@@ -175,11 +172,11 @@ def _ground_manipulation(world: World, action: ActionTemplate) -> list[GroundedA
             out.append(_transit_step(chosen.mount, action.area))
         # A put must end up bound to the holder, which may not exist yet
         # when the whole arc is grounded ahead of execution.
-        agent_id = None if action.verb == "put" else chosen.id
+        agent_id = None if action.takes is None else chosen.id
         out.append(GroundedAction(action, agent_id))
         return out
 
-    if action.verb == "transfer" and len(points) == 2:
+    if len(points) == 2:  # it takes and places: a transfer
         rewrite = _handover_rewrite(world, action, arms, points)
         if rewrite is not None:
             return rewrite
@@ -244,27 +241,17 @@ def goal_candidates(goal: tuple[float, float], region: Box, retries: int,
 def _resolve_agent(world: World, grounded: GroundedAction) -> str | None:
     """The agent a step binds to: its own, or for a put, whoever holds the
     object by now. `ground` binds every other geometric step."""
-    if grounded.agent_id is not None:
-        return grounded.agent_id
-    action = grounded.action
-    if action.verb == "put" and action.manipulated is not None:
-        for agent in world.agents.values():
-            if agent.holding == action.manipulated:
-                return agent.id
-    return None
+    if grounded.agent_id is None and grounded.action.takes is None:
+        return held_by(world).get(grounded.action.manipulated)
+    return grounded.agent_id
 
 
 def _step_goal(world: World, action: ActionTemplate) -> tuple[tuple[float, float], Box]:
     """The declared goal point of a geometric step and the region its
     alternates are drawn from: a marker's snap disc shrunk to a box, or no
-    play at all around an object. A transit goes to its area marker, a
-    grasp to the object it takes, anything else to its destination."""
-    if action.motion_class is MotionClass.TRANSIT:
-        dest = action.area
-    elif action.verb == "grasp":
-        dest = action.manipulated
-    else:
-        dest = action.dest
+    play at all around an object. A step goes to where it places its
+    object, else to the object it takes, else (a transit) to its area."""
+    dest = action.places or action.takes or action.area
     x, y = entity_point(world, dest)
     half = world.markers[dest].snap * 0.7 if dest in world.markers else 0.0
     return (x, y), Box(x, y, half, half)
@@ -289,13 +276,12 @@ def dispatch(world: World, steps: tuple[GroundedAction, ...],
     failure, like any other failed step: its outcome is recorded and
     counts the rejected call as an attempt, untimed.
     """
-    result = DispatchResult(ok=True, world=world)
+    result = DispatchResult(world)
     for grounded in steps:
         action = grounded.action
         state = snapshot(result.world)
         if not applicable(state.facts, action):
             unmet = next(c for c in action.preconditions if not c.holds(state.facts))
-            result.ok = False
             result.failure = DispatchFailure("precondition", action.name,
                                              detail=unmet.text())
             return result
@@ -308,7 +294,6 @@ def dispatch(world: World, steps: tuple[GroundedAction, ...],
 
         agent_id = _resolve_agent(result.world, grounded)
         if agent_id is None:
-            result.ok = False
             result.failure = DispatchFailure("grounding", action.name,
                                              detail="no agent binds the action")
             return result
@@ -342,7 +327,6 @@ def dispatch(world: World, steps: tuple[GroundedAction, ...],
             expansions, 0.0 if failure is not None else motion.length,
             result.world.clock, tuple(plan_times)))
         if failure is not None:
-            result.ok = False
             result.failure = failure
             return result
     return result

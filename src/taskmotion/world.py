@@ -3,8 +3,9 @@
 Objects live on an axis-aligned plane as circles and boxes. Arms are
 modeled by an anchor plus a reach disc their end effector may not leave;
 the base is a disc that travels the floor. Motion planning runs A* on a
-uniform occupancy grid; when a plan fails, a second search that ignores
-movable objects diagnoses which of them stand in the way.
+uniform occupancy grid; when a leg fails, a second search around only
+the fixed objects of the leg's obstacle list diagnoses which of the
+list's movables stand in the way.
 
 Each search assembles its grid from layers rasterized once per
 `SearchMemo` scope: the cell-centre axes of the bounds, an arm's reach
@@ -14,7 +15,7 @@ is what no movable changes: the reach disc (all free for a base) OR-ed
 with the footprints of the obstacles that are not movable. A grid is its
 static layer with only its movables' footprint patches OR-ed in, kept as
 a byte mask padded by one ring of blocked cells; the diagnosis' ghost
-grid, which drops every movable, is the static layer itself, and reads
+grid, which drops the leg's movables, is the static layer itself, and reads
 its movables' footprint patches from the same layers. A* walks flat
 indices into that mask, whose order equals (x, y) order. Among cells of
 equal f it pops the deeper one (higher g) first, then the one first in
@@ -39,9 +40,9 @@ first pop, so an unreachable goal there costs one lookup. Its pop count
 component size, capped by the budget.
 
 `plan_motion` plans a grounded action from the agent's config to one
-goal point, and `execute` applies it; both read the action's verb
-through `_roles`. Every search, a leg's or the diagnosis', runs under
-the one planning budget, `DEFAULT_MAX_EXPANSIONS`.
+goal point, and `execute` applies it; both read the action's roles,
+`ActionTemplate.takes` and `places`. Every search, a leg's or the
+diagnosis', runs under the one planning budget, `DEFAULT_MAX_EXPANSIONS`.
 
 Stacking never forms a cycle: `execute` refuses a support that rests on
 the object being placed.
@@ -469,50 +470,29 @@ class _Leg:
     carry: str | None  # object carried along this leg
 
 
-def _roles(action: ActionTemplate) -> tuple[str | None, str | None]:
-    """(manipulated, dest) of a geometric action as the world reads them:
-    a transit moves no object, and a grasp puts its object nowhere."""
-    if action.motion_class is MotionClass.TRANSIT:
-        return None, None
-    return action.manipulated, None if action.verb == "grasp" else action.dest
-
-
 def _legs_for(world: World, action: ActionTemplate, start: tuple[float, float],
-              goal: tuple[float, float], manipulated: str | None) -> list[_Leg]:
-    if manipulated is None:
-        return [_Leg(start, goal, None)]
-    if action.verb == "grasp":
-        return [_Leg(start, entity_point(world, manipulated), None)]
-    if action.verb == "put":
-        return [_Leg(start, goal, manipulated)]
-    grasp = entity_point(world, manipulated)
-    return [_Leg(start, grasp, None), _Leg(grasp, goal, manipulated)]
+              goal: tuple[float, float]) -> list[_Leg]:
+    """An action that takes nothing (a transit, or a put carrying what it
+    places) has one leg to the goal; one that takes an object first goes
+    to it, and then, if it places the object, carries it to the goal."""
+    if action.takes is None:
+        return [_Leg(start, goal, action.manipulated)]
+    grasp = entity_point(world, action.takes)
+    if action.places is None:
+        return [_Leg(start, grasp, None)]
+    return [_Leg(start, grasp, None), _Leg(grasp, goal, action.takes)]
 
 
-def _obstacles_for(world: World, agent: Agent, exclude: set[str],
-                   ghost: bool) -> list[Obj]:
-    """Objects the moving body must avoid.
-
-    Held objects travel with their arm and never count; for the base only
-    floor-level (unstacked) objects matter; `ghost` drops every movable
-    for the obstruction diagnosis.
-    """
+def _obstacles_for(world: World, agent: Agent, exclude: set[str]) -> list[Obj]:
+    """Objects the moving body must avoid, in id order: those whose
+    `blocks` tag names its kind or "all". Held objects travel with their
+    arm and never count; for the base only floor-level (unstacked) objects
+    matter. `_plan_leg` drops those the leg starts engaged with, and its
+    diagnosis reads the same list."""
     holders = held_by(world)
-    out = []
-    for oid in sorted(world.objects):
-        obj = world.objects[oid]
-        if oid in exclude or oid in holders:
-            continue
-        if ghost and obj.movable:
-            continue
-        if agent.kind == "base":
-            if obj.blocks not in ("all", "base") or obj.stack_on is not None:
-                continue
-        else:
-            if obj.blocks not in ("all", "arm"):
-                continue
-        out.append(obj)
-    return out
+    return [obj for oid, obj in sorted(world.objects.items())
+            if oid not in exclude and oid not in holders and obj.blocks in ("all", agent.kind)
+            and (agent.kind == "arm" or obj.stack_on is None)]
 
 
 def _body_radius(world: World, agent: Agent, carry: str | None) -> float:
@@ -901,7 +881,7 @@ def plan_motion(world: World, agent_id: str, action: ActionTemplate,
     agent = world.agents.get(agent_id)
     if agent is None:
         raise UnknownEntity(f"agent {agent_id!r} not in world")
-    manipulated, dest = _roles(action)
+    takes, places = action.takes, action.places
 
     def done(feasible, path, expansions, obstructors, detail):
         return MotionResult(feasible, tuple(path), expansions, tuple(obstructors),
@@ -910,10 +890,10 @@ def plan_motion(world: World, agent_id: str, action: ActionTemplate,
     if agent.kind == "arm":
         if not reaches(agent, goal_point):
             return done(False, (), 0, (), "goal out of reach")
-        if manipulated is not None and action.verb in ("grasp", "transfer"):
-            if not reaches(agent, entity_point(world, manipulated)):
+        if takes is not None:
+            if not reaches(agent, entity_point(world, takes)):
                 return done(False, (), 0, (), "manipulated object out of reach")
-            above = stack_chain_up(world, manipulated)
+            above = stack_chain_up(world, takes)
             if above:
                 return done(False, (), 0, tuple(reversed(above)),
                             "manipulated object is not stack-top")
@@ -921,13 +901,13 @@ def plan_motion(world: World, agent_id: str, action: ActionTemplate,
     # What the moving body may touch: the object it moves with everything
     # under it, and the destination object with everything on it.
     exclude: set[str] = set()
-    if manipulated is not None:
-        exclude.update([manipulated, *stack_chain_down(world, manipulated)])
-    if dest is not None and dest in world.objects:
-        exclude.update([dest, *stack_chain_up(world, dest)])
+    if action.manipulated is not None:
+        exclude.update([action.manipulated, *stack_chain_down(world, action.manipulated)])
+    if places in world.objects:
+        exclude.update([places, *stack_chain_up(world, places)])
     total_expansions = 0
     full_path: list[tuple[float, float]] = []
-    for index, leg in enumerate(_legs_for(world, action, agent.config, goal_point, manipulated)):
+    for index, leg in enumerate(_legs_for(world, action, agent.config, goal_point)):
         path, expansions, obstructors, detail = _plan_leg(world, agent, leg, exclude, memo)
         total_expansions += expansions
         if path is None:
@@ -948,20 +928,15 @@ def _covers(obj: Obj, point: tuple[float, float], inflation: float) -> bool:
             and abs(dy) <= obj.dims[1] / 2.0 + inflation)
 
 
-def _engaged(world: World, point: tuple[float, float], inflation: float) -> set[str]:
-    """Objects whose inflated footprint already contains the point."""
-    return {oid for oid, obj in world.objects.items() if _covers(obj, point, inflation)}
-
-
 def _plan_leg(world: World, agent: Agent, leg: _Leg, exclude: set[str], memo: SearchMemo):
-    """One grid search around every object but `exclude`; returns
-    (path | None, expansions, obstructors, detail)."""
+    """One grid search around the leg's obstacles, every object the body
+    must avoid but `exclude`; returns (path | None, expansions,
+    obstructors, detail)."""
     inflation = DEFAULT_CLEARANCE + _body_radius(world, agent, leg.carry)
     # Engagement tolerance: bodies begin flush against whatever they just
     # touched; those footprints cannot invalidate the start.
-    exclude = exclude | _engaged(world, leg.start, inflation)
-
-    obstacles = _obstacles_for(world, agent, exclude, ghost=False)
+    obstacles = [obj for obj in _obstacles_for(world, agent, exclude)
+                 if not _covers(obj, leg.start, inflation)]
     grid = _Grid(world, agent, obstacles, inflation, memo.rasters)
     start_cell = grid.cell(leg.start)
     goal_cell = grid.cell(leg.goal)
@@ -969,11 +944,11 @@ def _plan_leg(world: World, agent: Agent, leg: _Leg, exclude: set[str], memo: Se
         raise InvalidQuery(
             f"agent {agent.id}: start {leg.start} in collision or outside region")
     if not grid.free(goal_cell):
-        obstructors = _diagnose(world, agent, leg, exclude, inflation, memo)
+        obstructors = _diagnose(world, agent, leg, obstacles, inflation, memo)
         return None, 0, obstructors, "goal cell blocked"
     cells, expansions = _search(memo, grid, start_cell, goal_cell)
     if cells is None:
-        obstructors = _diagnose(world, agent, leg, exclude, inflation, memo)
+        obstructors = _diagnose(world, agent, leg, obstacles, inflation, memo)
         return None, expansions, obstructors, "no path within budget"
     points = [grid.center(c) for c in cells]
     points[0] = leg.start
@@ -981,12 +956,14 @@ def _plan_leg(world: World, agent: Agent, leg: _Leg, exclude: set[str], memo: Se
     return points, expansions, (), ""
 
 
-def _diagnose(world: World, agent: Agent, leg: _Leg, exclude: set[str], inflation: float,
+def _diagnose(world: World, agent: Agent, leg: _Leg, obstacles: list[Obj], inflation: float,
               memo: SearchMemo) -> tuple[str, ...]:
-    """The movables that block the path a world without them allows, in
-    path order: each one's first path cell its footprint patch covers."""
-    ghost_obstacles = _obstacles_for(world, agent, exclude, ghost=True)
-    grid = _Grid(world, agent, ghost_obstacles, inflation, memo.rasters)
+    """The movables among the leg's `obstacles` that block the path a grid
+    of only its fixed ones allows, in path order: each one's first path
+    cell its footprint patch covers."""
+    movables = [obj for obj in obstacles if obj.movable]
+    grid = _Grid(world, agent, [obj for obj in obstacles if not obj.movable], inflation,
+                 memo.rasters)
     start_cell = grid.cell(leg.start)
     goal_cell = grid.cell(leg.goal)
     if not grid.free(start_cell) or not grid.free(goal_cell):
@@ -994,9 +971,6 @@ def _diagnose(world: World, agent: Agent, leg: _Leg, exclude: set[str], inflatio
     cells, _ = _search(memo, grid, start_cell, goal_cell)
     if cells is None:
         return ()
-    holders = held_by(world)
-    movables = [obj for oid, obj in sorted(world.objects.items())
-                if obj.movable and oid not in exclude and oid not in holders]
     px, py = np.array(cells).T
     first_hit: dict[str, int] = {}
     for obj in movables:
@@ -1014,13 +988,13 @@ def _diagnose(world: World, agent: Agent, leg: _Leg, exclude: set[str], inflatio
 # ---------------------------------------------------------------- execution
 
 
-def _resolve_support(world: World, dest: str | None, manipulated: str) -> str | None:
+def _resolve_support(world: World, dest: str, manipulated: str) -> str | None:
     """The object `manipulated` will rest on: the top of dest's stack.
 
     Raises InvalidQuery when that would close a stacking cycle, i.e. the
     support is the object itself or rests on it.
     """
-    if dest is None or dest not in world.objects:
+    if dest not in world.objects:
         return None
     support = stack_top(world, dest)
     if support == manipulated or manipulated in stack_chain_down(world, support):
@@ -1032,7 +1006,7 @@ def execute(world: World, agent_id: str, result: MotionResult,
             action: ActionTemplate) -> World:
     """Apply a planned motion (or a symbolic action) to a copy of the world.
 
-    Reads the action through `_roles`, as `plan_motion` does. Raises
+    Reads the action's roles, as `plan_motion` does. Raises
     StaleResult when the world signature no longer matches the one the
     plan was computed against. Never creates or destroys objects. The
     new world comes with its state, derived from this world's by `_derive`,
@@ -1048,7 +1022,7 @@ def execute(world: World, agent_id: str, result: MotionResult,
     if action.motion_class in (MotionClass.SYMBOLIC, MotionClass.WAIT):
         clock += action.duration
     else:
-        manipulated, dest = _roles(action)
+        manipulated = action.manipulated
         agent = world.agents[agent_id]
         clock += result.length / MOVE_SPEED
         end = result.path[-1] if result.path else agent.config
@@ -1064,14 +1038,14 @@ def execute(world: World, agent_id: str, result: MotionResult,
                     if other.holding is not None:
                         held = world.objects[other.holding]
                         moved[other.holding] = replace(held, x=new_anchor[0], y=new_anchor[1])
-        elif dest is None:  # grasp
+        elif action.places is None:  # grasp
             obj = world.objects[manipulated]
             changed[agent_id] = replace(agent, config=end, holding=manipulated)
             moved[manipulated] = replace(obj, x=end[0], y=end[1], stack_on=None)
         else:  # put, or fused transfer
-            if action.verb == "put" and agent.holding != manipulated:
+            if action.takes is None and agent.holding != manipulated:
                 raise InvalidQuery(f"agent {agent_id} does not hold {manipulated}")
-            support = _resolve_support(world, dest, manipulated)
+            support = _resolve_support(world, action.places, manipulated)
             obj = world.objects[manipulated]
             goal = result.goal_point
             changed[agent_id] = replace(agent, config=end, holding=None)

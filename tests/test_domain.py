@@ -113,6 +113,50 @@ def test_symbolic_action_must_not_carry_geometry():
         ActionTemplate(name="s", motion_class=MotionClass.WAIT, manipulated="d1")
 
 
+@pytest.mark.parametrize("role", ["manipulated", "dest"])
+def test_a_transit_names_no_object_and_no_destination(role):
+    """A transit drives to its area; only a transfer or a handover names
+    an object or a destination."""
+    with pytest.raises(InvalidState, match="t: a transit action moves no object"):
+        ActionTemplate(name="t", motion_class=MotionClass.TRANSIT, area="dock", **{role: "d1"})
+
+
+# (motion class, verb) -> (takes, places) for an action that names
+# `manipulated="d1"` and `dest="pegB"` where its class allows them.
+ROLES = {
+    (MotionClass.TRANSFER, "transfer"): ("d1", "pegB"),
+    (MotionClass.TRANSFER, "grasp"): ("d1", None),
+    (MotionClass.TRANSFER, "put"): (None, "pegB"),
+    (MotionClass.HANDOVER, "transfer"): ("d1", "pegB"),
+    (MotionClass.HANDOVER, "grasp"): ("d1", None),
+    (MotionClass.HANDOVER, "put"): (None, "pegB"),
+    **{(klass, verb): (None, None)
+       for klass in (MotionClass.TRANSIT, MotionClass.SYMBOLIC, MotionClass.WAIT)
+       for verb in ("transfer", "grasp", "put")},
+}
+
+
+@pytest.mark.parametrize("klass,verb", sorted(ROLES, key=lambda k: (k[0].value, k[1])),
+                         ids=lambda v: getattr(v, "value", v))
+def test_takes_and_places_read_the_verb_of_every_motion_class(klass, verb):
+    roles = ({"manipulated": "d1", "dest": "pegB"}
+             if klass in (MotionClass.TRANSFER, MotionClass.HANDOVER) else {})
+    action = ActionTemplate(name="a", motion_class=klass, verb=verb, **roles)
+    assert (action.takes, action.places) == ROLES[klass, verb]
+
+
+def test_a_fact_keeps_the_hash_order_and_repr_of_its_fields():
+    """A fact is the tuple of its fields: it hashes, compares and sorts as
+    that tuple does, so set orders and digests do not depend on its type."""
+    on = Fact("on", ("d1", "pegA"))
+    assert hash(on) == hash(("on", ("d1", "pegA")))
+    assert repr(on) == "Fact(predicate='on', args=('d1', 'pegA'))"
+    assert on == Fact.parse("on d1 pegA") and on.text() == "on d1 pegA"
+    assert Fact("carrying").args == ()
+    assert sorted([on, Fact("clear", ("d1",)), Fact("on", ("a", "b"))]) == [
+        Fact("clear", ("d1",)), Fact("on", ("a", "b")), on]
+
+
 def test_is_goal():
     goal = (fact("at_peg d1 pegC"),)
     assert not is_goal(HANOI3_START, goal)

@@ -186,6 +186,7 @@ MALFORMED = [
     ("m18_unknown_child.scn", ResolveError, 12, 1),
     ("m19_huge_bounds.scn", ParseError, 3, 1),
     ("m20_stage_missing_end.scn", ParseError, 13, 1),
+    ("m21_transit_moves_object.scn", ResolveError, 9, 8),
 ]
 
 # Each fixture's diagnostic as `str` gives it after the location: the
@@ -213,6 +214,7 @@ MESSAGES = {
     "m18_unknown_child.scn": "graph: arc 2: unknown child 99",
     "m19_huge_bounds.scn": "bounds span 10000000000200000000001 grid cells, more than 1000000",
     "m20_stage_missing_end.scn": "stage clear_z missing end (expected end)",
+    "m21_transit_moves_object.scn": "action drive: a transit action moves no object",
 }
 
 
@@ -367,8 +369,11 @@ def test_bounds_are_capped_by_their_grid_cell_count(bounds, cells):
     ("polished table", "polished ghost", 30),
     ("at cup pad", "at ghost pad", 33),
     ('node 3 leaf "at cup pad"', 'node 3 leaf "at cup ghost"', 38),
-], ids=["init", "goal", "leaf"])
+    ("polished table", "polished ghost\npolished table\npolished ghost", 30),
+    ("at cup pad", "at ghost pad\nat cup pad\nat ghost pad", 33),
+], ids=["init", "goal", "leaf", "init_repeated", "goal_repeated"])
 def test_a_fact_naming_an_unknown_entity_is_a_located_error(old, new, line):
+    """A bad fact stated more than once is located at its first statement."""
     raw = read("minimal.scn")
     assert f"\n{old}\n" in raw
     with pytest.raises(ResolveError) as info:

@@ -1,4 +1,5 @@
-"""Source checks: no dead private helpers in the package."""
+"""Source checks: no dead private helpers in the package, and an action's
+verb read in one place."""
 
 import ast
 from functools import cache
@@ -42,3 +43,14 @@ def test_every_private_helper_is_used_outside_its_definition(path):
                    if statement is not definition):
             dead.append(f"{path.name}:{definition.lineno} {definition.name}")
     assert not dead, "private helpers nothing in src/ uses: " + ", ".join(dead)
+
+
+def test_only_the_domain_and_the_scenario_reader_read_an_action_s_verb():
+    """`ActionTemplate.takes` and `places` are the one reading of `verb`:
+    no module but `domain.py` and `dsl.py`, which reads and writes the
+    verb in scenario text, reads the `.verb` attribute."""
+    readers = {path.name for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if isinstance(node, ast.Attribute) and node.attr == "verb"}
+    assert "domain.py" in readers
+    assert readers <= {"domain.py", "dsl.py"}, sorted(readers)

@@ -409,6 +409,26 @@ def test_base_ignores_arm_level_and_stacked_obstacles():
     assert blocked.obstructors == ()  # the barrier is fixed, nothing to relocate
 
 
+@pytest.mark.parametrize("suspects", [
+    [Obj("cup", "circle", (0.05,), -0.4, 0.0, movable=True, blocks="arm")],
+    [Obj("stand", "circle", (0.05,), -0.4, 0.0, blocks="arm"),
+     Obj("lid", "circle", (0.05,), -0.4, 0.0, movable=True, stack_on="stand")],
+], ids=["arm_level", "stacked"])
+def test_a_diagnosis_blames_only_movables_its_leg_had_to_avoid(suspects):
+    """A movable wall seals the base's way to the dock. On the path past
+    the wall lies a movable the base's grid never held, an arm-level one
+    or a stacked one: the wall alone is to blame."""
+    base = Agent("b", "base", anchor=(-0.8, 0.0), radius=0.1, config=(-0.8, 0.0))
+    wall = Obj("wall", "box", (0.1, 2.0), 0.0, 0.0, movable=True)
+    world = World(bounds=(-1.0, -1.0, 1.0, 1.0), agents={"b": base},
+                  objects={obj.id: obj for obj in [wall, *suspects]},
+                  markers={"dock": Marker("dock", 0.8, 0.0)})
+    drive = ActionTemplate("drive", MotionClass.TRANSIT, agent="b", area="dock")
+    result = plan_motion(world, "b", drive, (0.8, 0.0))
+    assert not result.feasible
+    assert result.obstructors == ("wall",)
+
+
 def test_wait_advances_clock_and_stores_facts():
     world = stacked_world()
     wait = ActionTemplate("bake", MotionClass.WAIT, duration=30.0,
@@ -891,8 +911,9 @@ def test_grids_assembled_from_shared_layers_match_the_oracle():
     objects, some moved from scene to scene and some partly off the
     bounds, is seen over three geometries; a base, a fixed arm and an arm
     mounted on the base, whose anchor moves with it, take ghost and
-    non-ghost obstacle sets at several inflations; each arm's reach is one
-    of two from scene to scene."""
+    non-ghost obstacle sets at several inflations (a ghost set is a list's
+    fixed objects, as `_diagnose` takes them); each arm's reach is one of
+    two from scene to scene."""
     rng = random.Random(20261019)
     pool = []
     for i in range(10):
@@ -922,7 +943,9 @@ def test_grids_assembled_from_shared_layers_match_the_oracle():
             for agent in agents:
                 for ghost in (False, True):
                     exclude = set(rng.sample(sorted(objects), rng.randint(0, 2)))
-                    obstacles = W._obstacles_for(world, agent, exclude, ghost)
+                    obstacles = W._obstacles_for(world, agent, exclude)
+                    if ghost:
+                        obstacles = [obj for obj in obstacles if not obj.movable]
                     for inflation in rng.sample([0.0, 0.01, 0.03, 0.06], 2):
                         cases.append((world, agent, obstacles, inflation))
     rng.shuffle(cases)
@@ -1089,11 +1112,11 @@ def test_the_proof_checkpoint_changes_no_astar_result(checkpoint, workload_runs,
     assert results() == want
 
 
-def oracle_diagnose(world, agent, leg, exclude, inflation, memo):
+def oracle_diagnose(world, agent, leg, obstacles, inflation, memo):
     """The earlier `_diagnose`: each ghost-path cell centre tested against
-    each movable with the scalar `_covers`."""
-    ghost_obstacles = W._obstacles_for(world, agent, exclude, ghost=True)
-    grid = W._Grid(world, agent, ghost_obstacles, inflation, memo.rasters)
+    each of the leg's movable obstacles with the scalar `_covers`."""
+    fixed = [obj for obj in obstacles if not obj.movable]
+    grid = W._Grid(world, agent, fixed, inflation, memo.rasters)
     start_cell = grid.cell(leg.start)
     goal_cell = grid.cell(leg.goal)
     if not grid.free(start_cell) or not grid.free(goal_cell):
@@ -1101,9 +1124,7 @@ def oracle_diagnose(world, agent, leg, exclude, inflation, memo):
     cells, _ = W._search(memo, grid, start_cell, goal_cell)
     if cells is None:
         return ()
-    holders = W.held_by(world)
-    movables = [obj for oid, obj in sorted(world.objects.items())
-                if obj.movable and oid not in exclude and oid not in holders]
+    movables = [obj for obj in obstacles if obj.movable]
     first_hit: dict[str, int] = {}
     for idx, cell in enumerate(cells):
         point = grid.center(cell)
@@ -1117,7 +1138,7 @@ def test_diagnosis_matches_the_scalar_covers_oracle(workload_runs, monkeypatch):
     """Footprint patches test a circle by squared distance, `_covers` by
     `hypot`; over every diagnosis of the workloads at seeds 0-3, the fuzz
     runs and the random blocked worlds, both name the same obstructors in
-    the same order."""
+    the same order, each a movable of the leg's obstacle list."""
     diagnoses = list(workload_runs[1])
     diagnose = W._diagnose
 
@@ -1135,6 +1156,7 @@ def test_diagnosis_matches_the_scalar_covers_oracle(workload_runs, monkeypatch):
     assert sum(bool(found) for _, found in diagnoses) >= 200
     for args, found in diagnoses:
         assert found == oracle_diagnose(*args)
+        assert set(found) <= {obj.id for obj in args[3] if obj.movable}
 
 
 def test_every_component_answer_matches_a_fresh_labelling(monkeypatch):
