@@ -53,26 +53,28 @@ role keywords (`agent`, `area`, `obj`, `from`, `to`) map to its
 the resolver and `serialize` share.
 
 Every line is read through one loop, `_Parser._cursors`: while a graph
-section (GRAPH, or a stage block) is open, a line of a plain graph shape
-goes straight to it; every other line with tokens becomes a token cursor.
+section (GRAPH, or a stage block) is open, the section's `take` first
+reads the run of lines of a plain graph shape that starts there, in one
+local loop; every other line with tokens becomes a token cursor. A line
+is lexed in one regex pass, one match per token with its leading blanks.
 An action or stage block is the loop's lines up to `end`, through one
 block reader, `_Parser._block`.
 
 A graph (GRAPH, or one stage of STAGES) is read into columns, not
-objects, through an `andor.GraphBuilder`. Two line shapes are read with
-one whole-line pattern each, without tokens: `node <id> <kind> "<label>"`
-and `arc <id> parent <id> children <id>... weight <w> [actions
-<name>...]`, with blanks between the parts, unsigned ASCII numbers of at
-most 18 digits, a weight that is an integer, a decimal or a fraction with
-a non-zero denominator, and an optional trailing comment. Their fields
-go to the builder as strings. Every other line, including each one that
-is wrong, goes through the token cursor, which alone makes diagnostics
-and gives the builder the same fields as integers. When the section ends
-the builder converts its lists to the integer columns of an
-`andor.GraphTemplate` in a few bulk conversions, and the template is
-validated over those columns; an error about a node or an arc is located
-through the line kept for each declaration. `serialize` writes a graph
-from the template's `rows`.
+objects, by a section that is an `andor.GraphBuilder`. Two line shapes
+are read with one whole-line pattern each that never backtracks, without
+tokens: `node <id> <kind> "<label>"` and `arc <id> parent <id> children
+<id>... weight <w> [actions <name>...]`, with blanks between the parts,
+unsigned ASCII numbers of at most 18 digits, a weight that is an integer,
+a decimal or a fraction with a non-zero denominator, and an optional
+trailing comment. Their fields go to the builder as strings. Every other
+line, including each one that is wrong, goes through the token cursor,
+which alone makes diagnostics and gives the builder the same fields as
+integers. When the section ends the builder converts its lists to the
+integer columns of an `andor.GraphTemplate` in a few bulk conversions,
+and the template is validated over those columns; an error about a node
+or an arc is located through the line kept for each declaration.
+`serialize` writes a graph from the template's `rows`.
 
 Parsing fails fast: the first problem raises one diagnostic carrying the
 line and column. An action's roles are checked in `_ROLES` order and its
@@ -179,14 +181,16 @@ class Scenario:
 # ------------------------------------------------------------------ lexer
 
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t]+)
-  | (?P<comment>\#.*)
+# One match per token with its leading blanks; `bad` is any other character.
+_TOKEN_RE = re.compile(r"""[ \t]*+(?:
+    (?P<comment>\#.*)
   | (?P<number>-?\d+(?:\.\d+)?(?:/\d+)?)
   | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<string>"(?:[^"\\]|\\.)*")
   | (?P<badstring>"(?:[^"\\]|\\.)*$)
-""", re.VERBOSE)
+  | (?P<end>\Z)
+  | (?P<bad>[\s\S])
+)""", re.VERBOSE)
 
 
 class Token(NamedTuple):
@@ -198,19 +202,16 @@ class Token(NamedTuple):
 
 def _lex_line(text: str, line_no: int) -> list[Token]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise LexError(f"unexpected character {text[pos]!r}", line_no, pos + 1)
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        if kind == "comment":
+        if kind == "comment" or kind == "end":
             break
+        col = match.start(kind) + 1
+        if kind == "bad":
+            raise LexError(f"unexpected character {match[kind]!r}", line_no, col)
         if kind == "badstring":
-            raise LexError("unterminated string", line_no, match.start() + 1)
-        if kind != "ws":
-            tokens.append(Token(kind, match.group(), line_no, match.start() + 1))
-        pos = match.end()
+            raise LexError("unterminated string", line_no, col)
+        tokens.append(Token(kind, match[kind], line_no, col))
     return tokens
 
 
@@ -313,52 +314,71 @@ def _unescape(raw: str) -> str:
 # The plain `node` and `arc` shapes of the module docstring, which make up
 # nearly all of a large graph's text. A label is the lexer's string pattern
 # with its loop unrolled: the same strings, matched about four times faster.
+# Every quantifier is possessive: no part of either shape can give back what
+# it matched and still match, so a line that fails fails without retries.
 # Every line these accept lexes into the same tokens and reads to the same
 # fields through the cursor. A number has at most 18 digits, so it fits in
 # 64 bits and its conversion cannot fail; a longer one is left to the cursor.
 _NODE_LINE = re.compile(
-    r'[ \t]*node[ \t]+([0-9]{1,18})[ \t]+(root|failure|leaf|internal)[ \t]+'
-    r'("[^"\\]*(?:\\.[^"\\]*)*")[ \t]*(?:#.*)?')
+    r'[ \t]*+node[ \t]++([0-9]{1,18}+)[ \t]++(root|failure|leaf|internal)[ \t]++'
+    r'("[^"\\]*+(?:\\.[^"\\]*+)*+")[ \t]*+(?:#.*)?+')
 _ARC_LINE = re.compile(
-    r'[ \t]*arc[ \t]+([0-9]{1,18})[ \t]+parent[ \t]+([0-9]{1,18})[ \t]+children'
-    r'((?:[ \t]+[0-9]{1,18})+)[ \t]+weight[ \t]+([0-9]{1,18})'
-    r'(?:/([1-9][0-9]{0,17})|\.([0-9]{1,18}))?'
-    r'(?:[ \t]+actions((?:[ \t]+[A-Za-z_][A-Za-z0-9_]*)+))?[ \t]*(?:#.*)?')
-_KIND = {kind.value: kind for kind in NodeKind}
-_LEAF_CODE = KINDS.index(NodeKind.LEAF)
+    r'[ \t]*+arc[ \t]++([0-9]{1,18}+)[ \t]++parent[ \t]++([0-9]{1,18}+)[ \t]++children'
+    r'((?:[ \t]++[0-9]{1,18}+)++)[ \t]++weight[ \t]++([0-9]{1,18}+)'
+    r'(?:/([1-9][0-9]{0,17}+)|\.([0-9]{1,18}+))?+'
+    r'(?:[ \t]++actions((?:[ \t]++[A-Za-z_][A-Za-z0-9_]*+)++))?+[ \t]*+(?:#.*)?+')
+_KIND_CODE = {kind.value: KINDS.index(kind) for kind in NodeKind}
 
 
 class _GraphSection(GraphBuilder):
     """The `node` and `arc` lines of GRAPH or of one stage, built into a
     template, with the line each declaration came from.
 
-    `match` takes a line of a plain shape as strings; `read` takes any
-    line through the cursor, as integers.
+    `take` reads a run of lines of the plain shapes as strings; `read` takes
+    any one line through the cursor, as integers.
     """
 
     def __init__(self):
         super().__init__()
         self.node_lines: list[int] = []
         self.arc_lines: list[int] = []
+        self.action_tuples: dict[str | None, tuple[str, ...]] = {None: ()}  # by field text
 
-    def match(self, raw: str, line_no: int) -> bool:
-        """Take a `node` or `arc` line of a plain shape; False for any other."""
-        match = _ARC_LINE.fullmatch(raw)
-        if match is not None:
-            aid, parent, children, num, den, decimals, actions = match.groups()
-            if decimals is not None:
-                num, den = num + decimals, 10 ** len(decimals)
-            self.arc(aid, parent, children.split(), num, den or 1,
-                     tuple(actions.split()) if actions else ())
-            self.arc_lines.append(line_no)
-            return True
-        match = _NODE_LINE.fullmatch(raw)
-        if match is None:
-            return False
-        nid, kind, label = match.groups()
-        self.node(nid, _KIND[kind], _unescape(label))
-        self.node_lines.append(line_no)
-        return True
+    def take(self, lines: list[str], index: int) -> int:
+        """Read `lines[index:]` up to the first line that is not of a plain
+        shape, and return its index (`len(lines)` if there is none)."""
+        arc_line, node_line = _ARC_LINE.fullmatch, _NODE_LINE.fullmatch
+        arc_ids, parents, nums, dens = self.arc_ids, self.parents, self.nums, self.dens
+        children, child_starts, actions = self.children, self.child_starts, self.actions
+        node_ids, kinds, labels = self.node_ids, self.kinds, self.labels
+        arc_lines, node_lines, action_tuples = self.arc_lines, self.node_lines, self.action_tuples
+        for index in range(index, len(lines)):
+            match = arc_line(lines[index])
+            if match is not None:
+                aid, parent, kids, num, den, decimals, names = match.groups()
+                if decimals is not None:
+                    num, den = num + decimals, 10 ** len(decimals)
+                arc_ids.append(aid)
+                parents.append(parent)
+                children.extend(kids.split())
+                child_starts.append(len(children))
+                nums.append(num)
+                dens.append(den or 1)
+                named = action_tuples.get(names)
+                if named is None:
+                    named = action_tuples[names] = tuple(names.split())
+                actions.append(named)
+                arc_lines.append(index + 1)
+                continue
+            match = node_line(lines[index])
+            if match is None:
+                return index
+            nid, kind, label = match.groups()
+            node_ids.append(nid)
+            kinds.append(_KIND_CODE[kind])
+            labels.append(_unescape(label) if "\\" in label else label[1:-1])
+            node_lines.append(index + 1)
+        return len(lines)
 
     def read(self, cur: _Cursor):
         """Take any `node` or `arc` line, token by token."""
@@ -368,7 +388,7 @@ class _GraphSection(GraphBuilder):
             kind = cur.word("root", "failure", "leaf", "internal")
             label = cur.string()
             cur.finish()
-            self.node(nid, _KIND[kind.value], label)
+            self.node(nid, NodeKind(kind.value), label)
             self.node_lines.append(cur.line)
             return
         aid = cur.integer()
@@ -453,13 +473,16 @@ class _Parser:
         return self.scenario
 
     def _cursors(self):
-        """A cursor for each line from `self.index` on that has tokens; a
-        line of a plain graph shape goes to the open graph section instead."""
-        while self.index < len(self.lines):
+        """A cursor for each line from `self.index` on that has tokens; while
+        a graph section is open, its `take` reads the lines of the plain
+        shapes first."""
+        while True:
+            if self.open_graph is not None:
+                self.index = self.open_graph.take(self.lines, self.index)
+            if self.index == len(self.lines):
+                return
             raw = self.lines[self.index]
             self.index += 1
-            if self.open_graph is not None and self.open_graph.match(raw, self.index):
-                continue
             tokens = _lex_line(raw, self.index)
             if tokens:
                 yield _Cursor(tokens, self.index, len(raw))
@@ -769,7 +792,7 @@ class _Parser:
         """Leaf labels state declared facts and arcs name declared actions;
         the template is valid, so each id has one declaration line."""
         entities = self.scenario.entity_ids()
-        for i in np.flatnonzero(template.kinds == _LEAF_CODE).tolist():
+        for i in np.flatnonzero(template.kinds == _KIND_CODE["leaf"]).tolist():
             line = section.node_lines[i]
             try:
                 fact = Fact.parse(template.labels[i])

@@ -22,6 +22,7 @@ from taskmotion.dsl import (
 )
 from taskmotion.planner import FinalStatus, RunConfig, run_scenario
 from taskmotion.scenarios import gen_habitat, gen_hanoi
+import line_oracle
 from graph_oracle import arcs_of, nodes_of
 from scn_fuzz import fuzz_scenario
 
@@ -478,7 +479,7 @@ def fast_path_agrees(line: str) -> bool:
     """True when the whole-line patterns accept the line; fails the test if
     they accept a line the cursor rejects or read it differently."""
     section = dsl._GraphSection()
-    if not section.match(line, 1):
+    if section.take([line], 0) == 0:
         return False
     slow = read_with_cursor(line)
     assert slow is not None, f"patterns accept a line the cursor rejects: {line!r}"
@@ -487,16 +488,16 @@ def fast_path_agrees(line: str) -> bool:
 
 
 def cursor_only(monkeypatch):
-    """Make every graph line go through the cursor."""
-    monkeypatch.setattr(dsl._GraphSection, "match", lambda self, raw, line_no: False)
+    """Make every graph line go through the cursor: `take` reads no line."""
+    monkeypatch.setattr(dsl._GraphSection, "take", lambda self, lines, index: index)
 
 
 def test_patterns_read_every_benchmark_and_fuzz_graph_line_as_the_cursor_does():
     lines = benchmark_graph_lines() + varied_graph_lines()
     assert len(lines) > 12000
     fast, slow = dsl._GraphSection(), dsl._GraphSection()
-    declined = [line for line in lines if not fast.match(line, 1)]
-    assert declined == []
+    assert fast.take(lines, 0) == len(lines)
+    assert sorted(fast.node_lines + fast.arc_lines) == list(range(1, len(lines) + 1))
     for line in lines:
         slow.read(dsl._Cursor(dsl._lex_line(line, 1), 1, len(line)))
     by_patterns, by_tokens = fast.template(), slow.template()
@@ -619,6 +620,128 @@ def test_parse_equals_the_token_only_parse(monkeypatch):
         assert declarations(scn.graph) == declarations(by_tokens.graph), scn.name
         assert ({name: declarations(t) for name, t in scn.stages.items()}
                 == {name: declarations(t) for name, t in by_tokens.stages.items()}), scn.name
+
+
+def outcome(text: str):
+    """What parsing a text gives: each graph's declarations, or the error."""
+    try:
+        scn = parse(text)
+    except DslError as err:
+        return type(err).__name__, err.message, err.line, err.col
+    return declarations(scn.graph), {name: declarations(t) for name, t in scn.stages.items()}
+
+
+def outcome_by_cursor(text: str, monkeypatch) -> tuple:
+    with monkeypatch.context() as patch:
+        cursor_only(patch)
+        return outcome(text)
+
+
+BREAKERS = ['node 1000 internal "say \\"hi\\" \\\\ done"',
+            "arc 0000000000000000999 parent 1 children 3 weight 1",
+            "arc 998 parent 1 children 3 weight 1/0"]
+
+
+@pytest.mark.parametrize("breaker", BREAKERS)
+@pytest.mark.parametrize("where", ["start", "middle", "end"])
+@pytest.mark.parametrize("section", ["GRAPH", "stage"])
+def test_a_line_that_breaks_a_run_of_plain_lines_reads_as_the_cursor_reads_it(
+        section, where, breaker, monkeypatch):
+    # GRAPH is hanoi3's, which ends the file; the stage is minimal's.
+    if section == "GRAPH":
+        lines = read("hanoi3.scn").splitlines()
+        first, last = lines.index("GRAPH") + 1, len(lines)
+    else:
+        lines = read("minimal.scn").splitlines()
+        first = lines.index("stage clear_cup") + 1
+        last = lines.index("end", first)
+        breaker = "  " + breaker
+    at = {"start": first, "middle": (first + last) // 2, "end": last}[where]
+    text = "\n".join(lines[:at] + [breaker] + lines[at:]) + "\n"
+    got = outcome(text)
+    assert got == outcome_by_cursor(text, monkeypatch)
+    if breaker.endswith("1/0"):
+        assert got == ("ParseError", "zero denominator", at + 1, breaker.index("1/0") + 1)
+    else:
+        graph, stages = got
+        taken = graph if section == "GRAPH" else stages["clear_cup"]
+        assert repr(read_with_cursor(breaker)) in taken
+
+
+def test_a_graph_that_ends_the_file_parses_with_or_without_a_final_newline(monkeypatch):
+    text = read("hanoi3.scn")
+    assert text.endswith("weight 0\n") and text.rstrip("\n").splitlines()[-1].startswith("arc")
+    with_newline, without = outcome(text), outcome(text.rstrip("\n"))
+    assert with_newline == without == outcome_by_cursor(text.rstrip("\n"), monkeypatch)
+    assert len(parse(text).graph.arc_ids) == 257
+
+
+@pytest.mark.parametrize("plant,message", [("weight 1/0", "zero denominator"),
+                                           ("weight -1", "negative weight"),
+                                           ("weight 1 @", "unexpected character '@'")])
+def test_an_error_deep_in_a_large_graph_names_its_line(plant, message, monkeypatch):
+    lines = benchmark_texts()["hanoi6_dual"].splitlines()
+    at = next(i for i in range(10_500, len(lines)) if lines[i].startswith("arc "))
+    lines[at] = re.sub(r" weight \d+", " " + plant, lines[at])
+    text = "\n".join(lines) + "\n"
+    got = outcome(text)
+    assert got == outcome_by_cursor(text, monkeypatch)
+    assert got[1:3] == (message, at + 1)
+
+
+# ---------------------------------- possessive patterns and one-pass lexer
+
+HOSTILE_LINES = [
+    "1a", "@node 1 leaf", "node @ 1", "node 1 leaf @", 'node 1 leaf "unterminated',
+    'node 1 leaf "ends in a backslash\\', "\u0663", "arc 1 parent \u0663 children 2 weight 1",
+    "\x00", "node\x001", "node 1\x00", "   ", "\t \t", "", "arc 1 parent 1 children 2 weight 1\t",
+    'node 1 leaf "a # b" # note', 'node 1 leaf "a"# "quoted" note', 'node 1 leaf "\\"#"\t#',
+    'node 1234567890123456789 leaf "x"', "arc 1 parent 1 children 2 weight 1/0",
+    "arc 1 parent 1 children 2 weight 1.5/2", "arc 1 parent 1 children 2 weight 1 actions",
+    "arc 1 parent 1 children 2 weight 1 actions a  b\t# c", "arc 1 parent 1 children 2weight 1",
+    "arc 1 parent 1 children 2 3 4 weight 123456789012345678", "- 1", "-", "1.", "a/b",
+]
+
+
+def lexed(lex, line: str):
+    """A lexer's tokens for a line, or its error's message, line and column."""
+    try:
+        return lex(line, 7)
+    except LexError as err:
+        return err.message, err.line, err.col
+
+
+def assert_as_the_oracles(line: str):
+    for pattern, oracle in ((dsl._NODE_LINE, line_oracle.NODE_LINE),
+                            (dsl._ARC_LINE, line_oracle.ARC_LINE)):
+        fast, slow = pattern.fullmatch(line), oracle.fullmatch(line)
+        assert (fast and fast.groups()) == (slow and slow.groups()), line
+    assert lexed(dsl._lex_line, line) == lexed(line_oracle.lex_line, line), line
+
+
+@functools.cache
+def every_line() -> list[str]:
+    """Each distinct line of the benchmark texts, every fixture, malformed
+    ones too, and the fuzz scenarios of seeds 0-199."""
+    texts = list(benchmark_texts().values())
+    texts += [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.rglob("*.scn"))]
+    texts += [serialize(fuzz_scenario(seed)) for seed in range(200)]
+    return sorted({line for text in texts for line in text.splitlines()})
+
+
+def test_patterns_and_lexer_read_every_line_as_the_backtracking_oracles_do():
+    lines = every_line() + HOSTILE_LINES
+    for line in lines:
+        assert_as_the_oracles(line)
+    errors = [line for line in lines if isinstance(lexed(dsl._lex_line, line), tuple)]
+    assert len(errors) >= 12
+    assert any(dsl._ARC_LINE.fullmatch(line) for line in lines)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mutated_graph_lines())
+def test_patterns_and_lexer_read_mutated_lines_as_the_backtracking_oracles_do(line):
+    assert_as_the_oracles(line)
 
 
 # ------------------------------------------------ whole-text mutations
