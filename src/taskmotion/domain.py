@@ -45,11 +45,6 @@ GEOMETRIC_CLASSES = (MotionClass.TRANSIT, MotionClass.TRANSFER, MotionClass.HAND
 # pick-and-place, "grasp" only attaches, "put" only detaches.
 VERBS = ("transfer", "grasp", "put")
 
-# Predicates the geometric snapshot derives; they never live in the stored
-# fact set and need no declaration in scenario files.
-DERIVED_PREDICATES = frozenset({"on", "clear", "holding", "held", "carrying", "at", "at_peg"})
-
-
 class Fact(NamedTuple):
     """A ground atom: predicate name plus entity arguments."""
 
@@ -103,6 +98,10 @@ BUILTIN_PREDICATE_DECLS = {
     "at": PredicateDecl("at", 2),
     "at_peg": PredicateDecl("at_peg", 2, exclusive=True),
 }
+
+# Predicates the geometric snapshot derives; they never live in the stored
+# fact set and need no declaration in scenario files.
+DERIVED_PREDICATES = frozenset(BUILTIN_PREDICATE_DECLS)
 
 
 @dataclass(frozen=True)

@@ -12,15 +12,18 @@ frontier re-instantiates the main graph too. A graph of the same stages
 is instantiated once per state (the world signature, the suppressions
 and the knowledge); a repeat would loop, so the run ends unsolvable. The
 network depth cap, at least 1, turns runaway growth into a reported
-depth-limit result.
+depth-limit result. The `result` event and the metrics of a run that
+ends unsolvable or at the cap carry a `detail` naming the rule that
+ended it: `cycle` (with the expansion reason whose state repeated),
+`depth cap`, or a goal that names unknown entities.
 
 Only a dispatch changes the world, so the loop takes one snapshot per
 world state: one at the start and one after each dispatch. Goal checks,
 selection and expansion read the latest one. A run keeps one search memo
 (`world.SearchMemo`) for all its dispatches, so each distinct grid search
-runs once per run and each reach disc and obstacle footprint its grids
-are assembled from is rasterized once per run; a new run starts with an
-empty one.
+runs once per run, each distinct grid's free mask is assembled once per
+run, and each reach disc and obstacle footprint it is assembled from is
+rasterized once per run; a new run starts with an empty one.
 
 Timing discipline: every timestamp in the trace is simulated clock time,
 so traces are reproducible byte for byte. Wall-clock durations appear
@@ -122,15 +125,20 @@ def run_scenario(scenario: Scenario, config: RunConfig = RunConfig()) -> PlanRes
     timers.timed("expand", network.bootstrap, state.facts)
     trace.append({"event": "expand", "reason": "bootstrap", "graph": network.depth})
 
+    detail = None  # the rule that ended the run, when the network refused to grow
+
     def expand(reason: ExpandReason, obstructors: tuple[str, ...] = ()):
         """Grow the network from the current state; the final status when
-        it refuses to grow, else None."""
+        it refuses to grow, with `detail` set, else None."""
+        nonlocal detail
         try:
             timers.timed("expand", network.expand, reason, state.facts, state.signature,
                          obstructors)
         except ExpansionCycle:
+            detail = f"cycle: {reason.value} expansion repeats a state"
             return FinalStatus.UNSOLVABLE
-        except DepthLimitExceeded:
+        except DepthLimitExceeded as exc:
+            detail = f"depth cap: {exc}"
             return FinalStatus.DEPTH_LIMIT
         event = {"event": "expand", "reason": reason.value, "graph": network.depth}
         if reason is ExpandReason.MOTION_FAILURE:
@@ -193,6 +201,8 @@ def run_scenario(scenario: Scenario, config: RunConfig = RunConfig()) -> PlanRes
                   "moves": moves, "t_sim": round(world.clock, 9),
                   "poses": {oid: [round(o.x, 9), round(o.y, 9)]
                             for oid, o in sorted(world.objects.items())}})
+    if detail is not None:
+        trace[-1]["detail"] = detail
     return _finish(scenario, status, depth, moves, steps, world, trace, timers,
                    network)
 
@@ -208,7 +218,11 @@ def _step_event(step: StepOutcome) -> dict:
 
 def _finish(scenario, status, depth, moves, steps, world, trace, timers,
             network):
+    """The run's result; its metrics repeat the `detail` of the result
+    event, the trace's last, when it has one."""
     metrics = build_metrics(scenario, status, depth, moves, steps, world, timers)
+    if "detail" in trace[-1]:
+        metrics["detail"] = trace[-1]["detail"]
     return PlanResult(status, depth, moves, steps, world, trace, metrics, network)
 
 

@@ -7,20 +7,19 @@ uniform occupancy grid; when a leg fails, a second search around only
 the fixed objects of the leg's obstacle list diagnoses which of the
 list's movables stand in the way.
 
-Each search assembles its grid from layers rasterized once per
-`SearchMemo` scope: the cell-centre axes of the bounds, an arm's reach
-disc, each obstacle footprint over its bounding box only, and static
-layers, each layer keyed on exactly the inputs it reads. A static layer
-is what no movable changes: the reach disc (all free for a base) OR-ed
-with the footprints of the obstacles that are not movable. A grid is its
-static layer with only its movables' footprint patches OR-ed in, kept as
-a byte mask padded by one ring of blocked cells; the diagnosis' ghost
-grid, which drops the leg's movables, is the static layer itself, and reads
-its movables' footprint patches from the same layers. A* walks flat
-indices into that mask, whose order equals (x, y) order. Among cells of
-equal f it pops the deeper one (higher g) first, then the one first in
-(x, y) order, so paths are those of A* on coordinate tuples under that
-rule; obstructor order depends on them.
+Each grid is one free mask, assembled in one step (`_free_mask`) once
+per `SearchMemo` scope: the reach disc (all free for a base) OR-ed with
+the footprint patches of all the grid's obstacles, padded by one ring of
+blocked cells, inverted and kept as bytes. What it reads is rasterized
+once per scope too: the cell-centre axes of the bounds, an arm's reach
+disc and each obstacle footprint over its bounding box only, each keyed
+on exactly the inputs it reads. The diagnosis' ghost grid is an ordinary
+grid of the leg's fixed obstacles, and reads its movables' footprint
+patches from the same cache. A* walks flat indices into the mask, whose
+order equals (x, y) order. Among cells of equal f it pops the deeper one
+(higher g) first, then the one first in (x, y) order, so paths are those
+of A* on coordinate tuples under that rule; obstructor order depends on
+them.
 
 A* itself runs once per distinct search in a `SearchMemo`'s scope. The
 memo maps everything `_astar` reads but the one budget (the mask, its
@@ -511,16 +510,21 @@ class SearchMemo:
     `searches` maps (free mask, stride, start cell, goal cell) to (cell
     path | None, pops), and `components` maps (free mask, stride) to the
     mask's component labelling, made by the first search on the mask
-    that needs it. `rasters` holds the layers grids are assembled from,
-    each made once and kept read-only, under exactly the inputs each one
-    reads:
+    that needs it. `rasters` holds each grid's free mask and the layers
+    it is assembled from, each made once and kept read-only, under
+    exactly the inputs each one reads:
 
     - a grid's cell-centre axes under its geometry (bounds, resolution);
     - an arm's reach disc under (geometry, anchor, reach);
     - an obstacle's footprint patch under (geometry, shape, dims, x, y,
       inflation);
-    - a static layer under (geometry, agent kind, (anchor, reach) for an
-      arm, inflation, and each fixed obstacle's (shape, dims, x, y)).
+    - a grid's free mask, as bytes, under (geometry, (anchor, reach) for
+      an arm or None for a base, inflation, and each obstacle's (shape,
+      dims, x, y)).
+
+    Grids with the same obstacles share one mask object. `searches` and
+    `components` are keyed on the mask's bytes, not on the obstacles:
+    different obstacle lists often rasterize to the same mask.
     """
 
     searches: dict[tuple[bytes, int, tuple[int, int], tuple[int, int]],
@@ -602,17 +606,15 @@ def _footprint(obj: Obj, inflation: float, res: float, axes):
 class _Grid:
     """Occupancy raster over the agent's admissible region.
 
-    The grid starts from its static layer (`_static_layer`): the arm's
-    reach disc (none for a base) OR-ed with the footprints of the
-    obstacles that are not movable. It then ORs in only its movable
-    obstacles' footprints, and a grid without any, such as a diagnosis'
-    ghost grid, is the layer itself. Every layer comes from `rasters` (a
-    `SearchMemo.rasters`), where `footprint` looks up the patch of any
-    object. `blocked` is the (nx, ny) raster; `free_mask` is the same
-    raster inverted and padded by one ring of blocked cells, flattened to
-    bytes: cell (x, y) is free when `free_mask[(x + 1) * stride + y + 1]`
-    is non-zero, with `stride = ny + 2`, so a neighbour step never needs a
-    range test.
+    A cell is blocked when it lies outside the arm's reach disc (none for
+    a base) or under the footprint of any of the obstacles. `free_mask`
+    is that raster inverted and padded by one ring of blocked cells,
+    flattened to bytes: cell (x, y) is free when
+    `free_mask[(x + 1) * stride + y + 1]` is non-zero, with
+    `stride = ny + 2`, so a neighbour step never needs a range test.
+    `_free_mask` assembles it on the first grid of its obstacles; later
+    grids take it from `rasters` (a `SearchMemo.rasters`), where
+    `footprint` also looks up the patch of any object.
     """
 
     def __init__(self, world: World, agent: Agent, obstacles: list[Obj], inflation: float,
@@ -625,25 +627,10 @@ class _Grid:
         self.ix0, self.iy0, xs, ys = axes
         self.nx, self.ny = xs.shape[0], ys.shape[1]
         self.stride = self.ny + 2
-        fixed = [obj for obj in obstacles if not obj.movable]
         disc = (agent.anchor, agent.reach) if agent.kind == "arm" else None
-        key = (geometry, agent.kind, disc, inflation,
-               tuple([(obj.shape, obj.dims, obj.x, obj.y) for obj in fixed]))
-        padded, self.free_mask = _layer(
-            rasters, key, lambda: _static_layer(self, disc, fixed, inflation))
-        if len(fixed) < len(obstacles):
-            padded = padded.copy()
-            self.stamp(padded, [obj for obj in obstacles if obj.movable], inflation)
-            self.free_mask = np.logical_not(padded).tobytes()
-        self.blocked = padded[1:-1, 1:-1]
-
-    def stamp(self, padded: np.ndarray, obstacles: list[Obj], inflation: float) -> None:
-        """OR each obstacle's footprint patch into a raster padded by one ring."""
-        for obj in obstacles:
-            patch = self.footprint(obj, inflation)
-            if patch is not None:
-                xa, xb, ya, yb, hit = patch
-                padded[xa + 1:xb + 1, ya + 1:yb + 1] |= hit
+        key = (geometry, disc, inflation,
+               tuple([(obj.shape, obj.dims, obj.x, obj.y) for obj in obstacles]))
+        self.free_mask = _layer(rasters, key, lambda: _free_mask(self, disc, obstacles, inflation))
 
     def footprint(self, obj: Obj, inflation: float):
         """The object's footprint patch over this grid (see `_footprint`),
@@ -665,12 +652,11 @@ class _Grid:
         return ((c[0] + self.ix0) * self.res, (c[1] + self.iy0) * self.res)
 
 
-def _static_layer(grid: _Grid, disc: tuple[tuple[float, float], float] | None,
-                  fixed: list[Obj], inflation: float) -> tuple[np.ndarray, bytes]:
-    """What no movable changes in a grid: the cells outside the reach disc
-    `(anchor, reach)` (none when None) OR-ed with the footprints of the
-    `fixed` obstacles, as a read-only raster padded by one ring of blocked
-    cells, and that raster's free mask (see `_Grid`)."""
+def _free_mask(grid: _Grid, disc: tuple[tuple[float, float], float] | None,
+               obstacles: list[Obj], inflation: float) -> bytes:
+    """The grid's free mask (see `_Grid`): the cells outside the reach disc
+    `(anchor, reach)` (none when None) OR-ed with the footprint patches of
+    the `obstacles`, padded by one ring of blocked cells and inverted."""
     padded = np.ones((grid.nx + 2, grid.stride), dtype=bool)
     if disc is None:
         padded[1:-1, 1:-1] = False
@@ -679,8 +665,12 @@ def _static_layer(grid: _Grid, disc: tuple[tuple[float, float], float] | None,
         _, _, xs, ys = grid.axes
         padded[1:-1, 1:-1] = _layer(grid.rasters, (grid.geometry, *disc), lambda: _frozen(
             (xs - ax) ** 2 + (ys - ay) ** 2 > reach ** 2))
-    grid.stamp(padded, fixed, inflation)
-    return _frozen(padded), np.logical_not(padded).tobytes()
+    for obj in obstacles:
+        patch = grid.footprint(obj, inflation)
+        if patch is not None:
+            xa, xb, ya, yb, hit = patch
+            padded[xa + 1:xb + 1, ya + 1:yb + 1] |= hit
+    return np.logical_not(padded).tobytes()
 
 
 def _steps(stride: int) -> tuple[tuple[int, int], ...]:

@@ -10,6 +10,8 @@ graphs, which the first family never does.
 """
 
 import hashlib
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,13 +25,17 @@ from taskmotion.planner import (
     masked_trace_text,
     run_scenario,
 )
+from taskmotion.scenarios import gen_hanoi
 from scn_fuzz import blocked_scenario, fuzz_scenario
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
 
 # sha256 over each run's masked trace, then its masked metrics, seed by seed.
 FUZZ_SEEDS = range(200)
-FUZZ_DIGEST = "113e4652125c21b01666595497b8505ec2dd0b32a52e0e803f214757a91238ca"
+FUZZ_DIGEST = "13cef1e1757f7586f68135c8cb9544623e790493cfa3510a5f49b4a786e2c2da"
 BLOCKED_SEEDS = range(50)
-BLOCKED_DIGEST = "acfb159c24d244a1b5f9ae7675758874972c193a755a502af26cc759d06bf026"
+BLOCKED_DIGEST = "89f1871b0af202ac46e3bc9ce247982580a636903328af0232b60988aebc011c"
 
 
 def fuzz_run(seed: int):
@@ -87,6 +93,32 @@ def test_no_random_run_loops_to_a_depth_cap_of_300():
     for seed in BLOCKED_SEEDS:
         result = run_scenario(blocked_scenario(seed), RunConfig(depth_cap=300, seed=seed))
         assert result.status is not FinalStatus.DEPTH_LIMIT, seed
+
+
+# The rules that end a run short of its goal, as the `detail` of its
+# result event and metrics begins.
+END_RULES = ("cycle: ", "depth cap: ", "goal names unknown entities: ")
+
+
+def test_every_run_short_of_its_goal_names_the_rule_that_ended_it():
+    """An unsolvable or depth-limited run's result event and metrics carry
+    one `detail`, naming exactly one rule; a solved run's carry none."""
+    results = [run_scenario(parse(WORKLOADS["habitat_unclearable"].make_text())),
+               run_scenario(gen_hanoi(3), RunConfig(depth_cap=2)),
+               *map(fuzz_run, FUZZ_SEEDS), *map(blocked_run, BLOCKED_SEEDS)]
+    ended = set()
+    for result in results:
+        detail = result.trace[-1].get("detail")
+        assert result.metrics.get("detail") == detail
+        if result.status is FinalStatus.GOAL_ACHIEVED:
+            assert detail is None
+            continue
+        named = [rule for rule in END_RULES if rule in detail]
+        assert len(named) == 1 and detail.startswith(named[0]), detail
+        ended.add((result.status, named[0]))
+    assert ended == {(FinalStatus.UNSOLVABLE, "cycle: "), (FinalStatus.DEPTH_LIMIT, "depth cap: ")}
+    assert results[0].trace[-1]["detail"] == "cycle: no_feasible_state expansion repeats a state"
+    assert results[1].trace[-1]["detail"] == "depth cap: network depth 2 is at its cap 2"
 
 
 def test_an_arc_without_actions_is_never_executed():

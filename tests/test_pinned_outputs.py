@@ -4,8 +4,10 @@ A speed-up must not change what the planner does: every faster path
 must reproduce these sha256 digests byte for byte. They were recorded
 from the from-scratch pricing of `andor`, and recorded again when A*
 began to break f-ties towards the deeper cell, which deliberately
-changes paths and pop counts, and for hanoi_dual again when the handover
-pad moved away from peg A, which moves the pad's paths.
+changes paths and pop counts, for hanoi_dual again when the handover
+pad moved away from peg A, which moves the pad's paths, and for
+habitat_unclearable again when a run that ends unsolvable began to name
+its rule in a `detail` field.
 
 The benchmark's own contract is checked here too: each workload meets
 the expectations `perfbench/harness.py` checks, and the layer trace of
@@ -41,8 +43,8 @@ PINNED = {
         "3deab93a7021ab4d2b46f417de6f5fd2fe429eb433b06b2e8604cf1c42475c00",
         "0fd864b2d8b2442337dad82ca894bafbd089cc57d7a9cad86a4cde65775ab4b3"),
     "habitat_unclearable": (
-        "4a626ee970798a26ff901525f8b81deb910d5f2c5ddfa9d8d98a46cf992d9301",
-        "7c1cdf1714e6d2152015a7cba21cdf6378eb337e3acb67379908fb61258f7d16"),
+        "ac9a6c4d301974eda3a67c9366055a2d63ce8aa90de1264eaf7efe2138895276",
+        "23539813a104aceffca0dcdf07021ce4894425c62abf1ced2f1e76d588685e6b"),
 }
 
 

@@ -443,27 +443,28 @@ def rasterized_footprints(monkeypatch):
     return keys
 
 
-@pytest.mark.parametrize("name,layers,grids", [
-    ("hanoi_dual", 21, 168), ("habitat", 20, 40), ("habitat_unclearable", 15, 81)])
-def test_each_static_layer_is_built_once_per_run(name, layers, grids, monkeypatch):
-    """A run builds each static layer (reach disc and fixed footprints
-    under one inflation) once, and its grids at seed 0 share them."""
+@pytest.mark.parametrize("name,masks,grids", [
+    ("hanoi_dual", 90, 168), ("habitat", 27, 40), ("habitat_unclearable", 27, 81)])
+def test_each_grid_mask_is_assembled_once_per_run(name, masks, grids, monkeypatch):
+    """A run assembles the free mask of each distinct grid (reach disc and
+    obstacle footprints under one inflation) once, and its grids at seed 0
+    share them."""
     keys, built = [], [0]
-    static_layer, grid = world_module._static_layer, world_module._Grid
+    free_mask, grid = world_module._free_mask, world_module._Grid
 
-    def recording(grid, disc, fixed, inflation):
+    def recording(grid, disc, obstacles, inflation):
         keys.append((grid.geometry, disc, inflation,
-                     tuple((obj.shape, obj.dims, obj.x, obj.y) for obj in fixed)))
-        return static_layer(grid, disc, fixed, inflation)
+                     tuple((obj.shape, obj.dims, obj.x, obj.y) for obj in obstacles)))
+        return free_mask(grid, disc, obstacles, inflation)
 
     def counting(*args):
         built[0] += 1
         return grid(*args)
 
-    monkeypatch.setattr(world_module, "_static_layer", recording)
+    monkeypatch.setattr(world_module, "_free_mask", recording)
     monkeypatch.setattr(world_module, "_Grid", counting)
     run_scenario(parse(WORKLOADS[name].make_text()), RunConfig(seed=0))
-    assert len(keys) == len(set(keys)) == layers
+    assert len(keys) == len(set(keys)) == masks
     assert built[0] == grids
 
 
