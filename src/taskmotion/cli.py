@@ -110,7 +110,7 @@ def _fmt(value) -> str:
 def _export_network_dots(result: PlanResult, directory: str):
     """Write one `graph_NNN.dot` per network entry into `directory`, after
     removing the `graph_NNN.dot` files an earlier run left there."""
-    entries = result.network.entries if result.network is not None else []
+    entries = result.network.entries
     with _writing(directory) as out:
         out.mkdir(parents=True, exist_ok=True)
         for old in out.glob("graph_*.dot"):
@@ -130,6 +130,8 @@ def _cmd_run(args) -> int:
     result = run_scenario(scn, config)
     print(f"scenario: {scn.name}")
     print(f"status:   {result.status.value}")
+    if "detail" in result.metrics:
+        print(f"detail:   {result.metrics['detail']}")
     print(f"depth:    {result.depth}")
     print(f"moves:    {result.moves}")
     print(f"sim time: {result.world.clock:.3f}s")

@@ -33,6 +33,7 @@ from .world import (
     entity_point,
     execute,
     held_by,
+    mount_anchor,
     plan_motion,
     reaches,
     snapshot,
@@ -108,7 +109,7 @@ def _prospective_anchor(world: World, arm: Agent,
     if action.area is None or arm.mount is None:
         return arm.anchor
     marker = world.markers[action.area]
-    return (marker.x + arm.mount_off[0], marker.y + arm.mount_off[1])
+    return mount_anchor(arm, (marker.x, marker.y))
 
 
 def _arms(world: World) -> list[Agent]:
@@ -133,7 +134,7 @@ def ground(world: World, actions: tuple[ActionTemplate, ...]) -> tuple[GroundedA
         raise GroundingFailed("no actions to execute")
     steps: list[GroundedAction] = []
     for action in actions:
-        if action.motion_class in (MotionClass.SYMBOLIC, MotionClass.WAIT):
+        if not action.is_geometric():
             steps.append(GroundedAction(action, None))
             continue
         if action.motion_class is MotionClass.TRANSIT:

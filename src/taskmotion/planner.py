@@ -80,7 +80,7 @@ class PlanResult:
     world: World
     trace: list[dict]
     metrics: dict
-    network: GraphNetwork | None = None
+    network: GraphNetwork
 
     def handovers(self) -> int:
         return sum(1 for s in self.steps
@@ -103,29 +103,26 @@ class _Timers:
 
 
 def run_scenario(scenario: Scenario, config: RunConfig = RunConfig()) -> PlanResult:
-    world = world_from_scenario(scenario)
+    start = world = world_from_scenario(scenario)
     trace: list[dict] = []
     steps: list[StepOutcome] = []
     timers = _Timers()
     memo = SearchMemo()
+    network = GraphNetwork(scenario.graph, scenario.stages, scenario.actions,
+                           depth_cap=config.depth_cap)
+    state = snapshot(world)
+    status: FinalStatus | None = None
+    detail = None  # the rule that ended the run, when it ends unsolved
 
     known = scenario.entity_ids()
     missing = sorted({arg for fact in scenario.goal for arg in fact.args
                       if arg not in known})
     if missing:
-        trace.append({"event": "result", "status": FinalStatus.UNSOLVABLE.value,
-                      "d": 0, "moves": 0, "t_sim": 0.0,
-                      "detail": "goal names unknown entities: " + ", ".join(missing)})
-        return _finish(scenario, FinalStatus.UNSOLVABLE, 0, 0, steps, world,
-                       trace, timers, None)
-
-    network = GraphNetwork(scenario.graph, scenario.stages, scenario.actions,
-                           depth_cap=config.depth_cap)
-    state = snapshot(world)
-    timers.timed("expand", network.bootstrap, state.facts)
-    trace.append({"event": "expand", "reason": "bootstrap", "graph": network.depth})
-
-    detail = None  # the rule that ended the run, when the network refused to grow
+        status = FinalStatus.UNSOLVABLE
+        detail = "goal names unknown entities: " + ", ".join(missing)
+    else:
+        timers.timed("expand", network.bootstrap, state.facts)
+        trace.append({"event": "expand", "reason": "bootstrap", "graph": network.depth})
 
     def expand(reason: ExpandReason, obstructors: tuple[str, ...] = ()):
         """Grow the network from the current state; the final status when
@@ -147,11 +144,14 @@ def run_scenario(scenario: Scenario, config: RunConfig = RunConfig()) -> PlanRes
         return None
 
     moves = 0
-    status: FinalStatus | None = None
+    stage_done = False  # the last dispatch succeeded; its stage grows a graph
     while status is None:
         if is_goal(state.facts, scenario.goal):
             status = FinalStatus.GOAL_ACHIEVED
             break
+        if stage_done:
+            status, stage_done = expand(ExpandReason.STAGE_COMPLETE), False
+            continue
         candidate = timers.timed("search", network.select, state.facts,
                                  state.signature)
         if candidate is None:
@@ -180,10 +180,7 @@ def run_scenario(scenario: Scenario, config: RunConfig = RunConfig()) -> PlanRes
             moves += 1
             trace.append({"event": "execute", "label": candidate.label,
                           "moves": moves})
-            if is_goal(state.facts, scenario.goal):
-                status = FinalStatus.GOAL_ACHIEVED
-            else:
-                status = expand(ExpandReason.STAGE_COMPLETE)
+            stage_done = True
             continue
 
         failure = result.failure
@@ -201,10 +198,10 @@ def run_scenario(scenario: Scenario, config: RunConfig = RunConfig()) -> PlanRes
                   "moves": moves, "t_sim": round(world.clock, 9),
                   "poses": {oid: [round(o.x, 9), round(o.y, 9)]
                             for oid, o in sorted(world.objects.items())}})
+    metrics = build_metrics(scenario, start, status, depth, moves, steps, world, timers)
     if detail is not None:
-        trace[-1]["detail"] = detail
-    return _finish(scenario, status, depth, moves, steps, world, trace, timers,
-                   network)
+        trace[-1]["detail"] = metrics["detail"] = detail
+    return PlanResult(status, depth, moves, steps, world, trace, metrics, network)
 
 
 def _step_event(step: StepOutcome) -> dict:
@@ -216,25 +213,15 @@ def _step_event(step: StepOutcome) -> dict:
             "plan_time_s": step.plan_time}
 
 
-def _finish(scenario, status, depth, moves, steps, world, trace, timers,
-            network):
-    """The run's result; its metrics repeat the `detail` of the result
-    event, the trace's last, when it has one."""
-    metrics = build_metrics(scenario, status, depth, moves, steps, world, timers)
-    if "detail" in trace[-1]:
-        metrics["detail"] = trace[-1]["detail"]
-    return PlanResult(status, depth, moves, steps, world, trace, metrics, network)
-
-
 # ------------------------------------------------------------------ metrics
 
 
-def _metric_groups(scenario: Scenario) -> dict[str, str]:
+def _metric_groups(start: World) -> dict[str, str]:
     """Agent id -> the group its plan calls report in: "base" for a base;
-    when two or more arms are declared, "left" for the arm the initial
+    when two or more arms are declared, "left" for the arm the run's start
     world places at the smallest x (ties by id), a mounted one beside its
     base; "right" for every other arm, a lone arm included."""
-    agents = world_from_scenario(scenario).agents
+    agents = start.agents
     groups = {aid: "base" for aid, agent in agents.items() if agent.kind == "base"}
     arms = sorted((agent.anchor[0], aid) for aid, agent in agents.items() if agent.kind == "arm")
     groups.update((aid, "right") for _, aid in arms)
@@ -243,13 +230,14 @@ def _metric_groups(scenario: Scenario) -> dict[str, str]:
     return groups
 
 
-def build_metrics(scenario: Scenario, status: FinalStatus, depth: int,
+def build_metrics(scenario: Scenario, start: World, status: FinalStatus, depth: int,
                   moves: int, steps: list[StepOutcome], world: World,
                   timers: _Timers) -> dict:
+    """The run's metrics: arms grouped as the start world places them."""
     attempts: dict[str, int] = {}
     times: dict[str, list[float]] = {"right": [], "left": [], "base": []}
     calls = {"right": 0, "left": 0, "base": 0}
-    groups = _metric_groups(scenario)
+    groups = _metric_groups(start)
     for step in steps:
         if step.attempts == 0:
             continue

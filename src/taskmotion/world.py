@@ -2,7 +2,9 @@
 
 Objects live on an axis-aligned plane as circles and boxes. Arms are
 modeled by an anchor plus a reach disc their end effector may not leave;
-the base is a disc that travels the floor. Motion planning runs A* on a
+the base is a disc that travels the floor, and an arm mounted on it is
+anchored at its point plus the arm's offset, wherever it is placed, by
+one rule (`mount_anchor`). Motion planning runs A* on a
 uniform occupancy grid; when a leg fails, a second search around only
 the fixed objects of the leg's obstacle list diagnoses which of the
 list's movables stand in the way.
@@ -74,7 +76,7 @@ from typing import Collection, Mapping, NamedTuple
 
 import numpy as np
 
-from .domain import DERIVED_PREDICATES, ActionTemplate, Fact, MotionClass
+from .domain import DERIVED_PREDICATES, ActionTemplate, Fact
 
 DEFAULT_RESOLUTION = 0.02
 # Largest occupancy grid a scenario may ask for: about 20 m x 20 m at the
@@ -268,16 +270,19 @@ class MotionResult:
         return total
 
 
+def mount_anchor(arm: Agent, base: tuple[float, float]) -> tuple[float, float]:
+    """A mounted arm's anchor while its base stands at `base`."""
+    return (base[0] + arm.mount_off[0], base[1] + arm.mount_off[1])
+
+
 def world_from_scenario(scenario) -> World:
     """The initial world of a scenario, whose entities are this module's
-    values. Only agents change: each is placed at its declared point, a
-    mounted arm at its base's declared point plus its offset."""
+    values: each agent at its declared point, a mounted arm by `mount_anchor`."""
     agents = {}
     for agent in scenario.agents.values():
         at = agent.anchor
         if agent.mount is not None:
-            base = scenario.agents[agent.mount].anchor
-            at = (base[0] + agent.mount_off[0], base[1] + agent.mount_off[1])
+            at = mount_anchor(agent, scenario.agents[agent.mount].anchor)
         agents[agent.id] = replace(agent, anchor=at, config=at)
     return World(bounds=scenario.bounds, objects=scenario.objects, agents=agents,
                  markers=scenario.markers, facts=frozenset(scenario.init))
@@ -299,31 +304,29 @@ def stack_chain_down(world: World, obj_id: str) -> list[str]:
     return chain
 
 
-def _supported(world: World) -> Mapping[str, tuple[str, ...]]:
-    """Support id -> the ids resting directly on it, in id order."""
-    return world._derivation.children
-
-
-def stack_chain_up(world: World, obj_id: str) -> list[str]:
-    """Everything resting on the object, lowest first (breadth-first,
-    siblings in id order). Skips an id it has already seen, so a stacking
-    cycle cannot hang the walk."""
-    children = _supported(world)
-    walk = [obj_id]
-    seen = {obj_id}
+def _above(children: Mapping[str, tuple[str, ...]], roots: Collection[str]) -> list[str]:
+    """Everything resting on the roots, given each support's children,
+    lowest first (breadth-first, siblings in id order). Skips an id it has
+    already seen, so a stacking cycle cannot hang the walk."""
+    walk, seen = list(roots), set(roots)
     for oid in walk:  # the list grows while it is walked: breadth-first
         for child in children.get(oid, ()):
             if child not in seen:
                 seen.add(child)
                 walk.append(child)
-    return walk[1:]
+    return walk[len(roots):]
+
+
+def stack_chain_up(world: World, obj_id: str) -> list[str]:
+    """Everything resting on the object, lowest first, as `_above` walks."""
+    return _above(world._derivation.children, (obj_id,))
 
 
 def stack_top(world: World, obj_id: str) -> str:
     """Topmost object of the stack rooted at obj_id (itself when bare),
     following the smallest id where several objects share a support.
     Stops before an id it has already seen, as `stack_chain_down` does."""
-    children = _supported(world)
+    children = world._derivation.children
     top = obj_id
     seen = {top}
     while top in children and children[top][0] not in seen:
@@ -382,8 +385,7 @@ def _object_facts(world: World, oid: str, holders: Mapping[str, str],
     if oid not in children:
         facts.append(Fact("clear", (oid,)))
     if obj.movable:
-        facts += [Fact("at", (oid, marker.id)) for marker in world.markers.values()
-                  if math.hypot(obj.x - marker.x, obj.y - marker.y) <= marker.snap]
+        facts += _at_markers(world, oid, obj.x, obj.y)
     return facts
 
 
@@ -391,8 +393,12 @@ def _agent_facts(world: World, agent: Agent) -> list[Fact]:
     """A base is `at` each marker whose snap radius holds its config."""
     if agent.kind != "base":
         return []
-    x, y = agent.config
-    return [Fact("at", (agent.id, marker.id)) for marker in world.markers.values()
+    return _at_markers(world, agent.id, *agent.config)
+
+
+def _at_markers(world: World, entity_id: str, x: float, y: float) -> list[Fact]:
+    """`at` the entity and each marker whose snap radius holds (x, y)."""
+    return [Fact("at", (entity_id, marker.id)) for marker in world.markers.values()
             if math.hypot(x - marker.x, y - marker.y) <= marker.snap]
 
 
@@ -433,13 +439,7 @@ def _derive(base: _Derivation, before: Mapping[str, Obj], world: World,
                 children[support] = tuple(sorted(ids))
             else:
                 del children[support]
-    above, seen = list(moved), set(moved)
-    for oid in above:  # grows while it is walked: everything on a moved object
-        for other in children.get(oid, ()):
-            if other not in seen:
-                seen.add(other)
-                above.append(other)
-    owners.update(above)
+    owners.update(_above(children, moved))
     holders = held_by(world)
     owned = dict(base.owned)
     gone, came = [], []
@@ -1009,7 +1009,7 @@ def execute(world: World, agent_id: str, result: MotionResult,
     facts = set(world.facts)
     clock = world.clock
 
-    if action.motion_class in (MotionClass.SYMBOLIC, MotionClass.WAIT):
+    if not action.is_geometric():
         clock += action.duration
     else:
         manipulated = action.manipulated
@@ -1017,13 +1017,12 @@ def execute(world: World, agent_id: str, result: MotionResult,
         clock += result.length / MOVE_SPEED
         end = result.path[-1] if result.path else agent.config
         if manipulated is None:
-            delta = (end[0] - agent.config[0], end[1] - agent.config[1])
             changed[agent_id] = replace(agent, anchor=end, config=end)
             for aid, other in world.agents.items():
                 if other.mount == agent_id:
                     # Arms stow over their mount point while the base
                     # drives, so every later leg starts from the mount.
-                    new_anchor = (other.anchor[0] + delta[0], other.anchor[1] + delta[1])
+                    new_anchor = mount_anchor(other, end)
                     changed[aid] = replace(other, anchor=new_anchor, config=new_anchor)
                     if other.holding is not None:
                         held = world.objects[other.holding]

@@ -111,6 +111,18 @@ def test_run_depth_capped_exits_two(capsys):
     assert "depth_limit" in out
 
 
+def test_run_prints_the_rule_that_ended_it_under_its_status(capsys):
+    """An unsolved run prints the `detail` of its metrics; a solved one
+    has none to print."""
+    code = main(["run", "hanoi", "--depth-cap", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2
+    status = lines.index("status:   depth_limit")
+    assert lines[status + 1] == "detail:   depth cap: network depth 2 is at its cap 2"
+    assert main(["run", "hanoi", "--omnipotent"]) == 0
+    assert "detail:" not in capsys.readouterr().out
+
+
 def test_run_with_an_agent_outside_the_grid_exits_two(tmp_path, capsys):
     scenario = gen_hanoi(3, omnipotent=True)
     arm = scenario.agents["arm_solo"]

@@ -35,7 +35,7 @@ from workloads import WORKLOADS  # noqa: E402
 FUZZ_SEEDS = range(200)
 FUZZ_DIGEST = "13cef1e1757f7586f68135c8cb9544623e790493cfa3510a5f49b4a786e2c2da"
 BLOCKED_SEEDS = range(50)
-BLOCKED_DIGEST = "89f1871b0af202ac46e3bc9ce247982580a636903328af0232b60988aebc011c"
+BLOCKED_DIGEST = "7c6bb05f109f6a87dc7e6b8a1cf70f657e02016c2405933a1ec0ec4596bb2836"
 
 
 def fuzz_run(seed: int):

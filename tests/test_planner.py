@@ -251,6 +251,11 @@ def test_goal_about_unknown_entity_is_unsolvable():
     assert res.status is FinalStatus.UNSOLVABLE
     assert res.depth == 0
     assert res.trace[-1]["status"] == "unsolvable"
+    # It ends through the common result event, poses and all.
+    assert res.trace[-1]["poses"] == {oid: [obj.x, obj.y]
+                                      for oid, obj in sorted(scn.objects.items())}
+    assert res.metrics["detail"] == res.trace[-1]["detail"] == \
+        "goal names unknown entities: ghost"
 
 
 def test_depth_cap_stops_runaway_growth():
@@ -389,7 +394,7 @@ def executed_searches(monkeypatch):
 
 
 @pytest.mark.parametrize("name,searches", [
-    ("hanoi_dual", 34), ("habitat", 38), ("habitat_unclearable", 32)])
+    ("hanoi_dual", 34), ("habitat", 38), ("habitat_unclearable", 28)])
 def test_each_distinct_search_runs_once_per_run(name, searches, monkeypatch):
     """Without the memo these runs made 172, 40 and 81 searches at seed 0."""
     keys = executed_searches(monkeypatch)
@@ -398,7 +403,7 @@ def test_each_distinct_search_runs_once_per_run(name, searches, monkeypatch):
 
 
 @pytest.mark.parametrize("name,expansions", [
-    ("hanoi_dual", 3386), ("habitat", 8943), ("habitat_unclearable", 74102)])
+    ("hanoi_dual", 3386), ("habitat", 8944), ("habitat_unclearable", 74148)])
 def test_step_expansions_per_run_are_pinned(name, expansions):
     """A* pops behind a run's steps at seed 0. Breaking f-ties towards the
     lower g, the earlier order, made 20563, 14820 and 77447; an unreachable
@@ -444,7 +449,7 @@ def rasterized_footprints(monkeypatch):
 
 
 @pytest.mark.parametrize("name,masks,grids", [
-    ("hanoi_dual", 90, 168), ("habitat", 27, 40), ("habitat_unclearable", 27, 81)])
+    ("hanoi_dual", 90, 168), ("habitat", 27, 40), ("habitat_unclearable", 23, 81)])
 def test_each_grid_mask_is_assembled_once_per_run(name, masks, grids, monkeypatch):
     """A run assembles the free mask of each distinct grid (reach disc and
     obstacle footprints under one inflation) once, and its grids at seed 0

@@ -1,5 +1,5 @@
 """Source checks: no dead private helpers in the package, and an action's
-verb read in one place."""
+verb and a mounted arm's offset each read in one place."""
 
 import ast
 from functools import cache
@@ -45,12 +45,26 @@ def test_every_private_helper_is_used_outside_its_definition(path):
     assert not dead, "private helpers nothing in src/ uses: " + ", ".join(dead)
 
 
+def attribute_readers(attr: str) -> set[str]:
+    """The package modules that read the attribute `attr` of anything."""
+    return {path.name for path in MODULES
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute) and node.attr == attr}
+
+
 def test_only_the_domain_and_the_scenario_reader_read_an_action_s_verb():
     """`ActionTemplate.takes` and `places` are the one reading of `verb`:
     no module but `domain.py` and `dsl.py`, which reads and writes the
     verb in scenario text, reads the `.verb` attribute."""
-    readers = {path.name for path in MODULES
-               for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-               if isinstance(node, ast.Attribute) and node.attr == "verb"}
+    readers = attribute_readers("verb")
     assert "domain.py" in readers
     assert readers <= {"domain.py", "dsl.py"}, sorted(readers)
+
+
+def test_only_the_world_and_the_scenario_reader_read_a_mount_offset():
+    """`world.mount_anchor` is the one placement of a mounted arm: no
+    module but `world.py` and `dsl.py`, which reads and writes the offset
+    in scenario text, reads the `.mount_off` attribute."""
+    readers = attribute_readers("mount_off")
+    assert "world.py" in readers
+    assert readers <= {"world.py", "dsl.py"}, sorted(readers)

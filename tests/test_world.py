@@ -580,7 +580,7 @@ def oracle_snapshot(world):
     signature pairing them with each object's and agent's rounded pose."""
     facts = set()
     holders = W.held_by(world)
-    supports = W._supported(world)
+    supports = oracle_supports(world)
     for oid in sorted(world.objects):
         obj = world.objects[oid]
         if obj.stack_on is not None:
@@ -631,11 +631,19 @@ def assert_states_match_the_oracle(world):
     for f in fields(WorldState):
         assert getattr(cached, f.name) == getattr(oracle, f.name), f.name
     assert world_signature(world) == oracle.signature
-    assert W._supported(world) == oracle_supports(world)
+    assert world._derivation.children == oracle_supports(world)
 
 
 def workload(name):
     return lambda: parse(WORKLOADS[name].make_text())
+
+
+def recorded(worlds, fn):
+    """`fn`, appending each world it returns to `worlds`."""
+    def wrapper(*args, **kwargs):
+        worlds.append(fn(*args, **kwargs))
+        return worlds[-1]
+    return wrapper
 
 
 @pytest.mark.parametrize("make,config,goal", [
@@ -652,21 +660,37 @@ def test_cached_states_match_the_from_scratch_oracle(make, config, goal, monkeyp
     scratch, and each that `execute` returns with its state derived from
     its parent's."""
     worlds = []
-
-    def recorded(fn):
-        def wrapper(*args, **kwargs):
-            worlds.append(fn(*args, **kwargs))
-            return worlds[-1]
-        return wrapper
-
-    monkeypatch.setattr(planner, "world_from_scenario", recorded(planner.world_from_scenario))
-    monkeypatch.setattr(interface, "execute", recorded(interface.execute))
+    monkeypatch.setattr(planner, "world_from_scenario",
+                        recorded(worlds, planner.world_from_scenario))
+    monkeypatch.setattr(interface, "execute", recorded(worlds, interface.execute))
     status = run_scenario(make(), config).status
     if goal is not None:
         assert (status is FinalStatus.GOAL_ACHIEVED) == goal
         assert len(worlds) > 5
     for world in worlds:
         assert_states_match_the_oracle(world)
+
+
+@pytest.mark.parametrize("make,config", [
+    (workload("habitat"), RunConfig()),
+    (workload("habitat_unclearable"), RunConfig()),
+] + [(lambda seed=seed: blocked_scenario(seed), RunConfig(depth_cap=30, seed=seed))
+     for seed in range(50)],
+    ids=["habitat", "habitat_unclearable"] + [f"blocked{seed}" for seed in range(50)])
+def test_every_mounted_arm_is_anchored_at_its_base_plus_its_offset(make, config, monkeypatch):
+    """After every step a run executes, each mounted arm's anchor is its
+    base's config plus its offset, exactly: a drive adds no float noise to
+    an anchor, which would otherwise drift off its half-cell boundary and
+    into another grid cell."""
+    worlds = []
+    monkeypatch.setattr(interface, "execute", recorded(worlds, interface.execute))
+    run_scenario(make(), config)
+    for world in worlds:
+        for arm in world.agents.values():
+            if arm.mount is not None:
+                base = world.agents[arm.mount].config
+                assert arm.anchor == (base[0] + arm.mount_off[0],
+                                      base[1] + arm.mount_off[1]), arm.id
 
 
 def mounted_world(**arm):
