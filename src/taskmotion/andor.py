@@ -14,7 +14,7 @@ pass over those columns, ending in a level-by-level topological sort
 finds cycles, checks that a leaf reaches the root, and gives every node
 its height. The root and the failure node are the one node of each kind.
 A `GraphBuilder` is the one way to write a template: it collects
-declarations in lists and converts them to columns in bulk. `rows` is
+declarations in lists and converts them to columns in batches. `rows` is
 the one way to read one back, as plain tuples sorted by id, for
 serialization, DOT export and equality. Only `build_graph` and `augment`
 build objects, the `Node`s and `HyperArc`s of the from-scratch pricing
@@ -24,6 +24,7 @@ below.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -254,25 +255,28 @@ class GraphTemplate:
 
 
 class GraphBuilder:
-    """A template's declarations in lists, in declaration order, which
-    `template` converts to columns in a few bulk conversions.
-
-    An id, a child or a weight term is an integer or its decimal string;
-    an arc's weight is `num / den`, which `template` reduces to lowest
-    terms.
+    """A template's declarations in declaration order, which `template`
+    converts to columns. An id, a child or a weight term is an integer or
+    its decimal string; an arc's weight is `num / den`, in lowest terms in
+    the template. Those fields wait in lists until `flush` converts each
+    list to one more batch (`int_column`) and empties it; `template` flushes
+    and joins the batches. Kinds and child offsets are `array`s of numbers.
     """
 
     def __init__(self):
         self.node_ids: list = []
-        self.kinds: list[int] = []
+        self.kinds = array("b")
         self.labels: list[str] = []
         self.arc_ids: list = []
         self.parents: list = []
         self.children: list = []
-        self.child_starts = [0]
+        self.child_starts = array("q", [0])  # offsets into all children, flushed ones too
         self.nums: list = []
         self.dens: list = []
         self.actions: list[tuple[str, ...]] = []
+        self.batches: dict[str, list[np.ndarray]] = {
+            name: [] for name in ("node_ids", "arc_ids", "parents", "children", "nums", "dens")}
+        self.flushed_children = 0
 
     def node(self, nid, kind: NodeKind, label: str):
         self.node_ids.append(nid)
@@ -284,19 +288,27 @@ class GraphBuilder:
         self.arc_ids.append(aid)
         self.parents.append(parent)
         self.children.extend(children)
-        self.child_starts.append(len(self.children))
+        self.child_starts.append(self.flushed_children + len(self.children))
         self.nums.append(num)
         self.dens.append(den)
         self.actions.append(actions)
 
+    def flush(self):
+        self.flushed_children += len(self.children)
+        for name, batches in self.batches.items():
+            batches.append(int_column(getattr(self, name)))
+            getattr(self, name).clear()
+
     def template(self) -> GraphTemplate:
-        num, den = int_column(self.nums), int_column(self.dens)
+        self.flush()
+        for batches in self.batches.values():  # joined into one: the template's column
+            if len(batches) > 1:
+                batches[:] = [np.concatenate(batches)]
+        ids, arc_ids, parents, children, num, den = (b[0] for b in self.batches.values())
         common = np.gcd(num, den)
-        return GraphTemplate(int_column(self.node_ids), np.array(self.kinds, dtype=np.int8),
-                             tuple(self.labels), int_column(self.arc_ids),
-                             int_column(self.parents), np.array(self.child_starts),
-                             int_column(self.children), num // common, den // common,
-                             tuple(self.actions))
+        return GraphTemplate(ids, np.array(self.kinds, dtype=np.int8), tuple(self.labels),
+                             arc_ids, parents, np.array(self.child_starts), children,
+                             num // common, den // common, tuple(self.actions))
 
 
 @dataclass

@@ -70,10 +70,11 @@ a decimal or a fraction with a non-zero denominator, and an optional
 trailing comment. Their fields go to the builder as strings. Every other
 line, including each one that is wrong, goes through the token cursor,
 which alone makes diagnostics and gives the builder the same fields as
-integers. When the section ends the builder converts its lists to the
-integer columns of an `andor.GraphTemplate` in a few bulk conversions,
-and the template is validated over those columns; an error about a node
-or an arc is located through the line kept for each declaration.
+integers. `take` has the builder convert the numeric fields to integer
+batches every `_BATCH` lines, joined into the columns of an
+`andor.GraphTemplate` when the section ends. The text's lines are dropped
+when the line loop ends, before the main graph is built and validated; an
+error about a node or an arc is located through the line kept for each.
 `serialize` writes a graph from the template's `rows`.
 
 Parsing fails fast: the first problem raises one diagnostic carrying the
@@ -87,6 +88,7 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -328,6 +330,7 @@ _ARC_LINE = re.compile(
     r'(?:/([1-9][0-9]{0,17}+)|\.([0-9]{1,18}+))?+'
     r'(?:[ \t]++actions((?:[ \t]++[A-Za-z_][A-Za-z0-9_]*+)++))?+[ \t]*+(?:#.*)?+')
 _KIND_CODE = {kind.value: KINDS.index(kind) for kind in NodeKind}
+_BATCH = 2048  # plain graph lines read between two conversions of their numeric fields
 
 
 class _GraphSection(GraphBuilder):
@@ -340,19 +343,22 @@ class _GraphSection(GraphBuilder):
 
     def __init__(self):
         super().__init__()
-        self.node_lines: list[int] = []
-        self.arc_lines: list[int] = []
+        self.node_lines, self.arc_lines = array("q"), array("q")
         self.action_tuples: dict[str | None, tuple[str, ...]] = {None: ()}  # by field text
 
     def take(self, lines: list[str], index: int) -> int:
-        """Read `lines[index:]` up to the first line that is not of a plain
-        shape, and return its index (`len(lines)` if there is none)."""
+        """Read `lines[index:]` up to the first line not of a plain shape,
+        flushing every `_BATCH` lines; return its index (or `len(lines)`)."""
         arc_line, node_line = _ARC_LINE.fullmatch, _NODE_LINE.fullmatch
         arc_ids, parents, nums, dens = self.arc_ids, self.parents, self.nums, self.dens
         children, child_starts, actions = self.children, self.child_starts, self.actions
         node_ids, kinds, labels = self.node_ids, self.kinds, self.labels
         arc_lines, node_lines, action_tuples = self.arc_lines, self.node_lines, self.action_tuples
+        flush_at, flushed = index + _BATCH, self.flushed_children
         for index in range(index, len(lines)):
+            if index == flush_at:
+                self.flush()
+                flush_at, flushed = index + _BATCH, self.flushed_children
             match = arc_line(lines[index])
             if match is not None:
                 aid, parent, kids, num, den, decimals, names = match.groups()
@@ -361,7 +367,7 @@ class _GraphSection(GraphBuilder):
                 arc_ids.append(aid)
                 parents.append(parent)
                 children.extend(kids.split())
-                child_starts.append(len(children))
+                child_starts.append(flushed + len(children))
                 nums.append(num)
                 dens.append(den or 1)
                 named = action_tuples.get(names)
@@ -469,6 +475,7 @@ class _Parser:
                 raise ParseError("content before any section", head.line, head.col,
                                  ("scenario <name>",) + SECTIONS)
             getattr(self, f"_line_{self.section}")(cur)
+        self.end_line, self.lines = len(self.lines) + 1, ()  # freed before the main graph's build
         self._resolve()
         return self.scenario
 
@@ -696,8 +703,7 @@ class _Parser:
     def _resolve(self):
         scn = self.scenario
         if self.bounds_line is None:
-            raise ResolveError("missing bounds line in OBJECTS",
-                               len(self.lines) + 1, 1)
+            raise ResolveError("missing bounds line in OBJECTS", self.end_line, 1)
         scn.init, scn.goal = tuple(self.init), tuple(self.goal)
         entities = scn.entity_ids()
         predicates = scn.all_predicates()
@@ -763,14 +769,13 @@ class _Parser:
                     raise ResolveError(f"exclusive predicate {fact.predicate}: "
                                        f"{fact.text()} conflicts with {first.text()}", line, 1)
         if not scn.goal:
-            raise ResolveError("GOAL section must state at least one fact",
-                               len(self.lines) + 1, 1)
+            raise ResolveError("GOAL section must state at least one fact", self.end_line, 1)
         for fact in scn.goal:
             self._check_fact(fact, predicates, entities,
                              self.decl_lines.get(("goal", fact), 1))
 
-        if not self.graph_section.node_ids:
-            raise ResolveError("missing GRAPH section", len(self.lines) + 1, 1)
+        if not self.graph_section.kinds:
+            raise ResolveError("missing GRAPH section", self.end_line, 1)
         scn.graph = self._template(self.graph_section, "graph", self.graph_line, 1)
         self._check_template(scn.graph, self.graph_section, predicates)
         for name, template in scn.stages.items():

@@ -1,10 +1,13 @@
 """Scenario language tests: round trips, canonical form, diagnostics."""
 
 import functools
+import gc
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -188,6 +191,8 @@ MALFORMED = [
     ("m19_huge_bounds.scn", ParseError, 3, 1),
     ("m20_stage_missing_end.scn", ParseError, 13, 1),
     ("m21_transit_moves_object.scn", ResolveError, 9, 8),
+    # One past the last line, counted before the parser drops the text's lines.
+    ("m22_missing_graph.scn", ResolveError, 10, 1),
 ]
 
 # Each fixture's diagnostic as `str` gives it after the location: the
@@ -216,6 +221,7 @@ MESSAGES = {
     "m19_huge_bounds.scn": "bounds span 10000000000200000000001 grid cells, more than 1000000",
     "m20_stage_missing_end.scn": "stage clear_z missing end (expected end)",
     "m21_transit_moves_object.scn": "action drive: a transit action moves no object",
+    "m22_missing_graph.scn": "missing GRAPH section",
 }
 
 
@@ -687,6 +693,115 @@ def test_an_error_deep_in_a_large_graph_names_its_line(plant, message, monkeypat
     got = outcome(text)
     assert got == outcome_by_cursor(text, monkeypatch)
     assert got[1:3] == (message, at + 1)
+
+
+def hanoi6_dual_lines() -> tuple[list[str], list[int]]:
+    """The lines of the hanoi 6 dual text, whose main graph ends the file,
+    and the index of each line at which `take`, reading that graph from its
+    first line, converts the fields read so far into a batch."""
+    lines = benchmark_texts()["hanoi6_dual"].splitlines()
+    flushes = list(range(lines.index("GRAPH") + 1 + dsl._BATCH, len(lines), dsl._BATCH))
+    assert len(flushes) >= 3 and lines[-1].startswith("arc ")
+    return lines, flushes
+
+
+def test_take_holds_the_strings_of_one_batch_and_builds_what_one_conversion_does(
+        monkeypatch):
+    lines, flushes = hanoi6_dual_lines()
+    assert lines[flushes[0]].startswith("node ") and lines[flushes[-1]].startswith("arc ")
+    graph = lines[lines.index("GRAPH") + 1:]
+    batched = dsl._GraphSection()
+    assert batched.take(graph, 0) == len(graph)
+    pending = len(batched.node_ids) + len(batched.arc_ids)
+    assert 0 < pending == len(graph) - len(flushes) * dsl._BATCH
+    assert all(len(batches) == len(flushes) for batches in batched.batches.values())
+    monkeypatch.setattr(dsl, "_BATCH", len(graph) + 1)
+    whole = dsl._GraphSection()
+    assert whole.take(graph, 0) == len(graph)
+    assert not any(whole.batches.values())
+    assert (batched.node_lines, batched.arc_lines) == (whole.node_lines, whole.arc_lines)
+    by_batches, at_once = batched.template(), whole.template()
+    assert declarations(by_batches) == declarations(at_once)
+    assert all(getattr(by_batches, name).dtype == getattr(at_once, name).dtype == np.int64
+               for name in ("ids", "arc_ids", "parents", "child_starts", "children",
+                            "weight_num", "weight_den"))
+
+
+@pytest.mark.parametrize("where", ["after a boundary", "last batch"])
+@pytest.mark.parametrize("plant,message", [
+    (lambda line: re.sub(r" weight \d+", " weight 1/0", line), "zero denominator"),
+    (lambda line: re.sub(r" children [\d ]+ weight", " children 99999 weight", line),
+     "graph: arc {aid}: unknown child 99999"),
+    (lambda line: re.sub(r"^arc \d+", "arc 1", line), "graph: arc id 1 declared twice"),
+])
+def test_an_error_after_a_batch_boundary_names_its_line_as_the_cursor_does(
+        where, plant, message, monkeypatch):
+    lines, flushes = hanoi6_dual_lines()
+    at = (len(lines) - 1 if where == "last batch"
+          else next(i for i in flushes if lines[i].startswith("arc ")))
+    aid = lines[at].split()[1]
+    lines[at] = plant(lines[at])
+    text = "\n".join(lines) + "\n"
+    got = outcome(text)
+    assert got == outcome_by_cursor(text, monkeypatch)
+    assert got[1:3] == (message.format(aid=aid), at + 1)
+
+
+def test_a_duplicate_node_after_a_batch_boundary_names_its_line_as_the_cursor_does(
+        monkeypatch):
+    lines, flushes = hanoi6_dual_lines()
+    at = flushes[0]
+    lines[at] = re.sub(r"^node \d+", "node 1", lines[at])
+    text = "\n".join(lines) + "\n"
+    got = outcome(text)
+    assert got == outcome_by_cursor(text, monkeypatch)
+    assert got[1:4] == ("graph: node id 1 declared twice", at + 1, 1)
+
+
+@pytest.mark.parametrize("field", ["arc id", "weight"])
+def test_a_value_beyond_64_bits_after_a_batch_boundary_gives_an_object_column(
+        field, monkeypatch):
+    """Read by the cursor into a later batch, the value turns the whole
+    column into Python integers, as converting it at once does."""
+    lines, flushes = hanoi6_dual_lines()
+    at = next(i for i in flushes if lines[i].startswith("arc "))
+    if field == "arc id":
+        lines[at] = re.sub(r"^arc \d+", f"arc {10**19 + 7}", lines[at])
+    else:
+        lines[at] = re.sub(r" weight \d+", f" weight {2**64 + 1}", lines[at])
+    text = "\n".join(lines) + "\n"
+    graph = parse(text).graph
+    with monkeypatch.context() as patch:
+        cursor_only(patch)
+        by_tokens = parse(text).graph
+    column = graph.arc_ids if field == "arc id" else graph.weight_num
+    assert column.dtype == object and graph.ids.dtype == np.int64
+    assert {type(value) for value in column.tolist()} == {int}
+    assert graph.rows() == by_tokens.rows()
+    assert declarations(graph) == declarations(by_tokens)
+
+
+def parse_memory(text: str) -> tuple[int, int]:
+    """What parsing `text` keeps (the scenario) and the peak it reaches, in
+    bytes, counted by tracemalloc from just before the parse."""
+    parse(read("hanoi3.scn"))  # the first parse's one-time allocations
+    gc.collect()
+    tracemalloc.start()
+    try:
+        scn = parse(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scn.graph is not None
+    return kept, peak
+
+
+@pytest.mark.parametrize("disks,bound", [(6, 3.5), (8, 4.5)])
+def test_a_large_graph_parses_within_a_few_times_what_it_keeps(disks, bound):
+    # The text's lines, the strings of the numeric fields and the column
+    # pass's temporaries are all that the parse holds beyond its result.
+    kept, peak = parse_memory(serialize(gen_hanoi(disks)))
+    assert peak <= bound * kept, (peak, kept)
 
 
 # ---------------------------------- possessive patterns and one-pass lexer
