@@ -21,18 +21,22 @@ holds only what differs between instantiations: its leaf truths, read
 from the facts it was instantiated against. An entry never changes; an
 executed step is followed by a new entry, or the run ends.
 
-When the newest entry is first searched, its ready arcs, those whose
-children all hold, are found by counting: each true leaf's parent arcs,
-read from a child-to-arcs index, are counted once per child with one
+When the newest entry is first searched, it is priced once, in one pass
+that touches only its solved part. Its ready arcs, those whose children
+all hold, are found by counting: each true leaf's parent arcs, read from
+a child-to-arcs index, are counted once per child with one
 `np.bincount`, and an arc is ready when its count reaches its number of
 children (the counter per clause of Dowling & Gallier's linear-time Horn
-satisfiability, 1984). That touches only the true leaves' parent arcs,
-not every child of the graph. The network keeps the mask of the entry
-last searched, never on the entry. When a selection needs them, the
-entry is priced once: the bottom-up min-cost evaluation of AO*
-(Martelli & Montanari, 1973), one level of equal height at a time over
-numpy arrays. The first level reads its arc totals off the ready mask;
-each higher level gathers its children's costs.
+satisfiability, 1984). The count is then carried up the graph as in
+Knuth's generalization of Dijkstra's algorithm to superior functions
+(1977): the solved nodes are taken in position order, which runs by
+height, so each is taken once, after all of its arcs are final, and
+counts its own parent arcs. An arc whose count reaches its arity is
+complete and totals its weight plus its children's costs, in exact
+Python integers; a node keeps its least (total, place). That is the
+bottom-up min-cost evaluation of AO* (Martelli & Montanari, 1973)
+restricted to the finite costs. The network keeps the result for the
+entry last searched, never on the entry.
 
 Candidates are drawn from the newest graph only. A node is a candidate
 when at least one of its incoming arcs has only true leaves as children,
@@ -42,11 +46,13 @@ tested for the last two. Selection prefers arcs on the minimal-cost
 solution of the graph; when the root is currently unsolvable it falls
 back to the cheapest applicable arc with the lowest arc id. A
 candidate's total is read from the priced totals at its arc's place,
-and the solution is a map from node to place.
+and the solution is the set of places reached from the root through
+each solved node's cheapest arc.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -110,66 +116,61 @@ OBSTRUCTION_PREDICATE = "obstructs"
 DEFAULT_DEPTH_CAP = 512  # the most graphs a network holds unless told otherwise
 
 
-class _Level(NamedTuple):
-    """The priced nodes of one height as slices of positions, places and `children`."""
+class Priced(NamedTuple):
+    """What `CompiledGraph.price` finds for one set of true leaves: the
+    enabled places, by parent id then arc id; each solved priced node's
+    cost and the place of its cheapest arc, by position; and each arc's
+    total by place, for every arc whose children are all solved."""
 
-    nodes: slice
-    arcs: slice
-    children: slice
-    arc_starts: np.ndarray  # each arc's first index in the level's children
-    node_starts: np.ndarray  # each node's first arc, counted from `arcs.start`
+    enabled: list[int]
+    best: dict[int, tuple[int, int]]
+    totals: dict[int, int]
 
 
 class CompiledGraph:
     """A validated template, flattened once for repeated pricing and search.
 
     Arc weights are scaled to integers by the least common multiple of
-    their denominators, so costs are exact integers that order and tie
-    exactly like the rational costs of `andor`; a finite cost divided by
-    `scale` is the rational one. An unsolved node costs `inf`, one above
-    a bound on every finite cost. Weights are never negative, so clamping
-    every arc total to `inf` is exact.
+    their denominators, so costs are exact Python integers that order and
+    tie exactly like the rational costs of `andor`; a cost divided by
+    `scale` is the rational one. Only finite costs are computed: a node or
+    arc that `price` does not report is unsolved.
 
     The root and the internal nodes with arcs are priced. A node's level
     is its height from `template.checked`, the longest chain of arcs down
     to a node that is not priced (a leaf, the failure node or a node
-    without arcs); those make up level 0. Nodes have positions in the cost
-    array, by level then id; `ids` and `pos` map between the two. Each arc
-    of a priced node, which is every arc but the failure node's, has one
-    place, node by node in position order and by id within a node, so the
-    node at position p owns places `arc_start[p]` up to `arc_start[p + 1]`.
-    A place indexes `price`'s totals, `parents`, `weights`, `arc_ids`,
-    `decl` (the arc's declaration index in the template) and
-    `child_start`, which bounds the arc's children in `children`.
-    Everything is gathered from the template's columns with numpy; no
-    node or arc object is built.
+    without arcs); those make up level 0. Nodes have positions, by level
+    then id; `ids` gives each position's id, and a priced node's children
+    all have lower positions than it. Each arc of a priced node, which is
+    every arc but the failure node's, has one place, node by node in
+    position order and by id within a node, so a node's lowest place is
+    its lowest arc id. A place indexes `parents` (the parent's position),
+    `weights`, `arc_ids`, `arity` (its number of children), `decl` (the
+    arc's declaration index in the template) and `child_start`, which bounds
+    the arc's children, as positions, in `children`. Everything is gathered
+    from the template's columns with numpy; no node or arc object is built.
 
-    `fan_out` indexes `children` the other way round for the leaves: by
-    leaf id, the places of the leaf's parent arcs, once per child slot,
-    as slices of one compact integer column sorted by child (CSR). With
-    `arity`, each place's number of children, `ready` counts the true
-    leaves' parent arcs in one `np.bincount`, and `enabled` reads the ready
-    mask in `by_parent_id` order. Nodes of one level never depend on each
-    other, so `price` evaluates a level in a few numpy operations over
-    its `_Level` slices: the first level, whose children are all at level
-    0, from the ready mask alone, each higher one in segment reductions
-    of its children's costs. Costs are `int64` when every unclamped
-    arc total fits, and Python integers in an object array otherwise,
-    through the same code. The graph is shared by every entry and never
-    mutated: its leaves all stay false.
+    `fan` and `fan_start` index `children` the other way round: by
+    position, the places of the node's parent arcs, once per child slot,
+    as slices of one column sorted by child (CSR); `fan_out` holds the
+    leaves' slices by leaf id. `price` counts, per arc, its children known
+    to be solved: first the true leaves' parent arcs in one `np.bincount`,
+    then, taking the solved priced nodes in position order, each one's
+    parent arcs. An arc is complete when its count reaches its arity. The
+    graph is shared by every entry and never mutated: its leaves all stay
+    false.
     """
 
     def __init__(self, template: GraphTemplate):
         checked = template.checked
         self.template = template
-        self.root = template.root
         height = checked.height
         by_id = np.argsort(template.ids, kind="stable")
         node_at = by_id[np.argsort(height[by_id], kind="stable")]  # declaration index by position
-        self.ids = template.ids[node_at].tolist()
-        self.pos = dict(zip(self.ids, range(len(self.ids))))
+        self.ids = template.ids[node_at]
         pos_of = np.empty(len(node_at), dtype=np.intp)
         pos_of[node_at] = np.arange(len(node_at))
+        self.root_pos = int(pos_of[checked.root])
         self.labels = np.array(template.labels, dtype=object)[node_at]
         # Places: the priced arcs by parent position, then by id.
         parent_pos = pos_of[checked.parent]
@@ -177,111 +178,84 @@ class CompiledGraph:
         priced = priced[np.argsort(template.arc_ids[priced], kind="stable")]
         self.decl = priced[np.argsort(parent_pos[priced], kind="stable")]
         self.parents = parent_pos[self.decl]
-        self.arc_start = np.concatenate(
-            ([0], np.cumsum(np.bincount(self.parents, minlength=len(node_at)))))
-        self.by_parent_id = np.argsort(template.parents[self.decl], kind="stable")
         self.arc_ids = template.arc_ids[self.decl]
         declared_start = template.child_starts[self.decl]
         count = template.child_starts[self.decl + 1] - declared_start
         self.child_start = np.concatenate(([0], np.cumsum(count)))
-        arc_starts = self.child_start[:-1]
-        self.children = pos_of[checked.child[np.repeat(declared_start - arc_starts, count)
+        self.children = pos_of[checked.child[np.repeat(declared_start - self.child_start[:-1],
+                                                       count)
                                              + np.arange(self.child_start[-1])]]
-        # Each leaf's parent arcs, one place per entry of `children` that
-        # holds the leaf: views of one column of places sorted by child.
+        # Each node's parent arcs, one place per entry of `children` that
+        # holds the node: slices of one column of places sorted by child.
         self.arity = count.astype(np.min_scalar_type(count.max()))
-        fan = np.repeat(np.arange(len(self.decl), dtype=np.min_scalar_type(len(self.decl))),
-                        count)[np.argsort(self.children, kind="stable")]
-        fan_start = np.concatenate(
+        self.fan = np.repeat(np.arange(len(self.decl), dtype=np.min_scalar_type(len(self.decl))),
+                             count)[np.argsort(self.children, kind="stable")]
+        self.fan_start = np.concatenate(
             ([0], np.cumsum(np.bincount(self.children, minlength=len(node_at)))))
         leaves = np.flatnonzero(template.kinds == KINDS.index(NodeKind.LEAF))
         at = pos_of[leaves]
-        self.fan_out = {lid: fan[start:stop] for lid, start, stop in zip(
-            template.ids[leaves].tolist(), fan_start[at].tolist(), fan_start[at + 1].tolist())}
+        self.fan_out = {lid: self.fan[start:stop] for lid, start, stop in zip(
+            template.ids[leaves].tolist(), self.fan_start[at].tolist(),
+            self.fan_start[at + 1].tolist())}
         self.scale = math.lcm(*set(template.weight_den.tolist()))
-        weights = (template.weight_num[self.decl].astype(object)
-                   * (self.scale // template.weight_den[self.decl].astype(object)))
-        self.levels = []
-        level_of = height[node_at]
-        bounds = np.flatnonzero(np.diff(level_of)) + 1
-        for lo, hi in zip(bounds, [*bounds[1:], len(node_at)]):
-            first, last = self.arc_start[lo], self.arc_start[hi]
-            self.levels.append(_Level(slice(lo, hi), slice(first, last),
-                                      slice(self.child_start[first], self.child_start[last]),
-                                      arc_starts[first:last] - self.child_start[first],
-                                      self.arc_start[lo:hi] - first))
-        # Every finite cost is at most its node's most expensive derivation.
-        bound = np.zeros(len(node_at), dtype=object)
-        for level in self.levels:
-            totals = (np.add.reduceat(bound[self.children[level.children]], level.arc_starts)
-                      + weights[level.arcs])
-            bound[level.nodes] = np.maximum.reduceat(totals, level.node_starts)
-        self.inf = int(bound.max()) + 1
-        # An unclamped total is below (arity + 1) * inf: `arity` child costs
-        # of at most `inf` each plus a weight below it.
-        arity = int(np.diff(template.child_starts).max(initial=0))
-        self.dtype = np.int64 if (arity + 1) * self.inf < 2**62 else object
-        self.weights = weights.astype(self.dtype)
+        self.weights = (template.weight_num[self.decl].astype(object)
+                        * (self.scale // template.weight_den[self.decl].astype(object)))
         self.leaf_facts: tuple[tuple[int, Fact], ...] = tuple(_leaf_facts(template))
 
-    def ready(self, true_leaves: Collection[int]) -> np.ndarray:
-        """Whether each place's children are all among `true_leaves`, ids of
-        leaves, by place: an arc is ready when the true leaves' parent
-        arcs, counted once per child, count it `arity` times."""
+    def price(self, true_leaves: Collection[int]) -> Priced:
+        """The enabled places, the cheapest arcs and the arc totals when
+        exactly `true_leaves`, ids of leaves, hold.
+
+        The true leaves' parent arcs, counted once per child, count an arc
+        `arity` times when its children all hold: it is enabled, and its
+        total is its weight. Then each solved node is taken in position
+        order, after all of its children, so its cost is final: it adds
+        one to the count of each of its parent arcs, and an arc whose count
+        reaches its arity totals its weight plus its children's costs.
+        A node keeps the least (total, place) of its complete arcs.
+        """
         # The empty first part makes no true leaves count nothing.
         held = np.concatenate([self.arity[:0], *map(self.fan_out.__getitem__, true_leaves)])
-        return np.bincount(held, minlength=len(self.decl)) == self.arity
+        missing = self.arity - np.bincount(held, minlength=len(self.decl))
+        ready = np.flatnonzero(missing == 0)
+        enabled = ready[np.argsort(self.ids[self.parents[ready]], kind="stable")].tolist()
+        best: dict[int, tuple[int, int]] = {}
+        totals: dict[int, int] = {}
+        queue: list[int] = []  # a heap of the solved nodes' positions not yet taken
+        complete = ready.tolist()
+        while True:
+            for place in complete:
+                total = totals[place] = self.weights[place] + sum(
+                    best[child][0] for child in
+                    self.children[self.child_start[place]:self.child_start[place + 1]].tolist()
+                    if child in best)  # a child not in `best` is a true leaf
+                parent = int(self.parents[place])
+                if parent not in best:
+                    heapq.heappush(queue, parent)
+                    best[parent] = (total, place)
+                elif (total, place) < best[parent]:
+                    best[parent] = (total, place)
+            if not queue:
+                break
+            node = heapq.heappop(queue)
+            complete = []
+            for place in self.fan[self.fan_start[node]:self.fan_start[node + 1]].tolist():
+                missing[place] -= 1
+                if not missing[place]:
+                    complete.append(place)
+        return Priced(enabled, best, totals)
 
-    def enabled(self, ready: np.ndarray) -> list[int]:
-        """The places that `ready` holds, by parent id then arc id."""
-        return self.by_parent_id[ready[self.by_parent_id]].tolist()
-
-    def price(self, true_leaves: Collection[int],
-              ready: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Scaled cost of every node by position and total of every arc by
-        place, both clamped to `inf`, when exactly `true_leaves` hold;
-        `ready` is `self.ready(true_leaves)`."""
-        cost = np.full(len(self.ids), self.inf, dtype=self.dtype)
-        cost[[self.pos[lid] for lid in true_leaves]] = 0
-        totals = np.empty(len(self.decl), dtype=self.dtype)
-        # The first level's children are all at level 0, where only the true
-        # leaves cost 0: an arc there totals its weight when ready, else
-        # `inf`, and only its ready arcs can lower their parent's cost.
-        first, *higher = self.levels
-        totals[first.arcs] = np.where(ready[first.arcs], self.weights[first.arcs], self.inf)
-        hits = first.arcs.start + ready[first.arcs].nonzero()[0]
-        np.minimum.at(cost, self.parents[hits], self.weights[hits])
-        for nodes, arcs, children, arc_starts, node_starts in higher:
-            level_totals = np.add.reduceat(cost[self.children[children]], arc_starts,
-                                           out=totals[arcs])
-            level_totals += self.weights[arcs]
-            np.minimum(level_totals, self.inf, out=level_totals)
-            cost[nodes] = np.minimum.reduceat(level_totals, node_starts)
-        return cost, totals
-
-    def cheapest(self, cost: np.ndarray, totals: np.ndarray, nid: int) -> int | None:
-        """The place of the cheapest arc into a solved priced node, ties to
-        the lowest arc id (argmin takes the first minimum); None for any
-        other node."""
-        p = self.pos[nid]
-        start, stop = self.arc_start[p], self.arc_start[p + 1]
-        if start == stop or cost[p] >= self.inf:
-            return None
-        return int(start + np.argmin(totals[start:stop]))
-
-    def solution(self, cost: np.ndarray, totals: np.ndarray) -> dict[int, int]:
-        """The place of the arc `andor.solution_subgraph` picks for each node
-        it picks one for, from one `price` result."""
-        chosen: dict[int, int] = {}
-        stack = [self.root]
+    def solution(self, best: dict[int, tuple[int, int]]) -> set[int]:
+        """The places of the arcs that `andor.solution_subgraph` picks, read
+        from `best` of one `price`: the cheapest arc of each solved node
+        reached from the root through cheapest arcs."""
+        chosen = set()
+        stack = [self.root_pos]
         while stack:
-            nid = stack.pop()
-            if nid in chosen:
-                continue
-            place = self.cheapest(cost, totals, nid)
-            if place is not None:
-                chosen[nid] = place
-                stack.extend(self.ids[p] for p in self.children[
+            node = stack.pop()
+            if node in best and (place := best[node][1]) not in chosen:
+                chosen.add(place)
+                stack.extend(self.children[
                     self.child_start[place]:self.child_start[place + 1]].tolist())
         return chosen
 
@@ -335,10 +309,8 @@ class GraphNetwork:
         self.suppressed: set[tuple[str, tuple[str, ...], str]] = set()
         self._states: set[tuple] = set()
         self._main: CompiledGraph | None = None
-        # (entry, ready mask, costs, arc totals) of the entry last searched;
-        # the costs and totals are None until a selection needs them.
-        self._pricing: tuple[GraphEntry, np.ndarray, np.ndarray | None,
-                             np.ndarray | None] | None = None
+        # The entry last searched and its `CompiledGraph.price`.
+        self._pricing: tuple[GraphEntry, Priced] | None = None
 
     # -- structure ---------------------------------------------------------
 
@@ -369,22 +341,13 @@ class GraphNetwork:
         self.entries.append(entry)
         return entry
 
-    def _ready(self) -> np.ndarray:
-        """`CompiledGraph.ready` of the newest entry, computed once per entry;
+    def _priced(self) -> Priced:
+        """`CompiledGraph.price` of the newest entry, computed once per entry;
         its leaf truths never change."""
         entry = self.latest
         if self._pricing is None or self._pricing[0] is not entry:
-            self._pricing = (entry, entry.compiled.ready(entry.true_leaves), None, None)
+            self._pricing = (entry, entry.compiled.price(entry.true_leaves))
         return self._pricing[1]
-
-    def _priced(self) -> tuple[np.ndarray, np.ndarray]:
-        """`CompiledGraph.price` of the newest entry, computed once per entry,
-        after `frontier` has found its ready arcs."""
-        entry, ready, cost, totals = self._pricing
-        if cost is None:
-            cost, totals = entry.compiled.price(entry.true_leaves, ready)
-            self._pricing = (entry, ready, cost, totals)
-        return cost, totals
 
     # -- candidate enumeration and selection --------------------------------
 
@@ -395,7 +358,7 @@ class GraphNetwork:
         entry = self.latest
         compiled = entry.compiled
         out = []
-        for place in compiled.enabled(self._ready()):
+        for place in self._priced().enabled:
             names = compiled.template.actions[compiled.decl[place]]
             label = compiled.labels[compiled.parents[place]]
             if (label, names, world_sig) in self.suppressed:
@@ -403,7 +366,7 @@ class GraphNetwork:
             actions = tuple(self.actions[name] for name in names)
             if not chain_applicable(facts, actions):
                 continue
-            out.append(Candidate(compiled.ids[compiled.parents[place]], label, place,
+            out.append(Candidate(int(compiled.ids[compiled.parents[place]]), label, place,
                                  int(compiled.arc_ids[place]), actions))
         return out
 
@@ -412,12 +375,13 @@ class GraphNetwork:
         candidates = self.frontier(facts, world_sig)
         if not candidates:
             return None
-        cost, totals = self._priced()
-        chosen = self.latest.compiled.solution(cost, totals)
-        on_solution = [c for c in candidates if chosen.get(c.node_id) == c.place]
-        # Unsolved totals are all `inf`, above every finite one, so they
-        # come last and tie on to the arc id, unique in a template.
-        return min(on_solution or candidates, key=lambda c: (totals[c.place], c.arc_id))
+        _, best, totals = self._priced()
+        chosen = self.latest.compiled.solution(best)
+        on_solution = [c for c in candidates if c.place in chosen]
+        # An unsolved arc has no total and comes last; ties go to the arc
+        # id, unique in a template.
+        return min(on_solution or candidates,
+                   key=lambda c: (totals.get(c.place, math.inf), c.arc_id))
 
     def suppress(self, candidate: Candidate, world_sig: Signature):
         label, names = candidate.key()

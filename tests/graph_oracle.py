@@ -8,15 +8,15 @@ references follow: the object validator, which reads the declarations
 one at a time into Python dicts and runs Kahn's algorithm node by node,
 for the column pass of `GraphTemplate.checked`; and the serialized lines
 and the DOT text that `dsl` and `andor` once rendered from the objects,
-for the renderings from `GraphTemplate.rows`. Last come the gather and
-segment reductions over every entry of `CompiledGraph.children` that
-found the ready arcs and priced every level before the graph counted its
-true leaves' parent arcs, for `CompiledGraph.ready`, `enabled` and
-`price`.
+for the renderings from `GraphTemplate.rows`. Last come the ready arcs,
+the enabled arcs and the costs of every node and arc, computed from the
+template's columns alone, one height at a time over every child, for the
+one pass of `CompiledGraph.price` that prices only the solved part.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
@@ -42,7 +42,6 @@ from taskmotion.andor import (
     escape_label,
 )
 from taskmotion.dsl import fmt_weight
-from taskmotion.network import CompiledGraph
 
 
 @dataclass(frozen=True)
@@ -234,31 +233,49 @@ def _topological_height(nodes: Mapping[int, Node], by_parent: Mapping[int, list[
     return height
 
 
-def oracle_ready(compiled: CompiledGraph, true_leaves: Collection[int]) -> np.ndarray:
-    """Whether each place's children all hold: one reduction of an achieved
-    mask gathered at every entry of `children`."""
-    mask = np.zeros(len(compiled.ids), dtype=bool)
-    mask[[compiled.pos[lid] for lid in true_leaves]] = True
-    return np.logical_and.reduceat(mask[compiled.children], compiled.child_start[:-1])
+def oracle_ready(template: GraphTemplate, true_leaves: Collection[int]) -> np.ndarray:
+    """Whether each arc's children are all among `true_leaves`, by
+    declaration index: one reduction of a holding mask gathered at every
+    entry of `children`."""
+    holds = np.isin(template.children, np.array(sorted(true_leaves), dtype=object))
+    return np.logical_and.reduceat(holds, template.child_starts[:-1])
 
 
-def oracle_enabled(compiled: CompiledGraph, true_leaves: Collection[int]) -> list[int]:
-    """The places of the arcs whose children all hold, by parent id then arc id."""
-    ready = oracle_ready(compiled, true_leaves)
-    return compiled.by_parent_id[ready[compiled.by_parent_id]].tolist()
+def oracle_enabled(template: GraphTemplate, true_leaves: Collection[int]) -> list[int]:
+    """The ids of the arcs into root or internal nodes whose children all
+    hold, by parent id then arc id."""
+    priced = np.isin(template.kinds[template.checked.parent],
+                     [KINDS.index(NodeKind.ROOT), KINDS.index(NodeKind.INTERNAL)])
+    arcs = np.flatnonzero(oracle_ready(template, true_leaves) & priced).tolist()
+    return [aid for _, aid in sorted((int(template.parents[j]), int(template.arc_ids[j]))
+                                     for j in arcs)]
 
 
-def oracle_price(compiled: CompiledGraph,
-                 true_leaves: Collection[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Every node's cost by position and every arc's total by place, each
-    level gathered from the costs below it and reduced by segments."""
-    cost = np.full(len(compiled.ids), compiled.inf, dtype=compiled.dtype)
-    cost[[compiled.pos[lid] for lid in true_leaves]] = 0
-    totals = np.empty(len(compiled.decl), dtype=compiled.dtype)
-    for nodes, arcs, children, arc_starts, node_starts in compiled.levels:
-        level_totals = np.add.reduceat(cost[compiled.children[children]], arc_starts,
-                                       out=totals[arcs])
-        level_totals += compiled.weights[arcs]
-        np.minimum(level_totals, compiled.inf, out=level_totals)
-        cost[nodes] = np.minimum.reduceat(level_totals, node_starts)
-    return cost, totals
+def oracle_price(template: GraphTemplate, true_leaves: Collection[int]
+                 ) -> tuple[int, np.ndarray, np.ndarray]:
+    """The scale, every node's cost by declaration index and every arc's
+    total by declaration index, when exactly `true_leaves` hold.
+
+    Weights are scaled to Python integers by the least common multiple of
+    their denominators; an unsolved node or arc costs `math.inf`. The
+    nodes of each height, from `template.checked`, are priced at once,
+    from every child cost of their arcs: a gather and a segment sum per
+    height. The failure node and nodes without arcs have height 0 and
+    stay unsolved, as do false leaves."""
+    checked = template.checked
+    scale = math.lcm(*set(template.weight_den.tolist()))
+    weights = template.weight_num.astype(object) * (scale // template.weight_den.astype(object))
+    cost = np.full(len(template.ids), math.inf, dtype=object)
+    cost[np.isin(template.ids, np.array(sorted(true_leaves), dtype=object))] = 0
+    totals = np.full(len(template.arc_ids), math.inf, dtype=object)
+    arity = np.diff(template.child_starts)
+    up = checked.height[checked.parent]  # each arc's parent's height
+    for height in range(1, int(checked.height.max(initial=0)) + 1):
+        arcs = np.flatnonzero(up == height)
+        ends = np.cumsum(arity[arcs])
+        slots = (np.repeat(template.child_starts[arcs] - ends + arity[arcs], arity[arcs])
+                 + np.arange(ends[-1]))
+        totals[arcs] = (np.add.reduceat(cost[checked.child[slots]], ends - arity[arcs])
+                        + weights[arcs])
+        np.minimum.at(cost, checked.parent[arcs], totals[arcs])
+    return scale, cost, totals

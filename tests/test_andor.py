@@ -6,6 +6,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from taskmotion import andor
@@ -753,3 +754,22 @@ def test_uniform_weight_scaling_preserves_choices():
         set_leaf_truth(graph2, truths)
         scaled_choice = {nid: arc.id for nid, arc in solution_subgraph(graph2).items()}
         assert base_choice == scaled_choice
+
+
+@pytest.mark.parametrize("values,dtype", [
+    (["7", "9999999999999999999"], object),  # 19 digits, past int64
+    (["1", "123456789012345678123456789012345678"], object),  # a 36-digit weight numerator
+    (["-9223372036854775808", "9223372036854775807"], np.int64),  # the bounds themselves
+    (["5", 6, "7"], np.int64),  # `read` appends integers among `take`'s strings
+    (["5", 10**20, "-3"], object),
+    (["0012", "-0"], np.int64),
+    ([], np.int64),
+])
+@pytest.mark.parametrize("among", [0, andor._JOINED], ids=["alone", "in_a_joined_batch"])
+def test_int_column_converts_each_value_exactly(values, dtype, among):
+    values = [str(i) for i in range(among)] + values
+    column = andor.int_column(values)
+    assert column.dtype == dtype
+    assert column.tolist() == [int(value) for value in values]
+    assert {type(value) for value in column.tolist()} <= {int}
+

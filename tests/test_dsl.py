@@ -781,6 +781,16 @@ def test_a_value_beyond_64_bits_after_a_batch_boundary_gives_an_object_column(
     assert declarations(graph) == declarations(by_tokens)
 
 
+def test_a_36_digit_decimal_weight_parses_exactly():
+    weight = "123456789012345678.123456789012345678"
+    text = read("hanoi3.scn")
+    text = re.sub(r"weight \S+", f"weight {weight}", text, count=1)
+    graph = parse(text).graph
+    assert graph.weight_num.dtype == object
+    assert Fraction(weight) in {Fraction(num, den) for num, den in zip(
+        graph.weight_num.tolist(), graph.weight_den.tolist())}
+
+
 def parse_memory(text: str) -> tuple[int, int]:
     """What parsing `text` keeps (the scenario) and the peak it reaches, in
     bytes, counted by tracemalloc from just before the parse."""

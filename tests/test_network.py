@@ -1,6 +1,6 @@
 """Graph-network tests: frontiers, selection, suppression, expansion."""
 
-import copy
+import math
 import random
 import sys
 from dataclasses import FrozenInstanceError, fields, replace
@@ -17,7 +17,6 @@ from graph_oracle import (
     oracle_build_graph,
     oracle_enabled,
     oracle_price,
-    oracle_ready,
     template_of,
 )
 from test_andor import random_template
@@ -369,59 +368,66 @@ def compiled_arcs(compiled):
     return [arc_at(compiled, place) for place in range(len(compiled.decl))]
 
 
-def with_object_costs(compiled):
-    """A copy of `compiled` that prices in Python integers, as a graph whose
-    totals may not fit in 64 bits does."""
-    copied = copy.copy(compiled)
-    copied.dtype = object
-    copied.weights = compiled.weights.astype(object)
-    return copied
-
-
 def assert_search_matches_oracle(compiled, true_leaves):
-    """`ready`, `enabled` and `price` equal the gather over every child of
-    `graph_oracle`, on the compiled cost type and on Python integers; the
-    compiled results are returned."""
-    for graph in (with_object_costs(compiled), compiled):
-        ready = graph.ready(true_leaves)
-        assert ready.dtype == bool
-        assert np.array_equal(ready, oracle_ready(graph, true_leaves))
-        assert graph.enabled(ready) == oracle_enabled(graph, true_leaves)
-        cost, totals = graph.price(true_leaves, ready)
-        want_cost, want_totals = oracle_price(graph, true_leaves)
-        assert cost.dtype == want_cost.dtype == graph.dtype == totals.dtype
-        assert cost.tolist() == want_cost.tolist() and totals.tolist() == want_totals.tolist()
-    return ready, cost, totals
+    """`price` agrees with `graph_oracle`'s evaluation of the whole template:
+    the enabled arcs in order, the total of every complete arc and of no
+    other, and each solved priced node's cost and cheapest arc (least
+    total, then least arc id), whatever order the true leaves come in.
+    The result is returned."""
+    template = compiled.template
+    priced = compiled.price(true_leaves)
+    assert compiled.price(sorted(true_leaves, reverse=True)) == priced
+    assert [int(compiled.arc_ids[place]) for place in priced.enabled] == oracle_enabled(
+        template, true_leaves)
+    scale, cost, totals = oracle_price(template, true_leaves)
+    assert compiled.scale == scale
+    got = np.full(len(template.arc_ids), math.inf, dtype=object)
+    got[compiled.decl[list(priced.totals)]] = list(priced.totals.values())
+    assert got.tolist() == totals.tolist()
+    best = {}
+    for j in np.flatnonzero(totals != math.inf).tolist():
+        parent, entry = int(template.parents[j]), (totals[j], int(template.arc_ids[j]))
+        best[parent] = min(best.get(parent, entry), entry)
+    ids = compiled.ids.tolist()
+    assert {ids[pos]: (total, int(compiled.arc_ids[place]))
+            for pos, (total, place) in priced.best.items()} == best
+    assert {nid: total for nid, (total, _) in best.items()} == {
+        nid: c for nid, c in zip(template.ids.tolist(), cost.tolist())
+        if c != math.inf and nid not in true_leaves}
+    return priced
 
 
 def assert_pricing_matches_refresh(template, compiled, truths):
     """`compiled.price` agrees with `andor`'s from-scratch pricing on every
-    node's cost, solvedness and cheapest arc, and on the solution arcs, and
-    with `graph_oracle`'s gather on the ready arcs and every cost."""
-    _, cost, totals = assert_search_matches_oracle(
-        compiled, {lid for lid, on in truths.items() if on})
+    node's cost, solvedness and cheapest arc, on every arc's total and on
+    the solution arcs, and with `graph_oracle` on the rest."""
+    true_leaves = {lid for lid, on in truths.items() if on}
+    priced = assert_search_matches_oracle(compiled, true_leaves)
     fresh = oracle_build_graph(template)
     set_leaf_truth(fresh, truths)
-    for nid in fresh.nodes:
-        scaled = int(cost[compiled.pos[nid]])
-        got = INF if scaled >= compiled.inf else Fraction(scaled, compiled.scale)
+    ids = compiled.ids.tolist()
+    best = {ids[pos]: entry for pos, entry in priced.best.items()}
+    for nid, fresh_node in fresh.nodes.items():
+        if fresh_node.kind is NodeKind.LEAF:
+            assert node_cost(fresh, nid) == (0 if nid in true_leaves else INF)
+            assert nid not in best
+            continue
+        cost, place = best.get(nid, (None, None))
+        got = INF if cost is None else Fraction(cost, compiled.scale)
         assert got == node_cost(fresh, nid), (template, truths, nid)
         assert (got != INF) == solved(fresh, nid)
-        place = compiled.cheapest(cost, totals, nid)
-        if fresh.nodes[nid].kind is not NodeKind.LEAF:
-            assert (place if place is None else arc_at(compiled, place)) == best_arc(fresh, nid)
-        else:
-            assert place is None
-    assert {nid: arc_at(compiled, place) for nid, place in
-            compiled.solution(cost, totals).items()} == solution_subgraph(fresh)
+        assert (place if place is None else arc_at(compiled, place)) == best_arc(fresh, nid)
+    chosen = [arc_at(compiled, place) for place in compiled.solution(priced.best)]
+    assert {arc.parent: arc for arc in chosen} == solution_subgraph(fresh)
     assert {arc.id for arc in compiled_arcs(compiled)} == {
         arc.id for arc in fresh.arcs if arc.parent != fresh.failure}
     for place, arc in enumerate(compiled_arcs(compiled)):
         want = arc.weight + sum((node_cost(fresh, child) for child in arc.children),
                                 Fraction(0))
-        total = int(totals[place])
-        assert (INF if total >= compiled.inf else Fraction(total, compiled.scale)) == want
+        total = priced.totals.get(place)
+        assert (INF if total is None else Fraction(total, compiled.scale)) == want
         assert compiled.arc_ids[place] == arc.id
+    return priced
 
 
 def test_compiled_pricing_matches_refresh_over_flip_sequences():
@@ -434,12 +440,15 @@ def test_compiled_pricing_matches_refresh_over_flip_sequences():
     assert checked == 200 * 11
 
 
-def layered_template(rng, height, weight):
+def layered_template(rng, height, weight, repeat=0.0, shortcut=0.0):
     """Random template whose root has height `height`: every node of layer
     k has an arc with a child in layer k - 1, and may draw other children
     from any lower layer, from the failure node, or from an internal node
-    without arcs; the root also has one arc over two leaves. Arc ids are shuffled against declaration order, and
-    `weight(rng)` draws each arc's weight."""
+    without arcs; the root also has one arc over two leaves. Arc ids are
+    shuffled against declaration order, `weight(rng)` draws each arc's
+    weight, with probability `repeat` an arc names its first child twice,
+    and with probability `shortcut` a node's second or third arc draws its
+    first child from any lower layer, leaves included."""
     ids = iter(range(3, 1000))
     decls = [NodeDecl(0, NodeKind.ROOT, "root"), NodeDecl(1, NodeKind.FAILURE, "failure"),
              NodeDecl(2, NodeKind.INTERNAL, "no arcs")]
@@ -454,9 +463,13 @@ def layered_template(rng, height, weight):
     for lower, layer in zip(layers, layers[1:]):
         below += lower
         for parent in layer:
-            for _ in range(rng.randint(1, 3)):
+            for k in range(rng.randint(1, 3)):
                 first = rng.choice(lower)
+                if k and shortcut and rng.random() < shortcut:
+                    first = rng.choice(below[2:])
                 others = rng.sample([n for n in below if n != first], rng.randint(0, 2))
+                if repeat and rng.random() < repeat:
+                    others.append(first)
                 arcs.append((parent, (first, *others)))
     arcs.append((0, tuple(rng.sample(layers[0], 2))))
     arc_ids = rng.sample(range(1, 10 * len(arcs)), len(arcs))
@@ -481,8 +494,7 @@ def test_compiled_pricing_matches_refresh_on_three_or_more_levels():
     for i in range(100):
         template = layered_template(rng, 3 + i % 4, small_weight)
         compiled = CompiledGraph(template)
-        assert len(compiled.levels) == 3 + i % 4
-        assert compiled.dtype is np.int64
+        assert template.checked.height.max() == 3 + i % 4
         for truths in random_truths(rng, template, 5):
             assert_pricing_matches_refresh(template, compiled, truths)
 
@@ -493,22 +505,68 @@ def test_compiled_pricing_matches_refresh_on_three_or_more_levels():
 ], ids=["huge_weights", "huge_scale"])
 def test_compiled_pricing_matches_refresh_on_python_integers(weight):
     rng = random.Random(61)
-    checked = 0
+    above = 0
     for _ in range(40):
         template = layered_template(rng, 3, weight)
         compiled = CompiledGraph(template)
-        if compiled.inf < 2**61:
-            continue  # every weight drew 0
-        assert compiled.dtype is object
         for truths in random_truths(rng, template, 5):
-            assert_pricing_matches_refresh(template, compiled, truths)
-        checked += 1
-    assert checked >= 30
+            priced = assert_pricing_matches_refresh(template, compiled, truths)
+            above += max(priced.totals.values(), default=0) >= 2**63
+    assert above >= 10  # draws with an arc total past int64
 
 
-def test_compiled_pricing_clamps_unsolved_totals_within_int64():
-    """Five layers of arity-3 arcs over three leaves: unclamped, the totals
-    of unsolved nodes would triple per layer and pass 2**63."""
+def test_random_templates_price_as_the_oracle_and_andor():
+    """Layered templates where a node's arcs complete at different heights
+    (one over leaves, one over a chain of nodes), arcs mix children of
+    several heights, some arcs name a child twice, small weights make equal
+    totals common and weights of 2**62 push costs past 2**63."""
+    rng = random.Random(2026)
+    staggered = mixed = repeated = ties = above = 0
+    for i in range(120):
+        unit = 2**62 if i % 2 else 1
+        template = layered_template(rng, 3 + i % 4,
+                                    lambda rng: Fraction(rng.randint(0, 2) * unit),
+                                    repeat=0.3, shortcut=0.5)
+        compiled = CompiledGraph(template)
+        height = template.checked.height[np.argsort(template.ids)]  # by id; ids are 0..n-1
+        for truths in random_truths(rng, template, 4):
+            priced = assert_pricing_matches_refresh(template, compiled, truths)
+            completes_at = {}  # each solved node's heights of complete arcs
+            for place in priced.totals:
+                kids = compiled.ids[compiled.children[
+                    compiled.child_start[place]:compiled.child_start[place + 1]]].tolist()
+                completes_at.setdefault(int(compiled.parents[place]), set()).add(
+                    max(height[kids].tolist()))
+                mixed += len(set(height[kids].tolist())) > 1
+                repeated += len(set(kids)) < len(kids)
+            staggered += sum(len(heights) > 1 for heights in completes_at.values())
+            cheapest = [place for place, total in priced.totals.items()
+                        if priced.best[int(compiled.parents[place])][0] == total]
+            ties += len(cheapest) - len(priced.best)
+            above += any(total >= 2**63 for total, _ in priced.best.values())
+    assert min(staggered, mixed, repeated, ties, above) >= 50, (
+        staggered, mixed, repeated, ties, above)
+
+
+def test_a_node_whose_arcs_complete_at_different_heights_is_taken_once_final():
+    """Node 6 has a dear arc over a leaf and a free one over a chain of two
+    nodes: taken before the chain's top, it would pass the dear cost up."""
+    nodes = [NodeDecl(0, NodeKind.ROOT, "root"), NodeDecl(1, NodeKind.FAILURE, "failure"),
+             NodeDecl(2, NodeKind.LEAF, "a"), NodeDecl(3, NodeKind.LEAF, "b")]
+    nodes += [NodeDecl(nid, NodeKind.INTERNAL, f"node {nid}") for nid in (4, 5, 6, 7)]
+    arcs = [HyperArc(1, 4, (2,), Fraction(0)), HyperArc(2, 5, (4,), Fraction(0)),
+            HyperArc(3, 6, (3,), Fraction(5)), HyperArc(4, 6, (5,), Fraction(0)),
+            HyperArc(5, 7, (6,), Fraction(0)), HyperArc(6, 0, (7,), Fraction(1))]
+    template = template_of(nodes, arcs)
+    compiled = CompiledGraph(template)
+    priced = assert_pricing_matches_refresh(template, compiled, {2: True, 3: True})
+    assert priced.best[compiled.root_pos][0] == 1
+
+
+def test_pricing_reports_only_the_solved_part():
+    """Five layers of arity-3 arcs over three leaves, the root's own arcs
+    weighing 2**57 and 1: only complete arcs have a total and only solved
+    nodes a cost, so no unsolved total ever grows with the layers."""
     nodes = [NodeDecl(0, NodeKind.ROOT, "root"), NodeDecl(1, NodeKind.FAILURE, "failure")]
     nodes += [NodeDecl(lid, NodeKind.LEAF, f"leaf {lid}") for lid in (2, 3, 4)]
     arcs = []
@@ -521,17 +579,18 @@ def test_compiled_pricing_clamps_unsolved_totals_within_int64():
     arcs += [HyperArc(1, 0, below, Fraction(2**57)), HyperArc(2, 0, (2,), Fraction(1))]
     template = template_of(nodes, arcs)
     compiled = CompiledGraph(template)
-    assert compiled.dtype is np.int64
-    assert compiled.inf == 2**57 + 1
-    for true_leaves in ((), (2,), (3, 4), (2, 3, 4)):
+    solved_count = {(): 0, (2,): 1, (3, 4): 0, (2, 3, 4): 16}
+    for true_leaves, count in solved_count.items():
         truths = {lid: lid in true_leaves for lid in (2, 3, 4)}
-        assert_pricing_matches_refresh(template, compiled, truths)
+        priced = assert_pricing_matches_refresh(template, compiled, truths)
+        assert len(priced.best) == count and len(priced.totals) == count + (count > 1)
+    root = priced.best[compiled.root_pos]
+    assert root == (1, priced.enabled[0]) and compiled.arc_ids[root[1]] == 2
 
 
 def test_compiled_pricing_matches_refresh_on_the_hanoi_4_main_template():
     scenario = gen_hanoi(4, omnipotent=False)
     compiled = CompiledGraph(scenario.graph)
-    assert compiled.dtype is np.int64
     rng = random.Random(4)
     init = frozenset(scenario.init)
     at_start = {lid: fact in init for lid, fact in compiled.leaf_facts}
@@ -646,9 +705,8 @@ def test_enabled_keeps_the_scan_order_on_layered_templates():
         for _ in range(10):
             achieved = {lid for lid in leaves if rng.random() < rng.random()}
             want = scan_frontier(graph, compiled, achieved, {}, set(), frozenset(), "sig")
-            ready, _, _ = assert_search_matches_oracle(compiled, achieved)
-            assert [arcs[place].id for place in compiled.enabled(ready)] == [
-                c.arc_id for c in want]
+            priced = assert_search_matches_oracle(compiled, achieved)
+            assert [arcs[place].id for place in priced.enabled] == [c.arc_id for c in want]
             compared += len(want) > 1 and want[0].node_id == 0
     assert compared >= 20  # the root's arcs lead frontiers that hold others too
 
@@ -676,8 +734,8 @@ def test_frontier_matches_the_scan_on_the_hanoi_4_main_template():
         enabled = [arc for nid in ids if nid not in achieved
                    and graph.nodes[nid].kind is not NodeKind.FAILURE
                    for arc in graph.arcs_into(nid) if achieved.issuperset(arc.children)]
-        ready, _, _ = assert_search_matches_oracle(compiled, achieved)
-        assert [arc_at(compiled, place) for place in compiled.enabled(ready)] == enabled
+        priced = assert_search_matches_oracle(compiled, achieved)
+        assert [arc_at(compiled, place) for place in priced.enabled] == enabled
         multi_child += sum(len(arc.children) > 1 for arc in enabled)
         facts = frozenset(f for f in pool
                           if rng.random() < (0.1 if f in negated else 0.8))
@@ -756,27 +814,27 @@ def test_a_hanoi_dual_run_builds_no_arc_or_node_objects(monkeypatch):
     assert counts == {"HyperArc": 0, "NodeDecl": 0, "Node": 0}
 
 
-def count_ready(monkeypatch) -> list[tuple[CompiledGraph, frozenset, int]]:
-    """Record each `CompiledGraph.ready` call from now on: the graph, the
+def count_pricing(monkeypatch) -> list[tuple[CompiledGraph, frozenset, int]]:
+    """Record each `CompiledGraph.price` call from now on: the graph, the
     true leaves and the fan-out entries (parent arcs of true leaves) it
     counts."""
     calls = []
-    ready = CompiledGraph.ready
+    price = CompiledGraph.price
 
     def counting(compiled, true_leaves):
         fan_out = sum(len(compiled.fan_out[lid]) for lid in true_leaves)
         calls.append((compiled, frozenset(true_leaves), fan_out))
-        return ready(compiled, true_leaves)
+        return price(compiled, true_leaves)
 
-    monkeypatch.setattr(CompiledGraph, "ready", counting)
+    monkeypatch.setattr(CompiledGraph, "price", counting)
     return calls
 
 
 def test_a_hanoi_dual_run_counts_each_entry_s_true_leaves_once(monkeypatch):
-    """Each searched entry finds its ready arcs once, counting fewer parent
-    arcs than the gather over every child of the graph read, and every
-    entry's ready arcs and prices equal that gather's."""
-    calls = count_ready(monkeypatch)
+    """Each searched entry is priced once, counting fewer parent arcs of
+    true leaves than the graph has children, and every entry's enabled
+    arcs and prices equal the oracle's."""
+    calls = count_pricing(monkeypatch)
     result = run_scenario(parse(WORKLOADS["hanoi_dual"].make_text()), RunConfig(seed=0))
     assert (result.status, result.moves) == (FinalStatus.GOAL_ACHIEVED, 84)
     entries = result.network.entries
@@ -792,7 +850,7 @@ def test_a_hanoi_dual_run_counts_each_entry_s_true_leaves_once(monkeypatch):
 
 
 def test_searching_an_entry_again_after_a_suppression_counts_nothing(monkeypatch):
-    calls = count_ready(monkeypatch)
+    calls = count_pricing(monkeypatch)
     searched = []
     frontier = GraphNetwork.frontier
 
@@ -809,7 +867,7 @@ def test_searching_an_entry_again_after_a_suppression_counts_nothing(monkeypatch
         assert_search_matches_oracle(entry.compiled, entry.true_leaves)
 
 
-def test_ready_and_price_match_the_gather_on_the_hanoi_8_main_graph(monkeypatch):
+def test_pricing_matches_the_oracle_on_the_hanoi_8_main_graph(monkeypatch):
     """Over the leaf truths of a two-arm hanoi 8 run with the handover pad
     at its earlier point, (0, 0.45). It ends unsolvable because the pad
     is then too close to peg A to take a disk while the largest one sits
@@ -818,9 +876,25 @@ def test_ready_and_price_match_the_gather_on_the_hanoi_8_main_graph(monkeypatch)
     result = run_scenario(gen_hanoi(8), RunConfig(seed=0, depth_cap=60))
     assert (result.status, result.moves) == (FinalStatus.UNSOLVABLE, 33)
     compiled = result.network.entries[0].compiled
-    assert len(compiled.decl) == 76681 and compiled.dtype is np.int64
+    assert len(compiled.decl) == 76681
     truths = {entry.true_leaves for entry in result.network.entries
               if entry.compiled is compiled}
     assert len(truths) > 20
     for true_leaves in truths:
         assert_search_matches_oracle(compiled, true_leaves)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_every_workload_entry_prices_as_the_oracle(workload, seed):
+    result = run_scenario(parse(WORKLOADS[workload].make_text()), RunConfig(seed=seed))
+    assert result.status.value == WORKLOADS[workload].status
+    for entry in result.network.entries:
+        assert_search_matches_oracle(entry.compiled, entry.true_leaves)
+
+
+def test_every_hanoi_7_dual_entry_prices_as_the_oracle():
+    result = run_scenario(gen_hanoi(7), RunConfig(seed=0))
+    assert (result.status, result.moves) == (FinalStatus.GOAL_ACHIEVED, 169)
+    for entry in result.network.entries:
+        assert_search_matches_oracle(entry.compiled, entry.true_leaves)
