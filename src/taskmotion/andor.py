@@ -414,6 +414,7 @@ def _check(t: GraphTemplate) -> Checked:
     at = sorted_ids.searchsorted(refs)
     index = by_id.take(at, mode="clip")
     index[sorted_ids.take(at, mode="clip") != refs] = -1
+    del refs, at
     parent, child = index[:m], index[m:]
     arity = t.child_starts[1:] - t.child_starts[:-1]
     arc_ids = t.arc_ids[t.arc_ids.argsort(kind="stable")]
@@ -422,10 +423,14 @@ def _check(t: GraphTemplate) -> Checked:
             or t.weight_num.min(initial=0) < 0 or (arc_ids[1:] == arc_ids[:-1]).any()):
         _raise_arc_error(t, parent, child)
 
+    # Node indexes sort on the smallest key that holds them: below 65,536
+    # nodes a 16-bit one, on which numpy's stable sort is a radix sort.
+    key = np.min_scalar_type(n)
     up = parent.repeat(arity)  # the parent at the other end of each entry of `children`
     pending = np.bincount(up, minlength=n)
-    by_child = child.argsort(kind="stable")
+    by_child = child.astype(key).argsort(kind="stable")
     above, below = up[by_child], child[by_child]  # each (child, parent) pair, by child
+    del up, by_child
     first_above = below.searchsorted(np.arange(n + 1))
     n_above = first_above[1:] - first_above[:-1]
     lifts = _PRICED[kinds][above]  # whether the parent of a pair is priced
@@ -447,7 +452,7 @@ def _check(t: GraphTemplate) -> Checked:
         # Each node once, in time that grows with the pairs of the round, not
         # with the graph (`np.unique` would import numpy.ma, 1 MB of memory).
         ready = lifted[pending[lifted] == 0]
-        ready = ready[ready.argsort(kind="stable")]
+        ready = ready[ready.astype(key).argsort(kind="stable")]
         first = np.ones(len(ready), dtype=bool)
         first[1:] = ready[1:] != ready[:-1]
         ready = ready[first]

@@ -53,29 +53,30 @@ role keywords (`agent`, `area`, `obj`, `from`, `to`) map to its
 the resolver and `serialize` share.
 
 Every line is read through one loop, `_Parser._cursors`: while a graph
-section (GRAPH, or a stage block) is open, the section's `take` first
-reads the run of lines of a plain graph shape that starts there, in one
-local loop; every other line with tokens becomes a token cursor. A line
-is lexed in one regex pass, one match per token with its leading blanks.
-An action or stage block is the loop's lines up to `end`, through one
-block reader, `_Parser._block`.
+section (GRAPH, or a stage block) or an action block is open, its `take`
+first reads the run of plain lines that starts there, in one local loop;
+every other line with tokens becomes a token cursor, lexed in one regex
+pass, one match per token with its leading blanks. A stage or action block
+is the loop's lines up to `end`, through one block reader, `_Parser._block`.
 
-A graph (GRAPH, or one stage of STAGES) is read into columns, not
-objects, by a section that is an `andor.GraphBuilder`. Two line shapes
-are read with one whole-line pattern each that never backtracks, without
-tokens: `node <id> <kind> "<label>"` and `arc <id> parent <id> children
-<id>... weight <w> [actions <name>...]`, with blanks between the parts,
-unsigned ASCII numbers of at most 18 digits, a weight that is an integer,
-a decimal or a fraction with a non-zero denominator, and an optional
-trailing comment. Their fields go to the builder as strings. Every other
-line, including each one that is wrong, goes through the token cursor,
-which alone makes diagnostics and gives the builder the same fields as
-integers. `take` has the builder convert the numeric fields to integer
-batches every `_BATCH` lines, joined into the columns of an
-`andor.GraphTemplate` when the section ends. The text's lines are dropped
-when the line loop ends, before the main graph is built and validated; an
-error about a node or an arc is located through the line kept for each.
-`serialize` writes a graph from the template's `rows`.
+Three plain line shapes are read with one whole-line pattern each that
+never backtracks, without tokens: `node <id> <kind> "<label>"`; `arc <id>
+parent <id> children <id>... weight <w> [actions <name>...]`, with unsigned
+ASCII numbers of at most 18 digits, a weight that is an integer, a decimal
+or a fraction with a non-zero denominator, and an optional trailing
+comment; and, in an action block, `end` or a key other than `duration`
+followed by words only. Every other line, including each one that is wrong
+or whose words do not fit its key, goes through the token cursor, which
+alone makes diagnostics and reads the same values.
+
+A graph (GRAPH, or one stage of STAGES) is read into columns, not objects,
+by a section that is an `andor.GraphBuilder`: the plain lines' fields go
+to it as strings, the cursor's as integers. `take` has the builder convert
+the numeric fields to integer batches every `_BATCH` lines, joined into
+the columns of an `andor.GraphTemplate` when the section ends. The text's
+lines are dropped when the line loop ends, before the main graph is built
+and validated; an error about a node or an arc is located through the line
+kept for each. `serialize` writes a graph from the template's `rows`.
 
 Parsing fails fast: the first problem raises one diagnostic carrying the
 line and column. An action's roles are checked in `_ROLES` order and its
@@ -116,6 +117,7 @@ _BLOCK_TAGS = ("all", "arm", "base")
 # sets, in the order `serialize` writes them.
 _ROLES = {"agent": "agent", "area": "area", "obj": "manipulated", "from": "source",
           "to": "dest"}
+_VERBS = ("transfer", "grasp", "put")
 
 
 class DslError(Exception):
@@ -345,6 +347,7 @@ class _GraphSection(GraphBuilder):
         super().__init__()
         self.node_lines, self.arc_lines = array("q"), array("q")
         self.action_tuples: dict[str | None, tuple[str, ...]] = {None: ()}  # by field text
+        self.ended = False  # whether a stage's `end` has been read
 
     def take(self, lines: list[str], index: int) -> int:
         """Read `lines[index:]` up to the first line not of a plain shape,
@@ -429,6 +432,80 @@ class _GraphSection(GraphBuilder):
         return lines[at[-1]] if len(at) else None
 
 
+# A plain action-block line: `end`, or a key but `duration` followed by words
+# only, with blanks between them and no comment; possessive, as above.
+_ACTION_LINE = re.compile(r"[ \t]*+(?:end|" + "|".join((*_ROLES, "verb", "pre", "add", "del"))
+                          + r")(?:[ \t]++[A-Za-z_][A-Za-z0-9_]*+)*+[ \t]*+")
+
+
+def _fact(cur: _Cursor) -> tuple[Fact, Token]:
+    pred = cur.word()
+    args = []
+    while cur.at("word"):
+        args.append(cur.word().value)
+    return Fact(pred.value, tuple(args)), pred
+
+
+class _ActionBlock:
+    """An action block's `ActionTemplate` fields, its preconditions and its
+    facts as stated (pre, add, del, each in file order) with their lines.
+    `take` reads a run of plain lines by splitting them; `read` takes any
+    line but `end` through the cursor, which alone makes diagnostics."""
+
+    def __init__(self, name: str, klass: MotionClass):
+        self.fields: dict = {"name": name, "motion_class": klass}
+        self.pre: list[Condition] = []
+        self.stated: dict[str, list[tuple[Fact, int]]] = {"pre": [], "add": [], "del": []}
+        self.ended = False  # whether the block's `end` has been read
+
+    def take(self, lines: list[str], index: int) -> int:
+        """Read `lines[index:]` through `end`, up to the first line that is
+        not plain or whose words do not fit its key; return the index of
+        the first line not read."""
+        for index in range(index, len(lines)):
+            if _ACTION_LINE.fullmatch(lines[index]) is None:
+                return index
+            key, *words = lines[index].split()
+            if key == "end":
+                self.ended = not words
+                return index + 1 if self.ended else index
+            if key in _ROLES or key == "verb":
+                if len(words) != 1 or key == "verb" and words[0] not in _VERBS:
+                    return index
+                self.fields[_ROLES.get(key, key)] = words[0]
+                continue
+            negated = key == "pre" and words[:1] == ["not"]
+            if len(words) == negated:
+                return index  # no fact
+            fact = Fact(words[negated], tuple(words[negated + 1:]))
+            if key == "pre":
+                self.pre.append(Condition(fact, negated))
+            self.stated[key].append((fact, index + 1))
+        return len(lines)
+
+    def read(self, cur: _Cursor):
+        # The block reader takes `end`; a wrong key lists it as expected too.
+        key = cur.word("end", "duration", *_ROLES, "verb", "pre", "add", "del")
+        if key.value == "duration":
+            self.fields["duration"], _ = cur.number()
+        elif key.value in _ROLES:
+            self.fields[_ROLES[key.value]] = cur.word().value
+        elif key.value == "verb":
+            self.fields["verb"] = cur.word(*_VERBS).value
+        else:
+            negated = key.value == "pre" and cur.maybe_word("not") is not None
+            fact, tok = _fact(cur)
+            if key.value == "pre":
+                self.pre.append(Condition(fact, negated))
+            self.stated[key.value].append((fact, tok.line))
+        cur.finish()
+
+    def template(self) -> ActionTemplate:
+        add, delete = ([fact for fact, _ in self.stated[key]] for key in ("add", "del"))
+        return ActionTemplate(preconditions=tuple(self.pre), effects_add=frozenset(add),
+                              effects_del=frozenset(delete), **self.fields)
+
+
 # ----------------------------------------------------------------- parser
 
 
@@ -446,7 +523,8 @@ class _Parser:
         self.goal: list[Fact] = []
         self.graph_section = _GraphSection()
         self.stage_sections: dict[str, _GraphSection] = {}
-        self.open_graph: _GraphSection | None = None  # GRAPH's, or the stage's being read
+        # The reader of plain lines: GRAPH's, or that of the stage or action being read.
+        self.plain: _GraphSection | _ActionBlock | None = None
         self.graph_line = 1
         self.index = 0
 
@@ -461,9 +539,9 @@ class _Parser:
                     raise ParseError(f"duplicate section {head.value}", head.line, head.col)
                 self.seen_sections.add(head.value)
                 self.section = head.value
-                self.open_graph = None
+                self.plain = None
                 if head.value == "GRAPH":
-                    self.open_graph, self.graph_line = self.graph_section, head.line
+                    self.plain, self.graph_line = self.graph_section, head.line
                 continue
             if head.value == "scenario" and not had_name and self.section is None:
                 cur.word()
@@ -481,11 +559,14 @@ class _Parser:
 
     def _cursors(self):
         """A cursor for each line from `self.index` on that has tokens; while
-        a graph section is open, its `take` reads the lines of the plain
-        shapes first."""
+        a graph section or an action block is open, its `take` reads the
+        lines of the plain shapes first. The loop ends with the text, or
+        once `take` has read the `end` of a block."""
         while True:
-            if self.open_graph is not None:
-                self.index = self.open_graph.take(self.lines, self.index)
+            if self.plain is not None:
+                self.index = self.plain.take(self.lines, self.index)
+                if self.plain.ended:
+                    return
             if self.index == len(self.lines):
                 return
             raw = self.lines[self.index]
@@ -494,14 +575,20 @@ class _Parser:
             if tokens:
                 yield _Cursor(tokens, self.index, len(raw))
 
-    def _block(self, head: Token, what: str):
-        """A cursor for each line of the block opened at `head`, up to its `end`."""
+    def _block(self, head: Token, what: str, block: _GraphSection | _ActionBlock):
+        """Read the lines of the block opened at `head` into `block`, up to
+        its `end`: runs of plain lines through its `take`, every other line
+        with tokens through its `read`."""
+        self.plain = block
         for cur in self._cursors():
             if cur.maybe_word("end"):
                 cur.finish()
-                return
-            yield cur
-        raise ParseError(f"{what} missing end", head.line, head.col, ("end",))
+                block.ended = True
+                break
+            block.read(cur)
+        if not block.ended:
+            raise ParseError(f"{what} missing end", head.line, head.col, ("end",))
+        self.plain = None
 
     # -- section line handlers -------------------------------------------
 
@@ -606,44 +693,19 @@ class _Parser:
         cur.finish()
         if name.value in self.scenario.actions:
             raise ParseError(f"duplicate action {name.value}", name.line, name.col)
-        fields: dict = {"name": name.value, "motion_class": MotionClass(klass.value)}
-        pre: list[Condition] = []
-        stated: dict[str, list[tuple[Fact, int]]] = {"pre": [], "add": [], "del": []}
-        for inner in self._block(head, f"action {name.value}"):
-            # The block reader takes `end`; a wrong key lists it as expected too.
-            key = inner.word("end", "duration", *_ROLES, "verb", "pre", "add", "del")
-            if key.value == "duration":
-                fields["duration"], _ = inner.number()
-            elif key.value in _ROLES:
-                fields[_ROLES[key.value]] = inner.word().value
-            elif key.value == "verb":
-                fields["verb"] = inner.word("transfer", "grasp", "put").value
-            else:
-                negated = key.value == "pre" and inner.maybe_word("not") is not None
-                fact, tok = self._fact(inner)
-                if key.value == "pre":
-                    pre.append(Condition(fact, negated))
-                stated[key.value].append((fact, tok.line))
-            inner.finish()
+        block = _ActionBlock(name.value, MotionClass(klass.value))
+        self._block(head, f"action {name.value}", block)
         try:
-            template = ActionTemplate(
-                preconditions=tuple(pre), effects_add=frozenset(f for f, _ in stated["add"]),
-                effects_del=frozenset(f for f, _ in stated["del"]), **fields)
+            template = block.template()
         except InvalidState as exc:
             raise ResolveError(str(exc), name.line, name.col) from exc
         self.scenario.actions[name.value] = template
         self.decl_lines[("action", name.value)] = name.line
+        stated = block.stated
         self.action_facts[name.value] = stated["pre"] + stated["add"] + stated["del"]
 
-    def _fact(self, cur: _Cursor) -> tuple[Fact, Token]:
-        pred = cur.word()
-        args = []
-        while cur.at("word"):
-            args.append(cur.word().value)
-        return Fact(pred.value, tuple(args)), pred
-
     def _line_INIT(self, cur: _Cursor):
-        fact, tok = self._fact(cur)
+        fact, tok = _fact(cur)
         cur.finish()
         if fact.predicate in DERIVED_PREDICATES:
             raise ResolveError(
@@ -653,7 +715,7 @@ class _Parser:
         self.decl_lines.setdefault(("init", fact), tok.line)
 
     def _line_GOAL(self, cur: _Cursor):
-        fact, tok = self._fact(cur)
+        fact, tok = _fact(cur)
         cur.finish()
         self.goal.append(fact)
         self.decl_lines.setdefault(("goal", fact), tok.line)
@@ -667,10 +729,8 @@ class _Parser:
         cur.finish()
         if name.value in self.scenario.stages:
             raise ParseError(f"duplicate stage {name.value}", name.line, name.col)
-        section = self.open_graph = _GraphSection()
-        for inner in self._block(head, f"stage {name.value}"):
-            section.read(inner)
-        self.open_graph = None
+        section = _GraphSection()
+        self._block(head, f"stage {name.value}", section)
         self.scenario.stages[name.value] = self._template(
             section, f"stage {name.value}", name.line, name.col)
         self.stage_sections[name.value] = section

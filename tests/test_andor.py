@@ -507,6 +507,60 @@ def test_the_column_pass_matches_the_object_validator():
                     MissingFailure, CycleDetected, UnreachableRoot}
 
 
+@functools.cache
+def layered(n: int, fault: str | None = None) -> GraphTemplate:
+    """A template of `n` nodes: the root, the failure node and one hub, then
+    layers of 1,000. Node `i` has id `i + 1`. The root's arc leads to the
+    hub, the hub's to the first layer, and each node above the last layer
+    has an arc to the node right below it and the next one; nodes with none
+    below are leaves. `fault` appends an arc that closes a cycle from deep
+    below the hub back to it, or one that names an unknown child."""
+    width = 1000
+    graph = andor.GraphBuilder()
+    graph.node(1, NodeKind.ROOT, "root")
+    graph.node(2, NodeKind.FAILURE, "failure")
+    graph.node(3, NodeKind.INTERNAL, "hub")
+    for i in range(3, n):
+        graph.node(i + 1, NodeKind.LEAF if i + width >= n else NodeKind.INTERNAL, "")
+    graph.arc(1, 1, [3])
+    graph.arc(2, 3, range(4, width + 4))
+    for i in range(3, n - width):
+        graph.arc(i, i + 1, [c + 1 for c in (i + width, i + width + 1) if c < n])
+    if fault == "cycle":
+        deepest = 3 + (n - width - 4) // width * width
+        graph.arc(n + 1, deepest + 1, [3])
+    elif fault == "unknown child":
+        graph.arc(n + 1, 3, [4, n + 5])
+    return graph.template()
+
+
+def checked_or_error(template: GraphTemplate):
+    try:
+        checked = andor._check(template)
+    except GraphError as err:
+        return type(err), str(err), err.element
+    return (checked.root, checked.failure,
+            *(column.tolist() for column in (checked.height, checked.parent, checked.child)))
+
+
+@pytest.mark.parametrize("fault", [None, "cycle", "unknown child"])
+@pytest.mark.parametrize("n", [65_535, 65_536, 65_537])
+def test_validation_sorts_on_a_16_bit_key_below_65536_nodes_and_agrees_with_int64(
+        n, fault, monkeypatch):
+    """Node indexes sort on `np.min_scalar_type(n)`: 16 bits up to 65,535
+    nodes, 32 from 65,536 on, where the largest index no longer fits 16
+    bits. Either way validation gives what an `int64` key gives."""
+    assert np.min_scalar_type(n) == (np.uint16 if n < 65_536 else np.uint32)
+    got = checked_or_error(layered(n, fault))
+    monkeypatch.setattr(andor.np, "min_scalar_type", lambda n: np.dtype(np.int64))
+    assert got == checked_or_error(layered(n, fault))
+    if fault is None:
+        height, child = got[2], got[4]
+        assert height[0] == max(height) == height[2] + 1 and max(child) == n - 1
+    else:
+        assert got[0] is (CycleDetected if fault == "cycle" else DanglingReference)
+
+
 def test_set_leaf_truth_rejects_non_leaf_and_unknown():
     graph = build_graph(minimal_template())
     with pytest.raises(NotALeaf):
