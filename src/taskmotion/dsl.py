@@ -52,22 +52,27 @@ role keywords (`agent`, `area`, `obj`, `from`, `to`) map to its
 `ActionTemplate` fields through one table, `_ROLES`, which the reader,
 the resolver and `serialize` share.
 
-Every line is read through one loop, `_Parser._cursors`: while a graph
-section (GRAPH, or a stage block) or an action block is open, its `take`
-first reads the run of plain lines that starts there, in one local loop;
-every other line with tokens becomes a token cursor, lexed in one regex
-pass, one match per token with its leading blanks. A stage or action block
-is the loop's lines up to `end`, through one block reader, `_Parser._block`.
+Every line is read through one loop, `_Parser._cursors`: while OBJECTS,
+ACTIONS, a graph section (GRAPH, or a stage block) or an action block is
+open, its `take` first reads the run of plain lines that starts there, in
+one local loop; every other line with tokens becomes a token cursor, lexed
+in one regex pass, one match per token with its leading blanks. A stage or
+action block is the loop's lines up to `end`, through one block reader,
+`_Parser._block`.
 
-Three plain line shapes are read with one whole-line pattern each that
-never backtracks, without tokens: `node <id> <kind> "<label>"`; `arc <id>
-parent <id> children <id>... weight <w> [actions <name>...]`, with unsigned
-ASCII numbers of at most 18 digits, a weight that is an integer, a decimal
-or a fraction with a non-zero denominator, and an optional trailing
-comment; and, in an action block, `end` or a key other than `duration`
-followed by words only. Every other line, including each one that is wrong
-or whose words do not fit its key, goes through the token cursor, which
-alone makes diagnostics and reads the same values.
+Six plain line shapes are read with one whole-line pattern each that never
+backtracks, without tokens: `node <id> <kind> "<label>"`; `arc <id> parent
+<id> children <id>... weight <w> [actions <name>...]`, with unsigned ASCII
+numbers of at most 18 digits and a weight that is an integer, a decimal or
+a fraction with a non-zero denominator; `obj` and `marker` lines, options
+in the cursor's order, with numbers of at most 18 digits each side of the
+point; `action <name> <class>`; each with an optional trailing comment;
+and, in an action block, `end` or a key other than `duration` followed by
+words only. Every other line goes through the token cursor, which alone
+makes diagnostics and reads the same values: each one that is wrong, whose
+words do not fit its key, or whose radius, width, height or snap is not
+positive. An entity or action has one builder, which either path calls
+with the name's line and column.
 
 A graph (GRAPH, or one stage of STAGES) is read into columns, not objects,
 by a section that is an `andor.GraphBuilder`: the plain lines' fields go
@@ -437,6 +442,21 @@ class _GraphSection(GraphBuilder):
 _ACTION_LINE = re.compile(r"[ \t]*+(?:end|" + "|".join((*_ROLES, "verb", "pre", "add", "del"))
                           + r")(?:[ \t]++[A-Za-z_][A-Za-z0-9_]*+)*+[ \t]*+")
 
+# OBJECTS' plain `obj` and `marker` lines and ACTIONS' `action <name> <class>`
+# heads, in the cursor's order; possessive, as above. A number has at most 18
+# digits on each side of its point, so `float` reads it finitely.
+_NUM, _WORD = r"(-?[0-9]{1,18}+(?:\.[0-9]{1,18}+)?+)", r"([A-Za-z_][A-Za-z0-9_]*+)"
+_OBJ_LINE = re.compile(
+    rf"[ \t]*+obj[ \t]++{_WORD}[ \t]++(?:circle[ \t]++{_NUM}|box[ \t]++{_NUM}[ \t]++{_NUM})"
+    rf"[ \t]++at[ \t]++{_NUM}[ \t]++{_NUM}[ \t]++(movable|fixed)(?:[ \t]++yaw[ \t]++{_NUM})?+"
+    rf"(?:[ \t]++on[ \t]++{_WORD})?+(?:[ \t]++blocks[ \t]++({'|'.join(_BLOCK_TAGS)}))?+"
+    r"[ \t]*+(?:#.*)?+")
+_MARKER_LINE = re.compile(
+    rf"[ \t]*+marker[ \t]++{_WORD}[ \t]++at[ \t]++{_NUM}[ \t]++{_NUM}"
+    rf"(?:[ \t]++snap[ \t]++{_NUM})?+([ \t]++handover)?+[ \t]*+(?:#.*)?+")
+_ACTION_HEAD = re.compile(rf"[ \t]*+(action)[ \t]++{_WORD}[ \t]++"
+                          rf"({'|'.join(m.value for m in MotionClass)})[ \t]*+(?:#.*)?+")
+
 
 def _fact(cur: _Cursor) -> tuple[Fact, Token]:
     pred = cur.word()
@@ -559,14 +579,16 @@ class _Parser:
 
     def _cursors(self):
         """A cursor for each line from `self.index` on that has tokens; while
-        a graph section or an action block is open, its `take` reads the
-        lines of the plain shapes first. The loop ends with the text, or
-        once `take` has read the `end` of a block."""
+        OBJECTS, ACTIONS, a graph section or an action block is open, its
+        `take` reads the lines of the plain shapes first. The loop ends with
+        the text, or once `take` has read the `end` of a block."""
         while True:
             if self.plain is not None:
                 self.index = self.plain.take(self.lines, self.index)
                 if self.plain.ended:
                     return
+            elif self.section in ("OBJECTS", "ACTIONS"):
+                self.index = getattr(self, "_take_" + self.section)(self.lines, self.index)
             if self.index == len(self.lines):
                 return
             raw = self.lines[self.index]
@@ -624,20 +646,12 @@ class _Parser:
             x, _ = cur.number()
             y, _ = cur.number()
             mobility = cur.word("movable", "fixed")
-            yaw = 0.0
-            if cur.maybe_word("yaw"):
-                yaw, _ = cur.number()
-            on = None
-            if cur.maybe_word("on"):
-                on = cur.word().value
-            blocks = "all"
-            if cur.maybe_word("blocks"):
-                blocks = cur.word(*_BLOCK_TAGS).value
+            yaw = cur.number()[0] if cur.maybe_word("yaw") else 0.0
+            on = cur.word().value if cur.maybe_word("on") else None
+            blocks = cur.word(*_BLOCK_TAGS).value if cur.maybe_word("blocks") else "all"
             cur.finish()
-            self._declare(name)
-            self.scenario.objects[name.value] = Obj(
-                name.value, shape.value, dims, x, y, yaw=yaw,
-                movable=mobility.value == "movable", blocks=blocks, stack_on=on)
+            self._declare(name, self.scenario.objects, Obj, shape.value, dims, x, y, yaw,
+                          mobility.value == "movable", blocks, on)
             return
         cur.word("at")
         x, _ = cur.number()
@@ -645,8 +659,25 @@ class _Parser:
         snap = cur.positive("snap radius") if cur.maybe_word("snap") else DEFAULT_SNAP
         handover = cur.maybe_word("handover") is not None
         cur.finish()
-        self._declare(name)
-        self.scenario.markers[name.value] = Marker(name.value, x, y, snap, handover)
+        self._declare(name, self.scenario.markers, Marker, x, y, snap, handover)
+
+    def _take_OBJECTS(self, lines: list[str], index: int) -> int:
+        """Read `lines[index:]` up to the first line that is not a plain `obj`
+        or `marker` line with positive sizes; return its index (or `len(lines)`)."""
+        for index in range(index, len(lines)):
+            if match := _OBJ_LINE.fullmatch(lines[index]):
+                name, radius, width, height, x, y, mobility, yaw, on, blocks = match.groups()
+                sizes = (float(radius),) if radius else (float(width), float(height))
+                entry = (self.scenario.objects, Obj, "box" if width else "circle", sizes, float(x),
+                         float(y), float(yaw or 0), mobility == "movable", blocks or "all", on)
+            elif match := _MARKER_LINE.fullmatch(lines[index]):
+                name, x, y, snap, handover = match.groups()
+                sizes = (float(snap or DEFAULT_SNAP),)  # a marker's one size, its snap radius
+                entry = (self.scenario.markers, Marker, float(x), float(y), *sizes, bool(handover))
+            if match is None or min(sizes) <= 0:
+                return index
+            self._declare(Token("word", name, index + 1, match.start(1) + 1), *entry)
+        return len(lines)
 
     def _line_AGENTS(self, cur: _Cursor):
         head = cur.word("arm", "base")
@@ -664,15 +695,13 @@ class _Parser:
                 dx, _ = cur.number()
                 dy, _ = cur.number()
             cur.finish()
-            agent = Agent(name.value, "arm", anchor=(x, y), reach=reach,
+            self._declare(name, self.scenario.agents, Agent, "arm", anchor=(x, y), reach=reach,
                           mount=mount, mount_off=(dx, dy))
         else:
             cur.word("radius")
             radius = cur.positive("radius")
             cur.finish()
-            agent = Agent(name.value, "base", anchor=(x, y), radius=radius)
-        self._declare(name)
-        self.scenario.agents[name.value] = agent
+            self._declare(name, self.scenario.agents, Agent, "base", anchor=(x, y), radius=radius)
 
     def _line_PREDICATES(self, cur: _Cursor):
         cur.word("pred")
@@ -691,9 +720,23 @@ class _Parser:
         name = cur.word()
         klass = cur.word(*(m.value for m in MotionClass))
         cur.finish()
+        self._action(head, name, klass.value)
+
+    def _take_ACTIONS(self, lines: list[str], index: int) -> int:
+        """Read each plain `action` head from `lines[index:]` with its block;
+        return the index of the first other line (or `len(lines)`)."""
+        while index < len(lines) and (match := _ACTION_HEAD.fullmatch(lines[index])):
+            self.index = index + 1
+            self._action(Token("word", "action", self.index, match.start(1) + 1),
+                         Token("word", match[2], self.index, match.start(2) + 1), match[3])
+            index = self.index
+        return index
+
+    def _action(self, head: Token, name: Token, klass: str):
+        """Declare action `name` with the block that follows its `head`."""
         if name.value in self.scenario.actions:
             raise ParseError(f"duplicate action {name.value}", name.line, name.col)
-        block = _ActionBlock(name.value, MotionClass(klass.value))
+        block = _ActionBlock(name.value, MotionClass(klass))
         self._block(head, f"action {name.value}", block)
         try:
             template = block.template()
@@ -737,11 +780,13 @@ class _Parser:
 
     # -- shared helpers ---------------------------------------------------
 
-    def _declare(self, name: Token):
+    def _declare(self, name: Token, table: dict, kind: type, *fields, **named):
+        """Enter `kind(name, *fields, **named)` in `table`; an id declared twice is an error."""
         key = ("entity", name.value)
         if key in self.decl_lines:
             raise ParseError(f"duplicate entity id {name.value}", name.line, name.col)
         self.decl_lines[key] = name.line
+        table[name.value] = kind(name.value, *fields, **named)
 
     def _template(self, section: _GraphSection, what: str, line: int,
                   col: int) -> GraphTemplate:

@@ -193,6 +193,8 @@ MALFORMED = [
     ("m21_transit_moves_object.scn", ResolveError, 9, 8),
     # One past the last line, counted before the parser drops the text's lines.
     ("m22_missing_graph.scn", ResolveError, 10, 1),
+    # A plain `obj` line but for its radius: the cursor, not the reader, reads it.
+    ("m23_zero_radius.scn", ParseError, 5, 16),
 ]
 
 # Each fixture's diagnostic as `str` gives it after the location: the
@@ -222,6 +224,7 @@ MESSAGES = {
     "m20_stage_missing_end.scn": "stage clear_z missing end (expected end)",
     "m21_transit_moves_object.scn": "action drive: a transit action moves no object",
     "m22_missing_graph.scn": "missing GRAPH section",
+    "m23_zero_radius.scn": "radius must be positive",
 }
 
 
@@ -494,10 +497,12 @@ def fast_path_agrees(line: str) -> bool:
 
 
 def cursor_only(monkeypatch):
-    """Make every graph and action-block line go through the cursor: both
-    readers' `take` reads no line."""
+    """Make every line go through the cursor: the graph, action-block,
+    OBJECTS and action-head readers read no line."""
     monkeypatch.setattr(dsl._GraphSection, "take", lambda self, lines, index: index)
     monkeypatch.setattr(dsl._ActionBlock, "take", lambda self, lines, index: index)
+    monkeypatch.setattr(dsl._Parser, "_take_OBJECTS", lambda self, lines, index: index)
+    monkeypatch.setattr(dsl._Parser, "_take_ACTIONS", lambda self, lines, index: index)
 
 
 def test_patterns_read_every_benchmark_and_fuzz_graph_line_as_the_cursor_does():
@@ -616,22 +621,25 @@ def test_patterns_never_accept_what_the_cursor_rejects_or_reads_differently(line
 
 
 def parse_with_stated_lines(text: str):
-    """The scenario and each action's facts as stated, with their lines."""
+    """The scenario, each action's facts as stated and each entity's and
+    action's declaration, with their lines."""
     parser = dsl._Parser(text)
-    return parser.parse(), parser.action_facts
+    return parser.parse(), parser.action_facts, parser.decl_lines
 
 
 def test_parse_equals_the_token_only_parse(monkeypatch):
     fuzz = [fuzz_scenario(seed) for seed in range(400)]
     texts = list(benchmark_texts().values()) + [serialize(scn) for scn in fuzz]
     parsed = [parse_with_stated_lines(text) for text in texts]
-    for scn, (parsed_scn, _) in zip(fuzz, parsed[-len(fuzz):]):
+    for scn, (parsed_scn, _, _) in zip(fuzz, parsed[-len(fuzz):]):
         assert parsed_scn == scn, scn.name
     cursor_only(monkeypatch)
-    for text, (scn, stated) in zip(texts, parsed):
-        by_tokens, stated_by_tokens = parse_with_stated_lines(text)
+    for text, (scn, stated, declared) in zip(texts, parsed):
+        by_tokens, stated_by_tokens, declared_by_tokens = parse_with_stated_lines(text)
         assert scn == by_tokens, scn.name
+        assert repr((scn.objects, scn.markers)) == repr((by_tokens.objects, by_tokens.markers))
         assert stated == stated_by_tokens, scn.name
+        assert declared == declared_by_tokens, scn.name
         assert declarations(scn.graph) == declarations(by_tokens.graph), scn.name
         assert ({name: declarations(t) for name, t in scn.stages.items()}
                 == {name: declarations(t) for name, t in by_tokens.stages.items()}), scn.name
@@ -875,12 +883,18 @@ ACTION_WORDS = ["end", "duration", "obj", "to", "verb", "pre", "add", "del", "no
                 "fly", "action", "1"]
 
 
-def _edit_word(line, draw):
-    """Replace a word with a key, `not`, a verb, a number or a stranger."""
-    words = line.split(" ")
-    i = draw(st.integers(0, len(words) - 1))
-    words[i] = draw(st.sampled_from(ACTION_WORDS))
-    return " ".join(words)
+def replacing_a_word_by(choices: list[str]):
+    """An edit that replaces a word with one of `choices`."""
+    def edit(line, draw):
+        words = line.split(" ")
+        i = draw(st.integers(0, len(words) - 1))
+        words[i] = draw(st.sampled_from(choices))
+        return " ".join(words)
+    return edit
+
+
+# Replace a word with a key, `not`, a verb, a number or a stranger.
+_edit_word = replacing_a_word_by(ACTION_WORDS)
 
 
 @st.composite
@@ -901,12 +915,13 @@ def test_the_action_reader_never_accepts_what_the_cursor_rejects_or_reads_differ
 
 def parse_outcome(text: str):
     """What parsing a text gives: its actions and their facts as stated,
-    with their lines, or the error's type, message, line and column."""
+    each declaration with its line, and its objects and markers; or the
+    error's type, message, line and column."""
     try:
-        scn, stated = parse_with_stated_lines(text)
+        scn, stated, declared = parse_with_stated_lines(text)
     except DslError as err:
         return type(err).__name__, err.message, err.line, err.col
-    return scn.actions, stated
+    return scn.actions, stated, declared, repr((scn.objects, scn.markers))
 
 
 @pytest.mark.parametrize("line,taken,message", [
@@ -940,6 +955,182 @@ def test_action_lines_parse_as_the_cursor_alone_reads_them(line, taken, message,
     else:
         assert got[1] == message
         assert got[2] == (at if line is None else at + 1)
+
+
+# ------------------------------------------ OBJECTS and action-head readers
+
+
+def object_lines_of(texts) -> list[str]:
+    """The distinct `obj`, `marker` and `action` head lines of the texts."""
+    lines = (line for text in texts for line in text.splitlines()
+             if line.startswith(("obj ", "marker ", "action ")))
+    return list(dict.fromkeys(lines))
+
+
+@functools.cache
+def benchmark_object_lines() -> list[str]:
+    return object_lines_of(benchmark_texts().values())
+
+
+@functools.cache
+def varied_object_lines() -> list[str]:
+    """Lines with yaws, stacks, `blocks` tags, snaps, tabs and comments,
+    and the object, marker and action head lines of the fuzz scenarios."""
+    hand_written = ["obj lid box 0.1 0.05 at -0.25 0.1 movable yaw -1.5 on cup blocks arm",
+                    "\tobj lid circle 0.01 at -0 0.000000000000000001 movable on cup # on it",
+                    "obj lid circle 123456789012345678.5 at 0 0 fixed blocks all",
+                    "marker dock at 0.1 -0.1 snap 0.2", "  marker dock at 0 0 handover#",
+                    "action lift handover  ", "\taction lift wait # waits"]
+    return hand_written + object_lines_of(serialize(fuzz_scenario(seed)) for seed in range(40))
+
+
+def declarations_read(text: str, section: str, lexed: list[int]):
+    """What `section`'s line loop reads from `text`: the objects, markers and
+    actions with the lines of their declarations, or the error; each line
+    that reached the cursor is appended to `lexed`."""
+    parser = dsl._Parser(text)
+    parser.section = section
+    try:
+        for cur in parser._cursors():
+            lexed.append(cur.line)
+            getattr(parser, "_line_" + section)(cur)
+    except DslError as err:
+        return type(err).__name__, str(err)
+    scn = parser.scenario
+    return repr((scn.objects, scn.markers, scn.actions)), parser.decl_lines
+
+
+def object_reader_agrees(line: str) -> bool:
+    """True when the OBJECTS or action-head reader takes `line`, the second
+    line of a text (an action head's block follows it); fails the test if
+    it takes a line the cursor rejects, or reads other values or lines."""
+    section = "ACTIONS" if line.split()[:1] == ["action"] else "OBJECTS"
+    body = ["  obj cup", "  to pad"] if re.search("transfer|handover", line) else []
+    text = "\n".join(["", line, *body, "end"] if section == "ACTIONS" else ["", line])
+    lexed: list[int] = []
+    got = declarations_read(text, section, lexed)
+    with pytest.MonkeyPatch.context() as patch:
+        cursor_only(patch)
+        by_cursor = declarations_read(text, section, [])
+    taken = 2 not in lexed and isinstance(got[1], dict)
+    assert not taken or isinstance(by_cursor[1], dict), f"reader accepts {line!r}"
+    assert got == by_cursor, line
+    return taken
+
+
+def test_the_object_reader_takes_every_benchmark_object_marker_and_action_head():
+    lines = benchmark_object_lines()
+    assert len(lines) > 100
+    assert {line.split()[0] for line in lines} == {"obj", "marker", "action"}
+    for line in lines:
+        assert object_reader_agrees(line), line
+    assert all(object_reader_agrees(line) for line in varied_object_lines())
+
+
+OBJECT_WORDS = ["obj", "marker", "action", "circle", "box", "at", "movable", "fixed", "yaw", "on",
+                "blocks", "all", "arm", "wall", "snap", "handover", "transfer", "wait", "1"]
+SIZES = ["0", "-0", "0.0", "-1.5", "0.000000000000000001", "1234567890123456789",
+         "123456789012345678.123456789012345678", "123456789012345678.1234567890123456789"]
+
+
+def _edit_size(line, draw):
+    """Replace a number with zero, a negative or a number near 18 digits."""
+    spans = [m.span() for m in re.finditer(r"[0-9]+(?:\.[0-9]+)?", line)]
+    if not spans:
+        return line
+    start, end = draw(st.sampled_from(spans))
+    return line[:start] + draw(st.sampled_from(SIZES)) + line[end:]
+
+
+@st.composite
+def mutated_object_lines(draw):
+    line = draw(st.one_of(st.sampled_from(benchmark_object_lines()),
+                          st.sampled_from(varied_object_lines())))
+    edits = [_edit_separator, _edit_number, _edit_size, _edit_piece, _edit_tail, _edit_char,
+             replacing_a_word_by(OBJECT_WORDS)]
+    for _ in range(draw(st.integers(1, 3))):
+        line = draw(st.sampled_from(edits))(line, draw)
+    return line
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(mutated_object_lines())
+def test_the_object_reader_never_accepts_what_the_cursor_rejects_or_reads_differently(line):
+    object_reader_agrees(line)
+
+
+def lexed_line_numbers(text: str, monkeypatch) -> list[int]:
+    """The number of each line that reaches the lexer in one parse of
+    `text`, up to its error if it has one."""
+    lex, seen = dsl._lex_line, []
+
+    def counting(line: str, line_no: int):
+        seen.append(line_no)
+        return lex(line, line_no)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dsl, "_lex_line", counting)
+        try:
+            parse(text)
+        except DslError:
+            pass
+    return seen
+
+
+@pytest.mark.parametrize("line,taken,message,where", [
+    ("obj lid circle 0 at 0 0 movable", False, "radius must be positive", (0, 16)),
+    ("obj lid box 0.1 -0 at 0 0 movable", False, "height must be positive", (0, 17)),
+    ("marker dock at 0 0 snap 0", False, "snap radius must be positive", (0, 25)),
+    ("obj lid circle 0.01 at 1234567890123456789 0 movable on cup", False, None, None),
+    ("obj lid circle 0.01 at 0 0 movable on cup yaw 1", False, "trailing word 'yaw'", (0, 43)),
+    ("obj lid circle 0.01 at 0 0 movable blocks wall", False, "unexpected word 'wall'",
+     (0, 43)),
+    ("obj lid circle 0.01 at 0 0 movable on cup # c", True, None, None),
+    ("\tobj\tlid circle  0.01 at 0 0\tmovable yaw 2\t", True, None, None),
+    ("marker cup at 0 0", True, "duplicate entity id cup", (0, 8)),
+    # `marker pad`, two lines on, is then the duplicate, read by the reader.
+    ("  obj pad circle 0.01 at 0 0 fixed", True, "duplicate entity id pad", (2, 8)),
+    ("action park transfer # c", True, None, None),
+    ("\taction\tpark  transfer\t", True, None, None),
+    ("action park fly", False, "unexpected word 'fly'", (0, 13)),
+    ("action park transfer extra", False, "trailing word 'extra'", (0, 22)),
+    ("action buff transfer", True, "duplicate action buff", (0, 8)),
+])
+def test_object_lines_and_action_heads_parse_as_the_cursor_alone_reads_them(
+        line, taken, message, where, monkeypatch):
+    # An object or marker line goes right after minimal's `obj cup`, so the
+    # reader resumes after it; an action head replaces `action park transfer`.
+    # `where` is the error's line, counted from the planted one, and column.
+    lines = read("minimal.scn").splitlines()
+    if line.split()[0] == "action":
+        at = lines.index("action park transfer")
+        lines[at] = line
+    else:
+        at = lines.index("obj cup circle 0.04 at 0.2 0.2 movable") + 1
+        lines.insert(at, line)
+    text = "\n".join(lines) + "\n"
+    got = parse_outcome(text)
+    with monkeypatch.context() as patch:
+        cursor_only(patch)
+        assert parse_outcome(text) == got
+    assert (at + 1 not in lexed_line_numbers(text, monkeypatch)) is taken
+    if message is None:
+        assert {("action", "park"), ("entity", "cup")} <= got[2].keys()
+    else:
+        assert got[1:] == (message, at + 1 + where[0], where[1]), got
+
+
+@pytest.mark.parametrize("name,count", [("habitat", 38), ("habitat_unclearable", 32),
+                                        ("hanoi6_dual", 20)])
+def test_only_lines_of_no_plain_shape_reach_the_lexer(name, count, monkeypatch):
+    # Pinned work: a change that sends object, marker, action head, graph
+    # or action-block lines back through the lexer raises these counts.
+    text = benchmark_texts()[name]
+    lines = text.splitlines()
+    lexed = lexed_line_numbers(text, monkeypatch)
+    assert len(lexed) == count
+    plain = ("obj ", "marker ", "action ", "node ", "arc ", "pre ", "add ", "del ")
+    assert not [lines[n - 1] for n in lexed if lines[n - 1].lstrip().startswith(plain)]
 
 
 def parse_memory(text: str) -> tuple[int, int]:
