@@ -11,17 +11,17 @@ list's movables stand in the way.
 
 Each grid is one free mask, assembled in one step (`_free_mask`) once
 per `SearchMemo` scope: the reach disc (all free for a base) OR-ed with
-the footprint patches of all the grid's obstacles, padded by one ring of
-blocked cells, inverted and kept as bytes. What it reads is rasterized
-once per scope too: the cell-centre axes of the bounds, an arm's reach
-disc and each obstacle footprint over its bounding box only, each keyed
-on exactly the inputs it reads. The diagnosis' ghost grid is an ordinary
-grid of the leg's fixed obstacles, and reads its movables' footprint
-patches from the same cache. A* walks flat indices into the mask, whose
-order equals (x, y) order. Among cells of equal f it pops the deeper one
-(higher g) first, then the one first in (x, y) order, so paths are those
-of A* on coordinate tuples under that rule; obstructor order depends on
-them.
+the footprint patches of the grid's obstacles `_changing` keeps, padded
+by one ring of blocked cells, inverted and kept as bytes. What it reads
+is rasterized once per scope too: the cell-centre axes of the bounds, an
+arm's reach disc and each obstacle footprint over its bounding box only,
+each keyed on exactly the inputs it reads. The diagnosis' ghost grid is
+an ordinary grid of the leg's fixed obstacles, and reads its movables'
+footprint patches from the same cache. A* walks flat indices into the
+mask, whose order equals (x, y) order. Among cells of equal f it pops
+the deeper one (higher g) first, then the one first in (x, y) order, so
+paths are those of A* on coordinate tuples under that rule; obstructor
+order depends on them.
 
 A* itself runs once per distinct search in a `SearchMemo`'s scope. The
 memo maps everything `_astar` reads but the one budget (the mask, its
@@ -520,9 +520,9 @@ class SearchMemo:
       inflation);
     - a grid's free mask, as bytes, under (geometry, (anchor, reach) for
       an arm or None for a base, inflation, and each obstacle's (shape,
-      dims, x, y)).
+      dims, x, y)), for all its obstacles and for those `_changing` keeps.
 
-    Grids with the same obstacles share one mask object. `searches` and
+    Grids whose kept obstacles agree share one mask object. `searches` and
     `components` are keyed on the mask's bytes, not on the obstacles:
     different obstacle lists often rasterize to the same mask.
     """
@@ -612,8 +612,8 @@ class _Grid:
     flattened to bytes: cell (x, y) is free when
     `free_mask[(x + 1) * stride + y + 1]` is non-zero, with
     `stride = ny + 2`, so a neighbour step never needs a range test.
-    `_free_mask` assembles it on the first grid of its obstacles; later
-    grids take it from `rasters` (a `SearchMemo.rasters`), where
+    `_free_mask` assembles it, from the obstacles `_changing` keeps, once;
+    later grids take it from `rasters` (a `SearchMemo.rasters`), where
     `footprint` also looks up the patch of any object.
     """
 
@@ -630,7 +630,12 @@ class _Grid:
         disc = (agent.anchor, agent.reach) if agent.kind == "arm" else None
         key = (geometry, disc, inflation,
                tuple([(obj.shape, obj.dims, obj.x, obj.y) for obj in obstacles]))
-        self.free_mask = _layer(rasters, key, lambda: _free_mask(self, disc, obstacles, inflation))
+        self.free_mask = rasters.get(key)
+        if self.free_mask is None:  # also kept under the key of only those that change it
+            kept = _changing(disc, obstacles, inflation)
+            self.free_mask = rasters[key] = _layer(rasters, (*key[:3], tuple(
+                [(obj.shape, obj.dims, obj.x, obj.y) for obj in kept])),
+                lambda: _free_mask(self, disc, kept, inflation))
 
     def footprint(self, obj: Obj, inflation: float):
         """The object's footprint patch over this grid (see `_footprint`),
@@ -671,6 +676,30 @@ def _free_mask(grid: _Grid, disc: tuple[tuple[float, float], float] | None,
             xa, xb, ya, yb, hit = patch
             padded[xa + 1:xb + 1, ya + 1:yb + 1] |= hit
     return np.logical_not(padded).tobytes()
+
+
+def _changing(disc: tuple | None, obstacles: list[Obj], inflation: float) -> list[Obj]:
+    """The `obstacles` that can change a grid's mask, in order: all but those
+    whose footprint lies over 1e-9 m beyond the reach disc `disc`, or that
+    another of their shape and centre covers (no smaller r*r or half-widths;
+    of equal ones the first stays). Both compare the floats `_footprint`
+    tests cells against, so the mask stays the same cell for cell."""
+    sizes, same = [], {}
+    for i, obj in enumerate(obstacles):
+        dx, dy = (abs(obj.x - disc[0][0]), abs(obj.y - disc[0][1])) if disc else (0.0, 0.0)
+        if obj.shape == "circle":
+            r = obj.dims[0] + inflation
+            sizes.append((r * r, r * r))
+            gap = math.hypot(dx, dy) - r
+        else:
+            sizes.append((obj.dims[0] / 2.0 + inflation, obj.dims[1] / 2.0 + inflation))
+            gap = math.hypot(max(dx - sizes[i][0], 0.0), max(dy - sizes[i][1], 0.0))
+        if disc is None or gap <= disc[1] + 1e-9:
+            same.setdefault((obj.shape, obj.x, obj.y), []).append(i)
+    kept = {i for group in same.values() for i in group if not any(
+        (sizes[j] != sizes[i] or j < i) and sizes[j][0] >= sizes[i][0]
+        and sizes[j][1] >= sizes[i][1] for j in group)}
+    return [obj for i, obj in enumerate(obstacles) if i in kept]
 
 
 def _steps(stride: int) -> tuple[tuple[int, int], ...]:
@@ -962,10 +991,11 @@ def _diagnose(world: World, agent: Agent, leg: _Leg, obstacles: list[Obj], infla
     if cells is None:
         return ()
     px, py = np.array(cells).T
+    x0, x1, y0, y1 = int(px.min()), int(px.max()), int(py.min()), int(py.max())
     first_hit: dict[str, int] = {}
-    for obj in movables:
+    for obj in movables:  # one whose window misses the path's cell bounds is skipped
         patch = grid.footprint(obj, inflation)
-        if patch is None:
+        if patch is None or patch[0] > x1 or patch[1] <= x0 or patch[2] > y1 or patch[3] <= y0:
             continue
         xa, xb, ya, yb, hit = patch
         inside = np.flatnonzero((px >= xa) & (px < xb) & (py >= ya) & (py < yb))

@@ -449,7 +449,7 @@ def rasterized_footprints(monkeypatch):
 
 
 @pytest.mark.parametrize("name,masks,grids", [
-    ("hanoi_dual", 90, 168), ("habitat", 27, 40), ("habitat_unclearable", 23, 81)])
+    ("hanoi_dual", 33, 168), ("habitat", 25, 40), ("habitat_unclearable", 15, 81)])
 def test_each_grid_mask_is_assembled_once_per_run(name, masks, grids, monkeypatch):
     """A run assembles the free mask of each distinct grid (reach disc and
     obstacle footprints under one inflation) once, and its grids at seed 0
@@ -474,7 +474,7 @@ def test_each_grid_mask_is_assembled_once_per_run(name, masks, grids, monkeypatc
 
 
 @pytest.mark.parametrize("name,footprints", [
-    ("hanoi_dual", 94), ("habitat", 88), ("habitat_unclearable", 43)])
+    ("hanoi_dual", 20), ("habitat", 58), ("habitat_unclearable", 37)])
 def test_each_footprint_is_rasterized_once_per_run(name, footprints, monkeypatch):
     """Grids rasterized 572, 500 and 882 footprints in these runs at seed 0
     when each grid was built from scratch."""

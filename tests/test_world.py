@@ -988,7 +988,94 @@ def test_grids_assembled_from_shared_layers_match_the_oracle():
         assert fast.stride == slow.ny + 2
         assert fast.free_mask == padded.tobytes()
     footprints = sum(len(obstacles) for _, _, obstacles, _ in cases)
-    assert len(cases) == 144 and footprints > 2 * len(memo.rasters)  # layers were shared
+    layers = {id(layer) for layer in memo.rasters.values()}  # a mask is also kept under aliases
+    assert len(cases) == 144 and footprints > 2 * len(layers)  # layers were shared
+
+
+def edge_obstacles(anchor, reach, res, inflation):
+    """Circles and boxes whose nearest point, grown by `inflation`, lies
+    one cell, 1e-6 m and 1e-9 m inside, on, and outside the edge of the
+    reach disc about `anchor`, along an axis, a diagonal and an oblique
+    direction; one on the edge is also moved by one and two ulps either
+    way along the direction."""
+    found = []
+    for ux, uy in ((1.0, 0.0), (0.0, -1.0), (-math.sqrt(0.5), math.sqrt(0.5)), (0.6, 0.8)):
+        for off in (-res, -1e-6, -1e-9, 0.0, 1e-9, 1e-6, res):
+            d = reach + off
+            for shape, dims in (("circle", (0.05,)), ("circle", (0.0,)), ("box", (0.08, 0.06))):
+                if shape == "circle":
+                    r = dims[0] + inflation
+                    x, y = anchor[0] + (d + r) * ux, anchor[1] + (d + r) * uy
+                else:  # the nearest point is the middle of a side, or a corner
+                    hw, hh = dims[0] / 2 + inflation, dims[1] / 2 + inflation
+                    x = anchor[0] + d * ux + (math.copysign(hw, ux) if ux else 0.0)
+                    y = anchor[1] + d * uy + (math.copysign(hh, uy) if uy else 0.0)
+                for ulps in ((-2, -1, 0, 1, 2) if off == 0.0 else (0,)):
+                    px, py = x, y
+                    for _ in range(abs(ulps)):
+                        px = math.nextafter(px, math.copysign(math.inf, ulps * ux)) if ux else px
+                        py = math.nextafter(py, math.copysign(math.inf, ulps * uy)) if uy else py
+                    found.append(Obj(f"e{len(found)}", shape, dims, px, py))
+    return found
+
+
+def pruning_cases(rng):
+    """Grids whose obstacles `_Grid` prunes before it assembles the mask:
+    random raster cases with concentric copies of some obstacles (smaller,
+    equal, larger, and exact duplicates) and a planted set of concentric
+    pegs and disks, each seen by an arm and by a base, and obstacles at
+    the reach disc's edge, one at a time with a duplicate, seen by an arm."""
+    for _ in range(200):
+        world, agent, obstacles, inflation = random_raster_case(rng)
+        extra = []
+        for obj in rng.sample(obstacles, min(len(obstacles), 4)):
+            scale = rng.choice([0.5, 1.0, 1.0, 1.5])
+            dims = tuple(d * rng.choice([scale, 1.0]) for d in obj.dims)
+            extra.append(replace(obj, id=obj.id + "c", dims=dims))
+        arm = Agent("arm", "arm", anchor=(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)),
+                    reach=rng.uniform(0.1, 0.5))
+        for who in (agent, arm):
+            yield world, who, obstacles + extra, inflation
+    world = World(bounds=(-0.5, -0.5, 0.5, 0.5), resolution=0.02)
+    pegs = [Obj("peg", "circle", (0.1,), 0.3, 0.1), Obj("box", "box", (0.2, 0.1), -0.1, 0.2)]
+    disks = [Obj("d1", "circle", (0.06,), 0.3, 0.1), Obj("d2", "circle", (0.1,), 0.3, 0.1),
+             Obj("d3", "circle", (0.06,), 0.3, 0.1), Obj("lid", "box", (0.2, 0.04), -0.1, 0.2),
+             Obj("tall", "box", (0.1, 0.1), -0.1, 0.2), Obj("peg2", "circle", (0.1,), 0.3, 0.1)]
+    for inflation in (0.0, 0.03):
+        for who in (Agent("arm", "arm", anchor=(0.02, -0.04), reach=0.3),
+                    Agent("base", "base", anchor=(0.0, 0.0), radius=0.1)):
+            yield world, who, pegs + disks, inflation
+    # Anchors on cell centres with reaches of whole cells put cell centres
+    # exactly on the disc's edge, where rounding alone decides a cell.
+    for res, anchor, reach in ((0.02, (0.0, 0.0), 0.3), (0.02, (0.02, 0.1), 0.22),
+                               (0.05, (0.1, -0.1), 0.25), (0.025, (-0.025, -0.1), 0.2),
+                               (0.01, (-0.05, 0.0), 0.08), (0.02, (0.013, 0.0071), 0.2877)):
+        world = World(bounds=(-0.5, -0.5, 0.5, 0.5), resolution=res)
+        arm = Agent("arm", "arm", anchor=anchor, reach=reach)
+        for inflation in (0.0, 0.01, 0.045, 0.105):
+            for obj in edge_obstacles(anchor, reach, res, inflation):
+                yield world, arm, [obj, replace(obj, id="twin")], inflation
+
+
+def test_grids_pruned_to_the_obstacles_that_change_them_match_the_oracle():
+    """`_Grid` assembles a mask from only the obstacles `_changing` keeps.
+    Each mask equals the one `_free_mask` assembles from all of them, and
+    the from-scratch oracle, padding ring included; concentric obstacles,
+    duplicates and obstacles beyond the reach disc are pruned, at every
+    distance from its edge, and the margin keeps any that straddle it."""
+    pruned = beyond = 0
+    for world, agent, obstacles, inflation in pruning_cases(random.Random(20261022)):
+        grid = W._Grid(world, agent, obstacles, inflation, {})
+        disc = (agent.anchor, agent.reach) if agent.kind == "arm" else None
+        assert grid.free_mask == W._free_mask(grid, disc, obstacles, inflation)
+        slow = OracleGrid(world, agent, obstacles, inflation)
+        padded = np.zeros((slow.nx + 2, slow.ny + 2), dtype=bool)
+        padded[1:-1, 1:-1] = ~slow.blocked
+        assert grid.free_mask == padded.tobytes()
+        kept = W._changing(disc, obstacles, inflation)
+        pruned += len(obstacles) - len(kept)
+        beyond += disc is not None and not kept
+    assert pruned >= 6000 and beyond >= 700
 
 
 def test_every_workload_grid_equals_the_from_scratch_raster(monkeypatch):
